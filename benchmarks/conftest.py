@@ -70,6 +70,7 @@ def bench_trajectory():
             "full_scale": FULL_SCALE,
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
             "generated_unix": int(time.time()),
         },
         "results": {},

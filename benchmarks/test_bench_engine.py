@@ -11,6 +11,9 @@ Claims pinned here (asserted at the default scale, recorded always):
   same batch (and ≥ 1x even at smoke scales — CI's perf gate);
 * memoized end-to-end ingest beats the PR 1 ingest loop ≥ 1.5x (the
   PR 1 loop is frozen verbatim below so the baseline can't drift);
+* one single-prefix route patch through memo → stride → packed is
+  ≥ 50x cheaper than recompiling the table — a patch costs what the
+  delta touches, not what the table holds;
 * the engine's clusters are identical to ``cluster_log``'s at every
   shard count and table kind, so the speed is not bought with drift.
 
@@ -19,6 +22,7 @@ fixture (see ``conftest.py``).
 """
 
 import itertools
+import statistics
 import time
 
 import pytest
@@ -33,6 +37,7 @@ from repro.engine import (
 )
 from repro.engine.shm import ShmWorkerGroup
 from repro.engine.state import ClusterStore, _ClusterState
+from repro.net.prefix import Prefix
 
 BATCH_TARGET = 120_000  # ≥100k lookups, per the acceptance bar
 
@@ -235,6 +240,65 @@ class TestFastpath:
             f"packed {packed_seconds * 1e3:.1f}ms, "
             f"stride {stride_seconds * 1e3:.1f}ms "
             f"({stride_table.num_direct_slots:,}/65,536 direct slots)"
+        )
+
+    def test_single_prefix_patch_beats_rebuild(self, merged_table,
+                                               address_batch,
+                                               bench_trajectory):
+        """A single-prefix announce, then its withdraw, on the merged
+        table behind a warm memo: each ≥ 50x cheaper than
+        ``StrideLpm.from_merged``.  A ratio of two timings taken in one
+        process, so the gate means the same on any box."""
+        rebuild_seconds, inner = _best_of(
+            3, lambda: StrideLpm.from_merged(merged_table)
+        )
+        table = MemoizedLookup(inner)
+        table.lookup_many(address_batch)  # evicting from it is patch cost
+        entries = len(inner)
+        live = {prefix for prefix, _ in inner.items()}
+        # New more-specifics spread over the whole address space.
+        fresh = [
+            Prefix(prefix.network, prefix.length + 2)
+            for prefix in sorted(live)[:: max(1, entries // 64)]
+            if prefix.length <= 30
+        ]
+        fresh = [prefix for prefix in fresh if prefix not in live]
+        # The first patch materialises the table's sorted view: set-up.
+        table.apply_delta([(fresh[0], "warm")], [])
+        table.apply_delta([], [fresh[0]])
+        announce_times, withdraw_times = [], []
+        for prefix in fresh:
+            began = time.perf_counter()
+            table.apply_delta([(prefix, "bench")], [])
+            announce_times.append(time.perf_counter() - began)
+            began = time.perf_counter()
+            table.apply_delta([], [prefix])
+            withdraw_times.append(time.perf_counter() - began)
+        table.verify_patched()
+        assert len(table) == entries
+
+        announce_p50 = statistics.median(announce_times)
+        withdraw_p50 = statistics.median(withdraw_times)
+        ratio = rebuild_seconds / max(announce_p50, withdraw_p50)
+        bench_trajectory["results"]["patch_latency"] = {
+            "entries": entries,
+            "memo_entries": table.memo_size,
+            "patches": 2 * len(fresh),
+            "announce_p50_ms": round(announce_p50 * 1e3, 4),
+            "withdraw_p50_ms": round(withdraw_p50 * 1e3, 4),
+            "rebuild_seconds": round(rebuild_seconds, 6),
+            "rebuild_vs_patch": round(ratio, 1),
+        }
+        print(
+            f"\n{2 * len(fresh)} single-prefix patches on {entries:,} "
+            f"entries ({table.memo_size:,} memoized): announce "
+            f"{announce_p50 * 1e3:.3f}ms, withdraw {withdraw_p50 * 1e3:.3f}ms "
+            f"vs rebuild {rebuild_seconds * 1e3:.1f}ms ({ratio:.0f}x)"
+        )
+        assert ratio >= 50, (
+            f"a single-prefix patch is only {ratio:.0f}x cheaper than a "
+            "rebuild (needs >= 50x): something table-sized crept back "
+            "into apply_delta"
         )
 
     def test_stride_lookup_beats_packed(self, packed, stride, address_batch,

@@ -90,7 +90,7 @@ _STRIDE_SHIFT = 16
 _NUM_SLOTS = 1 << 16
 
 #: Slot sentinel: "consult the per-slot run" (any value ≥ -1 is a
-#: direct answer — an entry index, or -1 for an uncovered gap).
+#: direct answer — an entry handle, or -1 for an uncovered gap).
 _INDIRECT = -2
 
 
@@ -99,13 +99,13 @@ class StrideLpm(PackedLpm):
 
     Construction first compiles the same disjoint-interval layout as
     :class:`PackedLpm` (so ``digest``, ``items``, ``prefix``, ``value``
-    and the entry indices lookups return are identical), then overlays
+    and the entry handles lookups return are identical), then overlays
     the stride index in one monotone walk over the intervals:
 
     * ``_slots[s]`` — the answer for every address whose top 16 bits
       equal ``s`` when one interval covers the whole /16 block (every
       prefix ≤ /16 that no longer prefix punches into, and every
-      uncovered gap) — an entry index, or -1 for a miss — else the
+      uncovered gap) — an entry handle, or -1 for a miss — else the
       ``_INDIRECT`` sentinel;
     * ``_runs[s]`` — for indirect slots, the slot's own
       ``(starts, owners)`` interval run as two plain int lists, the
@@ -169,31 +169,15 @@ class StrideLpm(PackedLpm):
     ) -> PatchResult:
         """Patch the packed layout, then repair the stride overlay.
 
-        Outside the patch's address windows the interval *boundaries*
-        are untouched — entry indices merely shifted — so those slots
-        and runs only need the index remap applied.  Slots overlapping
-        a window are rebuilt from the patched intervals with the same
-        monotone walk compilation uses, which keeps the overlay
-        bit-identical to a from-scratch :class:`StrideLpm` (the
-        :meth:`verify_patched` gate compares ``_slots`` and ``_runs``
-        too).
+        Outside the patch's address windows neither an interval's
+        clipping to its slot nor an entry's handle changes, so those
+        slots and runs stand as they are.  Slots overlapping a window
+        are rebuilt from the patched intervals with the same monotone
+        walk compilation uses, which keeps the overlay equal to a
+        from-scratch :class:`StrideLpm` (the :meth:`verify_patched`
+        gate compares ``_slots`` and ``_runs`` too).
         """
         result = super().apply_delta(announce, withdraw)
-        remap = result.remap
-        if remap is None:
-            return result
-        slots = self._slots
-        self._slots = array(
-            "q", [remap[owner] if owner >= 0 else owner for owner in slots]
-        )
-        runs = self._runs
-        for slot, run in enumerate(runs):
-            if run is not None:
-                run_starts, run_owners = run
-                runs[slot] = (
-                    run_starts,
-                    [remap[o] if o >= 0 else o for o in run_owners],
-                )
         for low, high in result.windows:
             self._rebuild_slots(low >> _STRIDE_SHIFT, high >> _STRIDE_SHIFT)
         return result
@@ -229,8 +213,9 @@ class StrideLpm(PackedLpm):
     def verify_patched(self) -> None:
         """Equivalence gate, extended to the stride overlay."""
         super().verify_patched()
-        rebuilt = StrideLpm(list(zip(self._prefixes, self._values)))
-        if rebuilt._slots != self._slots or rebuilt._runs != self._runs:
+        _, slots, runs = self.__getstate__()
+        rebuilt = StrideLpm(list(self.items()))
+        if rebuilt._slots != slots or rebuilt._runs != runs:
             raise SanitizeError(
                 "patched StrideLpm overlay diverged from a from-scratch "
                 f"rebuild at epoch {self.epoch}: the stride index no "
@@ -251,7 +236,7 @@ class StrideLpm(PackedLpm):
         owner = self.match_index(address)
         if owner < 0:
             return None
-        return self._prefixes[owner], self._values[owner]
+        return self.prefix(owner), self._values[owner]
 
     def lookup(self, address: int) -> Any:
         owner = self.match_index(address)
@@ -300,7 +285,18 @@ class StrideLpm(PackedLpm):
     # -- pickling --------------------------------------------------------
 
     def __getstate__(self) -> _StrideState:
-        return (super().__getstate__(), self._slots, self._runs)
+        """Canonical like :meth:`PackedLpm.__getstate__`: the overlay's
+        handles are renumbered to the dense sorted ranks as well."""
+        ranks = self._ranks()
+        packed_state = self._packed_state(ranks)
+        if ranks is None:
+            return (packed_state, self._slots, self._runs)
+        rank = ranks.__getitem__
+        runs: List[Optional[_SlotRun]] = [
+            None if run is None else (run[0], list(map(rank, run[1])))
+            for run in self._runs
+        ]
+        return (packed_state, array("q", map(rank, self._slots)), runs)
 
     def __setstate__(self, state: _StrideState) -> None:
         packed_state, self._slots, self._runs = state
@@ -316,7 +312,7 @@ class MemoizedLookup:
     """Bounded exact-IP memo in front of any index-returning LPM table.
 
     Wraps anything with the packed-table API (``lookup_many`` returning
-    entry indices plus ``prefix``/``value``/``digest``) and serves
+    entry handles plus ``prefix``/``value``/``digest``) and serves
     repeat addresses from a dict.  Web-log client popularity is heavy
     tailed, so in steady state most addresses never reach the table.
 
@@ -355,7 +351,7 @@ class MemoizedLookup:
     def _sync_epoch(self) -> None:
         """Safety net: if the table was patched without
         :meth:`apply_patch` being called, drop the whole memo rather
-        than serve stale indices.  One int compare on the happy path."""
+        than serve stale handles.  One int compare on the happy path."""
         epoch = getattr(self.table, "epoch", 0)
         if epoch != self._table_epoch:
             self._memo.clear()
@@ -375,30 +371,34 @@ class MemoizedLookup:
     def apply_patch(self, result: PatchResult) -> int:
         """Fold one :class:`~repro.engine.packed.PatchResult` into the
         memo: entries inside an affected window are evicted (their
-        longest match may have changed), every other entry has the
-        index remap applied.  Returns the number of evicted entries.
+        longest match may have changed, and a withdrawn entry's handle
+        may be reused), every other entry stands — a patch never
+        renumbers a surviving entry.  Returns the number evicted.
 
         Far cheaper than a wholesale clear on the heavy-tailed client
         streams the memo exists for: a routing delta touches a few
         address windows, while the memo holds the whole working set.
         """
         self._table_epoch = int(getattr(self.table, "epoch", 0))
-        remap = result.remap
-        if remap is None:
+        if not result.windows:
             return 0
-        window_lows = [window[0] for window in result.windows]
-        window_highs = [window[1] for window in result.windows]
-        fresh: Dict[int, int] = {}
-        dropped = 0
-        for address, owner in self._memo.items():
-            spot = bisect_right(window_lows, address) - 1
-            if spot >= 0 and address <= window_highs[spot]:
-                dropped += 1
-                continue
-            fresh[address] = remap[owner] if owner >= 0 else owner
-        self._memo = fresh
-        self.evictions += dropped
-        return dropped
+        memo = self._memo
+        lows = [low for low, _ in result.windows]
+        highs = [high for _, high in result.windows]
+        # Windows are sorted and disjoint: only the last one starting at
+        # or below an address can hold it, and most addresses fall
+        # outside the windows' hull without a search at all.
+        first = lows[0]
+        last = highs[-1]
+        stale = [
+            address for address in memo
+            if first <= address <= last
+            and address <= highs[bisect_right(lows, address) - 1]
+        ]
+        for address in stale:
+            del memo[address]
+        self.evictions += len(stale)
+        return len(stale)
 
     def verify_patched(self) -> None:
         """Delegate the equivalence gate to the wrapped table."""

@@ -1,4 +1,5 @@
-"""Immutable, array-packed longest-prefix-match table.
+"""Array-packed longest-prefix-match table, compiled once and patched
+in place.
 
 The radix trie (:class:`repro.net.radix.RadixTree`) is the right
 structure for a table that changes entry by entry; the clustering
@@ -10,21 +11,35 @@ over a flat integer array instead of a pointer-chasing trie walk.
 
 Route churn is applied *in place* with :meth:`PackedLpm.apply_delta`:
 a batch of announcements/withdrawals splices the interval layout only
-inside the affected address windows, preserving every compile
-invariant, so the patched table is indistinguishable from a
-from-scratch rebuild (:meth:`PackedLpm.verify_patched` enforces this).
-Each successful patch bumps an epoch counter that downstream caches
+inside the affected address windows and rewrites nothing outside
+them, so a patch costs what the delta touches, not what the table
+holds.  Each successful patch bumps an epoch counter, and the returned
+:class:`PatchResult` carries the windows downstream caches
 (:class:`~repro.engine.fastpath.MemoizedLookup`, cluster assignments)
-use for selective invalidation via the returned :class:`PatchResult`.
+use for selective invalidation.
 
-Layout — three parallel, flat sequences:
+Layout — parallel, flat sequences:
 
 * ``_starts`` — ``array('Q')`` of interval start addresses, ascending;
   interval *i* covers ``[_starts[i], _starts[i+1])``.
-* ``_owners`` — ``array('q')`` mapping interval *i* to the index of its
-  most-specific covering entry, or ``-1`` for uncovered gaps.
-* ``_prefixes`` / ``_values`` — tuples holding each entry's
-  :class:`~repro.net.prefix.Prefix` and attached value.
+* ``_owners`` — ``array('q')`` mapping interval *i* to the *handle* of
+  its most-specific covering entry, or ``-1`` for uncovered gaps.
+* ``_prefixes`` / ``_values`` — the entry columns, indexed by handle:
+  each entry's :class:`~repro.net.prefix.Prefix` and attached value.
+
+A handle is a table-local, stable name for one entry: it is what
+lookups return and what ``prefix()`` / ``value()`` take, and a patch
+never renumbers a surviving entry.  A compiled table numbers its
+entries densely in routing-table order (handle == sorted rank); a
+patched one appends announced entries (or reuses a withdrawn entry's
+freed handle), tombstones withdrawn ones with ``None``, and keeps the
+sorted order on the side.  Handles of two table objects are therefore
+not comparable — resolve them to prefixes first — and every serialised
+form (:meth:`PackedLpm.__getstate__`, hence pickles, shared-memory
+segments and checkpoint table sections) renumbers to the canonical
+dense form, so a patched table serialises byte-for-byte like a
+from-scratch compile of the same routes
+(:meth:`PackedLpm.verify_patched` enforces the equivalence).
 
 The whole table is a handful of picklable flat objects, so it ships to
 worker processes once and is shared read-only from then on.  Batch
@@ -46,8 +61,8 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
+    cast,
 )
 
 from repro.errors import SanitizeError
@@ -59,10 +74,14 @@ if TYPE_CHECKING:
     from repro.net.radix import RadixTree
 
 #: The pickled form: the four flat slots plus the generation counters,
-#: in declaration order.
+#: in declaration order — always in the canonical dense numbering.
 _PackedState = Tuple[
     "array[int]", "array[int]", Tuple[Prefix, ...], Tuple[Any, ...], int, int
 ]
+
+#: The sorted view of a patched table: the live entries' order keys,
+#: ascending, and their handles in the same order.
+_SortedView = Tuple["array[int]", "array[int]"]
 
 __all__ = ["PackedLpm", "PatchResult", "merge_windows"]
 
@@ -75,15 +94,9 @@ class PatchResult:
     longest-match answer *may* have changed — the selective-invalidation
     contract for :class:`~repro.engine.fastpath.MemoizedLookup` and
     :meth:`~repro.engine.state.ClusterStore.reassign_clients`: any
-    address outside every window resolves to the same prefix as before
-    (possibly at a shifted entry index).
-
-    ``remap`` maps every pre-patch entry index to its post-patch index.
-    Surviving entries map to their shifted position; withdrawn entries
-    map to the final index of their most specific remaining covering
-    prefix (their new longest match), or ``-1`` when nothing covers
-    them.  ``None`` means no structural change happened (value-only
-    updates), so existing indices are still valid as-is.
+    address outside every window resolves to the same entry handle, and
+    so the same prefix, as before.  No windows means no structural
+    change happened (value-only updates, noop withdrawals).
     """
 
     epoch: int
@@ -92,12 +105,11 @@ class PatchResult:
     value_updates: int
     noop_withdrawals: int
     windows: Tuple[Tuple[int, int], ...]
-    remap: Optional[Tuple[int, ...]]
 
     @property
     def structural(self) -> bool:
-        """True when entry indices shifted (inserts or withdrawals)."""
-        return self.remap is not None
+        """True when entries were inserted or withdrawn."""
+        return bool(self.windows)
 
 
 def merge_windows(
@@ -118,24 +130,39 @@ def merge_windows(
     return tuple(merged)
 
 
+def _order_key(network: int, length: int) -> int:
+    """``Prefix.sort_key`` order as one int, so the sorted view is a
+    flat array that ``bisect`` searches without calling into Python."""
+    return (network << 6) | length
+
+
 class PackedLpm:
-    """Read-only LPM table over disjoint address intervals.
+    """LPM table over disjoint address intervals.
 
     Build with :meth:`from_items`, :meth:`from_radix`, or
     :meth:`from_merged`; the constructor itself takes an already
-    deduplicated, ``sort_key``-ordered entry list.
+    deduplicated, ``sort_key``-ordered entry list.  Lookups return
+    entry handles (see the module docstring); :meth:`apply_delta`
+    patches the routes in place.
     """
 
     __slots__ = (
         "_starts", "_owners", "_prefixes", "_values", "_epoch",
-        "_deltas_applied",
+        "_deltas_applied", "_sorted", "_free",
     )
 
     def __init__(self, entries: Sequence[Tuple[Prefix, Any]]) -> None:
         self._epoch = 0
         self._deltas_applied = 0
-        self._prefixes: Tuple[Prefix, ...] = tuple(p for p, _ in entries)
-        self._values: Tuple[Any, ...] = tuple(v for _, v in entries)
+        prefixes = tuple(p for p, _ in entries)
+        #: The entry columns: dense sorted tuples as compiled (or
+        #: unpickled); lists with ``None`` tombstones once patched.
+        self._prefixes: Sequence[Optional[Prefix]] = prefixes
+        self._values: Sequence[Any] = tuple(v for _, v in entries)
+        #: None while handles are the dense sorted ranks (never patched).
+        self._sorted: Optional[_SortedView] = None
+        #: Handles of withdrawn entries, reused by later announces.
+        self._free: List[int] = []
         starts = array("Q", [0])
         owners = array("q", [-1])
 
@@ -149,7 +176,6 @@ class PackedLpm:
                 starts.append(addr)
                 owners.append(owner)
 
-        prefixes = self._prefixes
         stack: List[int] = []
         for index, prefix in enumerate(prefixes):
             while stack and prefixes[stack[-1]].last_address < prefix.network:
@@ -195,10 +221,10 @@ class PackedLpm:
     # -- introspection ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._prefixes)
+        return len(self._prefixes) - len(self._free)
 
     def __bool__(self) -> bool:
-        return bool(self._prefixes)
+        return len(self) > 0
 
     @property
     def num_intervals(self) -> int:
@@ -229,28 +255,73 @@ class PackedLpm:
 
     def items(self) -> Iterable[Tuple[Prefix, Any]]:
         """Iterate ``(prefix, value)`` entries in address order."""
-        return zip(self._prefixes, self._values)
+        return zip(*self._sorted_entries())
 
     def prefix(self, index: int) -> Prefix:
         """The prefix of entry ``index`` (as returned by lookups)."""
-        return self._prefixes[index]
+        prefix = self._prefixes[index]
+        if prefix is None:
+            raise self._tombstone_error(index)
+        return prefix
 
     def value(self, index: int) -> Any:
         """The value of entry ``index`` (as returned by lookups)."""
+        if self._prefixes[index] is None:
+            raise self._tombstone_error(index)
         return self._values[index]
+
+    def _tombstone_error(self, index: int) -> SanitizeError:
+        return SanitizeError(
+            f"entry handle {index} was withdrawn at or before epoch "
+            f"{self._epoch}: a handle outlived the patch that freed it "
+            "(caches must drop handles inside PatchResult.windows)"
+        )
 
     def digest(self) -> str:
         """Stable fingerprint of the prefix set (checkpoint safety check).
 
-        Two tables compiled from the same prefixes — whatever the source
-        structure — share a digest; values are excluded on purpose so a
-        re-merged table with identical routes still matches.
+        Two tables holding the same prefixes — whatever the source
+        structure, compiled or patched — share a digest; values are
+        excluded on purpose so a re-merged table with identical routes
+        still matches.
         """
         hasher = hashlib.sha256()
-        for prefix in self._prefixes:
+        for prefix in self._sorted_entries()[0]:
             hasher.update(prefix.network.to_bytes(4, "big"))
             hasher.update(bytes((prefix.length,)))
         return hasher.hexdigest()
+
+    # -- canonical numbering ---------------------------------------------
+
+    def _sorted_entries(self) -> Tuple[Tuple[Prefix, ...], Tuple[Any, ...]]:
+        """The live entry columns in routing-table order — the columns
+        a from-scratch compile of the current routes would hold."""
+        if self._sorted is None:
+            prefixes, values = self._prefixes, self._values
+        else:
+            handles = self._sorted[1]
+            prefixes = tuple(map(self._prefixes.__getitem__, handles))
+            values = tuple(map(self._values.__getitem__, handles))
+        # Never-patched columns are the compiled tuples themselves, and
+        # the sorted view lists live entries only, never a tombstone.
+        return (
+            cast(Tuple[Prefix, ...], prefixes),
+            cast(Tuple[Any, ...], values),
+        )
+
+    def _ranks(self) -> Optional[Dict[int, int]]:
+        """Handle -> canonical (dense sorted) index, or None when the
+        handles already are the canonical numbering.  The two negative
+        owner sentinels (-1 gap, -2 stride-indirect) map to themselves,
+        so ``map(ranks.__getitem__, owners)`` renumbers a whole owner
+        column without a Python-level loop."""
+        if self._sorted is None:
+            return None
+        handles = self._sorted[1]
+        ranks = dict(zip(handles, range(len(handles))))
+        ranks[-1] = -1
+        ranks[-2] = -2
+        return ranks
 
     # -- lookups ---------------------------------------------------------
 
@@ -263,7 +334,7 @@ class PackedLpm:
         owner = self._owners[bisect_right(self._starts, address) - 1]
         if owner < 0:
             return None
-        return self._prefixes[owner], self._values[owner]
+        return self.prefix(owner), self._values[owner]
 
     def lookup(self, address: int) -> Any:
         """Return the matched entry's value, or None on miss.
@@ -304,16 +375,19 @@ class PackedLpm:
         and withdrawn in the same batch is a caller error — event
         streams must coalesce to one final operation per prefix first.
 
-        The patch preserves every compile invariant of ``__init__``:
-        entries stay ``sort_key``-ordered, and the interval layout is
-        re-derived only inside the affected address windows, so the
-        patched table is *indistinguishable* from a from-scratch rebuild
-        at the new routing state — same entry indices, same intervals,
-        same ``digest()``.  :meth:`verify_patched` checks exactly that.
+        Only the address windows of the inserted and withdrawn prefixes
+        are rewritten: a withdrawal relabels its own pieces to the most
+        specific remaining cover, an insert takes over every piece a
+        less specific entry (or no one) owned, and adjacent pieces that
+        end up with one owner coalesce.  Surviving entries keep their
+        handles, so nothing outside the windows — no interval, no cached
+        lookup result — needs touching.  The interval boundaries are
+        exactly those of a from-scratch compile at the new routing
+        state and the owners differ from it only by the handle ->
+        sorted-rank renumbering; :meth:`verify_patched` checks that.
 
-        Returns a :class:`PatchResult` carrying the index remap and the
-        affected address windows that downstream caches need for
-        selective invalidation.
+        Returns a :class:`PatchResult` carrying the affected address
+        windows that downstream caches need for selective invalidation.
         """
         if self.is_view:
             raise TypeError(
@@ -322,184 +396,191 @@ class PackedLpm:
                 "mmap'd checkpoint) — patch the owning table and "
                 "republish its segments instead"
             )
-        prefixes = self._prefixes
-        old_count = len(prefixes)
-
-        def _position(prefix: Prefix) -> int:
-            """Index of ``prefix`` among current entries, or -1."""
-            spot = bisect_left(prefixes, prefix)
-            if spot < old_count and prefixes[spot] == prefix:
-                return spot
-            return -1
+        keys, handles = self._sorted_view()
 
         updates: Dict[int, Any] = {}
         inserts: Dict[Prefix, Any] = {}
         for prefix, value in announce:
-            spot = _position(prefix)
-            if spot >= 0:
-                updates[spot] = value
-                inserts.pop(prefix, None)
+            handle = self._handle_of(prefix.network, prefix.length)
+            if handle >= 0:
+                updates[handle] = value
             else:
                 inserts[prefix] = value
-        removed: Set[int] = set()
+        removed: Dict[int, Prefix] = {}
         noop_withdrawals = 0
         for prefix in withdraw:
-            if prefix in inserts:
+            handle = self._handle_of(prefix.network, prefix.length)
+            if prefix in inserts or handle in updates:
                 raise ValueError(
                     f"prefix {prefix.cidr} both announced and withdrawn in "
                     "one delta batch — coalesce the event stream first"
                 )
-            spot = _position(prefix)
-            if spot >= 0:
-                if spot in updates:
-                    raise ValueError(
-                        f"prefix {prefix.cidr} both announced and withdrawn "
-                        "in one delta batch — coalesce the event stream first"
-                    )
-                removed.add(spot)
+            if handle >= 0:
+                removed[handle] = prefix
             else:
                 noop_withdrawals += 1
 
-        if not inserts and not removed:
-            # Value-only fast path: indices and intervals are untouched,
-            # so no cache needs invalidating (memo entries store indices
-            # and values are fetched through the table on use).
-            if updates:
-                values = list(self._values)
-                for spot, value in updates.items():
-                    values[spot] = value
-                self._values = tuple(values)
-                self._epoch += 1
-                self._deltas_applied += len(updates)
-            return PatchResult(
-                epoch=self._epoch,
-                announced=len(updates),
-                withdrawn=0,
-                value_updates=len(updates),
-                noop_withdrawals=noop_withdrawals,
-                windows=(),
-                remap=None,
-            )
+        # Handles and intervals are untouched by a value update, so no
+        # cache needs invalidating for it (memo entries store handles
+        # and values are fetched through the table on use).
+        prefixes = cast(List[Optional[Prefix]], self._prefixes)
+        values = cast(List[Any], self._values)
+        for handle, value in updates.items():
+            values[handle] = value
 
-        # 1. The final entry list: survivors (with updates folded in)
-        #    merged with the sorted inserts, plus the old->new remap.
-        old_values = self._values
-        insert_items = sorted(inserts.items(), key=lambda kv: kv[0].sort_key())
-        insert_count = len(insert_items)
-        new_prefixes: List[Prefix] = []
-        new_values: List[Any] = []
-        remap: List[int] = [-1] * old_count
-        inserted_positions: List[int] = []
-        pending = 0
-        for position in range(old_count):
-            prefix = prefixes[position]
-            while pending < insert_count and insert_items[pending][0] < prefix:
-                inserted_positions.append(len(new_prefixes))
-                new_prefixes.append(insert_items[pending][0])
-                new_values.append(insert_items[pending][1])
-                pending += 1
-            if position in removed:
-                continue
-            remap[position] = len(new_prefixes)
-            new_prefixes.append(prefix)
-            new_values.append(updates.get(position, old_values[position]))
-        while pending < insert_count:
-            inserted_positions.append(len(new_prefixes))
-            new_prefixes.append(insert_items[pending][0])
-            new_values.append(insert_items[pending][1])
-            pending += 1
+        # Withdrawals: drop the entries from the sorted view first, so
+        # the cover probe sees the remaining routes only, then relabel
+        # each merged window in one pass.
+        for handle, prefix in removed.items():
+            spot = bisect_left(keys, _order_key(prefix.network, prefix.length))
+            del keys[spot]
+            del handles[spot]
+            prefixes[handle] = None
+            values[handle] = None
+        spans = [
+            (prefix.network, prefix.last_address)
+            for prefix in removed.values()
+        ]
+        relabel = {
+            handle: self._cover_of(prefix)
+            for handle, prefix in removed.items()
+        }
+        for low, high in merge_windows(spans):
+            self._relabel_window(low, high, relabel)
 
-        # 2. Withdrawn entries remap to their new longest match: the
-        #    most specific remaining cover.  Covers of a prefix sort in
-        #    increasing specificity, so the first cover found walking
-        #    backward from the withdrawn prefix's sorted position is it.
-        for position in sorted(removed):
-            prefix = prefixes[position]
-            probe = bisect_left(new_prefixes, prefix)
-            for candidate in range(probe - 1, -1, -1):
-                if new_prefixes[candidate].contains_prefix(prefix):
-                    remap[position] = candidate
-                    break
+        # Inserts go in sorted order, so a same-batch cover is always
+        # spliced before the specifics it contains.
+        free = self._free
+        for prefix in sorted(inserts):
+            if free:
+                handle = free.pop()
+                prefixes[handle] = prefix
+                values[handle] = inserts[prefix]
+            else:
+                handle = len(prefixes)
+                prefixes.append(prefix)
+                values.append(inserts[prefix])
+            key = _order_key(prefix.network, prefix.length)
+            spot = bisect_left(keys, key)
+            keys.insert(spot, key)
+            handles.insert(spot, handle)
+            self._splice_insert(handle, prefix)
+            spans.append((prefix.network, prefix.last_address))
+        # Freed only now: no insert of this batch may take a handle the
+        # layout was still carrying when the batch began.
+        free.extend(removed)
 
-        # 3. One remap pass over the interval owners.  Mapping each
-        #    withdrawn entry's intervals to its cover makes withdrawal a
-        #    pure relabelling; the coalesce fold restores the canonical
-        #    no-adjacent-equal-owners invariant where labels merged.
-        starts = array("Q")
-        owners = array("q")
-        last_owner: Optional[int] = None
-        for start, owner in zip(self._starts, self._owners):
-            mapped = remap[owner] if owner >= 0 else -1
-            if mapped != last_owner:
-                starts.append(start)
-                owners.append(mapped)
-                last_owner = mapped
-
-        # 4. Splice each inserted prefix into its address window, taking
-        #    over every piece owned by a less specific entry (or by no
-        #    one) and leaving nested more-specific survivors alone.
-        #    Inserts are processed in sorted order, so a same-batch
-        #    cover is always spliced before the specifics it contains.
-        for final_index in inserted_positions:
-            prefix = new_prefixes[final_index]
-            low = prefix.network
-            high = prefix.last_address
-            left = bisect_right(starts, low) - 1
-            right = bisect_right(starts, high) - 1
-            piece_starts: List[int] = []
-            piece_owners: List[int] = []
-            if starts[left] < low:
-                piece_starts.append(starts[left])
-                piece_owners.append(owners[left])
-            for segment in range(left, right + 1):
-                segment_owner = owners[segment]
-                if (
-                    segment_owner < 0
-                    or new_prefixes[segment_owner].length < prefix.length
-                ):
-                    segment_owner = final_index
-                if piece_owners and piece_owners[-1] == segment_owner:
-                    continue
-                piece_starts.append(max(starts[segment], low))
-                piece_owners.append(segment_owner)
-            if high < MAX_ADDRESS:
-                boundary = (
-                    starts[right + 1]
-                    if right + 1 < len(starts)
-                    else MAX_ADDRESS + 1
-                )
-                if boundary > high + 1 and piece_owners[-1] != owners[right]:
-                    piece_starts.append(high + 1)
-                    piece_owners.append(owners[right])
-            starts = (
-                starts[:left] + array("Q", piece_starts) + starts[right + 1:]
-            )
-            owners = (
-                owners[:left] + array("q", piece_owners) + owners[right + 1:]
-            )
-
-        windows = merge_windows(
-            [(item[0].network, item[0].last_address) for item in insert_items]
-            + [
-                (prefixes[position].network, prefixes[position].last_address)
-                for position in removed
-            ]
-        )
-        self._prefixes = tuple(new_prefixes)
-        self._values = tuple(new_values)
-        self._starts = starts
-        self._owners = owners
-        self._epoch += 1
-        self._deltas_applied += len(updates) + insert_count + len(removed)
+        changed = len(updates) + len(inserts) + len(removed)
+        if changed:
+            self._epoch += 1
+            self._deltas_applied += changed
         return PatchResult(
             epoch=self._epoch,
-            announced=len(updates) + insert_count,
+            announced=len(updates) + len(inserts),
             withdrawn=len(removed),
             value_updates=len(updates),
             noop_withdrawals=noop_withdrawals,
-            windows=windows,
-            remap=tuple(remap),
+            windows=merge_windows(spans),
         )
+
+    def _sorted_view(self) -> _SortedView:
+        """The sorted view, materialised — with the entry columns turned
+        into lists — on the first patch: a table that is never patched
+        never pays for either."""
+        view = self._sorted
+        if view is None:
+            view = (
+                array("Q", [
+                    _order_key(prefix.network, prefix.length)
+                    for prefix in self._sorted_entries()[0]
+                ]),
+                array("q", range(len(self._prefixes))),
+            )
+            self._prefixes = list(self._prefixes)
+            self._values = list(self._values)
+            self._sorted = view
+        return view
+
+    def _handle_of(self, network: int, length: int) -> int:
+        """Handle of the live entry ``network/length``, or -1."""
+        keys, handles = self._sorted_view()
+        key = _order_key(network, length)
+        spot = bisect_left(keys, key)
+        if spot < len(keys) and keys[spot] == key:
+            return handles[spot]
+        return -1
+
+    def _cover_of(self, prefix: Prefix) -> int:
+        """Handle of the most specific live strict cover of ``prefix``
+        (its longest match once it is withdrawn), or -1: one probe per
+        possible ancestor, at most 32."""
+        for length in range(prefix.length - 1, -1, -1):
+            shift = 32 - length
+            handle = self._handle_of(prefix.network >> shift << shift, length)
+            if handle >= 0:
+                return handle
+        return -1
+
+    def _relabel_window(
+        self, low: int, high: int, relabel: Dict[int, int]
+    ) -> None:
+        """Rewrite the owners of intervals inside ``[low, high]`` through
+        ``relabel`` and coalesce equal neighbours, including the one
+        interval on either side of the window.  ``low`` is the network
+        of a prefix the layout carried, so an interval starts there."""
+        starts = self._starts
+        owners = self._owners
+        left = bisect_left(starts, low)
+        stop = bisect_right(starts, high)
+        piece_starts: List[int] = []
+        piece_owners: List[int] = []
+        last = owners[left - 1] if left else None
+        for segment in range(left, stop):
+            owner = owners[segment]
+            owner = relabel.get(owner, owner)
+            if owner != last:
+                piece_starts.append(starts[segment])
+                piece_owners.append(owner)
+                last = owner
+        if stop < len(starts) and owners[stop] == last:
+            stop += 1
+        starts[left:stop] = array("Q", piece_starts)
+        owners[left:stop] = array("q", piece_owners)
+
+    def _splice_insert(self, handle: int, prefix: Prefix) -> None:
+        """Splice a new entry into its address window, taking over every
+        piece owned by a less specific entry (or by no one) and leaving
+        nested more-specific entries alone."""
+        starts = self._starts
+        owners = self._owners
+        low = prefix.network
+        high = prefix.last_address
+        left = bisect_right(starts, low) - 1
+        right = bisect_right(starts, high) - 1
+        piece_starts: List[int] = []
+        piece_owners: List[int] = []
+        if starts[left] < low:
+            piece_starts.append(starts[left])
+            piece_owners.append(owners[left])
+        for segment in range(left, right + 1):
+            owner = owners[segment]
+            if owner < 0 or self.prefix(owner).length < prefix.length:
+                owner = handle
+            if piece_owners and piece_owners[-1] == owner:
+                continue
+            piece_starts.append(max(starts[segment], low))
+            piece_owners.append(owner)
+        if high < MAX_ADDRESS:
+            boundary = (
+                starts[right + 1]
+                if right + 1 < len(starts)
+                else MAX_ADDRESS + 1
+            )
+            if boundary > high + 1 and piece_owners[-1] != owners[right]:
+                piece_starts.append(high + 1)
+                piece_owners.append(owners[right])
+        starts[left:right + 1] = array("Q", piece_starts)
+        owners[left:right + 1] = array("q", piece_owners)
 
     def restore_generation(self, epoch: int, deltas_applied: int) -> None:
         """Adopt another table's generation counters.
@@ -513,21 +594,37 @@ class PackedLpm:
         self._deltas_applied = deltas_applied
 
     def verify_patched(self) -> None:
-        """Equivalence gate: the patched layout must be bit-identical to
-        a from-scratch compile of the current entry set.
+        """Equivalence gate: the patched layout, renumbered from handles
+        to canonical sorted ranks, must be bit-identical to a
+        from-scratch compile of the current entry set.
 
         Raises :class:`~repro.errors.SanitizeError` on any divergence —
         an incremental patch that drifts from the rebuild it promises to
         equal is silent corruption, never a recoverable condition.
         """
-        rebuilt = PackedLpm(list(zip(self._prefixes, self._values)))
-        if rebuilt._starts != self._starts or rebuilt._owners != self._owners:
+        starts, owners, prefixes, values, _, _ = self._packed_state(
+            self._ranks()
+        )
+        rebuilt = PackedLpm(list(zip(prefixes, values)))
+        if rebuilt._starts != starts or rebuilt._owners != owners:
             raise SanitizeError(
                 "patched PackedLpm diverged from a from-scratch rebuild: "
-                f"{len(self._starts)} intervals in the patched layout vs "
+                f"{len(starts)} intervals in the patched layout vs "
                 f"{len(rebuilt._starts)} rebuilt "
-                f"(epoch {self._epoch}, {len(self._prefixes)} entries)"
+                f"(epoch {self._epoch}, {len(prefixes)} entries)"
             )
+        if self._sorted is not None:
+            in_order = array("Q", [
+                _order_key(prefix.network, prefix.length)
+                for prefix in sorted(set(prefixes))
+            ])
+            if self._sorted[0] != in_order or len(self) != len(in_order):
+                raise SanitizeError(
+                    "patched PackedLpm's sorted view diverged from its "
+                    f"entry columns at epoch {self._epoch}: "
+                    f"{len(self._sorted[0])} keys, {len(self)} live of "
+                    f"{len(self._prefixes)} handles"
+                )
         if rebuilt.digest() != self.digest():
             raise SanitizeError(
                 "patched PackedLpm digest diverged from a from-scratch "
@@ -537,13 +634,29 @@ class PackedLpm:
     # -- pickling --------------------------------------------------------
 
     def __getstate__(self) -> _PackedState:
+        """The canonical form: entries dense in routing-table order and
+        owners renumbered to match, whatever handles this object uses —
+        what a from-scratch compile of the same routes would pickle."""
+        return self._packed_state(self._ranks())
+
+    def _packed_state(self, ranks: Optional[Dict[int, int]]) -> _PackedState:
+        """The packed layout renumbered through ``ranks`` (see
+        :meth:`_ranks`; None when there is nothing to renumber)."""
+        prefixes, values = self._sorted_entries()
+        owners = self._owners
+        if ranks is not None:
+            owners = array("q", map(ranks.__getitem__, owners))
         return (
-            self._starts, self._owners, self._prefixes, self._values,
+            self._starts, owners, prefixes, values,
             self._epoch, self._deltas_applied,
         )
 
     def __setstate__(self, state: _PackedState) -> None:
         (
-            self._starts, self._owners, self._prefixes, self._values,
+            self._starts, self._owners, prefixes, values,
             self._epoch, self._deltas_applied,
         ) = state
+        self._prefixes = prefixes
+        self._values = values
+        self._sorted = None
+        self._free = []

@@ -326,23 +326,32 @@ class ClusterStore:
             return 0
         lows = [low for low, _ in windows]
         highs = [high for _, high in windows]
-        candidates: List[Tuple[Optional[Prefix], int, int]] = []
-        for prefix in sorted(self._clusters, key=Prefix.sort_key):
+        # Filter before sorting: a patch touches a handful of clusters,
+        # the store holds thousands.
+        last = highs[-1]
+        touched: List[Prefix] = []
+        for prefix in self._clusters:
+            if prefix.network > last:
+                continue
             # Windows are sorted and disjoint, so the last window that
             # starts at or below the cluster's top address is the only
             # one that can overlap it.
             slot = bisect_right(lows, prefix.last_address) - 1
-            if slot < 0 or highs[slot] < prefix.network:
-                continue
+            if slot >= 0 and highs[slot] >= prefix.network:
+                touched.append(prefix)
+        candidates: List[Tuple[Optional[Prefix], int, int]] = []
+        for prefix in sorted(touched, key=Prefix.sort_key):
             state = self._clusters[prefix]
             for client in sorted(state.client_counts):
                 if _in_windows(client, lows, highs):
                     candidates.append(
                         (prefix, client, state.client_counts[client])
                     )
-        for client in sorted(self._unclustered):
-            if _in_windows(client, lows, highs):
-                candidates.append((None, client, self._unclustered[client]))
+        for client in sorted(
+            client for client in self._unclustered
+            if _in_windows(client, lows, highs)
+        ):
+            candidates.append((None, client, self._unclustered[client]))
         if not candidates:
             return 0
         indices = table.lookup_many([client for _, client, _ in candidates])

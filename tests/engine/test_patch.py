@@ -4,21 +4,28 @@ The equivalence gate of the serve subsystem, pinned as a hypothesis
 property: after *any* sequence of delta batches, every patchable table
 kind (packed, stride, and both behind a memo front) must answer
 lookups identically to a table rebuilt from scratch at the final
-routing state — same indices, same digest, same internals
-(:meth:`verify_patched`) — and identically to the independent
-``sorted`` oracle from :mod:`repro.net.lpm`.
+routing state — same resolved prefixes, same digest, same internals
+once its handles are renumbered (:meth:`verify_patched`) — and
+identically to the independent ``sorted`` oracle from
+:mod:`repro.net.lpm`.  Entry handles are table-local, so two table
+objects are compared through the prefixes their handles resolve to.
 """
 
 from __future__ import annotations
 
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import shm
 from repro.engine.fastpath import MemoizedLookup, StrideLpm
 from repro.engine.packed import PackedLpm, merge_windows
+from repro.engine.state import ClusterStore, write_checkpoint
+from repro.errors import SanitizeError
 from repro.net.lpm import build_engine
 from repro.net.prefix import Prefix
 
@@ -63,6 +70,14 @@ def _sorted_items(model):
     return sorted(model.items(), key=lambda kv: kv[0].sort_key())
 
 
+def _resolved(table, addresses):
+    """Longest-match prefix (None on miss) per address."""
+    return [
+        table.prefix(handle) if handle >= 0 else None
+        for handle in table.lookup_many(addresses)
+    ]
+
+
 batches_strategy = st.lists(
     st.tuples(
         st.lists(st.sampled_from(POOL), max_size=6),   # announces
@@ -104,7 +119,7 @@ def test_patched_equals_rebuilt(kind, initial, batches):
 
     rebuilt = PackedLpm.from_items(_sorted_items(model))
     assert table.digest() == rebuilt.digest()
-    assert table.lookup_many(PROBES) == rebuilt.lookup_many(PROBES)
+    assert _resolved(table, PROBES) == _resolved(rebuilt, PROBES)
     oracle = build_engine("sorted", _sorted_items(model))
     for address in PROBES:
         want = oracle.longest_match(address)
@@ -120,7 +135,6 @@ class TestPatchResultContracts:
         table = PackedLpm.from_items([(prefix, "a")])
         result = table.apply_delta([(prefix, "b")], [])
         assert not result.structural
-        assert result.remap is None
         assert result.windows == ()
         assert result.value_updates == 1
         assert table.lookup(10 << 24) == "b"
@@ -188,8 +202,162 @@ class TestMemoInvalidation:
         before = memo.evictions
         memo.apply_delta([(Prefix.from_cidr("10.1.0.0/16"), "c")], [])
         # Only the entry inside the patch window is dropped; 12/8's
-        # entry survives (remapped) and now the covered address must
+        # entry survives untouched and now the covered address must
         # resolve through the freshly inserted /16.
         assert memo.evictions == before + 1
         assert memo.lookup(covered) == "c"
         assert memo.lookup(12 << 24) == "b"
+
+    def test_reused_handle_never_answers_for_its_old_prefix(self):
+        withdrawn = Prefix.from_cidr("10.0.0.0/8")
+        unrelated = Prefix.from_cidr("12.0.0.0/8")
+        inner = PackedLpm.from_items(
+            [(withdrawn, "old"), (Prefix.from_cidr("11.0.0.0/8"), "keep")]
+        )
+        memo = MemoizedLookup(inner, maxsize=16)
+        warm = (10 << 24) | 7
+        handle = memo.match_index(warm)
+        assert memo.prefix(handle) == withdrawn
+        memo.apply_delta([], [withdrawn])
+        memo.apply_delta([(unrelated, "new")], [])
+        # The freed handle went to the unrelated announce ...
+        assert memo.prefix(handle) == unrelated
+        # ... and the address memoized under it misses, not resolves there.
+        assert memo.match_index(warm) == -1
+        assert memo.lookup(warm) is None
+        assert memo.lookup(12 << 24) == "new"
+        memo.verify_patched()
+
+
+CIDR = Prefix.from_cidr
+
+
+@pytest.mark.parametrize("cls", [PackedLpm, StrideLpm])
+class TestWithdrawRelabelling:
+    def test_nested_withdrawals_around_a_surviving_middle(self, cls):
+        outer, middle, inner = CIDR("10.0.0.0/8"), CIDR("10.1.0.0/16"), CIDR("10.1.2.0/24")
+        table = cls.from_items([(outer, "A"), (middle, "C"), (inner, "B")])
+        result = table.apply_delta([], [outer, inner])
+        assert result.withdrawn == 2
+        assert result.windows == ((outer.network, outer.last_address),)
+        # B's addresses fall to C, A's own addresses to nobody.
+        assert table.lookup(inner.network) == "C"
+        assert table.lookup(middle.last_address) == "C"
+        assert table.lookup(outer.network) is None
+        assert table.lookup(outer.last_address) is None
+        assert [p for p, _ in table.items()] == [middle]
+        table.verify_patched()
+
+    def test_uncovered_withdrawal_leaves_a_gap(self, cls):
+        first, lone = CIDR("9.0.0.0/8"), CIDR("200.1.2.0/24")
+        table = cls.from_items([(first, "a"), (lone, "b")])
+        table.apply_delta([], [lone])
+        assert table.match_index(lone.network) == -1
+        assert table.match_index(lone.last_address) == -1
+        assert table.lookup(first.network) == "a"
+        assert table.num_intervals == 3  # gap, 9/8, gap
+        table.verify_patched()
+
+    def test_tombstoned_handle_is_a_loud_bug(self, cls):
+        keep, gone = CIDR("10.0.0.0/8"), CIDR("11.0.0.0/8")
+        table = cls.from_items([(keep, "a"), (gone, "b")])
+        handle = table.match_index(gone.network)
+        table.apply_delta([], [gone])
+        with pytest.raises(SanitizeError, match="withdrawn"):
+            table.prefix(handle)
+        with pytest.raises(SanitizeError, match="withdrawn"):
+            table.value(handle)
+
+    def test_flapping_pool_reuses_handles(self, cls):
+        rng = random.Random(20000)
+        batch_size = 4
+        live = {prefix: "seed" for prefix in POOL[::2]}
+        table = cls.from_items(_sorted_items(live))
+        peak_live = len(live)
+        for flap in range(10_000 // batch_size):
+            batch = rng.sample(POOL, batch_size)
+            announce = [(p, f"f{flap}") for p in batch if p not in live]
+            withdraw = [p for p in batch if p in live]
+            table.apply_delta(announce, withdraw)
+            live.update(announce)
+            for prefix in withdraw:
+                del live[prefix]
+            peak_live = max(peak_live, len(live))
+            assert len(table) == len(live)
+        assert dict(table.items()) == live
+        assert len(table._prefixes) == len(table._values)
+        assert len(table._prefixes) <= peak_live + batch_size
+        table.verify_patched()
+
+
+@pytest.mark.parametrize("cls", [PackedLpm, StrideLpm])
+class TestSerialisedFormIsCanonical:
+    """A patched table leaves the process exactly as a from-scratch
+    compile of the same routes would: handles never reach a pickle, a
+    shared-memory segment or a checkpoint."""
+
+    @pytest.fixture()
+    def pair(self, cls):
+        model = {prefix: f"v{i}" for i, prefix in enumerate(POOL[::3])}
+        patched = cls.from_items(_sorted_items(model))
+        steps = [
+            ([(POOL[1], "n1"), (POOL[4], "n4")], [POOL[0], POOL[6]]),
+            ([(POOL[0], "back")], [POOL[4], POOL[9]]),
+            ([(POOL[7], "n7"), (POOL[9], "again")], []),
+        ]
+        for announce, withdraw in steps:
+            patched.apply_delta(announce, withdraw)
+            model.update(announce)
+            for prefix in withdraw:
+                model.pop(prefix, None)
+        # The handles really did leave the canonical numbering.
+        assert [patched.match_index(p.network) for p in sorted(model)] != [
+            PackedLpm.from_items(_sorted_items(model)).match_index(p.network)
+            for p in sorted(model)
+        ]
+        rebuilt = cls.from_items(_sorted_items(model))
+        rebuilt.restore_generation(patched.epoch, patched.deltas_applied)
+        return patched, rebuilt
+
+    def test_pickle_bytes(self, pair):
+        patched, rebuilt = pair
+        assert pickle.dumps(patched) == pickle.dumps(rebuilt)
+        clone = pickle.loads(pickle.dumps(patched))
+        assert _resolved(clone, PROBES) == _resolved(patched, PROBES)
+        clone.apply_delta([], [next(iter(clone.items()))[0]])
+        clone.verify_patched()
+
+    def test_shared_memory_publication(self, pair):
+        def published_bytes(table):
+            published = shm.SharedLpm(
+                table, generation=next(shm._GENERATION_COUNTER)
+            )
+            try:
+                handle = published.handle
+                data_bytes = (
+                    handle.starts_bytes + handle.owners_bytes
+                    + handle.slots_bytes
+                )
+                return (
+                    bytes(published._data.buf[:data_bytes]),
+                    bytes(published._entries.buf[:handle.entries_bytes]),
+                    handle.digest,
+                )
+            finally:
+                assert published.close(unlink=True) == 0
+
+        patched, rebuilt = pair
+        assert published_bytes(patched) == published_bytes(rebuilt)
+
+    def test_checkpoint_table_section(self, pair, tmp_path):
+        patched, rebuilt = pair
+        images = []
+        for name, table in (("patched", patched), ("rebuilt", rebuilt)):
+            path = str(tmp_path / f"{name}.ckpt")
+            write_checkpoint(
+                path, [ClusterStore()], table_digest=table.digest(),
+                table=table,
+            )
+            with open(path, "rb") as handle:
+                images.append(handle.read())
+        assert images[0] == images[1]
