@@ -14,6 +14,9 @@ Claims pinned here (asserted at the default scale, recorded always):
 * one single-prefix route patch through memo → stride → packed is
   ≥ 50x cheaper than recompiling the table — a patch costs what the
   delta touches, not what the table holds;
+* a WAL-mode serve checkpoint after 200 deltas on the 26 k-prefix
+  table is ≤ a quarter of the table's pickle — a checkpoint costs what
+  the churn touched, not what the table holds (a byte count, no timing);
 * the engine's clusters are identical to ``cluster_log``'s at every
   shard count and table kind, so the speed is not bought with drift.
 
@@ -22,6 +25,8 @@ fixture (see ``conftest.py``).
 """
 
 import itertools
+import os
+import pickle
 import statistics
 import time
 
@@ -37,7 +42,10 @@ from repro.engine import (
 )
 from repro.engine.shm import ShmWorkerGroup
 from repro.engine.state import ClusterStore, _ClusterState
+from repro.bgp.synth import RouteDelta
 from repro.net.prefix import Prefix
+from repro.serve import daemon as serve_daemon
+from repro.serve.protocol import LogEvent
 
 BATCH_TARGET = 120_000  # ≥100k lookups, per the acceptance bar
 
@@ -299,6 +307,88 @@ class TestFastpath:
             f"a single-prefix patch is only {ratio:.0f}x cheaper than a "
             "rebuild (needs >= 50x): something table-sized crept back "
             "into apply_delta"
+        )
+
+    def test_checkpoint_cost_tracks_churn_not_table(self, merged_table,
+                                                    address_batch, tmp_path,
+                                                    monkeypatch,
+                                                    bench_trajectory):
+        """Write + verify-read one WAL-mode serve checkpoint of the
+        merged stride table after 200 route deltas.  The gate is a ratio
+        of two byte counts: the file against a pickle of the table."""
+        inner = StrideLpm.from_merged(merged_table)
+        entries = len(inner)
+        live = sorted(prefix for prefix, _ in inner.items())
+        picked = live[:: max(1, len(live) // 200)][:200]
+        deltas = [
+            # Withdraw every fourth live prefix, announce a new
+            # more-specific inside each of the others.
+            RouteDelta(RouteDelta.OP_WITHDRAW, prefix, source="bench")
+            if index % 4 == 0 or prefix.length > 30
+            else RouteDelta(
+                RouteDelta.OP_ANNOUNCE,
+                Prefix(prefix.network, prefix.length + 2),
+                origin_asn=64500 + index,
+                source="bench",
+            )
+            for index, prefix in enumerate(picked)
+        ]
+        timings = {}
+
+        def timed(name):
+            func = getattr(serve_daemon, name)
+
+            def wrapper(*args, **kwargs):
+                began = time.perf_counter()
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    timings[name] = time.perf_counter() - began
+
+            monkeypatch.setattr(serve_daemon, name, wrapper)
+
+        timed("write_checkpoint")
+        timed("read_checkpoint")
+        path = str(tmp_path / "serve.ckpt")
+        daemon = serve_daemon.ServeDaemon(
+            MemoizedLookup(inner),
+            serve_daemon.ServeConfig(
+                checkpoint_path=path, wal_dir=str(tmp_path / "wal")
+            ),
+        )
+        daemon.attach_wal()
+        for delta, client in zip(deltas, address_batch):
+            daemon.feed(delta)
+            daemon.feed(LogEvent(client=client, url="/", size=1))
+        daemon.checkpoint_now()
+        daemon.abort()
+
+        size = os.path.getsize(path)
+        table_pickle = len(
+            pickle.dumps(inner, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        health = daemon.health()
+        assert health["checkpoint_bytes"] == size
+        assert health["route_diff"] == len(deltas)
+        bench_trajectory["results"]["checkpoint_latency"] = {
+            "write_ms": round(timings["write_checkpoint"] * 1e3, 3),
+            "verify_read_ms": round(timings["read_checkpoint"] * 1e3, 3),
+            "bytes": size,
+            "table_prefixes": entries,
+            "diff_prefixes": health["route_diff"],
+            "full_table_pickle_bytes": table_pickle,
+        }
+        print(
+            f"\nserve checkpoint after {len(deltas)} deltas on "
+            f"{entries:,} prefixes: {size:,} bytes (table pickle "
+            f"{table_pickle:,}), write "
+            f"{timings['write_checkpoint'] * 1e3:.1f}ms, verify-read "
+            f"{timings['read_checkpoint'] * 1e3:.1f}ms"
+        )
+        assert size <= 0.25 * table_pickle, (
+            f"a checkpoint after {len(deltas)} deltas is {size:,} bytes "
+            f"against a {table_pickle:,}-byte table pickle (needs <= 25%): "
+            "something table-sized crept back into checkpoint_now"
         )
 
     def test_stride_lookup_beats_packed(self, packed, stride, address_batch,

@@ -96,9 +96,10 @@ __all__ = [
 #: adds an optional raw table section after the envelope — the packed
 #: interval buffers written via ``memoryview`` and read back with
 #: ``mmap`` (:func:`read_checkpoint_table`) instead of unpickling a
-#: fresh copy.
+#: fresh copy; version 5 drops the pickled table from serve's WAL-mode
+#: ``meta`` in favour of ``base_digest`` + ``route_diff`` plain tuples.
 CHECKPOINT_MAGIC = "repro.engine.checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Raw table sections start at the first 8-byte boundary after the
 #: envelope pickle, so an mmap'd ``array('Q')`` view is aligned.
@@ -711,8 +712,8 @@ def read_checkpoint(
         meta["routing_epoch"] = int(document.get("routing_epoch", 0))
         meta["deltas_applied"] = int(document.get("deltas_applied", 0))
         stored_digest = document.get("table_digest", "")
-        # Surfaced for callers that restore the table itself from meta
-        # (serve WAL recovery keeps a pickled ``table_state`` there) and
+        # Surfaced for callers that rebuild the table themselves (serve
+        # replays a stream or a ``route_diff`` onto the base table) and
         # must prove it digests to what the checkpoint recorded.
         meta["table_digest"] = str(stored_digest)
     except _UNPICKLE_ERRORS as exc:

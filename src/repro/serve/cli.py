@@ -18,9 +18,11 @@ Durability: ``--wal DIR`` appends every accepted event to a segmented,
 CRC-framed write-ahead log *before* it mutates daemon state (fsync
 batched per ``--wal-sync-every``, segments rotated at
 ``--wal-segment-bytes`` and deleted once a checkpoint covers them).
-``--resume`` with ``--wal`` then recovers from checkpoint + WAL tail
-alone — no upstream replay — proving the routing epoch and table digest
-at the boundary; without ``--wal`` it falls back to the original
+WAL-mode checkpoints hold the routing state as the base table's digest
+plus the net route diff since it, so ``--resume`` with ``--wal``
+recovers from the same ``--table`` files + checkpoint + WAL tail — no
+upstream replay — proving the base and the patched table by digest at
+the boundary; without ``--wal`` it falls back to the original
 replay-the-same-stream protocol.
 
 Overload: ``--shed-watermark N`` bounds the ingress queue; past the
@@ -38,8 +40,9 @@ fault, checkpoint failure, error budget exhausted), 5 a write-ahead-log
 failure (corrupt log on recovery, or disk genuinely full after the
 checkpoint-truncate-retry rescue).
 
-Checkpoint files are pickle-based: only ``--resume`` from files you
-wrote yourself (see :mod:`repro.engine.state`).
+Checkpoint files are pickle-based (the cluster store; the routing
+state in them is plain tuples): only ``--resume`` from files you wrote
+yourself (see :mod:`repro.engine.state`).
 """
 
 from __future__ import annotations
@@ -155,14 +158,16 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume", action="store_true",
         help="restore state from --checkpoint; with --wal, recover from "
-             "checkpoint + WAL tail alone (no upstream replay), otherwise "
-             "replay the same stream and verify the routing generation at "
-             "the boundary",
+             "the same --table files + checkpoint + WAL tail (no upstream "
+             "replay), otherwise replay the same stream and verify the "
+             "routing generation at the boundary",
     )
     parser.add_argument(
         "--wal", metavar="DIR", default=None,
         help="append every accepted event to a write-ahead log in DIR "
-             "before applying it; enables --resume without stream replay",
+             "before applying it; checkpoints then carry the net route "
+             "diff against the --table files, which enables --resume "
+             "without stream replay",
     )
     parser.add_argument(
         "--wal-sync-every", type=int, default=64, metavar="N",

@@ -40,12 +40,16 @@ Byte-identical resume assumes the same stream and the same
 With a write-ahead log attached (``--wal``; :mod:`repro.serve.wal`),
 the recovery story no longer needs the upstream at all: every accepted
 event is appended to the WAL *before* it mutates daemon state, and
-checkpoints persist the live table itself (``meta["table_state"]``), so
-:meth:`ServeDaemon.recover` rebuilds the exact pre-crash state from
-checkpoint + WAL tail alone — adopt the checkpointed table and store,
-prove the epoch/digest boundary, then re-feed only the WAL frames past
-the checkpoint.  The full-stream replay above remains the fallback for
-runs without ``--wal``.
+checkpoints persist the routing state as *base-table digest + net route
+diff* — the last coalesced delta of every prefix touched since the
+table the daemon was constructed with, as plain tuples; §3.4's point is
+that this is a few percent of the table.  :meth:`ServeDaemon.recover`
+rebuilds the exact pre-crash state from base table + checkpoint + WAL
+tail: prove the table it was handed is the checkpoint's base, replay
+the diff onto it, prove the result digests to the checkpointed table,
+adopt the store, then re-feed only the WAL frames past the checkpoint.
+The full-stream replay above remains the fallback for runs without
+``--wal``.
 
 Overload is handled ahead of :meth:`feed`: :meth:`submit` admits events
 into a bounded ingress queue with high/low watermarks, and under
@@ -157,8 +161,16 @@ class ServeDaemon:
         self._pending_deltas: Dict[Prefix, RouteDelta] = {}
         self._since_checkpoint = 0
         self._resume_skip = 0
-        self._resume_path: Optional[str] = None
         self._resume_meta: Dict[str, Any] = {}
+        #: Net routing change since the table this daemon was handed:
+        #: prefix -> last coalesced delta.  With the base table's digest
+        #: (taken only when a WAL makes checkpoints carry the diff) it
+        #: is everything a checkpoint persists of the routing state.
+        self._route_diff: Dict[Prefix, RouteDelta] = {}
+        self._base_digest = (
+            table.digest() if self.config.wal_dir is not None else ""
+        )
+        self._checkpoint_bytes = 0
         self._wal: Optional[WalWriter] = None
         self._ingress: Deque[ServeEvent] = deque()
         self._shedding = False
@@ -182,7 +194,6 @@ class ServeDaemon:
         self.store = stores[0]
         self._resume_meta = meta
         self._resume_skip = int(meta.get("stream_events", 0))
-        self._resume_path = path
 
     @property
     def resume_skip(self) -> int:
@@ -243,13 +254,15 @@ class ServeDaemon:
     def recover(self) -> int:
         """Rebuild pre-crash state from checkpoint + WAL tail alone.
 
-        No upstream replay: the checkpoint's ``table_state`` (persisted
-        by WAL-mode checkpoints) is adopted outright, the epoch/digest
-        boundary proof runs against it, and only the WAL frames past the
-        checkpoint's ``stream_events`` are re-fed — they are exactly the
-        events whose effects the crash destroyed.  Finishes by resuming
-        the log in a fresh segment so the run keeps appending.  Returns
-        the number of events re-fed.
+        No upstream replay: this daemon's table must be the base the
+        checkpoint's route diff is relative to (same ``--table`` files;
+        proven by digest before anything is touched), the diff is
+        replayed onto it, the digest boundary proof runs against the
+        result, and only the WAL frames past the checkpoint's
+        ``stream_events`` are re-fed — they are exactly the events
+        whose effects the crash destroyed.  Finishes by resuming the
+        log in a fresh segment so the run keeps appending.  Returns the
+        number of events re-fed.
         """
         wal_dir = self.config.wal_dir
         if wal_dir is None:
@@ -270,18 +283,31 @@ class ServeDaemon:
                     "serve checkpoints hold one store, found "
                     f"{len(stores)} shards"
                 )
-            restored = meta.get("table_state")
-            if restored is None:
+            base_digest = meta.get("base_digest")
+            if base_digest is None:
                 raise CheckpointTableMismatchError(
-                    f"checkpoint {path!r} carries no table_state — it "
+                    f"checkpoint {path!r} carries no route diff — it "
                     "was written without --wal, so it can only resume "
                     "by full-stream replay, not WAL recovery"
                 )
-            if isinstance(self.table, MemoizedLookup):
-                self.table.table = restored
-                self.table.clear_memo()
-            else:
-                self.table = restored
+            if base_digest != self._base_digest:
+                raise CheckpointTableMismatchError(
+                    f"checkpoint {path!r} holds a route diff against a "
+                    f"different base table (checkpoint base "
+                    f"{base_digest[:12]}…, this table "
+                    f"{self._base_digest[:12]}…) — restart with the same "
+                    "--table files"
+                )
+            diff: Dict[Prefix, RouteDelta] = {}
+            for op, network, length, origin_asn, source in meta["route_diff"]:
+                prefix = Prefix(network, length)
+                diff[prefix] = RouteDelta(op, prefix, origin_asn, source)
+            # Adopts ``diff`` as this daemon's own, so a checkpoint taken
+            # after recovery is still relative to the original base.
+            self._apply_routes(diff)
+            self._inner_table.restore_generation(
+                meta["routing_epoch"], meta["deltas_applied"]
+            )
             self._verify_recovered_table(meta)
             self.store = stores[0]
             self.events_consumed = int(meta.get("stream_events", 0))
@@ -315,18 +341,9 @@ class ServeDaemon:
         return len(tail)
 
     def _verify_recovered_table(self, meta: Dict[str, Any]) -> None:
-        """The boundary proof, WAL flavour: the adopted table must carry
-        exactly the routing generation and digest the checkpoint was
-        taken against."""
-        expected_epoch = int(meta.get("routing_epoch", 0))
-        expected_deltas = int(meta.get("deltas_applied", 0))
-        actual = (int(self.table.epoch), int(self.table.deltas_applied))
-        if actual != (expected_epoch, expected_deltas):
-            raise CheckpointTableMismatchError(
-                "recovered table's routing generation does not match the "
-                f"checkpoint (checkpoint epoch {expected_epoch} / "
-                f"{expected_deltas} deltas; table {actual[0]} / {actual[1]})"
-            )
+        """The boundary proof, WAL flavour: base table + replayed diff
+        must digest to exactly the table the checkpoint was taken
+        against."""
         expected_digest = str(meta.get("table_digest", ""))
         if expected_digest and self.table.digest() != expected_digest:
             raise CheckpointTableMismatchError(
@@ -467,6 +484,8 @@ class ServeDaemon:
             "shed_events": self.metrics.shed_events,
             "wal_appends": self.metrics.wal_appends,
             "checkpoints": self.metrics.checkpoints_written,
+            "checkpoint_bytes": self._checkpoint_bytes,
+            "route_diff": len(self._route_diff),
             "epoch": int(self.table.epoch),
         }
 
@@ -509,6 +528,35 @@ class ServeDaemon:
                     SITE_SERVE_CRASH, "injected serve crash mid-delta"
                 )
         started = perf_counter()
+        windows, announced, withdrawn, rebuilt = self._apply_routes(deltas)
+        replay = bool(self._resume_skip) and (
+            self.events_consumed <= self._resume_skip
+        )
+        if replay:
+            # Replay rebuilds the routing state only: the restored
+            # store already reflects these deltas' reclustering, so
+            # re-running it would double-apply the migrations.
+            return
+        if rebuilt:
+            self.metrics.record_patch_fallback()
+        moved = self.store.reassign_clients(windows, self.table)
+        self.metrics.record_patch(
+            announced, withdrawn, moved, perf_counter() - started
+        )
+        if _sanitize.is_enabled() and _sanitize.crosscheck_due():
+            # Sampled runtime equivalence gate: the patched table must
+            # be indistinguishable from a from-scratch rebuild.
+            self.table.verify_patched()
+            _sanitize.record_crosscheck()
+
+    def _apply_routes(
+        self, deltas: Dict[Prefix, RouteDelta]
+    ) -> Tuple[List[Tuple[int, int]], int, int, bool]:
+        """Apply one coalesced delta map to the live table — in place,
+        or by :meth:`_rebuild` past the crossover — and fold it into
+        the route diff.  The one way routes reach the table: live
+        flushes, resume replay and :meth:`recover`'s diff replay alike.
+        Returns ``(windows, announced, withdrawn, rebuilt)``."""
         announce: List[Tuple[Prefix, Any]] = []
         withdraw: List[Prefix] = []
         for prefix in sorted(deltas, key=Prefix.sort_key):
@@ -517,31 +565,21 @@ class ServeDaemon:
                 announce.append((prefix, self._value_for(delta)))
             else:
                 withdraw.append(prefix)
-        replay = bool(self._resume_skip) and (
-            self.events_consumed <= self._resume_skip
-        )
         threshold = max(PATCH_FALLBACK_FLOOR, len(self.table) // 2)
-        if len(announce) + len(withdraw) > threshold:
+        rebuilt = len(announce) + len(withdraw) > threshold
+        if rebuilt:
             windows = self._rebuild(announce, withdraw)
-            if not replay:
-                self.metrics.record_patch_fallback()
         else:
-            result = self.table.apply_delta(announce, withdraw)
-            windows = list(result.windows)
-        if replay:
-            # Replay rebuilds the routing state only: the restored
-            # store already reflects these deltas' reclustering, so
-            # re-running it would double-apply the migrations.
-            return
-        moved = self.store.reassign_clients(windows, self.table)
-        self.metrics.record_patch(
-            len(announce), len(withdraw), moved, perf_counter() - started
-        )
-        if _sanitize.is_enabled() and _sanitize.crosscheck_due():
-            # Sampled runtime equivalence gate: the patched table must
-            # be indistinguishable from a from-scratch rebuild.
-            self.table.verify_patched()
-            _sanitize.record_crosscheck()
+            windows = list(self.table.apply_delta(announce, withdraw).windows)
+        self._route_diff.update(deltas)
+        return windows, len(announce), len(withdraw), rebuilt
+
+    @property
+    def _inner_table(self) -> Any:
+        """The patchable table itself, under any memo front."""
+        if isinstance(self.table, MemoizedLookup):
+            return self.table.table
+        return self.table
 
     def _value_for(self, delta: RouteDelta) -> LookupResult:
         """The table value an announce installs (LookupResult-shaped,
@@ -567,9 +605,7 @@ class ServeDaemon:
         as the in-place patch would, and carries the patch-generation
         counters forward so resume accounting stays consistent.
         """
-        inner = self.table.table if isinstance(
-            self.table, MemoizedLookup
-        ) else self.table
+        inner = self._inner_table
         items = dict(inner.items())
         spans: List[Tuple[int, int]] = []
         for prefix, value in announce:
@@ -604,10 +640,11 @@ class ServeDaemon:
         path — push the next periodic checkpoint out instead of letting
         it fire immediately after.
 
-        WAL-mode checkpoints additionally persist the live table
-        (``meta["table_state"]``) so :meth:`recover` needs no stream
-        replay, and afterwards delete every closed WAL segment the new
-        checkpoint covers.
+        WAL-mode checkpoints additionally persist the routing state as
+        ``meta["base_digest"]`` + ``meta["route_diff"]`` (plain tuples,
+        one per prefix touched since the base table) so :meth:`recover`
+        needs no stream replay, and afterwards delete every closed WAL
+        segment the new checkpoint covers.
         """
         path = self.config.checkpoint_path
         if path is None:
@@ -623,11 +660,11 @@ class ServeDaemon:
         }
         if self.config.wal_dir is not None:
             meta["deltas_received"] = self.deltas_received
-            meta["table_state"] = (
-                self.table.table
-                if isinstance(self.table, MemoizedLookup)
-                else self.table
-            )
+            meta["base_digest"] = self._base_digest
+            meta["route_diff"] = [
+                (d.op, p.network, p.length, d.origin_asn, d.source)
+                for p, d in self._route_diff.items()
+            ]
         for attempt in range(1, self.config.checkpoint_attempts + 1):
             write_checkpoint(
                 path,
@@ -647,6 +684,7 @@ class ServeDaemon:
                     raise
                 self.metrics.record_checkpoint_rewrite()
         self.metrics.record_checkpoint()
+        self._checkpoint_bytes = os.path.getsize(path)
         if self._wal is not None:
             removed = self._wal.truncate_covered(self.events_consumed)
             if removed:
@@ -666,10 +704,15 @@ class ServeDaemon:
                 f"{actual_deltas}) — resume needs the same stream and the "
                 "same batching flags"
             )
-        if self._resume_path is not None:
-            # Re-running the digest gauntlet against the *replayed*
-            # table catches any divergence the counters cannot see.
-            read_checkpoint(self._resume_path, table_digest=self.table.digest())
+        # The digest of the *replayed* table catches any divergence the
+        # counters cannot see.
+        stored = str(self._resume_meta.get("table_digest", ""))
+        current = self.table.digest()
+        if stored and stored != current:
+            raise CheckpointTableMismatchError(
+                "checkpoint was taken against a different routing table "
+                f"(stored digest {stored[:12]}…, current {current[:12]}…)"
+            )
 
     # -- stats -----------------------------------------------------------
 

@@ -462,13 +462,19 @@ class WalWriter:
 
         A segment whose every frame precedes stream index
         ``upto_index`` can never be needed again — recovery starts from
-        the checkpoint.  The open segment is never deleted.  Returns
+        the checkpoint.  The open segment is never deleted — nor, when
+        rotation or a recovery has left none open, the newest closed
+        one: it is then the log's only record of its stream position,
+        and a crash before the next append must still find it.  Returns
         the number of segments removed.
         """
         survivors: List[Tuple[int, int, int, str]] = []
         removed = 0
+        newest = -1
+        if self._handle is None and self._closed:
+            newest = self._closed[-1][0]
         for sequence, start, end, path in self._closed:
-            if end <= upto_index:
+            if end <= upto_index and sequence != newest:
                 try:
                     os.unlink(path)
                 except FileNotFoundError:

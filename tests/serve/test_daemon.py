@@ -1,5 +1,7 @@
 """Unit tests for the serve event loop (batching, patching, resume)."""
 
+import os
+
 import pytest
 
 from repro.bgp.synth import RouteDelta
@@ -220,6 +222,30 @@ class TestResume:
             for event in diverged:
                 resumed.feed(event)
 
+    def test_resume_diverging_in_prefix_set_only_raises(self, tmp_path):
+        """Same number of effective deltas in the same batches — the
+        generation counters agree — but a different prefix announced:
+        only the in-memory digest comparison can see it."""
+        stream = mixed_stream()
+        path = str(tmp_path / "digest.ckpt")
+        first = ServeDaemon(
+            fresh_table(), ServeConfig(batch_size=2, checkpoint_path=path)
+        )
+        for event in stream[:9]:
+            first.feed(event)
+        first.checkpoint_now()
+
+        resumed = ServeDaemon(fresh_table(), ServeConfig(batch_size=2))
+        resumed.resume_from(path)
+        diverged = list(stream)
+        diverged[6] = announce(Prefix.from_cidr("10.3.0.0/16"))
+        with pytest.raises(
+            CheckpointTableMismatchError, match="different routing table"
+        ):
+            for event in diverged:
+                resumed.feed(event)
+        assert resumed.events_consumed == 9
+
     def test_stream_ending_mid_replay_raises(self, tmp_path):
         stream = mixed_stream()
         path = str(tmp_path / "short.ckpt")
@@ -334,3 +360,17 @@ class TestOverload:
         assert health["shed_events"] == 0
         for key in ("events", "deltas", "clusters", "epoch", "wal_appends"):
             assert key in health
+
+    def test_health_reports_route_diff_and_checkpoint_bytes(self, tmp_path):
+        path = str(tmp_path / "health.ckpt")
+        daemon = ServeDaemon(
+            fresh_table(), ServeConfig(batch_size=2, checkpoint_path=path)
+        )
+        assert daemon.health()["route_diff"] == 0
+        assert daemon.health()["checkpoint_bytes"] == 0
+        for event in mixed_stream():
+            daemon.feed(event)
+        daemon.finish()
+        # mixed_stream touches two distinct prefixes, twice each.
+        assert daemon.health()["route_diff"] == 2
+        assert daemon.health()["checkpoint_bytes"] == os.path.getsize(path)

@@ -144,6 +144,30 @@ class TestWriterAndRecovery:
         assert indices == list(range(indices[0], 20))
         assert indices[0] <= 10
 
+    def test_truncation_keeps_the_log_position_when_no_segment_is_open(
+        self, tmp_path
+    ):
+        """A checkpoint landing right after a rotation covers every
+        closed segment while none is open: deleting them all would leave
+        an empty directory, and a crash before the next append would
+        recover to stream index 0 behind the checkpoint."""
+        directory = str(tmp_path / "wal")
+        writer = WalWriter(directory, sync_every=1, segment_bytes=128)
+        appended = 0
+        while not writer.append(b"p" * 40).rotated or appended < 6:
+            appended += 1
+        appended += 1
+        writer.truncate_covered(appended)
+        assert len(list_segments(directory)) == 1
+        writer.close()
+        assert recover_wal(directory).next_index == appended
+        # Once a newer segment is open the spared one goes too.
+        resumed = WalWriter.resume(directory, recover_wal(directory))
+        resumed.append(b"q")
+        assert resumed.truncate_covered(appended) == 1
+        resumed.close()
+        assert recover_wal(directory).next_index == appended + 1
+
     def test_seal_then_append_raises(self, tmp_path):
         writer = WalWriter(str(tmp_path / "wal"))
         writer.append(b"one")
