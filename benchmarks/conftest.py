@@ -53,13 +53,6 @@ def full_scale():
 
 
 @pytest.fixture(scope="session")
-def bench_scale():
-    """The numeric log scale this run was invoked at (for gates with
-    their own thresholds, like the shm-vs-pickle perf-smoke bar)."""
-    return BENCH_SCALE
-
-
-@pytest.fixture(scope="session")
 def bench_trajectory():
     """Mutable record the engine benchmarks fill with their numbers;
     written to ``BENCH_engine.json`` once the session ends."""

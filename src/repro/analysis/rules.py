@@ -60,7 +60,7 @@ RNG_MODULE = "repro.util.rng"
 #: ``_WORKER_ALIAS_MODULES``): plain data and the engine types that
 #: define explicit ``__getstate__``/``__setstate__`` pairs or are
 #: frozen dataclasses of plain fields (``SharedLpmHandle``).  Anything
-#: else crossing the pool boundary needs review (and a suppression).
+#: else crossing the worker boundary needs review (and a suppression).
 PICKLE_SAFE_NAMES = frozenset(
     {
         "Tuple",
@@ -84,7 +84,6 @@ PICKLE_SAFE_NAMES = frozenset(
 #: wire formats as module-level type aliases built only from
 #: ``PICKLE_SAFE_NAMES``, keeping each boundary auditable in one place.
 _WORKER_ALIAS_MODULES: Dict[str, Tuple[str, ...]] = {
-    "repro.engine.shard": ("_WorkerJob", "_WorkerResult"),
     "repro.engine.shm": ("_ShmJob", "_ShmAck"),
 }
 
@@ -241,7 +240,7 @@ class PickleBoundaryRule(Rule):
     rule_id = "pickle-boundary"
     summary = (
         "no lambdas/closures handed to worker pools; __getstate__ and "
-        "__setstate__ come in pairs; shard worker-job aliases stay on the "
+        "__setstate__ come in pairs; shm worker-job aliases stay on the "
         "picklable allowlist"
     )
     rationale = (
@@ -249,7 +248,7 @@ class PickleBoundaryRule(Rule):
         "and nested functions fail to pickle at dispatch time (or worse, "
         "at a fault-recovery redispatch hours in); a __getstate__ without "
         "its __setstate__ twin round-trips state wrongly without any "
-        "error.  repro.engine.shard declares its wire types as aliases so "
+        "error.  repro.engine.shm declares its wire types as aliases so "
         "the boundary is auditable."
     )
 

@@ -22,13 +22,13 @@ environment the engine arms invariant checks inside its hot paths:
 A failed invariant raises :class:`repro.errors.SanitizeError` — the run
 stops instead of producing silently wrong clusters.  Passing checks are
 *counted*, drained with :func:`take_stats` at the same seams that drain
-memo statistics (inline after each chunk, inside each pooled worker's
-result tuple), and surfaced through ``EngineMetrics`` so ``--metrics``
+memo statistics (inline after each chunk, through each shm worker's
+shared accumulator), and surfaced through ``EngineMetrics`` so ``--metrics``
 shows the sanitizers actually ran.
 
 The mode is off by default and the disabled cost is one ``is_enabled()``
 call per *batch* (never per address): the fast path stays fast.  The
-environment variable is read at import time so pooled workers — which
+environment variable is read at import time so worker processes — which
 inherit the driver's environment and import this module fresh — arm
 themselves without any explicit hand-off; tests flip the already-
 imported module with :func:`set_enabled`.
@@ -77,8 +77,8 @@ _ENABLED = _env_enabled()
 class SanitizerStats:
     """Process-local counters for the armed invariant checks.
 
-    Workers drain theirs into the ``_WorkerResult`` tuple they ship
-    back; the driver drains its own after inline chunks and checkpoint
+    Workers drain theirs into the shared accumulator the driver reads
+    per chunk; the driver drains its own after inline chunks and checkpoint
     writes.  ``crosscheck_clock`` is the sampling clock, monotonic for
     the life of the process — it is deliberately *not* reset by
     :meth:`take` so the sampling cadence is independent of drain timing.

@@ -15,9 +15,10 @@ those maps:
   documented in the project docs (README/DESIGN), and no documented
   flag is stale.
 * **fork-safety** — a static race detector for the multiprocessing
-  engine: functions reachable from the pool-dispatch boundary must not
+  engine: functions reachable from the worker-process boundary
+  (``Process(target=…)``, pool initializers, dispatch calls) must not
   read or mutate module-level mutable state, and objects already
-  shipped to the pool must not be mutated afterwards.
+  shipped to workers must not be mutated afterwards.
 * **error-taxonomy-reachability** — every class in ``repro.errors`` is
   exported in ``__all__`` and actually raised (or warned, or serves as
   a family root) somewhere in the tree.
@@ -765,23 +766,24 @@ class CliDocDriftRule(ProjectRule):
 
 
 #: Module globals that worker-reachable code may legitimately touch.
-#: ``shard._WORKER_TABLE`` is *per-process* state: the pool initializer
-#: binds it once, before any batch runs, and nothing rebinds it after —
-#: the canonical fork-safe pattern this rule exists to protect.
-#: ``shm._LIVE_SEGMENTS`` is likewise per-process: it registers the
+#: ``shm._LIVE_SEGMENTS`` is *per-process* state: it registers the
 #: segments *this* process created or attached so the atexit guard can
 #: reclaim them; a forked child starts from a copy and only ever
 #: removes its own attachments — nothing merges back, by design.
 FORK_SAFE_GLOBALS: Dict[str, "frozenset[str]"] = {
-    "repro.engine.shard": frozenset({"_WORKER_TABLE"}),
     "repro.engine.shm": frozenset(
         {"_LIVE_SEGMENTS", "_PUBLISH_CACHE", "_ENTRIES_CACHE"}
     ),
 }
 
+#: Constructors that start worker processes, and the keyword naming
+#: the function those workers enter through.
+_WORKER_ENTRY_KEYWORDS = {"Pool": "initializer", "Process": "target"}
+
 #: Modules whose state is process-local *by design* and explicitly
-#: drained across the process boundary (the sanitize counters travel in
-#: the worker result tuple), so their internals are exempt.
+#: drained across the process boundary (the sanitize counters travel
+#: through the shm workers' shared accumulator), so their internals are
+#: exempt.
 FORK_SAFE_MODULES = frozenset({"repro.analysis.sanitize"})
 
 #: Method calls that mutate their receiver in place.
@@ -873,9 +875,12 @@ class ForkSafetyRule(ProjectRule):
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                if _last_segment(node.func) == "Pool":
+                entry = _WORKER_ENTRY_KEYWORDS.get(
+                    _last_segment(node.func) or ""
+                )
+                if entry is not None:
                     for keyword in node.keywords:
-                        if keyword.arg == "initializer":
+                        if keyword.arg == entry:
                             seeds.extend(
                                 project.resolve_callable(module, keyword.value)
                             )

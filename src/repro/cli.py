@@ -10,12 +10,10 @@ merges them, clusters the log's clients by longest-prefix match, and
 prints the cluster table plus the headline coverage number.  Options
 expose the busy-cluster thresholding and the simple-approach baseline.
 
-``--engine`` switches to the streaming engine (:mod:`repro.engine`):
-the log streams through a sharded, batched pipeline against a packed
-LPM table instead of being held in memory — same clusters, built for
-logs that are big.  The single-pass path stays the default.  The
-``repro-engine`` command exposes the full engine surface
-(checkpoint/resume, metrics).
+The log is held in memory and clustered in a single pass.  For logs
+that are big, ``repro-engine`` streams the same clusters through the
+sharded, batched engine (:mod:`repro.engine`) with supervision,
+checkpoint/resume and metrics.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from repro.core.clustering import (
 from repro.core.metrics import summary
 from repro.core.threshold import threshold_busy_clusters
 from repro.util.tables import render_table
-from repro.weblog.parser import ParseLimitError, ParseReport, parse_clf_lines
+from repro.weblog.parser import ParseReport, parse_clf_lines
 
 __all__ = ["main", "build_parser", "load_tables", "print_cluster_report"]
 
@@ -66,35 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--top", type=int, default=20,
         help="how many clusters to print (default 20, 0 = all)",
-    )
-    parser.add_argument(
-        "--engine", action="store_true",
-        help="cluster via the streaming engine (sharded batches over a "
-             "packed LPM table; same clusters, scales to huge logs)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="engine mode: number of hash-partitioned shards / worker "
-             "processes (default 1 = in-process)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=8192, metavar="N",
-        help="engine mode: entries per dispatched batch (default 8192)",
-    )
-    parser.add_argument(
-        "--max-errors", type=int, default=None, metavar="N",
-        help="engine mode: abort when more than N malformed lines "
-             "accumulate (default: skip-and-count forever)",
-    )
-    parser.add_argument(
-        "--lpm", choices=("packed", "stride"), default="packed",
-        help="engine mode: LPM table layout (stride = direct-index "
-             "fast path; identical clusters; default packed)",
-    )
-    parser.add_argument(
-        "--memo-size", type=int, default=0, metavar="N",
-        help="engine mode: memoize up to N distinct client resolutions "
-             "(FIFO eviction; 0 = off; identical clusters)",
     )
     return parser
 
@@ -166,48 +135,6 @@ def print_cluster_report(
         print(threshold.describe())
 
 
-def _cluster_with_engine(args: argparse.Namespace) -> Optional[ClusterSet]:
-    """Engine-mode pipeline: stream the log through sharded batches."""
-    from repro.engine import EngineConfig, ShardedClusterEngine, build_lpm_table
-    from repro.weblog.parser import iter_clf_entries
-
-    merged = load_tables(args.table)
-    print(f"merged prefix table: {len(merged):,} entries "
-          f"from {len(args.table)} dump(s)")
-    table = build_lpm_table(args.lpm, merged, args.memo_size)
-    config = EngineConfig(
-        num_shards=args.shards,
-        chunk_size=args.chunk_size,
-        name=args.log,
-    )
-    report = ParseReport()
-    with ShardedClusterEngine(table, config) as engine:
-        with open(args.log) as handle:
-            try:
-                engine.ingest(
-                    iter_clf_entries(handle, report, max_errors=args.max_errors)
-                )
-            except ParseLimitError as exc:
-                print(f"aborting: {exc}", file=sys.stderr)
-                return None
-        engine.metrics.record_malformed(report.malformed)
-        _print_parse_report(report)
-        if engine.entries_ingested == 0:
-            return ClusterSet(args.log, METHOD_NETWORK_AWARE, [])
-        rate = engine.metrics.entries_per_second
-        print(f"engine: {args.shards} shard(s), chunk {args.chunk_size:,}, "
-              f"{args.lpm} table, {rate:,.0f} entries/sec")
-        return engine.snapshot()
-
-
-def _print_parse_report(report: ParseReport) -> None:
-    print(
-        f"parsed {report.parsed:,} requests "
-        f"({report.malformed:,} malformed, "
-        f"{report.null_client:,} null-client lines dropped)"
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -215,25 +142,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.simple and not args.table:
         parser.error("network-aware clustering needs at least one --table "
                      "(or pass --simple)")
-    if args.engine and args.simple:
-        parser.error("--engine implements the network-aware method; "
-                     "drop --simple")
-
-    if args.engine:
-        clusters = _cluster_with_engine(args)
-        if clusters is None:
-            return 1
-        if not clusters.clusters and not clusters.unclustered_clients:
-            print("no usable entries; nothing to cluster", file=sys.stderr)
-            return 1
-        print()
-        print_cluster_report(clusters, args.top, args.busy)
-        return 0
 
     report = ParseReport()
     with open(args.log) as handle:
         log = parse_clf_lines(args.log, handle, report)
-    _print_parse_report(report)
+    print(
+        f"parsed {report.parsed:,} requests "
+        f"({report.malformed:,} malformed, "
+        f"{report.null_client:,} null-client lines dropped)"
+    )
     if not log.entries:
         print("no usable entries; nothing to cluster", file=sys.stderr)
         return 1

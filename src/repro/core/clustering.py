@@ -29,7 +29,6 @@ __all__ = [
     "ClusterSet",
     "cluster_addresses",
     "cluster_log",
-    "cluster_log_engine",
     "simple_prefix",
     "classful_prefix",
 ]
@@ -239,35 +238,3 @@ def cluster_log(
             urls |= per_client_urls[client]
         cluster.unique_urls = len(urls)
     return cluster_set
-
-
-def cluster_log_engine(
-    log: WebLog,
-    table: MergedPrefixTable,
-    num_shards: int = 2,
-    chunk_size: int = 8192,
-    use_processes: bool = True,
-) -> ClusterSet:
-    """Network-aware :func:`cluster_log` via the streaming engine.
-
-    Compiles ``table`` into a packed LPM table and runs the sharded
-    batch pipeline of :mod:`repro.engine`; the returned
-    :class:`ClusterSet` matches the single-pass :func:`cluster_log`
-    cluster for cluster (same prefixes, clients, and request counts —
-    only ``unclustered_clients`` ordering differs: sorted here,
-    first-seen order there).  Worth it from roughly 10^5 entries up, or
-    whenever the log is too large to hold in memory (feed the engine
-    directly in that case).
-    """
-    from repro.engine import EngineConfig, PackedLpm, ShardedClusterEngine
-
-    packed = PackedLpm.from_merged(table)
-    config = EngineConfig(
-        num_shards=num_shards,
-        chunk_size=chunk_size,
-        use_processes=use_processes,
-        name=log.name,
-    )
-    with ShardedClusterEngine(packed, config) as engine:
-        engine.ingest(log.entries)
-        return engine.snapshot()

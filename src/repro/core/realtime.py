@@ -185,9 +185,9 @@ class RealTimeClusterer:
         The assignment cache is dropped, so every client re-resolves
         against the new table at its next request; window contents keep
         their original assignment until they age out.  Accepts the same
-        duck-typed tables as the constructor — the engine's
-        :class:`~repro.engine.shard.ShardedClusterEngine.update_table`
-        hot-swap follows these semantics.
+        duck-typed tables as the constructor.  (The engine takes live
+        routing changes as in-place ``apply_delta`` patches instead,
+        with the same keep-until-reassigned semantics.)
         """
         self._table = table
         self._assignment_cache.clear()

@@ -6,9 +6,9 @@ wrong shape for throughput.  This package is the scale-out substrate:
 
 * :mod:`repro.engine.packed` — :class:`PackedLpm`, an immutable,
   array-packed longest-prefix-match table compiled once from a
-  :class:`~repro.bgp.table.MergedPrefixTable` (or any radix tree) and
-  shipped to workers as a single pickle; batch lookups run one binary
-  search per address instead of one trie walk.
+  :class:`~repro.bgp.table.MergedPrefixTable` (or any radix tree);
+  batch lookups run one binary search per address instead of one trie
+  walk.
 * :mod:`repro.engine.fastpath` — the hot-path accelerators:
   :class:`StrideLpm` (a stride-16 direct-index overlay on the packed
   layout — most lookups are one array index), :class:`MemoizedLookup`
@@ -27,15 +27,14 @@ wrong shape for throughput.  This package is the scale-out substrate:
   ``multiprocessing.shared_memory`` segments, persistent workers attach
   once (:func:`attach_shared_table`) and pull batches from a queue —
   only segment *names* (:class:`SharedLpmHandle`) cross the pickle
-  boundary.  The default transport whenever ``num_shards > 1``;
-  ``EngineConfig(use_shm=False)`` or ``--no-shm`` restores the
-  per-chunk pickle pool.
+  boundary.  The one parallel transport: in use whenever
+  ``num_shards > 1``.
 * :mod:`repro.engine.metrics` — :class:`EngineMetrics` counters/timers
   (entries/sec, lookups, batch latency, shard skew, fault accounting).
 * :mod:`repro.engine.supervisor` — :class:`SupervisedEngine`, the
   recovery layer: bounded retries with exponential backoff, dead-letter
   quarantine, read-back-verified checkpoints, and graceful degradation
-  to inline ingestion when the pool keeps dying.
+  to inline ingestion when the workers keep dying.
 * :mod:`repro.engine.cli` — the ``repro-engine`` command line.
 
 Fault tolerance is testable: :mod:`repro.faults` injects worker

@@ -8,10 +8,10 @@ The full engine surface over real CLF logs and real dump files::
 Ingestion streams the log in constant memory, fanning batches out to
 shard workers.  With ``--shards`` > 1 the workers are persistent
 processes attached to the LPM table through shared memory (the
-zero-copy hot path; ``--no-shm`` forces the legacy per-chunk pickle
-pool, ``--shm`` forces the shared transport explicitly).  ``--checkpoint`` writes the versioned engine state at
-the end of the run (and every ``--checkpoint-every`` entries along the
-way); ``--resume`` restores from that file first.  Checkpoints record
+zero-copy hot path, :mod:`repro.engine.shm`).  ``--checkpoint`` writes
+the versioned engine state at the end of the run (and every
+``--checkpoint-every`` entries along the way); ``--resume`` restores
+from that file first.  Checkpoints record
 which log was being ingested and how many of its entries were already
 counted, so resuming against the *same* log skips that prefix and the
 run finishes with the same cluster table an uninterrupted run produces
@@ -99,22 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="hash-partitioned shards / worker processes (default 1)",
+        help="hash-partitioned shards; above 1, one persistent worker "
+             "process per shard attached to the table through shared "
+             "memory (default 1 = in-process)",
     )
     parser.add_argument(
         "--chunk-size", type=int, default=8192, metavar="N",
         help="entries per dispatched batch (default 8192)",
-    )
-    parser.add_argument(
-        "--shm", dest="use_shm", action="store_true", default=None,
-        help="dispatch batches to persistent workers attached to the LPM "
-             "table through shared memory (zero-copy hot path; default "
-             "whenever --shards > 1)",
-    )
-    parser.add_argument(
-        "--no-shm", dest="use_shm", action="store_false",
-        help="force the legacy per-chunk pickle pool instead of the "
-             "shared-memory transport",
     )
     parser.add_argument(
         "--max-errors", type=int, default=None, metavar="N",
@@ -194,7 +185,6 @@ def _build_engine(
         chunk_size=args.chunk_size,
         name=args.log,
         dispatch_timeout=args.dispatch_timeout,
-        use_shm=args.use_shm,
     )
     supervision = SupervisorConfig(
         max_retries=args.retries,
@@ -285,6 +275,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("the engine needs at least one --table dump")
     if args.checkpoint_every and not args.checkpoint:
         parser.error("--checkpoint-every requires --checkpoint PATH")
+    if args.shards < 1:
+        parser.error("--shards must be >= 1")
+    if args.chunk_size < 1:
+        parser.error("--chunk-size must be >= 1")
+    if args.memo_size < 0:
+        parser.error("--memo-size must be >= 0")
+    if args.retries < 0:
+        parser.error("--retries must be >= 0")
+    if args.dispatch_timeout is not None and args.dispatch_timeout <= 0:
+        parser.error("--dispatch-timeout must be positive")
 
     injector: Optional[FaultInjector] = None
     if args.inject:
@@ -295,8 +295,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     merged = load_tables(args.table, injector=injector)
     print(f"merged prefix table: {len(merged):,} entries "
           f"from {len(args.table)} dump(s)")
-    if args.memo_size < 0:
-        parser.error("--memo-size must be >= 0")
     table = build_lpm_table(args.lpm, merged, args.memo_size)
     inner = table.table if args.memo_size else table
     detail = f"{len(inner):,} entries, {inner.num_intervals:,} intervals"

@@ -26,7 +26,6 @@ class EngineMetrics:
         self.batches = 0
         self.malformed_skipped = 0
         self.checkpoints_written = 0
-        self.table_swaps = 0
         self.worker_restarts = 0
         self.chunk_retries = 0
         self.chunks_quarantined = 0
@@ -81,11 +80,8 @@ class EngineMetrics:
     def record_checkpoint(self) -> None:
         self.checkpoints_written += 1
 
-    def record_table_swap(self) -> None:
-        self.table_swaps += 1
-
     def record_worker_restart(self) -> None:
-        """A worker pool was terminated and will be rebuilt."""
+        """The worker group was torn down and will be rebuilt."""
         self.worker_restarts += 1
 
     def record_retry(self) -> None:
@@ -233,7 +229,6 @@ class EngineMetrics:
             "batches": self.batches,
             "malformed_skipped": self.malformed_skipped,
             "checkpoints_written": self.checkpoints_written,
-            "table_swaps": self.table_swaps,
             "worker_restarts": self.worker_restarts,
             "chunk_retries": self.chunk_retries,
             "chunks_quarantined": self.chunks_quarantined,
@@ -282,7 +277,6 @@ class EngineMetrics:
             "batches",
             "malformed_skipped",
             "checkpoints_written",
-            "table_swaps",
             "worker_restarts",
             "chunk_retries",
             "chunks_quarantined",

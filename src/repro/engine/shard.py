@@ -4,35 +4,33 @@ Client addresses are hash-partitioned across N shards with a fixed
 multiplicative hash (stable across processes and Python versions — no
 ``hash()``/``PYTHONHASHSEED`` dependence), so the same client always
 lands on the same shard.  Ingestion is chunked: each chunk is split
-into per-shard batches, the batches fan out to a ``multiprocessing``
-pool whose workers hold the :class:`~repro.engine.packed.PackedLpm`
-table (shipped once at pool start), and the returned partial
+into per-shard batches, the batches fan out to persistent worker
+processes attached to the :class:`~repro.engine.packed.PackedLpm`
+table through shared memory, and the per-shard
 :class:`~repro.engine.state.ClusterStore` states merge back in shard
 order — so results are bit-for-bit deterministic regardless of worker
 scheduling, and identical to the single-pass
 :func:`repro.core.clustering.cluster_log` on the same input.
 
 With ``num_shards=1`` (or ``use_processes=False``) everything runs
-inline in the calling process — same code path, no pool — which is the
-mode tests use for speed and the CLI uses by default.
+inline in the calling process — same code path, no workers — which is
+the mode tests use for speed and the CLI uses by default.
 
-Parallel dispatch has two transports.  The default is the zero-copy
-shared-memory hot path (:mod:`repro.engine.shm`): the table is
-published once into shared segments, persistent workers attach by name
-and pull :class:`~repro.engine.fastpath.PackedBatch` jobs from queues,
-and per-chunk results come back as shared-array counter increments —
-worker delta states cross back only on periodic syncs
-(``config.shm_sync_interval`` chunks) and before any snapshot or
-checkpoint.  ``use_shm=False`` selects the legacy pickle transport (a
-``multiprocessing.Pool`` whose workers receive the table at start and
-return partial states per chunk), kept as the portability fallback and
-the benchmark baseline.
+Parallel dispatch has one transport, the zero-copy shared-memory hot
+path (:mod:`repro.engine.shm`): the table is published once into
+shared segments, persistent workers attach by name and pull
+:class:`~repro.engine.fastpath.PackedBatch` jobs from queues, and
+per-chunk results come back as shared-array counter increments —
+worker delta states cross back only on periodic syncs (every
+``SHM_SYNC_INTERVAL`` chunks) and before any snapshot or checkpoint.
+The table is republished whenever an ``apply_delta`` moved it on, so
+workers always resolve against the current routing state.
 
-Failure containment: a dispatched chunk is merged only after *every*
-shard's partial returned, so any worker failure — exception, hard
+Failure containment: a dispatched chunk counts only after *every*
+shard's worker acked it, so any worker failure — exception, hard
 death, hang past ``dispatch_timeout`` — leaves the engine's state
-exactly as it was before the chunk, the pool is terminated (no orphaned
-workers), and the driver sees a single
+exactly as it was before the chunk, the worker group is torn down (no
+orphaned workers, no leaked segments), and the driver sees a single
 :class:`~repro.errors.WorkerCrashError`.  Re-dispatching the same chunk
 is therefore always safe; :class:`~repro.engine.supervisor.SupervisedEngine`
 builds its retry/quarantine/degrade loop on that guarantee.
@@ -40,8 +38,6 @@ builds its retry/quarantine/degrade loop on that guarantee.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.pool
 import pickle
 import time
 from dataclasses import dataclass
@@ -57,12 +53,7 @@ from repro.engine.packed import PackedLpm
 from repro.engine.shm import ShmWorkerGroup
 from repro.engine.state import ClusterStore, read_checkpoint, write_checkpoint
 from repro.errors import InjectedFault, WorkerCrashError
-from repro.faults import (
-    SHM_WORKER_SITES,
-    SITE_WORKER_SLOW,
-    FaultInjector,
-    execute_worker_directive,
-)
+from repro.faults import SHM_WORKER_SITES, SITE_WORKER_SLOW, FaultInjector
 
 __all__ = ["shard_of", "EngineConfig", "ShardedClusterEngine"]
 
@@ -73,6 +64,11 @@ _HASH_MASK = 0xFFFFFFFF
 
 #: One request on the wire: (client address, url, response bytes).
 Triple = Tuple[int, str, int]
+
+#: How many dispatched chunks may ride on worker-local delta state
+#: before the driver pulls it back: smaller shrinks the replay window
+#: after a worker crash, larger amortises the sync pickling better.
+SHM_SYNC_INTERVAL = 32
 
 
 def shard_of(address: int, num_shards: int) -> int:
@@ -85,21 +81,11 @@ class EngineConfig:
     """Tunables for one engine run.
 
     ``dispatch_timeout`` bounds how long one dispatched chunk may take
-    end to end; a pool that blows past it is presumed dead (a worker
-    killed mid-task leaves ``Pool.map`` waiting forever — the hang this
-    PR's issue describes) and the dispatch fails with
+    end to end; a worker group that blows past it is presumed dead (a
+    worker killed mid-batch never acks) and the dispatch fails with
     :class:`~repro.errors.WorkerCrashError` instead.  ``None`` waits
     forever, which is only safe without fault injection and with
     trustworthy workers.
-
-    ``use_shm`` selects the parallel transport: ``None`` (auto, the
-    default) uses shared memory whenever dispatch is parallel at all,
-    ``False`` forces the legacy pickle pool, ``True`` documents intent
-    (it cannot make a single-shard or inline run parallel).
-    ``shm_sync_interval`` is how many dispatched chunks may ride on
-    worker-local delta state before the driver pulls it back; smaller
-    values shrink the replay window after a worker crash, larger ones
-    amortise the sync pickling better.
     """
 
     num_shards: int = 1
@@ -107,8 +93,6 @@ class EngineConfig:
     use_processes: bool = True
     name: str = "engine"
     dispatch_timeout: Optional[float] = None
-    use_shm: Optional[bool] = None
-    shm_sync_interval: int = 32
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -119,43 +103,21 @@ class EngineConfig:
             raise ValueError(
                 f"dispatch_timeout must be positive: {self.dispatch_timeout!r}"
             )
-        if self.shm_sync_interval < 1:
-            raise ValueError(
-                f"shm_sync_interval must be >= 1: {self.shm_sync_interval!r}"
-            )
 
 
-# -- worker side ----------------------------------------------------------
-
-_WORKER_TABLE: Optional[PackedLpm] = None
-
-#: A worker job: the shard's batch — a packed flat-buffer
-#: :class:`~repro.engine.fastpath.PackedBatch`, not a tuple list —
-#: plus an optional armed fault directive (``(shard, site, arg)``)
-#: the driver decided on dispatch.
-_WorkerJob = Tuple[PackedBatch, Optional[Tuple[int, str, float]]]
-
-#: What a worker sends back: its partial state, the memo counters its
-#: process-local :class:`~repro.engine.fastpath.MemoizedLookup`
-#: accumulated over the batch ((0, 0, 0) without a memo), and the
-#: drained :mod:`repro.analysis.sanitize` counters (all zero unless
-#: ``REPRO_SANITIZE`` armed the worker's invariant checks).
-_WorkerResult = Tuple[ClusterStore, Tuple[int, int, int], Tuple[int, int, int, int]]
-
-#: The anticipated ways a pool round-trip fails: injected faults and
+#: The anticipated ways a worker round-trip fails: injected faults and
 #: assertion trips inside worker code, pipe/pickle transport failures
-#: (a worker that hard-exits snaps the result pipe), result-encoding
-#: failures, and the data-shape errors a poisoned batch can raise in
-#: ``apply_packed``.  Kept concrete so anything *outside* this set
-#: still terminates the pool but surfaces unwrapped instead of being
-#: mislabelled a retryable worker crash.
+#: (a worker that hard-exits snaps the result pipe) and the data-shape
+#: errors a poisoned batch can raise in ``apply_packed``.  Kept concrete
+#: so anything *outside* this set still tears the worker group down but
+#: surfaces unwrapped instead of being mislabelled a retryable worker
+#: crash.
 _WORKER_FAILURE_ERRORS = (
     InjectedFault,
     AssertionError,
     OSError,
     EOFError,
     pickle.PickleError,
-    multiprocessing.pool.MaybeEncodingError,
     ValueError,
     TypeError,
     KeyError,
@@ -165,23 +127,6 @@ _WORKER_FAILURE_ERRORS = (
     MemoryError,
     RuntimeError,
 )
-
-
-def _init_worker(table: PackedLpm) -> None:
-    global _WORKER_TABLE
-    _WORKER_TABLE = table
-
-
-def _process_batch(job: _WorkerJob) -> _WorkerResult:
-    assert _WORKER_TABLE is not None, "worker pool not initialised"
-    batch, directive = job
-    if directive is not None:
-        execute_worker_directive(directive)
-    store = ClusterStore()
-    store.apply_packed(batch, _WORKER_TABLE)
-    take = getattr(_WORKER_TABLE, "take_memo_stats", None)
-    memo_stats = take() if take is not None else (0, 0, 0)
-    return store, memo_stats, _sanitize.take_stats()
 
 
 # -- driver side ----------------------------------------------------------
@@ -217,7 +162,6 @@ class ShardedClusterEngine:
         self._stores: List[ClusterStore] = [
             ClusterStore() for _ in range(self.config.num_shards)
         ]
-        self._pool: Optional[multiprocessing.pool.Pool] = None
         self._shm_group: Optional[ShmWorkerGroup] = None
         #: Chunks dispatched over shm and acked but not yet pulled back
         #: in a sync: the replay buffer.  If the worker group dies, the
@@ -235,13 +179,13 @@ class ShardedClusterEngine:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        # On an exception the pool may hold hung or half-dead workers:
-        # a graceful close()+join() would wait on them forever, which is
-        # exactly the orphaned-worker leak this guards against.
+        # On an exception the group may hold hung or half-dead workers:
+        # a graceful sync would wait on them forever, which is exactly
+        # the orphaned-worker leak this guards against.
         self.close(terminate=exc_info and exc_info[0] is not None)
 
     def close(self, terminate: bool = False) -> None:
-        """Shut workers down (idempotent) — shm group and legacy pool.
+        """Shut the worker group down (idempotent).
 
         ``terminate`` kills workers instead of draining them — the only
         safe shutdown after a dispatch failure, when workers may be
@@ -249,48 +193,18 @@ class ShardedClusterEngine:
         close syncs worker delta states back first, a terminating close
         replays the un-synced chunks inline from the driver's buffer.
         """
-        if self._shm_group is not None:
-            if terminate:
-                self.release_shm()
-            else:
-                self._sync_shm()
-                group, self._shm_group = self._shm_group, None
-                if group is not None:
-                    group.shutdown()
-        if self._pool is not None:
-            if terminate:
-                self._pool.terminate()
-            else:
-                self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def terminate_pool(self) -> None:
-        """Kill and discard the worker pool; the next dispatch builds a
-        fresh one.  Used after a worker crash/hang, and counted in
-        ``metrics.worker_restarts``."""
-        if self._pool is not None:
-            self.close(terminate=True)
-            self.metrics.record_worker_restart()
+        if terminate:
+            self.release_shm()
+            return
+        self._sync_shm()
+        group, self._shm_group = self._shm_group, None
+        if group is not None:
+            group.shutdown()
 
     @property
     def _parallel(self) -> bool:
+        """Dispatching to the shm worker group (vs inline)?"""
         return self.config.num_shards > 1 and self.config.use_processes
-
-    @property
-    def _use_shm(self) -> bool:
-        """Shared-memory transport active?  Auto-on for any parallel
-        dispatch unless the config opted out (``use_shm=False``)."""
-        return self._parallel and self.config.use_shm is not False
-
-    def _ensure_pool(self) -> multiprocessing.pool.Pool:
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(
-                processes=self.config.num_shards,
-                initializer=_init_worker,
-                initargs=(self.table,),
-            )
-        return self._pool
 
     # -- ingestion -------------------------------------------------------
 
@@ -324,7 +238,7 @@ class ShardedClusterEngine:
         This is the engine's atomic unit of progress: on success every
         shard's partial has merged; on any failure — a worker exception,
         a dead worker, a hang past ``config.dispatch_timeout`` — *no*
-        state was merged, the pool has been terminated, and the call
+        state was merged, the worker group has been torn down, and the call
         raises :class:`WorkerCrashError`.  Re-applying the same chunk
         after a failure can therefore never double-count.
         """
@@ -336,10 +250,10 @@ class ShardedClusterEngine:
         if self.injector is not None:
             directive = self.injector.worker_directive(
                 num_shards,
-                sites=SHM_WORKER_SITES if self._use_shm else None,
+                sites=SHM_WORKER_SITES if self._parallel else None,
             )
         began = time.perf_counter()
-        if num_shards == 1 or not self._parallel:
+        if not self._parallel:
             if directive is not None:
                 self._execute_inline_directive(directive)
             if num_shards == 1:
@@ -357,25 +271,7 @@ class ShardedClusterEngine:
             # URL table (PackedBatch), not a pickled tuple list.
             packed_batches = PackedBatch.partition(triples, num_shards)
             counts = [len(batch) for batch in packed_batches]
-            if self._use_shm:
-                self._dispatch_shm(packed_batches, directive)
-            else:
-                jobs: List[_WorkerJob] = [
-                    (
-                        batch,
-                        directive
-                        if directive is not None and directive[0] == shard
-                        else None,
-                    )
-                    for shard, batch in enumerate(packed_batches)
-                ]
-                results = self._dispatch_to_pool(jobs)
-                for shard, (partial, memo_stats, sanitize_stats) in enumerate(
-                    results
-                ):
-                    self._stores[shard].merge(partial)
-                    self.metrics.record_memo(*memo_stats)
-                    self.metrics.record_sanitize(*sanitize_stats)
+            self._dispatch_shm(packed_batches, directive)
         elapsed = time.perf_counter() - began
         self.metrics.record_batch(counts, elapsed, lookups=len(triples))
         return len(triples)
@@ -419,8 +315,7 @@ class ShardedClusterEngine:
         replay until the next sync pulls the delta states back.  On any
         failure the group is torn down, the buffered chunks re-apply
         inline (so no acked work is lost), and the dispatch raises
-        :class:`WorkerCrashError` with nothing merged — the same atomic
-        contract as the pool path.
+        :class:`WorkerCrashError` with nothing merged.
         """
         try:
             group = self._ensure_shm_group()
@@ -443,7 +338,7 @@ class ShardedClusterEngine:
         self._shm_pending.append(batches)
         self.metrics.record_memo(*stats["memo"])
         self.metrics.record_sanitize(*stats["sanitize"])
-        if len(self._shm_pending) >= self.config.shm_sync_interval:
+        if len(self._shm_pending) >= SHM_SYNC_INTERVAL:
             self._sync_shm()
 
     def _sync_shm(self) -> None:
@@ -527,44 +422,10 @@ class ShardedClusterEngine:
             batches[shard_of(triple[0], num_shards)].append(triple)
         return batches
 
-    def _dispatch_to_pool(self, jobs: List[_WorkerJob]) -> List[_WorkerResult]:
-        """One pool round-trip with dead/hung-worker containment.
-
-        ``map_async`` + a bounded ``get`` instead of ``map``: a worker
-        that hard-exits leaves its task permanently incomplete, so a
-        plain ``map`` would block forever.  Every failure path
-        terminates the pool (workers may be wedged) before raising.
-        """
-        pool = self._ensure_pool()
-        pending = pool.map_async(_process_batch, jobs)
-        try:
-            return pending.get(self.config.dispatch_timeout)
-        except multiprocessing.TimeoutError as exc:
-            self.terminate_pool()
-            raise WorkerCrashError(
-                f"chunk dispatch exceeded dispatch_timeout="
-                f"{self.config.dispatch_timeout}s; a worker is hung or "
-                "died mid-task — pool terminated, chunk not applied"
-            ) from exc
-        except _WORKER_FAILURE_ERRORS as exc:
-            self.terminate_pool()
-            raise WorkerCrashError(
-                f"worker failed while processing a chunk ({exc!r}) — "
-                "pool terminated, chunk not applied"
-            ) from exc
-        except BaseException:
-            # Anything outside the anticipated failure set (including
-            # KeyboardInterrupt) still terminates the possibly-wedged
-            # pool, but surfaces unwrapped: mislabelling an unknown bug
-            # as a worker crash would send the supervisor down the
-            # retry/quarantine path for something retries cannot fix.
-            self.terminate_pool()
-            raise
-
     def _execute_inline_directive(
         self, directive: Tuple[int, str, float]
     ) -> None:
-        """Honour an armed worker fault without a pool.
+        """Honour an armed worker fault without worker processes.
 
         Inline mode cannot survive a literal ``os._exit``, so
         ``worker.die`` degrades to the same clean failure as
@@ -578,17 +439,6 @@ class ShardedClusterEngine:
         raise WorkerCrashError(
             f"injected inline worker fault ({site}) — chunk not applied"
         )
-
-    # -- adaptation ------------------------------------------------------
-
-    def update_table(self, table: PackedLpm) -> None:
-        """Hot-swap the routing table (``core.realtime.update_table``
-        semantics): accumulated assignments persist; every later batch
-        resolves against the new table.  The worker pool restarts so
-        workers pick up the new table."""
-        self.close()
-        self.table = table
-        self.metrics.record_table_swap()
 
     # -- observation -----------------------------------------------------
 
@@ -650,13 +500,12 @@ class ShardedClusterEngine:
         table: PackedLpm,
         config: Optional[EngineConfig] = None,
         metrics: Optional[EngineMetrics] = None,
-        verify_table: bool = True,
         injector: Optional[FaultInjector] = None,
     ) -> "ShardedClusterEngine":
         """Rebuild an engine from a checkpoint and keep ingesting.
 
-        With ``verify_table`` the checkpoint must have been taken
-        against a table with the same prefix set (digest match).  A
+        The checkpoint must have been taken against a table with the
+        same prefix set (digest match).  A
         different shard count than the checkpoint's is allowed — shard
         states merge into the new layout without changing aggregate
         results, since all statistics are order- and
@@ -672,8 +521,7 @@ class ShardedClusterEngine:
         The checkpoint's meta dict is kept on the returned engine as
         ``resume_meta``.
         """
-        digest = table.digest() if verify_table else ""
-        stores, meta = read_checkpoint(path, table_digest=digest)
+        stores, meta = read_checkpoint(path, table_digest=table.digest())
         if config is None:
             config = EngineConfig(
                 num_shards=int(meta.get("num_shards", len(stores)) or 1),

@@ -1,7 +1,7 @@
 """Zero-copy shared-memory dispatch: one table, many workers, no pickles.
 
 The packed LPM layouts are flat ``array('Q')``/``array('q')`` buffers,
-so instead of pickling the whole table into every pool worker (and a
+so instead of pickling the whole table into every worker (and a
 partial :class:`~repro.engine.state.ClusterStore` back per chunk), the
 driver *publishes* the table once into ``multiprocessing.shared_memory``
 segments and persistent workers attach to it by name:
@@ -18,10 +18,10 @@ segments and persistent workers attach to it by name:
   stays message-passed) arrive on a per-worker ``SimpleQueue``; workers
   fold results into a process-local delta store and write per-shard
   count/byte accumulators into a shared flat array, so per-chunk the
-  driver only reads counters and a tiny ack — no ``_WorkerResult``
-  unpickling.  Delta stores cross back only on an explicit
-  :meth:`ShmWorkerGroup.sync` (every ``shm_sync_interval`` chunks, and
-  before any snapshot/checkpoint/shutdown).
+  driver only reads counters and a tiny ack — no partial store to
+  unpickle.  Delta stores cross back only on an explicit
+  :meth:`ShmWorkerGroup.sync` (every ``shard.SHM_SYNC_INTERVAL``
+  chunks, and before any snapshot/checkpoint/shutdown).
 
 Generation protocol: every publication carries a process-unique
 generation number, written into slot 0 of the accumulator segment.  A

@@ -8,11 +8,12 @@ shard owns one; batches of requests are folded in with
 toolchain (thresholding, validation, placement, caching) runs on
 engine output unchanged.
 
-Routing-table hot-swap follows ``core.realtime.update_table``
-semantics: the store itself holds no reference to any table — every
-:meth:`apply_batch` call names the table it resolves against — so
-swapping tables mid-run simply means later batches resolve against the
-new one while already-accumulated assignments persist.
+The store itself holds no reference to any table — every
+:meth:`apply_batch` call names the table it resolves against — so when
+routing changes mid-run (``apply_delta``) later batches resolve against
+the patched table while already-accumulated assignments persist, the
+semantics of ``core.realtime``'s ``update_table``;
+:meth:`ClusterStore.reassign_clients` is the explicit way to move them.
 
 Checkpoints are a versioned on-disk format (:func:`write_checkpoint` /
 :func:`read_checkpoint`) so long runs survive interruption: restore in
@@ -51,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -73,6 +75,8 @@ from repro.net.prefix import Prefix
 
 if TYPE_CHECKING:
     from repro.engine.fastpath import PackedBatch
+    from repro.engine.metrics import EngineMetrics
+    from repro.faults import FaultInjector
 
 __all__ = [
     "ClusterStore",
@@ -83,6 +87,7 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
     "read_checkpoint_table",
+    "write_verified_checkpoint",
     "serialize_checkpoint",
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
@@ -100,6 +105,10 @@ __all__ = [
 #: ``meta`` in favour of ``base_digest`` + ``route_diff`` plain tuples.
 CHECKPOINT_MAGIC = "repro.engine.checkpoint"
 CHECKPOINT_VERSION = 5
+
+#: How many times a checkpoint that fails its read-back is written
+#: before the corruption surfaces (:func:`write_verified_checkpoint`).
+CHECKPOINT_ATTEMPTS = 3
 
 #: Raw table sections start at the first 8-byte boundary after the
 #: envelope pickle, so an mmap'd ``array('Q')`` view is aligned.
@@ -727,6 +736,36 @@ def read_checkpoint(
             f"(stored digest {stored_digest[:12]}…, current {table_digest[:12]}…)"
         )
     return stores, meta
+
+
+def write_verified_checkpoint(
+    path: str,
+    write: Callable[[], None],
+    table_digest: str,
+    injector: Optional["FaultInjector"],
+    metrics: "EngineMetrics",
+) -> None:
+    """Run ``write`` (which writes a checkpoint to ``path``) and prove
+    the file reads back.
+
+    Any armed checkpoint fault (``checkpoint.corrupt`` /
+    ``checkpoint.truncate``) is applied *between* the write and the
+    verification, exactly where real bit rot would land.  A checkpoint
+    that fails verification is rewritten — a bad disk is discovered
+    now, not as a resume failure hours later — and the corruption
+    surfaces only after ``CHECKPOINT_ATTEMPTS`` writes all failed.
+    """
+    for attempt in range(1, CHECKPOINT_ATTEMPTS + 1):
+        write()
+        if injector is not None:
+            injector.damage_file(path)
+        try:
+            read_checkpoint(path, table_digest=table_digest)
+            return
+        except CheckpointCorruptError:
+            if attempt == CHECKPOINT_ATTEMPTS:
+                raise
+            metrics.record_checkpoint_rewrite()
 
 
 def _table_section_extent(

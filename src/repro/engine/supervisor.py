@@ -6,13 +6,13 @@ all-or-nothing chunk guarantee into a recovery policy:
 
 * a failed chunk (worker exception, dead worker, dispatch hang) is
   re-dispatched with bounded retries and exponential backoff — the
-  engine already terminated the broken pool, so each retry starts a
-  fresh one;
+  engine already tore the broken worker group down, so each retry
+  starts a fresh one;
 * a chunk that exhausts ``max_retries`` is **quarantined**: its triples
   go to a dead-letter file (JSON lines, replayable) and the loss is
   accounted in :class:`~repro.engine.metrics.EngineMetrics` — one
   poisonous chunk cannot abort a multi-hour run;
-* when failures are *consecutive* — the pool keeps dying no matter
+* when failures are *consecutive* — the workers keep dying no matter
   what we dispatch — the supervisor **degrades**: it abandons worker
   processes and finishes the run inline in the driver.  Degraded output
   is bit-for-bit identical to a healthy run (same code path the tests
@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 from repro.core.clustering import ClusterSet
 from repro.engine.metrics import EngineMetrics
 from repro.engine.shard import ShardedClusterEngine, Triple, _chunks
-from repro.engine.state import CheckpointCorruptError, read_checkpoint
+from repro.engine.state import write_verified_checkpoint
 from repro.errors import (
     ChunkQuarantinedError,
     DegradedModeWarning,
@@ -69,8 +69,6 @@ class SupervisorConfig:
     allow_degraded: bool = True
     quarantine_path: Optional[str] = None
     allow_quarantine: bool = True
-    verify_checkpoints: bool = True
-    checkpoint_attempts: int = 3
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -80,10 +78,6 @@ class SupervisorConfig:
         if self.degrade_after < 1:
             raise ValueError(
                 f"degrade_after must be >= 1: {self.degrade_after!r}"
-            )
-        if self.checkpoint_attempts < 1:
-            raise ValueError(
-                f"checkpoint_attempts must be >= 1: {self.checkpoint_attempts!r}"
             )
 
     def backoff_seconds(self, retry: int) -> float:
@@ -268,24 +262,12 @@ class SupervisedEngine:
     def checkpoint(
         self, path: str, extra_meta: Optional[Dict[str, Any]] = None
     ) -> None:
-        """Write a checkpoint and prove it reads back.
-
-        Any armed checkpoint fault (``checkpoint.corrupt`` /
-        ``checkpoint.truncate``) is applied *between* the write and the
-        verification, exactly where real bit rot would land.  A
-        checkpoint that fails verification is rewritten, up to
-        ``checkpoint_attempts`` times.
-        """
-        for attempt in range(1, self.config.checkpoint_attempts + 1):
-            self.engine.checkpoint(path, extra_meta=extra_meta)
-            if self._injector is not None:
-                self._injector.damage_file(path)
-            if not self.config.verify_checkpoints:
-                return
-            try:
-                read_checkpoint(path, table_digest=self.engine.table.digest())
-                return
-            except CheckpointCorruptError:
-                if attempt == self.config.checkpoint_attempts:
-                    raise
-                self.metrics.record_checkpoint_rewrite()
+        """Write a checkpoint and prove it reads back
+        (:func:`~repro.engine.state.write_verified_checkpoint`)."""
+        write_verified_checkpoint(
+            path,
+            lambda: self.engine.checkpoint(path, extra_meta=extra_meta),
+            self.engine.table.digest(),
+            self._injector,
+            self.metrics,
+        )

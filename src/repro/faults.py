@@ -121,7 +121,7 @@ ALL_SITES = (
 WORKER_SITES = (SITE_WORKER_CRASH, SITE_WORKER_DIE, SITE_WORKER_SLOW)
 
 #: The worker sites visited by the persistent shared-memory dispatch
-#: path: everything the pool path injects, plus the post-apply hard
+#: path: everything the inline path injects, plus the post-apply hard
 #: death unique to shm recovery.  Appended after :data:`WORKER_SITES`
 #: so per-site visit ordering (and plan determinism) is unchanged for
 #: existing chaos plans.

@@ -82,12 +82,12 @@ from repro.engine.fastpath import MemoizedLookup
 from repro.engine.metrics import EngineMetrics
 from repro.engine.packed import merge_windows
 from repro.engine.state import (
-    CheckpointCorruptError,
     CheckpointError,
     CheckpointTableMismatchError,
     ClusterStore,
     read_checkpoint,
     write_checkpoint,
+    write_verified_checkpoint,
 )
 from repro.errors import InjectedFault, OverloadShedWarning, WalCorruptError
 from repro.faults import SITE_SERVE_CRASH, FaultInjector
@@ -132,7 +132,6 @@ class ServeConfig:
     batch_size: int = 4096
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 0
-    checkpoint_attempts: int = 3
     wal_dir: Optional[str] = None
     wal_sync_every: int = 64
     wal_segment_bytes: int = 4 << 20
@@ -665,24 +664,20 @@ class ServeDaemon:
                 (d.op, p.network, p.length, d.origin_asn, d.source)
                 for p, d in self._route_diff.items()
             ]
-        for attempt in range(1, self.config.checkpoint_attempts + 1):
-            write_checkpoint(
+        write_verified_checkpoint(
+            path,
+            lambda: write_checkpoint(
                 path,
                 [self.store],
                 table_digest=digest,
                 meta=meta,
                 routing_epoch=int(self.table.epoch),
                 deltas_applied=int(self.table.deltas_applied),
-            )
-            if self.injector is not None:
-                self.injector.damage_file(path)
-            try:
-                read_checkpoint(path, table_digest=digest)
-                break
-            except CheckpointCorruptError:
-                if attempt == self.config.checkpoint_attempts:
-                    raise
-                self.metrics.record_checkpoint_rewrite()
+            ),
+            digest,
+            self.injector,
+            self.metrics,
+        )
         self.metrics.record_checkpoint()
         self._checkpoint_bytes = os.path.getsize(path)
         if self._wal is not None:

@@ -228,10 +228,10 @@ def test_pickle_boundary_checks_shard_worker_aliases():
         """
         from typing import Optional, Tuple
 
-        _WorkerJob = Tuple[SneakyUnpicklable, Optional[int]]
-        _WorkerResult = Tuple[ClusterStore, Tuple[int, int, int]]
+        _ShmJob = Tuple[SneakyUnpicklable, Optional[int]]
+        _ShmAck = Tuple[ClusterStore, Tuple[int, int, int]]
         """,
-        module="repro.engine.shard",
+        module="repro.engine.shm",
         rule_id="pickle-boundary",
     )
     assert ids(findings) == ["pickle-boundary"]
@@ -240,7 +240,7 @@ def test_pickle_boundary_checks_shard_worker_aliases():
 
 def test_pickle_boundary_requires_shard_aliases_to_exist():
     findings = run(
-        "x = 1\n", module="repro.engine.shard", rule_id="pickle-boundary"
+        "x = 1\n", module="repro.engine.shm", rule_id="pickle-boundary"
     )
     assert ids(findings) == ["pickle-boundary", "pickle-boundary"]
 

@@ -304,25 +304,38 @@ class TestForkSafety:
         assert any("dispatched to the worker pool" in f.message
                    for f in findings)
 
+    #: A persistent worker entered through ``Process(target=…)`` that
+    #: registers what it attached in a module-level dict.
+    PROCESS_WORKER = """
+        from multiprocessing import Process
+
+        _LIVE_SEGMENTS = {}
+
+        def _attach(name):
+            _LIVE_SEGMENTS[name] = object()
+
+        def _shm_worker_main(shard, jobs):
+            _attach(f"segment-{shard}")
+
+        def start(shard, jobs):
+            worker = Process(target=_shm_worker_main, args=(shard, jobs))
+            worker.start()
+            return worker
+    """
+
+    def test_process_target_is_a_boundary_seed(self):
+        findings = run_rule(
+            "fork-safety", {"pool.worker": self.PROCESS_WORKER}
+        )
+        assert any("'_attach' assigns into module-level '_LIVE_SEGMENTS'"
+                   in f.message for f in findings)
+
     def test_allowlisted_worker_table_global(self):
-        sources = {
-            "repro.engine.shard": """
-                _WORKER_TABLE = None
-
-                def _pool_init(table):
-                    global _WORKER_TABLE
-                    _WORKER_TABLE = table
-
-                def _work(job):
-                    return _WORKER_TABLE, job
-
-                def run(pool, jobs):
-                    import multiprocessing
-                    pool = multiprocessing.Pool(initializer=_pool_init)
-                    return pool.map(_work, jobs)
-            """,
-        }
-        assert run_rule("fork-safety", sources) == []
+        # Same source, but in the module whose per-process registry is
+        # on FORK_SAFE_GLOBALS.
+        assert run_rule(
+            "fork-safety", {"repro.engine.shm": self.PROCESS_WORKER}
+        ) == []
 
 
 GOOD_ERRORS = {

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine.cli import _entries_to_skip, main
+from repro.cli import main as cluster_main
+from repro.engine.cli import _entries_to_skip, build_parser, main
 
 ACCESS_LOG = """\
 12.65.147.94 - - [13/Feb/1998:09:12:01 +0000] "GET /a HTTP/1.0" 200 100
@@ -56,6 +57,23 @@ class TestBasicRun:
         bad.write_text("nonsense\nmore nonsense\n")
         assert main([str(bad), "--table", dump, "--max-errors", "0"]) == 1
         assert "aborting" in capsys.readouterr().err
+
+
+    def test_empty_log_fails_cleanly(self, tmp_path, files, capsys):
+        _, dump = files
+        log = tmp_path / "empty.log"
+        log.write_text("")
+        assert main([str(log), "--table", dump]) == 1
+        assert "nothing to cluster" in capsys.readouterr().err
+
+    def test_sharded_rows_match_single_pass_cli(self, files, capsys):
+        """repro-engine over shm workers prints repro-cluster's rows."""
+        log, dump = files
+        assert cluster_main([log, "--table", dump]) == 0
+        single = _cluster_table(capsys.readouterr().out)
+        assert main([log, "--table", dump, "--shards", "2",
+                     "--chunk-size", "2"]) == 0
+        assert _cluster_table(capsys.readouterr().out) == single
 
 
 def _cluster_table(out):
@@ -116,8 +134,19 @@ class TestFastpathFlags:
         log, dump = files
         with pytest.raises(SystemExit):
             main([log, "--table", dump, "--lpm", "radix"])
-        with pytest.raises(SystemExit):
-            main([log, "--table", dump, "--memo-size", "-1"])
+        for bad in (
+            ["--memo-size", "-1"],
+            ["--shards", "0"],
+            ["--chunk-size", "0"],
+            ["--retries", "-1"],
+            ["--dispatch-timeout", "0"],
+            ["--shm"],
+        ):
+            with pytest.raises(SystemExit) as caught:
+                main([log, "--table", dump] + bad)
+            assert caught.value.code == 2
+        # No transport switch under any spelling (negated form included).
+        assert "shm" not in build_parser().format_help()
 
 
 class TestCheckpointFlow:

@@ -35,11 +35,9 @@ class TestCounters:
         metrics = EngineMetrics(1)
         metrics.record_malformed(3)
         metrics.record_checkpoint()
-        metrics.record_table_swap()
         snap = metrics.snapshot()
         assert snap["malformed_skipped"] == 3
         assert snap["checkpoints_written"] == 1
-        assert snap["table_swaps"] == 1
 
 
 class TestExport:
@@ -47,7 +45,7 @@ class TestExport:
         snap = EngineMetrics(2).snapshot()
         assert set(snap) == {
             "entries", "lookups", "batches", "malformed_skipped",
-            "checkpoints_written", "table_swaps", "num_shards",
+            "checkpoints_written", "num_shards",
             "worker_restarts", "chunk_retries", "chunks_quarantined",
             "entries_quarantined", "checkpoint_rewrites", "degraded",
             "memo_hits", "memo_misses", "memo_evictions",

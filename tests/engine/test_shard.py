@@ -1,8 +1,8 @@
-"""Sharded engine: partitioning, equivalence with cluster_log, hot-swap."""
+"""Sharded engine: partitioning, equivalence with cluster_log, resume."""
 
 import pytest
 
-from repro.core.clustering import cluster_log, cluster_log_engine
+from repro.core.clustering import cluster_log
 from repro.engine import (
     EngineConfig,
     EngineMetrics,
@@ -19,6 +19,15 @@ def _signature(cluster_set):
          c.total_bytes, c.source_kind, c.source_name)
         for c in cluster_set.clusters
     }
+
+
+def _run_engine(log, merged_table, **config):
+    packed = PackedLpm.from_merged(merged_table)
+    with ShardedClusterEngine(
+        packed, EngineConfig(name=log.name, **config)
+    ) as engine:
+        engine.ingest(log.entries)
+        return engine.snapshot()
 
 
 class TestShardOf:
@@ -58,7 +67,7 @@ class TestEquivalence:
     def test_sharded_inline_matches_cluster_log(
         self, nagano_log, merged_table, baseline, shards
     ):
-        result = cluster_log_engine(
+        result = _run_engine(
             nagano_log.log, merged_table,
             num_shards=shards, chunk_size=4096, use_processes=False,
         )
@@ -71,18 +80,17 @@ class TestEquivalence:
     def test_process_pool_matches_cluster_log(
         self, nagano_log, merged_table, baseline
     ):
-        result = cluster_log_engine(
-            nagano_log.log, merged_table,
-            num_shards=2, chunk_size=8192, use_processes=True,
+        result = _run_engine(
+            nagano_log.log, merged_table, num_shards=2, chunk_size=8192,
         )
         assert _signature(result) == _signature(baseline)
 
     def test_chunk_size_does_not_change_results(self, nagano_log, merged_table):
-        small = cluster_log_engine(
+        small = _run_engine(
             nagano_log.log, merged_table,
             num_shards=2, chunk_size=257, use_processes=False,
         )
-        large = cluster_log_engine(
+        large = _run_engine(
             nagano_log.log, merged_table,
             num_shards=2, chunk_size=50_000, use_processes=False,
         )
@@ -117,24 +125,6 @@ class TestEngineBehaviour:
         assert metrics.batches == -(-metrics.entries // 1000)
         assert sum(metrics.shard_entries) == metrics.entries
         assert metrics.entries_per_second > 0
-
-    def test_update_table_hot_swap(self):
-        old = PackedLpm.from_items([(Prefix.from_cidr("10.0.0.0/8"), None)])
-        new = PackedLpm.from_items([(Prefix.from_cidr("10.0.0.0/9"), None)])
-        client = Prefix.from_cidr("10.1.1.1/32").network
-        engine = ShardedClusterEngine(
-            old, EngineConfig(num_shards=1, chunk_size=4)
-        )
-        engine.ingest_triples([(client, "/a", 1)])
-        engine.update_table(new)
-        engine.ingest_triples([(client, "/b", 1)])
-        snap = engine.snapshot()
-        # Old assignment persists; the new batch resolved under the new
-        # table — realtime.update_table semantics.
-        assert {c.identifier.cidr for c in snap.clusters} == {
-            "10.0.0.0/8", "10.0.0.0/9",
-        }
-        assert engine.metrics.table_swaps == 1
 
     def test_resume_with_different_shard_count(self, tmp_path):
         table = PackedLpm.from_items([(Prefix.from_cidr("10.0.0.0/8"), None)])

@@ -19,6 +19,7 @@ Three contracts pinned here:
 
 from __future__ import annotations
 
+import collections
 import glob
 import itertools
 import os
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import cluster_log, cluster_log_engine
+from repro.core.clustering import cluster_log
 from repro.engine import (
     EngineConfig,
     EngineMetrics,
@@ -218,23 +219,12 @@ class TestEngineEquivalence:
     def test_shm_engine_matches_cluster_log(
         self, nagano_log, merged_table, baseline
     ):
-        result = cluster_log_engine(
-            nagano_log.log, merged_table,
-            num_shards=2, chunk_size=CHUNK, use_processes=True,
-        )
-        assert _signature(result) == baseline
-
-    def test_shm_and_pickle_pool_agree(self, nagano_log, merged_table):
         packed = PackedLpm.from_merged(merged_table)
-        results = {}
-        for use_shm in (True, False):
-            config = EngineConfig(
-                num_shards=2, chunk_size=CHUNK, use_shm=use_shm
-            )
-            with ShardedClusterEngine(packed, config) as engine:
-                engine.ingest(nagano_log.log.entries)
-                results[use_shm] = _signature(engine.snapshot())
-        assert results[True] == results[False]
+        config = EngineConfig(num_shards=2, chunk_size=CHUNK)
+        with ShardedClusterEngine(packed, config) as engine:
+            engine.ingest(nagano_log.log.entries)
+            result = engine.snapshot()
+        assert _signature(result) == baseline
 
     def test_counters_flow_back_through_the_accumulator(
         self, nagano_log, merged_table
@@ -250,31 +240,42 @@ class TestEngineEquivalence:
         assert sum(metrics.shard_entries) == metrics.entries
 
     def test_republish_on_epoch_bump(self, nagano_log, merged_table):
-        """A mid-run apply_delta patch forces a new table generation."""
-        packed = PackedLpm.from_merged(merged_table)
+        """A mid-run withdrawal reaches the workers: the second half
+        clusters against the patched table, exactly as inline does."""
         entries = nagano_log.log.entries
         half = len(entries) // 2
-        # The patch announces a fresh value for an existing prefix, so
-        # both transports must re-resolve the second half against it.
-        victim = next(iter(packed.items()))[0]
-        signatures = {}
-        generations = {}
-        for use_shm in (True, False):
+        packed = PackedLpm.from_merged(merged_table)
+        # Withdraw the prefix owning the most second-half requests, so
+        # a worker still resolving against the old table cannot agree.
+        owners = collections.Counter(
+            handle
+            for handle in packed.lookup_many(e.client for e in entries[half:])
+            if handle >= 0
+        )
+        victim = packed.prefix(owners.most_common(1)[0][0])
+
+        def run(patch, **config):
             table = PackedLpm.from_merged(merged_table)
-            config = EngineConfig(
-                num_shards=2, chunk_size=CHUNK, use_shm=use_shm
-            )
-            with ShardedClusterEngine(table, config) as engine:
+            generations = []
+            with ShardedClusterEngine(
+                table, EngineConfig(chunk_size=CHUNK, **config)
+            ) as engine:
                 engine.ingest(entries[:half])
-                if use_shm:
-                    generations["before"] = engine._shm_group.generation
-                table.apply_delta([(victim, "patched-source")], [])
+                if engine._shm_group is not None:
+                    generations.append(engine._shm_group.generation)
+                if patch:
+                    table.apply_delta([], [victim])
                 engine.ingest(entries[half:])
-                if use_shm:
-                    generations["after"] = engine._shm_group.generation
-                signatures[use_shm] = _signature(engine.snapshot())
-        assert signatures[True] == signatures[False]
-        assert generations["after"] > generations["before"]
+                if engine._shm_group is not None:
+                    generations.append(engine._shm_group.generation)
+                return _signature(engine.snapshot()), generations
+
+        shm_run, generations = run(True, num_shards=2)
+        inline_run, _ = run(True, num_shards=2, use_processes=False)
+        unpatched, _ = run(False, num_shards=2)
+        assert shm_run == inline_run
+        assert shm_run != unpatched
+        assert generations[1] > generations[0]
 
     def test_is_stale_tracks_the_live_table(self, merged_table):
         packed = PackedLpm.from_merged(merged_table)

@@ -18,6 +18,7 @@ from repro.engine import (
     SupervisedEngine,
     SupervisorConfig,
 )
+from repro.engine import state as engine_state
 from repro.engine.state import CheckpointCorruptError, read_checkpoint
 from repro.errors import ChunkQuarantinedError, DegradedModeWarning
 from repro.faults import (
@@ -254,27 +255,16 @@ class TestVerifiedCheckpoints:
         assert sum(s.entries_applied for s in stores) == len(TRIPLES)
 
     def test_unrecoverable_corruption_raises_after_attempts(
-        self, packed, tmp_path
+        self, packed, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(engine_state, "CHECKPOINT_ATTEMPTS", 2)
         supervised = SupervisedEngine(
-            _engine(packed, self._corrupt_plan(count=-1)),
-            SupervisorConfig(checkpoint_attempts=2),
+            _engine(packed, self._corrupt_plan(count=-1))
         )
         supervised.ingest_triples(iter(TRIPLES))
         with pytest.raises(CheckpointCorruptError):
             supervised.checkpoint(str(tmp_path / "run.ckpt"))
         assert supervised.metrics.snapshot()["checkpoint_rewrites"] == 1
-
-    def test_verification_off_lets_damage_through(self, packed, tmp_path):
-        supervised = SupervisedEngine(
-            _engine(packed, self._corrupt_plan(count=1)),
-            SupervisorConfig(verify_checkpoints=False),
-        )
-        supervised.ingest_triples(iter(TRIPLES))
-        path = str(tmp_path / "run.ckpt")
-        supervised.checkpoint(path)  # no error here...
-        with pytest.raises(CheckpointCorruptError):  # ...but the file is bad
-            read_checkpoint(path)
 
 
 class TestConfigValidation:
@@ -283,7 +273,6 @@ class TestConfigValidation:
         {"backoff_base": -0.1},
         {"backoff_cap": -1.0},
         {"degrade_after": 0},
-        {"checkpoint_attempts": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

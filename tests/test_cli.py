@@ -64,50 +64,9 @@ class TestSimpleMode:
             main([log])
 
 
-class TestEngineMode:
-    def test_engine_matches_single_pass_clusters(self, files, capsys):
-        log, dump = files
-        assert main([log, "--table", dump]) == 0
-        single = capsys.readouterr().out
-        assert main([log, "--table", dump, "--engine", "--shards", "2",
-                     "--chunk-size", "2"]) == 0
-        engine = capsys.readouterr().out
-        # Same cluster rows either way; the engine line is extra.
-        for row in ("12.65.128.0/19", "24.48.2.0/23"):
-            assert row in single and row in engine
-        assert "entries/sec" in engine
-        assert "parsed 4" in engine
-
-    def test_chunk_size_flag_accepted_on_default_path(self, files, capsys):
-        log, dump = files
-        assert main([log, "--table", dump, "--chunk-size", "1000"]) == 0
-        assert "12.65.128.0/19" in capsys.readouterr().out
-
-    def test_engine_rejects_simple(self, files):
-        log, dump = files
-        with pytest.raises(SystemExit):
-            main([log, "--simple", "--engine"])
-
-    def test_engine_max_errors_aborts(self, tmp_path, files, capsys):
-        _, dump = files
-        bad = tmp_path / "bad.log"
-        bad.write_text("garbage one\ngarbage two\n")
-        assert main([str(bad), "--table", dump, "--engine",
-                     "--max-errors", "1"]) == 1
-        assert "aborting" in capsys.readouterr().err
-
-
 class TestEdgeCases:
     def test_empty_log_fails_cleanly(self, tmp_path, capsys):
         log = tmp_path / "empty.log"
         log.write_text("")
         assert main([str(log), "--simple"]) == 1
-        assert "nothing to cluster" in capsys.readouterr().err
-
-    def test_empty_log_fails_cleanly_in_engine_mode(self, tmp_path, files,
-                                                    capsys):
-        _, dump = files
-        log = tmp_path / "empty.log"
-        log.write_text("")
-        assert main([str(log), "--table", dump, "--engine"]) == 1
         assert "nothing to cluster" in capsys.readouterr().err
