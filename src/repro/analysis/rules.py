@@ -18,8 +18,7 @@ full rationale):
   key recovery off the exception *class*.
 * **Discipline** — ``silent-skip`` (parsers count-and-skip, never
   silently drop), ``mutable-default``, ``assert-validation`` (asserts
-  vanish under ``-O``), ``checkpoint-version`` (payload layout changes
-  must bump the version constant, never hard-code one).
+  vanish under ``-O``).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "SilentSkipRule",
     "MutableDefaultRule",
     "AssertValidationRule",
-    "CheckpointVersionRule",
     "ShmLifecycleRule",
 ]
 
@@ -606,67 +604,6 @@ class AssertValidationRule(Rule):
         return names
 
 
-@register
-class CheckpointVersionRule(Rule):
-    """Checkpoint envelopes version through the constant, never a literal."""
-
-    rule_id = "checkpoint-version"
-    summary = (
-        "checkpoint envelopes take their version from the "
-        "CHECKPOINT_VERSION constant — no hard-coded version numbers"
-    )
-    rationale = (
-        "The payload layout is pickled; the only thing standing between "
-        "a stale checkpoint and silent garbage state is the version gate. "
-        "A hard-coded literal in the envelope (or in the comparison) "
-        "means a future payload change can ship without failing old "
-        "files loudly."
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Dict):
-                yield from self._check_envelope(module, node)
-            elif isinstance(node, ast.Compare):
-                yield from self._check_comparison(module, node)
-
-    def _check_envelope(self, module: LintModule, node: ast.Dict) -> Iterator[Finding]:
-        keys = {
-            key.value: value
-            for key, value in zip(node.keys, node.values)
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)
-        }
-        if "magic" not in keys or "version" not in keys:
-            return
-        version_value = keys["version"]
-        if isinstance(version_value, ast.Constant):
-            yield self.finding(
-                module,
-                version_value,
-                "checkpoint envelope hard-codes its version; reference the "
-                "module's CHECKPOINT_VERSION constant so payload changes "
-                "are forced through a version bump",
-            )
-
-    def _check_comparison(
-        self, module: LintModule, node: ast.Compare
-    ) -> Iterator[Finding]:
-        sides = [node.left] + list(node.comparators)
-        names = [side for side in sides if _mentions_version(side)]
-        literals = [
-            side
-            for side in sides
-            if isinstance(side, ast.Constant) and isinstance(side.value, int)
-        ]
-        if names and literals:
-            yield self.finding(
-                module,
-                node,
-                "version compared against a hard-coded integer; compare "
-                "against the CHECKPOINT_VERSION constant",
-            )
-
-
 #: Methods that move their arguments into another process: the pool
 #: dispatchers plus queue/pipe sends.
 _SHM_SINK_METHODS = _DISPATCH_METHODS | frozenset({"put", "put_nowait", "send"})
@@ -775,18 +712,3 @@ class ShmLifecycleRule(Rule):
                         "boundary; buffers do not survive pickling — send "
                         "the segment *name* and re-attach on the far side",
                     )
-
-
-def _mentions_version(node: ast.AST) -> bool:
-    """True when a comparison side is a version lookup: a name containing
-    'version', or a ``.get("version")``-style access."""
-    segment = _last_segment(node)
-    if segment is not None and "version" in segment.lower():
-        return True
-    if isinstance(node, ast.Call):
-        if _last_segment(node.func) == "get" and any(
-            isinstance(arg, ast.Constant) and arg.value == "version"
-            for arg in node.args
-        ):
-            return True
-    return False

@@ -22,11 +22,10 @@ those maps:
 * **error-taxonomy-reachability** — every class in ``repro.errors`` is
   exported in ``__all__`` and actually raised (or warned, or serves as
   a family root) somewhere in the tree.
-* **checkpoint-schema-drift** — pickle payload field sets stay
-  consistent between their writers and readers: ``__getstate__`` /
-  ``__setstate__`` arity, ``_payload`` / ``_from_payload`` key sets,
-  and the ``CHECKPOINT_VERSION`` envelope's ``pickle.dumps`` /
-  ``pickle.loads`` key sets.
+* **checkpoint-schema-drift** — pickled state tuples stay consistent
+  between writer and reader: ``__getstate__`` / ``__setstate__``
+  arity.  (The checkpoint *file* needs no such rule: one field table
+  drives both directions of :mod:`repro.engine.state`'s layout.)
 
 Findings reuse the PR 4 :class:`~repro.analysis.core.Finding` type and
 per-line suppression comments; ``repro-lint --project`` is the CLI
@@ -508,32 +507,6 @@ def _self_attr_target(node: ast.AST) -> Optional[str]:
     ):
         return node.attr
     return None
-
-
-def _accessed_keys(func: ast.FunctionDef, var_names: Set[str]) -> Set[str]:
-    """String keys read off ``var_names`` via ``var["k"]`` / ``var.get("k")``."""
-    keys: Set[str] = set()
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in var_names
-        ):
-            index = node.slice
-            if isinstance(index, ast.Constant) and isinstance(index.value, str):
-                keys.add(index.value)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "get"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in var_names
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            keys.add(node.args[0].value)
-    return keys
 
 
 # -- rule: metrics-drift ----------------------------------------------------
@@ -1311,29 +1284,21 @@ class ErrorTaxonomyRule(ProjectRule):
 
 @register_project
 class CheckpointSchemaRule(ProjectRule):
-    """Pickle payload schemas must agree between writer and reader."""
+    """Pickled state tuples must agree between writer and reader."""
 
     rule_id = "checkpoint-schema-drift"
-    summary = (
-        "__getstate__/__setstate__ arity, _payload/_from_payload keys, and "
-        "the CHECKPOINT_VERSION envelope's dumps/loads key sets all match"
-    )
+    summary = "__getstate__/__setstate__ tuple arities match"
     rationale = (
-        "a checkpoint schema drift is invisible until a resume fails "
-        "hours into a rerun — or worse, resumes wrong.  The field sets a "
-        "writer produces and its reader consumes are one contract "
-        "spread over two functions; this rule pins them together."
+        "a state-tuple drift is invisible until a table crosses a "
+        "process boundary — or worse, arrives wrong.  The tuple a "
+        "__getstate__ produces and its __setstate__ unpacks are one "
+        "contract spread over two methods; this rule pins them together."
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.iter_modules():
             for class_def in project.classes(module.module).values():
                 yield from self._check_state_pair(module, class_def)
-                yield from self._check_payload_pair(module, class_def)
-            if self._defines_checkpoint_version(module):
-                yield from self._check_envelope(project, module)
-
-    # -- __getstate__ / __setstate__ -------------------------------------
 
     def _check_state_pair(
         self, module: LintModule, class_def: ast.ClassDef
@@ -1374,128 +1339,3 @@ class CheckpointSchemaRule(ProjectRule):
                 f"{sorted(produced)}-tuple but __setstate__ unpacks "
                 f"{sorted(consumed)} elements — pickle round-trip breaks",
             )
-
-    # -- _payload / _from_payload ----------------------------------------
-
-    def _check_payload_pair(
-        self, module: LintModule, class_def: ast.ClassDef
-    ) -> Iterator[Finding]:
-        methods = {
-            node.name: node
-            for node in class_def.body
-            if isinstance(node, _FUNCTION_DEFS)
-        }
-        producer = methods.get("_payload")
-        consumer = methods.get("_from_payload")
-        if producer is None or consumer is None:
-            return
-        produced: Set[str] = set()
-        for node in ast.walk(producer):
-            if isinstance(node, ast.Return) and isinstance(
-                node.value, ast.Dict
-            ):
-                produced |= _dict_literal_keys(node.value)
-        params = {arg.arg for arg in consumer.args.args[1:]}  # skip cls/self
-        consumed = _accessed_keys(consumer, params)
-        if not produced or not consumed:
-            return
-        for key in sorted(consumed - produced):
-            yield self.finding(
-                module.path,
-                consumer,
-                f"{class_def.name}._from_payload reads key '{key}' that "
-                "_payload never writes",
-            )
-        for key in sorted(produced - consumed):
-            yield self.finding(
-                module.path,
-                producer,
-                f"{class_def.name}._payload writes key '{key}' that "
-                "_from_payload never reads",
-            )
-
-    # -- CHECKPOINT_VERSION envelope -------------------------------------
-
-    @staticmethod
-    def _defines_checkpoint_version(module: LintModule) -> bool:
-        for node in module.tree.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "CHECKPOINT_VERSION"
-                    ):
-                        return True
-        return False
-
-    def _check_envelope(
-        self, project: Project, module: LintModule
-    ) -> Iterator[Finding]:
-        writers: List[Tuple[ast.AST, Set[str]]] = []
-        readers: List[Tuple[ast.AST, Set[str]]] = []
-        functions = list(project.top_functions(module.module).values())
-        for class_def in project.classes(module.module).values():
-            functions.extend(
-                node for node in class_def.body
-                if isinstance(node, _FUNCTION_DEFS)
-            )
-        for func in functions:
-            dict_bindings: Dict[str, ast.Dict] = {}
-            loads_vars: Set[str] = set()
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                ):
-                    name = node.targets[0].id
-                    if isinstance(node.value, ast.Dict):
-                        dict_bindings[name] = node.value
-                    elif (
-                        isinstance(node.value, ast.Call)
-                        and _last_segment(node.value.func) == "loads"
-                    ):
-                        loads_vars.add(name)
-            for node in ast.walk(func):
-                if not (
-                    isinstance(node, ast.Call)
-                    and _last_segment(node.func) == "dumps"
-                    and node.args
-                ):
-                    continue
-                payload = node.args[0]
-                if isinstance(payload, ast.Name):
-                    bound = dict_bindings.get(payload.id)
-                    if bound is not None:
-                        writers.append((node, _dict_literal_keys(bound)))
-                elif isinstance(payload, ast.Dict):
-                    writers.append((node, _dict_literal_keys(payload)))
-            for name in loads_vars:
-                keys = _accessed_keys(func, {name})
-                if keys:
-                    readers.append((func, keys))
-        if not writers or not readers:
-            return
-        for reader_node, read_keys in readers:
-            best = max(writers, key=lambda entry: len(entry[1] & read_keys))
-            missing = read_keys - best[1]
-            if len(best[1] & read_keys) and missing:
-                yield self.finding(
-                    module.path,
-                    reader_node,
-                    "checkpoint reader consumes key(s) "
-                    f"{sorted(missing)} that no writer dict produces",
-                )
-        for writer_node, written_keys in writers:
-            best_read = max(
-                readers, key=lambda entry: len(entry[1] & written_keys)
-            )
-            unread = written_keys - best_read[1]
-            if len(best_read[1] & written_keys) and unread:
-                yield self.finding(
-                    module.path,
-                    writer_node,
-                    "checkpoint writer produces key(s) "
-                    f"{sorted(unread)} that its best-matching reader "
-                    "never consumes",
-                )

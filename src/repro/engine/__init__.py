@@ -17,7 +17,8 @@ wrong shape for throughput.  This package is the scale-out substrate:
   longer scales with per-entry object count).  Select with the CLIs'
   ``--lpm {packed,stride}`` and ``--memo-size``.
 * :mod:`repro.engine.state` — :class:`ClusterStore`, the incremental,
-  mergeable cluster accumulator with versioned checkpoint/restore.
+  mergeable cluster accumulator, and the one versioned, parse-only
+  checkpoint layout (:func:`write_checkpoint` / :func:`read_checkpoint`).
 * :mod:`repro.engine.shard` — :class:`ShardedClusterEngine`, which
   hash-partitions client addresses across N shards, fans batches out to
   worker processes, and merges per-shard states in shard order so
@@ -65,7 +66,6 @@ from repro.engine.state import (
     CheckpointVersionError,
     ClusterStore,
     read_checkpoint,
-    read_checkpoint_table,
     write_checkpoint,
 )
 from repro.engine.shm import SharedLpm, SharedLpmHandle, attach_shared_table
@@ -84,7 +84,6 @@ __all__ = [
     "CheckpointVersionError",
     "CheckpointTableMismatchError",
     "read_checkpoint",
-    "read_checkpoint_table",
     "write_checkpoint",
     "SharedLpm",
     "SharedLpmHandle",

@@ -41,9 +41,6 @@ a specific, actionable error instead of garbage state.
 ``repro-engine serve ...`` switches to the long-lived daemon mode
 (:mod:`repro.serve`): an ndjson stream of weblog requests and BGP
 deltas, applied to the live table in place.
-
-Checkpoint files are pickle-based: only ``--resume`` from files you
-wrote yourself (see :mod:`repro.engine.state`).
 """
 
 from __future__ import annotations
@@ -195,8 +192,6 @@ def _build_engine(
     metrics = EngineMetrics(args.shards)
     engine: Optional[ShardedClusterEngine] = None
     if args.resume:
-        if not args.checkpoint:
-            raise CheckpointError("--resume requires --checkpoint PATH")
         if os.path.exists(args.checkpoint):
             engine = ShardedClusterEngine.resume(
                 args.checkpoint, table, config, metrics, injector=injector
@@ -275,6 +270,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("the engine needs at least one --table dump")
     if args.checkpoint_every and not args.checkpoint:
         parser.error("--checkpoint-every requires --checkpoint PATH")
+    if args.resume and not args.checkpoint:
+        parser.error("--resume requires --checkpoint PATH")
     if args.shards < 1:
         parser.error("--shards must be >= 1")
     if args.chunk_size < 1:

@@ -651,8 +651,8 @@ def build_table_view(
 
     The buffer parameters may be plain ``array`` objects or
     ``memoryview`` casts over a ``multiprocessing.shared_memory``
-    segment or an mmap'd checkpoint — anything ``bisect_right`` can
-    search (``starts`` cast ``'Q'``, ``owners``/``slots`` cast ``'q'``).
+    segment — anything ``bisect_right`` can search (``starts`` cast
+    ``'Q'``, ``owners``/``slots`` cast ``'q'``).
     ``entries`` carries the Python-object side as ``(prefixes, values,
     runs)``; ``runs`` (and ``slots``) are only consulted for
     ``kind="stride"``.  A view built over borrowed buffers reports

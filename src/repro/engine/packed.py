@@ -35,8 +35,8 @@ patched one appends announced entries (or reuses a withdrawn entry's
 freed handle), tombstones withdrawn ones with ``None``, and keeps the
 sorted order on the side.  Handles of two table objects are therefore
 not comparable — resolve them to prefixes first — and every serialised
-form (:meth:`PackedLpm.__getstate__`, hence pickles, shared-memory
-segments and checkpoint table sections) renumbers to the canonical
+form (:meth:`PackedLpm.__getstate__`, hence pickles and shared-memory
+segments) renumbers to the canonical
 dense form, so a patched table serialises byte-for-byte like a
 from-scratch compile of the same routes
 (:meth:`PackedLpm.verify_patched` enforces the equivalence).
@@ -248,9 +248,9 @@ class PackedLpm:
     @property
     def is_view(self) -> bool:
         """True when the interval buffers are borrowed — ``memoryview``
-        casts over a shared-memory segment or an mmap'd checkpoint —
-        rather than arrays this table owns.  Views serve lookups at full
-        speed but refuse in-place patching."""
+        casts over a shared-memory segment — rather than arrays this
+        table owns.  Views serve lookups at full speed but refuse
+        in-place patching."""
         return not isinstance(self._starts, array)
 
     def items(self) -> Iterable[Tuple[Prefix, Any]]:
@@ -392,9 +392,8 @@ class PackedLpm:
         if self.is_view:
             raise TypeError(
                 "cannot patch a buffer-backed LPM view in place: the "
-                "interval arrays are borrowed (shared memory or an "
-                "mmap'd checkpoint) — patch the owning table and "
-                "republish its segments instead"
+                "interval arrays are borrowed (shared memory) — patch "
+                "the owning table and republish its segments instead"
             )
         keys, handles = self._sorted_view()
 

@@ -486,7 +486,6 @@ class ShardedClusterEngine:
             meta=meta,
             routing_epoch=int(getattr(self.table, "epoch", 0)),
             deltas_applied=int(getattr(self.table, "deltas_applied", 0)),
-            table=self.table,
         )
         self.metrics.record_checkpoint()
         if _sanitize.is_enabled():

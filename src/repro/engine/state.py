@@ -20,35 +20,31 @@ Checkpoints are a versioned on-disk format (:func:`write_checkpoint` /
 a fresh process and continue feeding batches; the final snapshot is
 identical to an uninterrupted run.
 
-Writes are atomic and checksummed: the document is serialised in
-memory, written to a temp file in the target directory, fsynced, and
+Writes are atomic and checksummed: the file is serialised in memory,
+written to a temp file in the target directory, fsynced, and
 ``os.replace``d over the destination — so a crash at any instant leaves
-either the previous checkpoint or the new one, never a torn file.  The
-on-disk envelope carries a CRC32 of the pickled payload; the payload is
-only unpickled after the checksum verifies, and damage raises
+either the previous checkpoint or the new one, never a torn file.
+Reads are parse-only: a fixed ``struct`` header is checked (magic,
+version, body length, CRC32) before one byte of the body is decoded,
+and the body is JSON walked against the field tables below, so loading
+a file constructs ``int``/``str``/``list``/``dict`` and nothing else —
+whatever its bytes are, it cannot run code.  Damage raises
 :class:`~repro.errors.CheckpointCorruptError` (version skew raises
 :class:`~repro.errors.CheckpointVersionError` — a distinct, intact-file
-condition).
-
-.. warning::
-   The checkpoint payload is a pickle.  The CRC and magic/version
-   checks catch *accidents* (torn writes, bad disks, stale files) —
-   they authenticate nothing, and a crafted envelope with a valid CRC
-   still executes whatever its payload pickles into.  Only restore
-   checkpoints you wrote yourself on a filesystem you trust; never
-   load one received over the network.
+condition).  The CRC catches accidents (torn writes, bad disks); it
+authenticates nothing, which is why nothing past it is trusted either.
 """
 
 from __future__ import annotations
 
-import io
-import mmap
+import json
 import os
-import pickle
+import struct
 import tempfile
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -86,52 +82,22 @@ __all__ = [
     "CheckpointTableMismatchError",
     "write_checkpoint",
     "read_checkpoint",
-    "read_checkpoint_table",
     "write_verified_checkpoint",
-    "serialize_checkpoint",
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
 ]
 
 #: File-format identity and version; bump the version whenever the
-#: pickled payload layout changes so stale checkpoints fail loudly.
-#: Version 2 wraps the payload in a CRC32-checked envelope; version 3
-#: adds the routing generation (``routing_epoch`` / ``deltas_applied``)
-#: so ``repro-engine serve --resume`` can restart mid-stream; version 4
-#: adds an optional raw table section after the envelope — the packed
-#: interval buffers written via ``memoryview`` and read back with
-#: ``mmap`` (:func:`read_checkpoint_table`) instead of unpickling a
-#: fresh copy; version 5 drops the pickled table from serve's WAL-mode
-#: ``meta`` in favour of ``base_digest`` + ``route_diff`` plain tuples.
-CHECKPOINT_MAGIC = "repro.engine.checkpoint"
-CHECKPOINT_VERSION = 5
+#: layout below changes so stale checkpoints fail loudly.  Versions up
+#: to 5 were pickles (5 moved serve's routing state to ``base_digest``
+#: + ``route_diff``); version 6 is the parse-only layout and reads no
+#: older file.
+CHECKPOINT_MAGIC = b"REPROCKP"
+CHECKPOINT_VERSION = 6
 
 #: How many times a checkpoint that fails its read-back is written
 #: before the corruption surfaces (:func:`write_verified_checkpoint`).
 CHECKPOINT_ATTEMPTS = 3
-
-#: Raw table sections start at the first 8-byte boundary after the
-#: envelope pickle, so an mmap'd ``array('Q')`` view is aligned.
-_TABLE_SECTION_ALIGN = 8
-
-#: Everything ``pickle.loads`` (and the payload-shape accessors that
-#: follow it) can raise on corrupt, truncated, or foreign bytes.  Kept
-#: concrete — rather than ``except Exception`` — so an unrelated bug
-#: surfacing mid-decode (say, a repro.errors type from nested state)
-#: cannot be mislabelled as file corruption.
-_UNPICKLE_ERRORS = (
-    pickle.UnpicklingError,
-    EOFError,
-    AttributeError,
-    ImportError,
-    IndexError,
-    KeyError,
-    TypeError,
-    ValueError,
-    UnicodeDecodeError,
-    OverflowError,
-    MemoryError,
-)
 
 
 @dataclass
@@ -431,162 +397,186 @@ class ClusterStore:
             unclustered_clients=sorted(self._unclustered),
         )
 
-    # -- persistence -----------------------------------------------------
 
-    def _payload(self) -> Dict[str, Any]:
-        return {
-            "clusters": self._clusters,
-            "unclustered": self._unclustered,
-            "entries_applied": self.entries_applied,
-            "lookups_performed": self.lookups_performed,
-        }
+# -- the checkpoint file ---------------------------------------------------
+#
+# One layout, written by :func:`write_checkpoint` and read by
+# :func:`read_checkpoint`; all integers big-endian:
+#
+#     offset  size  field
+#          0     8  magic         CHECKPOINT_MAGIC
+#          8     4  version       CHECKPOINT_VERSION
+#         12     8  body length   the bytes after the header, exactly
+#         20     4  CRC32         zlib.crc32 over the whole body
+#         24     n  body          one ASCII JSON array: a _DOCUMENT record
+#
+# The body nests the three positional records whose field tables
+# follow — a document holds stores, a store holds clusters — with every
+# ``{client: requests}`` map flattened to ``[client, requests, ...]``.
+# ``meta`` is the caller's position data (see :func:`_plain_meta`);
+# serve keeps its routing state there as ``base_digest`` +
+# ``route_diff``.  Nothing else is ever in the file: no table, no
+# object graph, no type names.
 
-    @classmethod
-    def _from_payload(cls, payload: Dict[str, Any]) -> "ClusterStore":
-        store = cls()
-        store._clusters = payload["clusters"]
-        store._unclustered = payload["unclustered"]
-        store.entries_applied = payload["entries_applied"]
-        store.lookups_performed = payload["lookups_performed"]
-        return store
+_HEADER = struct.Struct(">8sIQI")
 
-    def checkpoint(self, path: str, table_digest: str = "") -> None:
-        """Persist this store alone (single-shard convenience)."""
-        write_checkpoint(path, [self], table_digest=table_digest)
+#: The magic *string* inside every version <= 5 file (a pickled dict).
+#: Sniffed as bytes — never unpickled — so an old checkpoint fails as
+#: version skew, with advice, instead of as a foreign file.
+_PICKLE_ERA_MAGIC = b"repro.engine.checkpoint"
 
-    @classmethod
-    def restore(cls, path: str, table_digest: str = "") -> "ClusterStore":
-        """Load a single-store checkpoint written by :meth:`checkpoint`."""
-        stores, _ = read_checkpoint(path, table_digest=table_digest)
-        if len(stores) != 1:
-            raise CheckpointError(
-                f"expected a single-store checkpoint, found {len(stores)} shards"
+
+class _Record:
+    """One positional JSON record of the checkpoint body.
+
+    The field table — name and JSON type, in order — is the record's
+    only description and both directions walk it: :meth:`pack` refuses
+    values that are not exactly these fields with exactly these types,
+    :meth:`unpack` refuses rows that are not.  A field therefore cannot
+    be written without being read back, nor a type drift between the
+    two, which is the agreement a lint rule used to police.
+    """
+
+    def __init__(self, what: str, **fields: type) -> None:
+        self.what = what
+        self.names = tuple(fields)
+        self.types = tuple(fields.values())
+
+    def pack(self, **values: Any) -> List[Any]:
+        row = list(values.values())
+        if tuple(values) != self.names or tuple(map(type, row)) != self.types:
+            found = ", ".join(
+                f"{name}: {type(value).__name__}"
+                for name, value in values.items()
             )
-        return stores[0]
+            raise TypeError(
+                f"checkpoint {self.what} record is ({found}); its field "
+                f"table says {self.names}"
+            )
+        return row
+
+    def unpack(self, row: Any) -> Dict[str, Any]:
+        if type(row) is not list or tuple(map(type, row)) != self.types:
+            raise ValueError(f"malformed {self.what} record")
+        return dict(zip(self.names, row))
 
 
-def _table_sections(table: Any) -> Tuple[Optional[Dict[str, Any]], List[Any]]:
-    """Describe ``table``'s raw buffers for the v4 trailing section.
+_DOCUMENT = _Record(
+    "document",
+    table_digest=str,
+    routing_epoch=int,
+    deltas_applied=int,
+    meta=dict,
+    shards=list,
+)
+_STORE = _Record(
+    "store",
+    entries_applied=int,
+    lookups_performed=int,
+    unclustered=list,
+    clusters=list,
+)
+_CLUSTER = _Record(
+    "cluster",
+    network=int,
+    length=int,
+    requests=int,
+    total_bytes=int,
+    source_kind=str,
+    source_name=str,
+    clients=list,
+    urls=list,
+)
 
-    Returns ``(info, sections)``: a plain-types description dict (kind,
-    digest, generation, per-section byte counts, and a CRC32 over the
-    concatenated sections) plus the raw buffers themselves, in on-disk
-    order — interval starts, owners, stride slots (empty for packed
-    tables), then a once-pickled blob of the Python-object entry
-    columns.  ``(None, [])`` when ``table`` is None or not a packed
-    table — the checkpoint then carries no table section at all.
-    """
-    base = getattr(table, "table", table) if table is not None else None
-    if not isinstance(base, PackedLpm):
-        return None, []
-    state = base.__getstate__()
-    if isinstance(state[0], tuple):
-        # StrideLpm state nests the packed layout under the overlay.
-        (packed_state, slots, runs) = state
-        kind = "stride"
-    else:
-        packed_state, slots, runs = state, None, None
-        kind = "packed"
-    starts, owners, prefixes, values, epoch, deltas_applied = packed_state
-    starts_raw = memoryview(starts).cast("B")
-    owners_raw = memoryview(owners).cast("B")
-    slots_raw = memoryview(slots).cast("B") if slots is not None else memoryview(b"")
-    entries_raw = pickle.dumps(
-        (tuple(prefixes), tuple(values), runs),
-        protocol=pickle.HIGHEST_PROTOCOL,
+def _only(values: Iterable[Any], *kinds: type) -> bool:
+    """Is every value exactly one of ``kinds`` (no subclasses: ``True``
+    is not an ``int`` here)?"""
+    return set(kinds).issuperset(map(type, values))
+
+
+def _plain_meta(meta: Dict[str, Any]) -> Dict[str, Any]:
+    """``meta`` as the layout holds it, checked the same way in both
+    directions: ``str`` keys; ``int`` or ``str`` values, or lists of
+    ``int``/``str`` rows — which come back as tuples (serve's
+    ``route_diff``)."""
+    plain: Dict[str, Any] = {}
+    for key, value in meta.items():
+        if type(key) is not str:
+            raise ValueError(f"meta key {key!r} is not a str")
+        if type(value) is list and all(
+            _only([row], list, tuple) and _only(row, int, str) for row in value
+        ):
+            value = [tuple(row) for row in value]
+        elif not _only([value], int, str):
+            raise ValueError(
+                f"meta[{key!r}] is not an int, a str or a list of int/str rows"
+            )
+        plain[key] = value
+    return plain
+
+
+def _counts(flat: List[Any], what: str) -> Dict[int, int]:
+    """``[client, requests, client, requests, ...]`` back into a map."""
+    if len(flat) % 2 or not _only(flat, int):
+        raise ValueError(f"malformed {what}")
+    return dict(zip(flat[0::2], flat[1::2]))
+
+
+def _encode_store(store: ClusterStore) -> List[Any]:
+    return _STORE.pack(
+        entries_applied=store.entries_applied,
+        lookups_performed=store.lookups_performed,
+        unclustered=list(chain.from_iterable(store._unclustered.items())),
+        clusters=[
+            _CLUSTER.pack(
+                network=prefix.network,
+                length=prefix.length,
+                requests=state.requests,
+                total_bytes=state.total_bytes,
+                source_kind=state.source_kind,
+                source_name=state.source_name,
+                clients=list(chain.from_iterable(state.client_counts.items())),
+                urls=list(state.urls),
+            )
+            for prefix, state in store._clusters.items()
+        ],
     )
-    crc = zlib.crc32(starts_raw)
-    crc = zlib.crc32(owners_raw, crc)
-    crc = zlib.crc32(slots_raw, crc)
-    crc = zlib.crc32(entries_raw, crc)
-    info = {
-        "kind": kind,
-        "digest": base.digest(),
-        "epoch": int(epoch),
-        "deltas_applied": int(deltas_applied),
-        "crc32": crc,
-        "starts_bytes": starts_raw.nbytes,
-        "owners_bytes": owners_raw.nbytes,
-        "slots_bytes": slots_raw.nbytes,
-        "entries_bytes": len(entries_raw),
-    }
-    return info, [starts_raw, owners_raw, slots_raw, entries_raw]
 
 
-def _checkpoint_blobs(
-    stores: Sequence[ClusterStore],
-    table_digest: str,
-    meta: Optional[Dict[str, Any]],
-    routing_epoch: int,
-    deltas_applied: int,
-    table: Any,
-) -> List[Any]:
-    """All buffers of one checkpoint file, in write order.
-
-    The first element is always the pickled envelope; with a table, an
-    alignment pad and the raw table sections follow.  This is the one
-    place the envelope dict is built.
-    """
-    payload = pickle.dumps(
-        {
-            "table_digest": table_digest,
-            "meta": dict(meta or {}),
-            "routing_epoch": routing_epoch,
-            "deltas_applied": deltas_applied,
-            "shards": [store._payload() for store in stores],
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    table_info, sections = _table_sections(table)
-    envelope = {
-        "magic": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
-        "crc32": zlib.crc32(payload),
-        "payload": payload,
-        "table": table_info,
-    }
-    head = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-    if table_info is None:
-        return [head]
-    pad = b"\x00" * ((-len(head)) % _TABLE_SECTION_ALIGN)
-    return [head, pad] + sections
+def _decode_store(row: Any) -> ClusterStore:
+    """Raises ``ValueError`` (only) on anything :func:`_encode_store`
+    could not have produced."""
+    fields = _STORE.unpack(row)
+    store = ClusterStore()
+    store.entries_applied = fields["entries_applied"]
+    store.lookups_performed = fields["lookups_performed"]
+    store._unclustered = _counts(fields["unclustered"], "unclustered clients")
+    for item in fields["clusters"]:
+        cluster = _CLUSTER.unpack(item)
+        urls = cluster["urls"]
+        if not _only(urls, str):
+            raise ValueError("malformed cluster urls")
+        # Prefix range-checks network and length (AddressError is a
+        # ValueError).
+        prefix = Prefix(cluster["network"], cluster["length"])
+        store._clusters[prefix] = _ClusterState(
+            requests=cluster["requests"],
+            total_bytes=cluster["total_bytes"],
+            client_counts=_counts(cluster["clients"], "cluster clients"),
+            urls=set(urls),
+            source_kind=cluster["source_kind"],
+            source_name=cluster["source_name"],
+        )
+    return store
 
 
-def serialize_checkpoint(
-    stores: Sequence[ClusterStore],
-    table_digest: str = "",
-    meta: Optional[Dict[str, Any]] = None,
-    routing_epoch: int = 0,
-    deltas_applied: int = 0,
-) -> bytes:
-    """Serialise shard ``stores`` into the on-disk envelope bytes.
-
-    The envelope is a pickled dict of plain types — magic, version, a
-    CRC32, and the payload as an opaque ``bytes`` field — so a reader
-    can validate identity, version, and integrity *before* unpickling
-    any engine state.  (The optional v4 raw table section is only
-    produced by :func:`write_checkpoint` with a ``table``; this
-    envelope-only form records ``table: None``.)
-
-    ``routing_epoch`` and ``deltas_applied`` record the live table's
-    patch generation (see :attr:`PackedLpm.epoch`) so a resumed serve
-    run can verify it replayed the same delta stream.
-    """
-    return _checkpoint_blobs(
-        stores, table_digest, meta, routing_epoch, deltas_applied, None
-    )[0]
-
-
-def _write_atomic(path: str, blobs: Sequence[Any]) -> None:
+def _write_atomic(path: str, blobs: Sequence[bytes]) -> None:
     """Write ``blobs`` to ``path`` so readers see old-or-new, never torn.
 
     temp file in the same directory → flush → fsync → ``os.replace``.
     A crash before the replace leaves the previous file untouched (the
     orphaned ``.tmp`` is removed on the next successful write's error
     path or by the operator); a crash after is a completed write.
-    Each blob is handed to ``write`` as-is, so raw ``memoryview``
-    sections go straight from the table's buffers to the page cache —
-    no intermediate ``bytes`` copy.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
@@ -623,31 +613,35 @@ def write_checkpoint(
     meta: Optional[Dict[str, Any]] = None,
     routing_epoch: int = 0,
     deltas_applied: int = 0,
-    table: Any = None,
 ) -> None:
     """Atomically write shard ``stores`` to ``path``.
 
     ``table_digest`` (see :meth:`PackedLpm.digest`) records which prefix
     set the accumulated lookups were resolved against; a restore that
     supplies a digest refuses to resume against a different table.
-
-    With ``table`` (a packed table, optionally memo-wrapped) the file
-    additionally carries the v4 raw table section: the interval buffers
-    written straight from their ``memoryview``s, so
-    :func:`read_checkpoint_table` can rebuild a zero-copy view over an
-    ``mmap`` of the file instead of unpickling a fresh table.
+    ``routing_epoch`` and ``deltas_applied`` record the live table's
+    patch generation (see :attr:`PackedLpm.epoch`) so a restored serve
+    run carries on from the same generation.
 
     Under ``REPRO_SANITIZE=1`` every write is immediately re-read and
     re-verified through :func:`read_checkpoint` — the same CRC, version
     and digest gauntlet the resume path runs — so a checkpoint that
     could not be restored fails *now*, not hours later.
     """
-    _write_atomic(
-        path,
-        _checkpoint_blobs(
-            stores, table_digest, meta, routing_epoch, deltas_applied, table
+    body = json.dumps(
+        _DOCUMENT.pack(
+            table_digest=table_digest,
+            routing_epoch=routing_epoch,
+            deltas_applied=deltas_applied,
+            meta=_plain_meta(meta or {}),
+            shards=[_encode_store(store) for store in stores],
         ),
+        separators=(",", ":"),
+    ).encode("ascii")
+    header = _HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(body), zlib.crc32(body)
     )
+    _write_atomic(path, (header, body))
     if _sanitize.is_enabled():
         read_checkpoint(path, table_digest=table_digest)
         _sanitize.record_checkpoint_readback()
@@ -664,72 +658,67 @@ def read_checkpoint(
     :class:`CheckpointVersionError` (intact file, incompatible format
     version), :class:`CheckpointTableMismatchError` (resumed against a
     different routing table), and base :class:`CheckpointError` for a
-    file that cannot be opened at all.
-
-    .. warning::
-       The CRC is an *integrity* check, not authentication — a crafted
-       file passes it and its payload is then unpickled, executing
-       whatever it contains.  Only load files you trust (see the
-       module docstring).
+    file that cannot be opened at all.  Nothing else escapes, whatever
+    the bytes: the header checks run on the raw bytes, and the body is
+    only parsed — never executed — after they pass.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    try:
-        # A stream, not ``loads``: v4 files append raw table sections
-        # after the envelope pickle, and ``tell`` finds where they start.
-        stream = io.BytesIO(raw)
-        envelope = pickle.load(stream)
-        head_len = stream.tell()
-    except _UNPICKLE_ERRORS as exc:
+    if len(raw) < _HEADER.size:
         raise CheckpointCorruptError(
-            f"checkpoint {path!r} is corrupt or truncated "
-            f"(envelope does not decode: {exc})"
-        ) from exc
-    if not isinstance(envelope, dict) or envelope.get("magic") != CHECKPOINT_MAGIC:
+            f"checkpoint {path!r} is corrupt or truncated: {len(raw)} bytes "
+            f"cannot hold the {_HEADER.size}-byte header"
+        )
+    magic, version, length, crc = _HEADER.unpack_from(raw)
+    if magic != CHECKPOINT_MAGIC:
+        if _PICKLE_ERA_MAGIC in raw[:64]:
+            raise CheckpointVersionError(
+                f"checkpoint {path!r} is a pickle from format version 5 or "
+                f"older; this build reads version {CHECKPOINT_VERSION} and "
+                "unpickles nothing — rerun without --resume"
+            )
         raise CheckpointCorruptError(
             f"{path!r} is not a repro.engine checkpoint"
         )
-    version = envelope.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
-            f"checkpoint version {version!r} unsupported "
+            f"checkpoint version {version} unsupported "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
-    payload = envelope.get("payload")
-    if not isinstance(payload, bytes):
+    body = raw[_HEADER.size:]
+    if len(body) != length:
         raise CheckpointCorruptError(
-            f"checkpoint {path!r} is corrupt: envelope carries no payload"
+            f"checkpoint {path!r} is corrupt: body is {len(body)} bytes "
+            f"where {length} were recorded (truncated write) — restore "
+            "from an older checkpoint or rerun without --resume"
         )
-    if zlib.crc32(payload) != envelope.get("crc32"):
+    if zlib.crc32(body) != crc:
         raise CheckpointCorruptError(
             f"checkpoint {path!r} is corrupt: payload CRC32 mismatch "
             "(truncated write or bit rot) — restore from an older "
             "checkpoint or rerun without --resume"
         )
-    table_info = envelope.get("table")
-    if table_info is not None:
-        _verify_table_section(path, raw, head_len, table_info)
     try:
-        document = pickle.loads(payload)
-        stores = [
-            ClusterStore._from_payload(part) for part in document["shards"]
-        ]
-        meta = dict(document.get("meta", {}))
-        meta["routing_epoch"] = int(document.get("routing_epoch", 0))
-        meta["deltas_applied"] = int(document.get("deltas_applied", 0))
-        stored_digest = document.get("table_digest", "")
-        # Surfaced for callers that rebuild the table themselves (serve
-        # replays a stream or a ``route_diff`` onto the base table) and
-        # must prove it digests to what the checkpoint recorded.
-        meta["table_digest"] = str(stored_digest)
-    except _UNPICKLE_ERRORS as exc:
+        document = _DOCUMENT.unpack(json.loads(body))
+        stores = [_decode_store(row) for row in document["shards"]]
+        meta = _plain_meta(document["meta"])
+    except (ValueError, RecursionError) as exc:
+        # Every shape check above raises ValueError, as do json and
+        # Prefix; RecursionError is json's on absurd nesting.
         raise CheckpointCorruptError(
             f"checkpoint {path!r} payload does not decode despite a valid "
             f"CRC ({exc}) — the file was not written by this code"
         ) from exc
+    meta["routing_epoch"] = document["routing_epoch"]
+    meta["deltas_applied"] = document["deltas_applied"]
+    stored_digest = document["table_digest"]
+    # Surfaced for callers that rebuild the table themselves (serve
+    # replays a ``route_diff`` onto the base table) and must prove it
+    # digests to what the checkpoint recorded.
+    meta["table_digest"] = stored_digest
     if table_digest and stored_digest and stored_digest != table_digest:
         raise CheckpointTableMismatchError(
             "checkpoint was taken against a different routing table "
@@ -766,129 +755,3 @@ def write_verified_checkpoint(
             if attempt == CHECKPOINT_ATTEMPTS:
                 raise
             metrics.record_checkpoint_rewrite()
-
-
-def _table_section_extent(
-    head_len: int, info: Dict[str, Any]
-) -> Tuple[int, int]:
-    """(section start offset, expected file length) for a v4 table."""
-    start = head_len + ((-head_len) % _TABLE_SECTION_ALIGN)
-    total = (
-        int(info.get("starts_bytes", 0))
-        + int(info.get("owners_bytes", 0))
-        + int(info.get("slots_bytes", 0))
-        + int(info.get("entries_bytes", 0))
-    )
-    return start, start + total
-
-
-def _verify_table_section(
-    path: str, raw: bytes, head_len: int, info: Dict[str, Any]
-) -> None:
-    """Integrity-check a v4 raw table section (length and CRC32)."""
-    start, expected_len = _table_section_extent(head_len, info)
-    if len(raw) != expected_len:
-        raise CheckpointCorruptError(
-            f"checkpoint {path!r} is corrupt: table section is "
-            f"{len(raw) - start} bytes where {expected_len - start} were "
-            "recorded (truncated write) — restore from an older checkpoint"
-        )
-    if zlib.crc32(memoryview(raw)[start:]) != info.get("crc32"):
-        raise CheckpointCorruptError(
-            f"checkpoint {path!r} is corrupt: table section CRC32 "
-            "mismatch (truncated write or bit rot) — restore from an "
-            "older checkpoint or rerun without --resume"
-        )
-
-
-def read_checkpoint_table(path: str) -> Optional[PackedLpm]:
-    """Rebuild the checkpoint's table as a zero-copy view over ``mmap``.
-
-    Returns ``None`` for checkpoints written without a table section.
-    The returned table's interval buffers are ``memoryview`` casts over
-    a read-only mapping of the file — nothing is copied and nothing is
-    unpickled except the (small) Python-object entry columns — so
-    opening a multi-hundred-MB checkpoint costs page faults, not a
-    deserialisation pass.  The mapping lives exactly as long as the
-    returned table: its views hold the only references.
-
-    The view is lookup-complete but refuses in-place patching
-    (:attr:`PackedLpm.is_view`); compile a fresh table to continue a
-    delta stream.  Integrity (section length + CRC32) is verified
-    before any buffer is trusted.
-    """
-    from repro.engine.fastpath import build_table_view
-
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    with handle:
-        try:
-            envelope = pickle.load(handle)
-            head_len = handle.tell()
-        except _UNPICKLE_ERRORS as exc:
-            raise CheckpointCorruptError(
-                f"checkpoint {path!r} is corrupt or truncated "
-                f"(envelope does not decode: {exc})"
-            ) from exc
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("magic") != CHECKPOINT_MAGIC
-        ):
-            raise CheckpointCorruptError(
-                f"{path!r} is not a repro.engine checkpoint"
-            )
-        version = envelope.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"checkpoint version {version!r} unsupported "
-                f"(this build reads version {CHECKPOINT_VERSION})"
-            )
-        info = envelope.get("table")
-        if info is None:
-            return None
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(
-                f"cannot map checkpoint {path!r}: {exc}"
-            ) from exc
-    view = memoryview(mapped)
-    start, expected_len = _table_section_extent(head_len, info)
-    if len(view) != expected_len:
-        raise CheckpointCorruptError(
-            f"checkpoint {path!r} is corrupt: table section is "
-            f"{len(view) - start} bytes where {expected_len - start} were "
-            "recorded (truncated write) — restore from an older checkpoint"
-        )
-    if zlib.crc32(view[start:]) != info.get("crc32"):
-        raise CheckpointCorruptError(
-            f"checkpoint {path!r} is corrupt: table section CRC32 "
-            "mismatch (truncated write or bit rot) — restore from an "
-            "older checkpoint or rerun without --resume"
-        )
-    starts_end = start + int(info.get("starts_bytes", 0))
-    owners_end = starts_end + int(info.get("owners_bytes", 0))
-    slots_end = owners_end + int(info.get("slots_bytes", 0))
-    entries_end = slots_end + int(info.get("entries_bytes", 0))
-    kind = str(info.get("kind", "packed"))
-    try:
-        entries = pickle.loads(view[slots_end:entries_end])
-    except _UNPICKLE_ERRORS as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint {path!r} table entries do not decode despite a "
-            f"valid CRC ({exc}) — the file was not written by this code"
-        ) from exc
-    starts = view[start:starts_end].cast("Q")
-    owners = view[starts_end:owners_end].cast("q")
-    slots = view[owners_end:slots_end].cast("q") if kind == "stride" else None
-    return build_table_view(
-        kind,
-        starts,
-        owners,
-        slots,
-        entries,
-        int(info.get("epoch", 0)),
-        int(info.get("deltas_applied", 0)),
-    )

@@ -18,12 +18,13 @@ Durability: ``--wal DIR`` appends every accepted event to a segmented,
 CRC-framed write-ahead log *before* it mutates daemon state (fsync
 batched per ``--wal-sync-every``, segments rotated at
 ``--wal-segment-bytes`` and deleted once a checkpoint covers them).
-WAL-mode checkpoints hold the routing state as the base table's digest
-plus the net route diff since it, so ``--resume`` with ``--wal``
-recovers from the same ``--table`` files + checkpoint + WAL tail — no
-upstream replay — proving the base and the patched table by digest at
-the boundary; without ``--wal`` it falls back to the original
-replay-the-same-stream protocol.
+Checkpoints hold the routing state as the base table's digest plus the
+net route diff since it, so ``--resume`` restores from the same
+``--table`` files + checkpoint, proving the base and the patched table
+by digest.  With ``--wal`` the events past the checkpoint come from the
+WAL tail — no upstream replay; without it the same stream is replayed
+and the events the checkpoint already holds are skipped, their route
+deltas proven to net the checkpoint's route diff.
 
 Overload: ``--shed-watermark N`` bounds the ingress queue; past the
 watermark the daemon sheds *log* events (never routing deltas) until
@@ -39,10 +40,6 @@ flush buffers, final checkpoint, WAL seal — then exit 3 (SIGTERM) or
 fault, checkpoint failure, error budget exhausted), 5 a write-ahead-log
 failure (corrupt log on recovery, or disk genuinely full after the
 checkpoint-truncate-retry rescue).
-
-Checkpoint files are pickle-based (the cluster store; the routing
-state in them is plain tuples): only ``--resume`` from files you wrote
-yourself (see :mod:`repro.engine.state`).
 """
 
 from __future__ import annotations
@@ -157,17 +154,16 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="restore state from --checkpoint; with --wal, recover from "
-             "the same --table files + checkpoint + WAL tail (no upstream "
-             "replay), otherwise replay the same stream and verify the "
-             "routing generation at the boundary",
+        help="restore state from --checkpoint (same --table files); with "
+             "--wal the events past it come from the WAL tail (no upstream "
+             "replay), otherwise replay the same stream and the events "
+             "the checkpoint already holds are skipped",
     )
     parser.add_argument(
         "--wal", metavar="DIR", default=None,
         help="append every accepted event to a write-ahead log in DIR "
-             "before applying it; checkpoints then carry the net route "
-             "diff against the --table files, which enables --resume "
-             "without stream replay",
+             "before applying it, which enables --resume without stream "
+             "replay",
     )
     parser.add_argument(
         "--wal-sync-every", type=int, default=64, metavar="N",
@@ -385,7 +381,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     daemon = ServeDaemon(
         table, config, EngineMetrics(1), injector=injector
     )
-    if args.resume and args.wal:
+    if args.resume:
         try:
             refed = daemon.recover()
         except WalError as exc:
@@ -394,24 +390,15 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         except CheckpointError as exc:
             print(f"cannot recover: {exc}", file=sys.stderr)
             return EXIT_FATAL
-        print(
-            f"recovered from checkpoint + WAL: state at "
-            f"{daemon.events_consumed:,} stream events "
-            f"({refed:,} re-fed from the WAL tail, no upstream replay)"
+        how = (
+            f"{refed:,} re-fed from the WAL tail, no upstream replay"
+            if args.wal
+            else "the replayed upstream is skipped up to there"
         )
-    elif args.resume:
-        if os.path.exists(args.checkpoint):
-            try:
-                daemon.resume_from(args.checkpoint)
-            except CheckpointError as exc:
-                print(f"cannot resume: {exc}", file=sys.stderr)
-                return EXIT_FATAL
-            print(
-                f"resumed from {args.checkpoint}: replaying the first "
-                f"{daemon.resume_skip:,} stream events"
-            )
-        else:
-            print(f"no checkpoint at {args.checkpoint}; starting fresh")
+        print(
+            f"recovered from checkpoint{' + WAL' if args.wal else ''}: "
+            f"state at {daemon.events_consumed:,} stream events ({how})"
+        )
     elif args.wal:
         daemon.attach_wal()
 

@@ -24,32 +24,26 @@ from-scratch rebuild — counted in
 ``EngineMetrics.patch_rebuild_fallbacks`` — with the patch-generation
 counters carried over so checkpoints stay comparable.
 
-Checkpoints reuse the engine's versioned envelope and additionally
-persist the routing generation (``routing_epoch`` / ``deltas_applied``)
-and the stream position (``stream_events``).  ``--resume`` replays the
-stream: route events are re-applied to the table (rebuilding the
-patched routing state) without re-running the reclustering — the
-restored store already reflects it — and log events inside the
-already-checkpointed prefix are dropped
-(their counts are in the restored store), and at the boundary the
-daemon proves the replay reproduced the checkpoint — same routing
-generation, same table digest — before new events are accumulated.
-Byte-identical resume assumes the same stream and the same
-``--batch-size`` / ``--checkpoint-every`` settings.
-
-With a write-ahead log attached (``--wal``; :mod:`repro.serve.wal`),
-the recovery story no longer needs the upstream at all: every accepted
-event is appended to the WAL *before* it mutates daemon state, and
-checkpoints persist the routing state as *base-table digest + net route
-diff* — the last coalesced delta of every prefix touched since the
-table the daemon was constructed with, as plain tuples; §3.4's point is
-that this is a few percent of the table.  :meth:`ServeDaemon.recover`
-rebuilds the exact pre-crash state from base table + checkpoint + WAL
-tail: prove the table it was handed is the checkpoint's base, replay
-the diff onto it, prove the result digests to the checkpointed table,
-adopt the store, then re-feed only the WAL frames past the checkpoint.
-The full-stream replay above remains the fallback for runs without
-``--wal``.
+Checkpoints use the engine's one layout (:mod:`repro.engine.state`)
+and persist the store, the routing generation (``routing_epoch`` /
+``deltas_applied``), the stream position (``stream_events``) and the
+routing state as *base-table digest + net route diff* — the last
+coalesced delta of every prefix touched since the table the daemon was
+constructed with, as plain tuples; §3.4's point is that this is a few
+percent of the table.  :meth:`ServeDaemon.recover` is the one way back
+in: prove the table it was handed is the checkpoint's base, replay the
+diff onto it, prove the result digests to the checkpointed table, adopt
+the store.  What follows depends only on where the events past the
+checkpoint live.  With a write-ahead log (``--wal``;
+:mod:`repro.serve.wal`) every accepted event was appended *before* it
+mutated daemon state, so the WAL frames past the checkpoint are re-fed
+and the upstream is not needed at all.  Without one the upstream is
+replayed from its start and :meth:`feed` drops the first
+``stream_events`` events — they are in the restored state — while
+folding the dropped route events into a last-delta-per-prefix map that
+must equal the checkpoint's route diff at the boundary: the proof that
+this *is* the stream the checkpoint was cut from, whatever
+``--batch-size`` / ``--checkpoint-every`` either run used.
 
 Overload is handled ahead of :meth:`feed`: :meth:`submit` admits events
 into a bounded ingress queue with high/low watermarks, and under
@@ -82,6 +76,7 @@ from repro.engine.fastpath import MemoizedLookup
 from repro.engine.metrics import EngineMetrics
 from repro.engine.packed import merge_windows
 from repro.engine.state import (
+    CheckpointCorruptError,
     CheckpointError,
     CheckpointTableMismatchError,
     ClusterStore,
@@ -113,6 +108,14 @@ FLOW_SPECS = (
 #: prefixes than ``max(PATCH_FALLBACK_FLOOR, len(table) // 2)`` is
 #: cheaper to rebuild than to splice piecewise.
 PATCH_FALLBACK_FLOOR = 64
+
+
+def _route_row(delta: RouteDelta) -> Tuple[str, int, int, int, str]:
+    """One route-diff entry as the checkpoint holds it."""
+    prefix = delta.prefix
+    return (
+        delta.op, prefix.network, prefix.length, delta.origin_asn, delta.source
+    )
 
 
 @dataclass
@@ -159,52 +162,20 @@ class ServeDaemon:
         self._pending_logs: List[Tuple[int, str, int]] = []
         self._pending_deltas: Dict[Prefix, RouteDelta] = {}
         self._since_checkpoint = 0
-        self._resume_skip = 0
-        self._resume_meta: Dict[str, Any] = {}
+        #: Replayed upstream events still to drop after a restore
+        #: without a WAL, and the last route delta per prefix among the
+        #: ones dropped so far (see :meth:`feed`).
+        self._skip = 0
+        self._skipped_routes: Dict[Prefix, RouteDelta] = {}
         #: Net routing change since the table this daemon was handed:
         #: prefix -> last coalesced delta.  With the base table's digest
-        #: (taken only when a WAL makes checkpoints carry the diff) it
-        #: is everything a checkpoint persists of the routing state.
+        #: it is everything a checkpoint persists of the routing state.
         self._route_diff: Dict[Prefix, RouteDelta] = {}
-        self._base_digest = (
-            table.digest() if self.config.wal_dir is not None else ""
-        )
+        self._base_digest = table.digest()
         self._checkpoint_bytes = 0
         self._wal: Optional[WalWriter] = None
         self._ingress: Deque[ServeEvent] = deque()
         self._shedding = False
-
-    # -- resume ----------------------------------------------------------
-
-    def resume_from(self, path: str) -> None:
-        """Adopt a checkpoint's store and arm the stream replay.
-
-        The checkpoint's table digest is *not* checked here: it was
-        taken after deltas were applied, so the freshly-loaded table
-        legitimately differs.  The check runs at the replay boundary
-        instead (:meth:`_verify_resume_boundary`), once the re-applied
-        deltas should have reproduced the checkpointed routing state.
-        """
-        stores, meta = read_checkpoint(path)
-        if len(stores) != 1:
-            raise CheckpointError(
-                f"serve checkpoints hold one store, found {len(stores)} shards"
-            )
-        self.store = stores[0]
-        self._resume_meta = meta
-        self._resume_skip = int(meta.get("stream_events", 0))
-
-    @property
-    def resume_skip(self) -> int:
-        """Stream events the armed checkpoint already covers (0 = fresh)."""
-        return self._resume_skip
-
-    @property
-    def replaying(self) -> bool:
-        """True while consumed events are still inside the checkpoint."""
-        return bool(self._resume_skip) and (
-            self.events_consumed < self._resume_skip
-        )
 
     # -- write-ahead log -------------------------------------------------
 
@@ -251,23 +222,19 @@ class ServeDaemon:
             self.metrics.record_wal_rotation()
 
     def recover(self) -> int:
-        """Rebuild pre-crash state from checkpoint + WAL tail alone.
+        """The one way back in: restore the checkpoint, then account
+        for the events past it.
 
-        No upstream replay: this daemon's table must be the base the
-        checkpoint's route diff is relative to (same ``--table`` files;
-        proven by digest before anything is touched), the diff is
-        replayed onto it, the digest boundary proof runs against the
-        result, and only the WAL frames past the checkpoint's
-        ``stream_events`` are re-fed — they are exactly the events
-        whose effects the crash destroyed.  Finishes by resuming the
-        log in a fresh segment so the run keeps appending.  Returns the
-        number of events re-fed.
+        This daemon's table must be the base the checkpoint's route
+        diff is relative to (same ``--table`` files; proven by digest
+        before anything is touched).  With a WAL, only the frames past
+        the checkpoint's ``stream_events`` are re-fed — they are exactly
+        the events whose effects the crash destroyed — and the log
+        resumes in a fresh segment so the run keeps appending; no
+        upstream replay.  Without one, the upstream is expected again
+        from its start and :meth:`feed` drops the events the checkpoint
+        already holds.  Returns the number of events re-fed.
         """
-        wal_dir = self.config.wal_dir
-        if wal_dir is None:
-            raise ValueError("recover needs config.wal_dir set")
-        recovery = recover_wal(wal_dir)
-        base = 0
         path = self.config.checkpoint_path
         # A checkpoint that was never written is a legal fresh start
         # (the WAL still holds everything from event 0, because segment
@@ -276,42 +243,13 @@ class ServeDaemon:
         # would silently drop whatever the truncated segments covered —
         # so read errors propagate.
         if path is not None and os.path.exists(path):
-            stores, meta = read_checkpoint(path)
-            if len(stores) != 1:
-                raise CheckpointError(
-                    "serve checkpoints hold one store, found "
-                    f"{len(stores)} shards"
-                )
-            base_digest = meta.get("base_digest")
-            if base_digest is None:
-                raise CheckpointTableMismatchError(
-                    f"checkpoint {path!r} carries no route diff — it "
-                    "was written without --wal, so it can only resume "
-                    "by full-stream replay, not WAL recovery"
-                )
-            if base_digest != self._base_digest:
-                raise CheckpointTableMismatchError(
-                    f"checkpoint {path!r} holds a route diff against a "
-                    f"different base table (checkpoint base "
-                    f"{base_digest[:12]}…, this table "
-                    f"{self._base_digest[:12]}…) — restart with the same "
-                    "--table files"
-                )
-            diff: Dict[Prefix, RouteDelta] = {}
-            for op, network, length, origin_asn, source in meta["route_diff"]:
-                prefix = Prefix(network, length)
-                diff[prefix] = RouteDelta(op, prefix, origin_asn, source)
-            # Adopts ``diff`` as this daemon's own, so a checkpoint taken
-            # after recovery is still relative to the original base.
-            self._apply_routes(diff)
-            self._inner_table.restore_generation(
-                meta["routing_epoch"], meta["deltas_applied"]
-            )
-            self._verify_recovered_table(meta)
-            self.store = stores[0]
-            self.events_consumed = int(meta.get("stream_events", 0))
-            self.deltas_received = int(meta.get("deltas_received", 0))
-            base = self.events_consumed
+            self._restore(path)
+        base = self.events_consumed
+        wal_dir = self.config.wal_dir
+        if wal_dir is None:
+            self._skip = base
+            return 0
+        recovery = recover_wal(wal_dir)
         tail = [pair for pair in recovery.events if pair[0] >= base]
         if recovery.next_index < base or len(tail) != recovery.next_index - base:
             raise WalCorruptError(
@@ -339,17 +277,56 @@ class ServeDaemon:
         )
         return len(tail)
 
-    def _verify_recovered_table(self, meta: Dict[str, Any]) -> None:
-        """The boundary proof, WAL flavour: base table + replayed diff
-        must digest to exactly the table the checkpoint was taken
-        against."""
-        expected_digest = str(meta.get("table_digest", ""))
-        if expected_digest and self.table.digest() != expected_digest:
-            raise CheckpointTableMismatchError(
-                "recovered table's digest does not match the checkpoint "
-                f"(stored {expected_digest[:12]}…, "
-                f"restored {self.table.digest()[:12]}…)"
+    def _restore(self, path: str) -> None:
+        """Adopt the checkpoint at ``path``: prove the base digest,
+        replay the route diff, restore the generation, prove the table
+        digest — and only then take the store and the position."""
+        stores, meta = read_checkpoint(path)
+        if len(stores) != 1 or "route_diff" not in meta:
+            raise CheckpointError(
+                f"{path!r} is not a serve checkpoint (those hold one store "
+                f"and a route diff; this holds {len(stores)} shard(s)) — "
+                "the batch engine wrote it"
             )
+        if self.config.wal_dir is not None and not meta["wal"]:
+            raise CheckpointTableMismatchError(
+                f"checkpoint {path!r} was written without --wal, so no WAL "
+                "holds the events after it — resume it without --wal and "
+                "replay the upstream stream"
+            )
+        base_digest = meta["base_digest"]
+        if base_digest != self._base_digest:
+            raise CheckpointTableMismatchError(
+                f"checkpoint {path!r} holds a route diff against a "
+                f"different base table (checkpoint base "
+                f"{base_digest[:12]}…, this table "
+                f"{self._base_digest[:12]}…) — restart with the same "
+                "--table files"
+            )
+        diff: Dict[Prefix, RouteDelta] = {}
+        try:
+            for op, network, length, origin_asn, source in meta["route_diff"]:
+                prefix = Prefix(network, length)
+                diff[prefix] = RouteDelta(op, prefix, origin_asn, source)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointCorruptError(
+                f"checkpoint {path!r} holds a malformed route diff ({exc})"
+            ) from exc
+        # Adopts ``diff`` as this daemon's own, so a checkpoint taken
+        # after recovery is still relative to the original base.
+        self._apply_routes(diff)
+        self._inner_table.restore_generation(
+            meta["routing_epoch"], meta["deltas_applied"]
+        )
+        stored, restored = meta["table_digest"], self.table.digest()
+        if stored != restored:
+            raise CheckpointTableMismatchError(
+                "restored table's digest does not match the checkpoint "
+                f"(stored {stored[:12]}…, restored {restored[:12]}…)"
+            )
+        self.store = stores[0]
+        self.events_consumed = meta["stream_events"]
+        self.deltas_received = meta["deltas_received"]
 
     # -- bounded ingress --------------------------------------------------
 
@@ -416,6 +393,18 @@ class ServeDaemon:
     def feed(self, event: ServeEvent) -> None:
         """Consume one stream event (request or routing delta)."""
         self._wal_append(event)
+        if self._skip:
+            # Upstream replay after a restore without a WAL (so the
+            # append above had no log to write to): the checkpoint
+            # already holds this event.  Its route deltas must net the
+            # checkpoint's route diff, or this is not the stream the
+            # checkpoint was cut from.
+            self._skip -= 1
+            if isinstance(event, RouteDelta):
+                self._skipped_routes[event.prefix] = event
+            if not self._skip:
+                self._prove_skipped_routes()
+            return
         self.events_consumed += 1
         self._since_checkpoint += 1
         if isinstance(event, RouteDelta):
@@ -430,9 +419,6 @@ class ServeDaemon:
             self._pending_logs.append((event.client, event.url, event.size))
             if len(self._pending_logs) >= self.config.batch_size:
                 self._flush_logs()
-        if self._resume_skip and self.events_consumed == self._resume_skip:
-            self._flush_all()
-            self._verify_resume_boundary()
         if (
             self.config.checkpoint_path
             and self.config.checkpoint_every
@@ -449,10 +435,10 @@ class ServeDaemon:
         after a graceful shutdown finds a sealed, contiguous log.
         """
         self.pump()
-        if self.replaying:
+        if self._skip:
             raise CheckpointTableMismatchError(
-                f"stream ended after {self.events_consumed:,} events but "
-                f"the checkpoint was taken at {self._resume_skip:,} — "
+                f"stream ended {self._skip:,} events short of the "
+                f"checkpoint, which was taken at {self.events_consumed:,} — "
                 "resume needs the same stream replayed from the start"
             )
         self._flush_all()
@@ -506,9 +492,6 @@ class ServeDaemon:
             return
         batch = self._pending_logs
         self._pending_logs = []
-        if self._resume_skip and self.events_consumed <= self._resume_skip:
-            # Replay: these requests are already in the restored store.
-            return
         started = perf_counter()
         applied = self.store.apply_batch(batch, self.table)
         self.metrics.record_batch([applied], perf_counter() - started, applied)
@@ -528,14 +511,6 @@ class ServeDaemon:
                 )
         started = perf_counter()
         windows, announced, withdrawn, rebuilt = self._apply_routes(deltas)
-        replay = bool(self._resume_skip) and (
-            self.events_consumed <= self._resume_skip
-        )
-        if replay:
-            # Replay rebuilds the routing state only: the restored
-            # store already reflects these deltas' reclustering, so
-            # re-running it would double-apply the migrations.
-            return
         if rebuilt:
             self.metrics.record_patch_fallback()
         moved = self.store.reassign_clients(windows, self.table)
@@ -554,7 +529,7 @@ class ServeDaemon:
         """Apply one coalesced delta map to the live table — in place,
         or by :meth:`_rebuild` past the crossover — and fold it into
         the route diff.  The one way routes reach the table: live
-        flushes, resume replay and :meth:`recover`'s diff replay alike.
+        flushes and :meth:`recover`'s diff replay alike.
         Returns ``(windows, announced, withdrawn, rebuilt)``."""
         announce: List[Tuple[Prefix, Any]] = []
         withdraw: List[Prefix] = []
@@ -631,39 +606,36 @@ class ServeDaemon:
     # -- checkpoints -----------------------------------------------------
 
     def checkpoint_now(self) -> None:
-        """Flush and write a verified checkpoint (no-op while replaying,
-        when the on-disk checkpoint is already ahead of us).
+        """Flush and write a verified checkpoint.
 
         Resets the periodic-checkpoint countdown itself, so direct
         calls — from :meth:`finish`, a signal handler, or the ENOSPC
         path — push the next periodic checkpoint out instead of letting
         it fire immediately after.
 
-        WAL-mode checkpoints additionally persist the routing state as
+        Every checkpoint persists the routing state as
         ``meta["base_digest"]`` + ``meta["route_diff"]`` (plain tuples,
-        one per prefix touched since the base table) so :meth:`recover`
-        needs no stream replay, and afterwards delete every closed WAL
-        segment the new checkpoint covers.
+        one per prefix touched since the base table), which is all
+        :meth:`recover` needs of it; with a WAL attached, every closed
+        segment the new checkpoint covers is deleted afterwards.
         """
         path = self.config.checkpoint_path
         if path is None:
             return
         self._flush_all()
         self._since_checkpoint = 0
-        if self.replaying:
-            return
         digest = self.table.digest()
         meta: Dict[str, Any] = {
             "stream": self.config.name,
             "stream_events": self.events_consumed,
+            "deltas_received": self.deltas_received,
+            # Whether a WAL holds the events past this checkpoint.
+            "wal": int(self.config.wal_dir is not None),
+            "base_digest": self._base_digest,
+            "route_diff": [
+                _route_row(delta) for delta in self._route_diff.values()
+            ],
         }
-        if self.config.wal_dir is not None:
-            meta["deltas_received"] = self.deltas_received
-            meta["base_digest"] = self._base_digest
-            meta["route_diff"] = [
-                (d.op, p.network, p.length, d.origin_asn, d.source)
-                for p, d in self._route_diff.items()
-            ]
         write_verified_checkpoint(
             path,
             lambda: write_checkpoint(
@@ -685,28 +657,18 @@ class ServeDaemon:
             if removed:
                 self.metrics.record_wal_truncated_segments(removed)
 
-    def _verify_resume_boundary(self) -> None:
-        """Prove the replay reproduced the checkpointed routing state."""
-        expected_epoch = int(self._resume_meta.get("routing_epoch", 0))
-        expected_deltas = int(self._resume_meta.get("deltas_applied", 0))
-        actual_epoch = int(self.table.epoch)
-        actual_deltas = int(self.table.deltas_applied)
-        if (actual_epoch, actual_deltas) != (expected_epoch, expected_deltas):
+    def _prove_skipped_routes(self) -> None:
+        """The boundary proof of a replayed upstream: the route events
+        among the dropped prefix, last one per prefix, are exactly the
+        restored checkpoint's route diff."""
+        skipped = set(map(_route_row, self._skipped_routes.values()))
+        self._skipped_routes = {}
+        if skipped != set(map(_route_row, self._route_diff.values())):
             raise CheckpointTableMismatchError(
-                "replayed stream does not reproduce the checkpoint's "
-                f"routing generation (checkpoint epoch {expected_epoch} / "
-                f"{expected_deltas} deltas; replay {actual_epoch} / "
-                f"{actual_deltas}) — resume needs the same stream and the "
-                "same batching flags"
-            )
-        # The digest of the *replayed* table catches any divergence the
-        # counters cannot see.
-        stored = str(self._resume_meta.get("table_digest", ""))
-        current = self.table.digest()
-        if stored and stored != current:
-            raise CheckpointTableMismatchError(
-                "checkpoint was taken against a different routing table "
-                f"(stored digest {stored[:12]}…, current {current[:12]}…)"
+                f"the first {self.events_consumed:,} events of the replayed "
+                "stream do not net the checkpoint's route diff — the "
+                "checkpoint was taken against a different routing table; "
+                "resume needs the same stream replayed from the start"
             )
 
     # -- stats -----------------------------------------------------------

@@ -451,51 +451,6 @@ def test_assert_validation_allows_internal_invariants():
     assert findings == []
 
 
-# -- checkpoint-version ----------------------------------------------------
-
-
-def test_checkpoint_version_fires_on_hardcoded_envelope():
-    findings = run(
-        """
-        def envelope(payload):
-            return {"magic": "repro.engine.checkpoint", "version": 2,
-                    "payload": payload}
-        """,
-        rule_id="checkpoint-version",
-    )
-    assert ids(findings) == ["checkpoint-version"]
-
-
-def test_checkpoint_version_fires_on_literal_comparison():
-    findings = run(
-        """
-        def check(envelope):
-            if envelope.get("version") != 2:
-                raise ValueError("bad version")
-        """,
-        rule_id="checkpoint-version",
-    )
-    assert ids(findings) == ["checkpoint-version"]
-
-
-def test_checkpoint_version_quiet_on_constant_discipline():
-    findings = run(
-        """
-        CHECKPOINT_VERSION = 2
-
-        def envelope(payload):
-            return {"magic": "repro.engine.checkpoint",
-                    "version": CHECKPOINT_VERSION, "payload": payload}
-
-        def check(env):
-            if env.get("version") != CHECKPOINT_VERSION:
-                raise ValueError("bad version")
-        """,
-        rule_id="checkpoint-version",
-    )
-    assert findings == []
-
-
 # -- shm-lifecycle ---------------------------------------------------------
 
 

@@ -443,105 +443,6 @@ class TestCheckpointSchema:
         findings = run_rule("checkpoint-schema-drift", sources)
         assert any("pickle round-trip breaks" in f.message for f in findings)
 
-    def test_matching_payload_pair_is_clean(self):
-        sources = {
-            "ck.store": """
-                class Store:
-                    def _payload(self):
-                        return {"clusters": 1, "entries": 2}
-
-                    @classmethod
-                    def _from_payload(cls, payload):
-                        obj = cls()
-                        obj.clusters = payload["clusters"]
-                        obj.entries = payload.get("entries", 0)
-                        return obj
-            """,
-        }
-        assert run_rule("checkpoint-schema-drift", sources) == []
-
-    def test_payload_key_drift_both_directions(self):
-        sources = {
-            "ck.store": """
-                class Store:
-                    def _payload(self):
-                        return {"clusters": 1, "orphan": 2}
-
-                    @classmethod
-                    def _from_payload(cls, payload):
-                        obj = cls()
-                        obj.clusters = payload["clusters"]
-                        obj.entries = payload["entries"]
-                        return obj
-            """,
-        }
-        messages = [f.message for f in run_rule("checkpoint-schema-drift",
-                                                sources)]
-        assert any("reads key 'entries'" in m for m in messages)
-        assert any("writes key 'orphan'" in m for m in messages)
-
-    def test_matching_envelope_is_clean(self):
-        sources = {
-            "ck.disk": """
-                import pickle
-
-                CHECKPOINT_VERSION = 2
-
-                def write(path, payload):
-                    envelope = {"magic": "ck", "version": CHECKPOINT_VERSION,
-                                "payload": payload}
-                    blob = pickle.dumps(envelope)
-                    return blob
-
-                def read(blob):
-                    envelope = pickle.loads(blob)
-                    assert envelope["magic"] == "ck"
-                    assert envelope["version"] == CHECKPOINT_VERSION
-                    return envelope["payload"]
-            """,
-        }
-        assert run_rule("checkpoint-schema-drift", sources) == []
-
-    def test_envelope_reader_key_missing_from_writer(self):
-        sources = {
-            "ck.disk": """
-                import pickle
-
-                CHECKPOINT_VERSION = 2
-
-                def write(path, payload):
-                    envelope = {"magic": "ck", "payload": payload}
-                    return pickle.dumps(envelope)
-
-                def read(blob):
-                    envelope = pickle.loads(blob)
-                    assert envelope["magic"] == "ck"
-                    assert envelope["version"] == CHECKPOINT_VERSION
-                    return envelope["payload"]
-            """,
-        }
-        findings = run_rule("checkpoint-schema-drift", sources)
-        assert any("consumes key(s) ['version']" in f.message
-                   for f in findings)
-
-    def test_envelope_rule_needs_checkpoint_version(self):
-        # Without the CHECKPOINT_VERSION marker the same drift is not a
-        # checkpoint envelope and must not be flagged.
-        sources = {
-            "ck.disk": """
-                import pickle
-
-                def write(path, payload):
-                    envelope = {"magic": "ck", "payload": payload}
-                    return pickle.dumps(envelope)
-
-                def read(blob):
-                    envelope = pickle.loads(blob)
-                    return envelope["payload"], envelope["version"]
-            """,
-        }
-        assert run_rule("checkpoint-schema-drift", sources) == []
-
 
 class TestSuppressions:
     def test_inline_ignore_covers_project_findings(self):

@@ -141,10 +141,15 @@ class TestFastpathFlags:
             ["--retries", "-1"],
             ["--dispatch-timeout", "0"],
             ["--shm"],
+            ["--resume"],  # no --checkpoint to resume from
         ):
             with pytest.raises(SystemExit) as caught:
                 main([log, "--table", dump] + bad)
             assert caught.value.code == 2
+        # ...and it is a usage error before any table is opened.
+        with pytest.raises(SystemExit) as caught:
+            main([log, "--table", dump + ".absent", "--resume"])
+        assert caught.value.code == 2
         # No transport switch under any spelling (negated form included).
         assert "shm" not in build_parser().format_help()
 

@@ -1,6 +1,6 @@
 """The zero-copy shared-memory hot path.
 
-Three contracts pinned here:
+Two contracts pinned here:
 
 * **Bit-identity** — a worker's ``memoryview``-backed table attached
   from shared segments answers every lookup exactly as the private
@@ -12,9 +12,6 @@ Three contracts pinned here:
   quarantine, injected worker crash) unlinks every segment; leaked
   segments from a dead run are reclaimed at publish time and counted
   in ``shm_unlink_failures``.
-* **mmap checkpoints** — a v4 checkpoint's table section reads back as
-  a zero-copy view with the same digest and lookups, refuses in-place
-  patching, and fails loudly when the raw section is damaged.
 """
 
 from __future__ import annotations
@@ -38,13 +35,9 @@ from repro.engine import (
     SharedLpm,
     SupervisedEngine,
     SupervisorConfig,
-    read_checkpoint,
-    read_checkpoint_table,
-    write_checkpoint,
 )
 from repro.engine import shm
 from repro.engine.fastpath import StrideLpm
-from repro.engine.state import CheckpointCorruptError, ClusterStore
 from repro.errors import WorkerCrashError
 from repro.faults import (
     SITE_SHM_WORKER_CRASH,
@@ -489,59 +482,3 @@ class TestInitFailureCleanup:
             except (OSError, BufferError):
                 pass
         assert _own_segments() == []
-
-
-class TestMmapCheckpoints:
-    """The v4 envelope: raw table section, zero-copy read-back."""
-
-    @pytest.fixture()
-    def stores(self):
-        store = ClusterStore()
-        batch = shm.PackedBatch.from_triples(
-            [(POOL[0].network + i, f"/u{i % 3}", 100 + i) for i in range(50)]
-        )
-        table = PackedLpm.from_items(
-            _sorted_items({p: str(p) for p in POOL[:8]})
-        )
-        store.apply_packed(batch, table)
-        return [store], table
-
-    @pytest.mark.parametrize("kind", ["packed", "stride"])
-    def test_table_section_round_trips_as_a_view(
-        self, tmp_path, stores, kind
-    ):
-        shard_stores, _ = stores
-        table = _build(kind, _sorted_items({p: str(p) for p in POOL}))
-        path = str(tmp_path / "v4.ckpt")
-        write_checkpoint(
-            path, shard_stores, table_digest=table.digest(), table=table
-        )
-        read_stores, _ = read_checkpoint(path, table_digest=table.digest())
-        assert len(read_stores) == 1
-        view = read_checkpoint_table(path)
-        assert view is not None
-        assert type(view) is type(table)
-        assert view.is_view
-        assert view.digest() == table.digest()
-        assert view.lookup_many(PROBES) == table.lookup_many(PROBES)
-        with pytest.raises(TypeError, match="buffer-backed"):
-            view.apply_delta([(POOL[0], "nope")], [])
-
-    def test_tableless_checkpoint_reads_none(self, tmp_path, stores):
-        shard_stores, table = stores
-        path = str(tmp_path / "plain.ckpt")
-        write_checkpoint(path, shard_stores, table_digest=table.digest())
-        read_checkpoint(path, table_digest=table.digest())
-        assert read_checkpoint_table(path) is None
-
-    def test_damaged_table_section_fails_loudly(self, tmp_path, stores):
-        shard_stores, table = stores
-        path = str(tmp_path / "bad.ckpt")
-        write_checkpoint(
-            path, shard_stores, table_digest=table.digest(), table=table
-        )
-        raw = bytearray(open(path, "rb").read())
-        raw[-3] ^= 0xFF  # inside the trailing raw table section
-        open(path, "wb").write(bytes(raw))
-        with pytest.raises(CheckpointCorruptError, match="table section"):
-            read_checkpoint(path, table_digest=table.digest())

@@ -1,6 +1,6 @@
 """ClusterStore: accumulation, merging, checkpoint format guards."""
 
-import pickle
+import struct
 
 import pytest
 
@@ -86,16 +86,9 @@ class TestCheckpointFormat:
         expected = ClusterStore().merge(stores[0].copy()).merge(stores[1].copy())
         assert _rendered(combined) == _rendered(expected)
 
-    def test_single_store_convenience(self, tmp_path):
-        store = _store([(A_10, "/a", 1), (A_10, "/b", 2)])
-        path = str(tmp_path / "one.ckpt")
-        store.checkpoint(path)
-        restored = ClusterStore.restore(path)
-        assert _rendered(restored) == _rendered(store)
-
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(pickle.dumps({"magic": "something-else"}))
+        path.write_bytes(struct.pack(">8sIQI", b"SOMEELSE", 1, 0, 0))
         with pytest.raises(CheckpointError, match="not a repro.engine"):
             read_checkpoint(str(path))
 
@@ -105,11 +98,9 @@ class TestCheckpointFormat:
 
     def test_rejects_version_skew(self, tmp_path):
         path = tmp_path / "old.ckpt"
-        path.write_bytes(pickle.dumps({
-            "magic": CHECKPOINT_MAGIC,
-            "version": CHECKPOINT_VERSION + 1,
-            "shards": [],
-        }))
+        path.write_bytes(
+            struct.pack(">8sIQI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION + 1, 0, 0)
+        )
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(str(path))
 

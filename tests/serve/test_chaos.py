@@ -3,9 +3,9 @@
 Reuses the :mod:`repro.faults` injection machinery: a planned
 ``serve.crash`` fault fires just before a delta batch mutates the
 table, so the on-disk checkpoint always predates the interrupted
-batch — exactly the state a real crash leaves behind.  Resuming and
-replaying the same stream must land on clusters identical to an
-uninterrupted run.
+batch — exactly the state a real crash leaves behind.  Recovering —
+from the checkpoint plus either the replayed stream or the WAL tail —
+must land on clusters identical to an uninterrupted run.
 """
 
 import pytest
@@ -76,8 +76,8 @@ class TestCrashResume:
                 batch_size=2, checkpoint_path=path, checkpoint_every=3
             ),
         )
-        resumed.resume_from(path)
-        assert 0 < resumed.resume_skip <= survived
+        assert resumed.recover() == 0
+        assert 0 < resumed.events_consumed <= survived
         for event in stream:
             resumed.feed(event)
         resumed.finish()
@@ -100,15 +100,19 @@ class TestCrashResume:
                 crashing.feed(event)
 
         clean = ServeDaemon(fresh_table(), ServeConfig(batch_size=2))
-        resumed = ServeDaemon(fresh_table(), ServeConfig(batch_size=2))
-        resumed.resume_from(path)
-        skip = resumed.resume_skip
+        resumed = ServeDaemon(
+            fresh_table(), ServeConfig(batch_size=2, checkpoint_path=path)
+        )
+        assert resumed.recover() == 0
+        skip = resumed.events_consumed
+        assert 0 < skip < crashing.events_consumed
         for event in stream[:skip]:
             clean.feed(event)
             resumed.feed(event)
         clean.finish()
         # finish() on the resumed daemon at the exact boundary is legal
-        # (replay is complete) and must agree with the clean run.
+        # (the covered events are all skipped) and must agree with the
+        # clean run.
         resumed.finish()
         assert resumed.snapshot(name="boundary") == clean.snapshot(
             name="boundary"

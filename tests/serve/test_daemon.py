@@ -1,12 +1,20 @@
 """Unit tests for the serve event loop (batching, patching, resume)."""
 
+import contextlib
+import io
 import os
 
 import pytest
 
 from repro.bgp.synth import RouteDelta
+from repro.cli import print_cluster_report
 from repro.engine.packed import PackedLpm
-from repro.engine.state import CheckpointTableMismatchError
+from repro.engine.state import (
+    CheckpointError,
+    CheckpointTableMismatchError,
+    ClusterStore,
+    write_checkpoint,
+)
 from repro.errors import OverloadShedWarning
 from repro.net.prefix import Prefix
 from repro.serve.daemon import ServeConfig, ServeDaemon
@@ -149,7 +157,26 @@ def mixed_stream():
     ]
 
 
+def report(daemon):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        print_cluster_report(daemon.snapshot(name="run"), 0, None)
+    return buffer.getvalue()
+
+
+def restored(path, **config):
+    """A fresh daemon on a fresh table, back in through the one door."""
+    daemon = ServeDaemon(
+        fresh_table(), ServeConfig(checkpoint_path=path, **config)
+    )
+    assert daemon.recover() == 0  # no WAL: nothing is ever re-fed
+    return daemon
+
+
 class TestResume:
+    """Restore without a WAL: state from the checkpoint, then the
+    upstream replayed from its start with the covered events skipped."""
+
     def test_resume_replays_to_identical_clusters(self, tmp_path):
         stream = mixed_stream()
         path = str(tmp_path / "serve.ckpt")
@@ -165,23 +192,22 @@ class TestResume:
         first.finish()
         reference = first.snapshot(name="run")
 
-        # The final checkpoint covers the whole stream; resume from the
-        # mid-stream one instead to exercise the replay path.
-        resumed = ServeDaemon(
-            fresh_table(), ServeConfig(batch_size=2, checkpoint_path=path)
-        )
-        resumed.resume_from(path)
-        assert resumed.resume_skip == len(stream)
+        # The final checkpoint covers the whole stream: every replayed
+        # event is skipped and the restored state is already the end.
+        resumed = restored(path, batch_size=2)
+        assert resumed.events_consumed == len(stream)
+        assert resumed.snapshot(name="run") == reference
         for event in stream:
             resumed.feed(event)
         resumed.finish()
+        assert resumed.events_consumed == len(stream)
         assert resumed.snapshot(name="run") == reference
 
     def test_resume_from_midstream_checkpoint(self, tmp_path):
         stream = mixed_stream()
         path = str(tmp_path / "mid.ckpt")
 
-        reference = run(list(stream), batch_size=2).snapshot(name="run")
+        reference = run(list(stream), batch_size=2)
 
         first = ServeDaemon(
             fresh_table(), ServeConfig(batch_size=2, checkpoint_path=path)
@@ -191,17 +217,57 @@ class TestResume:
         first.checkpoint_now()
         # The process "dies" here: nothing after the checkpoint lands.
 
-        resumed = ServeDaemon(
-            fresh_table(), ServeConfig(batch_size=2, checkpoint_path=None)
+        resumed = restored(path, batch_size=2)
+        assert resumed.events_consumed == 9
+        assert resumed.deltas_received == first.deltas_received
+        assert resumed.table.digest() == first.table.digest()
+        assert (resumed.table.epoch, resumed.table.deltas_applied) == (
+            first.table.epoch, first.table.deltas_applied
         )
-        resumed.resume_from(path)
-        assert resumed.resume_skip == 9
-        assert resumed.replaying
+        for event in stream[:9]:
+            resumed.feed(event)
+        assert resumed.events_consumed == 9  # all nine were skipped
+        for event in stream[9:]:
+            resumed.feed(event)
+        resumed.finish()
+        assert resumed.events_consumed == len(stream)
+        assert resumed.snapshot(name="run") == reference.snapshot(name="run")
+        assert report(resumed) == report(reference)
+
+    def test_resume_with_different_batching_matches_uninterrupted_run(
+        self, tmp_path
+    ):
+        """The routing state comes back from the checkpoint's route
+        diff, so neither ``batch_size`` nor ``checkpoint_every`` has to
+        match the interrupted run's.  The periodic checkpoint after
+        event 3 splits the two-delta run into two patches; a resume
+        that re-applied the replayed deltas under other flags would
+        coalesce them into one and land on another routing generation."""
+        new = Prefix.from_cidr("10.2.0.0/16")
+        stream = [
+            log(CLIENT_A, "/1"), log(CLIENT_P, "/2"), withdraw(P16),
+            announce(new), log(CLIENT_A, "/3"), log(CLIENT_P, "/4"),
+            log(CLIENT_B, "/5"), announce(P16), log(CLIENT_B, "/6"),
+            log(CLIENT_Q, "/7"),
+        ]
+        path = str(tmp_path / "flags.ckpt")
+        reference = run(list(stream), batch_size=64)
+
+        first = ServeDaemon(
+            fresh_table(),
+            ServeConfig(batch_size=2, checkpoint_path=path, checkpoint_every=3),
+        )
+        for event in stream[:7]:
+            first.feed(event)
+
+        resumed = restored(path, batch_size=5, checkpoint_every=4)
+        assert resumed.events_consumed == 6
+        assert int(resumed.table.epoch) == 2
         for event in stream:
             resumed.feed(event)
-        assert not resumed.replaying
         resumed.finish()
-        assert resumed.snapshot(name="run") == reference
+        assert resumed.snapshot(name="run") == reference.snapshot(name="run")
+        assert report(resumed) == report(reference)
 
     def test_resume_with_diverged_stream_raises(self, tmp_path):
         stream = mixed_stream()
@@ -213,19 +279,20 @@ class TestResume:
             first.feed(event)
         first.checkpoint_now()
 
-        resumed = ServeDaemon(fresh_table(), ServeConfig(batch_size=2))
-        resumed.resume_from(path)
-        # Replay a different prefix history: the boundary check sees a
-        # diverged routing generation and refuses to continue.
+        resumed = restored(path, batch_size=2)
+        # Replay a different prefix history: at the boundary the
+        # skipped route events do not net the checkpoint's route diff.
         diverged = [withdraw(Q8)] + stream[1:]
         with pytest.raises(CheckpointTableMismatchError):
             for event in diverged:
                 resumed.feed(event)
 
     def test_resume_diverging_in_prefix_set_only_raises(self, tmp_path):
-        """Same number of effective deltas in the same batches — the
-        generation counters agree — but a different prefix announced:
-        only the in-memory digest comparison can see it."""
+        """Same number of route events at the same stream positions,
+        but one differs — in its prefix, only in its origin, or by
+        withdrawing a prefix that was never routed (a no-op on the
+        table): the net diff of the skipped events is not the
+        checkpoint's."""
         stream = mixed_stream()
         path = str(tmp_path / "digest.ckpt")
         first = ServeDaemon(
@@ -235,16 +302,20 @@ class TestResume:
             first.feed(event)
         first.checkpoint_now()
 
-        resumed = ServeDaemon(fresh_table(), ServeConfig(batch_size=2))
-        resumed.resume_from(path)
-        diverged = list(stream)
-        diverged[6] = announce(Prefix.from_cidr("10.3.0.0/16"))
-        with pytest.raises(
-            CheckpointTableMismatchError, match="different routing table"
-        ):
-            for event in diverged:
-                resumed.feed(event)
-        assert resumed.events_consumed == 9
+        for position, intruder in [
+            (6, announce(Prefix.from_cidr("10.3.0.0/16"))),
+            (6, announce(Prefix.from_cidr("10.2.0.0/16"), origin_asn=64999)),
+            (0, withdraw(Prefix.from_cidr("10.9.0.0/16"))),
+        ]:
+            resumed = restored(path, batch_size=2)
+            diverged = list(stream)
+            diverged[position] = intruder
+            with pytest.raises(
+                CheckpointTableMismatchError, match="different routing table"
+            ):
+                for event in diverged:
+                    resumed.feed(event)
+            assert resumed.events_consumed == 9
 
     def test_stream_ending_mid_replay_raises(self, tmp_path):
         stream = mixed_stream()
@@ -256,12 +327,18 @@ class TestResume:
             first.feed(event)
         first.finish()
 
-        resumed = ServeDaemon(fresh_table(), ServeConfig(batch_size=2))
-        resumed.resume_from(path)
+        resumed = restored(path, batch_size=2)
         for event in stream[:5]:
             resumed.feed(event)
-        with pytest.raises(CheckpointTableMismatchError):
+        with pytest.raises(CheckpointTableMismatchError, match="11 events short"):
             resumed.finish()
+
+    def test_restore_refuses_a_batch_engine_checkpoint(self, tmp_path):
+        path = str(tmp_path / "batch.ckpt")
+        write_checkpoint(path, [ClusterStore()], meta={"log": "access.log"})
+        daemon = ServeDaemon(fresh_table(), ServeConfig(checkpoint_path=path))
+        with pytest.raises(CheckpointError, match="not a serve checkpoint"):
+            daemon.recover()
 
 
 class TestCheckpointCountdown:
