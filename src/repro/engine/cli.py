@@ -51,8 +51,6 @@ import os
 import sys
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.weblog.entry import LogEntry
-
 from repro.cli import load_tables, print_cluster_report
 from repro.engine.fastpath import LPM_KINDS, build_lpm_table
 from repro.engine.metrics import EngineMetrics
@@ -321,11 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 entries = itertools.islice(entries, skip, None)
             try:
                 while True:
-                    batch: List[LogEntry] = []
-                    for entry in entries:
-                        batch.append(entry)
-                        if len(batch) >= args.chunk_size:
-                            break
+                    batch = list(itertools.islice(entries, args.chunk_size))
                     if not batch:
                         break
                     engine.ingest(batch)

@@ -147,6 +147,11 @@ class EngineMetrics:
         if synced:
             self.wal_syncs += 1
 
+    def record_wal_sync(self) -> None:
+        """An fsync outside the append cadence: the WAL made durable
+        ahead of a checkpoint."""
+        self.wal_syncs += 1
+
     def record_wal_rotation(self) -> None:
         """A WAL segment crossed its size threshold and was closed."""
         self.wal_rotations += 1

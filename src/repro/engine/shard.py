@@ -38,6 +38,7 @@ builds its retry/quarantine/degrade loop on that guarantee.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import time
 from dataclasses import dataclass
@@ -539,13 +540,9 @@ class ShardedClusterEngine:
 
 def _chunks(items: Iterable[Any], size: int) -> Iterator[List[Any]]:
     """Yield lists of up to ``size`` items from any iterable."""
-    chunk: List[Any] = []
-    append = chunk.append
-    for item in items:
-        append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-            append = chunk.append
-    if chunk:
+    iterator = iter(items)
+    while True:
+        chunk = list(itertools.islice(iterator, size))
+        if not chunk:
+            return
         yield chunk

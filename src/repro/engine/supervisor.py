@@ -156,9 +156,12 @@ class SupervisedEngine:
         are excluded here and counted in
         ``metrics.entries_quarantined``.
         """
-        return self.ingest_triples(
-            (entry.client, entry.url, entry.size) for entry in entries
-        )
+        total = 0
+        for chunk in _chunks(entries, self.engine.config.chunk_size):
+            total += self._apply_with_recovery(
+                [(entry.client, entry.url, entry.size) for entry in chunk]
+            )
+        return total
 
     def ingest_triples(self, triples: Iterable[Triple]) -> int:
         total = 0

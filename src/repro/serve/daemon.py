@@ -203,7 +203,9 @@ class ServeDaemon:
         closed WAL segment it covers redundant, and truncating them is
         the only space this daemon can legally free — so checkpoint,
         truncate, retry.  A second failure propagates (the disk is
-        genuinely full and durability cannot be honoured).
+        genuinely full and durability cannot be honoured), and so does
+        a failure of the sync the checkpoint makes first: a disk that
+        cannot take the few buffered frames cannot take a checkpoint.
         """
         wal = self._wal
         if wal is None:
@@ -616,14 +618,21 @@ class ServeDaemon:
         Every checkpoint persists the routing state as
         ``meta["base_digest"]`` + ``meta["route_diff"]`` (plain tuples,
         one per prefix touched since the base table), which is all
-        :meth:`recover` needs of it; with a WAL attached, every closed
-        segment the new checkpoint covers is deleted afterwards.
+        :meth:`recover` needs of it; with a WAL attached, the log is
+        synced up to this position before the write and every closed
+        segment the new checkpoint covers is deleted after it.
         """
         path = self.config.checkpoint_path
         if path is None:
             return
         self._flush_all()
         self._since_checkpoint = 0
+        # The checkpoint is about to claim ``events_consumed``: the log
+        # must hold that many events durably first, or a kill between
+        # here and the next batched sync leaves a checkpoint past the
+        # end of the WAL, which recover() rightly refuses.
+        if self._wal is not None and self._wal.flush():
+            self.metrics.record_wal_sync()
         digest = self.table.digest()
         meta: Dict[str, Any] = {
             "stream": self.config.name,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, Optional, Union
 
 from repro.bgp.synth import RouteDelta
@@ -58,6 +59,14 @@ EVENT_LOG = "log"
 EVENT_ANNOUNCE = RouteDelta.OP_ANNOUNCE
 EVENT_WITHDRAW = RouteDelta.OP_WITHDRAW
 
+#: A stream repeats its clients (a few thousand addresses in hundreds
+#: of thousands of requests), so both directions of the address ↔ text
+#: conversion are remembered, bounded: :func:`parse_event` reads the
+#: text, :meth:`LogEvent.to_json` writes it back for the WAL.
+_CLIENT_MEMO = 1 << 16
+_client_address = lru_cache(maxsize=_CLIENT_MEMO)(parse_ipv4)
+_client_text = lru_cache(maxsize=_CLIENT_MEMO)(format_ipv4)
+
 
 @dataclass(frozen=True)
 class LogEvent:
@@ -77,7 +86,12 @@ class LogEvent:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """``json.dumps(self.to_dict(), sort_keys=True)``, formatted
+        directly: the WAL pays this once per event, and only ``url``
+        can hold anything that needs escaping."""
+        return '{"client": "%s", "size": %d, "type": "log", "url": %s}' % (
+            _client_text(self.client), self.size, json.dumps(self.url),
+        )
 
 
 #: Anything the daemon's :meth:`~repro.serve.daemon.ServeDaemon.feed`
@@ -218,7 +232,8 @@ def parse_event(line: str) -> Optional[ServeEvent]:
         try:
             client = data["client"]
             address = (
-                parse_ipv4(client) if isinstance(client, str) else int(client)
+                _client_address(client) if isinstance(client, str)
+                else int(client)
             )
             return LogEvent(
                 client=address,

@@ -291,6 +291,14 @@ class AppendReceipt:
     rotated: bool = False
 
 
+#: Every receipt there is, indexed ``[synced][rotated]``: an append
+#: hands one of these back rather than building its own.
+_RECEIPTS = tuple(
+    tuple(AppendReceipt(synced, rotated) for rotated in (False, True))
+    for synced in (False, True)
+)
+
+
 class WalWriter:
     """Appends framed events to a segmented log, durably and in order.
 
@@ -394,13 +402,17 @@ class WalWriter:
         if handle.size >= self.segment_bytes:
             self._rotate()
             rotated = True
-        return AppendReceipt(synced=synced, rotated=rotated)
+        return _RECEIPTS[synced][rotated]
 
-    def flush(self) -> None:
-        """Force the batched fsync now (drain path)."""
-        if self._handle is not None and self._since_sync:
-            self._handle.sync()
-            self._since_sync = 0
+    def flush(self) -> bool:
+        """Force the batched fsync now, so the log is durable up to
+        ``next_index`` (a checkpoint about to claim that position must
+        not get ahead of it); returns whether anything needed syncing."""
+        if self._handle is None or not self._since_sync:
+            return False
+        self._handle.sync()
+        self._since_sync = 0
+        return True
 
     def seal(self) -> None:
         """Mark a graceful shutdown: seal frame, fsync, close.

@@ -6,13 +6,41 @@ steps need (unique clients, per-client request lists).  Logs stream in
 from CLF files line by line — malformed lines and the 0.0.0.0 source
 address are dropped with counts kept, per the paper's footnote 6.
 
-Parsing is two-tier: a single precompiled pattern (:data:`_FAST_CLF`)
-accepts the common well-formed shape in one match and builds the entry
-with plain ``str.split``/``int`` work, and anything it declines falls
-back to the full :meth:`LogEntry.from_clf` grammar.  The fast path is
-a strict subset of the full parse — it never accepts a line the
-grammar would reject and produces identical entries — so the
-:class:`ParseReport` accounting is byte-for-byte unchanged.
+One grammar, two compiled forms
+-------------------------------
+
+The common well-formed CLF shape is written once (:data:`_FAST_SOURCE`)
+and compiled twice.  The **full** form (:data:`_FAST_CLF`) captures all
+seventeen fields and :func:`_fast_entry` builds the complete
+:class:`LogEntry` from them.  The **lean** form (:data:`_LEAN_CLF`) is
+the same source with every group but host, URL and size made
+non-capturing: each field is still validated by the identical
+sub-pattern, so both forms accept exactly the same lines by
+construction (``tests/weblog/test_parser_tiers.py`` checks it).
+Whatever the pattern declines — odd request shapes, quotes inside the
+URL, out-of-range octets, unknown months — falls back to the full
+:meth:`LogEntry.from_clf` grammar, so neither form can move a line
+between the parsed / malformed / null_client buckets.  One private loop
+(:func:`_scan`) owns line counting, blank and 0.0.0.0 skipping, that
+fallback, ``malformed`` accounting and the ``max_errors`` guard for
+both.
+
+Who gets which
+--------------
+
+* :func:`iter_clf_entries` — the engine's front end — runs the lean
+  form.  Clustering reads the client address, the URL and the size of
+  each request and nothing else, so that is all it extracts: ``client``
+  (host text → int through a bounded memo that lives for one call;
+  logs repeat their few thousand clients), ``url``, ``size`` and the
+  stripped line are eager.  ``timestamp``, ``status``, ``method``,
+  ``user_agent`` and ``referer`` are deferred: the first access decodes
+  the line through :func:`_fast_entry` and keeps the result.  The
+  record compares and hashes equal to the :class:`LogEntry`
+  :meth:`~LogEntry.from_clf` builds from the same line.
+* :func:`parse_clf_lines` / :func:`load_clf` / :class:`WebLog` — the
+  experiments, which replay timing, status and agents — run the full
+  form and hold plain :class:`LogEntry` objects, as they always did.
 """
 
 from __future__ import annotations
@@ -20,9 +48,12 @@ from __future__ import annotations
 import calendar
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, TextIO,
+)
 
-from repro.weblog.entry import _MONTH_INDEX, LogEntry, LogFormatError
+from repro.net.ipv4 import parse_ipv4
+from repro.weblog.entry import _MONTH_INDEX, _MONTHS, LogEntry, LogFormatError
 
 __all__ = [
     "WebLog",
@@ -38,22 +69,36 @@ class ParseLimitError(ValueError):
     """Raised when malformed lines exceed a stream's ``max_errors``."""
 
 
-# The hot-loop fast path: one combined pattern covering the common CLF
-# shape end to end, with every field group strict enough that a match
-# is guaranteed to parse to the exact LogEntry the full grammar
-# (LogEntry.from_clf) would produce.  Anything the pattern is unsure
-# about — odd request shapes, quotes inside the URL, non-HTTP protocol
-# tokens, out-of-range octets, unknown months — simply fails to match
-# and falls through to from_clf, so the fast path can never flip a
-# line between parsed/malformed/null_client buckets.
 _OCTET = r"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
-_FAST_CLF = re.compile(
-    r"(" + _OCTET + r"(?:\." + _OCTET + r"){3}) \S+ \S+ "
-    r"\[(\d{2})/(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)/"
-    r"(\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-])(\d{2})(\d{2})\] "
-    r'"([A-Z]+) ([^\s"]+)(?: ([^\s"]+))?" (\d{3}) (\d+|-)'
-    r'(?: "([^"]*)" "([^"]*)")?$'
+# 0001-9999, what ``calendar.timegm`` takes: year 0 is the grammar's to
+# reject (parse_clf_time raises on it), not the fast path's to raise on.
+_YEAR = r"(?!0000)[0-9]{4}"
+
+# The hot-loop pattern: the common CLF shape end to end, every field
+# strict enough that a match is guaranteed to parse to the exact
+# LogEntry the full grammar (LogEntry.from_clf) would produce.  Anything
+# it is unsure about simply fails to match and falls through to
+# from_clf.  ``(?f:`` opens a group only the full form captures: the
+# lean form keeps the sub-pattern and drops the capture, which is what
+# makes the two accept sets equal.
+_FAST_SOURCE = (
+    r"(OCTET(?:\.OCTET){3}) \S+ \S+ "
+    r"\[(?f:\d{2})/(?f:MONTH)/"
+    r"(?f:YEAR):(?f:\d{2}):(?f:\d{2}):(?f:\d{2}) (?f:[+-])(?f:\d{2})(?f:\d{2})\] "
+    r'"(?f:[A-Z]+) ([^\s"]+)(?: (?f:[^\s"]+))?" (?f:\d{3}) (\d+|-)'
+    r'(?: "(?f:[^"]*)" "(?f:[^"]*)")?$'
 )
+_FAST_SOURCE = (
+    _FAST_SOURCE.replace("OCTET", _OCTET)
+    .replace("MONTH", "|".join(_MONTHS))
+    .replace("YEAR", _YEAR)
+)
+_FAST_CLF = re.compile(_FAST_SOURCE.replace("(?f:", "("))
+_LEAN_CLF = re.compile(_FAST_SOURCE.replace("(?f:", "(?:"))
+
+#: Distinct host texts one :func:`iter_clf_entries` call remembers
+#: before it forgets them all and starts over.
+_HOST_MEMO_LIMIT = 1 << 16
 
 
 def _fast_entry(line: str) -> Optional[LogEntry]:
@@ -88,6 +133,81 @@ def _fast_entry(line: str) -> Optional[LogEntry]:
         user_agent="" if agent is None or agent == "-" else agent,
         referer="" if referer is None or referer == "-" else referer,
     )
+
+
+class _LeanEntry:
+    """What the lean form yields: the projection clustering consumes,
+    with the rest of the :class:`LogEntry` one decode away."""
+
+    __slots__ = ("client", "url", "size", "line", "_entry")
+
+    def __init__(self, client: int, url: str, size: int, line: str) -> None:
+        self.client = client
+        self.url = url
+        self.size = size
+        self.line = line
+
+    def _decoded(self) -> LogEntry:
+        try:
+            return self._entry
+        except AttributeError:
+            # The lean form accepted ``line``, so the full form does.
+            entry = self._entry = _fast_entry(self.line)
+            return entry
+
+    @property
+    def timestamp(self) -> float:
+        return self._decoded().timestamp
+
+    @property
+    def status(self) -> int:
+        return self._decoded().status
+
+    @property
+    def method(self) -> str:
+        return self._decoded().method
+
+    @property
+    def user_agent(self) -> str:
+        return self._decoded().user_agent
+
+    @property
+    def referer(self) -> str:
+        return self._decoded().referer
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _LeanEntry):
+            other = other._decoded()
+        if isinstance(other, LogEntry):
+            return self._decoded() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._decoded())
+
+    def __repr__(self) -> str:
+        return f"_LeanEntry({self._decoded()!r})"
+
+
+def _lean_tier() -> Callable[[str], Optional[_LeanEntry]]:
+    """A lean-form parser with a host memo of its own."""
+    match = _LEAN_CLF.match
+    clients: Dict[str, int] = {}
+    known = clients.get
+
+    def lean_entry(line: str) -> Optional[_LeanEntry]:
+        found = match(line)
+        if found is None:
+            return None
+        host, url, size = found.groups()
+        client = known(host)
+        if client is None:
+            if len(clients) >= _HOST_MEMO_LIMIT:
+                clients.clear()
+            client = clients[host] = parse_ipv4(host)
+        return _LeanEntry(client, url, 0 if size == "-" else int(size), line)
+
+    return lean_entry
 
 
 @dataclass
@@ -194,12 +314,48 @@ class WebLog:
         return self._by_client
 
 
+def _scan(
+    lines: Iterable[str],
+    report: Optional[ParseReport],
+    max_errors: Optional[int],
+    tier: Callable[[str], Optional[Any]],
+) -> Iterator[Any]:
+    """The one parsing loop: count, skip, ``tier`` then the full
+    grammar, account, guard.  ``tier`` is :func:`_fast_entry` or a
+    :func:`_lean_tier`; what it declines goes to
+    :meth:`LogEntry.from_clf`."""
+    report = report if report is not None else ParseReport()
+    for line in lines:
+        report.total_lines += 1
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            entry = tier(stripped)
+            if entry is None:
+                entry = LogEntry.from_clf(stripped)
+        except (LogFormatError, ValueError):
+            report.malformed += 1
+            if max_errors is not None and report.malformed > max_errors:
+                raise ParseLimitError(
+                    f"{report.malformed} malformed lines exceed the "
+                    f"max_errors={max_errors} guard "
+                    f"(line {report.total_lines}: {stripped[:80]!r})"
+                )
+            continue
+        if entry.client == 0:
+            report.null_client += 1
+            continue
+        report.parsed += 1
+        yield entry
+
+
 def iter_clf_entries(
     lines: Iterable[str],
     report: Optional[ParseReport] = None,
     max_errors: Optional[int] = None,
 ) -> Iterator[LogEntry]:
-    """Stream :class:`LogEntry` objects out of CLF ``lines``.
+    """Stream log entries out of CLF ``lines``.
 
     This is the engine-mode front end: entries are yielded as they
     parse, so arbitrarily large logs stream through in constant memory,
@@ -212,31 +368,12 @@ def iter_clf_entries(
 
     Requests from 0.0.0.0 (BOOTP-style unknown-source placeholders) are
     excluded, as in the paper's experiments.
+
+    Entries have ``client``, ``url`` and ``size`` ready and decode the
+    other :class:`LogEntry` fields on first access (module docstring);
+    each equals the :class:`LogEntry` its line parses to.
     """
-    report = report if report is not None else ParseReport()
-    for line in lines:
-        report.total_lines += 1
-        stripped = line.strip()
-        if not stripped:
-            continue
-        entry = _fast_entry(stripped)
-        if entry is None:
-            try:
-                entry = LogEntry.from_clf(stripped)
-            except (LogFormatError, ValueError):
-                report.malformed += 1
-                if max_errors is not None and report.malformed > max_errors:
-                    raise ParseLimitError(
-                        f"{report.malformed} malformed lines exceed the "
-                        f"max_errors={max_errors} guard "
-                        f"(line {report.total_lines}: {stripped[:80]!r})"
-                    )
-                continue
-        if entry.client == 0:
-            report.null_client += 1
-            continue
-        report.parsed += 1
-        yield entry
+    return _scan(lines, report, max_errors, _lean_tier())
 
 
 def parse_clf_lines(
@@ -245,9 +382,10 @@ def parse_clf_lines(
     report: Optional[ParseReport] = None,
     max_errors: Optional[int] = None,
 ) -> WebLog:
-    """Parse CLF ``lines`` into a :class:`WebLog` (see
-    :func:`iter_clf_entries` for the skip/guard behaviour)."""
-    return WebLog(name, iter_clf_entries(lines, report, max_errors))
+    """Parse CLF ``lines`` into a :class:`WebLog` of plain
+    :class:`LogEntry` (see :func:`iter_clf_entries` for the skip/guard
+    behaviour)."""
+    return WebLog(name, _scan(lines, report, max_errors, _fast_entry))
 
 
 def load_clf(name: str, stream: TextIO) -> WebLog:

@@ -199,6 +199,44 @@ class TestCheckpointFlow:
         assert "skipping the first 2 entries" in out
         assert _cluster_table(out) == expected
 
+    def test_resume_mid_log_counts_entries_not_lines(self, tmp_path, capsys):
+        # Positions in a checkpoint are *entries*: junk, blank and
+        # 0.0.0.0 lines take none, and a line the fast pattern declines
+        # but the grammar parses takes exactly one, like any other.
+        stamp = "[13/Feb/1998:09:12:01 +0000]"
+        lines = [
+            f'12.65.147.94 - - {stamp} "GET /a HTTP/1.0" 200 100',
+            "garbage line",
+            f'12.65.147.149 - - {stamp} "/only" 200 200',
+            "",
+            f'0.0.0.0 - - {stamp} "GET /null HTTP/1.0" 200 1',
+            f'24.48.3.87 - - {stamp} "get /lower HTTP/1.0" 200 100',
+            f'24.48.2.166 - - {stamp} "GET /four tokens HTTP/1.0" 200 300',
+            "more garbage",
+            f'12.65.147.94 - - {stamp} "GET /b HTTP/1.0" 200 - "-" "agent"',
+            f'24.48.3.87 - - {stamp} "GET /c HTTP/1.0" 200 7',
+        ]
+        dump = tmp_path / "routes.txt"
+        dump.write_text(DUMP)
+        log = tmp_path / "access.log"
+        run = [str(log), "--table", str(dump), "--chunk-size", "2"]
+        log.write_text("\n".join(lines) + "\n")
+        assert main(run) == 0
+        expected = _cluster_table(capsys.readouterr().out)
+
+        ckpt = str(tmp_path / "run.ckpt")
+        log.write_text("\n".join(lines[:6]) + "\n")
+        assert main(run + ["--checkpoint", ckpt]) == 0
+        assert "parsed 3 requests (1 malformed, 1 null-client" in (
+            capsys.readouterr().out
+        )
+        log.write_text("\n".join(lines) + "\n")
+        assert main(run + ["--checkpoint", ckpt, "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "skipping the first 3 entries" in out
+        assert "parsed 6 requests (2 malformed, 1 null-client" in out
+        assert _cluster_table(out) == expected
+
     def test_resume_different_log_appends(self, tmp_path, files, capsys):
         log, dump = files
         ckpt = str(tmp_path / "run.ckpt")

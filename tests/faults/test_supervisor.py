@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.core.clustering import cluster_log
 from repro.engine import (
     EngineConfig,
     PackedLpm,
@@ -29,6 +30,8 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.net.prefix import Prefix
+from repro.weblog.entry import LogEntry
+from repro.weblog.parser import iter_clf_entries, parse_clf_lines
 
 TRIPLES = [
     (0x0A000001, "/a", 100),
@@ -233,6 +236,90 @@ class TestDegradedMode:
         )
         with pytest.raises(SupervisionError, match="keeps dying"):
             supervised.ingest_triples(iter(TRIPLES))
+
+
+class TestIngestDoor:
+    """``ingest`` takes what ``iter_clf_entries`` yields — lean records
+    and, for lines the fast pattern declined, plain ``LogEntry`` — in
+    the one-chunk lists the CLI hands over, and lands on ``cluster_log``
+    whatever the recovery policy had to do to that chunk."""
+
+    @pytest.fixture(scope="class")
+    def lines(self, nagano_log):
+        lines = [entry.to_clf() for entry in nagano_log.log.entries[:600]]
+        # Every third line strays from the common shape (same client,
+        # URL and size), so the grammar parses it, not the pattern.
+        return [
+            line.replace('"GET ', '"get ') if index % 3 == 0 else line
+            for index, line in enumerate(lines)
+        ]
+
+    @staticmethod
+    def _reference(lines, merged_table):
+        return cluster_log(parse_clf_lines("door", lines), merged_table)
+
+    @staticmethod
+    def _supervised(merged_table, plan, **policy):
+        engine = ShardedClusterEngine(
+            PackedLpm.from_merged(merged_table),
+            EngineConfig(
+                num_shards=1, chunk_size=1024, use_processes=False, name="door"
+            ),
+            injector=FaultInjector(plan) if plan is not None else None,
+        )
+        return SupervisedEngine(
+            engine, SupervisorConfig(backoff_base=0, **policy)
+        )
+
+    def test_batch_is_mixed(self, lines):
+        kinds = {type(entry) for entry in iter_clf_entries(lines)}
+        assert LogEntry in kinds and len(kinds) == 2
+
+    @pytest.mark.parametrize(
+        "plan, policy, retries, degraded",
+        [
+            (None, {}, 0, False),
+            (_crash_plan(count=2), {"max_retries": 2}, 2, False),
+            (_crash_plan(count=-1), {"max_retries": 5, "degrade_after": 2},
+             1, True),
+        ],
+        ids=["undisturbed", "retry", "degrade"],
+    )
+    def test_mixed_chunk_lands_on_cluster_log(
+        self, lines, merged_table, plan, policy, retries, degraded
+    ):
+        batch = list(iter_clf_entries(lines))
+        supervised = self._supervised(merged_table, plan, **policy)
+        if degraded:
+            with pytest.warns(DegradedModeWarning):
+                applied = supervised.ingest(batch)
+        else:
+            applied = supervised.ingest(batch)
+        assert applied == len(batch)
+        assert supervised.snapshot() == self._reference(lines, merged_table)
+        snap = supervised.metrics.snapshot()
+        assert snap["chunk_retries"] == retries
+        assert snap["degraded"] == int(degraded)
+        assert snap["batches"] == 1
+
+    def test_quarantined_chunk_is_the_projection(
+        self, lines, merged_table, tmp_path
+    ):
+        dead_letter = tmp_path / "dead-letter.jsonl"
+        supervised = self._supervised(
+            merged_table, _crash_plan(count=2),
+            max_retries=1, allow_degraded=False,
+            quarantine_path=str(dead_letter),
+        )
+        first, second = lines[:250], lines[250:]
+        poisoned = list(iter_clf_entries(first))
+        assert supervised.ingest(poisoned) == 0
+        assert supervised.ingest(list(iter_clf_entries(second))) == len(second)
+        assert supervised.snapshot() == self._reference(second, merged_table)
+        (record,) = [json.loads(line) for line in open(dead_letter)]
+        assert record["triples"] == [
+            [entry.client, entry.url, entry.size] for entry in poisoned
+        ]
 
 
 class TestVerifiedCheckpoints:

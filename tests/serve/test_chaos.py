@@ -8,6 +8,10 @@ from the checkpoint plus either the replayed stream or the WAL tail —
 must land on clusters identical to an uninterrupted run.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import InjectedFault
@@ -22,7 +26,31 @@ from repro.faults import (
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.wal import recover_wal
 
-from .test_daemon import fresh_table, mixed_stream
+from .test_daemon import CLIENT_A, fresh_table, log, mixed_stream
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+
+#: Feed 100 requests under ``wal_sync_every=64``, checkpoint, die
+#: without unwinding: frames 64..99 (and whatever the segment's
+#: BufferedWriter holds) were never handed to the kernel by the batched
+#: sync alone.
+KILL_AFTER_CHECKPOINT = """
+import os, sys
+from repro.serve.daemon import ServeConfig, ServeDaemon
+from tests.serve.test_daemon import CLIENT_A, fresh_table, log
+
+daemon = ServeDaemon(
+    fresh_table(),
+    ServeConfig(
+        checkpoint_path=sys.argv[1], wal_dir=sys.argv[2], wal_sync_every=64
+    ),
+)
+daemon.attach_wal()
+for index in range(100):
+    daemon.feed(log(CLIENT_A, f"/{index}"))
+daemon.checkpoint_now()
+os._exit(9)
+"""
 
 
 def crash_plan(at):
@@ -276,3 +304,34 @@ class TestWalRecovery:
                 daemon.feed(event)
         assert excinfo.value.errno == 28
         assert daemon.metrics.wal_enospc_recoveries == 0
+
+
+class TestKillAfterCheckpoint:
+    def test_checkpoint_never_gets_ahead_of_the_wal(self, tmp_path):
+        """SIGKILL right after ``checkpoint_now``: the WAL must already
+        hold every event the checkpoint counts, or ``recover`` finds a
+        checkpoint past the end of the log and the daemon cannot
+        restart."""
+        checkpoint, wal_dir = str(tmp_path / "kill.ckpt"), str(tmp_path / "wal")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
+        )
+        killed = subprocess.run(
+            [sys.executable, "-c", KILL_AFTER_CHECKPOINT, checkpoint, wal_dir],
+            env=env, cwd=REPO_ROOT, timeout=60,
+        )
+        assert killed.returncode == 9
+
+        assert recover_wal(wal_dir, repair=False).next_index == 100
+        recovered = ServeDaemon(
+            fresh_table(),
+            ServeConfig(
+                checkpoint_path=checkpoint, wal_dir=wal_dir, wal_sync_every=64
+            ),
+        )
+        assert recovered.recover() == 0
+        assert recovered.events_consumed == 100
+        recovered.feed(log(CLIENT_A, "/after"))
+        recovered.finish()
+        assert recovered.snapshot(name="run").total_requests == 101

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.bgp.synth import RouteDelta
 from repro.errors import (
@@ -57,6 +59,26 @@ class TestParseEvent:
     def test_log_event_round_trip(self):
         event = LogEvent(client=parse_ipv4("10.1.2.3"), url="/x", size=9)
         assert parse_event(event.to_json()) == event
+
+    @given(
+        client=st.integers(0, 2**32 - 1),
+        # st.text() reaches quotes, backslashes, control characters,
+        # non-ASCII and non-BMP code points; the samples make sure
+        # each turns up.
+        url=st.one_of(
+            st.text(max_size=40),
+            st.sampled_from(
+                ['/a"b', "/a\\b", "/tab\there\n", "/\x00\x1f\x7f", "/caf\u00e9",
+                 "/\U0001f600", "/\u2028", ""]
+            ),
+        ),
+        size=st.one_of(st.integers(0, 2**64), st.sampled_from([0, 2**63])),
+    )
+    def test_to_json_is_the_sorted_dump_byte_for_byte(self, client, url, size):
+        event = LogEvent(client=client, url=url, size=size)
+        text = event.to_json()
+        assert text == json.dumps(event.to_dict(), sort_keys=True)
+        assert parse_event(text) == event
 
     def test_route_delta_round_trip(self):
         delta = RouteDelta(
