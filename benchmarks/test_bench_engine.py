@@ -41,7 +41,6 @@ from repro.engine import (
     StrideLpm,
 )
 from repro.engine import state as engine_state
-from repro.engine.shm import ShmWorkerGroup
 from repro.engine.state import ClusterStore, _ClusterState
 from repro.bgp.synth import RouteDelta
 from repro.net.prefix import Prefix
@@ -495,51 +494,3 @@ class TestFastpath:
                 f"memoized ingest is only {speedup:.2f}x the PR 1 loop "
                 "(needs >= 1.5x at the default scale)"
             )
-
-
-class TestShmIngest:
-    """The shared-memory transport's trajectory: end-to-end sharded
-    ingest throughput and the fixed per-group attach cost.  Recorded,
-    not gated — the repo's benchmark (``bench/``, workload
-    ``batch_sharded``) is where a transport regression is judged."""
-
-    def test_shm_ingest_throughput(self, nagano, merged_table, packed,
-                                   bench_trajectory):
-        entries = nagano.log.entries
-        shards = 2
-        config = EngineConfig(num_shards=shards, chunk_size=8192)
-
-        def run():
-            with ShardedClusterEngine(packed, config) as engine:
-                engine.ingest(entries)
-                return engine.snapshot()
-
-        shm_seconds, snapshot = _best_of(3, run)
-        assert _signature(snapshot) == _signature(
-            cluster_log(nagano.log, merged_table)
-        )
-
-        # Per-group attach cost: publish the segments, spawn the
-        # workers, wait for every attach ack — the fixed price a run
-        # pays once (and again per republish after a table patch).
-        def attach_once():
-            began = time.perf_counter()
-            group = ShmWorkerGroup(packed, num_shards=shards)
-            elapsed = time.perf_counter() - began
-            group.shutdown()
-            return elapsed
-
-        attach_seconds = min(attach_once() for _ in range(3))
-
-        count = len(entries)
-        bench_trajectory["results"]["shm_ingest"] = {
-            "entries": count,
-            "shards": shards,
-            "shm_per_sec": round(count / shm_seconds),
-            "group_attach_seconds": round(attach_seconds, 6),
-        }
-        print(
-            f"\ningest {count:,} entries x {shards} shards: "
-            f"shm {count / shm_seconds:,.0f}/s, "
-            f"group attach {attach_seconds * 1e3:.1f}ms"
-        )

@@ -1,7 +1,7 @@
 """Supervision overhead: what the recovery policy costs when nothing fails.
 
-The supervisor's happy path adds one try/except, one counter reset, and
-one chunking layer per dispatched chunk.  This benchmark pins that the
+The supervisor's happy path adds one try/except and one chunking layer
+per applied chunk.  This benchmark pins that the
 price is a few percent, not a tax: a supervised inline ingest of the
 Nagano preset must stay within 1.5× of the raw engine (best-of-N on
 both sides), and the output must be identical.
@@ -47,9 +47,7 @@ def _best_of(repetitions, func):
 
 
 def _config(shards=2):
-    return EngineConfig(
-        num_shards=shards, chunk_size=CHUNK, use_processes=False
-    )
+    return EngineConfig(num_shards=shards, chunk_size=CHUNK)
 
 
 class TestSupervisionOverhead:

@@ -7,14 +7,13 @@ stable machine-readable array for CI; the default human format is one
 
 ``--project`` additionally runs the cross-module rules of
 :mod:`repro.analysis.xmodule` over the whole tree (metrics drift,
-CLI/doc drift, fork safety, error-taxonomy reachability, checkpoint
-schema drift).  ``--flow`` additionally runs the path-sensitive rules
-of :mod:`repro.analysis.flow` (resource leaks on exception edges, WAL
-append-before-mutate ordering, staleness-guard domination, swallowed
-count-and-skip tallies).  ``--inter`` (requires ``--flow``) adds the
-summary-based interprocedural rules of :mod:`repro.analysis.inter` —
-cross-function ownership, helper-hidden WAL mutations, and the shm
-epoch protocol.  ``--baseline`` suppresses previously recorded findings
+CLI/doc drift, error-taxonomy reachability, checkpoint schema drift).
+``--flow`` additionally runs the path-sensitive rules of
+:mod:`repro.analysis.flow` (resource leaks on exception edges, WAL
+append-before-mutate ordering, swallowed count-and-skip tallies).
+``--inter`` (requires ``--flow``) adds the summary-based
+interprocedural rules of :mod:`repro.analysis.inter` — cross-function
+ownership and helper-hidden WAL mutations.  ``--baseline`` suppresses previously recorded findings
 (path-sensitive witnesses are normalized, so a recorded flow finding
 survives unrelated line drift) so a new rule can land without blocking
 on legacy debt.  ``--cache [FILE]`` memoizes the expensive
@@ -56,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="repo-specific static analysis (determinism, pickle "
-        "boundary, error taxonomy, parser discipline; --project adds the "
-        "cross-module drift and fork-safety rules; --flow adds the "
-        "path-sensitive lifecycle rules)",
+        "protocol, error taxonomy, parser discipline; --project adds the "
+        "cross-module drift rules; --flow adds the path-sensitive "
+        "lifecycle rules)",
     )
     parser.add_argument(
         "paths",
@@ -94,15 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--flow",
         action="store_true",
         help="also run the path-sensitive (CFG/typestate) rules: resource "
-        "leaks on exception edges, WAL ordering, staleness guards, "
-        "swallowed truncation tallies",
+        "leaks on exception edges, WAL ordering, swallowed truncation "
+        "tallies",
     )
     parser.add_argument(
         "--inter",
         action="store_true",
         help="with --flow: also run the summary-based interprocedural "
         "rules (cross-function resource ownership, helper-hidden WAL "
-        "mutations, shm epoch protocol)",
+        "mutations)",
     )
     parser.add_argument(
         "--timings",

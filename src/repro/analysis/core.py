@@ -2,8 +2,8 @@
 
 ``repro-lint`` is an AST-based static-analysis pass for *this
 repository's* invariants — the properties the engine's bit-identical
-guarantees rest on (seeded RNG discipline, picklability across the
-worker boundary, the :mod:`repro.errors` taxonomy) that generic linters
+guarantees rest on (seeded RNG discipline, symmetric pickle
+protocols, the :mod:`repro.errors` taxonomy) that generic linters
 cannot know about.  The machinery is deliberately small:
 
 * :class:`LintModule` — one parsed source file: its dotted module name,

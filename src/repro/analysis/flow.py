@@ -2,11 +2,10 @@
 
 The per-module rules (:mod:`repro.analysis.rules`) and the cross-module
 rules (:mod:`repro.analysis.xmodule`) are syntactic — they can see that
-a module calls ``SharedMemory(create=True)`` and ``unlink`` *somewhere*,
-but not that an exception edge skips the unlink.  PRs 6–8 made
-correctness depend on exactly those lifecycle protocols (WAL
-append-before-mutate, segment create→publish→unlink on every exit path,
-the shm generation handshake), so this module adds the missing layer:
+a module calls ``open`` and ``close`` *somewhere*, but not that an
+exception edge skips the close.  Correctness depends on exactly those
+lifecycle protocols (WAL append-before-mutate, a WAL segment file
+closed on every exit path), so this module adds the missing layer:
 
 * :func:`build_cfg` — an intraprocedural control-flow graph per
   function: basic blocks of statements, with ``true``/``false`` branch
@@ -24,10 +23,10 @@ the shm generation handshake), so this module adds the missing layer:
   and returns the witness path (the actual edge sequence) when one
   exists.  Every path-sensitive rule below is a thin wrapper around it.
 
-Four rules ship behind ``repro-lint --flow``, driven by declarative
+Three rules ship behind ``repro-lint --flow``, driven by declarative
 lifecycle specs — built-in defaults here, plus ``FLOW_SPECS`` literal
-tuples declared next to the code they govern (``repro.engine.shm``,
-``repro.serve.wal``, ``repro.serve.daemon``):
+tuples declared next to the code they govern (``repro.serve.wal``,
+``repro.serve.daemon``):
 
 ``resource-leak``
     acquire → [use]* → release typestate: a tracked resource acquired
@@ -35,14 +34,10 @@ tuples declared next to the code they govern (``repro.engine.shm``,
     exception edges.  Inside ``__init__`` a ``self.attr = acquire()``
     is tracked too, but only the *exceptional* exit counts as a leak
     (on normal exit the instance owns it) — a half-constructed object
-    nobody can release is exactly the WAL/shm teardown gap class.
+    nobody can release is exactly the WAL teardown gap class.
 ``wal-order``
     a must-precede spec: in the functions it names, no ``self`` state
     mutation may be reachable before the append call on any path.
-``stale-epoch-read``
-    reads named by the spec must be guard-dominated: every path from
-    function entry (or from the latest invalidating call) to the read
-    passes a staleness-check call.
 ``unchecked-truncation``
     count-and-skip tallies incremented on a path that reaches a normal
     return without the report object ever escaping (returned, passed
@@ -970,7 +965,6 @@ class ResourceSpec:
     release_methods: Tuple[str, ...] = ("close",)
     release_funcs: Tuple[str, ...] = ()
     cleanup_methods: Tuple[str, ...] = _DEFAULT_CLEANUP_METHODS
-    require_kwarg: Optional[str] = None
     tuple_result: bool = False
     modules: Tuple[str, ...] = ()
     transfers: Tuple[str, ...] = ()
@@ -988,69 +982,20 @@ class OrderSpec:
 
 
 @dataclass(frozen=True)
-class GuardSpec:
-    """Reads must be dominated by a guard since the last invalidation."""
-
-    reads: Tuple[str, ...]
-    guards: Tuple[str, ...]
-    invalidators: Tuple[str, ...] = ()
-    modules: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class TruncationSpec:
     """Extra modules opted into the count-and-skip sink check."""
 
     modules: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class EpochSpec:
-    """The shm exactly-once protocol, machine-checkable (``--inter``).
-
-    Three obligations over the governed modules' functions:
-
-    * every ``reads`` call is dominated by a ``guards`` check (a call,
-      or a branch test naming a guard token) after any ``invalidators``
-      call — the worker/driver generation handshake;
-    * no ``folds`` call is reachable from a previous fold without a
-      ``refresh`` in between — ack-fold paths must not double-fold the
-      accumulator deltas;
-    * no ``dispatch`` call is reachable after an ``unlink`` call
-      without a ``republish`` in between — a live handle must never be
-      dispatched against unlinked segments.
-    """
-
-    reads: Tuple[str, ...] = ()
-    guards: Tuple[str, ...] = ()
-    invalidators: Tuple[str, ...] = ()
-    folds: Tuple[str, ...] = ()
-    refresh: Tuple[str, ...] = ()
-    unlink: Tuple[str, ...] = ()
-    dispatch: Tuple[str, ...] = ()
-    republish: Tuple[str, ...] = ()
-    modules: Tuple[str, ...] = ()
-
-
-FlowSpec = Union[ResourceSpec, OrderSpec, GuardSpec, TruncationSpec, EpochSpec]
+FlowSpec = Union[ResourceSpec, OrderSpec, TruncationSpec]
 
 #: Resource lifecycles every module is checked against.
 DEFAULT_RESOURCE_SPECS: Tuple[ResourceSpec, ...] = (
     ResourceSpec(
-        resource="shared-memory segment",
-        acquire=("SharedMemory",),
-        release_methods=("close", "unlink"),
-        require_kwarg="create",
-    ),
-    ResourceSpec(
         resource="file handle",
         acquire=("open",),
         release_methods=("close",),
-    ),
-    ResourceSpec(
-        resource="process pool",
-        acquire=("Pool", "multiprocessing.Pool"),
-        release_methods=("terminate", "close", "join"),
     ),
 )
 
@@ -1065,7 +1010,6 @@ _SPEC_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
             "release_methods",
             "release_funcs",
             "cleanup_methods",
-            "require_kwarg",
             "tuple_result",
             "modules",
             "transfers",
@@ -1073,22 +1017,7 @@ _SPEC_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
         ),
     ),
     "wal-order": (("functions", "append"), ("allow", "modules")),
-    "stale-epoch-read": (("reads", "guards"), ("invalidators", "modules")),
     "unchecked-truncation": ((), ("modules",)),
-    "epoch-protocol": (
-        (),
-        (
-            "reads",
-            "guards",
-            "invalidators",
-            "folds",
-            "refresh",
-            "unlink",
-            "dispatch",
-            "republish",
-            "modules",
-        ),
-    ),
 }
 
 
@@ -1120,9 +1049,6 @@ def _parse_spec(raw: Dict[str, object], declaring_module: str) -> FlowSpec:
         _as_str_tuple(raw["modules"]) if "modules" in raw else (declaring_module,)
     )
     if rule == "resource-leak":
-        require_kwarg = raw.get("require_kwarg")
-        if require_kwarg is not None and not isinstance(require_kwarg, str):
-            raise ValueError("'require_kwarg' must be a string")
         tuple_result = raw.get("tuple_result", False)
         if not isinstance(tuple_result, bool):
             raise ValueError("'tuple_result' must be a bool")
@@ -1136,7 +1062,6 @@ def _parse_spec(raw: Dict[str, object], declaring_module: str) -> FlowSpec:
             cleanup_methods=_as_str_tuple(
                 raw.get("cleanup_methods", _DEFAULT_CLEANUP_METHODS)
             ),
-            require_kwarg=require_kwarg,
             tuple_result=tuple_result,
             modules=modules,
             transfers=_as_str_tuple(raw.get("transfers", ())),
@@ -1147,25 +1072,6 @@ def _parse_spec(raw: Dict[str, object], declaring_module: str) -> FlowSpec:
             functions=_as_str_tuple(raw["functions"]),
             append=_as_str_tuple(raw["append"]),
             allow=_as_str_tuple(raw.get("allow", ())),
-            modules=modules,
-        )
-    if rule == "stale-epoch-read":
-        return GuardSpec(
-            reads=_as_str_tuple(raw["reads"]),
-            guards=_as_str_tuple(raw["guards"]),
-            invalidators=_as_str_tuple(raw.get("invalidators", ())),
-            modules=modules,
-        )
-    if rule == "epoch-protocol":
-        return EpochSpec(
-            reads=_as_str_tuple(raw.get("reads", ())),
-            guards=_as_str_tuple(raw.get("guards", ())),
-            invalidators=_as_str_tuple(raw.get("invalidators", ())),
-            folds=_as_str_tuple(raw.get("folds", ())),
-            refresh=_as_str_tuple(raw.get("refresh", ())),
-            unlink=_as_str_tuple(raw.get("unlink", ())),
-            dispatch=_as_str_tuple(raw.get("dispatch", ())),
-            republish=_as_str_tuple(raw.get("republish", ())),
             modules=modules,
         )
     return TruncationSpec(modules=modules)
@@ -1323,12 +1229,6 @@ def _acquire_call(entry_value: ast.expr, spec: ResourceSpec) -> Optional[ast.Cal
     if not isinstance(entry_value, ast.Call):
         return None
     if not _callee_matches(entry_value.func, spec.acquire):
-        return None
-    if spec.require_kwarg is not None:
-        for keyword in entry_value.keywords:
-            if keyword.arg == spec.require_kwarg:
-                truth = _const_truth(keyword.value)
-                return entry_value if truth is not False else None
         return None
     return entry_value
 
@@ -1560,10 +1460,9 @@ class ResourceLeakRule(FlowRule):
         "exception edges"
     )
     rationale = (
-        "a SharedMemory segment, WAL segment file, or pool acquired on a "
-        "path that can exit without close/unlink/terminate outlives the "
-        "process that knew its name — the leak class the syntactic "
-        "shm-lifecycle rule cannot see"
+        "a file handle or WAL segment file acquired on a path that can "
+        "exit without its release stays open behind an exception — the "
+        "leak class a syntactic per-module open/close census cannot see"
     )
 
     def check(self, module: LintModule, context: FlowContext) -> Iterator[Finding]:
@@ -1824,70 +1723,6 @@ def _call_stop(names: Sequence[str]) -> Callable[[Entry], bool]:
         return False
 
     return stop
-
-
-@register_flow
-class StaleEpochReadRule(FlowRule):
-    rule_id = "stale-epoch-read"
-    summary = "shm table reads are dominated by a staleness check"
-    rationale = (
-        "dispatching against a shared table after a republish point "
-        "without re-checking the generation resolves lookups against "
-        "superseded buffers — silently wrong clusters, not a crash"
-    )
-
-    def check(self, module: LintModule, context: FlowContext) -> Iterator[Finding]:
-        specs = context.of_type(GuardSpec)
-        if not specs:
-            return
-        for func, cfg in context.cfgs(module):
-            for spec in specs:
-                assert isinstance(spec, GuardSpec)
-                reads: Dict[Tuple[int, int], Tuple[str, int, int]] = {}
-                invalidator_starts: List[Tuple[int, int]] = [(cfg.entry, 0)]
-                invalidates = _call_stop(spec.invalidators) if spec.invalidators else None
-                stops = _call_stop(spec.guards)
-                for block in cfg.blocks:
-                    for position, entry in enumerate(block.entries):
-                        node = entry_node(entry)
-                        for sub in _walk_local(node):
-                            if not isinstance(sub, ast.Call):
-                                continue
-                            if (
-                                isinstance(sub.func, ast.Attribute)
-                                and sub.func.attr in spec.reads
-                            ):
-                                reads[(block.index, position)] = (
-                                    sub.func.attr,
-                                    getattr(node, "lineno", 0),
-                                    getattr(node, "col_offset", 0),
-                                )
-                        if invalidates is not None and invalidates(entry):
-                            invalidator_starts.append((block.index, position + 1))
-                if not reads:
-                    continue
-                for position, (read, line, col) in sorted(
-                    reads.items(), key=lambda kv: kv[1][1:]
-                ):
-                    witness = reach_without(
-                        cfg,
-                        invalidator_starts,
-                        stops,
-                        goal_positions=frozenset({position}),
-                        stop_on_except_origin=False,
-                    )
-                    if witness is None:
-                        continue
-                    path = _format_path(cfg, witness)
-                    yield self.finding(
-                        module,
-                        line,
-                        col,
-                        f"shared-table read .{read}() in {func.name}() is "
-                        f"reachable without a dominating staleness check "
-                        f"({'/'.join(spec.guards)}) ({path}); re-check the "
-                        "generation after every republish point",
-                    )
 
 
 @register_flow

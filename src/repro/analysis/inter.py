@@ -1,10 +1,9 @@
 """Interprocedural summary-based analysis (``repro-lint --flow --inter``).
 
 The PR 9 flow rules are strictly intraprocedural: a helper that closes a
-segment, appends to the WAL, or re-checks the shm generation is opaque
-to them — passing a resource to *any* call is an escape, a mutation
-hidden in ``self._flush_logs()`` is invisible, a guard established by
-``self._ensure_shm_group()`` does not count.  This module closes that
+file or appends to the WAL is opaque to them — passing a resource to
+*any* call is an escape, and a mutation hidden in
+``self._flush_logs()`` is invisible.  This module closes that
 blind spot with per-function **effect summaries** computed bottom-up
 over the project call graph (:meth:`Project.call_graph`):
 
@@ -14,11 +13,11 @@ over the project call graph (:meth:`Project.call_graph`):
   summary;
 * unknown callees (stdlib, third-party, nested defs, unresolved
   attribute calls) are havoc'd conservatively: they provide *no*
-  beneficial effect (no release, no append, no guard) and may raise —
+  beneficial effect (no release, no append) and may raise —
   but they are never assigned harmful effects they were not observed
   to have.
 
-Three rule families consume the summaries, registered in
+Two rule families consume the summaries, registered in
 ``INTER_RULES`` and reported only under ``--inter``:
 
 * **inter-resource-leak** — ownership that crosses a call: helper
@@ -31,15 +30,10 @@ Three rule families consume the summaries, registered in
 * **inter-wal-order** — a ``self`` method call whose summary mutates
   daemon state is a mutation site for the WAL ordering check; a callee
   that must-appends counts as the append.
-* **epoch-protocol** — the shm exactly-once protocol: reads dominated
-  by a generation guard after every invalidation, no double-fold of
-  the accumulator deltas without a refresh, and no dispatch reachable
-  after an unlink without a republish — with guards, folds, refreshes
-  and republishes all resolvable through callees.
 
-Summaries use group ids like ``"guard:2"`` (clause tag + index of the
+Summaries use group ids like ``"append:2"`` (clause tag + index of the
 spec within its kind) so "any token of the clause" must-semantics
-survives hashing into ``must_groups`` / ``may_groups`` sets.
+survives hashing into the ``must_groups`` set.
 """
 
 from __future__ import annotations
@@ -64,13 +58,11 @@ from repro.analysis.core import Finding, LintModule, apply_suppressions
 from repro.analysis.flow import (
     CFG,
     Entry,
-    EpochSpec,
     FlowContext,
     FlowSpec,
     OrderSpec,
     ResourceSpec,
     STOP_NORMAL_ONLY,
-    TestExpr,
     WalOrderRule,
     _acquire_call,
     _acquire_sites,
@@ -118,10 +110,8 @@ class FunctionSummary:
     """The interprocedural effects of one function, as its callers see it.
 
     Resource effects are keyed ``(param index, resource-spec index)``;
-    protocol effects are group ids ``"tag:spec-index"`` in
-    ``must_groups`` (holds on every normal path) / ``may_groups``
-    (holds on some path, *exposed* to the caller — e.g. a fold the
-    callee itself refresh-dominates is not exposed).
+    ordering effects are group ids ``"tag:spec-index"`` in
+    ``must_groups`` (holds on every normal path).
     """
 
     key: str
@@ -133,7 +123,6 @@ class FunctionSummary:
     returns_owned: FrozenSet[int] = frozenset()
     mutated_self_attrs: FrozenSet[str] = frozenset()
     must_groups: FrozenSet[str] = frozenset()
-    may_groups: FrozenSet[str] = frozenset()
 
     def stable_repr(self) -> str:
         """A deterministic rendering for cache fingerprints."""
@@ -148,7 +137,6 @@ class FunctionSummary:
                 repr(sorted(self.returns_owned)),
                 repr(sorted(self.mutated_self_attrs)),
                 repr(sorted(self.must_groups)),
-                repr(sorted(self.may_groups)),
             ]
         )
 
@@ -307,15 +295,7 @@ class _Resolver:
                 return False
         return True
 
-    # -- protocol effects ------------------------------------------------
-
-    def callee_may(self, entry: Entry, group: str) -> bool:
-        return any(
-            group in self.summaries[key].may_groups
-            for call in self.calls_in(entry)
-            for key in self.keys(call)
-            if key in self.summaries
-        )
+    # -- ordering effects ------------------------------------------------
 
     def callee_must(self, entry: Entry, group: str) -> bool:
         for call in self.calls_in(entry):
@@ -417,28 +397,6 @@ def _token_call_in(entry: Entry, tokens: Sequence[str]) -> bool:
     return _call_stop(tokens)(entry)
 
 
-def _test_names(expr: ast.AST) -> Iterator[str]:
-    for sub in _walk_local(expr):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-
-
-def _guard_entry(entry: Entry, tokens: Sequence[str]) -> bool:
-    """A guard is a token call or a branch test naming a guard token.
-
-    The branch-test form covers the worker-side handshake —
-    ``if job_generation != generation: ...`` guards without calling
-    anything.
-    """
-    if _token_call_in(entry, tokens):
-        return True
-    if isinstance(entry, TestExpr) and tokens:
-        return any(name in tokens for name in _test_names(entry.node))
-    return False
-
-
 # -- the call-graph fixpoint -------------------------------------------------
 
 
@@ -517,53 +475,12 @@ def _must_on_exit(cfg: CFG, stop: Callable[[Entry], object]) -> bool:
     )
 
 
-def _entry_exposed(
-    cfg: CFG,
-    goals: Sequence[Tuple[int, int]],
-    stop: Callable[[Entry], object],
-) -> bool:
-    """Some goal position is reachable from entry without a stop."""
-    if not goals:
-        return False
-    return (
-        reach_without(
-            cfg,
-            [(cfg.entry, 0)],
-            stop,
-            goal_positions=frozenset((b, p) for b, p, _ in goals),
-            stop_on_except_origin=False,
-        )
-        is not None
-    )
-
-
-def _exit_exposed(
-    cfg: CFG,
-    sources: Sequence[Tuple[int, int]],
-    stop: Callable[[Entry], object],
-) -> bool:
-    """The normal exit is reachable from just after a source, unstopped."""
-    if not sources:
-        return False
-    return (
-        reach_without(
-            cfg,
-            [(b, p + 1) for b, p, _ in sources],
-            stop,
-            goal_blocks=frozenset({cfg.exit}),
-            stop_on_except_origin=False,
-        )
-        is not None
-    )
-
-
 def _summarize(
     info: FuncInfo,
     cfg: CFG,
     resolver: _Resolver,
     resource_specs: Sequence[ResourceSpec],
     order_specs: Sequence[OrderSpec],
-    epoch_specs: Sequence[EpochSpec],
 ) -> FunctionSummary:
     func = info.node
     params = _param_names(func)
@@ -687,7 +604,6 @@ def _summarize(
                         mutated |= resolver.summaries[key].mutated_self_attrs
 
     must_groups: Set[str] = set()
-    may_groups: Set[str] = set()
 
     for order_index, order in enumerate(order_specs):
         group = f"append:{order_index}"
@@ -700,87 +616,6 @@ def _summarize(
         if _sites(cfg, append_stop) and _must_on_exit(cfg, append_stop):
             must_groups.add(group)
 
-    for epoch_index, epoch in enumerate(epoch_specs):
-        # Protocol effects exist only inside the spec's declared module
-        # scope.  Without this, the over-approximate attribute-call
-        # resolution lets an out-of-scope function that legitimately
-        # shares a token name (e.g. the driver-side inline replay of
-        # ``apply_packed``) poison every same-named method project-wide.
-        if not _spec_applies(epoch, info.module):
-            continue
-        tag = epoch_index
-
-        def guard_stop(entry: Entry, e: EpochSpec = epoch, t: int = tag) -> bool:
-            return _guard_entry(entry, e.guards) or resolver.callee_must(
-                entry, f"guard:{t}"
-            )
-
-        def refresh_stop(entry: Entry, e: EpochSpec = epoch, t: int = tag) -> bool:
-            return _token_call_in(entry, e.refresh) or resolver.callee_must(
-                entry, f"refresh:{t}"
-            )
-
-        def republish_stop(
-            entry: Entry, e: EpochSpec = epoch, t: int = tag
-        ) -> bool:
-            return _token_call_in(entry, e.republish) or resolver.callee_must(
-                entry, f"republish:{t}"
-            )
-
-        def site_pred(
-            tokens: Tuple[str, ...], group: str
-        ) -> Callable[[Entry], bool]:
-            def pred(entry: Entry) -> bool:
-                return _token_call_in(entry, tokens) or resolver.callee_may(
-                    entry, group
-                )
-
-            return pred
-
-        # Stop classification wins over site classification: a call the
-        # spec names as a guard/refresh/republish discharges the
-        # obligation even if the helper internally reads/folds/unlinks
-        # on the way (e.g. _ensure_shm_group tears a stale group down
-        # *and* republishes before returning).
-        read_sites = [
-            site
-            for site in _sites(cfg, site_pred(epoch.reads, f"read:{tag}"))
-            if not guard_stop(site[2])
-        ]
-        inval_sites = _sites(cfg, site_pred(epoch.invalidators, f"inval:{tag}"))
-        fold_sites = [
-            site
-            for site in _sites(cfg, site_pred(epoch.folds, f"fold:{tag}"))
-            if not refresh_stop(site[2])
-        ]
-        unlink_sites = [
-            site
-            for site in _sites(cfg, site_pred(epoch.unlink, f"unlink:{tag}"))
-            if not republish_stop(site[2])
-        ]
-        dispatch_sites = [
-            site
-            for site in _sites(cfg, site_pred(epoch.dispatch, f"dispatch:{tag}"))
-            if not republish_stop(site[2])
-        ]
-
-        if _sites(cfg, guard_stop) and _must_on_exit(cfg, guard_stop):
-            must_groups.add(f"guard:{tag}")
-        if _sites(cfg, refresh_stop) and _must_on_exit(cfg, refresh_stop):
-            must_groups.add(f"refresh:{tag}")
-        if _sites(cfg, republish_stop) and _must_on_exit(cfg, republish_stop):
-            must_groups.add(f"republish:{tag}")
-        if _entry_exposed(cfg, read_sites, guard_stop):
-            may_groups.add(f"read:{tag}")
-        if _exit_exposed(cfg, inval_sites, guard_stop):
-            may_groups.add(f"inval:{tag}")
-        if _entry_exposed(cfg, fold_sites, refresh_stop):
-            may_groups.add(f"fold:{tag}")
-        if _exit_exposed(cfg, unlink_sites, republish_stop):
-            may_groups.add(f"unlink:{tag}")
-        if _entry_exposed(cfg, dispatch_sites, republish_stop):
-            may_groups.add(f"dispatch:{tag}")
-
     return FunctionSummary(
         key=info.key,
         param_names=params,
@@ -791,7 +626,6 @@ def _summarize(
         returns_owned=frozenset(returns_owned),
         mutated_self_attrs=frozenset(mutated),
         must_groups=frozenset(must_groups),
-        may_groups=frozenset(may_groups),
     )
 
 
@@ -822,7 +656,6 @@ class InterContext:
     specs: Sequence[FlowSpec]
     resource_specs: List[ResourceSpec]
     order_specs: List[OrderSpec]
-    epoch_specs: List[EpochSpec]
     summaries: Dict[str, FunctionSummary]
     _cfgs: Dict[str, CFG] = field(default_factory=dict)
     _key_cache: Dict[int, List[str]] = field(default_factory=dict)
@@ -847,7 +680,6 @@ def compute_summaries(
     project: Project,
     resource_specs: Sequence[ResourceSpec],
     order_specs: Sequence[OrderSpec],
-    epoch_specs: Sequence[EpochSpec],
     cfgs: Optional[Dict[str, CFG]] = None,
     key_cache: Optional[Dict[int, List[str]]] = None,
 ) -> Dict[str, FunctionSummary]:
@@ -876,7 +708,6 @@ def compute_summaries(
                     resolver,
                     resource_specs,
                     order_specs,
-                    epoch_specs,
                 )
                 if summaries.get(key) != summary:
                     summaries[key] = summary
@@ -893,18 +724,16 @@ def build_inter_context(
     project = Project({module.module: module for module in modules})
     resource_specs = [s for s in specs if isinstance(s, ResourceSpec)]
     order_specs = [s for s in specs if isinstance(s, OrderSpec)]
-    epoch_specs = [s for s in specs if isinstance(s, EpochSpec)]
     cfgs: Dict[str, CFG] = {}
     key_cache: Dict[int, List[str]] = {}
     summaries = compute_summaries(
-        project, resource_specs, order_specs, epoch_specs, cfgs, key_cache
+        project, resource_specs, order_specs, cfgs, key_cache
     )
     return InterContext(
         project=project,
         specs=list(specs),
         resource_specs=resource_specs,
         order_specs=order_specs,
-        epoch_specs=epoch_specs,
         summaries=summaries,
         _cfgs=cfgs,
         _key_cache=key_cache,
@@ -978,8 +807,8 @@ class InterResourceLeakRule(InterRule):
     rationale = (
         "the intraprocedural pass treats every hand-off as an escape and "
         "every helper constructor as opaque, so a leak split across a "
-        "helper boundary — the exact shape of the shm/WAL teardown "
-        "paths — is invisible to it"
+        "helper boundary — the exact shape of the WAL teardown paths — "
+        "is invisible to it"
     )
 
     def check(
@@ -1186,176 +1015,6 @@ class InterWalOrderRule(InterRule):
                         f"({path}); append before mutating so recovery "
                         "replays the event",
                     )
-
-
-@register_inter
-class EpochProtocolRule(InterRule):
-    rule_id = "epoch-protocol"
-    summary = (
-        "the shm exactly-once protocol holds: guarded reads, no "
-        "double-fold, no dispatch after unlink"
-    )
-    rationale = (
-        "a read against a superseded epoch, a re-folded accumulator "
-        "delta, or a dispatch against unlinked segments each corrupt "
-        "results silently — and every obligation in the real flow is "
-        "discharged inside a helper the intraprocedural rules cannot see"
-    )
-
-    def check(
-        self, module: LintModule, context: InterContext
-    ) -> Iterator[Finding]:
-        applicable = [
-            (index, spec)
-            for index, spec in enumerate(context.epoch_specs)
-            if _spec_applies(spec, module)
-        ]
-        if not applicable:
-            return
-        for info in context.module_functions(module):
-            cfg = context.cfg(info.key)
-            resolver = context.resolver(info)
-            for tag, spec in applicable:
-                yield from self._check_one(module, info, cfg, resolver, tag, spec)
-
-    def _check_one(
-        self,
-        module: LintModule,
-        info: FuncInfo,
-        cfg: CFG,
-        resolver: _Resolver,
-        tag: int,
-        spec: EpochSpec,
-    ) -> Iterator[Finding]:
-        def guard_stop(entry: Entry) -> bool:
-            return _guard_entry(entry, spec.guards) or resolver.callee_must(
-                entry, f"guard:{tag}"
-            )
-
-        def refresh_stop(entry: Entry) -> bool:
-            return _token_call_in(entry, spec.refresh) or resolver.callee_must(
-                entry, f"refresh:{tag}"
-            )
-
-        def republish_stop(entry: Entry) -> bool:
-            return _token_call_in(
-                entry, spec.republish
-            ) or resolver.callee_must(entry, f"republish:{tag}")
-
-        def sites_of(
-            tokens: Tuple[str, ...],
-            group: str,
-            unless: Optional[Callable[[Entry], bool]] = None,
-        ) -> List[Tuple[int, int, Entry]]:
-            # ``unless`` applies the same stop-over-site precedence the
-            # summaries use: a call the spec names as a stop discharges
-            # the obligation even if the helper may read/fold/unlink
-            # internally on the way.
-            sites = _sites(
-                cfg,
-                lambda entry: _token_call_in(entry, tokens)
-                or resolver.callee_may(entry, group),
-            )
-            if unless is None:
-                return sites
-            return [site for site in sites if not unless(site[2])]
-
-        name = info.node.name
-
-        # 1. reads dominated by a generation guard after any invalidation
-        read_sites = sites_of(spec.reads, f"read:{tag}", unless=guard_stop)
-        if read_sites and spec.guards:
-            starts: List[Tuple[int, int]] = [(cfg.entry, 0)]
-            for block_index, position, _entry in sites_of(
-                spec.invalidators, f"inval:{tag}"
-            ):
-                starts.append((block_index, position + 1))
-            for block_index, position, entry in read_sites:
-                witness = reach_without(
-                    cfg,
-                    starts,
-                    guard_stop,
-                    goal_positions=frozenset({(block_index, position)}),
-                    stop_on_except_origin=False,
-                )
-                if witness is None:
-                    continue
-                node = entry_node(entry)
-                path = _format_path(cfg, witness)
-                yield self.finding(
-                    module,
-                    getattr(node, "lineno", 0),
-                    getattr(node, "col_offset", 0),
-                    f"epoch read ({'/'.join(spec.reads)}) in {name}() is "
-                    f"reachable without a dominating generation guard "
-                    f"({'/'.join(spec.guards)}) ({path}); re-establish the "
-                    "guard after every republish point, counting guards "
-                    "inside helpers",
-                )
-
-        # 2. ack-fold paths must not double-fold without a refresh
-        fold_sites = sites_of(spec.folds, f"fold:{tag}", unless=refresh_stop)
-        if len(fold_sites) >= 1 and spec.refresh:
-            fold_starts = [
-                (block_index, position + 1)
-                for block_index, position, _entry in fold_sites
-            ]
-            for block_index, position, entry in fold_sites:
-                witness = reach_without(
-                    cfg,
-                    fold_starts,
-                    refresh_stop,
-                    goal_positions=frozenset({(block_index, position)}),
-                    stop_on_except_origin=False,
-                )
-                if witness is None:
-                    continue
-                node = entry_node(entry)
-                path = _format_path(cfg, witness)
-                yield self.finding(
-                    module,
-                    getattr(node, "lineno", 0),
-                    getattr(node, "col_offset", 0),
-                    f"accumulator fold ({'/'.join(spec.folds)}) in "
-                    f"{name}() is reachable from a previous fold without "
-                    f"a refresh ({'/'.join(spec.refresh)}) in between "
-                    f"({path}); double-folding re-applies counter deltas",
-                )
-
-        # 3. no dispatch after unlink without a republish in between
-        dispatch_sites = sites_of(
-            spec.dispatch, f"dispatch:{tag}", unless=republish_stop
-        )
-        unlink_sites = sites_of(
-            spec.unlink, f"unlink:{tag}", unless=republish_stop
-        )
-        if dispatch_sites and unlink_sites:
-            unlink_starts = [
-                (block_index, position + 1)
-                for block_index, position, _entry in unlink_sites
-            ]
-            for block_index, position, entry in dispatch_sites:
-                witness = reach_without(
-                    cfg,
-                    unlink_starts,
-                    republish_stop,
-                    goal_positions=frozenset({(block_index, position)}),
-                    stop_on_except_origin=False,
-                )
-                if witness is None:
-                    continue
-                node = entry_node(entry)
-                path = _format_path(cfg, witness)
-                yield self.finding(
-                    module,
-                    getattr(node, "lineno", 0),
-                    getattr(node, "col_offset", 0),
-                    f"dispatch ({'/'.join(spec.dispatch)}) in {name}() is "
-                    f"reachable after an unlink ({'/'.join(spec.unlink)}) "
-                    f"without a republish ({'/'.join(spec.republish)}) in "
-                    f"between ({path}); a live handle must never dispatch "
-                    "against unlinked segments",
-                )
 
 
 # -- entry points ------------------------------------------------------------

@@ -9,10 +9,8 @@ full rationale):
   must be bit-identical run-to-run, so randomness must flow through
   :mod:`repro.util.rng` and wall-clock reads must stay out of anything
   that feeds cluster output.
-* **Pickle boundary** — ``pickle-boundary``: everything dispatched to
-  the worker pool crosses a pickle boundary; lambdas and closures do
-  not survive it, and asymmetric ``__getstate__``/``__setstate__``
-  pairs corrupt state silently.
+* **Pickle protocol** — ``pickle-boundary``: asymmetric
+  ``__getstate__``/``__setstate__`` pairs corrupt state silently.
 * **Error taxonomy** — ``broad-except``, ``bare-raise-exception``:
   failures must flow through :mod:`repro.errors` so the supervisor can
   key recovery off the exception *class*.
@@ -24,14 +22,13 @@ full rationale):
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set
 
 from repro.analysis.core import Finding, LintModule, Rule, register
 
 __all__ = [
     "HOT_PACKAGES",
     "PARSER_PACKAGES",
-    "PICKLE_SAFE_NAMES",
     "UnseededRandomRule",
     "WallClockRule",
     "PickleBoundaryRule",
@@ -40,7 +37,6 @@ __all__ = [
     "SilentSkipRule",
     "MutableDefaultRule",
     "AssertValidationRule",
-    "ShmLifecycleRule",
 ]
 
 #: Packages whose output must be bit-identical run-to-run; RNG and
@@ -53,52 +49,6 @@ PARSER_PACKAGES = ("repro.weblog", "repro.bgp")
 
 #: The blessed RNG plumbing — exempt from the determinism rules.
 RNG_MODULE = "repro.util.rng"
-
-#: Names allowed inside the worker wire-type aliases (see
-#: ``_WORKER_ALIAS_MODULES``): plain data and the engine types that
-#: define explicit ``__getstate__``/``__setstate__`` pairs or are
-#: frozen dataclasses of plain fields (``SharedLpmHandle``).  Anything
-#: else crossing the worker boundary needs review (and a suppression).
-PICKLE_SAFE_NAMES = frozenset(
-    {
-        "Tuple",
-        "Optional",
-        "List",
-        "Dict",
-        "Sequence",
-        "int",
-        "float",
-        "str",
-        "bytes",
-        "bool",
-        "None",
-        "PackedBatch",
-        "ClusterStore",
-        "SharedLpmHandle",
-    }
-)
-
-#: Modules that dispatch work to other processes must declare their
-#: wire formats as module-level type aliases built only from
-#: ``PICKLE_SAFE_NAMES``, keeping each boundary auditable in one place.
-_WORKER_ALIAS_MODULES: Dict[str, Tuple[str, ...]] = {
-    "repro.engine.shm": ("_ShmJob", "_ShmAck"),
-}
-
-#: Pool/executor methods whose callable+args cross the pickle boundary.
-_DISPATCH_METHODS = frozenset(
-    {
-        "map",
-        "map_async",
-        "apply",
-        "apply_async",
-        "imap",
-        "imap_unordered",
-        "starmap",
-        "starmap_async",
-        "submit",
-    }
-)
 
 #: Exact dotted spellings of wall-clock reads (``time.perf_counter``,
 #: ``time.monotonic`` and ``time.sleep`` are fine: they never feed
@@ -233,76 +183,20 @@ class WallClockRule(Rule):
 
 @register
 class PickleBoundaryRule(Rule):
-    """Everything shipped to the worker pool must survive pickling."""
+    """``__getstate__`` and ``__setstate__`` come in pairs."""
 
     rule_id = "pickle-boundary"
-    summary = (
-        "no lambdas/closures handed to worker pools; __getstate__ and "
-        "__setstate__ come in pairs; shm worker-job aliases stay on the "
-        "picklable allowlist"
-    )
+    summary = "__getstate__ and __setstate__ come in pairs"
     rationale = (
-        "Worker dispatch pickles the callable and every argument.  Lambdas "
-        "and nested functions fail to pickle at dispatch time (or worse, "
-        "at a fault-recovery redispatch hours in); a __getstate__ without "
-        "its __setstate__ twin round-trips state wrongly without any "
-        "error.  repro.engine.shm declares its wire types as aliases so "
-        "the boundary is auditable."
+        "Pickling a table or batch calls __getstate__ and unpickling "
+        "calls __setstate__; a __getstate__ without its __setstate__ "
+        "twin round-trips state wrongly without any error."
     )
 
     def check(self, module: LintModule) -> Iterator[Finding]:
-        nested_defs = self._nested_function_names(module)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_dispatch(module, node, nested_defs)
-            elif isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef):
                 yield from self._check_state_pair(module, node)
-        alias_names = _WORKER_ALIAS_MODULES.get(module.module)
-        if alias_names:
-            yield from self._check_worker_aliases(module, alias_names)
-
-    @staticmethod
-    def _nested_function_names(module: LintModule) -> Set[str]:
-        nested: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if module.enclosing_function(node) is not None:
-                    nested.add(node.name)
-        return nested
-
-    def _check_dispatch(
-        self, module: LintModule, call: ast.Call, nested_defs: Set[str]
-    ) -> Iterator[Finding]:
-        attr = call.func.attr if isinstance(call.func, ast.Attribute) else None
-        is_dispatch = attr in _DISPATCH_METHODS
-        is_pool_ctor = _last_segment(call.func) in ("Pool", "ProcessPoolExecutor")
-        if not (is_dispatch or is_pool_ctor):
-            return
-        candidates: List[Tuple[ast.AST, str]] = []
-        if is_dispatch:
-            for arg in call.args:
-                candidates.append((arg, f"argument of .{attr}()"))
-            for keyword in call.keywords:
-                candidates.append((keyword.value, f"argument of .{attr}()"))
-        else:
-            for keyword in call.keywords:
-                if keyword.arg in ("initializer", "initargs"):
-                    candidates.append((keyword.value, f"{keyword.arg}= of the pool"))
-        for value, where in candidates:
-            if isinstance(value, ast.Lambda):
-                yield self.finding(
-                    module,
-                    value,
-                    f"lambda as {where} crosses the worker pickle boundary "
-                    "and cannot be pickled; use a module-level function",
-                )
-            elif isinstance(value, ast.Name) and value.id in nested_defs:
-                yield self.finding(
-                    module,
-                    value,
-                    f"nested function {value.id!r} as {where} is a closure "
-                    "and cannot be pickled; hoist it to module level",
-                )
 
     def _check_state_pair(
         self, module: LintModule, cls: ast.ClassDef
@@ -322,45 +216,9 @@ class PickleBoundaryRule(Rule):
                 module,
                 cls,
                 f"class {cls.name} defines {present} without {missing}; "
-                "an asymmetric pickle protocol round-trips worker state "
+                "an asymmetric pickle protocol round-trips state "
                 "incorrectly without raising",
             )
-
-    def _check_worker_aliases(
-        self, module: LintModule, alias_names: Tuple[str, ...]
-    ) -> Iterator[Finding]:
-        """A dispatching module's wire-type aliases must stay auditable."""
-        aliases: Dict[str, ast.Assign] = {}
-        for node in module.tree.body:
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id in alias_names:
-                aliases[target.id] = node
-        for name in alias_names:
-            node = aliases.get(name)
-            if node is None:
-                yield Finding(
-                    path=module.path,
-                    line=1,
-                    col=0,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"{module.module} must declare the {name} type "
-                        "alias so the worker wire format stays auditable"
-                    ),
-                )
-                continue
-            for inner in ast.walk(node.value):
-                if isinstance(inner, ast.Name) and inner.id not in PICKLE_SAFE_NAMES:
-                    yield self.finding(
-                        module,
-                        inner,
-                        f"{inner.id!r} in the {name} alias is not on the "
-                        "pickle-safe allowlist; types crossing the worker "
-                        "boundary must be plain data or define an explicit "
-                        "pickle protocol (then extend PICKLE_SAFE_NAMES)",
-                    )
 
 
 @register
@@ -373,10 +231,10 @@ class BroadExceptRule(Rule):
         "bare `except:` is never allowed"
     )
     rationale = (
-        "The supervisor keys retry/quarantine/degrade decisions off the "
+        "The supervisor keys retry/quarantine decisions off the "
         "exception class.  A broad handler that swallows or mislabels an "
         "arbitrary bug (say, checkpoint corruption surfacing inside a "
-        "worker path) corrupts that recovery logic invisibly.  Handlers "
+        "chunk) corrupts that recovery logic invisibly.  Handlers "
         "that genuinely must stay broad carry a reasoned suppression."
     )
     require_reason = True
@@ -603,112 +461,3 @@ class AssertValidationRule(Rule):
         names.discard("cls")
         return names
 
-
-#: Methods that move their arguments into another process: the pool
-#: dispatchers plus queue/pipe sends.
-_SHM_SINK_METHODS = _DISPATCH_METHODS | frozenset({"put", "put_nowait", "send"})
-
-#: Constructors whose result is (or wraps) a raw buffer mapping.
-_BUFFER_FACTORIES = frozenset({"SharedMemory", "memoryview", "mmap"})
-
-
-@register
-class ShmLifecycleRule(Rule):
-    """Shared-memory segments get unlinked; raw buffers stay in-process."""
-
-    rule_id = "shm-lifecycle"
-    summary = (
-        "buffer-backed views (.buf, memoryview, mmap, .cast()) never "
-        "cross a queue/pipe/pool boundary"
-    )
-    rationale = (
-        "A memoryview or mmap handed to .put()/.send()/pool dispatch "
-        "either fails to pickle at the boundary or materialises a "
-        "private copy on the far side that silently stops sharing.  "
-        "Segments travel by name (SharedLpmHandle); buffers stay in the "
-        "process that mapped them.  (The unlink-pairing half of this "
-        "rule moved to the path-sensitive `resource-leak` rule under "
-        "--flow, which sees the exception edges a per-module "
-        "create/unlink census cannot.)"
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for scope in self._scopes(module):
-            yield from self._check_boundary(module, scope)
-
-    @staticmethod
-    def _scopes(module: LintModule) -> List[ast.AST]:
-        scopes: List[ast.AST] = [module.tree]
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node)
-        return scopes
-
-    @staticmethod
-    def _scope_nodes(root: ast.AST) -> Iterator[ast.AST]:
-        """Every node in ``root``'s own scope (nested defs excluded)."""
-        stack = list(ast.iter_child_nodes(root))
-        while stack:
-            node = stack.pop()
-            yield node
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                stack.extend(ast.iter_child_nodes(node))
-
-    @classmethod
-    def _buffer_names(cls, scope: ast.AST) -> Set[str]:
-        """Names bound to raw-buffer views within one scope."""
-        names: Set[str] = set()
-        for node in cls._scope_nodes(scope):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if cls._is_buffer_expr(node.value):
-                names.add(target.id)
-        return names
-
-    @staticmethod
-    def _is_buffer_expr(value: ast.AST) -> bool:
-        if isinstance(value, ast.Attribute) and value.attr == "buf":
-            return True
-        if isinstance(value, ast.Call):
-            segment = _last_segment(value.func)
-            if segment in _BUFFER_FACTORIES:
-                return True
-            if isinstance(value.func, ast.Attribute) and value.func.attr == "cast":
-                return True
-        return False
-
-    def _check_boundary(
-        self, module: LintModule, scope: ast.AST
-    ) -> Iterator[Finding]:
-        buffers = self._buffer_names(scope)
-        if not buffers:
-            return
-        for node in self._scope_nodes(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            if not (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SHM_SINK_METHODS
-            ):
-                continue
-            values = list(node.args) + [kw.value for kw in node.keywords]
-            shipped: List[ast.AST] = []
-            for value in values:
-                shipped.append(value)
-                if isinstance(value, (ast.Tuple, ast.List)):
-                    shipped.extend(value.elts)
-            for value in shipped:
-                if isinstance(value, ast.Name) and value.id in buffers:
-                    yield self.finding(
-                        module,
-                        value,
-                        f"{value.id!r} is a raw buffer view and "
-                        f".{node.func.attr}() ships it across a process "
-                        "boundary; buffers do not survive pickling — send "
-                        "the segment *name* and re-attach on the far side",
-                    )

@@ -21,16 +21,13 @@ environment the engine arms invariant checks inside its hot paths:
 
 A failed invariant raises :class:`repro.errors.SanitizeError` — the run
 stops instead of producing silently wrong clusters.  Passing checks are
-*counted*, drained with :func:`take_stats` at the same seams that drain
-memo statistics (inline after each chunk, through each shm worker's
-shared accumulator), and surfaced through ``EngineMetrics`` so ``--metrics``
-shows the sanitizers actually ran.
+*counted*, drained with :func:`take_stats` at the same seam that drains
+memo statistics (after each applied chunk), and surfaced through
+``EngineMetrics`` so ``--metrics`` shows the sanitizers actually ran.
 
 The mode is off by default and the disabled cost is one ``is_enabled()``
 call per *batch* (never per address): the fast path stays fast.  The
-environment variable is read at import time so worker processes — which
-inherit the driver's environment and import this module fresh — arm
-themselves without any explicit hand-off; tests flip the already-
+environment variable is read at import time; tests flip the already-
 imported module with :func:`set_enabled`.
 """
 
@@ -77,9 +74,8 @@ _ENABLED = _env_enabled()
 class SanitizerStats:
     """Process-local counters for the armed invariant checks.
 
-    Workers drain theirs into the shared accumulator the driver reads
-    per chunk; the driver drains its own after inline chunks and checkpoint
-    writes.  ``crosscheck_clock`` is the sampling clock, monotonic for
+    The engine drains them after every applied chunk and checkpoint
+    write.  ``crosscheck_clock`` is the sampling clock, monotonic for
     the life of the process — it is deliberately *not* reset by
     :meth:`take` so the sampling cadence is independent of drain timing.
     """
@@ -150,10 +146,10 @@ def take_stats() -> Tuple[int, int, int, int]:
 def guard_batch(batch: Any) -> None:
     """Check a ``PackedBatch`` for internal consistency before apply.
 
-    The packed transport carries three parallel arrays plus an interned
-    URL list; a frozen batch that has been mutated (or a transport bug)
-    shows up as a length mismatch or an out-of-range URL id — exactly
-    the drift ``zip`` would otherwise truncate silently.
+    A packed batch carries three parallel arrays plus an interned URL
+    list; a frozen batch that has been mutated (or a packing bug) shows
+    up as a length mismatch or an out-of-range URL id — exactly the
+    drift ``zip`` would otherwise truncate silently.
     """
     length = len(batch.addresses)
     if len(batch.sizes) != length or len(batch.url_ids) != length:

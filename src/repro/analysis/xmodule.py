@@ -14,11 +14,6 @@ those maps:
 * **cli-doc-drift** — every ``add_argument`` flag across the CLIs is
   documented in the project docs (README/DESIGN), and no documented
   flag is stale.
-* **fork-safety** — a static race detector for the multiprocessing
-  engine: functions reachable from the worker-process boundary
-  (``Process(target=…)``, pool initializers, dispatch calls) must not
-  read or mutate module-level mutable state, and objects already
-  shipped to workers must not be mutated afterwards.
 * **error-taxonomy-reachability** — every class in ``repro.errors`` is
   exported in ``__all__`` and actually raised (or warned, or serves as
   a family root) somewhere in the tree.
@@ -29,10 +24,9 @@ those maps:
 
 Findings reuse the PR 4 :class:`~repro.analysis.core.Finding` type and
 per-line suppression comments; ``repro-lint --project`` is the CLI
-front end.  The analysis is deliberately over-approximate where it
-must be (attribute calls resolve by method name across every project
-class) — for a tree this size, a few extra edges in the call graph are
-far cheaper than a missed race.
+front end.  The call graph is deliberately over-approximate (attribute
+calls resolve by method name across every project class) — for a tree
+this size, a few extra edges are far cheaper than a missed callee.
 """
 
 from __future__ import annotations
@@ -60,7 +54,7 @@ from repro.analysis.core import (
     _iter_python_files,
     apply_suppressions,
 )
-from repro.analysis.rules import _DISPATCH_METHODS, _dotted_name, _last_segment
+from repro.analysis.rules import _last_segment
 
 __all__ = [
     "Project",
@@ -735,437 +729,6 @@ class CliDocDriftRule(ProjectRule):
                     )
 
 
-# -- rule: fork-safety ------------------------------------------------------
-
-
-#: Module globals that worker-reachable code may legitimately touch.
-#: ``shm._LIVE_SEGMENTS`` is *per-process* state: it registers the
-#: segments *this* process created or attached so the atexit guard can
-#: reclaim them; a forked child starts from a copy and only ever
-#: removes its own attachments — nothing merges back, by design.
-FORK_SAFE_GLOBALS: Dict[str, "frozenset[str]"] = {
-    "repro.engine.shm": frozenset(
-        {"_LIVE_SEGMENTS", "_PUBLISH_CACHE", "_ENTRIES_CACHE"}
-    ),
-}
-
-#: Constructors that start worker processes, and the keyword naming
-#: the function those workers enter through.
-_WORKER_ENTRY_KEYWORDS = {"Pool": "initializer", "Process": "target"}
-
-#: Modules whose state is process-local *by design* and explicitly
-#: drained across the process boundary (the sanitize counters travel
-#: through the shm workers' shared accumulator), so their internals are
-#: exempt.
-FORK_SAFE_MODULES = frozenset({"repro.analysis.sanitize"})
-
-#: Method calls that mutate their receiver in place.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "extend",
-        "extendleft",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "clear",
-        "remove",
-        "discard",
-        "sort",
-        "reverse",
-        "write",
-    }
-)
-
-#: Constructors whose module-level result is mutable shared state.
-_MUTABLE_CTORS = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
-     "OrderedDict", "array"}
-)
-
-
-def _local_names(func: ast.FunctionDef) -> Set[str]:
-    """Names bound locally in ``func`` (params and stores), which shadow
-    module globals — minus names the function declares ``global``."""
-    names: Set[str] = set()
-    args = func.args
-    for arg in (
-        list(getattr(args, "posonlyargs", []))
-        + args.args
-        + args.kwonlyargs
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        names.add(arg.arg)
-    declared_global: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-        elif isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            names.add(node.id)
-    return names - declared_global
-
-
-@register_project
-class ForkSafetyRule(ProjectRule):
-    """Static race detection across the pool-dispatch boundary."""
-
-    rule_id = "fork-safety"
-    summary = (
-        "worker-reachable code must not touch module-level mutable state, "
-        "and objects already dispatched to the pool must not be mutated"
-    )
-    rationale = (
-        "a module global mutated in a worker diverges silently between "
-        "processes (fork copies it; nothing merges it back), and on "
-        "fork-start platforms an object mutated after pickling into a "
-        "dispatch call races the transport — both break the engine's "
-        "bit-identical guarantee in ways no unit test reliably catches."
-    )
-
-    #: In-progress/final map of shipping functions, consulted by
-    #: :meth:`_arg_ships` (set during one check() invocation only).
-    _ships_cache: Optional[
-        Dict[int, Tuple[ast.FunctionDef, bool, Set[int]]]
-    ] = None
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        reachable = self._reachable_from_boundary(project)
-        yield from self._check_global_state(project, reachable)
-        yield from self._check_shipped_mutation(project)
-
-    # -- reachability ----------------------------------------------------
-
-    def _boundary_seeds(self, project: Project) -> List[_FuncRef]:
-        seeds: List[_FuncRef] = []
-        for module in project.iter_modules():
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                entry = _WORKER_ENTRY_KEYWORDS.get(
-                    _last_segment(node.func) or ""
-                )
-                if entry is not None:
-                    for keyword in node.keywords:
-                        if keyword.arg == entry:
-                            seeds.extend(
-                                project.resolve_callable(module, keyword.value)
-                            )
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _DISPATCH_METHODS
-                    and node.args
-                ):
-                    seeds.extend(
-                        project.resolve_callable(module, node.args[0])
-                    )
-        return seeds
-
-    def _reachable_from_boundary(self, project: Project) -> List[_FuncRef]:
-        queue = self._boundary_seeds(project)
-        visited: Set[int] = set()
-        reachable: List[_FuncRef] = []
-        while queue:
-            module, func = queue.pop()
-            if id(func) in visited:
-                continue
-            visited.add(id(func))
-            reachable.append((module, func))
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call):
-                    queue.extend(project.resolve_callable(module, node.func))
-        return reachable
-
-    # -- module-level state checks ---------------------------------------
-
-    def _module_bindings(
-        self, module: LintModule
-    ) -> Tuple[Set[str], Set[str]]:
-        """(all module-level assigned names, the *hazardous* subset).
-
-        A module-level dict/list/set is only a fork hazard if some
-        function actually mutates it — a literal table nobody writes is
-        a frozen constant in all but type, and flagging it would push
-        people toward noise suppressions instead of real fixes.
-        """
-        all_names: Set[str] = set()
-        mutable: Set[str] = set()
-        for node in module.tree.body:
-            targets: List[ast.AST] = []
-            value: Optional[ast.AST] = None
-            if isinstance(node, ast.Assign):
-                targets, value = list(node.targets), node.value
-            elif isinstance(node, ast.AnnAssign):
-                targets, value = [node.target], node.value
-            for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                all_names.add(target.id)
-                if isinstance(
-                    value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                            ast.DictComp, ast.SetComp)
-                ):
-                    mutable.add(target.id)
-                elif (
-                    isinstance(value, ast.Call)
-                    and _last_segment(value.func) in _MUTABLE_CTORS
-                ):
-                    mutable.add(target.id)
-        return all_names, mutable & self._mutated_in_functions(module)
-
-    @staticmethod
-    def _mutated_in_functions(module: LintModule) -> Set[str]:
-        """Names some function body of ``module`` mutates or rebinds."""
-        mutated: Set[str] = set()
-        for outer in ast.walk(module.tree):
-            if not isinstance(outer, _FUNCTION_DEFS):
-                continue
-            locals_ = _local_names(outer)
-            for node in ast.walk(outer):
-                if isinstance(node, ast.Global):
-                    mutated.update(node.names)
-                    continue
-                name = ForkSafetyRule._mutated_name(node)
-                if name is not None and name not in locals_:
-                    mutated.add(name)
-        return mutated
-
-    def _allowed(self, module: LintModule, name: str) -> bool:
-        return name in FORK_SAFE_GLOBALS.get(module.module, frozenset())
-
-    def _check_global_state(
-        self, project: Project, reachable: List[_FuncRef]
-    ) -> Iterator[Finding]:
-        bindings_cache: Dict[str, Tuple[Set[str], Set[str]]] = {}
-        for module, func in reachable:
-            if module.module in FORK_SAFE_MODULES:
-                continue
-            if module.module not in bindings_cache:
-                bindings_cache[module.module] = self._module_bindings(module)
-            all_names, mutable = bindings_cache[module.module]
-            locals_ = _local_names(func)
-            for node in ast.walk(func):
-                if isinstance(node, ast.Global):
-                    for name in node.names:
-                        if not self._allowed(module, name):
-                            yield self.finding(
-                                module.path,
-                                node,
-                                f"worker-reachable '{func.name}' rebinds "
-                                f"module global '{name}' — divergent "
-                                "per-process state",
-                            )
-                elif (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.id in mutable
-                    and node.id not in locals_
-                    and not self._allowed(module, node.id)
-                ):
-                    yield self.finding(
-                        module.path,
-                        node,
-                        f"worker-reachable '{func.name}' reads module-level "
-                        f"mutable '{node.id}' — shared mutable state across "
-                        "the fork boundary",
-                    )
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATOR_METHODS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in all_names
-                    and node.func.value.id not in locals_
-                    and not self._allowed(module, node.func.value.id)
-                ):
-                    yield self.finding(
-                        module.path,
-                        node,
-                        f"worker-reachable '{func.name}' mutates module-level "
-                        f"'{node.func.value.id}' in place",
-                    )
-                elif (
-                    isinstance(node, (ast.Assign, ast.AugAssign))
-                    and self._subscript_base(node) is not None
-                ):
-                    base = self._subscript_base(node)
-                    if (
-                        base in all_names
-                        and base not in locals_
-                        and not self._allowed(module, base)
-                    ):
-                        yield self.finding(
-                            module.path,
-                            node,
-                            f"worker-reachable '{func.name}' assigns into "
-                            f"module-level '{base}'",
-                        )
-
-    @staticmethod
-    def _subscript_base(node: ast.AST) -> Optional[str]:
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        for target in targets:
-            if isinstance(target, ast.Subscript) and isinstance(
-                target.value, ast.Name
-            ):
-                return target.value.id
-        return None
-
-    # -- shipped-object mutation -----------------------------------------
-
-    def _all_functions(
-        self, project: Project
-    ) -> List[Tuple[LintModule, ast.FunctionDef, bool]]:
-        """(module, func, is_method) for every def in the project."""
-        out: List[Tuple[LintModule, ast.FunctionDef, bool]] = []
-        for module in project.iter_modules():
-            for func in project.top_functions(module.module).values():
-                out.append((module, func, False))
-            for class_def in project.classes(module.module).values():
-                for node in class_def.body:
-                    if isinstance(node, _FUNCTION_DEFS):
-                        out.append((module, node, True))
-        return out
-
-    @staticmethod
-    def _param_index(func: ast.FunctionDef, name: str) -> Optional[int]:
-        args = func.args
-        params = list(getattr(args, "posonlyargs", [])) + args.args
-        for index, arg in enumerate(params):
-            if arg.arg == name:
-                return index
-        return None
-
-    def _shipping_functions(
-        self, project: Project
-    ) -> Dict[int, Tuple[ast.FunctionDef, bool, Set[int]]]:
-        """Fixpoint of "param index N of function F ships to the pool"."""
-        functions = self._all_functions(project)
-        ships: Dict[int, Tuple[ast.FunctionDef, bool, Set[int]]] = {
-            id(func): (func, is_method, set())
-            for _module, func, is_method in functions
-        }
-        # Visible to _arg_ships while the fixpoint runs, so a call to an
-        # already-marked shipping function propagates on later rounds.
-        self._ships_cache = ships
-        for _round in range(10):
-            changed = False
-            for module, func, is_method in functions:
-                shipped = ships[id(func)][2]
-                before = len(shipped)
-                for node in ast.walk(func):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    for position, arg in enumerate(node.args):
-                        if not isinstance(arg, ast.Name):
-                            continue
-                        if not self._arg_ships(project, module, node, position):
-                            continue
-                        index = self._param_index(func, arg.id)
-                        if index is not None:
-                            shipped.add(index)
-                if len(shipped) != before:
-                    changed = True
-            if not changed:
-                break
-        return ships
-
-    def _arg_ships(
-        self,
-        project: Project,
-        module: LintModule,
-        call: ast.Call,
-        position: int,
-    ) -> bool:
-        """Does positional ``position`` of ``call`` reach the pool?"""
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in _DISPATCH_METHODS
-        ):
-            return True
-        ships = getattr(self, "_ships_cache", None)
-        if ships is None:
-            return False
-        via_attribute = isinstance(call.func, ast.Attribute)
-        for _target_module, target in project.resolve_callable(
-            module, call.func
-        ):
-            entry = ships.get(id(target))
-            if entry is None:
-                continue
-            _func, is_method, shipped = entry
-            offset = 1 if (is_method and via_attribute) else 0
-            if position + offset in shipped:
-                return True
-        return False
-
-    def _check_shipped_mutation(self, project: Project) -> Iterator[Finding]:
-        self._ships_cache = self._shipping_functions(project)
-        try:
-            for module, func, _is_method in self._all_functions(project):
-                if module.module in FORK_SAFE_MODULES:
-                    continue
-                ship_lines: Dict[str, int] = {}
-                for node in ast.walk(func):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    for position, arg in enumerate(node.args):
-                        if isinstance(arg, ast.Name) and self._arg_ships(
-                            project, module, node, position
-                        ):
-                            line = ship_lines.get(arg.id)
-                            if line is None or node.lineno < line:
-                                ship_lines[arg.id] = node.lineno
-                if not ship_lines:
-                    continue
-                for node in ast.walk(func):
-                    name = self._mutated_name(node)
-                    if name is None:
-                        continue
-                    shipped_at = ship_lines.get(name)
-                    if shipped_at is not None and node.lineno > shipped_at:
-                        yield self.finding(
-                            module.path,
-                            node,
-                            f"'{name}' was dispatched to the worker pool at "
-                            f"line {shipped_at} and is mutated afterwards — "
-                            "on fork-start platforms this races the "
-                            "transport pickling",
-                        )
-        finally:
-            self._ships_cache = None
-
-    @staticmethod
-    def _mutated_name(node: ast.AST) -> Optional[str]:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATOR_METHODS
-            and isinstance(node.func.value, ast.Name)
-        ):
-            return node.func.value.id
-        base = ForkSafetyRule._subscript_base(node)
-        if base is not None:
-            return base
-        if isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Name
-                ):
-                    return target.value.id
-        return None
-
-
 # -- rule: error-taxonomy-reachability --------------------------------------
 
 
@@ -1289,8 +852,8 @@ class CheckpointSchemaRule(ProjectRule):
     rule_id = "checkpoint-schema-drift"
     summary = "__getstate__/__setstate__ tuple arities match"
     rationale = (
-        "a state-tuple drift is invisible until a table crosses a "
-        "process boundary — or worse, arrives wrong.  The tuple a "
+        "a state-tuple drift is invisible until a table is pickled and "
+        "unpickled — or worse, arrives wrong.  The tuple a "
         "__getstate__ produces and its __setstate__ unpacks are one "
         "contract spread over two methods; this rule pins them together."
     )

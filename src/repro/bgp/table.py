@@ -246,7 +246,7 @@ class MergedPrefixTable:
         Compile hook for :class:`repro.engine.packed.PackedLpm`: the
         engine packs this list into its immutable lookup arrays, so the
         merged table remains the build-side structure routing swaps
-        mutate, and workers get a frozen copy.
+        mutate, and the engine gets its own compiled copy.
         """
         return self._tree.export_entries()
 

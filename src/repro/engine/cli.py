@@ -3,12 +3,10 @@
 The full engine surface over real CLF logs and real dump files::
 
     repro-engine access.log --table routes-a.txt --table routes-b.txt \
-        --shards 4 --chunk-size 16384 --checkpoint run.ckpt
+        --chunk-size 16384 --checkpoint run.ckpt
 
-Ingestion streams the log in constant memory, fanning batches out to
-shard workers.  With ``--shards`` > 1 the workers are persistent
-processes attached to the LPM table through shared memory (the
-zero-copy hot path, :mod:`repro.engine.shm`).  ``--checkpoint`` writes
+Ingestion streams the log in constant memory, one chunk at a time, in
+one process.  ``--checkpoint`` writes
 the versioned engine state at the end of the run (and every
 ``--checkpoint-every`` entries along the way); ``--resume`` restores
 from that file first.  Checkpoints record
@@ -18,7 +16,7 @@ run finishes with the same cluster table an uninterrupted run produces
 — no entry is ever counted twice.  Resuming against a *different* log
 ingests all of it on top of the restored state (append mode).
 ``--metrics`` prints the engine's counters (entries/sec, batch
-latency, shard skew).
+latency, fault accounting).
 
 ``--lpm stride`` swaps the packed table's per-lookup binary search for
 a stride-16 direct index, and ``--memo-size N`` memoizes up to N
@@ -30,13 +28,12 @@ share a prefix-set digest.
 
 Ingestion runs supervised (:mod:`repro.engine.supervisor`): failed
 chunks are retried with exponential backoff (``--retries``,
-``--backoff``), chunks that keep failing are quarantined to a
-dead-letter file (``--quarantine``), and when the worker pool keeps
-dying the run degrades to inline ingestion unless ``--no-degrade``
-forbids it.  ``--inject PLAN.json`` arms a :mod:`repro.faults` plan —
-the chaos-testing entry point.  Checkpoints are atomic and
-CRC-verified after every write; a corrupt file fails ``--resume`` with
-a specific, actionable error instead of garbage state.
+``--backoff``), and chunks that keep failing are quarantined to a
+dead-letter file (``--quarantine``).  ``--inject PLAN.json`` arms a
+:mod:`repro.faults` plan — the chaos-testing entry point.  Checkpoints
+are atomic and CRC-verified after every write; a corrupt file fails
+``--resume`` with a specific, actionable error instead of garbage
+state.
 
 ``repro-engine serve ...`` switches to the long-lived daemon mode
 (:mod:`repro.serve`): an ndjson stream of weblog requests and BGP
@@ -68,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-engine",
         description=(
-            "High-throughput streaming client clustering: sharded batch "
+            "High-throughput streaming client clustering: batch "
             "ingestion of a CLF access log against a packed LPM table "
             "compiled from BGP routing-table dumps."
         ),
@@ -93,14 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
              "clusters stay identical",
     )
     parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="hash-partitioned shards; above 1, one persistent worker "
-             "process per shard attached to the table through shared "
-             "memory (default 1 = in-process)",
-    )
-    parser.add_argument(
         "--chunk-size", type=int, default=8192, metavar="N",
-        help="entries per dispatched batch (default 8192)",
+        help="entries per applied batch (default 8192)",
     )
     parser.add_argument(
         "--max-errors", type=int, default=None, metavar="N",
@@ -125,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retries", type=int, default=2, metavar="N",
-        help="re-dispatches of a failed chunk before quarantining it "
+        help="re-applications of a failed chunk before quarantining it "
              "(default 2)",
     )
     parser.add_argument(
@@ -140,24 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
              "but not persisted)",
     )
     parser.add_argument(
-        "--no-degrade", action="store_true",
-        help="never fall back to inline single-process ingestion when "
-             "the worker pool keeps dying (fail instead)",
-    )
-    parser.add_argument(
-        "--dispatch-timeout", type=float, default=None, metavar="SECONDS",
-        help="declare a dispatched chunk failed after SECONDS (recovers "
-             "from hung/killed workers; default: wait forever)",
-    )
-    parser.add_argument(
         "--inject", metavar="PLAN.json", default=None,
         help="arm a repro.faults FaultPlan (chaos testing): injected "
-             "worker crashes, checkpoint corruption, dirty input",
+             "chunk failures, checkpoint corruption, dirty input",
     )
     parser.add_argument(
         "--metrics", action="store_true",
-        help="print engine counters (entries/sec, latency, shard skew, "
-             "fault accounting)",
+        help="print engine counters (entries/sec, latency, fault "
+             "accounting)",
     )
     parser.add_argument(
         "--busy", type=float, default=None, metavar="SHARE",
@@ -175,19 +156,13 @@ def _build_engine(
     table: PackedLpm,
     injector: Optional[FaultInjector],
 ) -> SupervisedEngine:
-    config = EngineConfig(
-        num_shards=args.shards,
-        chunk_size=args.chunk_size,
-        name=args.log,
-        dispatch_timeout=args.dispatch_timeout,
-    )
+    config = EngineConfig(chunk_size=args.chunk_size, name=args.log)
     supervision = SupervisorConfig(
         max_retries=args.retries,
         backoff_base=args.backoff,
         quarantine_path=args.quarantine,
-        allow_degraded=not args.no_degrade,
     )
-    metrics = EngineMetrics(args.shards)
+    metrics = EngineMetrics(1)
     engine: Optional[ShardedClusterEngine] = None
     if args.resume:
         if os.path.exists(args.checkpoint):
@@ -270,16 +245,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--checkpoint-every requires --checkpoint PATH")
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint PATH")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
     if args.chunk_size < 1:
         parser.error("--chunk-size must be >= 1")
     if args.memo_size < 0:
         parser.error("--memo-size must be >= 0")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
-    if args.dispatch_timeout is not None and args.dispatch_timeout <= 0:
-        parser.error("--dispatch-timeout must be positive")
 
     injector: Optional[FaultInjector] = None
     if args.inject:
@@ -360,12 +331,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"warning: {int(snap['chunks_quarantined'])} chunk(s) / "
                 f"{int(snap['entries_quarantined']):,} entries quarantined "
                 f"after {args.retries} retries each — {destination}",
-                file=sys.stderr,
-            )
-        if engine.degraded:
-            print(
-                "warning: worker pool kept dying; run finished in "
-                "degraded (inline single-process) mode",
                 file=sys.stderr,
             )
         if engine.entries_ingested == 0:

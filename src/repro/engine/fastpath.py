@@ -1,10 +1,11 @@
 """The engine's fast path: stride-indexed LPM, memoized resolution,
-and packed zero-copy chunk transport.
+and a flat-buffer batch form.
 
-Three independent optimisations of the ingestion hot loop, selectable
+Two independent optimisations of the ingestion hot loop, selectable
 from the CLI (``--lpm``, ``--memo-size``) and composable with every
 existing engine feature (sharding, checkpoints, supervision, fault
-injection) because each one preserves the surrounding contract exactly:
+injection) because each one preserves the surrounding contract exactly,
+plus the flat-buffer batch the benchmark harness packs and folds:
 
 * :class:`StrideLpm` — a :class:`~repro.engine.packed.PackedLpm`
   whose top 16 address bits index a flat 2^16-entry slot table.  A
@@ -19,17 +20,15 @@ injection) because each one preserves the surrounding contract exactly:
   seen before costs one dict probe instead of an LPM search.  The memo
   is bounded (FIFO eviction) and its hit/miss/eviction counts flow
   into :class:`~repro.engine.metrics.EngineMetrics`.
-* :class:`PackedBatch` — the wire format of a dispatched shard batch:
-  a flat ``array('Q')`` of client addresses, a flat ``array('Q')`` of
+* :class:`PackedBatch` — one shard's batch as flat buffers: a flat
+  ``array('Q')`` of client addresses, a flat ``array('Q')`` of
   response sizes, and URLs interned into a per-batch string table
-  referenced by ``array('L')`` ids.  Pickling three flat buffers and
-  one deduplicated string tuple is far cheaper than pickling one
-  Python tuple per request, and the worker folds the batch into its
-  :class:`~repro.engine.state.ClusterStore` without ever
-  materialising per-entry objects.
+  referenced by ``array('L')`` ids;
+  :meth:`~repro.engine.state.ClusterStore.apply_packed` folds it
+  without materialising per-entry objects.
 
 Correctness is pinned by tests: every table kind, memo size, and
-transport path produces clusters bit-identical to
+shard count produces clusters bit-identical to
 :func:`repro.core.clustering.cluster_log`, including under fault
 plans and across checkpoint/resume.
 """
@@ -72,7 +71,6 @@ __all__ = [
     "MemoizedLookup",
     "PackedBatch",
     "build_lpm_table",
-    "build_table_view",
     "LPM_KINDS",
     "DEFAULT_MEMO_SIZE",
 ]
@@ -325,9 +323,9 @@ class MemoizedLookup:
     Counters (``hits`` / ``misses`` / ``evictions``) accumulate per
     wrapper; the engine drains them into
     :class:`~repro.engine.metrics.EngineMetrics` via
-    :meth:`take_memo_stats` after each dispatched chunk.  The wrapper
-    pickles *without* its memo or counters — each worker process warms
-    its own memo over its own shard's clients.
+    :meth:`take_memo_stats` after each applied chunk.  The wrapper
+    pickles *without* its memo or counters: those are working state of
+    the process that warmed them.
     """
 
     __slots__ = (
@@ -524,8 +522,7 @@ class MemoizedLookup:
     # -- pickling --------------------------------------------------------
 
     def __getstate__(self) -> Tuple[Any, int]:
-        # The memo and its counters are process-local working state:
-        # workers warm their own over their own shard's clients.
+        # The memo and its counters are process-local working state.
         return (self.table, self.maxsize)
 
     def __setstate__(self, state: Tuple[Any, int]) -> None:
@@ -536,17 +533,14 @@ class MemoizedLookup:
 
 
 class PackedBatch:
-    """One shard's dispatched work as flat buffers, not tuple lists.
+    """One shard's batch as flat buffers, not tuple lists.
 
     ``addresses`` and ``sizes`` are ``array('Q')``; ``url_ids`` is an
     ``array('L')`` of indices into ``urls``, the batch's interned
-    string table (each distinct URL pickled once however often it
-    repeats).  The arrays pickle as single contiguous buffers — the
-    "zero-copy" of the wire format: serialisation cost no longer scales
-    with per-entry Python object count.
+    string table (each distinct URL stored once however often it
+    repeats).  The arrays pickle as single contiguous buffers.
 
-    Workers consume batches with
-    :meth:`repro.engine.state.ClusterStore.apply_packed`;
+    :meth:`repro.engine.state.ClusterStore.apply_packed` folds a batch;
     :meth:`iter_triples` recovers the plain ``(client, url, size)``
     stream for code that still wants tuples.
     """
@@ -637,41 +631,3 @@ def build_lpm_table(
         table = MemoizedLookup(table, memo_size)
     return table
 
-
-def build_table_view(
-    kind: str,
-    starts: Any,
-    owners: Any,
-    slots: Any,
-    entries: Tuple[Any, Any, Any],
-    epoch: int,
-    deltas_applied: int,
-) -> PackedLpm:
-    """Reconstruct a table *around* existing buffers, copying nothing.
-
-    The buffer parameters may be plain ``array`` objects or
-    ``memoryview`` casts over a ``multiprocessing.shared_memory``
-    segment — anything ``bisect_right`` can search (``starts`` cast
-    ``'Q'``, ``owners``/``slots`` cast ``'q'``).
-    ``entries`` carries the Python-object side as ``(prefixes, values,
-    runs)``; ``runs`` (and ``slots``) are only consulted for
-    ``kind="stride"``.  A view built over borrowed buffers reports
-    :attr:`PackedLpm.is_view` and refuses ``apply_delta`` — patch the
-    owning table and republish instead.
-    """
-    prefixes, values, runs = entries
-    packed_state: _PackedState = (
-        starts, owners, tuple(prefixes), tuple(values),
-        epoch, deltas_applied,
-    )
-    if kind == "packed":
-        packed = PackedLpm.__new__(PackedLpm)
-        packed.__setstate__(packed_state)
-        return packed
-    if kind == "stride":
-        stride = StrideLpm.__new__(StrideLpm)
-        stride.__setstate__((packed_state, slots, list(runs)))
-        return stride
-    raise ValueError(
-        f"unknown LPM table kind {kind!r} (choose from {LPM_KINDS})"
-    )

@@ -26,7 +26,6 @@ class EngineMetrics:
         self.batches = 0
         self.malformed_skipped = 0
         self.checkpoints_written = 0
-        self.worker_restarts = 0
         self.chunk_retries = 0
         self.chunks_quarantined = 0
         self.entries_quarantined = 0
@@ -51,8 +50,6 @@ class EngineMetrics:
         self.wal_truncated_frames = 0
         self.wal_enospc_recoveries = 0
         self.shed_events = 0
-        self.shm_unlink_failures = 0
-        self.degraded = False
         self.total_seconds = 0.0
         self.max_batch_seconds = 0.0
         self.patch_seconds = 0.0
@@ -80,12 +77,8 @@ class EngineMetrics:
     def record_checkpoint(self) -> None:
         self.checkpoints_written += 1
 
-    def record_worker_restart(self) -> None:
-        """The worker group was torn down and will be rebuilt."""
-        self.worker_restarts += 1
-
     def record_retry(self) -> None:
-        """A failed chunk was re-dispatched."""
+        """A failed chunk was re-applied."""
         self.chunk_retries += 1
 
     def record_quarantine(self, entries: int) -> None:
@@ -102,7 +95,7 @@ class EngineMetrics:
     def record_memo(self, hits: int, misses: int, evictions: int) -> None:
         """Fold in one drain of a
         :class:`~repro.engine.fastpath.MemoizedLookup`'s counters
-        (driver-side after inline chunks, worker-reported otherwise)."""
+        (after every applied chunk)."""
         self.memo_hits += hits
         self.memo_misses += misses
         self.memo_evictions += evictions
@@ -132,9 +125,8 @@ class EngineMetrics:
         rng_draws: int,
     ) -> None:
         """Fold in one drain of :func:`repro.analysis.sanitize.take_stats`
-        (worker-reported for pooled chunks, driver-side after inline
-        chunks and checkpoint writes).  All-zero when ``REPRO_SANITIZE``
-        is off."""
+        (after every applied chunk and checkpoint write).  All-zero when
+        ``REPRO_SANITIZE`` is off."""
         self.sanitize_batch_checks += batch_checks
         self.sanitize_lpm_crosschecks += lpm_crosschecks
         self.sanitize_checkpoint_readbacks += checkpoint_readbacks
@@ -175,17 +167,6 @@ class EngineMetrics:
         """``count`` log events were dropped by ingress overload
         shedding (routing deltas are never shed)."""
         self.shed_events += count
-
-    def record_shm_unlink_failures(self, count: int = 1) -> None:
-        """``count`` shared-memory segments either failed to close or
-        unlink on a teardown path, or were found leaked by a previous
-        run and reclaimed at publish time.  Nonzero values mean cleanup
-        needed the backstop — worth a look, not an error."""
-        self.shm_unlink_failures += count
-
-    def record_degraded(self) -> None:
-        """The run fell back to inline (single-process) ingestion."""
-        self.degraded = True
 
     # -- derived figures -------------------------------------------------
 
@@ -234,7 +215,6 @@ class EngineMetrics:
             "batches": self.batches,
             "malformed_skipped": self.malformed_skipped,
             "checkpoints_written": self.checkpoints_written,
-            "worker_restarts": self.worker_restarts,
             "chunk_retries": self.chunk_retries,
             "chunks_quarantined": self.chunks_quarantined,
             "entries_quarantined": self.entries_quarantined,
@@ -259,8 +239,6 @@ class EngineMetrics:
             "wal_truncated_frames": self.wal_truncated_frames,
             "wal_enospc_recoveries": self.wal_enospc_recoveries,
             "shed_events": self.shed_events,
-            "shm_unlink_failures": self.shm_unlink_failures,
-            "degraded": int(self.degraded),
             "num_shards": self.num_shards,
             "total_seconds": self.total_seconds,
             "mean_batch_seconds": self.mean_batch_seconds,
@@ -282,7 +260,6 @@ class EngineMetrics:
             "batches",
             "malformed_skipped",
             "checkpoints_written",
-            "worker_restarts",
             "chunk_retries",
             "chunks_quarantined",
             "entries_quarantined",
@@ -307,8 +284,6 @@ class EngineMetrics:
             "wal_truncated_frames",
             "wal_enospc_recoveries",
             "shed_events",
-            "shm_unlink_failures",
-            "degraded",
             "num_shards",
         ):
             rows.append([key, format_count(int(snap[key]))])

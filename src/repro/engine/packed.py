@@ -35,14 +35,12 @@ patched one appends announced entries (or reuses a withdrawn entry's
 freed handle), tombstones withdrawn ones with ``None``, and keeps the
 sorted order on the side.  Handles of two table objects are therefore
 not comparable — resolve them to prefixes first — and every serialised
-form (:meth:`PackedLpm.__getstate__`, hence pickles and shared-memory
-segments) renumbers to the canonical
-dense form, so a patched table serialises byte-for-byte like a
+form (:meth:`PackedLpm.__getstate__`, hence pickles) renumbers to the
+canonical dense form, so a patched table serialises byte-for-byte like a
 from-scratch compile of the same routes
 (:meth:`PackedLpm.verify_patched` enforces the equivalence).
 
-The whole table is a handful of picklable flat objects, so it ships to
-worker processes once and is shared read-only from then on.  Batch
+The whole table is a handful of picklable flat objects.  Batch
 lookups (:meth:`lookup_many`) do one ``bisect`` call — C code — per
 address, which is what lets the engine outrun the per-entry trie loop.
 """
@@ -245,14 +243,6 @@ class PackedLpm:
         this table's lifetime (noop withdrawals excluded)."""
         return self._deltas_applied
 
-    @property
-    def is_view(self) -> bool:
-        """True when the interval buffers are borrowed — ``memoryview``
-        casts over a shared-memory segment — rather than arrays this
-        table owns.  Views serve lookups at full speed but refuse
-        in-place patching."""
-        return not isinstance(self._starts, array)
-
     def items(self) -> Iterable[Tuple[Prefix, Any]]:
         """Iterate ``(prefix, value)`` entries in address order."""
         return zip(*self._sorted_entries())
@@ -389,12 +379,6 @@ class PackedLpm:
         Returns a :class:`PatchResult` carrying the affected address
         windows that downstream caches need for selective invalidation.
         """
-        if self.is_view:
-            raise TypeError(
-                "cannot patch a buffer-backed LPM view in place: the "
-                "interval arrays are borrowed (shared memory) — patch "
-                "the owning table and republish its segments instead"
-            )
         keys, handles = self._sorted_view()
 
         updates: Dict[int, Any] = {}

@@ -2,8 +2,8 @@
 
 :class:`ClusterStore` is the engine's unit of mutable state.  Each
 shard owns one; batches of requests are folded in with
-:meth:`apply_batch`, partial stores from worker processes merge with
-:meth:`merge`, and :meth:`snapshot` materialises a plain
+:meth:`apply_batch`, per-shard stores merge with :meth:`merge`, and
+:meth:`snapshot` materialises a plain
 :class:`~repro.core.clustering.ClusterSet` so the entire downstream
 toolchain (thresholding, validation, placement, caching) runs on
 engine output unchanged.
@@ -136,7 +136,7 @@ class ClusterStore:
 
     The store accepts *request triples* ``(client, url, size)`` — the
     projection of a :class:`~repro.weblog.entry.LogEntry` the cluster
-    metrics need — so worker batches stay small on the wire.
+    metrics need — so a batch holds nothing clustering does not read.
     """
 
     def __init__(self) -> None:
@@ -190,7 +190,7 @@ class ClusterStore:
 
         The flat-buffer twin of :meth:`apply_batch`: clients, sizes and
         interned URL ids stream straight out of their arrays, so no
-        per-entry tuple ever exists on the worker.  Accumulation order
+        per-entry tuple is ever built.  Accumulation order
         and results are identical to :meth:`apply_batch` over
         ``batch.iter_triples()``.
         """
@@ -261,7 +261,7 @@ class ClusterStore:
         """Fold ``other`` into this store (commutative up to snapshot).
 
         Accumulators absent from ``self`` are adopted by reference —
-        cheap for transient worker partials; :meth:`copy` first when the
+        cheap for transient partials; :meth:`copy` first when the
         source store lives on."""
         clusters = self._clusters
         for prefix, state in other._clusters.items():

@@ -11,19 +11,15 @@ the recovery machinery (:mod:`repro.engine.supervisor`) keys off the
   rereading), while :class:`CheckpointVersionError` means the file is
   intact but this build cannot read it (not retryable at all — the
   operator must migrate or discard it).
-* **Worker failures** — a shard worker raised, was killed, or stopped
-  responding.  :class:`WorkerCrashError` is what the engine surfaces;
-  the supervisor retries the failed chunk with backoff and quarantines
-  it after ``max_retries`` (:class:`ChunkQuarantinedError` when
-  quarantining itself is disallowed).
+* **Chunk failures** — an armed worker fault failed a chunk before it
+  touched any state.  :class:`WorkerCrashError` is what the engine
+  surfaces; the supervisor retries the failed chunk with backoff and
+  quarantines it after ``max_retries`` (:class:`ChunkQuarantinedError`
+  when quarantining itself is disallowed).
 * **Dirty input** — malformed log or routing-dump lines.  These are
   counted-and-skipped by default (see ``weblog.parser.ParseReport`` and
   ``bgp.formats.DumpReport``); the guard classes here fire only when an
   explicit ``max_errors`` budget is exhausted.
-
-:class:`DegradedModeWarning` is a :class:`UserWarning`, not an error:
-it marks the supervisor abandoning the worker pool and finishing the
-run inline — slower, but bit-for-bit the same output.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ __all__ = [
     "CheckpointTableMismatchError",
     "WorkerCrashError",
     "ChunkQuarantinedError",
-    "SupervisionError",
     "ServeProtocolError",
     "ServeLineTooLongError",
     "ServeDisconnectError",
@@ -45,7 +40,6 @@ __all__ = [
     "WalSealedError",
     "InjectedFault",
     "SanitizeError",
-    "DegradedModeWarning",
     "OverloadShedWarning",
 ]
 
@@ -83,25 +77,20 @@ class CheckpointTableMismatchError(CheckpointError):
     the one the resume supplies."""
 
 
-# -- workers ---------------------------------------------------------------
+# -- chunk failures --------------------------------------------------------
 
 
 class WorkerCrashError(ReproError, RuntimeError):
-    """A shard worker died or raised while processing a batch.
+    """A chunk failed before it was applied (an armed worker fault).
 
-    The chunk that was in flight was *not* applied (per-chunk merges
-    are all-or-nothing), so re-dispatching it is always safe.
+    The chunk was *not* applied (per-chunk application is
+    all-or-nothing), so re-applying it is always safe.
     """
 
 
 class ChunkQuarantinedError(WorkerCrashError):
     """A chunk exhausted its retry budget and quarantining is disabled
-    (``--no-degrade``-style strict runs)."""
-
-
-class SupervisionError(ReproError, RuntimeError):
-    """The supervisor cannot make progress at all: the pool keeps dying
-    and degraded (inline) fallback has been disallowed."""
+    (``SupervisorConfig(allow_quarantine=False)``)."""
 
 
 # -- live serving ----------------------------------------------------------
@@ -199,11 +188,6 @@ class SanitizeError(ReproError, RuntimeError):
 
 
 # -- warnings --------------------------------------------------------------
-
-
-class DegradedModeWarning(UserWarning):
-    """The supervisor gave up on the worker pool and is finishing the
-    run inline in the driver process (same output, reduced throughput)."""
 
 
 class OverloadShedWarning(UserWarning):

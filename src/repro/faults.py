@@ -13,17 +13,9 @@ Injection sites
 =========================  =================================================
 site                       effect
 =========================  =================================================
-``worker.crash``           a shard worker raises mid-batch (clean exception
-                           surfaced to the driver as a pool failure)
-``worker.die``             a shard worker hard-exits (``os._exit``) — the
-                           batch never completes; only a dispatch timeout
-                           can recover
-``worker.slow``            a shard worker sleeps ``arg`` seconds first
-``shm.worker_crash``       a persistent shared-memory worker applies its
-                           batch into the local delta store and then
-                           hard-exits before acking — the driver must
-                           discard worker deltas, replay, and retry over
-                           an intact shared table
+``worker.crash``           a chunk fails before any store is touched, as
+                           a clean :class:`~repro.errors.WorkerCrashError`
+``worker.slow``            a chunk sleeps ``arg`` seconds before applying
 ``checkpoint.corrupt``     one byte of a just-written checkpoint is flipped
 ``checkpoint.truncate``    a just-written checkpoint is cut to ``arg``
                            fraction of its length
@@ -45,13 +37,13 @@ site                       effect
                            frame and keep serving
 =========================  =================================================
 
-Worker faults are *decided in the driver* at dispatch time and shipped
-to the worker as a directive alongside its batch — the decision stays
-deterministic and the plan never has to cross a process boundary.
-Everything is stdlib-only and a plan round-trips through JSON, so chaos
-runs can be driven from the CLI (``repro-engine --inject plan.json``).
+Worker faults are decided per applied chunk
+(:meth:`FaultInjector.worker_directive`) and executed by the engine
+before it touches any store.  Everything is stdlib-only and a plan
+round-trips through JSON, so chaos runs can be driven from the CLI
+(``repro-engine --inject plan.json``).
 
-The no-op default costs one ``is None`` check per dispatch: the happy
+The no-op default costs one ``is None`` check per chunk: the happy
 path is untouched.
 """
 
@@ -60,17 +52,12 @@ from __future__ import annotations
 import json
 import os
 import random
-import time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
-from repro.errors import InjectedFault
-
 __all__ = [
     "SITE_WORKER_CRASH",
-    "SITE_WORKER_DIE",
     "SITE_WORKER_SLOW",
-    "SITE_SHM_WORKER_CRASH",
     "SITE_CHECKPOINT_CORRUPT",
     "SITE_CHECKPOINT_TRUNCATE",
     "SITE_LOG_TRUNCATE",
@@ -81,17 +68,13 @@ __all__ = [
     "SITE_SERVE_DISCONNECT",
     "ALL_SITES",
     "WORKER_SITES",
-    "SHM_WORKER_SITES",
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
-    "execute_worker_directive",
 ]
 
 SITE_WORKER_CRASH = "worker.crash"
-SITE_WORKER_DIE = "worker.die"
 SITE_WORKER_SLOW = "worker.slow"
-SITE_SHM_WORKER_CRASH = "shm.worker_crash"
 SITE_CHECKPOINT_CORRUPT = "checkpoint.corrupt"
 SITE_CHECKPOINT_TRUNCATE = "checkpoint.truncate"
 SITE_LOG_TRUNCATE = "log.truncate"
@@ -103,7 +86,6 @@ SITE_SERVE_DISCONNECT = "serve.disconnect"
 
 ALL_SITES = (
     SITE_WORKER_CRASH,
-    SITE_WORKER_DIE,
     SITE_WORKER_SLOW,
     SITE_CHECKPOINT_CORRUPT,
     SITE_CHECKPOINT_TRUNCATE,
@@ -113,19 +95,10 @@ ALL_SITES = (
     SITE_SERVE_WAL_TORN,
     SITE_SERVE_WAL_ENOSPC,
     SITE_SERVE_DISCONNECT,
-    SITE_SHM_WORKER_CRASH,
 )
 
-#: Sites whose faults are executed inside a worker process (the driver
-#: arms them; :func:`execute_worker_directive` runs them).
-WORKER_SITES = (SITE_WORKER_CRASH, SITE_WORKER_DIE, SITE_WORKER_SLOW)
-
-#: The worker sites visited by the persistent shared-memory dispatch
-#: path: everything the inline path injects, plus the post-apply hard
-#: death unique to shm recovery.  Appended after :data:`WORKER_SITES`
-#: so per-site visit ordering (and plan determinism) is unchanged for
-#: existing chaos plans.
-SHM_WORKER_SITES = WORKER_SITES + (SITE_SHM_WORKER_CRASH,)
+#: Sites visited once per applied chunk (the engine executes them).
+WORKER_SITES = (SITE_WORKER_CRASH, SITE_WORKER_SLOW)
 
 
 @dataclass(frozen=True)
@@ -133,11 +106,11 @@ class FaultSpec:
     """One planned fault: fire at visit ``at`` to ``site``.
 
     ``count`` is how many consecutive visits fire (``-1`` = every visit
-    from ``at`` on — "the pool keeps dying").  ``arg`` is site-specific:
+    from ``at`` on — "every chunk fails").  ``arg`` is site-specific:
     seconds for ``worker.slow``, surviving length fraction for
     ``checkpoint.truncate``, line budget for ``log.truncate``.
-    ``shard`` pins a worker fault to one shard's batch; ``-1`` lets the
-    injector's RNG pick.
+    ``shard`` names the shard a worker directive reports; ``-1`` lets
+    the injector's RNG pick.
     """
 
     site: str
@@ -249,16 +222,14 @@ class FaultInjector:
     # -- driver-side helpers ---------------------------------------------
 
     def worker_directive(
-        self, num_shards: int, sites: Optional[Tuple[str, ...]] = None
+        self, num_shards: int
     ) -> Optional[Tuple[int, str, float]]:
-        """Arm at most one worker fault for the next dispatch.
+        """Arm at most one worker fault for the next chunk.
 
-        Visits every worker site once per dispatch (``sites`` defaults
-        to :data:`WORKER_SITES`; the shm dispatch path passes
-        :data:`SHM_WORKER_SITES`); returns ``(shard, site, arg)`` for
-        the first armed fault, or ``None``.
+        Visits every :data:`WORKER_SITES` site once per chunk; returns
+        ``(shard, site, arg)`` for the first armed fault, or ``None``.
         """
-        for site in (sites if sites is not None else WORKER_SITES):
+        for site in WORKER_SITES:
             spec = self.fire(site)
             if spec is not None:
                 shard = spec.shard
@@ -325,29 +296,3 @@ class FaultInjector:
             return
         raise ValueError(f"wrap_lines cannot serve site {site!r}")
 
-
-def execute_worker_directive(directive: Tuple[int, str, float]) -> None:
-    """Run an armed worker fault inside the worker process.
-
-    Called by the shard worker when the driver shipped it a directive.
-    ``worker.crash`` raises (a clean pool failure the driver sees as the
-    task's exception); ``worker.die`` hard-exits without cleanup, the
-    closest stdlib analogue to ``kill -9`` — the task never returns and
-    only the supervisor's dispatch timeout can recover; ``worker.slow``
-    sleeps and then processes normally.
-    """
-    _, site, arg = directive
-    if site == SITE_WORKER_SLOW:
-        time.sleep(arg)
-        return
-    if site == SITE_WORKER_CRASH:
-        raise InjectedFault(site, "injected worker crash")
-    if site == SITE_WORKER_DIE:
-        os._exit(17)
-    if site == SITE_SHM_WORKER_CRASH:
-        # The shm worker calls this *after* applying the batch into its
-        # local delta store and before acking: the strongest test of
-        # exactly-once recovery — the driver must throw the doomed
-        # deltas away, replay its acked chunks, and retry this one.
-        os._exit(19)
-    raise ValueError(f"unknown worker directive site: {site!r}")

@@ -233,9 +233,14 @@ class ServeDaemon:
         the checkpoint's ``stream_events`` are re-fed — they are exactly
         the events whose effects the crash destroyed — and the log
         resumes in a fresh segment so the run keeps appending; no
-        upstream replay.  Without one, the upstream is expected again
-        from its start and :meth:`feed` drops the events the checkpoint
-        already holds.  Returns the number of events re-fed.
+        upstream replay.  The re-fed tail is fed, not flushed: whatever
+        the uninterrupted daemon still held buffered at that point (the
+        first half of a run of route deltas, say) stays buffered here
+        too, so the events that follow coalesce with it exactly as they
+        would have without the crash.  Without a WAL, the upstream is
+        expected again from its start and :meth:`feed` drops the events
+        the checkpoint already holds.  Returns the number of events
+        re-fed.
         """
         path = self.config.checkpoint_path
         # A checkpoint that was never written is a legal fresh start
@@ -268,7 +273,6 @@ class ServeDaemon:
                     "not written by this daemon"
                 )
             self.feed(event)
-        self._flush_all()
         self.metrics.record_wal_recovery(len(tail), recovery.truncated_frames)
         self._wal = WalWriter.resume(
             wal_dir,

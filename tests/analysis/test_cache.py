@@ -12,15 +12,11 @@ from repro.analysis.cli import main
 from repro.analysis.core import Finding
 
 LEAKY = (
-    "from multiprocessing.shared_memory import SharedMemory\n"
-    "\n"
-    "\n"
-    "def build(size, flag):\n"
-    "    seg = SharedMemory(create=True, size=size)\n"
+    "def build(path, flag):\n"
+    "    handle = open(path, 'w')\n"
     "    if flag:\n"
     "        return None\n"
-    "    seg.close()\n"
-    "    seg.unlink()\n"
+    "    handle.close()\n"
     "    return None\n"
 )
 
@@ -157,18 +153,14 @@ def test_cli_flow_cache_skips_reanalysis_of_unchanged_modules(
 
 
 FIXED = (
-    "from multiprocessing.shared_memory import SharedMemory\n"
-    "\n"
-    "\n"
-    "def build(size, flag):\n"
-    "    seg = SharedMemory(create=True, size=size)\n"
+    "def build(path, flag):\n"
+    "    handle = open(path, 'w')\n"
     "    try:\n"
     "        if flag:\n"
     "            return None\n"
     "        return None\n"
     "    finally:\n"
-    "        seg.close()\n"
-    "        seg.unlink()\n"
+    "        handle.close()\n"
 )
 
 
@@ -193,28 +185,25 @@ def test_inter_key_tracks_all_three_components():
 
 
 HELPER_RELEASES = (
-    "def teardown(segment):\n"
-    "    segment.close()\n"
-    "    segment.unlink()\n"
+    "def teardown(handle):\n"
+    "    handle.close()\n"
 )
 
 HELPER_FORGETS = (
-    "def teardown(segment):\n"
-    "    segment.flush()\n"
+    "def teardown(handle):\n"
+    "    handle.flush()\n"
 )
 
 CALLER = (
-    "from multiprocessing.shared_memory import SharedMemory\n"
-    "\n"
     "from helper import teardown\n"
     "\n"
     "\n"
-    "def publish(size, queue):\n"
-    "    segment = SharedMemory(name='seg', create=True, size=size)\n"
+    "def publish(path, queue):\n"
+    "    handle = open(path, 'w')\n"
     "    try:\n"
-    "        queue.put(size)\n"
+    "        queue.put(path)\n"
     "    finally:\n"
-    "        teardown(segment)\n"
+    "        teardown(handle)\n"
 )
 
 
@@ -285,8 +274,8 @@ def test_cli_inter_cache_keeps_caller_on_docstring_only_callee_edit(
     # effect summary: the helper re-analyzes, the caller stays cached.
     (helper_tree / "helper.py").write_text(
         HELPER_RELEASES.replace(
-            "def teardown(segment):\n",
-            'def teardown(segment):\n    """Release both handles."""\n',
+            "def teardown(handle):\n",
+            'def teardown(handle):\n    """Release the handle."""\n',
         ),
         encoding="utf-8",
     )

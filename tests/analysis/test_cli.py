@@ -85,27 +85,26 @@ def test_list_rules_prints_catalogue(capsys):
     assert "unseeded-random" in output
     assert "broad-except (suppression requires a reason)" in output
     assert "cross-module rules (--project):" in output
-    assert "fork-safety" in output
+    assert "checkpoint-schema-drift" in output
 
 
-RACY_SNIPPET = textwrap.dedent(
+DRIFTED_STATE_SNIPPET = textwrap.dedent(
     """
-    def _work(job):
-        return job
+    class Box:
+        def __getstate__(self):
+            return (self.a, self.b, self.c)
 
-
-    def dispatch(pool, jobs):
-        pool.map_async(_work, jobs)
-        jobs.append("sentinel")
+        def __setstate__(self, state):
+            self.a, self.b = state
     """
 )
 
 
 class TestProjectMode:
     def test_project_finding_exits_one(self, tmp_path, capsys):
-        (tmp_path / "driver.py").write_text(RACY_SNIPPET)
+        (tmp_path / "store.py").write_text(DRIFTED_STATE_SNIPPET)
         assert main(["--project", str(tmp_path)]) == 1
-        assert "[fork-safety]" in capsys.readouterr().out
+        assert "[checkpoint-schema-drift]" in capsys.readouterr().out
 
     def test_project_clean_exits_zero(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text(CLEAN_SNIPPET)
@@ -113,11 +112,13 @@ class TestProjectMode:
         assert capsys.readouterr().out == ""
 
     def test_select_accepts_project_rule_ids(self, tmp_path):
-        (tmp_path / "driver.py").write_text(RACY_SNIPPET)
-        assert main(["--project", "--select=fork-safety", str(tmp_path)]) == 1
+        (tmp_path / "store.py").write_text(DRIFTED_STATE_SNIPPET)
+        assert main(["--project", "--select=checkpoint-schema-drift",
+                     str(tmp_path)]) == 1
         assert main(["--project", "--select=metrics-drift",
                      str(tmp_path)]) == 0
-        assert main(["--project", "--ignore=fork-safety", str(tmp_path)]) == 0
+        assert main(["--project", "--ignore=checkpoint-schema-drift",
+                     str(tmp_path)]) == 0
 
     def test_project_unknown_rule_is_usage_error(self, tmp_path):
         (tmp_path / "ok.py").write_text(CLEAN_SNIPPET)
@@ -179,7 +180,7 @@ class TestBaseline:
         assert "[mutable-default]" in capsys.readouterr().out
 
     def test_baseline_applies_to_project_findings(self, tmp_path, capsys):
-        (tmp_path / "driver.py").write_text(RACY_SNIPPET)
+        (tmp_path / "store.py").write_text(DRIFTED_STATE_SNIPPET)
         assert main(["--project", "--format=json", str(tmp_path)]) == 1
         baseline = tmp_path / "baseline.json"
         baseline.write_text(capsys.readouterr().out)
@@ -204,37 +205,29 @@ class TestBaseline:
 
 LEAKY_FLOW_SNIPPET = textwrap.dedent(
     """
-    from multiprocessing.shared_memory import SharedMemory
-
-
-    def build(size, queue):
-        seg = SharedMemory(create=True, size=size)
-        queue.put(size)
-        seg.close()
-        seg.unlink()
+    def build(path, queue):
+        handle = open(path, "w")
+        queue.put(path)
+        handle.close()
     """
 )
 
 HELPER_LEAK_TREE = {
-    "segments.py": textwrap.dedent(
+    "logs.py": textwrap.dedent(
         """
-        from multiprocessing.shared_memory import SharedMemory
-
-
-        def make_segment(size):
-            return SharedMemory(name="seg", create=True, size=size)
+        def open_log(path):
+            return open(path, "a")
         """
     ),
     "driver.py": textwrap.dedent(
         """
-        from segments import make_segment
+        from logs import open_log
 
 
-        def publish(size, queue):
-            segment = make_segment(size)
-            queue.put(size)
-            segment.close()
-            segment.unlink()
+        def publish(path, queue):
+            handle = open_log(path)
+            queue.put(path)
+            handle.close()
         """
     ),
 }

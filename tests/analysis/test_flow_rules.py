@@ -1,9 +1,8 @@
 """Good/bad fixture pairs for every path-sensitive rule.
 
-The load-bearing case is the exception-edge-only leak: the syntactic
-`shm-lifecycle` rule is provably blind to it (create and unlink both
-present in the module), while `resource-leak` sees the `except` edge
-between them.
+The load-bearing case is the exception-edge-only leak: a per-module
+open/close census is blind to it (both calls are present), while
+`resource-leak` sees the `except` edge between them.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import textwrap
 from typing import List, Optional
 
-from repro.analysis.core import Finding, LintModule, active_rules, lint_source
+from repro.analysis.core import Finding, LintModule
 from repro.analysis.flow import (
     active_flow_rules,
     analyze_flow,
@@ -43,13 +42,10 @@ def ids(findings: List[Finding]) -> List[str]:
 # -- resource-leak ----------------------------------------------------------
 
 EXCEPTION_EDGE_LEAK = """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def publish(size, queue):
-        segment = SharedMemory(name="seg", create=True, size=size)
-        queue.put(segment.name)
-        segment.close()
-        segment.unlink()
+    def publish(path, queue):
+        handle = open(path, "w")
+        queue.put(path)
+        handle.close()
     """
 
 
@@ -59,31 +55,15 @@ def test_resource_leak_fires_on_exception_edge_only_leak():
     assert "exception" in findings[0].message
 
 
-def test_syntactic_shm_rule_provably_cannot_catch_exception_edge_leak():
-    # Same fixture through the old AST rule: create and unlink are both
-    # present, so the per-module census is satisfied and it stays
-    # silent — the case that motivated the flow pass.
-    findings = lint_source(
-        textwrap.dedent(EXCEPTION_EDGE_LEAK),
-        path="snippet.py",
-        module="repro.simnet.snippet",
-        rules=active_rules(select=["shm-lifecycle"]),
-    )
-    assert findings == []
-
-
 def test_resource_leak_quiet_with_try_finally():
     findings = run_flow(
         """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def publish(size, queue):
-            segment = SharedMemory(name="seg", create=True, size=size)
+        def publish(path, queue):
+            handle = open(path, "w")
             try:
-                queue.put(segment.name)
+                queue.put(path)
             finally:
-                segment.close()
-                segment.unlink()
+                handle.close()
         """,
         rule_id="resource-leak",
     )
@@ -262,77 +242,6 @@ def test_wal_order_ignores_functions_outside_spec():
                 self.events_consumed += 1
         """,
         rule_id="wal-order",
-    )
-    assert findings == []
-
-
-# -- stale-epoch-read -------------------------------------------------------
-
-GUARD_SPEC = """
-        FLOW_SPECS = (
-            {
-                "rule": "stale-epoch-read",
-                "reads": ("dispatch",),
-                "guards": ("is_stale", "_ensure_group"),
-                "invalidators": ("apply_delta",),
-            },
-        )
-        """
-
-
-def test_stale_epoch_read_fires_on_unguarded_dispatch():
-    findings = run_flow(
-        GUARD_SPEC
-        + """
-        class Shard:
-            def run(self, batches):
-                return self.group.dispatch(batches)
-        """,
-        rule_id="stale-epoch-read",
-    )
-    assert ids(findings) == ["stale-epoch-read"]
-
-
-def test_stale_epoch_read_fires_after_republish_point():
-    findings = run_flow(
-        GUARD_SPEC
-        + """
-        class Shard:
-            def run(self, table, delta, batches):
-                group = self._ensure_group(table)
-                table.apply_delta(delta)
-                return group.dispatch(batches)
-        """,
-        rule_id="stale-epoch-read",
-    )
-    assert len(findings) == 1
-
-
-def test_stale_epoch_read_quiet_when_guard_dominates():
-    findings = run_flow(
-        GUARD_SPEC
-        + """
-        class Shard:
-            def run(self, table, batches):
-                group = self._ensure_group(table)
-                return group.dispatch(batches)
-        """,
-        rule_id="stale-epoch-read",
-    )
-    assert findings == []
-
-
-def test_stale_epoch_read_guard_in_branch_test_counts():
-    findings = run_flow(
-        GUARD_SPEC
-        + """
-        class Shard:
-            def run(self, table, batches):
-                if self.group.is_stale(table):
-                    self.rebuild(table)
-                return self.group.dispatch(batches)
-        """,
-        rule_id="stale-epoch-read",
     )
     assert findings == []
 

@@ -54,38 +54,35 @@ def ids(findings: Sequence[Finding]) -> List[str]:
 # -- inter-resource-leak -----------------------------------------------------
 
 HELPER_ACQUIRE_LEAK = """
-    from multiprocessing.shared_memory import SharedMemory
+    def open_log(path):
+        return open(path, "a")
 
-    def make_segment(size):
-        return SharedMemory(name="seg", create=True, size=size)
+    def teardown(handle):
+        handle.close()
 
-    def teardown(segment):
-        segment.close()
-        segment.unlink()
-
-    def publish(size, queue, payload):
-        segment = make_segment(size)
+    def publish(path, queue, payload):
+        handle = open_log(path)
         queue.put(len(payload))
-        teardown(segment)
+        teardown(handle)
     """
 
 
 def test_inter_resource_leak_sees_through_helper_acquire_and_release():
-    # The acquire is hidden in make_segment() and the release in
+    # The acquire is hidden in open_log() and the release in
     # teardown(); queue.put() between them can raise, leaking the
-    # segment on the exception edge.
+    # handle on the exception edge.
     findings = run_inter(
         ("repro.simnet.snippet", HELPER_ACQUIRE_LEAK),
         rule_id="inter-resource-leak",
     )
     assert ids(findings) == ["inter-resource-leak"]
-    assert "segment" in findings[0].message
+    assert "handle" in findings[0].message
     assert "publish" in findings[0].message
 
 
 def test_intraprocedural_pass_misses_the_helper_hidden_leak():
-    # The old --flow pass never sees an acquire: make_segment() is not a
-    # SharedMemory(...) call, and teardown(segment) reads as an escape.
+    # The old --flow pass never sees an acquire: open_log() is not an
+    # open(...) call, and teardown(handle) reads as an escape.
     assert run_intra(("repro.simnet.snippet", HELPER_ACQUIRE_LEAK)) == []
 
 
@@ -94,21 +91,18 @@ def test_inter_resource_leak_quiet_with_try_finally_helper_release():
         (
             "repro.simnet.snippet",
             """
-            from multiprocessing.shared_memory import SharedMemory
+            def open_log(path):
+                return open(path, "a")
 
-            def make_segment(size):
-                return SharedMemory(name="seg", create=True, size=size)
+            def teardown(handle):
+                handle.close()
 
-            def teardown(segment):
-                segment.close()
-                segment.unlink()
-
-            def publish(size, queue, payload):
-                segment = make_segment(size)
+            def publish(path, queue, payload):
+                handle = open_log(path)
                 try:
                     queue.put(len(payload))
                 finally:
-                    teardown(segment)
+                    teardown(handle)
             """,
         ),
         rule_id="inter-resource-leak",
@@ -123,16 +117,13 @@ def test_inter_resource_leak_flags_helper_that_raises_before_release():
         (
             "repro.simnet.snippet",
             """
-            from multiprocessing.shared_memory import SharedMemory
+            def flush_and_close(handle, sink):
+                sink.write(handle.name)
+                handle.close()
 
-            def flush_and_close(segment, sink):
-                sink.write(segment.name)
-                segment.close()
-                segment.unlink()
-
-            def publish(size, sink):
-                segment = SharedMemory(name="seg", create=True, size=size)
-                flush_and_close(segment, sink)
+            def publish(path, sink):
+                handle = open(path, "w")
+                flush_and_close(handle, sink)
             """,
         ),
         rule_id="inter-resource-leak",
@@ -142,7 +133,7 @@ def test_inter_resource_leak_flags_helper_that_raises_before_release():
 
 def test_inter_resource_leak_respects_ownership_transfer_clause():
     # FLOW_SPECS "transfers" marks hand-off points: the registry now
-    # owns the segment, so the caller is clean without a release.
+    # owns the widget, so the caller is clean without a release.
     findings = run_inter(
         (
             "repro.simnet.snippet",
@@ -150,19 +141,16 @@ def test_inter_resource_leak_respects_ownership_transfer_clause():
             FLOW_SPECS = (
                 {
                     "rule": "resource-leak",
-                    "resource": "tracked segment",
-                    "acquire": ("SharedMemory",),
-                    "require_kwarg": "create",
+                    "resource": "tracked widget",
+                    "acquire": ("make_widget",),
                     "release_methods": ("close",),
-                    "transfers": ("adopt_segment",),
+                    "transfers": ("adopt_widget",),
                 },
             )
 
-            from multiprocessing.shared_memory import SharedMemory
-
             def publish(size, registry):
-                segment = SharedMemory(name="seg", create=True, size=size)
-                registry.adopt_segment(segment)
+                widget = make_widget(size)
+                registry.adopt_widget(widget)
             """,
         ),
         rule_id="inter-resource-leak",
@@ -173,24 +161,21 @@ def test_inter_resource_leak_respects_ownership_transfer_clause():
 def test_inter_resource_leak_crosses_module_boundaries():
     findings = run_inter(
         (
-            "repro.simnet.segments",
+            "repro.simnet.logs",
             """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def make_segment(size):
-                return SharedMemory(name="seg", create=True, size=size)
+            def open_log(path):
+                return open(path, "a")
             """,
         ),
         (
             "repro.simnet.driver",
             """
-            from repro.simnet.segments import make_segment
+            from repro.simnet.logs import open_log
 
-            def publish(size, queue):
-                segment = make_segment(size)
-                queue.put(size)
-                segment.close()
-                segment.unlink()
+            def publish(path, queue):
+                handle = open_log(path)
+                queue.put(path)
+                handle.close()
             """,
         ),
         rule_id="inter-resource-leak",
@@ -272,182 +257,6 @@ def test_inter_wal_order_quiet_when_append_precedes_helper_mutation():
     assert findings == []
 
 
-# -- epoch-protocol ----------------------------------------------------------
-
-DISPATCH_AFTER_HELPER_UNLINK = """
-    FLOW_SPECS = (
-        {
-            "rule": "epoch-protocol",
-            "unlink": ("shutdown",),
-            "dispatch": ("dispatch",),
-            "republish": ("republish",),
-        },
-    )
-
-    class Driver:
-        def teardown(self):
-            self.group.shutdown()
-
-        def retry(self, batch):
-            self.teardown()
-            self.group.dispatch(batch)
-    """
-
-
-def test_epoch_protocol_flags_dispatch_after_helper_hidden_unlink():
-    findings = run_inter(
-        ("repro.simnet.snippet", DISPATCH_AFTER_HELPER_UNLINK),
-        rule_id="epoch-protocol",
-    )
-    assert ids(findings) == ["epoch-protocol"]
-    assert "retry" in findings[0].message
-
-
-def test_intraprocedural_pass_has_no_epoch_protocol_rule():
-    assert run_intra(("repro.simnet.snippet", DISPATCH_AFTER_HELPER_UNLINK)) == []
-
-
-def test_epoch_protocol_flags_double_fold_through_helper():
-    findings = run_inter(
-        (
-            "repro.simnet.snippet",
-            """
-            FLOW_SPECS = (
-                {
-                    "rule": "epoch-protocol",
-                    "folds": ("_drain",),
-                    "refresh": ("_await_acks",),
-                },
-            )
-
-            class Group:
-                def _drain(self):
-                    return self.counters.snapshot()
-
-                def totals(self):
-                    return self._drain()
-
-                def dispatch_and_report(self, batch):
-                    self.send(batch)
-                    self._await_acks(1)
-                    first = self._drain()
-                    second = self.totals()
-                    return first + second
-            """,
-        ),
-        rule_id="epoch-protocol",
-    )
-    assert ids(findings) == ["epoch-protocol"]
-    assert "dispatch_and_report" in findings[0].message
-
-
-def test_epoch_protocol_flags_unguarded_read_after_helper_invalidation():
-    findings = run_inter(
-        (
-            "repro.simnet.snippet",
-            """
-            FLOW_SPECS = (
-                {
-                    "rule": "epoch-protocol",
-                    "reads": ("dispatch",),
-                    "guards": ("is_stale",),
-                    "invalidators": ("apply_delta",),
-                },
-            )
-
-            class Driver:
-                def patch(self, announce):
-                    self.table.apply_delta(announce)
-
-                def ingest(self, announce, batch):
-                    if self.group.is_stale(self.table):
-                        self.group = self.republish()
-                    self.patch(announce)
-                    self.group.dispatch(batch)
-            """,
-        ),
-        rule_id="epoch-protocol",
-    )
-    # The guard runs before the helper-hidden invalidation; the dispatch
-    # after patch() needs a fresh guard.
-    assert ids(findings) == ["epoch-protocol"]
-    assert "ingest" in findings[0].message
-
-
-GOOD_PROTOCOL = """
-    FLOW_SPECS = (
-        {
-            "rule": "epoch-protocol",
-            "reads": ("dispatch",),
-            "guards": ("is_stale", "_ensure_group"),
-            "invalidators": ("apply_delta",),
-            "folds": ("_drain",),
-            "refresh": ("_await_acks",),
-            "unlink": ("shutdown",),
-            "dispatch": ("dispatch",),
-            "republish": ("WorkerGroup", "_ensure_group"),
-        },
-    )
-
-    class WorkerGroup:
-        def __init__(self, table):
-            self.table = table
-            self.generation = table.epoch
-
-        def is_stale(self, table):
-            return self.generation != table.epoch
-
-        def _await_acks(self, seq):
-            return [conn.recv() for conn in self.conns]
-
-        def _drain(self):
-            return self.counters.snapshot()
-
-        def dispatch(self, batch):
-            seq = self.send(batch)
-            self._await_acks(seq)
-            return self._drain()
-
-        def sync(self):
-            seq = self.send(None)
-            payloads = self._await_acks(seq)
-            return payloads, self._drain()
-
-        def shutdown(self):
-            for conn in self.conns:
-                conn.close()
-
-    class Engine:
-        def _ensure_group(self):
-            group = self.group
-            if group is not None and group.is_stale(self.table):
-                group.shutdown()
-                group = None
-            if group is None:
-                group = WorkerGroup(self.table)
-                self.group = group
-            return group
-
-        def apply(self, announce):
-            self.table.apply_delta(announce)
-
-        def dispatch_chunk(self, batch):
-            group = self._ensure_group()
-            return group.dispatch(batch)
-    """
-
-
-def test_epoch_protocol_quiet_on_the_real_dispatch_ack_republish_shape():
-    # Mirrors the ShmWorkerGroup flow: every dispatch re-establishes
-    # freshness through _ensure_group (which may tear down and
-    # republish), every fold sits behind an ack round, and the teardown
-    # helper republishes before any further dispatch.
-    findings = run_inter(
-        ("repro.simnet.snippet", GOOD_PROTOCOL), rule_id="epoch-protocol"
-    )
-    assert findings == []
-
-
 # -- summaries and fingerprints ----------------------------------------------
 
 
@@ -463,34 +272,33 @@ def test_summaries_record_helper_release_and_ownership_return():
     )
     teardown = context.summaries["repro.simnet.snippet:teardown"]
     assert teardown.releases_on_return
-    maker = context.summaries["repro.simnet.snippet:make_segment"]
+    maker = context.summaries["repro.simnet.snippet:open_log"]
     assert maker.returns_owned
 
 
 def test_dep_fingerprint_tracks_out_of_module_callee_summaries():
     helper_v1 = (
-        "repro.simnet.segments",
+        "repro.simnet.logs",
         """
-        def teardown(segment):
-            segment.close()
-            segment.unlink()
+        def teardown(handle):
+            handle.close()
         """,
     )
     helper_v2 = (
-        "repro.simnet.segments",
+        "repro.simnet.logs",
         """
-        def teardown(segment):
-            segment.flush()
+        def teardown(handle):
+            handle.flush()
         """,
     )
     caller = (
         "repro.simnet.driver",
         """
-        from repro.simnet.segments import teardown
+        from repro.simnet.logs import teardown
 
-        def publish(segment, queue):
-            queue.put(segment.name)
-            teardown(segment)
+        def publish(handle, queue):
+            queue.put(handle.name)
+            teardown(handle)
         """,
     )
     modules_v1, context_v1 = _context(helper_v1, caller)
@@ -504,8 +312,8 @@ def test_dep_fingerprint_tracks_out_of_module_callee_summaries():
     helper_v1_commented = (
         helper_v1[0],
         helper_v1[1].replace(
-            "def teardown(segment):",
-            'def teardown(segment):\n            """Release both handles."""',
+            "def teardown(handle):",
+            'def teardown(handle):\n            """Release the handle."""',
         ),
     )
     modules_v3, context_v3 = _context(helper_v1_commented, caller)
@@ -522,21 +330,18 @@ def test_recursive_helpers_reach_a_fixpoint():
         (
             "repro.simnet.snippet",
             """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def release_even(segment, depth):
+            def release_even(handle, depth):
                 if depth > 0:
-                    release_odd(segment, depth - 1)
+                    release_odd(handle, depth - 1)
                 else:
-                    segment.close()
-                    segment.unlink()
+                    handle.close()
 
-            def release_odd(segment, depth):
-                release_even(segment, depth)
+            def release_odd(handle, depth):
+                release_even(handle, depth)
 
-            def publish(size):
-                segment = SharedMemory(name="seg", create=True, size=size)
-                release_even(segment, 2)
+            def publish(path):
+                handle = open(path, "w")
+                release_even(handle, 2)
             """,
         ),
         rule_id="inter-resource-leak",
@@ -551,14 +356,13 @@ def test_unknown_callees_are_havocked_not_trusted():
         (
             "repro.simnet.snippet",
             """
-            from multiprocessing.shared_memory import SharedMemory
             from somewhere.external import mystery_cleanup
 
-            def make_segment(size):
-                return SharedMemory(name="seg", create=True, size=size)
+            def open_log(path):
+                return open(path, "a")
 
-            def publish(size):
-                segment = make_segment(size)
+            def publish(path):
+                handle = open_log(path)
                 mystery_cleanup()
             """,
         ),
@@ -568,7 +372,10 @@ def test_unknown_callees_are_havocked_not_trusted():
 
 
 def test_compute_summaries_is_deterministic():
-    modules = make_modules(("repro.simnet.snippet", GOOD_PROTOCOL))
+    modules = make_modules(
+        ("repro.simnet.snippet", HELPER_ACQUIRE_LEAK),
+        ("repro.simnet.daemon", HELPER_MUTATION_BEFORE_APPEND),
+    )
     specs, _ = collect_specs(modules)
     from repro.analysis.xmodule import Project
 
@@ -576,8 +383,9 @@ def test_compute_summaries_is_deterministic():
         project = Project({m.module: m for m in modules})
         resource = [s for s in specs if type(s).__name__ == "ResourceSpec"]
         order = [s for s in specs if type(s).__name__ == "OrderSpec"]
-        epoch = [s for s in specs if type(s).__name__ == "EpochSpec"]
-        summaries = compute_summaries(project, resource, order, epoch)
+        summaries = compute_summaries(project, resource, order)
         return {key: value.stable_repr() for key, value in summaries.items()}
 
-    assert build() == build()
+    first = build()
+    assert first == build()
+    assert any("append:0" in rendered for rendered in first.values())

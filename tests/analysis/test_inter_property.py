@@ -1,7 +1,7 @@
 """Property test: summary-based analysis agrees with inlining.
 
 Hypothesis generates small two-function programs — a caller that
-acquires a shared-memory segment and a helper the segment is handed to,
+opens a file and a helper the handle is handed to,
 with a raising step and a release sprinkled in various positions.  For
 each program, the interprocedural verdict on the two-function version
 (combined with the intraprocedural pass, which owns the directly
@@ -22,7 +22,7 @@ from repro.analysis.core import LintModule
 from repro.analysis.flow import analyze_flow
 from repro.analysis.inter import analyze_inter
 
-RELEASE_LINES = ["segment.close()", "segment.unlink()"]
+RELEASE_LINES = ["handle.close()"]
 RAISING_LINE = "danger()"
 
 
@@ -43,27 +43,26 @@ def _two_function_program(
     risky_between: bool,
     caller_shape: str,
 ) -> str:
-    helper = ["def helper(segment):"] + [
+    helper = ["def helper(handle):"] + [
         "    " + line for line in _helper_body(helper_raises, helper_releases)
     ]
     caller = [
-        "def caller(size):",
-        '    segment = SharedMemory(name="seg", create=True, size=size)',
+        "def caller(path):",
+        '    handle = open(path, "w")',
     ]
     if caller_shape == "linear":
         if risky_between:
             caller.append("    " + RAISING_LINE)
-        caller.append("    helper(segment)")
+        caller.append("    helper(handle)")
     else:  # try/finally
         caller.append("    try:")
         caller.append(
-            "        " + (RAISING_LINE if risky_between else "record(size)")
+            "        " + (RAISING_LINE if risky_between else "record(path)")
         )
         caller.append("    finally:")
-        caller.append("        helper(segment)")
+        caller.append("        helper(handle)")
     return "\n".join(
-        ["from multiprocessing.shared_memory import SharedMemory", ""]
-        + helper
+        helper
         + [""]
         + caller
         + [""]
@@ -78,8 +77,8 @@ def _inlined_program(
 ) -> str:
     body = _helper_body(helper_raises, helper_releases)
     caller = [
-        "def caller(size):",
-        '    segment = SharedMemory(name="seg", create=True, size=size)',
+        "def caller(path):",
+        '    handle = open(path, "w")',
     ]
     if caller_shape == "linear":
         if risky_between:
@@ -88,13 +87,12 @@ def _inlined_program(
     else:
         caller.append("    try:")
         caller.append(
-            "        " + (RAISING_LINE if risky_between else "record(size)")
+            "        " + (RAISING_LINE if risky_between else "record(path)")
         )
         caller.append("    finally:")
         caller.extend("        " + line for line in body)
     return "\n".join(
-        ["from multiprocessing.shared_memory import SharedMemory", ""]
-        + caller
+        caller
         + [""]
     )
 

@@ -166,30 +166,6 @@ def test_wall_clock_allows_perf_counter_and_cold_modules():
 # -- pickle-boundary -------------------------------------------------------
 
 
-def test_pickle_boundary_fires_on_lambda_to_pool():
-    findings = run(
-        """
-        def fan_out(pool, jobs):
-            return pool.map(lambda job: job + 1, jobs)
-        """,
-        rule_id="pickle-boundary",
-    )
-    assert ids(findings) == ["pickle-boundary"]
-
-
-def test_pickle_boundary_fires_on_closure_to_pool():
-    findings = run(
-        """
-        def fan_out(pool, jobs, offset):
-            def shift(job):
-                return job + offset
-            return pool.map(shift, jobs)
-        """,
-        rule_id="pickle-boundary",
-    )
-    assert ids(findings) == ["pickle-boundary"]
-
-
 def test_pickle_boundary_fires_on_asymmetric_state_pair():
     findings = run(
         """
@@ -221,28 +197,6 @@ def test_pickle_boundary_quiet_on_module_level_function_and_full_pair():
         rule_id="pickle-boundary",
     )
     assert findings == []
-
-
-def test_pickle_boundary_checks_shard_worker_aliases():
-    findings = run(
-        """
-        from typing import Optional, Tuple
-
-        _ShmJob = Tuple[SneakyUnpicklable, Optional[int]]
-        _ShmAck = Tuple[ClusterStore, Tuple[int, int, int]]
-        """,
-        module="repro.engine.shm",
-        rule_id="pickle-boundary",
-    )
-    assert ids(findings) == ["pickle-boundary"]
-    assert "SneakyUnpicklable" in findings[0].message
-
-
-def test_pickle_boundary_requires_shard_aliases_to_exist():
-    findings = run(
-        "x = 1\n", module="repro.engine.shm", rule_id="pickle-boundary"
-    )
-    assert ids(findings) == ["pickle-boundary", "pickle-boundary"]
 
 
 # -- broad-except ----------------------------------------------------------
@@ -447,170 +401,6 @@ def test_assert_validation_allows_internal_invariants():
             return _TABLE
         """,
         rule_id="assert-validation",
-    )
-    assert findings == []
-
-
-# -- shm-lifecycle ---------------------------------------------------------
-
-
-def test_shm_lifecycle_no_longer_reports_missing_unlink():
-    # The per-module create/unlink census moved to the path-sensitive
-    # resource-leak rule under --flow; the syntactic rule must stay
-    # silent so the same line is never double-reported.
-    findings = run(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def publish(size):
-            segment = SharedMemory(name="seg", create=True, size=size)
-            return segment.name
-        """,
-        rule_id="shm-lifecycle",
-    )
-    assert findings == []
-
-
-def test_shm_lifecycle_quiet_when_module_unlinks():
-    findings = run(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def publish(size):
-            return SharedMemory(name="seg", create=True, size=size)
-
-        def release(segment):
-            segment.close()
-            segment.unlink()
-        """,
-        rule_id="shm-lifecycle",
-    )
-    assert findings == []
-
-
-def test_shm_lifecycle_quiet_on_plain_attach():
-    findings = run(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def attach(name):
-            return SharedMemory(name=name)
-        """,
-        rule_id="shm-lifecycle",
-    )
-    assert findings == []
-
-
-def test_shm_lifecycle_fires_on_buf_across_queue():
-    findings = run(
-        """
-        def ship(segment, queue):
-            buf = segment.buf
-            queue.put(buf)
-        """,
-        rule_id="shm-lifecycle",
-    )
-    assert ids(findings) == ["shm-lifecycle"]
-    assert "process boundary" in findings[0].message
-
-
-def test_shm_lifecycle_fires_on_view_inside_shipped_tuple():
-    findings = run(
-        """
-        def ship(segment, queue, seq):
-            counters = segment.buf.cast("q")
-            queue.put(("batch", seq, counters))
-        """,
-        rule_id="shm-lifecycle",
-    )
-    assert ids(findings) == ["shm-lifecycle"]
-
-
-def test_shm_lifecycle_fires_on_memoryview_to_pool():
-    findings = run(
-        """
-        def dispatch(pool, table, worker):
-            view = memoryview(table)
-            return pool.submit(worker, view)
-        """,
-        rule_id="shm-lifecycle",
-    )
-    assert ids(findings) == ["shm-lifecycle"]
-
-
-def test_shm_lifecycle_quiet_on_names_and_handles():
-    findings = run(
-        """
-        def dispatch(queue, handle, batch):
-            queue.put(("batch", handle, batch))
-
-        def report(conn, status, seq):
-            conn.send((status, seq, None, None))
-        """,
-        rule_id="shm-lifecycle",
-    )
-    assert findings == []
-
-
-def test_shm_lifecycle_tracking_is_scoped_per_function():
-    # ``view`` is a buffer only inside ``local``; the unrelated ``view``
-    # parameter of ``other`` must not inherit the taint.
-    findings = run(
-        """
-        def local(segment):
-            view = segment.buf
-            return view.nbytes
-
-        def other(queue, view):
-            queue.put(view)
-        """,
-        rule_id="shm-lifecycle",
-    )
-    assert findings == []
-
-
-# -- pickle-boundary: shm wire aliases -------------------------------------
-
-
-def test_pickle_boundary_requires_shm_aliases():
-    findings = run(
-        """
-        def dispatch(queue, job):
-            queue.put(job)
-        """,
-        module="repro.engine.shm",
-        rule_id="pickle-boundary",
-    )
-    assert ids(findings) == ["pickle-boundary", "pickle-boundary"]
-    assert any("_ShmJob" in f.message for f in findings)
-    assert any("_ShmAck" in f.message for f in findings)
-
-
-def test_pickle_boundary_flags_unsafe_name_in_shm_alias():
-    findings = run(
-        """
-        from typing import Optional, Tuple
-
-        _ShmJob = Tuple[str, int, Optional[SharedMemory]]
-        _ShmAck = Tuple[str, int]
-        """,
-        module="repro.engine.shm",
-        rule_id="pickle-boundary",
-    )
-    assert ids(findings) == ["pickle-boundary"]
-    assert "SharedMemory" in findings[0].message
-
-
-def test_pickle_boundary_quiet_on_safe_shm_aliases():
-    findings = run(
-        """
-        from typing import Optional, Tuple
-
-        _ShmJob = Tuple[str, int, Optional[SharedLpmHandle], Optional[PackedBatch]]
-        _ShmAck = Tuple[str, int, Optional[str], Optional[ClusterStore]]
-        """,
-        module="repro.engine.shm",
-        rule_id="pickle-boundary",
     )
     assert findings == []
 

@@ -39,20 +39,19 @@ def run_rule(rule_id, sources, docs=None):
 
 
 class TestRegistry:
-    def test_all_five_rules_registered(self):
-        assert set(PROJECT_RULES) >= {
+    def test_all_four_rules_registered(self):
+        assert set(PROJECT_RULES) == {
             "metrics-drift",
             "cli-doc-drift",
-            "fork-safety",
             "error-taxonomy-reachability",
             "checkpoint-schema-drift",
         }
 
     def test_select_and_ignore(self):
-        only = active_project_rules(select=["fork-safety"])
-        assert [rule.rule_id for rule in only] == ["fork-safety"]
-        rest = active_project_rules(ignore=["fork-safety"])
-        assert "fork-safety" not in {rule.rule_id for rule in rest}
+        only = active_project_rules(select=["metrics-drift"])
+        assert [rule.rule_id for rule in only] == ["metrics-drift"]
+        rest = active_project_rules(ignore=["metrics-drift"])
+        assert "metrics-drift" not in {rule.rule_id for rule in rest}
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
@@ -177,167 +176,6 @@ class TestCliDocDrift:
                    for f in findings)
 
 
-GOOD_WORKER = {
-    "pool.worker": """
-        _LIMITS = {"max": 100}
-
-        def _work(job):
-            seen = {}
-            seen[job] = job * 2
-            return seen[job] + _LIMITS["max"]
-
-        def run(pool, jobs):
-            return pool.map(_work, jobs)
-    """,
-}
-
-
-class TestForkSafety:
-    def test_clean_worker_passes(self):
-        # _LIMITS is a module-level dict, but nothing mutates it: a
-        # frozen constant in all but type, so it must not be flagged.
-        assert run_rule("fork-safety", GOOD_WORKER) == []
-
-    def test_worker_mutating_module_cache(self):
-        sources = {
-            "pool.worker": """
-                _CACHE = {}
-
-                def _work(job):
-                    if job in _CACHE:
-                        return _CACHE[job]
-                    _CACHE[job] = job * 2
-                    return _CACHE[job]
-
-                def run(pool, jobs):
-                    return pool.map(_work, jobs)
-            """,
-        }
-        findings = run_rule("fork-safety", sources)
-        assert any("_CACHE" in f.message for f in findings)
-        assert any("assigns into" in f.message for f in findings)
-
-    def test_worker_global_rebind(self):
-        sources = {
-            "pool.worker": """
-                _COUNT = 0
-
-                def _work(job):
-                    global _COUNT
-                    _COUNT = _COUNT + 1
-                    return job
-
-                def run(pool, jobs):
-                    return pool.map(_work, jobs)
-            """,
-        }
-        findings = run_rule("fork-safety", sources)
-        assert any("rebinds module global '_COUNT'" in f.message
-                   for f in findings)
-
-    def test_reachability_through_helper(self):
-        sources = {
-            "pool.worker": """
-                _STATE = []
-
-                def _helper(job):
-                    _STATE.append(job)
-                    return job
-
-                def _work(job):
-                    return _helper(job)
-
-                def run(pool, jobs):
-                    return pool.map(_work, jobs)
-            """,
-        }
-        findings = run_rule("fork-safety", sources)
-        assert any("_STATE" in f.message and "in place" in f.message
-                   for f in findings)
-
-    def test_mutation_after_ship(self):
-        sources = {
-            "pool.driver": """
-                def _work(job):
-                    return job
-
-                def dispatch(pool, jobs):
-                    pool.map_async(_work, jobs)
-                    jobs.append("sentinel")
-            """,
-        }
-        findings = run_rule("fork-safety", sources)
-        assert any("dispatched to the worker pool" in f.message
-                   and "'jobs'" in f.message for f in findings)
-
-    def test_mutation_before_ship_is_fine(self):
-        sources = {
-            "pool.driver": """
-                def _work(job):
-                    return job
-
-                def dispatch(pool, jobs):
-                    jobs.append("sentinel")
-                    return pool.map_async(_work, jobs)
-            """,
-        }
-        assert run_rule("fork-safety", sources) == []
-
-    def test_mutation_after_transitive_ship(self):
-        # jobs flows through _send before reaching the pool; the
-        # fixpoint must still see the later append as post-dispatch.
-        sources = {
-            "pool.driver": """
-                def _work(job):
-                    return job
-
-                def _send(pool, items):
-                    return pool.map(_work, items)
-
-                def dispatch(pool, jobs):
-                    handle = _send(pool, jobs)
-                    jobs.append("sentinel")
-                    return handle
-            """,
-        }
-        findings = run_rule("fork-safety", sources)
-        assert any("dispatched to the worker pool" in f.message
-                   for f in findings)
-
-    #: A persistent worker entered through ``Process(target=…)`` that
-    #: registers what it attached in a module-level dict.
-    PROCESS_WORKER = """
-        from multiprocessing import Process
-
-        _LIVE_SEGMENTS = {}
-
-        def _attach(name):
-            _LIVE_SEGMENTS[name] = object()
-
-        def _shm_worker_main(shard, jobs):
-            _attach(f"segment-{shard}")
-
-        def start(shard, jobs):
-            worker = Process(target=_shm_worker_main, args=(shard, jobs))
-            worker.start()
-            return worker
-    """
-
-    def test_process_target_is_a_boundary_seed(self):
-        findings = run_rule(
-            "fork-safety", {"pool.worker": self.PROCESS_WORKER}
-        )
-        assert any("'_attach' assigns into module-level '_LIVE_SEGMENTS'"
-                   in f.message for f in findings)
-
-    def test_allowlisted_worker_table_global(self):
-        # Same source, but in the module whose per-process registry is
-        # on FORK_SAFE_GLOBALS.
-        assert run_rule(
-            "fork-safety", {"repro.engine.shm": self.PROCESS_WORKER}
-        ) == []
-
-
 GOOD_ERRORS = {
     "pkg.errors": """
         __all__ = ["Base", "Boom", "DriftWarning"]
@@ -444,33 +282,32 @@ class TestCheckpointSchema:
         assert any("pickle round-trip breaks" in f.message for f in findings)
 
 
+#: A __getstate__/__setstate__ pair whose tuple arities disagree.
+DRIFTED_STATE = """
+    class Box:
+        def __getstate__(self):
+            return (self.a, self.b, self.c)
+
+        def __setstate__(self, state){suffix}
+            self.a, self.b = state
+"""
+
+
 class TestSuppressions:
     def test_inline_ignore_covers_project_findings(self):
+        loud = {"ck.store": DRIFTED_STATE.format(suffix=":")}
+        assert run_rule("checkpoint-schema-drift", loud) != []
         sources = {
-            "pool.driver": """
-                def _work(job):
-                    return job
-
-                def dispatch(pool, jobs):
-                    pool.map_async(_work, jobs)
-                    jobs.append("x")  # lint: ignore[fork-safety] -- test rig
-            """,
+            "ck.store": DRIFTED_STATE.format(
+                suffix=":  # lint: ignore[checkpoint-schema-drift] -- test rig"
+            ),
         }
-        assert run_rule("fork-safety", sources) == []
+        assert run_rule("checkpoint-schema-drift", sources) == []
 
     def test_findings_sorted_and_deduped(self):
-        sources = {
-            "pool.driver": """
-                def _work(job):
-                    return job
-
-                def dispatch(pool, jobs):
-                    pool.map_async(_work, jobs)
-                    jobs.append("x")
-            """,
-        }
+        sources = {"ck.store": DRIFTED_STATE.format(suffix=":")}
         project = project_from(sources)
-        rule = PROJECT_RULES["fork-safety"]
+        rule = PROJECT_RULES["checkpoint-schema-drift"]
         findings = analyze_project(project, [rule, rule])
         keys = [(f.path, f.line, f.rule_id, f.message) for f in findings]
-        assert len(keys) == len(set(keys))
+        assert keys and len(keys) == len(set(keys))

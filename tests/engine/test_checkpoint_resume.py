@@ -30,8 +30,7 @@ with open(sys.argv[1], "rb") as handle:
 table = PackedLpm.from_items(job["items"])
 engine = ShardedClusterEngine.resume(
     job["checkpoint"], table,
-    EngineConfig(num_shards=job["shards"], chunk_size=job["chunk"],
-                 use_processes=False),
+    EngineConfig(num_shards=job["shards"], chunk_size=job["chunk"]),
 )
 with engine:
     engine.ingest_triples(job["remaining"])
@@ -80,7 +79,7 @@ def _render(snapshot):
 def test_resume_in_same_process_is_identical(tmp_path):
     items, batches = _workload()
     table = PackedLpm.from_items(items)
-    config = EngineConfig(num_shards=3, chunk_size=128, use_processes=False)
+    config = EngineConfig(num_shards=3, chunk_size=128)
 
     with ShardedClusterEngine(table, config) as uninterrupted:
         for batch in batches:
@@ -103,7 +102,7 @@ def test_resume_in_same_process_is_identical(tmp_path):
 def test_resume_in_fresh_process_is_byte_identical(tmp_path):
     items, batches = _workload()
     table = PackedLpm.from_items(items)
-    config = EngineConfig(num_shards=3, chunk_size=128, use_processes=False)
+    config = EngineConfig(num_shards=3, chunk_size=128)
 
     with ShardedClusterEngine(table, config) as uninterrupted:
         for batch in batches:

@@ -31,8 +31,7 @@ def files(tmp_path):
 class TestBasicRun:
     def test_clusters_and_prints(self, files, capsys):
         log, dump = files
-        assert main([log, "--table", dump, "--shards", "2",
-                     "--chunk-size", "2"]) == 0
+        assert main([log, "--table", dump, "--chunk-size", "2"]) == 0
         out = capsys.readouterr().out
         assert "packed LPM table" in out
         assert "12.65.128.0/19" in out
@@ -67,12 +66,12 @@ class TestBasicRun:
         assert "nothing to cluster" in capsys.readouterr().err
 
     def test_sharded_rows_match_single_pass_cli(self, files, capsys):
-        """repro-engine over shm workers prints repro-cluster's rows."""
+        """repro-engine (the sharded engine, chunked) prints
+        repro-cluster's rows."""
         log, dump = files
         assert cluster_main([log, "--table", dump]) == 0
         single = _cluster_table(capsys.readouterr().out)
-        assert main([log, "--table", dump, "--shards", "2",
-                     "--chunk-size", "2"]) == 0
+        assert main([log, "--table", dump, "--chunk-size", "2"]) == 0
         assert _cluster_table(capsys.readouterr().out) == single
 
 
@@ -136,12 +135,14 @@ class TestFastpathFlags:
             main([log, "--table", dump, "--lpm", "radix"])
         for bad in (
             ["--memo-size", "-1"],
-            ["--shards", "0"],
             ["--chunk-size", "0"],
             ["--retries", "-1"],
-            ["--dispatch-timeout", "0"],
             ["--shm"],
             ["--resume"],  # no --checkpoint to resume from
+            # One process, no workers: the transport's flags are gone.
+            ["--shards", "2"],
+            ["--dispatch-timeout", "1"],
+            ["--no-degrade"],
         ):
             with pytest.raises(SystemExit) as caught:
                 main([log, "--table", dump] + bad)
@@ -368,7 +369,7 @@ class TestFaultFlags:
             FaultSpec(site=SITE_WORKER_CRASH, at=0, count=-1), seed=3
         ).save(plan_path)
         code = main([log, "--table", dump, "--inject", plan_path,
-                     "--retries", "1", "--backoff", "0", "--no-degrade",
+                     "--retries", "1", "--backoff", "0",
                      "--quarantine", dead_letter])
         err = capsys.readouterr().err
         # Every chunk quarantined → nothing ingested → exit 1, but the
@@ -432,8 +433,7 @@ class TestFaultFlags:
         ).save(plan_path)
         assert main([log, "--table", dump, "--chunk-size", "2",
                      "--inject", plan_path, "--retries", "1",
-                     "--backoff", "0", "--no-degrade",
-                     "--checkpoint", ckpt]) == 0
+                     "--backoff", "0", "--checkpoint", ckpt]) == 0
         capsys.readouterr()
         # All 4 parsed entries were *consumed* (2 quarantined, 2
         # applied): resume must skip all 4 and re-ingest nothing.

@@ -281,8 +281,8 @@ def _signature(cluster_set):
 
 
 class TestEngineIdentityAcrossKinds:
-    """Acceptance: every --lpm/--memo combination and transport path
-    produces clusters identical to cluster_log."""
+    """Acceptance: every --lpm/--memo combination produces clusters
+    identical to cluster_log."""
 
     @pytest.fixture(scope="class")
     def baseline(self, nagano_log, merged_table):
@@ -294,28 +294,11 @@ class TestEngineIdentityAcrossKinds:
     def test_inline_engine_matches(self, nagano_log, merged_table, baseline,
                                    kind, memo):
         table = build_lpm_table(kind, merged_table, memo)
-        config = EngineConfig(num_shards=2, chunk_size=4096,
-                              use_processes=False)
+        config = EngineConfig(num_shards=2, chunk_size=4096)
         with ShardedClusterEngine(table, config) as engine:
             engine.ingest(nagano_log.log.entries)
             result = engine.snapshot()
         assert _signature(result) == _signature(baseline)
-
-    def test_process_pool_packed_transport_matches(self, nagano_log,
-                                                   merged_table, baseline):
-        table = build_lpm_table("stride", merged_table, 4096)
-        config = EngineConfig(num_shards=2, chunk_size=8192)
-        metrics_seen = None
-        with ShardedClusterEngine(table, config) as engine:
-            engine.ingest(nagano_log.log.entries)
-            result = engine.snapshot()
-            metrics_seen = engine.metrics
-        assert _signature(result) == _signature(baseline)
-        # Worker memo counters crossed the process boundary.
-        assert metrics_seen.memo_hits + metrics_seen.memo_misses == len(
-            nagano_log.log.entries
-        )
-        assert metrics_seen.memo_hits > 0
 
     def test_tiny_memo_still_exact(self, nagano_log, merged_table, baseline):
         # A pathologically small memo thrashes (evictions every batch)
@@ -335,8 +318,7 @@ class TestEngineIdentityAcrossKinds:
         entries = nagano_log.log.entries
         half = len(entries) // 2
         packed = build_lpm_table("packed", merged_table)
-        config = EngineConfig(num_shards=2, chunk_size=4096,
-                              use_processes=False)
+        config = EngineConfig(num_shards=2, chunk_size=4096)
         path = str(tmp_path / "swap.ckpt")
         with ShardedClusterEngine(packed, config) as engine:
             engine.ingest(entries[:half])

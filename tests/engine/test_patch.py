@@ -21,7 +21,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import shm
 from repro.engine.fastpath import MemoizedLookup, StrideLpm
 from repro.engine.packed import PackedLpm, merge_windows
 from repro.engine.state import ClusterStore, write_checkpoint
@@ -293,8 +292,8 @@ class TestWithdrawRelabelling:
 @pytest.mark.parametrize("cls", [PackedLpm, StrideLpm])
 class TestSerialisedFormIsCanonical:
     """A patched table leaves the process exactly as a from-scratch
-    compile of the same routes would: handles never reach a pickle, a
-    shared-memory segment or a checkpoint."""
+    compile of the same routes would: handles never reach a pickle or
+    a checkpoint."""
 
     @pytest.fixture()
     def pair(self, cls):
@@ -326,28 +325,6 @@ class TestSerialisedFormIsCanonical:
         assert _resolved(clone, PROBES) == _resolved(patched, PROBES)
         clone.apply_delta([], [next(iter(clone.items()))[0]])
         clone.verify_patched()
-
-    def test_shared_memory_publication(self, pair):
-        def published_bytes(table):
-            published = shm.SharedLpm(
-                table, generation=next(shm._GENERATION_COUNTER)
-            )
-            try:
-                handle = published.handle
-                data_bytes = (
-                    handle.starts_bytes + handle.owners_bytes
-                    + handle.slots_bytes
-                )
-                return (
-                    bytes(published._data.buf[:data_bytes]),
-                    bytes(published._entries.buf[:handle.entries_bytes]),
-                    handle.digest,
-                )
-            finally:
-                assert published.close(unlink=True) == 0
-
-        patched, rebuilt = pair
-        assert published_bytes(patched) == published_bytes(rebuilt)
 
     def test_checkpoint_table_section(self, pair, tmp_path):
         """What a checkpoint holds of the table — its digest and patch

@@ -187,10 +187,9 @@ class TestCountingRng:
 class TestEngineEndToEnd:
     """Acceptance: a sanitized run is byte-identical and visibly checked."""
 
-    def _run(self, nagano_log, merged_table, use_processes=False):
+    def _run(self, nagano_log, merged_table):
         table = build_lpm_table("stride", merged_table)
         config = EngineConfig(num_shards=2, chunk_size=2048,
-                              use_processes=use_processes,
                               name=nagano_log.log.name)
         with ShardedClusterEngine(table, config) as engine:
             engine.ingest(nagano_log.log.entries)
@@ -210,34 +209,16 @@ class TestEngineEndToEnd:
         assert sorted(checked.unclustered_clients) == sorted(
             baseline.unclustered_clients
         )
-        # Inline dispatch applies tuple batches, so the PackedBatch
-        # guard stays quiet here — the pooled test covers it.
+        # The engine applies tuple batches, so the PackedBatch guard
+        # stays quiet here — TestGuardBatch covers it.
         assert metrics["sanitize_lpm_crosschecks"] > 0
         assert base_metrics["sanitize_lpm_crosschecks"] == 0
         assert base_metrics["sanitize_batch_checks"] == 0
 
-    def test_pooled_run_identical_and_counted(self, monkeypatch, nagano_log,
-                                              merged_table):
-        baseline, _ = self._run(nagano_log, merged_table)
-        # Pooled workers read the env at import; forked ones inherit the
-        # flipped module state too.  Set both so either start method works.
-        monkeypatch.setenv(sanitize.ENV_VAR, "1")
-        previous = sanitize.set_enabled(True)
-        try:
-            sanitize.take_stats()
-            checked, metrics = self._run(nagano_log, merged_table,
-                                         use_processes=True)
-        finally:
-            sanitize.set_enabled(previous)
-            sanitize.take_stats()
-        assert _signature(checked) == _signature(baseline)
-        assert metrics["sanitize_batch_checks"] > 0
-
     def test_checkpoint_readback_counted(self, tmp_path, nagano_log,
                                          merged_table, sanitized):
         table = build_lpm_table("stride", merged_table)
-        config = EngineConfig(num_shards=2, chunk_size=2048,
-                              use_processes=False)
+        config = EngineConfig(num_shards=2, chunk_size=2048)
         with ShardedClusterEngine(table, config) as engine:
             engine.ingest(nagano_log.log.entries[:1000])
             engine.checkpoint(str(tmp_path / "run.ckpt"))

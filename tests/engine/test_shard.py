@@ -1,7 +1,12 @@
 """Sharded engine: partitioning, equivalence with cluster_log, resume."""
 
+import collections
+import contextlib
+import io
+
 import pytest
 
+from repro.cli import print_cluster_report
 from repro.core.clustering import cluster_log
 from repro.engine import (
     EngineConfig,
@@ -21,13 +26,11 @@ def _signature(cluster_set):
     }
 
 
-def _run_engine(log, merged_table, **config):
-    packed = PackedLpm.from_merged(merged_table)
-    with ShardedClusterEngine(
-        packed, EngineConfig(name=log.name, **config)
-    ) as engine:
-        engine.ingest(log.entries)
-        return engine.snapshot()
+def _report(clusters):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        print_cluster_report(clusters, 0, None)
+    return buffer.getvalue()
 
 
 class TestShardOf:
@@ -56,53 +59,99 @@ class TestConfig:
             EngineConfig(chunk_size=0)
 
 
+@pytest.mark.parametrize("chunk_size", [1, 7, 8192])
+@pytest.mark.parametrize("shards", [1, 2, 3])
 class TestEquivalence:
-    """Acceptance: engine output == cluster_log on the Nagano preset."""
+    """Acceptance: engine output == cluster_log on the Nagano preset at
+    every shard count and chunk size — through a mid-run route change
+    and a checkpoint resumed under another shard count."""
 
     @pytest.fixture(scope="class")
     def baseline(self, nagano_log, merged_table):
         return cluster_log(nagano_log.log, merged_table)
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_inline_matches_cluster_log(
-        self, nagano_log, merged_table, baseline, shards
+    @pytest.fixture(scope="class")
+    def table(self, merged_table):
+        """Shared by every run that never patches its table."""
+        return PackedLpm.from_merged(merged_table)
+
+    def test_matches_cluster_log(
+        self, nagano_log, table, baseline, shards, chunk_size
     ):
-        result = _run_engine(
-            nagano_log.log, merged_table,
-            num_shards=shards, chunk_size=4096, use_processes=False,
+        config = EngineConfig(
+            num_shards=shards, chunk_size=chunk_size, name=nagano_log.log.name
         )
+        with ShardedClusterEngine(table, config) as engine:
+            engine.ingest(nagano_log.log.entries)
+            result = engine.snapshot()
+        assert result == baseline
         assert _signature(result) == _signature(baseline)
         assert sorted(result.unclustered_clients) == sorted(
             baseline.unclustered_clients
         )
         assert result.log_name == nagano_log.log.name
 
-    def test_process_pool_matches_cluster_log(
-        self, nagano_log, merged_table, baseline
+    def test_mid_run_withdrawal_reaches_later_chunks(
+        self, nagano_log, merged_table, table, baseline, shards, chunk_size
     ):
-        result = _run_engine(
-            nagano_log.log, merged_table, num_shards=2, chunk_size=8192,
+        """A withdrawal between two feeds moves the second half: it
+        clusters exactly as against a table compiled fresh from the
+        patched routes."""
+        entries = nagano_log.log.entries
+        half = len(entries) // 2
+        config = EngineConfig(
+            num_shards=shards, chunk_size=chunk_size, name=nagano_log.log.name
         )
-        assert _signature(result) == _signature(baseline)
+        # Withdraw the prefix owning the most second-half requests, so
+        # a run still resolving against the old table cannot agree.
+        owners = collections.Counter(
+            handle
+            for handle in table.lookup_many(e.client for e in entries[half:])
+            if handle >= 0
+        )
+        victim = table.prefix(owners.most_common(1)[0][0])
 
-    def test_chunk_size_does_not_change_results(self, nagano_log, merged_table):
-        small = _run_engine(
-            nagano_log.log, merged_table,
-            num_shards=2, chunk_size=257, use_processes=False,
+        patched_table = PackedLpm.from_merged(merged_table)
+        with ShardedClusterEngine(patched_table, config) as engine:
+            engine.ingest(entries[:half])
+            patched_table.apply_delta([], [victim])
+            engine.ingest(entries[half:])
+            patched = engine.snapshot()
+        fresh = PackedLpm.from_items(list(patched_table.items()))
+        with ShardedClusterEngine(table, config) as reference:
+            reference.ingest(entries[:half])
+            reference.table = fresh
+            reference.ingest(entries[half:])
+            expected = reference.snapshot()
+        assert patched == expected
+        assert patched != baseline
+
+    def test_two_shard_checkpoint_resumes_byte_identical(
+        self, nagano_log, table, baseline, tmp_path, shards, chunk_size
+    ):
+        """A checkpoint written at 2 shards resumes at this shard count
+        and prints the uninterrupted run's report byte for byte."""
+        entries = nagano_log.log.entries
+        half = len(entries) // 2
+        path = str(tmp_path / "two-shards.ckpt")
+        written_at = EngineConfig(num_shards=2, chunk_size=chunk_size)
+        with ShardedClusterEngine(table, written_at) as first_half:
+            first_half.ingest(entries[:half])
+            first_half.checkpoint(path)
+        resumed = ShardedClusterEngine.resume(
+            path, table, EngineConfig(num_shards=shards, chunk_size=chunk_size)
         )
-        large = _run_engine(
-            nagano_log.log, merged_table,
-            num_shards=2, chunk_size=50_000, use_processes=False,
-        )
-        assert _signature(small) == _signature(large)
+        with resumed:
+            assert resumed.entries_ingested == half
+            resumed.ingest(entries[half:])
+            assert _report(resumed.snapshot()) == _report(baseline)
 
 
 class TestEngineBehaviour:
     def test_incremental_feeds_accumulate(self, nagano_log, merged_table):
         packed = PackedLpm.from_merged(merged_table)
         entries = nagano_log.log.entries
-        config = EngineConfig(num_shards=2, chunk_size=1024,
-                              use_processes=False)
+        config = EngineConfig(num_shards=2, chunk_size=1024)
         with ShardedClusterEngine(packed, config) as engine:
             engine.ingest(entries[: len(entries) // 2])
             partial = engine.snapshot()
@@ -116,8 +165,7 @@ class TestEngineBehaviour:
     def test_metrics_observe_ingestion(self, nagano_log, merged_table):
         packed = PackedLpm.from_merged(merged_table)
         metrics = EngineMetrics(2)
-        config = EngineConfig(num_shards=2, chunk_size=1000,
-                              use_processes=False)
+        config = EngineConfig(num_shards=2, chunk_size=1000)
         with ShardedClusterEngine(packed, config, metrics) as engine:
             engine.ingest(nagano_log.log.entries)
         assert metrics.entries == len(nagano_log.log.entries)
@@ -132,14 +180,13 @@ class TestEngineBehaviour:
             (Prefix.from_cidr(f"10.0.0.{i}/32").network, f"/u{i}", i)
             for i in range(40)
         ]
-        config = EngineConfig(num_shards=4, chunk_size=8, use_processes=False)
+        config = EngineConfig(num_shards=4, chunk_size=8)
         with ShardedClusterEngine(table, config) as engine:
             engine.ingest_triples(triples[:20])
             path = str(tmp_path / "resume.ckpt")
             engine.checkpoint(path)
         resumed = ShardedClusterEngine.resume(
-            path, table,
-            EngineConfig(num_shards=2, chunk_size=8, use_processes=False),
+            path, table, EngineConfig(num_shards=2, chunk_size=8),
         )
         with resumed:
             resumed.ingest_triples(triples[20:])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import InjectedFault
+from repro.engine import EngineConfig, PackedLpm, ShardedClusterEngine
 from repro.faults import (
     ALL_SITES,
     SITE_CHECKPOINT_CORRUPT,
@@ -13,15 +13,13 @@ from repro.faults import (
     SITE_SERVE_DISCONNECT,
     SITE_SERVE_WAL_ENOSPC,
     SITE_SERVE_WAL_TORN,
-    SITE_SHM_WORKER_CRASH,
     SITE_WORKER_CRASH,
-    SITE_WORKER_DIE,
     SITE_WORKER_SLOW,
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    execute_worker_directive,
 )
+from repro.net.prefix import Prefix
 
 
 class TestFaultSpec:
@@ -119,20 +117,19 @@ class TestWorkerDirectives:
         assert 0 <= shard < 4
         assert site == SITE_WORKER_CRASH
 
-    def test_crash_directive_raises_injected_fault(self):
-        with pytest.raises(InjectedFault) as info:
-            execute_worker_directive((0, SITE_WORKER_CRASH, 0.0))
-        assert info.value.site == SITE_WORKER_CRASH
-
     def test_slow_directive_sleeps_then_returns(self, monkeypatch):
+        # The engine executes directives: worker.slow sleeps, then the
+        # chunk applies as usual.
         slept = []
-        monkeypatch.setattr("repro.faults.time.sleep", slept.append)
-        execute_worker_directive((0, SITE_WORKER_SLOW, 0.25))
+        monkeypatch.setattr("repro.engine.shard.time.sleep", slept.append)
+        table = PackedLpm.from_items([(Prefix.from_cidr("10.0.0.0/8"), None)])
+        plan = FaultPlan.build(FaultSpec(site=SITE_WORKER_SLOW, arg=0.25))
+        engine = ShardedClusterEngine(
+            table, EngineConfig(num_shards=2), injector=FaultInjector(plan)
+        )
+        assert engine.apply_chunk([(0x0A000001, "/a", 1)]) == 1
         assert slept == [0.25]
-
-    def test_unknown_directive_site_rejected(self):
-        with pytest.raises(ValueError, match="unknown worker directive"):
-            execute_worker_directive((0, SITE_DUMP_MANGLE, 0.0))
+        assert engine.entries_ingested == 1
 
 
 class TestFileDamage:
@@ -195,14 +192,14 @@ class TestLineWrapping:
 
     def test_wrap_rejects_non_stream_sites(self):
         with pytest.raises(ValueError, match="wrap_lines"):
-            list(FaultInjector().wrap_lines([], SITE_WORKER_DIE))
+            list(FaultInjector().wrap_lines([], SITE_WORKER_CRASH))
 
 
 def test_all_sites_is_complete():
     assert set(ALL_SITES) == {
-        SITE_WORKER_CRASH, SITE_WORKER_DIE, SITE_WORKER_SLOW,
+        SITE_WORKER_CRASH, SITE_WORKER_SLOW,
         SITE_CHECKPOINT_CORRUPT, SITE_CHECKPOINT_TRUNCATE,
         SITE_LOG_TRUNCATE, SITE_DUMP_MANGLE, SITE_SERVE_CRASH,
         SITE_SERVE_WAL_TORN, SITE_SERVE_WAL_ENOSPC, SITE_SERVE_DISCONNECT,
-        SITE_SHM_WORKER_CRASH,
     }
+    assert len(ALL_SITES) == 10

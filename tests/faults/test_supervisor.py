@@ -1,10 +1,9 @@
-"""SupervisedEngine policy: retry, backoff, quarantine, degrade, verify.
+"""SupervisedEngine policy: retry, backoff, quarantine, verify.
 
-These are the fast unit tests: the engine runs inline
-(``use_processes=False``), where an armed worker fault raises a clean
-:class:`WorkerCrashError` *before* any state mutates — so every
-recovery decision is exercised deterministically without a pool.  The
-real-pool acceptance runs live in ``test_chaos.py``.
+These are the fast unit tests: an armed worker fault raises a clean
+:class:`WorkerCrashError` *before* any state mutates, so every
+recovery decision is exercised deterministically on tiny inputs.  The
+Nagano-scale acceptance runs live in ``test_chaos.py``.
 """
 
 import json
@@ -21,7 +20,7 @@ from repro.engine import (
 )
 from repro.engine import state as engine_state
 from repro.engine.state import CheckpointCorruptError, read_checkpoint
-from repro.errors import ChunkQuarantinedError, DegradedModeWarning
+from repro.errors import ChunkQuarantinedError
 from repro.faults import (
     SITE_CHECKPOINT_CORRUPT,
     SITE_WORKER_CRASH,
@@ -52,9 +51,7 @@ def packed():
 
 
 def _engine(packed, plan=None, chunk_size=8):
-    config = EngineConfig(
-        num_shards=2, chunk_size=chunk_size, use_processes=False
-    )
+    config = EngineConfig(num_shards=2, chunk_size=chunk_size)
     injector = FaultInjector(plan) if plan is not None else None
     return ShardedClusterEngine(packed, config, injector=injector)
 
@@ -89,7 +86,6 @@ class TestHappyPath:
         snap = supervised.metrics.snapshot()
         assert snap["chunk_retries"] == 0
         assert snap["chunks_quarantined"] == 0
-        assert snap["degraded"] == 0
 
 
 class TestRetry:
@@ -102,16 +98,12 @@ class TestRetry:
         assert applied == len(TRIPLES)
         assert _signature(supervised.snapshot()) == baseline
         assert supervised.metrics.snapshot()["chunk_retries"] == 2
-        assert not supervised.degraded
 
     def test_backoff_schedule_is_exponential_and_capped(self, packed):
         slept = []
         supervised = SupervisedEngine(
             _engine(packed, _crash_plan(count=3)),
-            SupervisorConfig(
-                max_retries=3, backoff_base=0.5, backoff_cap=2.0,
-                allow_degraded=False,
-            ),
+            SupervisorConfig(max_retries=3, backoff_base=0.5, backoff_cap=2.0),
             sleep=slept.append,
         )
         supervised.ingest_triples(iter(TRIPLES))
@@ -122,25 +114,28 @@ class TestRetry:
         assert [config.backoff_seconds(n) for n in (1, 2, 3)] == [0, 0, 0]
 
     def test_failure_streak_resets_on_success(self, packed):
-        # Crashes at dispatches 0 and 2 are not consecutive once the
-        # retry of dispatch 0 succeeds — degrade_after=2 must NOT trip.
+        # Crashes at attempts 0 and 2 hit two different chunks: each
+        # chunk's retry budget starts afresh, so max_retries=1 carries
+        # both and nothing is quarantined.
         plan = FaultPlan.build(
             FaultSpec(site=SITE_WORKER_CRASH, at=0, count=1),
             FaultSpec(site=SITE_WORKER_CRASH, at=2, count=1),
         )
         supervised = SupervisedEngine(
             _engine(packed, plan, chunk_size=2),
-            SupervisorConfig(max_retries=1, backoff_base=0, degrade_after=2),
+            SupervisorConfig(max_retries=1, backoff_base=0),
         )
         applied = supervised.ingest_triples(iter(TRIPLES))
         assert applied == len(TRIPLES)
-        assert not supervised.degraded
+        snap = supervised.metrics.snapshot()
+        assert snap["chunk_retries"] == 2
+        assert snap["chunks_quarantined"] == 0
 
 
 class TestQuarantine:
     def _supervised(self, packed, tmp_path, **overrides):
         options = dict(
-            max_retries=1, backoff_base=0, allow_degraded=False,
+            max_retries=1, backoff_base=0,
             quarantine_path=str(tmp_path / "dead-letter.jsonl"),
         )
         options.update(overrides)
@@ -185,57 +180,11 @@ class TestQuarantine:
         # lands normally after the quarantine.
         supervised = SupervisedEngine(
             _engine(packed, _crash_plan(at=0, count=2), chunk_size=2),
-            SupervisorConfig(
-                max_retries=1, backoff_base=0, allow_degraded=False
-            ),
+            SupervisorConfig(max_retries=1, backoff_base=0),
         )
         applied = supervised.ingest_triples(iter(TRIPLES))
         assert applied == len(TRIPLES) - 2
         assert supervised.metrics.snapshot()["chunks_quarantined"] == 1
-
-
-class TestDegradedMode:
-    def test_persistent_failure_degrades_and_finishes(self, packed, baseline):
-        supervised = SupervisedEngine(
-            _engine(packed, _crash_plan(count=-1)),
-            SupervisorConfig(max_retries=5, backoff_base=0, degrade_after=2),
-        )
-        with pytest.warns(DegradedModeWarning, match="degrading"):
-            applied = supervised.ingest_triples(iter(TRIPLES))
-        assert applied == len(TRIPLES)
-        assert supervised.degraded
-        assert supervised.metrics.snapshot()["degraded"] == 1
-        # Worker faults are disarmed with the workers themselves.
-        assert supervised.engine.injector is None
-        # The whole point: degraded output is bit-for-bit identical.
-        assert _signature(supervised.snapshot()) == baseline
-
-    def test_no_degrade_keeps_failing_over_to_quarantine(self, packed):
-        supervised = SupervisedEngine(
-            _engine(packed, _crash_plan(count=-1)),
-            SupervisorConfig(
-                max_retries=1, backoff_base=0,
-                allow_degraded=False, degrade_after=1,
-            ),
-        )
-        assert supervised.ingest_triples(iter(TRIPLES)) == 0
-        assert not supervised.degraded
-
-    def test_all_escapes_disallowed_is_supervision_error(self, packed):
-        # With degraded fallback AND quarantine both off, a pool that
-        # keeps dying has no recovery path left: the supervisor must
-        # say so explicitly rather than retry forever.
-        from repro.errors import SupervisionError
-
-        supervised = SupervisedEngine(
-            _engine(packed, _crash_plan(count=-1)),
-            SupervisorConfig(
-                max_retries=5, backoff_base=0, degrade_after=2,
-                allow_degraded=False, allow_quarantine=False,
-            ),
-        )
-        with pytest.raises(SupervisionError, match="keeps dying"):
-            supervised.ingest_triples(iter(TRIPLES))
 
 
 class TestIngestDoor:
@@ -262,9 +211,7 @@ class TestIngestDoor:
     def _supervised(merged_table, plan, **policy):
         engine = ShardedClusterEngine(
             PackedLpm.from_merged(merged_table),
-            EngineConfig(
-                num_shards=1, chunk_size=1024, use_processes=False, name="door"
-            ),
+            EngineConfig(num_shards=1, chunk_size=1024, name="door"),
             injector=FaultInjector(plan) if plan is not None else None,
         )
         return SupervisedEngine(
@@ -276,30 +223,23 @@ class TestIngestDoor:
         assert LogEntry in kinds and len(kinds) == 2
 
     @pytest.mark.parametrize(
-        "plan, policy, retries, degraded",
+        "plan, policy, retries",
         [
-            (None, {}, 0, False),
-            (_crash_plan(count=2), {"max_retries": 2}, 2, False),
-            (_crash_plan(count=-1), {"max_retries": 5, "degrade_after": 2},
-             1, True),
+            (None, {}, 0),
+            (_crash_plan(count=2), {"max_retries": 2}, 2),
         ],
-        ids=["undisturbed", "retry", "degrade"],
+        ids=["undisturbed", "retry"],
     )
     def test_mixed_chunk_lands_on_cluster_log(
-        self, lines, merged_table, plan, policy, retries, degraded
+        self, lines, merged_table, plan, policy, retries
     ):
         batch = list(iter_clf_entries(lines))
         supervised = self._supervised(merged_table, plan, **policy)
-        if degraded:
-            with pytest.warns(DegradedModeWarning):
-                applied = supervised.ingest(batch)
-        else:
-            applied = supervised.ingest(batch)
+        applied = supervised.ingest(batch)
         assert applied == len(batch)
         assert supervised.snapshot() == self._reference(lines, merged_table)
         snap = supervised.metrics.snapshot()
         assert snap["chunk_retries"] == retries
-        assert snap["degraded"] == int(degraded)
         assert snap["batches"] == 1
 
     def test_quarantined_chunk_is_the_projection(
@@ -308,7 +248,7 @@ class TestIngestDoor:
         dead_letter = tmp_path / "dead-letter.jsonl"
         supervised = self._supervised(
             merged_table, _crash_plan(count=2),
-            max_retries=1, allow_degraded=False,
+            max_retries=1,
             quarantine_path=str(dead_letter),
         )
         first, second = lines[:250], lines[250:]
@@ -359,7 +299,6 @@ class TestConfigValidation:
         {"max_retries": -1},
         {"backoff_base": -0.1},
         {"backoff_cap": -1.0},
-        {"degrade_after": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

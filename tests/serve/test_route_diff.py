@@ -121,10 +121,10 @@ step_strategy = st.one_of(
 )
 
 
-def expand(steps, burst_at):
+def expand(steps, burst_at=None):
     """Steps -> one event list per step, the oversized burst riding in
-    front of step ``burst_at`` — kept inside one step so no checkpoint
-    or crash can split it below the crossover."""
+    front of step ``burst_at`` (if any) — kept inside one step so no
+    checkpoint or crash can split it below the crossover."""
     burst = [announce(prefix, 64999) for prefix in BURST]
     chunks = []
     for index, step in enumerate(steps):
@@ -174,7 +174,14 @@ def test_checkpoint_abort_recover_equals_uninterrupted(
             (crash_seeds[0] + 1 + crash_seeds[1] % (count - 1)) % count
         ]
     )
+    reference = run_and_compare(kind, chunks, checkpoints, crashes)
+    assert reference.metrics.patch_rebuild_fallbacks >= 1
 
+
+def run_and_compare(kind, chunks, checkpoints, crashes):
+    """Feed ``chunks`` once uninterrupted and once through WAL-mode
+    crash/recover at every position in ``crashes``; require the same
+    end state, generation included.  Returns the reference daemon."""
     with tempfile.TemporaryDirectory() as directory:
         # The uninterrupted run: same stream, same checkpoint_now()
         # calls (each is a flush point), never aborted, no WAL.
@@ -191,8 +198,7 @@ def test_checkpoint_abort_recover_equals_uninterrupted(
             for event in chunk:
                 reference.feed(event)
         reference.finish()
-        expected, expected_generation = end_state(reference)
-        assert reference.metrics.patch_rebuild_fallbacks >= 1
+        expected = end_state(reference)
 
         config = durable_config(directory)
         daemon = ServeDaemon(base_table(kind), config)
@@ -211,15 +217,27 @@ def test_checkpoint_abort_recover_equals_uninterrupted(
             for event in chunk:
                 daemon.feed(event)
         daemon.finish()
-        assert recoveries >= 2
-        actual, generation = end_state(daemon)
-        assert actual == expected
-        if not crash_mid_run:
-            # recover() flushes the tail it re-fed; a crash inside a run
-            # of deltas therefore splits one coalesced batch in two and
-            # legitimately bumps the epoch once more.  Between requests
-            # nothing is buffered and the generation must match exactly.
-            assert generation == expected_generation
+        assert recoveries == len(crashes)
+        # recover() re-feeds the WAL tail without flushing it, so a
+        # crash inside a run of deltas leaves the run's first half
+        # buffered exactly as the uninterrupted daemon held it: the
+        # generation matches too, at every crash point.
+        assert end_state(daemon) == expected
+    return reference
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_crash_inside_a_delta_run_recovers_the_uninterrupted_clusters(kind):
+    """An announce and a withdraw of one prefix over a logged client,
+    split by a crash: the uninterrupted daemon coalesces the pair to
+    nothing, and so must the recovered one — re-creating the cluster
+    would lose its URL set (``reassign_clients`` moves counts and bytes,
+    not URLs) and bump the generation twice."""
+    steps = [("log", 0)] * 5 + [
+        ("log", 7), ("announce", 12, 64500), ("withdraw", 12), ("log", 0),
+    ]
+    # Crash before step 0 and between the announce and the withdraw.
+    run_and_compare(kind, expand(steps), checkpoints=set(), crashes={0, 7})
 
 
 def test_two_recoveries_stay_relative_to_the_original_base():
