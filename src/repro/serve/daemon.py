@@ -422,7 +422,8 @@ class ServeDaemon:
             self._pending_deltas[event.prefix] = event
         else:
             self._flush_deltas()
-            self._pending_logs.append((event.client, event.url, event.size))
+            # A LogEvent is the (client, url, size) triple itself.
+            self._pending_logs.append(event)
             if len(self._pending_logs) >= self.config.batch_size:
                 self._flush_logs()
         if (

@@ -6,7 +6,9 @@ reclustering relies on:
 
 ``{"type": "log", "client": "12.65.147.9", "url": "/a", "size": 1024}``
     one weblog request; ``client`` is dotted-quad text (or a raw
-    integer address), ``size`` defaults to 0 (a 304, like CLF's "-").
+    integer address in ``[0, 2**32)``), ``url`` a string (default
+    ``""``) and ``size`` a non-negative integer (default 0, a 304, like
+    CLF's "-").
 
 ``{"type": "announce", "prefix": "12.65.128.0/19", "origin_asn": 7018,
 "source": "AADS", "reason": "churn"}``
@@ -19,17 +21,41 @@ Route events are exactly the JSON form of
 :class:`~repro.bgp.synth.RouteDelta`, so ``repro-bgp-synth`` output
 pipes straight into ``repro-engine serve`` with no translation.
 
-Malformed lines raise :class:`~repro.errors.ServeProtocolError`; the
-daemon counts-and-skips them under its ``--max-errors`` budget, the
-same hygiene the batch pipeline applies to malformed CLF lines.
+Decoding has one fast path and one reference.  Nearly every line of a
+stream is a log event exactly as :meth:`LogEvent.to_json` writes it —
+``repro-bgp-synth --stream``, the benchmark's stream and every WAL
+frame are that text — so :func:`parse_event` first tries one anchored
+match of that canonical line (keys sorted, one space after ``:`` and
+``,``, ``size`` in JSON integer grammar, a ``url`` with no ``"``,
+``\\`` or control character, so its text *is* its value).  Every other
+line — route events, other key orders or spacing, escapes, anything
+malformed — goes through ``json.loads`` and field checks, which define
+the result: the fast path returns exactly what that path returns, and
+leaves every error to it.
+
+Malformed lines raise :class:`~repro.errors.ServeProtocolError` and
+nothing else; the daemon counts-and-skips them under its
+``--max-errors`` budget, the same hygiene the batch pipeline applies
+to malformed CLF lines.  A log event's fields are checked, never
+coerced: a ``client`` that is a bool, a float or an integer outside
+``[0, 2**32)``, a ``size`` that is a bool, a float (``NaN`` and
+``Infinity`` included) or negative, and a ``url`` that is not a string
+are errors, and so is any other exception raised while decoding an
+event (a ``1e400`` that overflows, JSON nested past the recursion
+limit).
+
+:class:`LogEvent` is a :class:`~typing.NamedTuple`, so a request is the
+very ``(client, url, size)`` triple the cluster store folds — and it
+compares equal to a plain tuple of the same three values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from collections import deque
 from functools import lru_cache
-from typing import Any, Dict, Optional, Union
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Union
 
 from repro.bgp.synth import RouteDelta
 from repro.errors import (
@@ -37,7 +63,7 @@ from repro.errors import (
     ServeLineTooLongError,
     ServeProtocolError,
 )
-from repro.net.ipv4 import AddressError, format_ipv4, parse_ipv4
+from repro.net.ipv4 import MAX_ADDRESS, format_ipv4, parse_ipv4
 
 __all__ = [
     "EVENT_LOG",
@@ -67,9 +93,15 @@ _CLIENT_MEMO = 1 << 16
 _client_address = lru_cache(maxsize=_CLIENT_MEMO)(parse_ipv4)
 _client_text = lru_cache(maxsize=_CLIENT_MEMO)(format_ipv4)
 
+#: The line :meth:`LogEvent.to_json` writes, as one anchored pattern.
+#: ``[0-9]`` rather than ``\d``: JSON digits are ASCII.
+_CANONICAL_LOG = re.compile(
+    r'\{"client": "([0-9.]+)", "size": (0|[1-9][0-9]*), '
+    r'"type": "log", "url": "([^"\\\x00-\x1f]*)"\}'
+).fullmatch
 
-@dataclass(frozen=True)
-class LogEvent:
+
+class LogEvent(NamedTuple):
     """One weblog request on the stream: the ``(client, url, size)``
     projection the cluster accumulators need."""
 
@@ -106,13 +138,17 @@ class LineSplitter:
     line, three lines and a fragment — so the loop needs stateful
     splitting.  :meth:`push` buffers a chunk; :meth:`next_line` yields
     one complete line at a time (``None`` when more bytes are needed).
+    Lines are cut in bulk: when none is left to hand out, every
+    complete line in the buffer is cut and decoded at once and queued.
+    Queued lines still count as buffered for :attr:`pending`,
+    :meth:`flush` and :meth:`abandon`.
 
-    The buffer is bounded by ``max_line_bytes``: a line that exceeds it
-    raises :class:`~repro.errors.ServeLineTooLongError` *once*, the
-    oversized line's bytes are discarded through its terminating
-    newline (whenever that arrives), and splitting continues with the
-    next line — one counted error per hostile line, never unbounded
-    memory, never a dead connection.
+    The budget is ``max_line_bytes`` per line: a line that exceeds it
+    raises :class:`~repro.errors.ServeLineTooLongError` *once*, in its
+    turn, the oversized line's bytes are discarded through its
+    terminating newline (whenever that arrives), and splitting
+    continues with the next line — one counted error per hostile line,
+    never unbounded memory, never a dead connection.
     """
 
     def __init__(self, max_line_bytes: int = DEFAULT_MAX_LINE_BYTES) -> None:
@@ -123,12 +159,19 @@ class LineSplitter:
         self.max_line_bytes = max_line_bytes
         self._buffer = bytearray()
         self._discarding = False
+        #: Lines cut but not handed out yet; ``None`` marks an
+        #: oversized line, whose byte count waits in ``_too_long``.
+        self._lines: Deque[Optional[str]] = deque()
+        self._too_long: Deque[int] = deque()
+        #: The bytes the last cut decoded (newlines between lines), so
+        #: queued lines can be given back byte for byte.
+        self._block = b""
 
     @property
     def pending(self) -> int:
-        """Bytes of an incomplete line still buffered — non-zero at
-        connection teardown means the peer vanished mid-frame."""
-        return len(self._buffer)
+        """Bytes of lines not yet handed out, still buffered — non-zero
+        at connection teardown means the peer vanished mid-frame."""
+        return len(self._queued_bytes()) + len(self._buffer)
 
     def push(self, chunk: bytes) -> None:
         """Buffer one received chunk (never raises; the budget check
@@ -143,51 +186,91 @@ class LineSplitter:
         assembly exceeds the budget — whether its newline has arrived
         or not — after discarding the offending bytes.
         """
-        while True:
-            buffer = self._buffer
+        lines = self._lines
+        if not lines and not self._cut():
+            return None
+        line = lines.popleft()
+        if line is None:
+            raise ServeLineTooLongError(
+                f"event line of {self._too_long.popleft()} bytes exceeds "
+                f"the {self.max_line_bytes}-byte budget — line discarded"
+            )
+        return line
+
+    def _cut(self) -> bool:
+        """Queue every complete line in the buffer: one ``rfind``, one
+        decode, one split.  False when there is no complete line; an
+        unterminated tail over the budget is dropped and raises."""
+        buffer = self._buffer
+        if self._discarding:
             newline = buffer.find(b"\n")
-            if self._discarding:
-                if newline < 0:
-                    # Still inside the oversized line: drop what we have
-                    # and keep waiting for its terminator.
-                    buffer.clear()
-                    return None
-                del buffer[: newline + 1]
-                self._discarding = False
-                continue
             if newline < 0:
-                if len(buffer) > self.max_line_bytes:
-                    dropped = len(buffer)
-                    buffer.clear()
-                    self._discarding = True
-                    raise ServeLineTooLongError(
-                        f"event line exceeds {self.max_line_bytes} bytes "
-                        f"({dropped} buffered with no newline in sight) — "
-                        "line discarded"
-                    )
-                return None
-            if newline > self.max_line_bytes:
-                del buffer[: newline + 1]
-                raise ServeLineTooLongError(
-                    f"event line of {newline} bytes exceeds the "
-                    f"{self.max_line_bytes}-byte budget — line discarded"
-                )
-            line = bytes(buffer[:newline])
+                # Still inside the oversized line: drop what we have
+                # and keep waiting for its terminator.
+                buffer.clear()
+                return False
             del buffer[: newline + 1]
-            return line.decode("utf-8", errors="replace")
+            self._discarding = False
+        end = buffer.rfind(b"\n")
+        budget = self.max_line_bytes
+        if end < 0:
+            if len(buffer) > budget:
+                dropped = len(buffer)
+                buffer.clear()
+                self._discarding = True
+                raise ServeLineTooLongError(
+                    f"event line exceeds {budget} bytes "
+                    f"({dropped} buffered with no newline in sight) — "
+                    "line discarded"
+                )
+            return False
+        block = bytes(buffer[:end])
+        del buffer[: end + 1]
+        self._block = block
+        # UTF-8 never uses the newline byte inside a sequence, so one
+        # decode of the block splits into what decoding line by line
+        # would give.
+        lines: List[Optional[str]] = list(
+            block.decode("utf-8", errors="replace").split("\n")
+        )
+        if end > budget:
+            # Only a block longer than the budget can hold an oversized
+            # line; it keeps its place in the queue as a marker.
+            pieces = block.split(b"\n")
+            if max(map(len, pieces)) > budget:
+                for index, piece in enumerate(pieces):
+                    if len(piece) > budget:
+                        lines[index] = None
+                        self._too_long.append(len(piece))
+        self._lines.extend(lines)
+        return True
+
+    def _queued_bytes(self) -> bytes:
+        """The bytes of the queued lines, each with its newline."""
+        count = len(self._lines)
+        if not count:
+            return b""
+        return b"\n".join(self._block.split(b"\n")[-count:]) + b"\n"
+
+    def _reset(self) -> None:
+        self._buffer.clear()
+        self._lines.clear()
+        self._too_long.clear()
+        self._block = b""
+        self._discarding = False
 
     def flush(self) -> Optional[str]:
-        """The final unterminated line at a *clean* end of stream, or
-        ``None`` — files legitimately end without a trailing newline.
-        Callers seeing an unclean teardown call :meth:`abandon` instead;
-        a partial frame from a vanished peer is an error, not a line."""
-        if self._discarding or not self._buffer:
-            self._buffer.clear()
-            self._discarding = False
+        """Everything still buffered as one final line at a *clean* end
+        of stream, or ``None`` — files legitimately end without a
+        trailing newline.  Callers seeing an unclean teardown call
+        :meth:`abandon` instead; a partial frame from a vanished peer is
+        an error, not a line."""
+        rest = self._queued_bytes() + self._buffer
+        discarding = self._discarding
+        self._reset()
+        if discarding or not rest:
             return None
-        line = bytes(self._buffer).decode("utf-8", errors="replace")
-        self._buffer.clear()
-        return line
+        return rest.decode("utf-8", errors="replace")
 
     def abandon(self) -> None:
         """Tear down after an *unclean* end of stream (reset, timeout,
@@ -195,10 +278,9 @@ class LineSplitter:
         next connection; raises :class:`~repro.errors.ServeDisconnectError`
         if a partial frame was buffered, so the serve loop can count the
         torn frame under its error budget."""
-        pending = len(self._buffer)
+        pending = self.pending
         discarding = self._discarding
-        self._buffer.clear()
-        self._discarding = False
+        self._reset()
         if pending or discarding:
             raise ServeDisconnectError(
                 f"client vanished mid-frame ({pending} bytes of an "
@@ -211,14 +293,28 @@ def parse_event(line: str) -> Optional[ServeEvent]:
     """Decode one stream line; blank lines decode to ``None``.
 
     Raises :class:`ServeProtocolError` for anything that is not a JSON
-    object with a known ``type`` and well-formed fields.
+    object with a known ``type`` and well-formed fields.  A canonical
+    log line takes one anchored match; everything else, errors
+    included, is :func:`_decode_json`'s.
     """
+    match = _CANONICAL_LOG(line)
+    if match is not None:
+        client, size, url = match.groups()
+        try:
+            return LogEvent(_client_address(client), url, int(size))
+        except ValueError:
+            pass  # a bad address or an oversized int: the reference raises
+    return _decode_json(line)
+
+
+def _decode_json(line: str) -> Optional[ServeEvent]:
+    """The reference decoder: ``json.loads`` plus field checks."""
     text = line.strip()
     if not text:
         return None
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise ServeProtocolError(
             f"event line is not JSON: {text[:80]!r} ({exc})"
         ) from exc
@@ -230,27 +326,40 @@ def parse_event(line: str) -> Optional[ServeEvent]:
     kind = data.get("type")
     if kind == EVENT_LOG:
         try:
-            client = data["client"]
-            address = (
-                _client_address(client) if isinstance(client, str)
-                else int(client)
-            )
-            return LogEvent(
-                client=address,
-                url=str(data.get("url", "")),
-                size=int(data.get("size", 0)),
-            )
-        except (AddressError, KeyError, TypeError, ValueError) as exc:
+            return _log_event(data)
+        except Exception as exc:
             raise ServeProtocolError(
                 f"bad log event: {text[:80]!r} ({exc})"
             ) from exc
     if kind in (EVENT_ANNOUNCE, EVENT_WITHDRAW):
         try:
             return RouteDelta.from_dict(data)
-        except (AddressError, KeyError, TypeError, ValueError) as exc:
+        except Exception as exc:
             raise ServeProtocolError(
                 f"bad route event: {text[:80]!r} ({exc})"
             ) from exc
     raise ServeProtocolError(
         f"unknown event type {kind!r}: {text[:80]!r}"
     )
+
+
+def _log_event(data: Dict[str, Any]) -> LogEvent:
+    """A decoded ``log`` object's fields, checked and never coerced."""
+    client = data["client"]
+    # ``type(...) is int`` keeps bools (an int subclass) out.
+    if isinstance(client, str):
+        address = _client_address(client)
+    elif type(client) is int and 0 <= client <= MAX_ADDRESS:
+        address = client
+    else:
+        raise ValueError(
+            f"client must be a dotted quad or an integer in [0, 2**32): "
+            f"{client!r}"
+        )
+    url = data.get("url", "")
+    if not isinstance(url, str):
+        raise ValueError(f"url must be a string: {url!r}")
+    size = data.get("size", 0)
+    if type(size) is not int or size < 0:
+        raise ValueError(f"size must be a non-negative integer: {size!r}")
+    return LogEvent(address, url, size)

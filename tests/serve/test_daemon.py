@@ -15,10 +15,12 @@ from repro.engine.state import (
     ClusterStore,
     write_checkpoint,
 )
-from repro.errors import OverloadShedWarning
+from repro.errors import OverloadShedWarning, ServeProtocolError
 from repro.net.prefix import Prefix
 from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.protocol import LogEvent
+from repro.serve.protocol import LineSplitter, LogEvent, parse_event
+from repro.serve.wal import recover_wal
+from tests.serve.test_protocol import HOSTILE_LOG_LINES
 
 P8 = Prefix.from_cidr("10.0.0.0/8")
 P16 = Prefix.from_cidr("10.1.0.0/16")
@@ -451,3 +453,48 @@ class TestOverload:
         # mixed_stream touches two distinct prefixes, twice each.
         assert daemon.health()["route_diff"] == 2
         assert daemon.health()["checkpoint_bytes"] == os.path.getsize(path)
+
+
+class TestHostileLines:
+    """Hostile log lines in the stream are decode errors: counted and
+    skipped, never fed — so they neither kill the daemon (at the next
+    flush, or in the WAL append) nor change its clusters."""
+
+    @staticmethod
+    def serve(lines, wal_dir):
+        """The serve loop's path: split, decode, count or submit."""
+        daemon = ServeDaemon(
+            fresh_table(), ServeConfig(batch_size=2, wal_dir=wal_dir)
+        )
+        if wal_dir is not None:
+            daemon.attach_wal()
+        splitter = LineSplitter()
+        splitter.push(("\n".join(lines) + "\n").encode("utf-8"))
+        while True:
+            line = splitter.next_line()
+            if line is None:
+                break
+            try:
+                event = parse_event(line)
+            except ServeProtocolError:
+                daemon.metrics.record_malformed()
+                continue
+            daemon.submit(event)
+        daemon.finish()
+        return daemon
+
+    @pytest.mark.parametrize("wal", [False, True], ids=["no_wal", "wal"])
+    def test_counted_and_skipped_with_the_clean_report(self, tmp_path, wal):
+        clean = [event.to_json() for event in mixed_stream()]
+        dirty = list(clean)
+        for offset, line in enumerate(HOSTILE_LOG_LINES):
+            dirty.insert(2 * offset + 1, line)
+        wal_dir = str(tmp_path / "wal") if wal else None
+        reference = self.serve(clean, None)
+        daemon = self.serve(dirty, wal_dir)
+        assert daemon.metrics.malformed_skipped == len(HOSTILE_LOG_LINES)
+        assert reference.metrics.malformed_skipped == 0
+        assert daemon.events_consumed == len(clean)
+        assert report(daemon) == report(reference)
+        if wal:
+            assert recover_wal(wal_dir).next_index == len(clean)
