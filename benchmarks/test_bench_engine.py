@@ -105,7 +105,7 @@ class TestPackedVsRadix:
         Best-of-3 on each side so a single descheduled run can't flip
         the comparison when the machine is busy.
         """
-        tree = merged_table._tree
+        tree = merged_table._radix()
 
         radix_seconds, radix_hits = _best_of(3, lambda: sum(
             1 for address in address_batch
@@ -132,7 +132,7 @@ class TestPackedVsRadix:
 
     def test_bench_radix_longest_match_loop(self, benchmark, merged_table,
                                             address_batch):
-        tree = merged_table._tree
+        tree = merged_table._radix()
 
         def loop():
             return sum(

@@ -6,16 +6,28 @@ AS path.  Snapshots serialise to / parse from the textual dump formats
 of §3.1.2.
 
 :class:`MergedPrefixTable` is the union the clustering consumes (§3.1):
-all prefixes from all snapshots in one radix tree, with provenance so
-we can report how many clients were clustered by secondary (registry
+all prefixes from all snapshots, one winner per prefix, with provenance
+so we can report how many clients were clustered by secondary (registry
 dump) prefixes versus primary (BGP) prefixes — the paper's 99 % → 99.9 %
-improvement.
+improvement.  The winners live in a dict; address-ordered reads come
+from one cached sort, and the radix trie that answers router-style
+lookups is built from that order on the first lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.bgp.formats import (
     FORMAT_DOTTED_NETMASK,
@@ -27,6 +39,9 @@ from repro.net.prefix import Prefix
 from repro.net.radix import RadixTree
 
 __all__ = ["RouteEntry", "RoutingTable", "MergedPrefixTable", "LookupResult"]
+
+#: What one source carries per prefix: a RouteEntry, or dump fields.
+_Route = TypeVar("_Route")
 
 #: Source kinds, in priority order: BGP dumps are the primary prefix
 #: source, forwarding tables next, registry (IP network) dumps last.
@@ -161,15 +176,25 @@ class RoutingTable:
         for prefix, fields in iter_dump_routes(
             lines, report=report, max_errors=max_errors, strict=strict
         ):
-            next_hop = fields[1] if len(fields) > 1 else ""
-            as_path: Tuple[int, ...] = ()
-            if len(fields) > 2:
-                try:
-                    as_path = tuple(int(tok) for tok in fields[2].split())
-                except ValueError:
-                    as_path = ()
-            table.add(RouteEntry(prefix, next_hop, as_path))
+            table.add(_route_from_fields(prefix, fields))
         return table
+
+
+def _route_from_fields(prefix: Prefix, fields: List[str]) -> RouteEntry:
+    """The :class:`RouteEntry` of one parsed dump line.
+
+    ``fields`` is the split line :func:`iter_dump_routes` yields: next
+    hop in ``fields[1]``, space-separated AS path in ``fields[2]`` (a
+    path that is not all integers is dropped, not fatal).
+    """
+    next_hop = fields[1] if len(fields) > 1 else ""
+    as_path: Tuple[int, ...] = ()
+    if len(fields) > 2:
+        try:
+            as_path = tuple(int(tok) for tok in fields[2].split())
+        except ValueError:
+            as_path = ()
+    return RouteEntry(prefix, next_hop, as_path)
 
 
 @dataclass(frozen=True)
@@ -194,32 +219,79 @@ class MergedPrefixTable:
     kind wins the provenance label (BGP > forwarding > registry), so
     ``LookupResult.from_registry`` is True only for prefixes *no* BGP
     or forwarding table contained — exactly the paper's accounting for
-    the secondary-source contribution.
+    the secondary-source contribution.  Between sources of one kind the
+    first merged wins; inside one source the last line for a prefix
+    does, as in :class:`RoutingTable`.
+
+    The winners are a dict keyed by prefix.  Ordered reads share one
+    sort, cached until the next merge; :meth:`lookup` answers through a
+    :class:`~repro.net.radix.RadixTree` built from that order when it is
+    first called, so a table that is only compiled into an engine
+    table never builds the trie.
     """
 
     def __init__(self) -> None:
-        self._tree: RadixTree[LookupResult] = RadixTree()
+        #: prefix -> its ``(prefix, winner)`` item, so that the sorted
+        #: order shares these pairs instead of allocating its own.
+        self._winners: Dict[Prefix, Tuple[Prefix, LookupResult]] = {}
+        self._ordered: Optional[List[Tuple[Prefix, LookupResult]]] = None
+        self._tree: Optional[RadixTree[LookupResult]] = None
         self.tables_merged = 0
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._winners)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._tree
+        return prefix in self._winners
 
     def add_table(self, table: RoutingTable) -> None:
         """Merge all entries of ``table`` into the union."""
+        self._merge(table.name, table.kind, table._entries.items(), _as_entry)
+
+    def add_dump(
+        self, name: str, routes: Iterable[Tuple[Prefix, List[str]]]
+    ) -> None:
+        """Merge one BGP dump's ``(prefix, fields)`` stream, as
+        :func:`~repro.bgp.formats.iter_dump_routes` yields it.
+
+        The same union as ``add_table(RoutingTable.from_lines(...))``,
+        without the intermediate table: a route's :class:`RouteEntry`
+        is built only when it wins.
+        """
+        self._merge(name, KIND_BGP, routes, _route_from_fields)
+
+    def _merge(
+        self,
+        name: str,
+        kind: str,
+        routes: Iterable[Tuple[Prefix, _Route]],
+        to_entry: Callable[[Prefix, _Route], RouteEntry],
+    ) -> None:
+        """The one merge loop over one source's routes, in source order.
+
+        A route takes its prefix when no winner is held, when the held
+        winner is this source's own earlier line (the last line wins,
+        as in :class:`RoutingTable`), or when the held winner's kind
+        ranks lower.  A losing route is dropped as it streams past.
+        """
         self.tables_merged += 1
-        for entry in table:
-            existing = self._tree.get(entry.prefix)
-            if existing is not None and (
-                _KIND_PRIORITY[existing.source_kind] <= _KIND_PRIORITY[table.kind]
+        self._ordered = self._tree = None
+        winners = self._winners
+        priority = _KIND_PRIORITY
+        rank = priority[kind]
+        won: Set[Prefix] = set()
+        for prefix, route in routes:
+            held = winners.get(prefix)
+            if (
+                held is None
+                or prefix in won
+                or priority[held[1].source_kind] > rank
             ):
-                continue
-            self._tree.insert(
-                entry.prefix,
-                LookupResult(entry.prefix, entry, table.name, table.kind),
-            )
+                winners[prefix] = (
+                    prefix,
+                    LookupResult(prefix, to_entry(prefix, route), name, kind),
+                )
+                won.add(prefix)
 
     @classmethod
     def from_tables(cls, tables: Iterable[RoutingTable]) -> "MergedPrefixTable":
@@ -228,17 +300,36 @@ class MergedPrefixTable:
             merged.add_table(table)
         return merged
 
+    def _sorted(self) -> List[Tuple[Prefix, LookupResult]]:
+        """The winners in routing-table order: one sort per merge state."""
+        ordered = self._ordered
+        if ordered is None:
+            ordered = self._ordered = sorted(
+                self._winners.values(), key=_order_key
+            )
+        return ordered
+
+    def _radix(self) -> RadixTree[LookupResult]:
+        """The winners as a radix trie, built on first use."""
+        tree = self._tree
+        if tree is None:
+            tree = RadixTree()
+            for prefix, result in self._sorted():
+                tree.insert(prefix, result)
+            self._tree = tree
+        return tree
+
     def lookup(self, address: int) -> Optional[LookupResult]:
         """Longest-prefix match ``address`` (the router-style lookup)."""
-        match = self._tree.longest_match(address)
+        match = self._radix().longest_match(address)
         return match[1] if match else None
 
     def prefixes(self) -> Iterator[Prefix]:
-        return self._tree.prefixes()
+        return (prefix for prefix, _ in self._sorted())
 
     def items(self) -> Iterator[Tuple[Prefix, LookupResult]]:
         """Iterate ``(prefix, winning LookupResult)`` in address order."""
-        return self._tree.items()
+        return iter(self._sorted())
 
     def export_entries(self) -> List[Tuple[Prefix, LookupResult]]:
         """All ``(prefix, winning LookupResult)`` pairs, sort_key order.
@@ -246,19 +337,31 @@ class MergedPrefixTable:
         Compile hook for :class:`repro.engine.packed.PackedLpm`: the
         engine packs this list into its immutable lookup arrays, so the
         merged table remains the build-side structure routing swaps
-        mutate, and the engine gets its own compiled copy.
+        mutate, and the engine gets its own compiled copy.  The list is
+        the caller's: the cached order stays private.
         """
-        return self._tree.export_entries()
+        return list(self._sorted())
 
     def prefix_length_histogram(self) -> Dict[int, int]:
         histogram: Dict[int, int] = {}
-        for prefix in self._tree.prefixes():
+        for prefix, _ in self._sorted():
             histogram[prefix.length] = histogram.get(prefix.length, 0) + 1
         return histogram
 
     def kind_counts(self) -> Dict[str, int]:
         """Entries by winning source kind (primary vs secondary)."""
         counts: Dict[str, int] = {}
-        for _, result in self._tree.items():
+        for _, result in self._sorted():
             counts[result.source_kind] = counts.get(result.source_kind, 0) + 1
         return counts
+
+
+def _as_entry(prefix: Prefix, entry: RouteEntry) -> RouteEntry:
+    """``to_entry`` for a :class:`RoutingTable`: its routes are entries."""
+    return entry
+
+
+def _order_key(item: Tuple[Prefix, LookupResult]) -> int:
+    """``Prefix.sort_key`` order as one int: ``(network << 6) | length``."""
+    prefix = item[0]
+    return (prefix.network << 6) | prefix.length

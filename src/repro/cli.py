@@ -22,8 +22,8 @@ import argparse
 import sys
 from typing import Any, List, Optional
 
-from repro.bgp.formats import DumpReport
-from repro.bgp.table import KIND_BGP, MergedPrefixTable, RoutingTable
+from repro.bgp.formats import DumpReport, iter_dump_routes
+from repro.bgp.table import MergedPrefixTable
 from repro.core.clustering import (
     METHOD_NETWORK_AWARE,
     METHOD_SIMPLE,
@@ -70,18 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_tables(
     paths: List[str],
-    max_errors: Optional[int] = None,
     injector: Optional[Any] = None,
 ) -> MergedPrefixTable:
     """Merge routing-table dump files into one prefix table.
 
-    Malformed dump lines are counted-and-skipped (reported on stderr),
-    mirroring the log parser's hygiene: one garbage line in one of
-    fourteen snapshots must not abort table loading.  ``max_errors``
-    bounds the per-file tolerance
-    (:class:`repro.bgp.formats.DumpLimitError` beyond it); ``injector``
-    is the chaos hook that mangles lines in flight
-    (:mod:`repro.faults`).
+    Each dump streams straight into the merge: a line's route is built
+    only when it wins its prefix.  Malformed dump lines are always
+    counted-and-skipped (reported on stderr), mirroring the log
+    parser's hygiene: one garbage line in one of fourteen snapshots
+    must not abort table loading.  ``injector`` is the chaos hook that
+    mangles lines in flight (:mod:`repro.faults`).
     """
     merged = MergedPrefixTable()
     for path in paths:
@@ -92,12 +90,7 @@ def load_tables(
                 from repro.faults import SITE_DUMP_MANGLE
 
                 lines = injector.wrap_lines(handle, SITE_DUMP_MANGLE)
-            merged.add_table(
-                RoutingTable.from_lines(
-                    path, lines, kind=KIND_BGP,
-                    report=report, max_errors=max_errors,
-                )
-            )
+            merged.add_dump(path, iter_dump_routes(lines, report=report))
         if report.malformed:
             print(
                 f"warning: skipped {report.malformed:,} malformed line(s) "

@@ -95,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-errors", type=int, default=None, metavar="N",
-        help="abort when more than N malformed lines accumulate "
-             "(default: skip-and-count forever)",
+        help="abort when more than N malformed log lines accumulate "
+             "(default: skip-and-count forever; malformed dump lines "
+             "are always counted and skipped)",
     )
     parser.add_argument(
         "--checkpoint", metavar="PATH", default=None,

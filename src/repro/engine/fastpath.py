@@ -47,6 +47,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
 from repro.analysis import sanitize as _sanitize
@@ -208,12 +209,12 @@ class StrideLpm(PackedLpm):
                 runs[slot] = (run_starts, list(owners[index:last + 1]))
                 index = last
 
-    def verify_patched(self) -> None:
-        """Equivalence gate, extended to the stride overlay."""
-        super().verify_patched()
+    def _verify_overlay(self, rebuilt: PackedLpm) -> None:
+        """The equivalence gate's stride half: the overlay, renumbered
+        like the intervals, must equal the one rebuild's."""
+        fresh = cast(StrideLpm, rebuilt)
         _, slots, runs = self.__getstate__()
-        rebuilt = StrideLpm(list(self.items()))
-        if rebuilt._slots != slots or rebuilt._runs != runs:
+        if fresh._slots != slots or fresh._runs != runs:
             raise SanitizeError(
                 "patched StrideLpm overlay diverged from a from-scratch "
                 f"rebuild at epoch {self.epoch}: the stride index no "

@@ -174,16 +174,21 @@ class PackedLpm:
                 starts.append(addr)
                 owners.append(owner)
 
+        # The open (enclosing) entries, innermost last, and the last
+        # address each one covers, as plain ints.
         stack: List[int] = []
+        ends: List[int] = []
         for index, prefix in enumerate(prefixes):
-            while stack and prefixes[stack[-1]].last_address < prefix.network:
-                ended = stack.pop()
-                push(prefixes[ended].last_address + 1, stack[-1] if stack else -1)
-            push(prefix.network, index)
+            network = prefix.network
+            while ends and ends[-1] < network:
+                stack.pop()
+                push(ends.pop() + 1, stack[-1] if stack else -1)
+            push(network, index)
             stack.append(index)
+            ends.append(network | ((1 << (32 - prefix.length)) - 1))
         while stack:
-            ended = stack.pop()
-            boundary = prefixes[ended].last_address + 1
+            stack.pop()
+            boundary = ends.pop() + 1
             if boundary <= MAX_ADDRESS:
                 push(boundary, stack[-1] if stack else -1)
         self._starts = starts
@@ -588,7 +593,7 @@ class PackedLpm:
         starts, owners, prefixes, values, _, _ = self._packed_state(
             self._ranks()
         )
-        rebuilt = PackedLpm(list(zip(prefixes, values)))
+        rebuilt = type(self)(list(zip(prefixes, values)))
         if rebuilt._starts != starts or rebuilt._owners != owners:
             raise SanitizeError(
                 "patched PackedLpm diverged from a from-scratch rebuild: "
@@ -597,10 +602,10 @@ class PackedLpm:
                 f"(epoch {self._epoch}, {len(prefixes)} entries)"
             )
         if self._sorted is not None:
-            in_order = array("Q", [
+            in_order = array("Q", sorted({
                 _order_key(prefix.network, prefix.length)
-                for prefix in sorted(set(prefixes))
-            ])
+                for prefix in prefixes
+            }))
             if self._sorted[0] != in_order or len(self) != len(in_order):
                 raise SanitizeError(
                     "patched PackedLpm's sorted view diverged from its "
@@ -613,6 +618,12 @@ class PackedLpm:
                 "patched PackedLpm digest diverged from a from-scratch "
                 f"rebuild at epoch {self._epoch}"
             )
+        self._verify_overlay(rebuilt)
+
+    def _verify_overlay(self, rebuilt: "PackedLpm") -> None:
+        """:meth:`verify_patched`'s hook for a subclass's index over the
+        intervals, compared against the same one rebuild (``rebuilt`` is
+        of ``type(self)``).  The plain packed layout has none."""
 
     # -- pickling --------------------------------------------------------
 

@@ -10,6 +10,7 @@ than nslookup; non-US clusters dominate the failures.
 from __future__ import annotations
 
 import random
+import zlib
 
 from repro.core.validation import (
     nslookup_validate,
@@ -39,7 +40,9 @@ def run(ctx: ExperimentContext) -> str:
     columns = {}
     for preset in _LOGS:
         clusters = ctx.clusters(preset)
-        rng = random.Random(ctx.seed + hash(preset) % 1000)
+        # crc32, not hash(): str hashes are salted per process
+        # (PYTHONHASHSEED), and the sample must not be.
+        rng = random.Random(ctx.seed + zlib.crc32(preset.encode()) % 1000)
         sample = sample_clusters(clusters, SAMPLE_FRACTION, rng)
         ns = nslookup_validate(
             sample, ctx.dns, ctx.topology, preset, total_clusters=len(clusters)

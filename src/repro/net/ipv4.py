@@ -40,6 +40,11 @@ _MASKS = tuple(((1 << 32) - 1) ^ ((1 << (32 - length)) - 1) for length in range(
 # Reverse map from netmask integer to prefix length, for contiguous masks.
 _MASK_TO_LENGTH = {mask: length for length, mask in enumerate(_MASKS)}
 
+#: The canonical spelling of every octet value — exactly the ASCII
+#: octets the strict parser accepts — so a well-formed quad costs four
+#: dict probes.
+_OCTETS = {str(octet): octet for octet in range(256)}
+
 
 class AddressError(ValueError):
     """Raised when an IPv4 address, netmask, or prefix is malformed."""
@@ -60,6 +65,13 @@ def parse_ipv4(text: str) -> int:
     parts = text.split(".")
     if len(parts) != 4:
         raise AddressError(f"expected 4 octets in IPv4 address: {text!r}")
+    try:
+        return (
+            (_OCTETS[parts[0]] << 24) | (_OCTETS[parts[1]] << 16)
+            | (_OCTETS[parts[2]] << 8) | _OCTETS[parts[3]]
+        )
+    except KeyError:
+        pass  # not four canonical octets: the checks below say which
     value = 0
     for part in parts:
         if not part or not part.isdigit():

@@ -1,17 +1,25 @@
 """Unit tests for routing tables and the merged prefix table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bgp.formats import iter_dump_routes
 from repro.bgp.table import (
+    _KIND_PRIORITY,
     KIND_BGP,
     KIND_FORWARDING,
     KIND_REGISTRY,
+    LookupResult,
     MergedPrefixTable,
     RouteEntry,
     RoutingTable,
 )
-from repro.net.ipv4 import parse_ipv4
+from repro.cli import load_tables
+from repro.faults import SITE_DUMP_MANGLE, FaultInjector, FaultPlan, FaultSpec
+from repro.net.ipv4 import MAX_ADDRESS, parse_ipv4
 from repro.net.prefix import Prefix
+from repro.net.radix import RadixTree
 
 
 def p(cidr: str) -> Prefix:
@@ -158,3 +166,169 @@ class TestMergedPrefixTable:
     def test_histogram(self):
         merged = MergedPrefixTable.from_tables(self._tables())
         assert merged.prefix_length_histogram() == {8: 1, 16: 1, 12: 1}
+
+    def test_export_entries_is_a_copy(self):
+        merged = MergedPrefixTable.from_tables(self._tables())
+        exported = merged.export_entries()
+        exported.clear()
+        assert len(merged.export_entries()) == 3
+
+
+class RadixMerge:
+    """The merge as it was first written — one radix tree, filled entry
+    by entry — kept as the model the dict merge is checked against."""
+
+    def __init__(self):
+        self.tree = RadixTree()
+
+    def add_table(self, table):
+        for entry in table:
+            existing = self.tree.get(entry.prefix)
+            if existing is not None and (
+                _KIND_PRIORITY[existing.source_kind] <= _KIND_PRIORITY[table.kind]
+            ):
+                continue
+            self.tree.insert(
+                entry.prefix,
+                LookupResult(entry.prefix, entry, table.name, table.kind),
+            )
+
+    def kind_counts(self):
+        counts = {}
+        for _, result in self.tree.items():
+            counts[result.source_kind] = counts.get(result.source_kind, 0) + 1
+        return counts
+
+    def prefix_length_histogram(self):
+        histogram = {}
+        for prefix in self.tree.prefixes():
+            histogram[prefix.length] = histogram.get(prefix.length, 0) + 1
+        return histogram
+
+    def lookup(self, address):
+        match = self.tree.longest_match(address)
+        return match[1] if match else None
+
+
+#: Nested prefixes (chains of covers inside 10/8, the default route,
+#: /32s) so random tables collide and shadow each other often.
+MERGE_POOL = [
+    p(cidr) for cidr in (
+        "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/9", "10.0.0.0/16",
+        "10.1.0.0/16", "10.1.2.0/24", "10.1.2.3/32", "10.128.0.0/9",
+        "10.255.255.0/24", "11.0.0.0/8", "192.0.2.0/24", "192.0.2.128/25",
+    )
+]
+MERGE_PROBES = sorted({
+    address
+    for prefix in MERGE_POOL
+    for address in (
+        prefix.network, prefix.last_address,
+        max(0, prefix.network - 1), min(MAX_ADDRESS, prefix.last_address + 1),
+    )
+})
+
+tables_strategy = st.lists(
+    st.tuples(
+        st.sampled_from((KIND_BGP, KIND_FORWARDING, KIND_REGISTRY)),
+        # Routes in file order, repeats included: the last one stands.
+        st.lists(
+            st.tuples(st.sampled_from(MERGE_POOL), st.integers(0, 3)),
+            max_size=10,
+        ),
+        st.booleans(),  # look something up before merging this table
+        st.booleans(),  # a BGP table arrives as dump lines (add_dump)
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tables=tables_strategy,
+    addresses=st.lists(st.integers(0, MAX_ADDRESS), max_size=20),
+)
+def test_dict_merge_equals_radix_merge(tables, addresses):
+    merged = MergedPrefixTable()
+    model = RadixMerge()
+    probes = MERGE_PROBES + addresses
+    for number, (kind, routes, look_first, as_dump) in enumerate(tables):
+        if look_first:
+            assert [merged.lookup(a) for a in probes] == [
+                model.lookup(a) for a in probes
+            ]
+        name = f"T{number % 3}"
+        if kind == KIND_BGP and as_dump:
+            lines = [
+                f"{prefix.cidr}\th{hop}\t{number} {hop}" for prefix, hop in routes
+            ]
+            merged.add_dump(name, iter_dump_routes(lines))
+            model.add_table(RoutingTable.from_lines(name, lines))
+            continue
+        table = RoutingTable(name, kind=kind)
+        for prefix, hop in routes:
+            table.add_prefix(prefix, next_hop=f"h{hop}", as_path=(number, hop))
+        merged.add_table(table)
+        model.add_table(table)
+
+    assert len(merged) == len(model.tree)
+    for prefix in MERGE_POOL:
+        assert (prefix in merged) == (prefix in model.tree)
+    assert list(merged.items()) == list(model.tree.items())
+    assert list(merged.prefixes()) == list(model.tree.prefixes())
+    assert merged.export_entries() == model.tree.export_entries()
+    assert list(merged.kind_counts().items()) == list(model.kind_counts().items())
+    assert list(merged.prefix_length_histogram().items()) == list(
+        model.prefix_length_histogram().items()
+    )
+    assert [merged.lookup(a) for a in probes] == [model.lookup(a) for a in probes]
+
+
+class TestLoadTables:
+    def _write(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_repeat_inside_one_dump_takes_the_last_line(self, tmp_path):
+        dump = self._write(
+            tmp_path, "a.dump",
+            "10.0.0.0/8\thop1\t1 2\n11.0.0.0/8\thop1\t5\n"
+            "10.0.0.0/255.0.0.0\thop2\t3 4\n",
+        )
+        merged = load_tables([dump])
+        result = merged.lookup(parse_ipv4("10.9.9.9"))
+        assert result.entry.as_path == (3, 4)
+        assert result.entry.next_hop == "hop2"
+        assert len(merged) == 2
+
+    def test_prefix_shared_across_dumps_takes_the_first(self, tmp_path):
+        first = self._write(tmp_path, "a.dump", "10.0.0.0/8\tha\t1\n")
+        second = self._write(
+            tmp_path, "b.dump", "10.0.0.0/8\thb\t2\n10.1.0.0/16\thb\t2\n"
+        )
+        merged = load_tables([first, second])
+        result = merged.lookup(parse_ipv4("10.200.0.1"))
+        assert result.entry.as_path == (1,)
+        assert result.source_name == first
+        assert result.source_kind == KIND_BGP
+        assert merged.lookup(parse_ipv4("10.1.0.1")).source_name == second
+        assert merged.tables_merged == 2
+
+    def test_malformed_and_mangled_lines_are_counted(self, tmp_path, capsys):
+        dump = self._write(
+            tmp_path, "a.dump",
+            "# header\n10.0.0.0/8\th\t1\nnot a prefix\n"
+            "11.0.0.0/8\th\t2\n12.0.0.0/8\th\t3\n",
+        )
+        injector = FaultInjector(
+            FaultPlan.build(FaultSpec(site=SITE_DUMP_MANGLE, at=3, count=1))
+        )
+        merged = load_tables([dump], injector=injector)
+        assert sorted(prefix.cidr for prefix in merged.prefixes()) == [
+            "10.0.0.0/8", "12.0.0.0/8",
+        ]
+        assert capsys.readouterr().err == (
+            f"warning: skipped 2 malformed line(s) in {dump} (2 parsed)\n"
+        )

@@ -289,6 +289,34 @@ class TestWithdrawRelabelling:
         table.verify_patched()
 
 
+class TestVerifyPatchedCatchesCorruption:
+    """Mutation checks for the equivalence gate: one wrong cell in a
+    patched stride table's intervals or in its overlay must raise."""
+
+    @pytest.fixture()
+    def patched(self):
+        table = StrideLpm.from_items(
+            [(prefix, f"v{i}") for i, prefix in enumerate(POOL[::2])]
+        )
+        table.apply_delta([(POOL[1], "n1"), (POOL[3], "n3")], [POOL[0]])
+        table.verify_patched()
+        return table
+
+    def test_corrupt_owner(self, patched):
+        owners = patched._owners
+        spot = next(i for i, owner in enumerate(owners) if owner >= 0)
+        owners[spot] = -1
+        with pytest.raises(SanitizeError, match="from-scratch rebuild"):
+            patched.verify_patched()
+
+    def test_corrupt_slot(self, patched):
+        slots = patched._slots
+        spot = next(i for i, owner in enumerate(slots) if owner >= 0)
+        slots[spot] = -1
+        with pytest.raises(SanitizeError, match="overlay diverged"):
+            patched.verify_patched()
+
+
 @pytest.mark.parametrize("cls", [PackedLpm, StrideLpm])
 class TestSerialisedFormIsCanonical:
     """A patched table leaves the process exactly as a from-scratch

@@ -1,6 +1,8 @@
 """Unit tests for IPv4 address primitives."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.net.ipv4 import (
     AddressError,
@@ -51,6 +53,41 @@ class TestParseIpv4:
     def test_is_valid_mirrors_parse(self):
         assert is_valid_ipv4("10.0.0.1")
         assert not is_valid_ipv4("10.0.0.999")
+
+    @given(st.lists(
+        st.one_of(
+            st.integers(0, 300).map(str),
+            st.sampled_from(["", "00", "012", "+1", "1 ", "\u0663", "\u00b2"]),
+        ),
+        min_size=1, max_size=5,
+    ).map(".".join))
+    def test_matches_the_octet_by_octet_parser(self, text):
+        """The one-probe-per-octet path answers exactly as the checked
+        loop (kept here as the reference) does, errors included."""
+        try:
+            expected = _reference_parse(text)
+        except (AddressError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                parse_ipv4(text)
+        else:
+            assert parse_ipv4(text) == expected
+
+
+def _reference_parse(text):
+    parts = text.split(".")
+    if len(parts) != 4:
+        raise AddressError(text)
+    value = 0
+    for part in parts:
+        if not part or not part.isdigit():
+            raise AddressError(text)
+        if len(part) > 1 and part[0] == "0":
+            raise AddressError(text)
+        octet = int(part)
+        if octet > 255:
+            raise AddressError(text)
+        value = (value << 8) | octet
+    return value
 
 
 class TestFormatIpv4:
