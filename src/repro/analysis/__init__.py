@@ -2,41 +2,12 @@
 
 See :mod:`repro.analysis.core` for the engine,
 :mod:`repro.analysis.rules` for the per-module rule catalogue, and
-:mod:`repro.analysis.xmodule` for the whole-program (cross-module)
-rules behind ``repro-lint --project``; :mod:`repro.analysis.sanitize`
-is the paired ``REPRO_SANITIZE=1`` runtime-invariant mode.
-``repro-lint`` (:mod:`repro.analysis.cli`) is the command-line front
-end.
+:mod:`repro.analysis.xmodule` for the cross-module rules that run in
+the same pass; :mod:`repro.analysis.sanitize` is the paired
+``REPRO_SANITIZE=1`` runtime-invariant mode.  ``repro-lint``
+(:mod:`repro.analysis.cli`) is the command-line front end.
 
-``xmodule`` and ``sanitize`` are deliberately *not* imported here:
-the engine's hot modules import ``repro.analysis.sanitize`` at import
-time, and keeping this package ``__init__`` minimal keeps that cheap.
+This ``__init__`` imports nothing: the engine's hot modules import
+``repro.analysis.sanitize`` at import time, and an empty package keeps
+that from loading the lint engine too.
 """
-
-from repro.analysis.core import (
-    RULES,
-    Finding,
-    LintModule,
-    Rule,
-    Suppression,
-    active_rules,
-    lint_module,
-    lint_paths,
-    lint_source,
-    module_name_for,
-    register,
-)
-
-__all__ = [
-    "Finding",
-    "Suppression",
-    "LintModule",
-    "Rule",
-    "RULES",
-    "register",
-    "active_rules",
-    "lint_module",
-    "lint_source",
-    "lint_paths",
-    "module_name_for",
-]

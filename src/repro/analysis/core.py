@@ -9,12 +9,14 @@ cannot know about.  The machinery is deliberately small:
 * :class:`LintModule` — one parsed source file: its dotted module name,
   AST, a parent map for scope queries, and the suppression comments
   scanned from its tokens.
-* :class:`Rule` — a check over one module.  Rules register themselves
-  into :data:`RULES` with :func:`register` and yield
-  :class:`Finding` objects.
-* :func:`lint_paths` / :func:`lint_source` — the entry points: walk
-  files (or take a source string), run every active rule, apply
-  suppressions, and return findings sorted by location.
+* :class:`Rule` — a check over one module; :class:`ProjectRule` — a
+  check over the whole :class:`Project` (every module plus the prose
+  docs).  Both register into the one :data:`RULES` registry with
+  :func:`register` and yield :class:`Finding` objects.
+* :func:`lint_modules` — the one pass: every module rule over every
+  module, then every project rule over the same parsed modules, then
+  suppressions once.  :func:`lint_paths` / :func:`lint_source` parse
+  files (or a source string) and hand them to it.
 
 Suppression syntax — one comment on the offending line::
 
@@ -41,6 +43,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Type,
     Union,
@@ -50,12 +53,14 @@ __all__ = [
     "Finding",
     "Suppression",
     "LintModule",
+    "Project",
     "Rule",
+    "ProjectRule",
     "RULES",
     "register",
     "active_rules",
     "apply_suppressions",
-    "lint_module",
+    "lint_modules",
     "lint_source",
     "lint_paths",
     "module_name_for",
@@ -211,8 +216,41 @@ class LintModule:
         return False
 
 
+class Project:
+    """Every parsed module of one source tree, plus its prose docs.
+
+    ``modules`` maps dotted module name → :class:`LintModule`; ``docs``
+    maps a documentation file's path → its text (for the doc-drift
+    rule).  Project rules read the very modules the per-module rules
+    walked — the tree is parsed once per run.
+    """
+
+    def __init__(
+        self,
+        modules: Iterable[LintModule],
+        docs: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self.modules = {module.module: module for module in modules}
+        self.docs = dict(docs or {})
+
+    def iter_modules(self) -> Iterator[LintModule]:
+        for name in sorted(self.modules):
+            yield self.modules[name]
+
+    def classes(self, module_name: str) -> Dict[str, ast.ClassDef]:
+        """Top-level classes of one module, by name."""
+        module = self.modules.get(module_name)
+        if module is None:
+            return {}
+        return {
+            node.name: node
+            for node in module.tree.body
+            if isinstance(node, ast.ClassDef)
+        }
+
+
 class Rule:
-    """Base class for one registered check.
+    """Base class for one registered check over one module.
 
     Subclasses set ``rule_id`` (the suppression handle), ``summary``
     (one line for ``--list-rules``), ``rationale`` (why the repo cares),
@@ -238,11 +276,41 @@ class Rule:
         )
 
 
-#: The registry: rule id → singleton rule instance.
-RULES: Dict[str, Rule] = {}
+class ProjectRule:
+    """Base class for one registered cross-module check.
+
+    The same surface as :class:`Rule`, but :meth:`check` receives the
+    whole :class:`Project`, and a finding may sit in a prose doc (no
+    AST node, just a line).
+    """
+
+    rule_id: str = ""
+    summary: str = ""
+    rationale: str = ""
+    require_reason: bool = False
+
+    def check(self, project: Project) -> Iterator[Finding]:
+        raise NotImplementedError
+
+    def finding(
+        self, path: str, node: Optional[ast.AST], message: str, line: int = 0
+    ) -> Finding:
+        return Finding(
+            path=path,
+            line=getattr(node, "lineno", line) if node is not None else line,
+            col=getattr(node, "col_offset", 0) if node is not None else 0,
+            rule_id=self.rule_id,
+            message=message,
+        )
 
 
-def register(cls: Type[Rule]) -> Type[Rule]:
+AnyRule = Union[Rule, ProjectRule]
+
+#: The registry: rule id → singleton rule instance, both kinds.
+RULES: Dict[str, AnyRule] = {}
+
+
+def register(cls: Type[AnyRule]) -> Type[AnyRule]:
     """Class decorator: instantiate and register a rule by its id."""
     if not cls.rule_id:
         raise ValueError(f"rule {cls.__name__} has no rule_id")
@@ -255,7 +323,7 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 def active_rules(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-) -> List[Rule]:
+) -> List[AnyRule]:
     """Resolve ``--select`` / ``--ignore`` into a rule list."""
     _ensure_rules_loaded()
     wanted = set(select) if select is not None else set(RULES)
@@ -267,9 +335,16 @@ def active_rules(
 
 
 def _ensure_rules_loaded() -> None:
-    # The rule catalogue registers on import; import lazily so that
-    # ``core`` stays import-cycle-free for the rules module itself.
-    from repro.analysis import rules  # noqa: F401  (import registers)
+    # The rule catalogues register on import; import lazily so that
+    # ``core`` stays import-cycle-free for the rule modules themselves.
+    from repro.analysis import rules, xmodule  # noqa: F401  (import registers)
+
+
+def _order(finding: Finding) -> Tuple[str, int, int, str, str]:
+    return (
+        finding.path, finding.line, finding.col, finding.rule_id,
+        finding.message,
+    )
 
 
 def apply_suppressions(
@@ -277,68 +352,64 @@ def apply_suppressions(
 ) -> List[Finding]:
     """Filter ``findings`` through per-line ``# lint: ignore`` comments.
 
-    The one suppression channel every pass shares: per-file AST rules,
-    the ``--project`` cross-module rules, and the ``--flow``
-    path-sensitive rules all honour the same comment on the line a
-    finding is anchored to.  Findings anchored outside the analyzed
-    modules (prose docs) pass through — they have no comment to carry a
-    suppression.  Deduplicates and sorts, so callers can feed raw rule
-    output straight in.
+    A finding is dropped when the comment on its line names its rule —
+    unless the rule is ``require_reason`` and the comment gives none,
+    which is itself reported.  Findings anchored outside the analyzed
+    modules (prose docs) pass through: they have no comment to carry a
+    suppression.  Deduplicates and sorts by location.
     """
     by_path = {module.path: module for module in modules}
-    kept: List[Finding] = []
-    seen: set = set()
+    kept: Set[Finding] = set()
     for finding in findings:
         module = by_path.get(finding.path)
-        if module is not None:
-            suppression = module.suppressions.get(finding.line)
-            if suppression is not None and suppression.covers(finding.rule_id):
+        suppression = (
+            module.suppressions.get(finding.line) if module is not None else None
+        )
+        if suppression is not None and suppression.covers(finding.rule_id):
+            rule = RULES.get(finding.rule_id)
+            if rule is None or not rule.require_reason or suppression.reason:
                 continue
-        key = (finding.path, finding.line, finding.rule_id, finding.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(finding)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return kept
+            finding = Finding(
+                path=finding.path,
+                line=finding.line,
+                col=finding.col,
+                rule_id=finding.rule_id,
+                message=(
+                    f"suppressing {finding.rule_id} requires a reason: use "
+                    f"'# lint: ignore[{finding.rule_id}] -- why'"
+                ),
+            )
+        kept.add(finding)
+    return sorted(kept, key=_order)
 
 
-def lint_module(
-    module: LintModule, rules: Optional[Sequence[Rule]] = None
+def lint_modules(
+    modules: Sequence[LintModule],
+    rules: Optional[Sequence[AnyRule]] = None,
+    docs: Optional[Dict[str, str]] = None,
 ) -> List[Finding]:
-    """Run ``rules`` (default: all registered) over one module."""
+    """The one pass: module rules over every module, project rules over
+    all of them (plus ``docs``, path → text), suppressions once."""
     if rules is None:
         rules = active_rules()
     findings: List[Finding] = []
+    project: Optional[Project] = None
     for rule in rules:
-        for finding in rule.check(module):
-            suppression = module.suppressions.get(finding.line)
-            if suppression is not None and suppression.covers(finding.rule_id):
-                if rule.require_reason and not suppression.reason:
-                    findings.append(
-                        Finding(
-                            path=finding.path,
-                            line=finding.line,
-                            col=finding.col,
-                            rule_id=finding.rule_id,
-                            message=(
-                                f"suppressing {finding.rule_id} requires a "
-                                "reason: use "
-                                f"'# lint: ignore[{finding.rule_id}] -- why'"
-                            ),
-                        )
-                    )
-                continue
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+        if isinstance(rule, ProjectRule):
+            if project is None:
+                project = Project(modules, docs)
+            findings.extend(rule.check(project))
+        else:
+            for module in modules:
+                findings.extend(rule.check(module))
+    return apply_suppressions(findings, modules)
 
 
 def lint_source(
     source: str,
     path: str = "<string>",
     module: Optional[str] = None,
-    rules: Optional[Sequence[Rule]] = None,
+    rules: Optional[Sequence[AnyRule]] = None,
 ) -> List[Finding]:
     """Lint a source string (the test suite's entry point).
 
@@ -346,7 +417,7 @@ def lint_source(
     snippets can opt into package-scoped rules (pass e.g.
     ``module="repro.engine.fake"`` to enable the hot-path checks).
     """
-    return lint_module(LintModule(source, path=path, module=module), rules)
+    return lint_modules([LintModule(source, path=path, module=module)], rules)
 
 
 def _iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
@@ -360,21 +431,22 @@ def _iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
-    rules: Optional[Sequence[Rule]] = None,
+    rules: Optional[Sequence[AnyRule]] = None,
+    docs: Sequence[Union[str, Path]] = (),
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories).
+    """Lint every ``.py`` file under ``paths`` (files or directories),
+    with ``docs`` as the prose the doc-drift rule checks against.
 
     A file that fails to read or parse contributes a single
     ``syntax-error`` pseudo-finding rather than aborting the run — a
     lint gate must report a broken file, not crash on it.
     """
-    if rules is None:
-        rules = active_rules()
+    modules: List[LintModule] = []
     findings: List[Finding] = []
     for file_path in _iter_python_files(paths):
         try:
             source = file_path.read_text(encoding="utf-8")
-            module = LintModule(source, path=str(file_path))
+            modules.append(LintModule(source, path=str(file_path)))
         except (OSError, SyntaxError, ValueError) as exc:
             findings.append(
                 Finding(
@@ -385,7 +457,6 @@ def lint_paths(
                     message=f"cannot lint file: {exc}",
                 )
             )
-            continue
-        findings.extend(lint_module(module, rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    doc_texts = {str(doc): Path(doc).read_text(encoding="utf-8") for doc in docs}
+    findings.extend(lint_modules(modules, rules, doc_texts))
+    return sorted(findings, key=_order)

@@ -10,13 +10,16 @@ full rationale):
   :mod:`repro.util.rng` and wall-clock reads must stay out of anything
   that feeds cluster output.
 * **Pickle protocol** — ``pickle-boundary``: asymmetric
-  ``__getstate__``/``__setstate__`` pairs corrupt state silently.
+  ``__getstate__``/``__setstate__`` pairs, or pairs whose state-tuple
+  arities disagree, corrupt state silently.
 * **Error taxonomy** — ``broad-except``, ``bare-raise-exception``:
   failures must flow through :mod:`repro.errors` so the supervisor can
   key recovery off the exception *class*.
 * **Discipline** — ``silent-skip`` (parsers count-and-skip, never
   silently drop), ``mutable-default``, ``assert-validation`` (asserts
   vanish under ``-O``).
+
+The cross-module rules live in :mod:`repro.analysis.xmodule`.
 """
 
 from __future__ import annotations
@@ -183,14 +186,19 @@ class WallClockRule(Rule):
 
 @register
 class PickleBoundaryRule(Rule):
-    """``__getstate__`` and ``__setstate__`` come in pairs."""
+    """``__getstate__`` and ``__setstate__`` come in pairs that agree."""
 
     rule_id = "pickle-boundary"
-    summary = "__getstate__ and __setstate__ come in pairs"
+    summary = (
+        "__getstate__ and __setstate__ come in pairs, and the tuple one "
+        "returns has the arity the other unpacks"
+    )
     rationale = (
         "Pickling a table or batch calls __getstate__ and unpickling "
         "calls __setstate__; a __getstate__ without its __setstate__ "
-        "twin round-trips state wrongly without any error."
+        "twin, or a state tuple the twin unpacks at another length, "
+        "round-trips state wrongly — invisibly until a table is pickled "
+        "and unpickled."
     )
 
     def check(self, module: LintModule) -> Iterator[Finding]:
@@ -202,15 +210,17 @@ class PickleBoundaryRule(Rule):
         self, module: LintModule, cls: ast.ClassDef
     ) -> Iterator[Finding]:
         methods = {
-            item.name
+            item.name: item
             for item in cls.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        has_get = "__getstate__" in methods
-        has_set = "__setstate__" in methods
-        if has_get != has_set:
+        getstate = methods.get("__getstate__")
+        setstate = methods.get("__setstate__")
+        if getstate is None and setstate is None:
+            return
+        if getstate is None or setstate is None:
             present, missing = (
-                ("__getstate__", "__setstate__") if has_get else ("__setstate__", "__getstate__")
+                ("__getstate__", "__setstate__") if getstate else ("__setstate__", "__getstate__")
             )
             yield self.finding(
                 module,
@@ -218,6 +228,30 @@ class PickleBoundaryRule(Rule):
                 f"class {cls.name} defines {present} without {missing}; "
                 "an asymmetric pickle protocol round-trips state "
                 "incorrectly without raising",
+            )
+            return
+        produced = {
+            len(node.value.elts)
+            for node in ast.walk(getstate)
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+        }
+        state_params = {arg.arg for arg in setstate.args.args[1:]}  # skip self
+        consumed = {
+            len(node.targets[0].elts)
+            for node in ast.walk(setstate)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Tuple)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in state_params
+        }
+        if produced and consumed and not (produced & consumed):
+            yield self.finding(
+                module,
+                setstate,
+                f"{cls.name}.__getstate__ produces a "
+                f"{sorted(produced)}-tuple but __setstate__ unpacks "
+                f"{sorted(consumed)} elements — pickle round-trip breaks",
             )
 
 

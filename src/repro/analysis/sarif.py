@@ -4,10 +4,10 @@ The Static Analysis Results Interchange Format is what GitHub code
 scanning ingests: uploading the artifact from the CI lint job turns
 every finding into a PR annotation at its file/line.  The rendering is
 deliberately minimal — one ``run``, one ``tool.driver`` named
-``repro-lint``, a rule catalogue assembled from every registry (plain,
-``--project``, ``--flow``, ``--inter``), and one ``result`` per
-finding.  SARIF columns and lines are 1-based; ``Finding.col`` is a
-0-based AST offset, so columns are shifted on the way out.
+``repro-lint``, a rule catalogue drawn from the rule registry, and one
+``result`` per finding.  SARIF columns and lines are 1-based;
+``Finding.col`` is a 0-based AST offset, so columns are shifted on the
+way out.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.core import RULES, Finding, active_rules
+from repro.analysis.core import Finding, active_rules
 
 __all__ = ["render_sarif", "sarif_json", "collect_rule_metadata"]
 
@@ -27,19 +27,12 @@ _SARIF_SCHEMA = (
 
 
 def collect_rule_metadata() -> Dict[str, Tuple[str, str]]:
-    """rule id -> (summary, rationale) across every rule registry."""
-    active_rules()  # force the plain-rule catalogue import
-    from repro.analysis.flow import FLOW_RULES
-    from repro.analysis.inter import INTER_RULES
-    from repro.analysis.xmodule import PROJECT_RULES
-
-    metadata: Dict[str, Tuple[str, str]] = {}
-    for registry in (RULES, PROJECT_RULES, FLOW_RULES, INTER_RULES):
-        for rule_id, rule in registry.items():
-            metadata.setdefault(
-                rule_id, (rule.summary or rule_id, rule.rationale or "")
-            )
-    # findings the passes emit without a registered rule object
+    """rule id -> (summary, rationale) for every registered rule."""
+    metadata: Dict[str, Tuple[str, str]] = {
+        rule.rule_id: (rule.summary or rule.rule_id, rule.rationale or "")
+        for rule in active_rules()
+    }
+    # the one finding the pass emits without a registered rule object
     metadata.setdefault(
         "syntax-error", ("the file parses", "a broken file cannot be analyzed")
     )

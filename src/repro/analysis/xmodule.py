@@ -1,11 +1,9 @@
-"""Whole-program analysis: cross-module rules over the parsed tree.
+"""Cross-module rules: contracts that only exist *between* files.
 
 The per-module rules in :mod:`repro.analysis.rules` see one file at a
-time; the contracts this module checks only exist *between* files.  A
-:class:`Project` parses every module once (reusing
-:class:`~repro.analysis.core.LintModule`), builds import / class /
-method indexes lazily, and the registered :class:`ProjectRule`\\ s walk
-those maps:
+time.  The :class:`~repro.analysis.core.ProjectRule`\\ s here see the
+whole :class:`~repro.analysis.core.Project` — the same parsed modules,
+plus the prose docs — in the same ``repro-lint`` pass:
 
 * **metrics-drift** — every ``EngineMetrics`` counter has an increment
   site and appears in ``snapshot()``/``render()`` output, and vice
@@ -17,459 +15,31 @@ those maps:
 * **error-taxonomy-reachability** — every class in ``repro.errors`` is
   exported in ``__all__`` and actually raised (or warned, or serves as
   a family root) somewhere in the tree.
-* **checkpoint-schema-drift** — pickled state tuples stay consistent
-  between writer and reader: ``__getstate__`` / ``__setstate__``
-  arity.  (The checkpoint *file* needs no such rule: one field table
-  drives both directions of :mod:`repro.engine.state`'s layout.)
-
-Findings reuse the PR 4 :class:`~repro.analysis.core.Finding` type and
-per-line suppression comments; ``repro-lint --project`` is the CLI
-front end.  The call graph is deliberately over-approximate (attribute
-calls resolve by method name across every project class) — for a tree
-this size, a few extra edges are far cheaper than a missed callee.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
-from pathlib import Path
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Type,
-    Union,
-)
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.analysis.core import (
     Finding,
     LintModule,
-    _iter_python_files,
-    apply_suppressions,
+    Project,
+    ProjectRule,
+    register,
 )
 from repro.analysis.rules import _last_segment
 
 __all__ = [
-    "Project",
-    "FuncInfo",
-    "ProjectRule",
-    "PROJECT_RULES",
-    "register_project",
-    "active_project_rules",
-    "analyze_project",
+    "EXTERNAL_DOC_FLAGS",
+    "MetricsDriftRule",
+    "CliDocDriftRule",
+    "ErrorTaxonomyRule",
 ]
 
 _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-#: One resolved callable: its home module and its def.
-_FuncRef = Tuple[LintModule, ast.FunctionDef]
-
-
-class Project:
-    """Every parsed module of one source tree, plus its prose docs.
-
-    ``modules`` maps dotted module name → :class:`LintModule`; ``docs``
-    maps a documentation file's path → its text (for the doc-drift
-    rule).  Index properties (top-level functions, classes, a global
-    method-name index, import bindings) are built lazily and cached —
-    the tree is parsed exactly once, by construction.
-    """
-
-    def __init__(
-        self,
-        modules: Dict[str, LintModule],
-        docs: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.modules = dict(modules)
-        self.docs = dict(docs or {})
-        self._top_functions: Optional[Dict[str, Dict[str, ast.FunctionDef]]] = None
-        self._classes: Optional[Dict[str, Dict[str, ast.ClassDef]]] = None
-        self._methods: Optional[
-            Dict[str, List[Tuple[LintModule, ast.ClassDef, ast.FunctionDef]]]
-        ] = None
-        self._imports: Optional[
-            Dict[str, Dict[str, Tuple[str, Optional[str]]]]
-        ] = None
-        self._functions: Optional[Dict[str, "FuncInfo"]] = None
-        self._func_keys: Optional[Dict[int, str]] = None
-        self._call_graph: Optional[Dict[str, Tuple[str, ...]]] = None
-
-    @classmethod
-    def load(
-        cls,
-        paths: Sequence[Union[str, Path]],
-        docs: Sequence[Union[str, Path]] = (),
-    ) -> "Project":
-        """Parse every ``.py`` file under ``paths`` into a project.
-
-        Files that fail to read or parse are skipped — ``lint_paths``
-        already reports them as ``syntax-error`` findings, and a broken
-        file cannot contribute cross-module facts anyway.
-        """
-        modules: Dict[str, LintModule] = {}
-        for file_path in _iter_python_files(paths):
-            try:
-                source = file_path.read_text(encoding="utf-8")
-                module = LintModule(source, path=str(file_path))
-            except (OSError, SyntaxError, ValueError):
-                continue
-            modules[module.module] = module
-        doc_texts: Dict[str, str] = {}
-        for doc_path in docs:
-            try:
-                doc_texts[str(doc_path)] = Path(doc_path).read_text(
-                    encoding="utf-8"
-                )
-            except OSError:
-                continue
-        return cls(modules, doc_texts)
-
-    def iter_modules(self) -> Iterator[LintModule]:
-        for name in sorted(self.modules):
-            yield self.modules[name]
-
-    # -- indexes ---------------------------------------------------------
-
-    def top_functions(self, module_name: str) -> Dict[str, ast.FunctionDef]:
-        """Top-level ``def``\\ s of one module, by name."""
-        if self._top_functions is None:
-            self._top_functions = {}
-            for name, module in self.modules.items():
-                self._top_functions[name] = {
-                    node.name: node
-                    for node in module.tree.body
-                    if isinstance(node, _FUNCTION_DEFS)
-                }
-        return self._top_functions.get(module_name, {})
-
-    def classes(self, module_name: str) -> Dict[str, ast.ClassDef]:
-        """Top-level classes of one module, by name."""
-        if self._classes is None:
-            self._classes = {}
-            for name, module in self.modules.items():
-                self._classes[name] = {
-                    node.name: node
-                    for node in module.tree.body
-                    if isinstance(node, ast.ClassDef)
-                }
-        return self._classes.get(module_name, {})
-
-    def methods_named(
-        self, method_name: str
-    ) -> List[Tuple[LintModule, ast.ClassDef, ast.FunctionDef]]:
-        """Every method with this name, across every project class."""
-        if self._methods is None:
-            self._methods = {}
-            for name, module in self.modules.items():
-                for class_def in self.classes(name).values():
-                    for node in class_def.body:
-                        if isinstance(node, _FUNCTION_DEFS):
-                            self._methods.setdefault(node.name, []).append(
-                                (module, class_def, node)
-                            )
-        return self._methods.get(method_name, [])
-
-    def imports(self, module_name: str) -> Dict[str, Tuple[str, Optional[str]]]:
-        """Import bindings of one module: bound name → (source, original).
-
-        ``from a.b import c as d`` binds ``d`` → ``("a.b", "c")``;
-        ``import a.b`` binds ``a`` → ``("a", None)``.  Relative imports
-        are resolved against the importing module's package.
-        """
-        if self._imports is None:
-            self._imports = {}
-            for name, module in self.modules.items():
-                bindings: Dict[str, Tuple[str, Optional[str]]] = {}
-                for node in ast.walk(module.tree):
-                    if isinstance(node, ast.Import):
-                        for alias in node.names:
-                            bound = alias.asname or alias.name.split(".")[0]
-                            bindings[bound] = (alias.name, None)
-                    elif isinstance(node, ast.ImportFrom):
-                        source = node.module or ""
-                        if node.level:
-                            parts = name.split(".")
-                            base = parts[: max(0, len(parts) - node.level)]
-                            source = ".".join(
-                                base + ([node.module] if node.module else [])
-                            )
-                        for alias in node.names:
-                            bound = alias.asname or alias.name
-                            bindings[bound] = (source, alias.name)
-                self._imports[name] = bindings
-        return self._imports.get(module_name, {})
-
-    # -- call resolution -------------------------------------------------
-
-    def _class_init(
-        self, module: LintModule, class_def: ast.ClassDef
-    ) -> List[_FuncRef]:
-        for node in class_def.body:
-            if isinstance(node, _FUNCTION_DEFS) and node.name == "__init__":
-                return [(module, node)]
-        return []
-
-    def _resolve_in_module(
-        self, module_name: str, name: str
-    ) -> List[_FuncRef]:
-        module = self.modules.get(module_name)
-        if module is None:
-            return []
-        function = self.top_functions(module_name).get(name)
-        if function is not None:
-            return [(module, function)]
-        class_def = self.classes(module_name).get(name)
-        if class_def is not None:
-            return self._class_init(module, class_def)
-        return []
-
-    def resolve_name(self, module: LintModule, name: str) -> List[_FuncRef]:
-        """Resolve a bare-name callable reference inside ``module``."""
-        local = self._resolve_in_module(module.module, name)
-        if local:
-            return local
-        binding = self.imports(module.module).get(name)
-        if binding is not None:
-            source, original = binding
-            if original is not None:
-                return self._resolve_in_module(source, original)
-        return []
-
-    def resolve_callable(
-        self, module: LintModule, node: ast.AST
-    ) -> List[_FuncRef]:
-        """Resolve a callable *reference* (not a call) to its defs.
-
-        Bare names resolve precisely through the module's bindings;
-        attribute references (``self._work``, ``pool.submit``,
-        ``sanitize.take_stats``) resolve by module attribute when the
-        base is an imported module, and otherwise over-approximate to
-        every project method of that name.
-        """
-        if isinstance(node, ast.Name):
-            return self.resolve_name(module, node.id)
-        if not isinstance(node, ast.Attribute):
-            return []
-        attr = node.attr
-        targets: List[_FuncRef] = []
-        if isinstance(node.value, ast.Name):
-            binding = self.imports(module.module).get(node.value.id)
-            if binding is not None:
-                source, original = binding
-                candidates = [source]
-                if original is not None:
-                    candidates.insert(0, f"{source}.{original}")
-                for candidate in candidates:
-                    if candidate in self.modules:
-                        targets.extend(
-                            self._resolve_in_module(candidate, attr)
-                        )
-                        break
-        for method_module, _class_def, method in self.methods_named(attr):
-            targets.append((method_module, method))
-        return targets
-
-    # -- call graph ------------------------------------------------------
-
-    def functions(self) -> Dict[str, "FuncInfo"]:
-        """Every analyzable function, keyed ``"module:qualname"``.
-
-        Covers top-level functions (``pkg.mod:helper``) and methods of
-        top-level classes (``pkg.mod:Cls.method``) — the same universe
-        :meth:`resolve_callable` can land on.  Nested defs are callee
-        opaque (havoc'd) by construction.
-        """
-        if self._functions is None:
-            self._functions = {}
-            self._func_keys = {}
-            for name, module in self.modules.items():
-                for node in module.tree.body:
-                    if isinstance(node, _FUNCTION_DEFS):
-                        self._add_function(f"{name}:{node.name}", module, node, None)
-                    elif isinstance(node, ast.ClassDef):
-                        for member in node.body:
-                            if isinstance(member, _FUNCTION_DEFS):
-                                self._add_function(
-                                    f"{name}:{node.name}.{member.name}",
-                                    module,
-                                    member,
-                                    node.name,
-                                )
-        return self._functions
-
-    def _add_function(
-        self,
-        key: str,
-        module: LintModule,
-        node: ast.FunctionDef,
-        class_name: Optional[str],
-    ) -> None:
-        assert self._functions is not None and self._func_keys is not None
-        self._functions[key] = FuncInfo(key, module, node, class_name)
-        self._func_keys[id(node)] = key
-
-    def func_key(self, node: ast.FunctionDef) -> Optional[str]:
-        """The ``"module:qualname"`` key of a def, if it is indexed."""
-        self.functions()
-        assert self._func_keys is not None
-        return self._func_keys.get(id(node))
-
-    def resolve_call_keys(
-        self,
-        module: LintModule,
-        func_expr: ast.AST,
-        class_name: Optional[str] = None,
-    ) -> List[str]:
-        """Resolve a call's callee expression to function keys.
-
-        ``self.m(...)`` inside a method of ``class_name`` resolves to
-        that class's own ``m`` when it has one — the single precise
-        edge — and only falls back to the every-method-of-that-name
-        over-approximation otherwise.
-        """
-        if (
-            class_name is not None
-            and isinstance(func_expr, ast.Attribute)
-            and isinstance(func_expr.value, ast.Name)
-            and func_expr.value.id == "self"
-        ):
-            own = f"{module.module}:{class_name}.{func_expr.attr}"
-            if own in self.functions():
-                return [own]
-        keys: List[str] = []
-        for _ref_module, func in self.resolve_callable(module, func_expr):
-            key = self.func_key(func)
-            if key is not None and key not in keys:
-                keys.append(key)
-        return keys
-
-    def call_graph(self) -> Dict[str, Tuple[str, ...]]:
-        """Resolved project-internal call edges, per function key.
-
-        Only edges landing on indexed project functions appear —
-        stdlib / third-party / nested callees are havoc'd at the call
-        site by the interprocedural pass, not modelled here.
-        """
-        if self._call_graph is None:
-            graph: Dict[str, Tuple[str, ...]] = {}
-            for key, info in self.functions().items():
-                callees: List[str] = []
-                for call in iter_local_calls(info.node):
-                    for callee in self.resolve_call_keys(
-                        info.module, call.func, info.class_name
-                    ):
-                        if callee not in callees:
-                            callees.append(callee)
-                graph[key] = tuple(callees)
-            self._call_graph = graph
-        return self._call_graph
-
-
-@dataclass(frozen=True)
-class FuncInfo:
-    """One indexed function: its key, home module, def, and class."""
-
-    key: str
-    module: LintModule
-    node: ast.FunctionDef
-    class_name: Optional[str]
-
-
-def iter_local_calls(func: ast.FunctionDef) -> Iterator[ast.Call]:
-    """Every ``Call`` in ``func``'s own body, skipping nested def bodies."""
-    stack: List[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _FUNCTION_DEFS) or isinstance(
-            node, (ast.ClassDef, ast.Lambda)
-        ):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-class ProjectRule:
-    """Base class for one registered cross-module check.
-
-    The same surface as :class:`~repro.analysis.core.Rule` — ``rule_id``
-    / ``summary`` / ``rationale`` and a ``finding`` helper — but
-    :meth:`check` receives the whole :class:`Project`.
-    """
-
-    rule_id: str = ""
-    summary: str = ""
-    rationale: str = ""
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, path: str, node: Optional[ast.AST], message: str, line: int = 0
-    ) -> Finding:
-        return Finding(
-            path=path,
-            line=getattr(node, "lineno", line) if node is not None else line,
-            col=getattr(node, "col_offset", 0) if node is not None else 0,
-            rule_id=self.rule_id,
-            message=message,
-        )
-
-
-#: The cross-module registry: rule id → singleton rule instance.
-PROJECT_RULES: Dict[str, ProjectRule] = {}
-
-
-def register_project(cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    """Class decorator: instantiate and register a project rule."""
-    if not cls.rule_id:
-        raise ValueError(f"project rule {cls.__name__} has no rule_id")
-    if cls.rule_id in PROJECT_RULES:
-        raise ValueError(f"duplicate project rule id: {cls.rule_id}")
-    PROJECT_RULES[cls.rule_id] = cls()
-    return cls
-
-
-def active_project_rules(
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[ProjectRule]:
-    """Resolve ``--select`` / ``--ignore`` into a project-rule list."""
-    wanted = set(select) if select is not None else set(PROJECT_RULES)
-    wanted -= set(ignore or ())
-    unknown = wanted - set(PROJECT_RULES)
-    if unknown:
-        raise KeyError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-    return [
-        rule
-        for rule_id, rule in sorted(PROJECT_RULES.items())
-        if rule_id in wanted
-    ]
-
-
-def analyze_project(
-    project: Project, rules: Optional[Sequence[ProjectRule]] = None
-) -> List[Finding]:
-    """Run project rules over ``project``; apply per-line suppressions.
-
-    Findings anchored inside an analyzed module honour the same
-    ``# lint: ignore[rule-id]`` comments the per-module pass uses;
-    findings anchored in prose docs have no suppression channel (fix
-    the doc instead).
-    """
-    if rules is None:
-        rules = active_project_rules()
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(project))
-    return apply_suppressions(findings, project.modules.values())
 
 
 # -- shared AST helpers -----------------------------------------------------
@@ -506,7 +76,7 @@ def _self_attr_target(node: ast.AST) -> Optional[str]:
 # -- rule: metrics-drift ----------------------------------------------------
 
 
-@register_project
+@register
 class MetricsDriftRule(ProjectRule):
     """``EngineMetrics`` counters, their feeders, and their reporting
     must stay in sync."""
@@ -665,7 +235,7 @@ EXTERNAL_DOC_FLAGS = frozenset(
 _DOC_FLAG_RE = re.compile(r"--[A-Za-z][A-Za-z0-9-]*")
 
 
-@register_project
+@register
 class CliDocDriftRule(ProjectRule):
     """CLI flags and prose docs must agree, both directions."""
 
@@ -732,7 +302,7 @@ class CliDocDriftRule(ProjectRule):
 # -- rule: error-taxonomy-reachability --------------------------------------
 
 
-@register_project
+@register
 class ErrorTaxonomyRule(ProjectRule):
     """Every error class is exported and actually reachable."""
 
@@ -781,11 +351,11 @@ class ErrorTaxonomyRule(ProjectRule):
                         "unreachable taxonomy member",
                     )
             if exported is not None:
-                defined = set(classes) | set(
-                    project.top_functions(module.module)
-                )
+                defined = set(classes)
                 for node in module.tree.body:
-                    if isinstance(node, ast.Assign):
+                    if isinstance(node, _FUNCTION_DEFS):
+                        defined.add(node.name)
+                    elif isinstance(node, ast.Assign):
                         for target in node.targets:
                             if isinstance(target, ast.Name):
                                 defined.add(target.id)
@@ -840,65 +410,3 @@ class ErrorTaxonomyRule(ProjectRule):
                         if name is not None:
                             warned.add(name)
         return raised, warned
-
-
-# -- rule: checkpoint-schema-drift ------------------------------------------
-
-
-@register_project
-class CheckpointSchemaRule(ProjectRule):
-    """Pickled state tuples must agree between writer and reader."""
-
-    rule_id = "checkpoint-schema-drift"
-    summary = "__getstate__/__setstate__ tuple arities match"
-    rationale = (
-        "a state-tuple drift is invisible until a table is pickled and "
-        "unpickled — or worse, arrives wrong.  The tuple a "
-        "__getstate__ produces and its __setstate__ unpacks are one "
-        "contract spread over two methods; this rule pins them together."
-    )
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        for module in project.iter_modules():
-            for class_def in project.classes(module.module).values():
-                yield from self._check_state_pair(module, class_def)
-
-    def _check_state_pair(
-        self, module: LintModule, class_def: ast.ClassDef
-    ) -> Iterator[Finding]:
-        methods = {
-            node.name: node
-            for node in class_def.body
-            if isinstance(node, _FUNCTION_DEFS)
-        }
-        getstate = methods.get("__getstate__")
-        setstate = methods.get("__setstate__")
-        if getstate is None or setstate is None:
-            return
-        produced: Set[int] = set()
-        for node in ast.walk(getstate):
-            if isinstance(node, ast.Return) and isinstance(
-                node.value, ast.Tuple
-            ):
-                produced.add(len(node.value.elts))
-        state_params = {
-            arg.arg for arg in setstate.args.args[1:]
-        }  # skip self
-        consumed: Set[int] = set()
-        for node in ast.walk(setstate):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Tuple)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in state_params
-            ):
-                consumed.add(len(node.targets[0].elts))
-        if produced and consumed and not (produced & consumed):
-            yield self.finding(
-                module.path,
-                setstate,
-                f"{class_def.name}.__getstate__ produces a "
-                f"{sorted(produced)}-tuple but __setstate__ unpacks "
-                f"{sorted(consumed)} elements — pickle round-trip breaks",
-            )

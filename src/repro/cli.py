@@ -19,8 +19,9 @@ checkpoint/resume and metrics.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.bgp.formats import DumpReport, iter_dump_routes
 from repro.bgp.table import MergedPrefixTable
@@ -35,7 +36,10 @@ from repro.core.threshold import threshold_busy_clusters
 from repro.util.tables import render_table
 from repro.weblog.parser import ParseReport, parse_clf_lines
 
-__all__ = ["main", "build_parser", "load_tables", "print_cluster_report"]
+__all__ = [
+    "main", "build_parser", "require_files", "load_tables",
+    "print_cluster_report",
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,6 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many clusters to print (default 20, 0 = all)",
     )
     return parser
+
+
+def require_files(
+    parser: argparse.ArgumentParser, paths: Sequence[str]
+) -> None:
+    """Usage error (exit 2) naming the first input path that does not
+    exist — checked before any log is parsed or table loaded."""
+    for path in paths:
+        if not os.path.exists(path):
+            parser.error(f"no such file: {path}")
 
 
 def load_tables(
@@ -135,6 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.simple and not args.table:
         parser.error("network-aware clustering needs at least one --table "
                      "(or pass --simple)")
+    require_files(parser, [args.log, *args.table])
 
     report = ParseReport()
     with open(args.log) as handle:

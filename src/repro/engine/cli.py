@@ -48,7 +48,7 @@ import os
 import sys
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.cli import load_tables, print_cluster_report
+from repro.cli import load_tables, print_cluster_report, require_files
 from repro.engine.fastpath import LPM_KINDS, build_lpm_table
 from repro.engine.metrics import EngineMetrics
 from repro.engine.packed import PackedLpm
@@ -252,6 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--memo-size must be >= 0")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
+    require_files(parser, [args.log, *args.table])
 
     injector: Optional[FaultInjector] = None
     if args.inject:

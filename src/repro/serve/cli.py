@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from types import FrameType
 from typing import Iterator, List, Optional, Union
 
-from repro.cli import load_tables, print_cluster_report
+from repro.cli import load_tables, print_cluster_report, require_files
 from repro.engine.fastpath import LPM_KINDS, build_lpm_table
 from repro.engine.metrics import EngineMetrics
 from repro.engine.state import CheckpointError
@@ -356,6 +356,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         parser.error("--shed-watermark must be >= 0")
     if args.heartbeat < 0:
         parser.error("--heartbeat must be >= 0")
+    require_files(parser, args.table)
 
     injector: Optional[FaultInjector] = None
     if args.inject:

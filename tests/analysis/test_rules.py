@@ -10,7 +10,7 @@ from __future__ import annotations
 import textwrap
 from typing import List, Optional
 
-from repro.analysis import RULES, Finding, active_rules, lint_source
+from repro.analysis.core import RULES, Finding, active_rules, lint_source
 
 HOT = "repro.engine.snippet"
 COLD = "repro.simnet.snippet"
@@ -197,6 +197,38 @@ def test_pickle_boundary_quiet_on_module_level_function_and_full_pair():
         rule_id="pickle-boundary",
     )
     assert findings == []
+
+
+def test_pickle_boundary_quiet_on_matching_state_arity():
+    findings = run(
+        """
+        class Box:
+            def __getstate__(self):
+                return (self.a, self.b)
+
+            def __setstate__(self, state):
+                self.a, self.b = state
+        """,
+        rule_id="pickle-boundary",
+    )
+    assert findings == []
+
+
+def test_pickle_boundary_fires_on_state_arity_mismatch():
+    findings = run(
+        """
+        class Box:
+            def __getstate__(self):
+                return (self.a, self.b, self.c)
+
+            def __setstate__(self, state):
+                self.a, self.b = state
+        """,
+        rule_id="pickle-boundary",
+    )
+    assert ids(findings) == ["pickle-boundary"]
+    assert findings[0].line == 6
+    assert "pickle round-trip breaks" in findings[0].message
 
 
 # -- broad-except ----------------------------------------------------------

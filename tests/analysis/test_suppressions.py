@@ -5,7 +5,7 @@ from __future__ import annotations
 import textwrap
 from typing import List
 
-from repro.analysis import Finding, active_rules, lint_source
+from repro.analysis.core import Finding, active_rules, lint_source
 
 HOT = "repro.engine.snippet"
 

@@ -10,52 +10,52 @@ from typing import Dict, Optional
 
 import pytest
 
-from repro.analysis.core import LintModule
-from repro.analysis.xmodule import (
-    PROJECT_RULES,
-    Project,
-    active_project_rules,
-    analyze_project,
+from repro.analysis.core import (
+    RULES,
+    LintModule,
+    ProjectRule,
+    active_rules,
+    lint_modules,
 )
 
 
-def project_from(
-    sources: Dict[str, str], docs: Optional[Dict[str, str]] = None
-) -> Project:
-    modules = {
-        name: LintModule(
+def modules_from(sources: Dict[str, str]):
+    return [
+        LintModule(
             textwrap.dedent(source),
             path=f"src/{name.replace('.', '/')}.py",
             module=name,
         )
         for name, source in sources.items()
-    }
-    return Project(modules, docs=docs)
+    ]
 
 
-def run_rule(rule_id, sources, docs=None):
-    project = project_from(sources, docs=docs)
-    return analyze_project(project, [PROJECT_RULES[rule_id]])
+def run_rule(rule_id, sources, docs: Optional[Dict[str, str]] = None):
+    return lint_modules(modules_from(sources), [RULES[rule_id]], docs)
 
 
 class TestRegistry:
-    def test_all_four_rules_registered(self):
-        assert set(PROJECT_RULES) == {
+    def test_all_three_project_rules_registered(self):
+        project_rules = {
+            rule.rule_id
+            for rule in active_rules()
+            if isinstance(rule, ProjectRule)
+        }
+        assert project_rules == {
             "metrics-drift",
             "cli-doc-drift",
             "error-taxonomy-reachability",
-            "checkpoint-schema-drift",
         }
 
     def test_select_and_ignore(self):
-        only = active_project_rules(select=["metrics-drift"])
+        only = active_rules(select=["metrics-drift"])
         assert [rule.rule_id for rule in only] == ["metrics-drift"]
-        rest = active_project_rules(ignore=["metrics-drift"])
+        rest = active_rules(ignore=["metrics-drift"])
         assert "metrics-drift" not in {rule.rule_id for rule in rest}
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
-            active_project_rules(select=["no-such-rule"])
+            active_rules(select=["no-such-rule"])
 
 
 GOOD_METRICS = {
@@ -253,61 +253,35 @@ class TestErrorTaxonomy:
         assert run_rule("error-taxonomy-reachability", sources) == []
 
 
-class TestCheckpointSchema:
-    def test_matching_state_pair_is_clean(self):
-        sources = {
-            "ck.store": """
-                class Box:
-                    def __getstate__(self):
-                        return (self.a, self.b)
-
-                    def __setstate__(self, state):
-                        self.a, self.b = state
-            """,
-        }
-        assert run_rule("checkpoint-schema-drift", sources) == []
-
-    def test_state_arity_mismatch(self):
-        sources = {
-            "ck.store": """
-                class Box:
-                    def __getstate__(self):
-                        return (self.a, self.b, self.c)
-
-                    def __setstate__(self, state):
-                        self.a, self.b = state
-            """,
-        }
-        findings = run_rule("checkpoint-schema-drift", sources)
-        assert any("pickle round-trip breaks" in f.message for f in findings)
-
-
-#: A __getstate__/__setstate__ pair whose tuple arities disagree.
-DRIFTED_STATE = """
-    class Box:
-        def __getstate__(self):
-            return (self.a, self.b, self.c)
-
-        def __setstate__(self, state){suffix}
-            self.a, self.b = state
-"""
-
-
 class TestSuppressions:
     def test_inline_ignore_covers_project_findings(self):
-        loud = {"ck.store": DRIFTED_STATE.format(suffix=":")}
-        assert run_rule("checkpoint-schema-drift", loud) != []
-        sources = {
-            "ck.store": DRIFTED_STATE.format(
-                suffix=":  # lint: ignore[checkpoint-schema-drift] -- test rig"
-            ),
-        }
-        assert run_rule("checkpoint-schema-drift", sources) == []
+        lost = "self.hits = 0\n                self.lost = 0"
+        loud = dict(GOOD_METRICS)
+        loud["eng.metrics"] = GOOD_METRICS["eng.metrics"].replace(
+            "self.hits = 0", lost
+        )
+        assert run_rule("metrics-drift", loud) != []
+        quiet = dict(GOOD_METRICS)
+        quiet["eng.metrics"] = GOOD_METRICS["eng.metrics"].replace(
+            "self.hits = 0",
+            lost + "  # lint: ignore[metrics-drift] -- test rig",
+        )
+        assert run_rule("metrics-drift", quiet) == []
 
     def test_findings_sorted_and_deduped(self):
-        sources = {"ck.store": DRIFTED_STATE.format(suffix=":")}
-        project = project_from(sources)
-        rule = PROJECT_RULES["checkpoint-schema-drift"]
-        findings = analyze_project(project, [rule, rule])
+        sources = {
+            "eng.metrics": """
+                class EngineMetrics:
+                    def __init__(self):
+                        self.lost = 0
+                        self.gone = 0
+
+                    def snapshot(self):
+                        return {}
+            """,
+        }
+        rule = RULES["metrics-drift"]
+        findings = lint_modules(modules_from(sources), [rule, rule])
         keys = [(f.path, f.line, f.rule_id, f.message) for f in findings]
-        assert keys and len(keys) == len(set(keys))
+        assert len(keys) == 4 and len(keys) == len(set(keys))
+        assert keys == sorted(keys)

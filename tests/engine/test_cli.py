@@ -1,5 +1,9 @@
 """Unit tests for the repro-engine command-line front end."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main as cluster_main
@@ -49,6 +53,27 @@ class TestBasicRun:
         log, _ = files
         with pytest.raises(SystemExit):
             main([log])
+
+    @pytest.mark.parametrize("missing", ["log", "table"])
+    def test_missing_input_is_a_usage_error(self, files, tmp_path, missing):
+        log, dump = files
+        absent = str(tmp_path / f"absent.{missing}")
+        argv = [absent, "--table", dump] if missing == "log" else [
+            log, "--table", absent
+        ]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.engine.cli", *argv],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"repro-engine: error: no such file: {absent}"
+        )
 
     def test_max_errors_aborts(self, tmp_path, files, capsys):
         _, dump = files

@@ -1,6 +1,9 @@
 """REPRO_SANITIZE=1: invariant checks, byte-identity, counter plumbing."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -236,3 +239,22 @@ class TestEngineEndToEnd:
         assert "sanitize_lpm_crosschecks" in rendered
         assert "sanitize_checkpoint_readbacks" in rendered
         assert "sanitize_rng_draws" in rendered
+
+
+def test_engine_and_daemon_do_not_load_the_lint_engine():
+    """The hot modules import ``repro.analysis.sanitize``; the package
+    ``__init__`` must not drag the lint engine in behind it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    probe = (
+        "import sys\n"
+        "import repro.engine.fastpath, repro.serve.daemon\n"
+        "assert 'repro.analysis.sanitize' in sys.modules\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('repro.analysis.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "['repro.analysis.sanitize']"

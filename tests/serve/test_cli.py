@@ -290,3 +290,16 @@ class TestSocket:
         # the fragment was abandoned; connection 2 delivered both lines.
         assert b"stream complete: 3 events" in stdout
         assert b"skipped 1 undecodable event line(s)" in stderr
+
+
+class TestUsage:
+    def test_missing_table_is_a_usage_error(self, tmp_path):
+        missing = str(tmp_path / "absent.dump")
+        proc = spawn(missing, "--stdin", stdin=subprocess.DEVNULL)
+        stdout, stderr = proc.communicate(timeout=20)
+        assert proc.returncode == 2
+        assert stdout == b""
+        assert b"Traceback" not in stderr
+        assert stderr.decode().splitlines()[-1] == (
+            f"repro-engine serve: error: no such file: {missing}"
+        )

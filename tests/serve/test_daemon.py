@@ -1,6 +1,8 @@
 """Unit tests for the serve event loop (batching, patching, resume)."""
 
 import contextlib
+import copy
+import errno
 import io
 import os
 
@@ -367,6 +369,67 @@ class TestCheckpointCountdown:
         for event in [log(CLIENT_A), log(CLIENT_B), log(CLIENT_A)]:
             daemon.feed(event)
         assert daemon.metrics.checkpoints_written == written + 1
+
+
+class _FailingWal:
+    """A WAL writer whose every append fails the way a dying disk does."""
+
+    sealed = False
+
+    def append(self, payload):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+def observable_state(daemon):
+    """Everything a feed() could move, as comparable plain values."""
+    return {
+        "events_consumed": daemon.events_consumed,
+        "deltas_received": daemon.deltas_received,
+        "metrics": daemon.metrics.snapshot(),
+        "pending_logs": list(daemon._pending_logs),
+        "pending_deltas": dict(daemon._pending_deltas),
+        "skip": daemon._skip,
+        "skipped_routes": dict(daemon._skipped_routes),
+        "since_checkpoint": daemon._since_checkpoint,
+        "route_diff": dict(daemon._route_diff),
+        "store": copy.deepcopy(vars(daemon.store)),
+        "table": daemon.table.digest(),
+    }
+
+
+class TestAppendBeforeApply:
+    """feed() logs an event before any state moves: recovery replays
+    exactly the WAL, so state that ran ahead of a failed append would
+    hold an event the log never will."""
+
+    #: Each event follows a prefix that leaves the *other* kind pending,
+    #: so an event that got past the append would also flush that batch.
+    CASES = {
+        "log": (
+            [log(CLIENT_A), log(CLIENT_B), announce(P16)],
+            log(CLIENT_Q),
+        ),
+        "delta": (
+            [log(CLIENT_A), announce(P16), log(CLIENT_B), log(CLIENT_Q)],
+            withdraw(P16),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_failed_append_leaves_state_untouched(self, case):
+        prefix, event = self.CASES[case]
+        daemon = ServeDaemon(fresh_table(), ServeConfig(batch_size=64))
+        for earlier in prefix:
+            daemon.feed(earlier)
+        daemon._wal = _FailingWal()
+        before = observable_state(daemon)
+        with pytest.raises(OSError):
+            daemon.feed(event)
+        assert observable_state(daemon) == before
+        # The snapshot does see a feed that gets through.
+        daemon._wal = None
+        daemon.feed(event)
+        assert observable_state(daemon) != before
 
 
 class TestOverload:

@@ -1,8 +1,14 @@
 """Unit tests for the repro-cluster command-line front end."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 ACCESS_LOG = """\
 12.65.147.94 - - [13/Feb/1998:09:12:01 +0000] "GET /a HTTP/1.0" 200 100
@@ -70,3 +76,22 @@ class TestEdgeCases:
         log.write_text("")
         assert main([str(log), "--simple"]) == 1
         assert "nothing to cluster" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["log", "table"])
+    def test_missing_input_is_a_usage_error(self, files, tmp_path, missing):
+        log, dump = files
+        absent = str(tmp_path / f"absent.{missing}")
+        argv = [absent, "--table", dump] if missing == "log" else [
+            log, "--table", absent
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"repro-cluster: error: no such file: {absent}"
+        )
