@@ -39,6 +39,7 @@ from repro.engine import (
     PackedLpm,
     ShardedClusterEngine,
     StrideLpm,
+    request_triples,
 )
 from repro.engine import state as engine_state
 from repro.engine.state import ClusterStore, _ClusterState
@@ -172,7 +173,7 @@ class TestEngineVsClusterLog:
 
         def run():
             with ShardedClusterEngine(packed, config) as engine:
-                engine.ingest(entries)
+                engine.ingest(request_triples(entries))
                 return engine.snapshot()
 
         snapshot = benchmark(run)
@@ -453,7 +454,7 @@ class TestFastpath:
         def engine_run(make_table):
             config = EngineConfig(num_shards=1, chunk_size=chunk)
             with ShardedClusterEngine(make_table(), config) as engine:
-                engine.ingest(entries)
+                engine.ingest(request_triples(entries))
                 return engine.snapshot()
 
         # A fresh memo per run: the end-to-end number includes the

@@ -17,6 +17,7 @@ from repro.engine import (
     ShardedClusterEngine,
     SupervisedEngine,
     SupervisorConfig,
+    request_triples,
 )
 
 CHUNK = 8192
@@ -56,13 +57,13 @@ class TestSupervisionOverhead:
 
         def raw():
             with ShardedClusterEngine(packed, _config()) as engine:
-                engine.ingest(entries)
+                engine.ingest(request_triples(entries))
                 return engine.snapshot()
 
         def supervised():
             engine = ShardedClusterEngine(packed, _config())
             with SupervisedEngine(engine, SupervisorConfig()) as sup:
-                sup.ingest(entries)
+                sup.ingest(request_triples(entries))
                 return sup.snapshot()
 
         raw_seconds, raw_result = _best_of(3, raw)
@@ -87,7 +88,7 @@ class TestSupervisionOverhead:
         def run():
             engine = ShardedClusterEngine(packed, _config())
             with SupervisedEngine(engine, SupervisorConfig()) as sup:
-                sup.ingest(entries)
+                sup.ingest(request_triples(entries))
                 return sup.snapshot()
 
         snapshot = benchmark(run)

@@ -19,6 +19,7 @@ checkpoint/resume and metrics.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Any, List, Optional, Sequence
@@ -37,8 +38,8 @@ from repro.util.tables import render_table
 from repro.weblog.parser import ParseReport, parse_clf_lines
 
 __all__ = [
-    "main", "build_parser", "require_files", "load_tables",
-    "print_cluster_report",
+    "main", "build_parser", "add_report_options", "require_files",
+    "load_tables", "print_cluster_report",
 ]
 
 
@@ -60,16 +61,46 @@ def build_parser() -> argparse.ArgumentParser:
         "--simple", action="store_true",
         help="use the fixed-/24 simple approach instead (no dumps needed)",
     )
+    add_report_options(parser)
+    return parser
+
+
+def _share(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1]: {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0: {text!r}"
+        )
+    return value
+
+
+def add_report_options(parser: argparse.ArgumentParser) -> None:
+    """``--busy`` and ``--top``, which every CLI's report tail
+    (:func:`print_cluster_report`) takes: an out-of-range value is a
+    usage error (exit 2) while the command line is parsed, before any
+    table loads."""
     parser.add_argument(
-        "--busy", type=float, default=None, metavar="SHARE",
+        "--busy", type=_share, default=None, metavar="SHARE",
         help="also threshold busy clusters covering SHARE of requests "
-             "(e.g. 0.7)",
+             "(0 < SHARE <= 1, e.g. 0.7)",
     )
     parser.add_argument(
-        "--top", type=int, default=20,
+        "--top", type=_count, default=20, metavar="N",
         help="how many clusters to print (default 20, 0 = all)",
     )
-    return parser
 
 
 def require_files(

@@ -57,6 +57,7 @@ from repro.engine.state import (
     CheckpointVersionError,
     ClusterStore,
     read_checkpoint,
+    request_triples,
     write_checkpoint,
 )
 from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
@@ -69,6 +70,7 @@ __all__ = [
     "build_lpm_table",
     "LPM_KINDS",
     "ClusterStore",
+    "request_triples",
     "CheckpointError",
     "CheckpointCorruptError",
     "CheckpointVersionError",

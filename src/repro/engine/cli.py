@@ -48,7 +48,9 @@ import os
 import sys
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.cli import load_tables, print_cluster_report, require_files
+from repro.cli import (
+    add_report_options, load_tables, print_cluster_report, require_files,
+)
 from repro.engine.fastpath import LPM_KINDS, build_lpm_table
 from repro.engine.metrics import EngineMetrics
 from repro.engine.packed import PackedLpm
@@ -141,14 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print engine counters (entries/sec, latency, fault "
              "accounting)",
     )
-    parser.add_argument(
-        "--busy", type=float, default=None, metavar="SHARE",
-        help="threshold busy clusters covering SHARE of requests",
-    )
-    parser.add_argument(
-        "--top", type=int, default=20,
-        help="how many clusters to print (default 20, 0 = all)",
-    )
+    add_report_options(parser)
     return parser
 
 
@@ -252,6 +247,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--memo-size must be >= 0")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
+    if args.checkpoint_every < 0:
+        parser.error("--checkpoint-every must be >= 0")
+    if args.max_errors is not None and args.max_errors < 0:
+        parser.error("--max-errors must be >= 0")
     require_files(parser, [args.log, *args.table])
 
     injector: Optional[FaultInjector] = None

@@ -78,7 +78,7 @@ class ShardedClusterEngine:
 
         packed = PackedLpm.from_merged(merged_table)
         with ShardedClusterEngine(packed, EngineConfig(num_shards=4)) as eng:
-            eng.ingest(entries)           # any iterable of LogEntry
+            eng.ingest(triples)           # (client, url, size) tuples
             clusters = eng.snapshot()     # a plain ClusterSet
 
     The engine may be fed any number of times; ``snapshot`` and
@@ -120,29 +120,21 @@ class ShardedClusterEngine:
 
     # -- ingestion -------------------------------------------------------
 
-    def ingest(self, entries: Iterable[Any]) -> int:
-        """Consume log entries (anything with client/url/size attributes).
+    def ingest(self, triples: Iterable[Triple]) -> int:
+        """Consume request triples ``(client, url, size)``.
 
-        Entries are chunked to ``config.chunk_size``, each chunk is
-        partitioned by client shard and applied; returns the number of
-        entries ingested in this call.
+        Triples are chunked to ``config.chunk_size``, each chunk is
+        partitioned by client shard and applied as it is; returns the
+        number of triples ingested in this call.
         """
-        total = 0
-        for chunk in _chunks(entries, self.config.chunk_size):
-            total += self._ingest_chunk(chunk)
-        return total
-
-    def ingest_triples(self, triples: Iterable[Triple]) -> int:
-        """Like :meth:`ingest` for pre-projected request triples."""
         total = 0
         for chunk in _chunks(triples, self.config.chunk_size):
             total += self._dispatch(chunk)
         return total
 
-    def _ingest_chunk(self, chunk: Sequence[Any]) -> int:
-        return self._dispatch(
-            [(entry.client, entry.url, entry.size) for entry in chunk]
-        )
+    #: The same method under its older name, which callers and the
+    #: bench tracer (``bench/child.py``) still use.
+    ingest_triples = ingest
 
     def apply_chunk(self, triples: Sequence[Triple]) -> int:
         """Apply one chunk of triples, all-or-nothing.
@@ -212,10 +204,18 @@ class ShardedClusterEngine:
     # -- observation -----------------------------------------------------
 
     def snapshot(self, name: Optional[str] = None) -> ClusterSet:
-        """Merge all shards into one :class:`ClusterSet` (non-destructive)."""
-        combined = ClusterStore()
-        for store in self._stores:
-            combined.merge(store.copy())
+        """Merge all shards into one :class:`ClusterSet` (non-destructive).
+
+        One store snapshots directly; several are copied before they
+        merge, because :meth:`ClusterStore.merge` adopts states by
+        reference.
+        """
+        if len(self._stores) == 1:
+            combined = self._stores[0]
+        else:
+            combined = ClusterStore()
+            for store in self._stores:
+                combined.merge(store.copy())
         return combined.snapshot(
             name=name if name is not None else self.config.name,
             method="network-aware",

@@ -76,6 +76,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ClusterStore",
+    "request_triples",
     "CheckpointError",
     "CheckpointCorruptError",
     "CheckpointVersionError",
@@ -129,6 +130,12 @@ def _in_windows(
     """Is ``address`` inside the sorted disjoint inclusive windows?"""
     slot = bisect_right(lows, address) - 1
     return slot >= 0 and address <= highs[slot]
+
+
+def request_triples(entries: Iterable[Any]) -> List[Tuple[int, str, int]]:
+    """The ``(client, url, size)`` of each :class:`LogEntry`-shaped
+    object: the one request record the engine ingests."""
+    return [(entry.client, entry.url, entry.size) for entry in entries]
 
 
 class ClusterStore:
@@ -233,9 +240,7 @@ class ClusterStore:
 
     def apply_entries(self, entries: Iterable[Any], table: PackedLpm) -> int:
         """Convenience wrapper taking :class:`LogEntry`-shaped objects."""
-        return self.apply_batch(
-            [(entry.client, entry.url, entry.size) for entry in entries], table
-        )
+        return self.apply_batch(request_triples(entries), table)
 
     def copy(self) -> "ClusterStore":
         """Independent copy (merge adopts accumulators by reference, so

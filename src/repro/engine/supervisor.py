@@ -72,7 +72,7 @@ class SupervisedEngine:
     Usage mirrors the raw engine::
 
         with SupervisedEngine(engine, SupervisorConfig(max_retries=3)) as sup:
-            sup.ingest(entries)
+            sup.ingest(triples)
             clusters = sup.snapshot()
 
     ``sleep`` is injectable so tests can assert the backoff schedule
@@ -120,25 +120,22 @@ class SupervisedEngine:
 
     # -- supervised ingestion --------------------------------------------
 
-    def ingest(self, entries: Iterable[Any]) -> int:
-        """Consume log entries with the full recovery policy applied.
+    def ingest(self, triples: Iterable[Triple]) -> int:
+        """Consume request triples ``(client, url, size)`` with the full
+        recovery policy applied.
 
-        Returns the number of entries *applied*; quarantined entries
+        Returns the number of triples *applied*; quarantined triples
         are excluded here and counted in
         ``metrics.entries_quarantined``.
         """
         total = 0
-        for chunk in _chunks(entries, self.engine.config.chunk_size):
-            total += self._apply_with_recovery(
-                [(entry.client, entry.url, entry.size) for entry in chunk]
-            )
-        return total
-
-    def ingest_triples(self, triples: Iterable[Triple]) -> int:
-        total = 0
         for chunk in _chunks(triples, self.engine.config.chunk_size):
             total += self._apply_with_recovery(chunk)
         return total
+
+    #: The same method under its older name, which callers and the
+    #: bench tracer (``bench/child.py``) still use.
+    ingest_triples = ingest
 
     def _apply_with_recovery(self, chunk: Sequence[Triple]) -> int:
         """Apply one chunk: retry, then quarantine.

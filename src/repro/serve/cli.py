@@ -55,7 +55,9 @@ from dataclasses import dataclass
 from types import FrameType
 from typing import Iterator, List, Optional, Union
 
-from repro.cli import load_tables, print_cluster_report, require_files
+from repro.cli import (
+    add_report_options, load_tables, print_cluster_report, require_files,
+)
 from repro.engine.fastpath import LPM_KINDS, build_lpm_table
 from repro.engine.metrics import EngineMetrics
 from repro.engine.state import CheckpointError
@@ -207,14 +209,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
              "(WAL appends/syncs/rotations, recovered events, shed "
              "events)",
     )
-    parser.add_argument(
-        "--busy", type=float, default=None, metavar="SHARE",
-        help="threshold busy clusters covering SHARE of requests",
-    )
-    parser.add_argument(
-        "--top", type=int, default=20,
-        help="how many clusters to print (default 20, 0 = all)",
-    )
+    add_report_options(parser)
     return parser
 
 
@@ -356,6 +351,10 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         parser.error("--shed-watermark must be >= 0")
     if args.heartbeat < 0:
         parser.error("--heartbeat must be >= 0")
+    if args.checkpoint_every < 0:
+        parser.error("--checkpoint-every must be >= 0")
+    if args.max_errors is not None and args.max_errors < 0:
+        parser.error("--max-errors must be >= 0")
     require_files(parser, args.table)
 
     injector: Optional[FaultInjector] = None

@@ -30,14 +30,14 @@ Who gets which
 
 * :func:`iter_clf_entries` — the engine's front end — runs the lean
   form.  Clustering reads the client address, the URL and the size of
-  each request and nothing else, so that is all it extracts: ``client``
-  (host text → int through a bounded memo that lives for one call;
-  logs repeat their few thousand clients), ``url``, ``size`` and the
-  stripped line are eager.  ``timestamp``, ``status``, ``method``,
-  ``user_agent`` and ``referer`` are deferred: the first access decodes
-  the line through :func:`_fast_entry` and keeps the result.  The
-  record compares and hashes equal to the :class:`LogEntry`
-  :meth:`~LogEntry.from_clf` builds from the same line.
+  each request and nothing else, so that is all it extracts, and each
+  request is yielded as the plain tuple ``(client, url, size)`` (host
+  text → int through a bounded memo that lives for one call; logs
+  repeat their few thousand clients).  A line the pattern declines is
+  parsed by the grammar and projected to the same triple.  A tuple of
+  ints and a str holds no reference the collector must follow, so
+  CPython stops tracking it the first time it survives a collection:
+  the requests of a chunk in flight are never promoted and re-walked.
 * :func:`parse_clf_lines` / :func:`load_clf` / :class:`WebLog` — the
   experiments, which replay timing, status and agents — run the full
   form and hold plain :class:`LogEntry` objects, as they always did.
@@ -48,8 +48,9 @@ from __future__ import annotations
 import calendar
 import re
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, TextIO,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, TextIO, Tuple,
 )
 
 from repro.net.ipv4 import parse_ipv4
@@ -135,67 +136,24 @@ def _fast_entry(line: str) -> Optional[LogEntry]:
     )
 
 
-class _LeanEntry:
-    """What the lean form yields: the projection clustering consumes,
-    with the rest of the :class:`LogEntry` one decode away."""
-
-    __slots__ = ("client", "url", "size", "line", "_entry")
-
-    def __init__(self, client: int, url: str, size: int, line: str) -> None:
-        self.client = client
-        self.url = url
-        self.size = size
-        self.line = line
-
-    def _decoded(self) -> LogEntry:
-        try:
-            return self._entry
-        except AttributeError:
-            # The lean form accepted ``line``, so the full form does.
-            entry = self._entry = _fast_entry(self.line)
-            return entry
-
-    @property
-    def timestamp(self) -> float:
-        return self._decoded().timestamp
-
-    @property
-    def status(self) -> int:
-        return self._decoded().status
-
-    @property
-    def method(self) -> str:
-        return self._decoded().method
-
-    @property
-    def user_agent(self) -> str:
-        return self._decoded().user_agent
-
-    @property
-    def referer(self) -> str:
-        return self._decoded().referer
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LeanEntry):
-            other = other._decoded()
-        if isinstance(other, LogEntry):
-            return self._decoded() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._decoded())
-
-    def __repr__(self) -> str:
-        return f"_LeanEntry({self._decoded()!r})"
+#: What the lean form yields: one request as clustering reads it,
+#: (client address, URL, response bytes).
+Triple = Tuple[int, str, int]
 
 
-def _lean_tier() -> Callable[[str], Optional[_LeanEntry]]:
+def _grammar_triple(line: str) -> Triple:
+    """The request triple of a line the lean pattern declined."""
+    entry = LogEntry.from_clf(line)
+    return (entry.client, entry.url, entry.size)
+
+
+def _lean_tier() -> Callable[[str], Optional[Triple]]:
     """A lean-form parser with a host memo of its own."""
     match = _LEAN_CLF.match
     clients: Dict[str, int] = {}
     known = clients.get
 
-    def lean_entry(line: str) -> Optional[_LeanEntry]:
+    def lean_triple(line: str) -> Optional[Triple]:
         found = match(line)
         if found is None:
             return None
@@ -205,9 +163,9 @@ def _lean_tier() -> Callable[[str], Optional[_LeanEntry]]:
             if len(clients) >= _HOST_MEMO_LIMIT:
                 clients.clear()
             client = clients[host] = parse_ipv4(host)
-        return _LeanEntry(client, url, 0 if size == "-" else int(size), line)
+        return (client, url, 0 if size == "-" else int(size))
 
-    return lean_entry
+    return lean_triple
 
 
 @dataclass
@@ -319,11 +277,14 @@ def _scan(
     report: Optional[ParseReport],
     max_errors: Optional[int],
     tier: Callable[[str], Optional[Any]],
+    fallback: Callable[[str], Any],
+    client_of: Callable[[Any], int],
 ) -> Iterator[Any]:
     """The one parsing loop: count, skip, ``tier`` then the full
     grammar, account, guard.  ``tier`` is :func:`_fast_entry` or a
-    :func:`_lean_tier`; what it declines goes to
-    :meth:`LogEntry.from_clf`."""
+    :func:`_lean_tier`; what it declines goes to ``fallback``
+    (:meth:`LogEntry.from_clf` or :func:`_grammar_triple`), and
+    ``client_of`` reads the address off either record."""
     report = report if report is not None else ParseReport()
     for line in lines:
         report.total_lines += 1
@@ -333,7 +294,7 @@ def _scan(
         try:
             entry = tier(stripped)
             if entry is None:
-                entry = LogEntry.from_clf(stripped)
+                entry = fallback(stripped)
         except (LogFormatError, ValueError):
             report.malformed += 1
             if max_errors is not None and report.malformed > max_errors:
@@ -343,7 +304,7 @@ def _scan(
                     f"(line {report.total_lines}: {stripped[:80]!r})"
                 )
             continue
-        if entry.client == 0:
+        if client_of(entry) == 0:
             report.null_client += 1
             continue
         report.parsed += 1
@@ -354,10 +315,10 @@ def iter_clf_entries(
     lines: Iterable[str],
     report: Optional[ParseReport] = None,
     max_errors: Optional[int] = None,
-) -> Iterator[LogEntry]:
-    """Stream log entries out of CLF ``lines``.
+) -> Iterator[Triple]:
+    """Stream request triples ``(client, url, size)`` out of CLF ``lines``.
 
-    This is the engine-mode front end: entries are yielded as they
+    This is the engine-mode front end: triples are yielded as they
     parse, so arbitrarily large logs stream through in constant memory,
     and malformed lines are counted-and-skipped in ``report`` rather
     than aborting the batch they arrived in.  ``max_errors`` is the
@@ -369,11 +330,12 @@ def iter_clf_entries(
     Requests from 0.0.0.0 (BOOTP-style unknown-source placeholders) are
     excluded, as in the paper's experiments.
 
-    Entries have ``client``, ``url`` and ``size`` ready and decode the
-    other :class:`LogEntry` fields on first access (module docstring);
-    each equals the :class:`LogEntry` its line parses to.
+    Each triple is a plain ``tuple`` equal to the ``client``, ``url``
+    and ``size`` of the :class:`LogEntry` its line parses to.
     """
-    return _scan(lines, report, max_errors, _lean_tier())
+    return _scan(
+        lines, report, max_errors, _lean_tier(), _grammar_triple, itemgetter(0)
+    )
 
 
 def parse_clf_lines(
@@ -385,7 +347,10 @@ def parse_clf_lines(
     """Parse CLF ``lines`` into a :class:`WebLog` of plain
     :class:`LogEntry` (see :func:`iter_clf_entries` for the skip/guard
     behaviour)."""
-    return WebLog(name, _scan(lines, report, max_errors, _fast_entry))
+    return WebLog(name, _scan(
+        lines, report, max_errors,
+        _fast_entry, LogEntry.from_clf, attrgetter("client"),
+    ))
 
 
 def load_clf(name: str, stream: TextIO) -> WebLog:

@@ -179,6 +179,29 @@ class TestFastpathFlags:
         # No transport switch under any spelling (negated form included).
         assert "shm" not in build_parser().format_help()
 
+    @pytest.mark.parametrize("bad, message", [
+        (["--top", "-1"], "argument --top: must be an integer >= 0: '-1'"),
+        (["--busy", "0"], "argument --busy: must be in (0, 1]: '0'"),
+        (["--busy", "1.5"], "argument --busy: must be in (0, 1]: '1.5'"),
+        (["--checkpoint-every", "-3"], "--checkpoint-every must be >= 0"),
+        (["--max-errors", "-1"], "--max-errors must be >= 0"),
+    ], ids=[
+        "top-negative", "busy-zero", "busy-above-one",
+        "checkpoint-every-negative", "max-errors-negative",
+    ])
+    def test_out_of_range_values_are_usage_errors(
+        self, files, tmp_path, capsys, bad, message
+    ):
+        log, dump = files
+        ckpt = str(tmp_path / "run.ckpt")
+        with pytest.raises(SystemExit) as caught:
+            main([log, "--table", dump, "--checkpoint", ckpt, *bad])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any table loads
+        assert captured.err.splitlines()[-1] == f"repro-engine: error: {message}"
+        assert not os.path.exists(ckpt)
+
 
 class TestCheckpointFlow:
     def test_resume_same_log_skips_already_ingested(self, tmp_path, files,

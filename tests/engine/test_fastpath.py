@@ -14,6 +14,7 @@ from repro.engine import (
     ShardedClusterEngine,
     StrideLpm,
     build_lpm_table,
+    request_triples,
     shard_of,
 )
 from repro.engine.fastpath import DEFAULT_MEMO_SIZE, LPM_KINDS
@@ -235,9 +236,7 @@ class TestPackedBatch:
 
     def test_apply_packed_matches_apply_batch(self, merged_table, nagano_log):
         table = StrideLpm.from_merged(merged_table)
-        triples = [
-            (e.client, e.url, e.size) for e in nagano_log.log.entries[:4000]
-        ]
+        triples = request_triples(nagano_log.log.entries[:4000])
         via_triples = ClusterStore()
         via_triples.apply_batch(triples, table)
         via_packed = ClusterStore()
@@ -296,7 +295,7 @@ class TestEngineIdentityAcrossKinds:
         table = build_lpm_table(kind, merged_table, memo)
         config = EngineConfig(num_shards=2, chunk_size=4096)
         with ShardedClusterEngine(table, config) as engine:
-            engine.ingest(nagano_log.log.entries)
+            engine.ingest(request_triples(nagano_log.log.entries))
             result = engine.snapshot()
         assert _signature(result) == _signature(baseline)
 
@@ -306,7 +305,7 @@ class TestEngineIdentityAcrossKinds:
         table = build_lpm_table("stride", merged_table, 2)
         config = EngineConfig(num_shards=1, chunk_size=2048)
         with ShardedClusterEngine(table, config) as engine:
-            engine.ingest(nagano_log.log.entries)
+            engine.ingest(request_triples(nagano_log.log.entries))
             result = engine.snapshot()
             assert engine.metrics.memo_evictions > 0
         assert _signature(result) == _signature(baseline)
@@ -315,7 +314,7 @@ class TestEngineIdentityAcrossKinds:
                                                 merged_table, baseline):
         """A run checkpointed under --lpm packed resumes under --lpm
         stride (+memo): digest() is kind-independent."""
-        entries = nagano_log.log.entries
+        entries = request_triples(nagano_log.log.entries)
         half = len(entries) // 2
         packed = build_lpm_table("packed", merged_table)
         config = EngineConfig(num_shards=2, chunk_size=4096)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.analysis import sanitize
-from repro.engine import EngineConfig, ShardedClusterEngine
+from repro.engine import EngineConfig, ShardedClusterEngine, request_triples
 from repro.engine.fastpath import PackedBatch, build_lpm_table
 from repro.engine.state import ClusterStore
 from repro.errors import SanitizeError
@@ -195,7 +195,7 @@ class TestEngineEndToEnd:
         config = EngineConfig(num_shards=2, chunk_size=2048,
                               name=nagano_log.log.name)
         with ShardedClusterEngine(table, config) as engine:
-            engine.ingest(nagano_log.log.entries)
+            engine.ingest(request_triples(nagano_log.log.entries))
             return engine.snapshot(), engine.metrics.snapshot()
 
     def test_inline_run_identical_and_counted(self, nagano_log, merged_table):
@@ -223,7 +223,7 @@ class TestEngineEndToEnd:
         table = build_lpm_table("stride", merged_table)
         config = EngineConfig(num_shards=2, chunk_size=2048)
         with ShardedClusterEngine(table, config) as engine:
-            engine.ingest(nagano_log.log.entries[:1000])
+            engine.ingest(request_triples(nagano_log.log.entries[:1000]))
             engine.checkpoint(str(tmp_path / "run.ckpt"))
             snap = engine.metrics.snapshot()
         assert snap["sanitize_checkpoint_readbacks"] == 1

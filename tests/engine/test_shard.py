@@ -13,6 +13,7 @@ from repro.engine import (
     EngineMetrics,
     PackedLpm,
     ShardedClusterEngine,
+    request_triples,
     shard_of,
 )
 from repro.net.prefix import Prefix
@@ -82,7 +83,7 @@ class TestEquivalence:
             num_shards=shards, chunk_size=chunk_size, name=nagano_log.log.name
         )
         with ShardedClusterEngine(table, config) as engine:
-            engine.ingest(nagano_log.log.entries)
+            engine.ingest(request_triples(nagano_log.log.entries))
             result = engine.snapshot()
         assert result == baseline
         assert _signature(result) == _signature(baseline)
@@ -97,7 +98,7 @@ class TestEquivalence:
         """A withdrawal between two feeds moves the second half: it
         clusters exactly as against a table compiled fresh from the
         patched routes."""
-        entries = nagano_log.log.entries
+        entries = request_triples(nagano_log.log.entries)
         half = len(entries) // 2
         config = EngineConfig(
             num_shards=shards, chunk_size=chunk_size, name=nagano_log.log.name
@@ -106,7 +107,7 @@ class TestEquivalence:
         # a run still resolving against the old table cannot agree.
         owners = collections.Counter(
             handle
-            for handle in table.lookup_many(e.client for e in entries[half:])
+            for handle in table.lookup_many(client for client, _, _ in entries[half:])
             if handle >= 0
         )
         victim = table.prefix(owners.most_common(1)[0][0])
@@ -131,7 +132,7 @@ class TestEquivalence:
     ):
         """A checkpoint written at 2 shards resumes at this shard count
         and prints the uninterrupted run's report byte for byte."""
-        entries = nagano_log.log.entries
+        entries = request_triples(nagano_log.log.entries)
         half = len(entries) // 2
         path = str(tmp_path / "two-shards.ckpt")
         written_at = EngineConfig(num_shards=2, chunk_size=chunk_size)
@@ -150,7 +151,7 @@ class TestEquivalence:
 class TestEngineBehaviour:
     def test_incremental_feeds_accumulate(self, nagano_log, merged_table):
         packed = PackedLpm.from_merged(merged_table)
-        entries = nagano_log.log.entries
+        entries = request_triples(nagano_log.log.entries)
         config = EngineConfig(num_shards=2, chunk_size=1024)
         with ShardedClusterEngine(packed, config) as engine:
             engine.ingest(entries[: len(entries) // 2])
@@ -162,12 +163,35 @@ class TestEngineBehaviour:
         baseline = cluster_log(nagano_log.log, merged_table)
         assert _signature(full) == _signature(baseline)
 
+    def test_one_store_snapshot_is_a_copy(self, nagano_log, merged_table):
+        """With one store the snapshot is taken from it directly: a
+        later feed must not reach it, and it equals the two-store
+        engine's copy-and-merge snapshot."""
+        packed = PackedLpm.from_merged(merged_table)
+        entries = request_triples(nagano_log.log.entries)
+        half = len(entries) // 2
+        engines = [
+            ShardedClusterEngine(
+                packed, EngineConfig(num_shards=shards, chunk_size=1024)
+            )
+            for shards in (1, 2)
+        ]
+        for engine in engines:
+            engine.ingest(entries[:half])
+        one, two = (engine.snapshot() for engine in engines)
+        frozen = _report(one)
+        assert one == two
+        assert _signature(one) == _signature(two)
+        engines[0].ingest(entries[half:])
+        assert _report(one) == frozen
+        assert engines[0].snapshot().total_requests > one.total_requests
+
     def test_metrics_observe_ingestion(self, nagano_log, merged_table):
         packed = PackedLpm.from_merged(merged_table)
         metrics = EngineMetrics(2)
         config = EngineConfig(num_shards=2, chunk_size=1000)
         with ShardedClusterEngine(packed, config, metrics) as engine:
-            engine.ingest(nagano_log.log.entries)
+            engine.ingest(request_triples(nagano_log.log.entries))
         assert metrics.entries == len(nagano_log.log.entries)
         assert metrics.lookups == metrics.entries
         assert metrics.batches == -(-metrics.entries // 1000)

@@ -18,6 +18,7 @@ from repro.engine import (
     ShardedClusterEngine,
     SupervisedEngine,
     SupervisorConfig,
+    request_triples,
 )
 from repro.engine.state import read_checkpoint
 from repro.faults import (
@@ -69,7 +70,7 @@ class TestDisturbedEquivalence:
             FaultSpec(site=SITE_CHECKPOINT_CORRUPT, at=0, count=1),
             seed=SEED,
         )
-        entries = nagano_log.log.entries
+        entries = request_triples(nagano_log.log.entries)
         half = len(entries) // 2
         ckpt = str(tmp_path / "mid.ckpt")
         with _supervised(packed, plan) as supervised:
@@ -100,7 +101,7 @@ class TestChaosDeterminism:
             )
             supervised = _supervised(packed, plan)
             with supervised:
-                supervised.ingest(nagano_log.log.entries[:CHUNK * 4])
+                supervised.ingest(request_triples(nagano_log.log.entries[:CHUNK * 4]))
             return (
                 dict(supervised.engine.injector.fired),
                 supervised.metrics.snapshot()["chunk_retries"],

@@ -29,7 +29,6 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.net.prefix import Prefix
-from repro.weblog.entry import LogEntry
 from repro.weblog.parser import iter_clf_entries, parse_clf_lines
 
 TRIPLES = [
@@ -188,10 +187,11 @@ class TestQuarantine:
 
 
 class TestIngestDoor:
-    """``ingest`` takes what ``iter_clf_entries`` yields — lean records
-    and, for lines the fast pattern declined, plain ``LogEntry`` — in
-    the one-chunk lists the CLI hands over, and lands on ``cluster_log``
-    whatever the recovery policy had to do to that chunk."""
+    """``ingest`` takes what ``iter_clf_entries`` yields — request
+    triples, whether the fast pattern or the grammar parsed the line —
+    in the one-chunk lists the CLI hands over, and lands on
+    ``cluster_log`` whatever the recovery policy had to do to that
+    chunk."""
 
     @pytest.fixture(scope="class")
     def lines(self, nagano_log):
@@ -217,10 +217,6 @@ class TestIngestDoor:
         return SupervisedEngine(
             engine, SupervisorConfig(backoff_base=0, **policy)
         )
-
-    def test_batch_is_mixed(self, lines):
-        kinds = {type(entry) for entry in iter_clf_entries(lines)}
-        assert LogEntry in kinds and len(kinds) == 2
 
     @pytest.mark.parametrize(
         "plan, policy, retries",
@@ -257,9 +253,7 @@ class TestIngestDoor:
         assert supervised.ingest(list(iter_clf_entries(second))) == len(second)
         assert supervised.snapshot() == self._reference(second, merged_table)
         (record,) = [json.loads(line) for line in open(dead_letter)]
-        assert record["triples"] == [
-            [entry.client, entry.url, entry.size] for entry in poisoned
-        ]
+        assert record["triples"] == [list(triple) for triple in poisoned]
 
 
 class TestVerifiedCheckpoints:

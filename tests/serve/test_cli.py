@@ -293,6 +293,30 @@ class TestSocket:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("bad, message", [
+        (["--top", "-1"], "argument --top: must be an integer >= 0: '-1'"),
+        (["--busy", "0"], "argument --busy: must be in (0, 1]: '0'"),
+        (["--busy", "1.5"], "argument --busy: must be in (0, 1]: '1.5'"),
+        (["--checkpoint-every", "-3"], "--checkpoint-every must be >= 0"),
+        (["--max-errors", "-1"], "--max-errors must be >= 0"),
+    ], ids=[
+        "top-negative", "busy-zero", "busy-above-one",
+        "checkpoint-every-negative", "max-errors-negative",
+    ])
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, bad, message):
+        ckpt = str(tmp_path / "c.ckpt")
+        proc = spawn(
+            make_dump(tmp_path), "--stdin", "--checkpoint", ckpt, *bad,
+            stdin=subprocess.DEVNULL,
+        )
+        stdout, stderr = proc.communicate(timeout=20)
+        assert proc.returncode == 2
+        assert stdout == b""  # rejected before any table loads
+        assert stderr.decode().splitlines()[-1] == (
+            f"repro-engine serve: error: {message}"
+        )
+        assert not os.path.exists(ckpt)
+
     def test_missing_table_is_a_usage_error(self, tmp_path):
         missing = str(tmp_path / "absent.dump")
         proc = spawn(missing, "--stdin", stdin=subprocess.DEVNULL)

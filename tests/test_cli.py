@@ -71,6 +71,22 @@ class TestSimpleMode:
 
 
 class TestEdgeCases:
+    @pytest.mark.parametrize("bad, message", [
+        (["--top", "-1"], "argument --top: must be an integer >= 0: '-1'"),
+        (["--busy", "0"], "argument --busy: must be in (0, 1]: '0'"),
+        (["--busy", "1.5"], "argument --busy: must be in (0, 1]: '1.5'"),
+    ], ids=["top-negative", "busy-zero", "busy-above-one"])
+    def test_bad_report_options_are_usage_errors(
+        self, files, capsys, bad, message
+    ):
+        log, dump = files
+        with pytest.raises(SystemExit) as caught:
+            main([log, "--table", dump, *bad])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the log is parsed
+        assert captured.err.splitlines()[-1] == f"repro-cluster: error: {message}"
+
     def test_empty_log_fails_cleanly(self, tmp_path, capsys):
         log = tmp_path / "empty.log"
         log.write_text("")

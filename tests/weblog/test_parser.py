@@ -101,7 +101,9 @@ class TestFastPath:
             assert _fast_entry(line) is None, line
             full = LogEntry.from_clf(line)
             report = ParseReport()
-            assert list(iter_clf_entries([line], report)) == [full]
+            assert list(iter_clf_entries([line], report)) == [
+                (full.client, full.url, full.size)
+            ]
             assert report.parsed == 1 and report.malformed == 0
 
     def test_round_trip_fuzz_matches_full_parse(self):
@@ -147,9 +149,9 @@ class TestIterClfEntries:
         report = ParseReport()
         stream = iter_clf_entries(lines, report)
         first = next(stream)
-        assert first.client == parse_ipv4("1.2.3.4")
+        assert first == (parse_ipv4("1.2.3.4"), "/u", 10)
         assert report.parsed == 1  # second line not consumed yet
-        assert next(stream).client == parse_ipv4("1.2.3.5")
+        assert next(stream)[0] == parse_ipv4("1.2.3.5")
         assert report.parsed == 2
 
     def test_malformed_lines_counted_and_skipped(self):

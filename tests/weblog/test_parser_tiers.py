@@ -5,12 +5,13 @@ form behind ``_fast_entry`` and the lean form behind
 ``iter_clf_entries`` — and sends whatever they decline to
 ``LogEntry.from_clf``.  These properties hold the three together on
 lines drawn from the grammar and then damaged: the two forms accept the
-same lines, never one the grammar rejects, an accepted record is the
-grammar's ``LogEntry`` in every observable way, and the stream's
-``ParseReport`` is what the grammar alone would have counted.
+same lines, never one the grammar rejects, the full form's entry is the
+grammar's ``LogEntry``, the lean stream's record is that entry's
+``(client, url, size)`` whichever tier parsed the line, and the
+stream's ``ParseReport`` is what the grammar alone would have counted.
 """
 
-from dataclasses import fields
+import gc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,6 @@ from repro.weblog.parser import (
     iter_clf_entries,
     parse_clf_lines,
 )
-
-FIELD_NAMES = [field.name for field in fields(LogEntry)]
 
 URL_TEXT = st.text(
     alphabet="abcXYZ019/._-~?=&%+:;,@é", min_size=1, max_size=24
@@ -111,41 +110,14 @@ def _grammar(line):
         return None
 
 
-@settings(max_examples=600, deadline=None)
-@given(raw=damaged_lines())
-def test_tiers_and_grammar_agree_line_by_line(raw):
-    line = raw.strip()
-    lean = _lean_tier()(line)
-    full = _fast_entry(line)
-    expected = _grammar(line)
-
-    assert (lean is None) == (full is None)
-    if full is None:
-        return
-    # A strict subset of the grammar, and the same entry.
-    assert expected is not None
-    assert full == expected
-    # The eager projection, before anything has been decoded ...
-    assert (lean.client, lean.url, lean.size) == (
-        expected.client, expected.url, expected.size
-    )
-    # ... then the record is the LogEntry: both operand orders, the
-    # hash, and every deferred field (none of which may raise).
-    assert lean == expected and expected == lean
-    assert not (lean != expected) and not (expected != lean)
-    assert hash(lean) == hash(expected)
-    assert {lean: 1}[expected] == 1
-    for name in FIELD_NAMES:
-        assert getattr(lean, name) == getattr(expected, name), name
-    assert lean == _lean_tier()(line)
+def _triple(entry):
+    return (entry.client, entry.url, entry.size)
 
 
-@settings(max_examples=150, deadline=None)
-@given(raws=st.lists(damaged_lines(), max_size=12))
-def test_stream_report_is_the_grammars(raws):
-    # What the grammar alone counts, no fast tier involved.
+def _grammar_count(raws):
+    """What the grammar alone counts and keeps, no fast tier involved."""
     counts = ParseReport()
-    expected = []
+    kept = []
     for raw in raws:
         counts.total_lines += 1
         if not raw.strip():
@@ -157,14 +129,73 @@ def test_stream_report_is_the_grammars(raws):
             counts.null_client += 1
         else:
             counts.parsed += 1
-            expected.append(entry)
+            kept.append(entry)
+    return counts, kept
 
+
+@settings(max_examples=600, deadline=None)
+@given(raw=damaged_lines())
+def test_tiers_and_grammar_agree_line_by_line(raw):
+    line = raw.strip()
+    lean = _lean_tier()(line)
+    full = _fast_entry(line)
+    expected = _grammar(line)
+
+    assert (lean is None) == (full is None)
+    if full is not None:
+        # A strict subset of the grammar, and the same entry.
+        assert expected is not None
+        assert full == expected
+        assert lean == _triple(expected)
+    # Whichever tier takes the line, the stream yields the grammar's
+    # triple and counts it into the grammar's bucket.
+    counts, kept = _grammar_count([raw])
+    report = ParseReport()
+    assert list(iter_clf_entries([raw], report)) == [
+        _triple(entry) for entry in kept
+    ]
+    assert report == counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(raws=st.lists(damaged_lines(), max_size=12))
+def test_stream_report_is_the_grammars(raws):
+    counts, expected = _grammar_count(raws)
     lean_report, full_report = ParseReport(), ParseReport()
-    assert list(iter_clf_entries(raws, lean_report)) == expected
+    assert list(iter_clf_entries(raws, lean_report)) == [
+        _triple(entry) for entry in expected
+    ]
     log = parse_clf_lines("t", raws, full_report)
     assert log.entries == expected
     assert all(type(entry) is LogEntry for entry in log.entries)
     assert lean_report == counts and full_report == counts
+
+
+def test_records_are_untracked_plain_triples():
+    """The record contract the batch path's speed rests on: every
+    record is an exact ``tuple`` ``(client, url, size)`` — from the
+    lean pattern and from the grammar fallback alike — and none stays
+    tracked by the collector once a collection has seen it."""
+    lines = [
+        '1.2.3.4 - - [13/Feb/1998:09:12:01 +0000] "GET /a HTTP/1.0" 200 5',
+        '1.2.3.5 - - [13/Feb/1998:09:12:02 +0000] "GET /b HTTP/1.0" 304 -'
+        ' "http://ref/" "Mozilla/4.0"',
+        # Lines the pattern declines: the grammar parses them.
+        '1.2.3.6 - - [13/Feb/1998:09:12:03 +0000] "/only" 200 7',
+        '1.2.3.7 - - [13/Feb/1998:09:12:04 +0000] "get /c HTTP/1.0" 200 8',
+        '1.2.3.8 - - [13/Feb/1998:09:12:05 +0000] "GET /d x HTTP/1.0" 200 9',
+    ]
+    assert [_lean_tier()(line) is None for line in lines] == [
+        False, False, True, True, True,
+    ]
+    records = list(iter_clf_entries(lines))
+    assert records == [_triple(LogEntry.from_clf(line)) for line in lines]
+    for record in records:
+        assert type(record) is tuple and len(record) == 3
+        client, url, size = record
+        assert (type(client), type(url), type(size)) == (int, str, int)
+    gc.collect()
+    assert not any(gc.is_tracked(record) for record in records)
 
 
 def test_year_zero_is_malformed_not_fatal():
@@ -176,7 +207,7 @@ def test_year_zero_is_malformed_not_fatal():
     ]
     report = ParseReport()
     entries = list(iter_clf_entries(lines, report))
-    assert entries == [LogEntry.from_clf(lines[1])]
+    assert entries == [_triple(LogEntry.from_clf(lines[1]))]
     assert (report.parsed, report.malformed) == (1, 1)
 
 
@@ -187,6 +218,6 @@ def test_host_memo_is_bounded(monkeypatch):
         for host in range(40)
     ]
     entries = list(iter_clf_entries(lines))
-    assert [entry.client & 0xFF for entry in entries] == [
+    assert [client & 0xFF for client, _, _ in entries] == [
         host % 7 + 1 for host in range(40)
     ]
