@@ -25,7 +25,8 @@ def test_ext_realtime_streaming_throughput(benchmark, nagano, merged_table):
 
     def stream():
         clusterer = RealTimeClusterer(merged_table, window_seconds=1800.0)
-        clusterer.feed_many(entries)
+        for item in entries:
+            clusterer.feed(item)
         return clusterer
 
     clusterer = benchmark(stream)

@@ -20,7 +20,8 @@ def test_fig11_cache_sweep_network_aware(benchmark, simulators):
     sim_aware, _ = simulators
 
     def sweep():
-        return sim_aware.sweep_cache_sizes([100_000, 1_000_000, 10_000_000])
+        return [sim_aware.run(cache_bytes=size)
+                for size in (100_000, 1_000_000, 10_000_000)]
 
     results = benchmark(sweep)
     ratios = [r.server_hit_ratio for r in results]

@@ -1,6 +1,17 @@
 """Benchmark: Figure 3 — CDFs of clients/requests per cluster."""
 
-from repro.core.metrics import cdf, fraction_below
+from repro.core.metrics import fraction_below
+
+
+def cdf(values):
+    """Empirical CDF of ``values`` as (value, fraction <= value) steps."""
+    ordered = sorted(values)
+    n = len(ordered)
+    return [
+        (value, (index + 1) / n)
+        for index, value in enumerate(ordered)
+        if index + 1 == n or ordered[index + 1] != value
+    ]
 
 
 def test_fig3_cdfs(benchmark, nagano_clusters):

@@ -7,14 +7,7 @@ ground-truth topology, and the BGP-dynamics study machinery of §3.4.
 """
 
 from repro.bgp.aspath import AsGraph, build_as_graph, path_length_histogram
-from repro.bgp.archive import (
-    ArchiveEntry,
-    SnapshotArchive,
-    load_snapshot,
-    save_snapshot,
-)
 from repro.bgp.coverage import CoverageReport, coverage_of, marginal_coverage
-from repro.bgp.diff import TableDiff, churn_series, diff_tables
 from repro.bgp.dynamics import (
     DynamicsReport,
     PeriodEffect,
@@ -32,7 +25,7 @@ from repro.bgp.formats import (
     unify,
 )
 from repro.bgp.sources import DEFAULT_SOURCES, SourceSpec, source_by_name
-from repro.bgp.synth import SnapshotFactory, SnapshotTime, build_merged_table
+from repro.bgp.synth import SnapshotFactory, SnapshotTime
 from repro.bgp.table import (
     KIND_BGP,
     KIND_FORWARDING,
@@ -47,16 +40,9 @@ __all__ = [
     "AsGraph",
     "build_as_graph",
     "path_length_histogram",
-    "ArchiveEntry",
-    "SnapshotArchive",
-    "load_snapshot",
-    "save_snapshot",
     "CoverageReport",
     "coverage_of",
     "marginal_coverage",
-    "TableDiff",
-    "diff_tables",
-    "churn_series",
     "FORMAT_CLASSFUL",
     "FORMAT_DOTTED_NETMASK",
     "FORMAT_MASK_LENGTH",
@@ -70,7 +56,6 @@ __all__ = [
     "source_by_name",
     "SnapshotFactory",
     "SnapshotTime",
-    "build_merged_table",
     "RouteEntry",
     "RoutingTable",
     "MergedPrefixTable",

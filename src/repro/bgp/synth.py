@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.sources import DEFAULT_SOURCES, SourceSpec
 from repro.bgp.table import (
@@ -43,7 +43,6 @@ __all__ = [
     "SnapshotTime",
     "RouteDelta",
     "DeltaGenerator",
-    "build_merged_table",
 ]
 
 
@@ -319,21 +318,8 @@ class DeltaGenerator:
         # next call drains it first — successive calls concatenate into
         # one coherent stream.
         self._pending: Deque[RouteDelta] = deque()
-        # The live set as seen by a consumer of the *emitted* stream
-        # (``_live`` runs ahead of it by the queued events).
-        self._emitted_live: Set[Prefix] = set(self._live)
 
     # -- observation -----------------------------------------------------
-
-    @property
-    def live_prefixes(self) -> Tuple[Prefix, ...]:
-        """Prefixes announced by the emitted stream, in table order.
-
-        Tracks the events :meth:`events` has actually handed out — a
-        consumer replaying them over the day-0 snapshot lands on
-        exactly this set.
-        """
-        return tuple(sorted(self._emitted_live, key=Prefix.sort_key))
 
     def _ordered_live(self) -> Tuple[Prefix, ...]:
         """Generation-state live set (includes queued events' effects)."""
@@ -450,19 +436,13 @@ class DeltaGenerator:
         quiet spell (several rolls producing nothing) forces a flap so
         the stream never stalls.  Bursts are generated whole; overflow
         past ``count`` waits in the pending queue for the next call, so
-        successive calls concatenate into one coherent stream and
-        :attr:`live_prefixes` always matches the events handed out.
+        successive calls concatenate into one coherent stream.
         """
         emitted: List[RouteDelta] = []
         quiet = 0
         while len(emitted) < count:
             if self._pending:
-                delta = self._pending.popleft()
-                if delta.op == RouteDelta.OP_WITHDRAW:
-                    self._emitted_live.discard(delta.prefix)
-                else:
-                    self._emitted_live.add(delta.prefix)
-                emitted.append(delta)
+                emitted.append(self._pending.popleft())
                 continue
             roll = self._rng.random()
             if roll < self.FLAP_FRACTION:
@@ -486,13 +466,3 @@ class DeltaGenerator:
                     self._pending.extend(self.flap())
                     quiet = 0
         return emitted
-
-
-def build_merged_table(
-    topology: Topology,
-    sources: Sequence[SourceSpec] = DEFAULT_SOURCES,
-    when: SnapshotTime = SnapshotTime(),
-    seed: Optional[int] = None,
-) -> MergedPrefixTable:
-    """Convenience: snapshot every source at ``when`` and merge."""
-    return SnapshotFactory(topology, sources, seed=seed).merged(when)

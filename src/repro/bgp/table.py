@@ -16,7 +16,7 @@ lookups is built from that order on the first lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -206,18 +206,13 @@ class LookupResult:
     source_name: str
     source_kind: str
 
-    @property
-    def from_registry(self) -> bool:
-        """True when the winning prefix came only from a registry dump."""
-        return self.source_kind == KIND_REGISTRY
-
 
 class MergedPrefixTable:
     """Union of many snapshots, queryable by longest-prefix match.
 
     When several sources carry the same prefix, the highest-priority
-    kind wins the provenance label (BGP > forwarding > registry), so
-    ``LookupResult.from_registry`` is True only for prefixes *no* BGP
+    kind wins the provenance label (BGP > forwarding > registry), so a
+    result's ``source_kind`` is registry only for prefixes *no* BGP
     or forwarding table contained — exactly the paper's accounting for
     the secondary-source contribution.  Between sources of one kind the
     first merged wins; inside one source the last line for a prefix
@@ -341,19 +336,6 @@ class MergedPrefixTable:
         the caller's: the cached order stays private.
         """
         return list(self._sorted())
-
-    def prefix_length_histogram(self) -> Dict[int, int]:
-        histogram: Dict[int, int] = {}
-        for prefix, _ in self._sorted():
-            histogram[prefix.length] = histogram.get(prefix.length, 0) + 1
-        return histogram
-
-    def kind_counts(self) -> Dict[str, int]:
-        """Entries by winning source kind (primary vs secondary)."""
-        counts: Dict[str, int] = {}
-        for _, result in self._sorted():
-            counts[result.source_kind] = counts.get(result.source_kind, 0) + 1
-        return counts
 
 
 def _as_entry(prefix: Prefix, entry: RouteEntry) -> RouteEntry:

@@ -21,7 +21,6 @@ from repro.cache.simulator import (
     ProxyResult,
     SimulationResult,
     filter_rare_urls,
-    provision_caches,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "SimulationResult",
     "ProxyResult",
     "filter_rare_urls",
-    "provision_caches",
 ]

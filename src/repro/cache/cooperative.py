@@ -49,12 +49,6 @@ class CooperativeResult:
             return 0.0
         return (self.local_hits + self.sibling_hits) / self.total_requests
 
-    @property
-    def local_hit_ratio(self) -> float:
-        if self.total_requests == 0:
-            return 0.0
-        return self.local_hits / self.total_requests
-
     def describe(self) -> str:
         return (
             f"{self.num_proxies} proxies in {self.num_sites} sites: "

@@ -19,7 +19,7 @@ fewer than 10 accesses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.cache.policy import DEFAULT_TTL_SECONDS, ProxyCache, ProxyStats
 from repro.cache.server import OriginServer
@@ -33,7 +33,6 @@ __all__ = [
     "ProxyResult",
     "CachingSimulator",
     "filter_rare_urls",
-    "provision_caches",
 ]
 
 
@@ -131,15 +130,8 @@ class CachingSimulator:
         cache_bytes: Optional[int] = None,
         ttl_seconds: float = DEFAULT_TTL_SECONDS,
         piggyback_limit: int = 10,
-        per_cluster_bytes: Optional[Dict[Prefix, int]] = None,
     ) -> SimulationResult:
-        """Replay the whole log once with the given proxy configuration.
-
-        ``per_cluster_bytes`` overrides the uniform ``cache_bytes`` with
-        a per-cluster capacity (see :func:`provision_caches` for the
-        §4.1.4 demand-proportional sizing); clusters absent from the
-        map fall back to ``cache_bytes``.
-        """
+        """Replay the whole log once with the given proxy configuration."""
         server = OriginServer(self.catalog)
         proxies: Dict[Prefix, ProxyCache] = {}
         result = SimulationResult(
@@ -160,12 +152,9 @@ class CachingSimulator:
                 continue
             proxy = proxies.get(prefix)
             if proxy is None:
-                capacity = cache_bytes
-                if per_cluster_bytes is not None:
-                    capacity = per_cluster_bytes.get(prefix, cache_bytes)
                 proxy = proxies[prefix] = ProxyCache(
                     server,
-                    capacity_bytes=capacity,
+                    capacity_bytes=cache_bytes,
                     ttl_seconds=ttl_seconds,
                     piggyback_limit=piggyback_limit,
                 )
@@ -184,53 +173,3 @@ class CachingSimulator:
             for prefix, proxy in proxies.items()
         ]
         return result
-
-    def sweep_cache_sizes(
-        self,
-        sizes_bytes: Sequence[int],
-        ttl_seconds: float = DEFAULT_TTL_SECONDS,
-    ) -> List[SimulationResult]:
-        """Run once per cache size (Figure 11's x-axis sweep)."""
-        return [self.run(cache_bytes=size, ttl_seconds=ttl_seconds)
-                for size in sizes_bytes]
-
-
-def provision_caches(
-    cluster_set: ClusterSet,
-    total_bytes: int,
-    metric: str = "requests",
-    floor_bytes: int = 65536,
-) -> Dict[Prefix, int]:
-    """Split a total byte budget across per-cluster proxies (§4.1.4).
-
-    "One way to place proxies is to assign one or more proxies for each
-    client cluster based on metrics such as the number of clients,
-    number of requests issued, the URLs accessed, or the number of
-    bytes fetched from server."  Capacity is allocated proportionally
-    to the chosen ``metric`` ("requests", "clients", "urls", "bytes"),
-    with a per-proxy floor so quiet clusters still get a working cache.
-    """
-    if total_bytes <= 0:
-        raise ValueError(f"budget must be positive: {total_bytes!r}")
-    getters = {
-        "requests": lambda c: c.requests,
-        "clients": lambda c: c.num_clients,
-        "urls": lambda c: c.unique_urls,
-        "bytes": lambda c: c.total_bytes,
-    }
-    try:
-        getter = getters[metric]
-    except KeyError:
-        raise ValueError(
-            f"unknown provisioning metric {metric!r}; "
-            f"choose from {sorted(getters)}"
-        ) from None
-    weights = {c.identifier: max(0, getter(c)) for c in cluster_set.clusters}
-    total_weight = sum(weights.values())
-    if total_weight == 0:
-        share = total_bytes // max(1, len(weights))
-        return {prefix: max(floor_bytes, share) for prefix in weights}
-    return {
-        prefix: max(floor_bytes, int(total_bytes * weight / total_weight))
-        for prefix, weight in weights.items()
-    }

@@ -25,7 +25,6 @@ from repro.core.clustering import (
     cluster_log,
     simple_prefix,
 )
-from repro.core.compare import ClusteringComparison, compare_clusterings
 from repro.core.hidden import (
     ClientCensus,
     HiddenClientEstimate,
@@ -35,7 +34,6 @@ from repro.core.hidden import (
 from repro.core.metrics import (
     ClusterDistributions,
     ClusterSummary,
-    cdf,
     distributions,
     fraction_below,
     prefix_length_histogram,
@@ -88,8 +86,6 @@ __all__ = [
     "AsGroupingReport",
     "group_clusters_by_as",
     "as_merge_candidates",
-    "ClusteringComparison",
-    "compare_clusterings",
     "ClientCensus",
     "HiddenClientEstimate",
     "census",
@@ -120,7 +116,6 @@ __all__ = [
     "ClusterDistributions",
     "ClusterSummary",
     "distributions",
-    "cdf",
     "fraction_below",
     "summary",
     "prefix_length_histogram",

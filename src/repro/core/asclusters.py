@@ -23,7 +23,7 @@ method does not yet correct).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bgp.table import MergedPrefixTable
 from repro.core.clustering import Cluster, ClusterSet
@@ -72,12 +72,6 @@ class AsGroupingReport:
 
     def sorted_by_requests(self) -> List[AsGroup]:
         return sorted(self.groups, key=lambda g: -g.requests)
-
-    def group_for(self, asn: int) -> Optional[AsGroup]:
-        for group in self.groups:
-            if group.asn == asn:
-                return group
-        return None
 
 
 def _origin_as(cluster: Cluster, table: MergedPrefixTable) -> int:

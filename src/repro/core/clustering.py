@@ -117,19 +117,6 @@ class ClusterSet:
     def total_requests(self) -> int:
         return sum(c.requests for c in self.clusters)
 
-    def by_identifier(self) -> Dict[Prefix, Cluster]:
-        return {c.identifier: c for c in self.clusters}
-
-    def find(self, address: int) -> Optional[Cluster]:
-        """Return the cluster containing ``address`` (linear in clusters
-        covering the address; used by tests and small tools)."""
-        for cluster in self.clusters:
-            if cluster.identifier.contains_address(address) and (
-                address in cluster.clients
-            ):
-                return cluster
-        return None
-
     def registry_clustered_clients(self) -> int:
         """Clients clustered by registry-only prefixes (§3.1.1's ~1 %)."""
         return sum(

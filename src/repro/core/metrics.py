@@ -3,7 +3,8 @@
 The paper characterises a clustering by three per-cluster series —
 number of clients, number of requests, number of unique URLs — plotted
 in reverse order of either clients (Figure 4) or requests (Figure 5),
-plus cumulative distributions (Figure 3).  This module computes those
+plus cumulative distributions (Figure 3, drawn by
+:func:`repro.util.ascii_plot.ascii_cdf`).  This module computes those
 series so the experiment harness can print/compare them, and summary
 statistics used throughout §3–4.
 """
@@ -11,14 +12,13 @@ statistics used throughout §3–4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.core.clustering import Cluster, ClusterSet
+from repro.core.clustering import ClusterSet
 
 __all__ = [
     "ClusterDistributions",
     "distributions",
-    "cdf",
     "fraction_below",
     "summary",
     "ClusterSummary",
@@ -60,23 +60,6 @@ def distributions(
         unique_urls=tuple(c.unique_urls for c in ordered),
         total_bytes=tuple(c.total_bytes for c in ordered),
     )
-
-
-def cdf(values: Sequence[int]) -> List[Tuple[int, float]]:
-    """Empirical CDF of ``values`` as (value, fraction ≤ value) steps.
-
-    Figure 3 plots these for clients-per-cluster and
-    requests-per-cluster.
-    """
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    steps: List[Tuple[int, float]] = []
-    for index, value in enumerate(ordered):
-        if index + 1 == n or ordered[index + 1] != value:
-            steps.append((value, (index + 1) / n))
-    return steps
 
 
 def fraction_below(values: Sequence[int], threshold: int) -> float:

@@ -115,8 +115,8 @@ class RealTimeClusterer:
         self._last_time: Optional[float] = None
         self.entries_processed = 0
         self.lookups_performed = 0
-        # Cache client -> assignment so repeat clients skip the LPM.
-        self._assignment_cache: Dict[int, Optional[Prefix]] = {}
+        # Cache client -> lookup result so repeat clients skip the LPM.
+        self._assignment_cache: Dict[int, Any] = {}
 
     # -- ingestion ---------------------------------------------------------
 
@@ -129,7 +129,8 @@ class RealTimeClusterer:
             )
         self._last_time = entry.timestamp
         self.entries_processed += 1
-        prefix = self._assign(entry.client)
+        result = self._assign(entry.client)
+        prefix = result.prefix if result else None
         self._window.append((entry, prefix))
         if prefix is None:
             self._unclustered[entry.client] = (
@@ -138,28 +139,21 @@ class RealTimeClusterer:
         else:
             live = self._live.get(prefix)
             if live is None:
-                result = self._table.lookup(entry.client)
                 live = self._live[prefix] = _LiveCluster(
-                    prefix,
-                    result.source_kind if result else "",
-                    result.source_name if result else "",
+                    prefix, result.source_kind, result.source_name
                 )
             live.add(entry)
         self._expire(entry.timestamp)
 
-    def feed_many(self, entries) -> None:
-        """Consume an iterable of time-ordered entries."""
-        for entry in entries:
-            self.feed(entry)
-
-    def _assign(self, client: int) -> Optional[Prefix]:
+    def _assign(self, client: int) -> Any:
+        """The table's ``LookupResult`` for ``client`` (None when no
+        prefix covers it), looked up once per table."""
         if client in self._assignment_cache:
             return self._assignment_cache[client]
         self.lookups_performed += 1
         result = self._table.lookup(client)
-        prefix = result.prefix if result else None
-        self._assignment_cache[client] = prefix
-        return prefix
+        self._assignment_cache[client] = result
+        return result
 
     def _expire(self, now: float) -> None:
         horizon = now - self.window_seconds

@@ -83,10 +83,6 @@ class ValidationReport:
     probe_accounting: Optional[ProbeAccounting] = None
 
     @property
-    def sampled_clusters(self) -> int:
-        return len(self.verdicts)
-
-    @property
     def sampled_clients(self) -> int:
         return sum(v.cluster.num_clients for v in self.verdicts)
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from typing import Any, Dict, Iterable, List, Optional
@@ -247,6 +248,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--memo-size must be >= 0")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
+    if not (math.isfinite(args.backoff) and args.backoff >= 0):
+        parser.error("--backoff must be a finite number >= 0")
     if args.checkpoint_every < 0:
         parser.error("--checkpoint-every must be >= 0")
     if args.max_errors is not None and args.max_errors < 0:

@@ -7,7 +7,7 @@ matching, alternative LPM engines for cross-checking and benchmarking,
 and CIDR route aggregation.
 """
 
-from repro.net.aggregate import aggregate_prefixes, aggregate_routes, remove_covered
+from repro.net.aggregate import aggregate_prefixes, aggregate_routes
 from repro.net.ipv4 import (
     AddressError,
     MAX_ADDRESS,
@@ -45,5 +45,4 @@ __all__ = [
     "parse_ipv4",
     "aggregate_prefixes",
     "aggregate_routes",
-    "remove_covered",
 ]

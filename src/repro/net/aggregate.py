@@ -14,7 +14,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Tuple, TypeVar
 
 from repro.net.prefix import Prefix
 
-__all__ = ["aggregate_prefixes", "aggregate_routes", "remove_covered"]
+__all__ = ["aggregate_prefixes", "aggregate_routes"]
 
 V = TypeVar("V")
 
@@ -85,23 +85,4 @@ def _drop_redundant_covered(
             continue
         kept.append((prefix, value))
         cover_stack.append((prefix, value))
-    return kept
-
-
-def remove_covered(prefixes: Iterable[Prefix]) -> List[Prefix]:
-    """Drop prefixes nested inside another prefix in the input.
-
-    Unlike :func:`aggregate_prefixes` this never merges siblings; it
-    only removes redundancy, preserving the remaining entries verbatim.
-    """
-    ordered = sorted(set(prefixes), key=Prefix.sort_key)
-    kept: List[Prefix] = []
-    stack: List[Prefix] = []
-    for prefix in ordered:
-        while stack and not stack[-1].contains_prefix(prefix):
-            stack.pop()
-        if stack:
-            continue
-        kept.append(prefix)
-        stack.append(prefix)
     return kept

@@ -1,8 +1,11 @@
 """Alternative longest-prefix-match engines.
 
-The radix trie in :mod:`repro.net.radix` is the production matcher; the
-engines here exist as correctness oracles and as ablation baselines for
-the LPM benchmark (see ``benchmarks/test_bench_lpm.py``):
+The production lookup tables are the engine's
+:class:`~repro.engine.fastpath.StrideLpm` and
+:class:`~repro.engine.packed.PackedLpm`; the radix trie in
+:mod:`repro.net.radix` is the paper's baseline matcher.  The engines
+here exist as correctness oracles and as ablation baselines for the
+LPM benchmark (see ``benchmarks/test_bench_lpm.py``):
 
 * :class:`LinearLpm` — scan every entry, keep the longest match.  O(n)
   per lookup; trivially correct, used to cross-check the trie in

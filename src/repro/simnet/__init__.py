@@ -19,7 +19,6 @@ from repro.simnet.entities import (
     EntityKind,
     LeafNetwork,
 )
-from repro.simnet.stats import TopologySummary, summarize_topology
 from repro.simnet.topology import Topology, TopologyConfig, generate_topology
 from repro.simnet.traceroute import (
     ProbeAccounting,
@@ -37,8 +36,6 @@ __all__ = [
     "AutonomousSystem",
     "EntityKind",
     "LeafNetwork",
-    "TopologySummary",
-    "summarize_topology",
     "Topology",
     "TopologyConfig",
     "generate_topology",

@@ -12,8 +12,7 @@ traceroute probes read the real network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 from repro.net.prefix import Prefix
 
@@ -76,11 +75,6 @@ class AdminEntity:
             raise ValueError(f"unknown entity kind: {self.kind!r}")
         if self.sites < 1:
             raise ValueError(f"entity needs at least one site: {self.sites!r}")
-
-    @property
-    def domain_components(self) -> Tuple[str, ...]:
-        """The dot-separated components of the entity's domain."""
-        return tuple(self.domain.split("."))
 
 
 @dataclass(frozen=True)
@@ -148,14 +142,3 @@ class LeafNetwork:
         """Usable host addresses (excludes network/broadcast for ≤ /30)."""
         total = self.prefix.num_addresses
         return total - 2 if total > 2 else total
-
-
-@dataclass
-class TopologyStats:
-    """Summary counts for a generated topology (reporting/tests)."""
-
-    num_ases: int = 0
-    num_allocations: int = 0
-    num_leaf_networks: int = 0
-    num_entities: int = 0
-    prefix_length_histogram: dict = field(default_factory=dict)

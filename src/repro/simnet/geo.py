@@ -137,25 +137,6 @@ class GeoModel:
 
     # -- latency ---------------------------------------------------------------
 
-    def distance_km(self, asn_a: int, asn_b: int) -> float:
-        """Great-circle distance between two ASes."""
-        return haversine_km(self._locations[asn_a], self._locations[asn_b])
-
-    def latency_ms(self, asn_a: int, asn_b: int, hops: int = 6) -> float:
-        """Modelled one-way latency between two ASes.
-
-        Within one AS (``asn_a == asn_b``) only the base and hop terms
-        apply; across ASes the propagation term dominates for
-        intercontinental pairs — which is exactly why placing proxies
-        near clients pays (§1).
-        """
-        if hops < 0:
-            raise ValueError(f"hop count must be non-negative: {hops!r}")
-        distance = (
-            0.0 if asn_a == asn_b else self.distance_km(asn_a, asn_b)
-        )
-        return _BASE_MS + distance * _MS_PER_KM + hops * _MS_PER_HOP
-
     def latency_between(
         self, a: Location, b: Location, hops: int = 6
     ) -> float:
@@ -163,13 +144,3 @@ class GeoModel:
         if hops < 0:
             raise ValueError(f"hop count must be non-negative: {hops!r}")
         return _BASE_MS + haversine_km(a, b) * _MS_PER_KM + hops * _MS_PER_HOP
-
-    def client_latency_ms(
-        self, client: int, target_asn: int, hops: int = 6
-    ) -> Optional[float]:
-        """Latency from ``client``'s network to an AS (None when the
-        client is unallocated)."""
-        autonomous_system = self._topology.as_for_address(client)
-        if autonomous_system is None:
-            return None
-        return self.latency_ms(autonomous_system.asn, target_asn, hops)

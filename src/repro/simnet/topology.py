@@ -206,13 +206,6 @@ class Topology:
 
     # -- summaries ---------------------------------------------------------
 
-    def leaf_length_histogram(self) -> Dict[int, int]:
-        """Histogram of leaf-network prefix lengths (ground truth)."""
-        histogram: Dict[int, int] = {}
-        for leaf in self.leaf_networks:
-            histogram[leaf.prefix.length] = histogram.get(leaf.prefix.length, 0) + 1
-        return histogram
-
     def describe(self) -> str:
         """One-line summary used by example scripts."""
         return (

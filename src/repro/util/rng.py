@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional
 
 __all__ = ["derive_seed", "make_rng", "spawn"]
 
@@ -45,8 +44,3 @@ def make_rng(seed: int) -> random.Random:
 def spawn(parent_seed: int, label: str) -> random.Random:
     """Shorthand for ``make_rng(derive_seed(parent_seed, label))``."""
     return make_rng(derive_seed(parent_seed, label))
-
-
-def maybe_seed(seed: Optional[int], default: int = 0) -> int:
-    """Normalise an optional seed argument to a concrete integer."""
-    return default if seed is None else seed

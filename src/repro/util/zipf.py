@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from typing import List, Sequence
+from typing import List
 
 __all__ = ["ZipfSampler", "zipf_weights"]
 
@@ -43,28 +43,3 @@ class ZipfSampler:
         """Draw one rank (0 is the most popular)."""
         point = rng.random() * self._total
         return bisect.bisect_left(self._cumulative, point)
-
-    def sample_many(self, rng: random.Random, count: int) -> List[int]:
-        """Draw ``count`` independent ranks."""
-        return [self.sample(rng) for _ in range(count)]
-
-    def probability(self, rank: int) -> float:
-        """Exact probability of drawing ``rank``."""
-        if not 0 <= rank < self.n:
-            raise IndexError(f"rank out of range: {rank}")
-        low = self._cumulative[rank - 1] if rank else 0.0
-        return (self._cumulative[rank] - low) / self._total
-
-
-def weighted_choice(rng: random.Random, weights: Sequence[float]) -> int:
-    """Return an index drawn proportionally to ``weights``."""
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    point = rng.random() * total
-    acc = 0.0
-    for index, weight in enumerate(weights):
-        acc += weight
-        if point < acc:
-            return index
-    return len(weights) - 1

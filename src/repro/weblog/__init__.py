@@ -11,9 +11,9 @@ from repro.weblog.catalog import UrlCatalog
 from repro.weblog.entry import LogEntry, LogFormatError, format_clf_time, parse_clf_time
 from repro.weblog.parser import ParseReport, WebLog, load_clf, parse_clf_lines
 from repro.weblog.presets import PRESET_NAMES, make_log, make_spec
-from repro.weblog.stats import LogStats, requests_by_client, requests_per_hour, summarize
+from repro.weblog.stats import LogStats, requests_by_client, summarize
 from repro.weblog.anonymize import PrefixPreservingAnonymizer
-from repro.weblog.writer import load_log, save_log
+from repro.weblog.writer import save_log
 from repro.weblog.synth import (
     ProxySpec,
     SpiderSpec,
@@ -25,7 +25,6 @@ from repro.weblog.synth import (
 __all__ = [
     "PrefixPreservingAnonymizer",
     "save_log",
-    "load_log",
     "LogEntry",
     "LogFormatError",
     "format_clf_time",
@@ -36,7 +35,6 @@ __all__ = [
     "load_clf",
     "LogStats",
     "summarize",
-    "requests_per_hour",
     "requests_by_client",
     "UrlCatalog",
     "WorkloadSpec",

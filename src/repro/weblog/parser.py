@@ -214,15 +214,6 @@ class WebLog:
     def num_clients(self) -> int:
         return len(self._client_index())
 
-    def requests_of(self, client: int) -> List[LogEntry]:
-        """All requests issued by ``client``, in log order."""
-        index = self._client_index()
-        return [self.entries[i] for i in index.get(client, ())]
-
-    def request_count_of(self, client: int) -> int:
-        index = self._client_index()
-        return len(index.get(client, ()))
-
     def unique_urls(self) -> int:
         return len({entry.url for entry in self.entries})
 

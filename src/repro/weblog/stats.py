@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.weblog.parser import WebLog
 
@@ -39,22 +39,6 @@ def summarize(log: WebLog) -> LogStats:
         duration_hours=log.duration_seconds() / 3600.0,
         total_bytes=sum(entry.size for entry in log.entries),
     )
-
-
-def requests_per_hour(log: WebLog, bucket_seconds: float = 3600.0) -> List[int]:
-    """Histogram of request arrivals over time (Figure 9's raw series).
-
-    Returns one count per ``bucket_seconds`` bucket from the log's
-    first to last request.
-    """
-    if not log.entries:
-        return []
-    start, end = log.time_span()
-    buckets = int((end - start) // bucket_seconds) + 1
-    counts = [0] * buckets
-    for entry in log.entries:
-        counts[int((entry.timestamp - start) // bucket_seconds)] += 1
-    return counts
 
 
 def requests_by_client(log: WebLog) -> Dict[int, int]:

@@ -1,20 +1,20 @@
-"""Writing web logs to disk (and reading them back).
+"""Writing web logs to disk.
 
 The synthetic workloads exist so the pipeline can run without the
 paper's proprietary logs — but downstream users have real log files,
 and tests want round-trips.  :func:`save_log` streams a
-:class:`WebLog` to an NCSA common/combined file; :func:`load_log` is
-the file-path twin of :func:`repro.weblog.parser.load_clf`.
+:class:`WebLog` to an NCSA common/combined file, which
+:func:`repro.weblog.parser.load_clf` and the CLIs read back.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
-from repro.weblog.parser import ParseReport, WebLog, parse_clf_lines
+from repro.weblog.parser import WebLog
 
-__all__ = ["save_log", "load_log"]
+__all__ = ["save_log"]
 
 
 def save_log(
@@ -36,18 +36,3 @@ def save_log(
             handle.write(entry.to_clf(combined=combined) + "\n")
             count += 1
     return count
-
-
-def load_log(
-    path: Union[str, Path],
-    name: Optional[str] = None,
-    report: Optional[ParseReport] = None,
-) -> WebLog:
-    """Parse the CLF file at ``path`` into a :class:`WebLog`.
-
-    Malformed lines and 0.0.0.0 clients are dropped, with counts in
-    ``report`` when provided (the paper's footnote-6 hygiene).
-    """
-    path = Path(path)
-    with open(path) as handle:
-        return parse_clf_lines(name or path.stem, handle, report)

@@ -81,16 +81,6 @@ class TestDeltaGenerator:
             else:
                 live.add(delta.prefix)
 
-    def test_live_prefixes_tracks_stream(self, factory):
-        generator = DeltaGenerator(factory, source=AADS, seed=5)
-        live = set(factory.snapshot(AADS).prefix_set())
-        for delta in generator.events(250):
-            if delta.op == RouteDelta.OP_WITHDRAW:
-                live.discard(delta.prefix)
-            else:
-                live.add(delta.prefix)
-        assert set(generator.live_prefixes) == live
-
     def test_churn_calibrated_to_period_zero_dynamics(self, factory):
         """Base churn replays exactly the §3.4 period-0 dynamic set:
         every churn-reason delta names a prefix study_dynamics marks

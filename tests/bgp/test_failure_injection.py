@@ -7,8 +7,8 @@ crashing or silently mis-parsing.
 """
 
 
-from repro.bgp.archive import load_snapshot, save_snapshot
 from repro.bgp.table import MergedPrefixTable, RoutingTable
+from repro.cli import load_tables
 from repro.net.prefix import Prefix
 from repro.weblog.parser import ParseReport, parse_clf_lines
 
@@ -56,31 +56,25 @@ class TestDirtyDumps:
 
 
 class TestDirtyArchives:
-    def test_corrupted_archive_file_partially_loads(self, tmp_path):
+    def test_corrupted_archive_file_partially_loads(self, tmp_path, capsys):
         table = RoutingTable("T")
         table.add_prefix(Prefix.from_cidr("10.0.0.0/8"))
         table.add_prefix(Prefix.from_cidr("192.0.2.0/24"))
         path = tmp_path / "t.dump"
-        save_snapshot(table, path)
         # Corrupt the middle of the file.
-        content = path.read_text().splitlines()
-        content.insert(4, "!!corrupted record!!")
+        content = list(table.to_lines())
+        content.insert(1, "!!corrupted record!!")
         path.write_text("\n".join(content) + "\n")
-        loaded = load_snapshot(path)
+        loaded = load_tables([str(path)])
         assert len(loaded) == 2  # both good records survive
-
-    def test_header_only_file(self, tmp_path):
-        path = tmp_path / "h.dump"
-        path.write_text("# source: X\n# kind: bgp\n# date: d0\n")
-        loaded = load_snapshot(path)
-        assert loaded.name == "X"
-        assert len(loaded) == 0
+        assert "skipped 1 malformed line(s)" in capsys.readouterr().err
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.dump"
         path.write_text("")
-        loaded = load_snapshot(path)
+        loaded = load_tables([str(path)])
         assert len(loaded) == 0
+        assert loaded.lookup(12345) is None
 
 
 class TestDirtyLogs:

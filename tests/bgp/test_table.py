@@ -137,13 +137,11 @@ class TestMergedPrefixTable:
         merged = MergedPrefixTable.from_tables(self._tables())
         shared = merged.lookup(parse_ipv4("10.200.0.1"))
         assert shared.source_kind == KIND_BGP
-        assert not shared.from_registry
 
     def test_registry_only_prefix_labelled(self):
         merged = MergedPrefixTable.from_tables(self._tables())
         registry_hit = merged.lookup(parse_ipv4("172.16.5.5"))
         assert registry_hit.source_kind == KIND_REGISTRY
-        assert registry_hit.from_registry
 
     def test_priority_independent_of_merge_order(self):
         bgp, forwarding, registry = self._tables()
@@ -151,21 +149,10 @@ class TestMergedPrefixTable:
         shared = merged.lookup(parse_ipv4("10.200.0.1"))
         assert shared.source_kind == KIND_BGP
 
-    def test_kind_counts(self):
-        merged = MergedPrefixTable.from_tables(self._tables())
-        counts = merged.kind_counts()
-        assert counts[KIND_BGP] == 1            # 10/8 won by BGP
-        assert counts[KIND_FORWARDING] == 1     # 10.1/16
-        assert counts[KIND_REGISTRY] == 1       # 172.16/12
-
     def test_contains(self):
         merged = MergedPrefixTable.from_tables(self._tables())
         assert p("10.1.0.0/16") in merged
         assert p("10.2.0.0/16") not in merged
-
-    def test_histogram(self):
-        merged = MergedPrefixTable.from_tables(self._tables())
-        assert merged.prefix_length_histogram() == {8: 1, 16: 1, 12: 1}
 
     def test_export_entries_is_a_copy(self):
         merged = MergedPrefixTable.from_tables(self._tables())
@@ -192,18 +179,6 @@ class RadixMerge:
                 entry.prefix,
                 LookupResult(entry.prefix, entry, table.name, table.kind),
             )
-
-    def kind_counts(self):
-        counts = {}
-        for _, result in self.tree.items():
-            counts[result.source_kind] = counts.get(result.source_kind, 0) + 1
-        return counts
-
-    def prefix_length_histogram(self):
-        histogram = {}
-        for prefix in self.tree.prefixes():
-            histogram[prefix.length] = histogram.get(prefix.length, 0) + 1
-        return histogram
 
     def lookup(self, address):
         match = self.tree.longest_match(address)
@@ -278,10 +253,6 @@ def test_dict_merge_equals_radix_merge(tables, addresses):
     assert list(merged.items()) == list(model.tree.items())
     assert list(merged.prefixes()) == list(model.tree.prefixes())
     assert merged.export_entries() == model.tree.export_entries()
-    assert list(merged.kind_counts().items()) == list(model.kind_counts().items())
-    assert list(merged.prefix_length_histogram().items()) == list(
-        model.prefix_length_histogram().items()
-    )
     assert [merged.lookup(a) for a in probes] == [model.lookup(a) for a in probes]
 
 

@@ -53,7 +53,8 @@ class TestSimulationAccounting:
         ) * 0.5
 
     def test_hit_ratio_monotone_in_cache_size(self, setup):
-        sweep = setup.sweep_cache_sizes([50_000, 500_000, 5_000_000])
+        sweep = [setup.run(cache_bytes=size)
+                 for size in (50_000, 500_000, 5_000_000)]
         ratios = [r.server_hit_ratio for r in sweep]
         assert ratios[0] <= ratios[1] + 0.02
         assert ratios[1] <= ratios[2] + 0.02

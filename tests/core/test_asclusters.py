@@ -42,7 +42,7 @@ class TestGrouping:
         clusters = cluster_addresses([parse_ipv4("10.0.0.1")], table)
         report = group_clusters_by_as(clusters, table)
         assert report.unattributed_clusters == 1
-        assert report.group_for(UNKNOWN_AS) is not None
+        assert any(group.asn == UNKNOWN_AS for group in report.groups)
 
     def test_group_metrics_roll_up(self, nagano_log, merged_table):
         clusters = cluster_log(nagano_log.log, merged_table)

@@ -64,7 +64,7 @@ class TestNetworkAwareClustering:
         result = cluster_addresses(
             [parse_ipv4(c) for c in clients], table, METHOD_NETWORK_AWARE
         )
-        by_id = result.by_identifier()
+        by_id = {c.identifier: c for c in result.clusters}
         assert set(by_id) == {p("12.65.128.0/19"), p("24.48.2.0/23")}
         assert by_id[p("12.65.128.0/19")].num_clients == 4
         assert by_id[p("24.48.2.0/23")].num_clients == 2
@@ -120,7 +120,7 @@ class TestClusterLogMetrics:
     def test_metrics_rolled_up(self):
         table = make_table("10.1.0.0/16", "10.2.0.0/16")
         result = cluster_log(self._log(), table)
-        by_id = result.by_identifier()
+        by_id = {c.identifier: c for c in result.clusters}
         cluster = by_id[p("10.1.0.0/16")]
         assert cluster.num_clients == 2
         assert cluster.requests == 3
@@ -150,13 +150,6 @@ class TestClusterSetHelpers:
         assert by_clients[0].num_clients >= by_clients[-1].num_clients
         by_requests = result.sorted_by_requests()
         assert by_requests[0].requests >= by_requests[-1].requests
-
-    def test_find(self):
-        table = make_table("10.1.0.0/16")
-        result = cluster_log(self._log(), table)
-        found = result.find(parse_ipv4("10.1.0.1"))
-        assert found is not None and found.identifier == p("10.1.0.0/16")
-        assert result.find(parse_ipv4("9.9.9.9")) is None
 
     def test_clustered_fraction_counts_unclustered(self):
         table = make_table("10.1.0.0/16")

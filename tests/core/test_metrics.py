@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.clustering import Cluster, ClusterSet
 from repro.core.metrics import (
-    cdf,
     distributions,
     fraction_below,
     prefix_length_histogram,
@@ -45,18 +44,6 @@ class TestDistributions:
     def test_rejects_unknown_ordering(self):
         with pytest.raises(ValueError):
             distributions(make_set(), order_by="bytes")
-
-
-class TestCdf:
-    def test_steps(self):
-        steps = cdf([1, 1, 2, 5])
-        assert steps == [(1, 0.5), (2, 0.75), (5, 1.0)]
-
-    def test_empty(self):
-        assert cdf([]) == []
-
-    def test_single(self):
-        assert cdf([7]) == [(7, 1.0)]
 
 
 class TestFractionBelow:

@@ -70,6 +70,31 @@ class TestWindowMechanics:
         assert clusterer.lookups_performed == 1
         assert clusterer.entries_processed == 20
 
+    def test_one_table_lookup_per_distinct_client(self):
+        """Opening a new live cluster reads its source from the cached
+        result: ``lookups_performed`` counts every call the table sees."""
+
+        class CountingTable:
+            def __init__(self, table):
+                self.table = table
+                self.calls = 0
+
+            def lookup(self, address):
+                self.calls += 1
+                return self.table.lookup(address)
+
+        table = CountingTable(small_table())
+        clusterer = RealTimeClusterer(table, window_seconds=1000.0)
+        clients = ["10.0.0.1", "10.0.1.1", "10.0.0.2", "192.168.9.9"]
+        for t, client in enumerate(clients * 3):
+            clusterer.feed(entry(client, float(t)))
+        assert table.calls == len(clients)
+        assert clusterer.lookups_performed == len(clients)
+        assert [(c.identifier.cidr, c.source_name)
+                for c in clusterer.snapshot().clusters] == [
+            ("10.0.0.0/24", "T"), ("10.0.1.0/24", "T"),
+        ]
+
 
 class TestSnapshotCorrectness:
     def test_snapshot_matches_batch_clustering(self, nagano_log, merged_table):
@@ -78,7 +103,8 @@ class TestSnapshotCorrectness:
         log = nagano_log.log
         duration = log.duration_seconds() + 1.0
         clusterer = RealTimeClusterer(merged_table, window_seconds=duration)
-        clusterer.feed_many(log.entries)
+        for item in log.entries:
+            clusterer.feed(item)
         streamed = clusterer.snapshot()
         batch = cluster_log(log, merged_table)
         streamed_map = {
@@ -102,7 +128,8 @@ class TestSnapshotCorrectness:
         log = nagano_log.log
         window = 6 * 3600.0
         clusterer = RealTimeClusterer(merged_table, window_seconds=window)
-        clusterer.feed_many(log.entries)
+        for item in log.entries:
+            clusterer.feed(item)
         streamed = clusterer.snapshot()
         last_time = log.entries[-1].timestamp
         recent = WebLog(
@@ -115,7 +142,8 @@ class TestSnapshotCorrectness:
 
     def test_busiest_ordering(self, nagano_log, merged_table):
         clusterer = RealTimeClusterer(merged_table, window_seconds=1e9)
-        clusterer.feed_many(nagano_log.log.entries)
+        for item in nagano_log.log.entries:
+            clusterer.feed(item)
         busiest = clusterer.busiest(5)
         counts = [requests for _, requests in busiest]
         assert counts == sorted(counts, reverse=True)

@@ -185,9 +185,13 @@ class TestFastpathFlags:
         (["--busy", "1.5"], "argument --busy: must be in (0, 1]: '1.5'"),
         (["--checkpoint-every", "-3"], "--checkpoint-every must be >= 0"),
         (["--max-errors", "-1"], "--max-errors must be >= 0"),
+        (["--backoff", "-1"], "--backoff must be a finite number >= 0"),
+        (["--backoff", "inf"], "--backoff must be a finite number >= 0"),
+        (["--backoff", "nan"], "--backoff must be a finite number >= 0"),
     ], ids=[
         "top-negative", "busy-zero", "busy-above-one",
         "checkpoint-every-negative", "max-errors-negative",
+        "backoff-negative", "backoff-infinite", "backoff-nan",
     ])
     def test_out_of_range_values_are_usage_errors(
         self, files, tmp_path, capsys, bad, message

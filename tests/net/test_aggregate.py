@@ -1,6 +1,6 @@
 """Unit tests for CIDR route aggregation."""
 
-from repro.net.aggregate import aggregate_prefixes, aggregate_routes, remove_covered
+from repro.net.aggregate import aggregate_prefixes, aggregate_routes
 from repro.net.prefix import Prefix
 
 
@@ -78,23 +78,3 @@ class TestAggregateRoutes:
         merged = aggregate_routes(routes, key=lambda v: v["hop"])
         assert len(merged) == 1
         assert merged[0][0] == p("10.0.0.0/24")
-
-
-class TestRemoveCovered:
-    def test_drops_nested_keeps_rest(self):
-        prefixes = [p("10.0.0.0/8"), p("10.1.0.0/16"), p("11.0.0.0/8")]
-        assert remove_covered(prefixes) == [p("10.0.0.0/8"), p("11.0.0.0/8")]
-
-    def test_never_merges_siblings(self):
-        prefixes = [p("10.0.0.0/25"), p("10.0.0.128/25")]
-        assert remove_covered(prefixes) == prefixes
-
-    def test_deduplicates(self):
-        assert remove_covered([p("10.0.0.0/8"), p("10.0.0.0/8")]) == [
-            p("10.0.0.0/8")
-        ]
-
-    def test_deep_nesting_chain(self):
-        prefixes = [p("10.0.0.0/8"), p("10.0.0.0/16"), p("10.0.0.0/24"),
-                    p("10.0.0.0/32")]
-        assert remove_covered(prefixes) == [p("10.0.0.0/8")]

@@ -8,7 +8,7 @@ must be lossless, and aggregation must preserve covered address space.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.aggregate import aggregate_prefixes, remove_covered
+from repro.net.aggregate import aggregate_prefixes
 from repro.net.ipv4 import format_ipv4, mask_bits, parse_ipv4
 from repro.net.lpm import LinearLpm, SortedLpm, build_engine
 from repro.net.prefix import Prefix
@@ -176,20 +176,3 @@ def test_aggregation_idempotent(prefix_list):
     once = aggregate_prefixes(prefix_list)
     twice = aggregate_prefixes(once)
     assert sorted(once) == sorted(twice)
-
-
-@settings(max_examples=80)
-@given(prefix_lists)
-def test_remove_covered_keeps_maximal_blocks_verbatim(prefix_list):
-    kept = remove_covered(prefix_list)
-    originals = set(prefix_list)
-    # Every kept block appeared in the input (no merging happened).
-    assert all(prefix in originals for prefix in kept)
-    # Every input block is covered by some kept block.
-    for original in prefix_list:
-        assert any(k.contains_prefix(original) for k in kept)
-    # Kept blocks are mutually non-nested.
-    for a in kept:
-        for b in kept:
-            if a != b:
-                assert not a.contains_prefix(b)

@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.bgp.archive import save_snapshot
 from repro.bgp.table import RoutingTable
 from repro.faults import SITE_SERVE_DISCONNECT, FaultPlan, FaultSpec
 from repro.net.prefix import Prefix
@@ -36,7 +35,7 @@ def make_dump(tmp_path):
     for cidr in ("10.0.0.0/8", "10.1.0.0/16", "12.0.0.0/8"):
         table.add_prefix(Prefix.from_cidr(cidr))
     path = tmp_path / "aads.dump"
-    save_snapshot(table, path)
+    path.write_text("".join(line + "\n" for line in table.to_lines()))
     return str(path)
 
 

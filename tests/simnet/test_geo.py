@@ -86,17 +86,21 @@ class TestLatencyModel:
     def test_same_as_is_cheapest(self, topology):
         geo = GeoModel(topology)
         asns = list(topology.ases)
-        local = geo.latency_ms(asns[0], asns[0])
+        here = geo.location_of_as(asns[0])
+        local = geo.latency_between(here, here)
         for other in asns[1:6]:
-            assert geo.latency_ms(asns[0], other) >= local
+            assert geo.latency_between(here, geo.location_of_as(other)) >= local
 
     def test_latency_grows_with_distance(self, topology):
         geo = GeoModel(topology)
         asns = sorted(topology.ases)
-        anchor = asns[0]
+        anchor = geo.location_of_as(asns[0])
         pairs = sorted(
-            ((geo.distance_km(anchor, other), geo.latency_ms(anchor, other))
-             for other in asns[1:]),
+            (
+                (haversine_km(anchor, geo.location_of_as(other)),
+                 geo.latency_between(anchor, geo.location_of_as(other)))
+                for other in asns[1:]
+            ),
         )
         distances = [d for d, _ in pairs]
         latencies = [l for _, l in pairs]
@@ -105,23 +109,12 @@ class TestLatencyModel:
 
     def test_hops_add_latency(self, topology):
         geo = GeoModel(topology)
-        asn = next(iter(topology.ases))
-        assert geo.latency_ms(asn, asn, hops=10) > geo.latency_ms(asn, asn, hops=2)
+        here = geo.location_of_as(next(iter(topology.ases)))
+        assert (geo.latency_between(here, here, hops=10)
+                > geo.latency_between(here, here, hops=2))
 
     def test_rejects_negative_hops(self, topology):
         geo = GeoModel(topology)
-        asn = next(iter(topology.ases))
+        here = geo.location_of_as(next(iter(topology.ases)))
         with pytest.raises(ValueError):
-            geo.latency_ms(asn, asn, hops=-1)
-
-    def test_client_latency(self, topology):
-        import random
-
-        geo = GeoModel(topology)
-        rng = random.Random(2)
-        leaf = rng.choice(topology.leaf_networks)
-        host = topology.hosts_in_leaf(leaf, 1, rng)[0]
-        assert geo.client_latency_ms(host, leaf.asn) is not None
-        assert geo.client_latency_ms(
-            topology.unallocated_address(rng), leaf.asn
-        ) is None
+            geo.latency_between(here, here, hops=-1)

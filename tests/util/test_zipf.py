@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.zipf import ZipfSampler, weighted_choice, zipf_weights
+from repro.util.zipf import ZipfSampler, zipf_weights
 
 
 class TestWeights:
@@ -25,16 +25,6 @@ class TestWeights:
 
 
 class TestSampler:
-    def test_probabilities_sum_to_one(self):
-        sampler = ZipfSampler(10, alpha=1.2)
-        total = sum(sampler.probability(rank) for rank in range(10))
-        assert total == pytest.approx(1.0)
-
-    def test_probability_monotone_in_rank(self):
-        sampler = ZipfSampler(20, alpha=1.0)
-        probs = [sampler.probability(rank) for rank in range(20)]
-        assert probs == sorted(probs, reverse=True)
-
     def test_rank_zero_most_frequent(self):
         sampler = ZipfSampler(50, alpha=1.0)
         rng = random.Random(1)
@@ -43,15 +33,6 @@ class TestSampler:
             counts[sampler.sample(rng)] += 1
         assert counts[0] == max(counts)
         assert counts[0] > 3 * counts[10]
-
-    def test_sample_many_length(self):
-        sampler = ZipfSampler(5)
-        assert len(sampler.sample_many(random.Random(2), 17)) == 17
-
-    def test_probability_rank_bounds(self):
-        sampler = ZipfSampler(5)
-        with pytest.raises(IndexError):
-            sampler.probability(5)
 
     @settings(max_examples=30)
     @given(st.integers(min_value=1, max_value=500),
@@ -62,16 +43,3 @@ class TestSampler:
         rng = random.Random(seed)
         for _ in range(20):
             assert 0 <= sampler.sample(rng) < n
-
-
-class TestWeightedChoice:
-    def test_respects_weights(self):
-        rng = random.Random(3)
-        counts = [0, 0]
-        for _ in range(5000):
-            counts[weighted_choice(rng, [9.0, 1.0])] += 1
-        assert counts[0] > 5 * counts[1]
-
-    def test_rejects_zero_total(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(4), [0.0, 0.0])

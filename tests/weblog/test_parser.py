@@ -201,13 +201,6 @@ class TestWebLogIndexes:
         )
         assert log.num_clients() == 3
 
-    def test_requests_of(self):
-        log = self._log()
-        requests = log.requests_of(parse_ipv4("1.2.3.4"))
-        assert len(requests) == 2
-        assert log.request_count_of(parse_ipv4("1.2.3.4")) == 2
-        assert log.request_count_of(parse_ipv4("9.9.9.9")) == 0
-
     def test_unique_urls_and_duration(self):
         log = self._log()
         assert log.unique_urls() == 3

@@ -3,7 +3,7 @@
 from repro.net.ipv4 import parse_ipv4
 from repro.weblog.entry import LogEntry
 from repro.weblog.parser import WebLog
-from repro.weblog.stats import requests_by_client, requests_per_hour, summarize
+from repro.weblog.stats import requests_by_client, summarize
 
 
 def entry(client: str, t: float, url: str = "/a", size: int = 100) -> LogEntry:
@@ -26,19 +26,6 @@ def test_summarize():
     assert stats.duration_hours == 2.0
     assert stats.total_bytes == 600
     assert "t:" in stats.describe()
-
-
-def test_requests_per_hour_buckets():
-    log = WebLog(
-        "t",
-        [entry("1.2.3.4", t) for t in (0.0, 10.0, 3601.0, 7300.0, 7301.0)],
-    )
-    counts = requests_per_hour(log)
-    assert counts == [2, 1, 2]
-
-
-def test_requests_per_hour_empty():
-    assert requests_per_hour(WebLog("t")) == []
 
 
 def test_requests_by_client():
