@@ -68,7 +68,7 @@ def test_ablation_single_source_vs_merged(benchmark, factory, nagano):
 def test_ablation_end_to_end_pipeline(benchmark):
     """Whole §3 pipeline at reduced scale: world -> snapshots -> merge
     -> log -> clusters."""
-    from repro import quick_pipeline
+    from repro.pipeline import quick_pipeline
 
     def pipeline():
         return quick_pipeline(seed=77, preset="nagano", scale=0.04)

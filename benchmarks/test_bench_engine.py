@@ -33,17 +33,12 @@ import time
 import pytest
 
 from repro.core.clustering import cluster_log
-from repro.engine import (
-    EngineConfig,
-    MemoizedLookup,
-    PackedLpm,
-    ShardedClusterEngine,
-    StrideLpm,
-    request_triples,
-)
+from repro.engine.fastpath import MemoizedLookup, StrideLpm
+from repro.engine.packed import PackedLpm
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
 from repro.engine import state as engine_state
-from repro.engine.state import ClusterStore, _ClusterState
-from repro.bgp.synth import RouteDelta
+from repro.engine.state import ClusterStore, _ClusterState, request_triples
+from repro.bgp.table import RouteDelta
 from repro.net.prefix import Prefix
 from repro.serve import daemon as serve_daemon
 from repro.serve.protocol import LogEvent

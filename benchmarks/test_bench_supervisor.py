@@ -11,14 +11,10 @@ import time
 
 import pytest
 
-from repro.engine import (
-    EngineConfig,
-    PackedLpm,
-    ShardedClusterEngine,
-    SupervisedEngine,
-    SupervisorConfig,
-    request_triples,
-)
+from repro.engine.packed import PackedLpm
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
+from repro.engine.state import request_triples
+from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
 
 CHUNK = 8192
 OVERHEAD_CEILING = 1.5

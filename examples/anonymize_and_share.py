@@ -11,10 +11,10 @@ the clustering is structurally identical.
 Run:  python examples/anonymize_and_share.py
 """
 
-from repro import quick_pipeline
 from repro.core.clustering import cluster_log
 from repro.core.metrics import summary
 from repro.net.ipv4 import format_ipv4
+from repro.pipeline import quick_pipeline
 from repro.weblog.anonymize import PrefixPreservingAnonymizer
 
 

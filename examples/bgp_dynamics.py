@@ -9,11 +9,11 @@ correction pass (§3.5) to absorb whatever the churn broke.
 Run:  python examples/bgp_dynamics.py
 """
 
-from repro import quick_pipeline
 from repro.bgp.dynamics import study_dynamics
 from repro.bgp.sources import source_by_name
 from repro.core.selfcorrect import SelfCorrector
 from repro.core.threshold import threshold_busy_clusters
+from repro.pipeline import quick_pipeline
 from repro.simnet.traceroute import SimulatedTraceroute
 from repro.util.tables import render_table
 

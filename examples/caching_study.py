@@ -10,10 +10,10 @@ approach — reproducing the paper's finding that the simple approach
 Run:  python examples/caching_study.py
 """
 
-from repro import quick_pipeline
 from repro.cache.simulator import CachingSimulator
 from repro.core.clustering import METHOD_SIMPLE, cluster_log
 from repro.core.spiders import classify_clients
+from repro.pipeline import quick_pipeline
 from repro.util.tables import render_table
 
 CACHE_SIZES = (100_000, 1_000_000, 10_000_000, 100_000_000)

@@ -16,11 +16,11 @@ This example:
 Run:  python examples/cdn_planning.py
 """
 
-from repro import quick_pipeline
 from repro.core.clustering import cluster_log
 from repro.core.netclusters import cluster_networks
 from repro.core.spiders import classify_clients
 from repro.core.threshold import threshold_busy_clusters
+from repro.pipeline import quick_pipeline
 from repro.simnet.traceroute import SimulatedTraceroute
 from repro.util.tables import render_table
 

@@ -11,8 +11,8 @@ Run:  python examples/quickstart.py [seed]
 
 import sys
 
-from repro import quick_pipeline
 from repro.core.metrics import summary
+from repro.pipeline import quick_pipeline
 
 
 def main() -> None:

@@ -10,10 +10,10 @@ paper's "real-time client cluster identification" with adaptation.
 Run:  python examples/realtime_monitor.py
 """
 
-from repro import quick_pipeline
 from repro.bgp.synth import SnapshotTime
 from repro.core.realtime import RealTimeClusterer
 from repro.net.ipv4 import format_ipv4
+from repro.pipeline import quick_pipeline
 
 
 def main() -> None:

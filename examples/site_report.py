@@ -9,8 +9,8 @@ team would read each morning.
 Run:  python examples/site_report.py
 """
 
-from repro import quick_pipeline
 from repro.core.report import analyze_log
+from repro.pipeline import quick_pipeline
 from repro.simnet.dns import SimulatedDns
 
 

@@ -10,12 +10,12 @@ within-cluster request skew of the spider's cluster (Figure 10).
 Run:  python examples/spider_hunt.py
 """
 
-from repro import quick_pipeline
 from repro.core.spiders import (
     arrival_histogram,
     classify_clients,
     pattern_correlation,
 )
+from repro.pipeline import quick_pipeline
 from repro.util.ascii_plot import ascii_histogram, ascii_series
 from repro.weblog.stats import requests_by_client
 

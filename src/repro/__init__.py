@@ -9,13 +9,11 @@ simulation — plus every substrate the paper relies on (radix-trie LPM,
 BGP snapshot sources and dynamics, a ground-truth synthetic Internet,
 web-log generation, and an LRU/TTL/PCV cache simulator).
 
-Quickstart::
+Quickstart: :func:`repro.pipeline.quick_pipeline` runs the whole
+identification pipeline in one call.
 
-    from repro import quick_pipeline
-    result = quick_pipeline(seed=7)
-    print(result.cluster_set.clustered_fraction)   # ~0.999
-
-Subpackages:
+Subpackages (each is a namespace: import from the module that defines
+a name, not from the package):
 
 - :mod:`repro.net` — IPv4/prefix machinery and LPM engines
 - :mod:`repro.bgp` — routing-table formats, sources, synthesis, dynamics
@@ -23,57 +21,10 @@ Subpackages:
 - :mod:`repro.weblog` — log entries/parsing/stats and workload synthesis
 - :mod:`repro.core` — clustering, validation, detection, thresholding
 - :mod:`repro.cache` — the web-caching simulation
+- :mod:`repro.engine` — the streaming batch engine (``repro-engine``)
+- :mod:`repro.serve` — the live daemon (``repro-engine serve``)
+- :mod:`repro.analysis` — the repo-specific lint pass (``repro-lint``)
 - :mod:`repro.experiments` — regenerates every paper table and figure
 """
 
-from dataclasses import dataclass
-
-from repro.bgp import MergedPrefixTable, SnapshotFactory
-from repro.core import ClusterSet, cluster_log
-from repro.simnet import Topology, TopologyConfig, generate_topology
-from repro.weblog import SyntheticLog, make_log
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    "PipelineResult",
-    "quick_pipeline",
-]
-
-
-@dataclass
-class PipelineResult:
-    """Everything the end-to-end pipeline produced."""
-
-    topology: Topology
-    factory: SnapshotFactory
-    table: MergedPrefixTable
-    synthetic_log: SyntheticLog
-    cluster_set: ClusterSet
-
-
-def quick_pipeline(
-    seed: int = 2000,
-    preset: str = "nagano",
-    scale: float = 0.25,
-) -> PipelineResult:
-    """Run the paper's whole identification pipeline in one call.
-
-    Generates a ground-truth Internet, synthesises and merges the
-    fourteen routing-table snapshots, generates the ``preset`` server
-    log, and clusters its clients network-aware.  Larger ``scale``
-    grows the log proportionally.
-    """
-    topology = generate_topology(TopologyConfig(seed=seed))
-    factory = SnapshotFactory(topology)
-    table = factory.merged()
-    synthetic_log = make_log(topology, preset, scale=scale, seed=seed)
-    cluster_set = cluster_log(synthetic_log.log, table)
-    return PipelineResult(
-        topology=topology,
-        factory=factory,
-        table=table,
-        synthetic_log=synthetic_log,
-        cluster_set=cluster_set,
-    )

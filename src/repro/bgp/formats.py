@@ -135,12 +135,6 @@ def render_entry(prefix: Prefix, fmt: str = FORMAT_DOTTED_NETMASK) -> str:
     raise AddressError(f"unknown prefix format: {fmt!r}")
 
 
-def unify(entry: str) -> str:
-    """Parse ``entry`` in any format and re-render it in the standard
-    format (i) — the paper's unification step in one call."""
-    return render_entry(parse_entry(entry), FORMAT_DOTTED_NETMASK)
-
-
 # -- streaming dump reading -----------------------------------------------
 
 

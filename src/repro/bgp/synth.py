@@ -21,16 +21,16 @@ registry sources lift clusterable clients from ~99 % to ~99.9 %
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.sources import DEFAULT_SOURCES, SourceSpec
 from repro.bgp.table import (
     KIND_BGP,
     KIND_REGISTRY,
     MergedPrefixTable,
+    RouteDelta,
     RouteEntry,
     RoutingTable,
 )
@@ -218,57 +218,6 @@ class SnapshotFactory:
             cursor = (cursor - size) & ~(size - 1)
             yield Prefix(cursor, length)
             produced += 1
-
-
-@dataclass(frozen=True)
-class RouteDelta:
-    """One incremental routing event: an announce or a withdraw.
-
-    The JSON form doubles as the serve-stream wire format
-    (:mod:`repro.serve.protocol`): ``type`` is the operation, ``prefix``
-    is CIDR text, and ``reason`` records which churn process produced
-    the event (``churn``, ``flap``, ``aggregation``, ``deaggregation``)
-    so traces stay debuggable.
-    """
-
-    op: str
-    prefix: Prefix
-    origin_asn: int = 0
-    source: str = ""
-    reason: str = ""
-
-    OP_ANNOUNCE = "announce"
-    OP_WITHDRAW = "withdraw"
-
-    def __post_init__(self) -> None:
-        if self.op not in (self.OP_ANNOUNCE, self.OP_WITHDRAW):
-            raise ValueError(f"unknown delta op: {self.op!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "type": self.op,
-            "prefix": self.prefix.cidr,
-            "origin_asn": self.origin_asn,
-            "source": self.source,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RouteDelta":
-        return cls(
-            op=str(data["type"]),
-            prefix=Prefix.from_cidr(str(data["prefix"])),
-            origin_asn=int(data.get("origin_asn", 0)),
-            source=str(data.get("source", "")),
-            reason=str(data.get("reason", "")),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RouteDelta":
-        return cls.from_dict(json.loads(text))
 
 
 class DeltaGenerator:

@@ -12,12 +12,18 @@ dump) prefixes versus primary (BGP) prefixes — the paper's 99 % → 99.9 %
 improvement.  The winners live in a dict; address-ordered reads come
 from one cached sort, and the radix trie that answers router-style
 lookups is built from that order on the first lookup.
+
+:class:`RouteDelta` is one incremental routing event (announce or
+withdraw); its JSON form is the serve stream's route event, so the
+daemon reads it without loading the snapshot synthesiser.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -38,7 +44,13 @@ from repro.bgp.formats import (
 from repro.net.prefix import Prefix
 from repro.net.radix import RadixTree
 
-__all__ = ["RouteEntry", "RoutingTable", "MergedPrefixTable", "LookupResult"]
+__all__ = [
+    "RouteEntry",
+    "RoutingTable",
+    "MergedPrefixTable",
+    "LookupResult",
+    "RouteDelta",
+]
 
 #: What one source carries per prefix: a RouteEntry, or dump fields.
 _Route = TypeVar("_Route")
@@ -205,6 +217,57 @@ class LookupResult:
     entry: RouteEntry
     source_name: str
     source_kind: str
+
+
+@dataclass(frozen=True)
+class RouteDelta:
+    """One incremental routing event: an announce or a withdraw.
+
+    The JSON form doubles as the serve-stream wire format
+    (:mod:`repro.serve.protocol`): ``type`` is the operation, ``prefix``
+    is CIDR text, and ``reason`` records which churn process produced
+    the event (``churn``, ``flap``, ``aggregation``, ``deaggregation``)
+    so traces stay debuggable.
+    """
+
+    op: str
+    prefix: Prefix
+    origin_asn: int = 0
+    source: str = ""
+    reason: str = ""
+
+    OP_ANNOUNCE = "announce"
+    OP_WITHDRAW = "withdraw"
+
+    def __post_init__(self) -> None:
+        if self.op not in (self.OP_ANNOUNCE, self.OP_WITHDRAW):
+            raise ValueError(f"unknown delta op: {self.op!r}")
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "type": self.op,
+            "prefix": self.prefix.cidr,
+            "origin_asn": self.origin_asn,
+            "source": self.source,
+            "reason": self.reason,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "RouteDelta":
+        return cls(
+            op=str(data["type"]),
+            prefix=Prefix.from_cidr(str(data["prefix"])),
+            origin_asn=int(data.get("origin_asn", 0)),
+            source=str(data.get("source", "")),
+            reason=str(data.get("reason", "")),
+        )
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "RouteDelta":
+        return cls.from_dict(json.loads(text))
 
 
 class MergedPrefixTable:

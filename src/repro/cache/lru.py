@@ -98,10 +98,3 @@ class LruCache:
     def items(self) -> Iterator[Tuple[str, CacheItem]]:
         """Iterate (url, item) from least to most recently used."""
         return iter(self._items.items())
-
-    def expired_items(self, now: float) -> Iterator[CacheItem]:
-        """Iterate cached items that are stale at ``now`` (PCV's
-        piggyback candidates)."""
-        for item in self._items.values():
-            if not item.fresh_at(now):
-                yield item

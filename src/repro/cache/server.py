@@ -67,8 +67,3 @@ class OriginServer:
             size=0,
             last_modified=self.catalog.last_modified(url, now),
         )
-
-    def reset_counters(self) -> None:
-        self.requests_served = 0
-        self.bytes_served = 0
-        self.validations_served = 0

@@ -20,7 +20,7 @@ quantifying §1's "lowers the latency perceived by the clients".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.clustering import Cluster, ClusterSet
 from repro.simnet.geo import GeoModel, Location, haversine_km
@@ -69,12 +69,6 @@ class PlacementPlan:
 
     def sorted_by_requests(self) -> List[ProxySite]:
         return sorted(self.sites, key=lambda s: -s.requests)
-
-    def site_of(self, cluster: Cluster) -> Optional[ProxySite]:
-        for site in self.sites:
-            if cluster in site.members:
-                return site
-        return None
 
 
 def plan_placement(

@@ -39,48 +39,3 @@ Everything downstream still receives a plain
 thresholding, placement, and the caching simulation run on engine
 output unchanged.
 """
-
-from repro.engine.fastpath import (
-    LPM_KINDS,
-    MemoizedLookup,
-    PackedBatch,
-    StrideLpm,
-    build_lpm_table,
-)
-from repro.engine.metrics import EngineMetrics
-from repro.engine.packed import PackedLpm
-from repro.engine.shard import EngineConfig, ShardedClusterEngine, shard_of
-from repro.engine.state import (
-    CheckpointCorruptError,
-    CheckpointError,
-    CheckpointTableMismatchError,
-    CheckpointVersionError,
-    ClusterStore,
-    read_checkpoint,
-    request_triples,
-    write_checkpoint,
-)
-from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
-
-__all__ = [
-    "PackedLpm",
-    "StrideLpm",
-    "MemoizedLookup",
-    "PackedBatch",
-    "build_lpm_table",
-    "LPM_KINDS",
-    "ClusterStore",
-    "request_triples",
-    "CheckpointError",
-    "CheckpointCorruptError",
-    "CheckpointVersionError",
-    "CheckpointTableMismatchError",
-    "read_checkpoint",
-    "write_checkpoint",
-    "ShardedClusterEngine",
-    "EngineConfig",
-    "shard_of",
-    "EngineMetrics",
-    "SupervisedEngine",
-    "SupervisorConfig",
-]

@@ -1,38 +1,3 @@
 """Experiment harness: regenerates every table and figure of the
 paper's evaluation.  See :mod:`repro.experiments.runner` for the CLI
 and DESIGN.md for the per-experiment index."""
-
-from repro.experiments import (  # noqa: F401  (re-exported for the runner)
-    calib,
-    ext_as,
-    ext_aspath,
-    ext_coverage,
-    ext_census,
-    ext_coop,
-    ext_multiserver,
-    ext_placement,
-    ext_realtime,
-    ext_selective,
-    fig1,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    sec32,
-    sec33,
-    sec35,
-    sec36,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-)
-from repro.experiments.context import ExperimentContext
-
-__all__ = ["ExperimentContext"]

@@ -15,14 +15,11 @@ to reject those records loudly rather than mis-cluster them.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 __all__ = [
     "AddressError",
     "MAX_ADDRESS",
     "parse_ipv4",
     "format_ipv4",
-    "is_valid_ipv4",
     "netmask_to_length",
     "length_to_netmask",
     "mask_bits",
@@ -96,15 +93,6 @@ def format_ipv4(address: int) -> str:
     return ".".join(
         str((address >> shift) & 0xFF) for shift in (24, 16, 8, 0)
     )
-
-
-def is_valid_ipv4(text: str) -> bool:
-    """Return True when ``text`` parses as a strict dotted quad."""
-    try:
-        parse_ipv4(text)
-    except AddressError:
-        return False
-    return True
 
 
 def mask_bits(length: int) -> int:
@@ -183,8 +171,3 @@ def classful_prefix_length(address: int) -> int:
     raise AddressError(
         f"no classful network for class-{cls} address {format_ipv4(address)}"
     )
-
-
-def sort_addresses(addresses: Iterable[int]) -> List[int]:
-    """Return ``addresses`` sorted numerically (routing-table order)."""
-    return sorted(addresses)

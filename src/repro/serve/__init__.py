@@ -21,30 +21,3 @@ Layout:
   recovery, overload shedding);
 * :mod:`repro.serve.cli` — ``repro-engine serve``.
 """
-
-from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.protocol import (
-    EVENT_ANNOUNCE,
-    EVENT_LOG,
-    EVENT_WITHDRAW,
-    LineSplitter,
-    LogEvent,
-    ServeEvent,
-    parse_event,
-)
-from repro.serve.wal import WalRecovery, WalWriter, recover_wal
-
-__all__ = [
-    "ServeConfig",
-    "ServeDaemon",
-    "EVENT_LOG",
-    "EVENT_ANNOUNCE",
-    "EVENT_WITHDRAW",
-    "LineSplitter",
-    "LogEvent",
-    "ServeEvent",
-    "parse_event",
-    "WalRecovery",
-    "WalWriter",
-    "recover_wal",
-]

@@ -28,7 +28,8 @@ deltas proven to net the checkpoint's route diff.
 
 Overload: ``--shed-watermark N`` bounds the ingress queue; past the
 watermark the daemon sheds *log* events (never routing deltas) until
-the queue drains to half, with every drop counted in ``shed_events``.
+the queue drains to half, with every drop counted in ``shed_events``;
+N must be 0 or at least ``--batch-size``.
 ``--max-line-bytes`` bounds one event line; oversized lines and clients
 that vanish mid-frame are counted-and-skipped under ``--max-errors``
 without dropping the accept loop.  ``--heartbeat N`` prints a health
@@ -180,8 +181,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shed-watermark", type=int, default=0, metavar="N",
         help="shed log events (never routing deltas) while the ingress "
-             "queue exceeds N, until it drains to N/2; should exceed "
-             "--batch-size (0 = never shed)",
+             "queue exceeds N, until it drains to N/2; N must be 0 "
+             "(never shed) or >= --batch-size, since the queue holds up "
+             "to a batch on a healthy stream",
     )
     parser.add_argument(
         "--heartbeat", type=int, default=0, metavar="EVENTS",
@@ -349,6 +351,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         parser.error("--wal-segment-bytes must be >= 64")
     if args.shed_watermark < 0:
         parser.error("--shed-watermark must be >= 0")
+    if 0 < args.shed_watermark < args.batch_size:
+        parser.error("--shed-watermark must be 0 or >= --batch-size")
     if args.heartbeat < 0:
         parser.error("--heartbeat must be >= 0")
     if args.checkpoint_every < 0:

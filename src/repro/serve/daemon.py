@@ -69,8 +69,7 @@ from time import perf_counter
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.analysis import sanitize as _sanitize
-from repro.bgp.synth import RouteDelta
-from repro.bgp.table import KIND_BGP, LookupResult, RouteEntry
+from repro.bgp.table import KIND_BGP, LookupResult, RouteDelta, RouteEntry
 from repro.core.clustering import ClusterSet
 from repro.engine.fastpath import MemoizedLookup
 from repro.engine.metrics import EngineMetrics

@@ -18,7 +18,7 @@ reclustering relies on:
     a route disappeared.
 
 Route events are exactly the JSON form of
-:class:`~repro.bgp.synth.RouteDelta`, so ``repro-bgp-synth`` output
+:class:`~repro.bgp.table.RouteDelta`, so ``repro-bgp-synth`` output
 pipes straight into ``repro-engine serve`` with no translation.
 
 Decoding has one fast path and one reference.  Nearly every line of a
@@ -57,7 +57,7 @@ from collections import deque
 from functools import lru_cache
 from typing import Any, Deque, Dict, List, NamedTuple, Optional, Union
 
-from repro.bgp.synth import RouteDelta
+from repro.bgp.table import RouteDelta
 from repro.errors import (
     ServeDisconnectError,
     ServeLineTooLongError,

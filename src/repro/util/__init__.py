@@ -1,17 +1,2 @@
 """Shared utilities: deterministic RNG streams, Zipf sampling, and
 plain-text rendering of experiment tables and figures."""
-
-from repro.util.rng import derive_seed, make_rng, spawn
-from repro.util.tables import format_count, format_ratio, render_table
-from repro.util.zipf import ZipfSampler, zipf_weights
-
-__all__ = [
-    "derive_seed",
-    "make_rng",
-    "spawn",
-    "render_table",
-    "format_count",
-    "format_ratio",
-    "ZipfSampler",
-    "zipf_weights",
-]

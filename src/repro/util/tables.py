@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Sequence
 
-__all__ = ["render_table", "format_count", "format_ratio"]
+__all__ = ["render_table", "format_count"]
 
 
 def render_table(
@@ -77,8 +77,3 @@ def _looks_numeric(cell: str) -> bool:
 def format_count(value: int) -> str:
     """Render an integer with thousands separators, paper-table style."""
     return f"{value:,}"
-
-
-def format_ratio(value: float, places: int = 2) -> str:
-    """Render a 0-1 ratio as a percentage string."""
-    return f"{100.0 * value:.{places}f}%"

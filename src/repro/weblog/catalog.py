@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.util.rng import spawn
 
@@ -74,9 +74,6 @@ class UrlCatalog:
 
     def urls(self) -> Sequence[str]:
         return tuple(self._urls)
-
-    def index_of(self, url: str) -> Optional[int]:
-        return self._index.get(url)
 
     def size_of(self, url: str) -> int:
         """Response size in bytes; unknown URLs get a default size."""

@@ -13,7 +13,6 @@ from repro.bgp.formats import (
     pad_dropped_zeroes,
     parse_entry,
     render_entry,
-    unify,
 )
 from repro.net.ipv4 import AddressError
 from repro.net.prefix import Prefix
@@ -131,7 +130,8 @@ class TestUnify:
         ],
     )
     def test_unifies_all_formats_to_standard(self, entry, expected):
-        assert unify(entry) == expected
+        unified = render_entry(parse_entry(entry), FORMAT_DOTTED_NETMASK)
+        assert unified == expected
 
     def test_round_trip_through_all_formats(self):
         prefix = Prefix.from_cidr("24.48.2.0/23")

@@ -99,13 +99,6 @@ class TestExpiry:
         assert it.fresh_at(50.0)
         assert not it.fresh_at(100.0)
 
-    def test_expired_items_scan(self):
-        cache = LruCache(None)
-        cache.put(item("/old", 10, fetched=0.0, ttl=10.0))
-        cache.put(item("/new", 10, fetched=95.0, ttl=100.0))
-        expired = [it.url for it in cache.expired_items(100.0)]
-        assert expired == ["/old"]
-
     def test_items_iterates_lru_first(self):
         cache = LruCache(None)
         cache.put(item("/a", 10))

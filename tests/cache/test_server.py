@@ -22,13 +22,6 @@ class TestGet:
         assert server.requests_served == 1
         assert server.bytes_served == result.size
 
-    def test_reset(self):
-        server = make_server()
-        server.get(server.catalog.url(0), 1.0)
-        server.reset_counters()
-        assert server.requests_served == 0
-        assert server.bytes_served == 0
-
 
 class TestConditionalGet:
     def _mutable_url(self, server):

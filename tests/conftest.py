@@ -7,6 +7,11 @@ that need isolation build their own tiny worlds inline.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from typing import Callable, List
+
 import pytest
 
 from repro.bgp.synth import SnapshotFactory
@@ -71,3 +76,25 @@ def nagano_log(topology: Topology) -> SyntheticLog:
 @pytest.fixture(scope="session")
 def sun_log(topology: Topology) -> SyntheticLog:
     return make_log(topology, "sun", scale=LOG_SCALE, seed=WORLD_SEED)
+
+
+@pytest.fixture(scope="session")
+def loaded_modules() -> Callable[[str], List[str]]:
+    """Run an import statement in a fresh interpreter and return the
+    ``repro`` modules it left in ``sys.modules``, sorted."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    report = (
+        "\nimport sys\n"
+        "print(*sorted(m for m in sys.modules\n"
+        "              if m == 'repro' or m.startswith('repro.')))\n"
+    )
+
+    def probe(statement: str) -> List[str]:
+        result = subprocess.run(
+            [sys.executable, "-c", statement + report],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return result.stdout.split()
+
+    return probe

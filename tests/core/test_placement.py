@@ -67,11 +67,6 @@ class TestPlanPlacement:
         requests = [site.requests for site in ordered]
         assert requests == sorted(requests, reverse=True)
 
-    def test_site_of_lookup(self, clusters, topology, geo):
-        plan = plan_placement(clusters, topology, geo)
-        a_cluster = plan.sites[0].members[0]
-        assert plan.site_of(a_cluster) is plan.sites[0]
-
 
 class TestLatencyEvaluation:
     def _origin(self, topology):

@@ -10,7 +10,8 @@ import pickle
 import subprocess
 import sys
 
-from repro.engine import EngineConfig, PackedLpm, ShardedClusterEngine
+from repro.engine.packed import PackedLpm
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
 from repro.net.prefix import Prefix
 from repro.util.rng import spawn
 
@@ -23,7 +24,8 @@ _SRC = os.path.join(_REPO_ROOT, "src")
 #: triples, write the rendered snapshot bytes out.
 _RESUME_SCRIPT = """\
 import pickle, sys
-from repro.engine import EngineConfig, PackedLpm, ShardedClusterEngine
+from repro.engine.packed import PackedLpm
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
 
 with open(sys.argv[1], "rb") as handle:
     job = pickle.load(handle)

@@ -6,19 +6,17 @@ import pickle
 import pytest
 
 from repro.core.clustering import cluster_log
-from repro.engine import (
-    EngineConfig,
+from repro.engine.fastpath import (
+    DEFAULT_MEMO_SIZE,
+    LPM_KINDS,
     MemoizedLookup,
     PackedBatch,
-    PackedLpm,
-    ShardedClusterEngine,
     StrideLpm,
     build_lpm_table,
-    request_triples,
-    shard_of,
 )
-from repro.engine.fastpath import DEFAULT_MEMO_SIZE, LPM_KINDS
-from repro.engine.state import ClusterStore
+from repro.engine.packed import PackedLpm
+from repro.engine.shard import EngineConfig, ShardedClusterEngine, shard_of
+from repro.engine.state import ClusterStore, request_triples
 from repro.net.prefix import Prefix
 from repro.util.rng import spawn
 

@@ -1,16 +1,13 @@
 """REPRO_SANITIZE=1: invariant checks, byte-identity, counter plumbing."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 from repro.analysis import sanitize
-from repro.engine import EngineConfig, ShardedClusterEngine, request_triples
 from repro.engine.fastpath import PackedBatch, build_lpm_table
-from repro.engine.state import ClusterStore
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
+from repro.engine.state import ClusterStore, request_triples
 from repro.errors import SanitizeError
 from repro.util.rng import make_rng
 
@@ -230,7 +227,7 @@ class TestEngineEndToEnd:
         assert snap["checkpoints_written"] == 1
 
     def test_sanitize_counters_render(self, sanitized):
-        from repro.engine import EngineMetrics
+        from repro.engine.metrics import EngineMetrics
 
         metrics = EngineMetrics(num_shards=1)
         metrics.record_sanitize(3, 2, 1, 40)
@@ -241,20 +238,10 @@ class TestEngineEndToEnd:
         assert "sanitize_rng_draws" in rendered
 
 
-def test_engine_and_daemon_do_not_load_the_lint_engine():
+def test_engine_and_daemon_do_not_load_the_lint_engine(loaded_modules):
     """The hot modules import ``repro.analysis.sanitize``; the package
     ``__init__`` must not drag the lint engine in behind it."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
-    probe = (
-        "import sys\n"
-        "import repro.engine.fastpath, repro.serve.daemon\n"
-        "assert 'repro.analysis.sanitize' in sys.modules\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith('repro.analysis.')))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert result.stdout.strip() == "['repro.analysis.sanitize']"
+    modules = loaded_modules("import repro.engine.fastpath, repro.serve.daemon")
+    assert [m for m in modules if m.startswith("repro.analysis.")] == [
+        "repro.analysis.sanitize"
+    ]

@@ -8,14 +8,10 @@ import pytest
 
 from repro.cli import print_cluster_report
 from repro.core.clustering import cluster_log
-from repro.engine import (
-    EngineConfig,
-    EngineMetrics,
-    PackedLpm,
-    ShardedClusterEngine,
-    request_triples,
-    shard_of,
-)
+from repro.engine.metrics import EngineMetrics
+from repro.engine.packed import PackedLpm
+from repro.engine.shard import EngineConfig, ShardedClusterEngine, shard_of
+from repro.engine.state import request_triples
 from repro.net.prefix import Prefix
 
 

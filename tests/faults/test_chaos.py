@@ -12,15 +12,10 @@ exactly by re-running the test.
 import pytest
 
 from repro.core.clustering import cluster_log
-from repro.engine import (
-    EngineConfig,
-    PackedLpm,
-    ShardedClusterEngine,
-    SupervisedEngine,
-    SupervisorConfig,
-    request_triples,
-)
-from repro.engine.state import read_checkpoint
+from repro.engine.packed import PackedLpm
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
+from repro.engine.state import read_checkpoint, request_triples
+from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
 from repro.faults import (
     SITE_CHECKPOINT_CORRUPT,
     SITE_WORKER_CRASH,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import EngineConfig, PackedLpm, ShardedClusterEngine
+from repro.engine.packed import PackedLpm
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
 from repro.faults import (
     ALL_SITES,
     SITE_CHECKPOINT_CORRUPT,

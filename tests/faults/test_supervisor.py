@@ -11,15 +11,11 @@ import json
 import pytest
 
 from repro.core.clustering import cluster_log
-from repro.engine import (
-    EngineConfig,
-    PackedLpm,
-    ShardedClusterEngine,
-    SupervisedEngine,
-    SupervisorConfig,
-)
+from repro.engine.packed import PackedLpm
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
 from repro.engine import state as engine_state
 from repro.engine.state import CheckpointCorruptError, read_checkpoint
+from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
 from repro.errors import ChunkQuarantinedError
 from repro.faults import (
     SITE_CHECKPOINT_CORRUPT,

@@ -11,12 +11,10 @@ from repro.net.ipv4 import (
     classful_prefix_length,
     first_octet,
     format_ipv4,
-    is_valid_ipv4,
     length_to_netmask,
     mask_bits,
     netmask_to_length,
     parse_ipv4,
-    sort_addresses,
 )
 
 
@@ -49,10 +47,6 @@ class TestParseIpv4:
     def test_rejects_malformed(self, text):
         with pytest.raises(AddressError):
             parse_ipv4(text)
-
-    def test_is_valid_mirrors_parse(self):
-        assert is_valid_ipv4("10.0.0.1")
-        assert not is_valid_ipv4("10.0.0.999")
 
     @given(st.lists(
         st.one_of(
@@ -152,11 +146,3 @@ class TestClassful:
 
     def test_first_octet(self):
         assert first_octet(parse_ipv4("151.198.194.17")) == 151
-
-
-def test_sort_addresses_numeric_not_lexicographic():
-    addresses = [parse_ipv4(t) for t in ("100.0.0.0", "2.0.0.0", "20.0.0.0")]
-    ordered = sort_addresses(addresses)
-    assert [format_ipv4(a) for a in ordered] == [
-        "2.0.0.0", "20.0.0.0", "100.0.0.0"
-    ]

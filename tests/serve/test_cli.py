@@ -298,9 +298,14 @@ class TestUsage:
         (["--busy", "1.5"], "argument --busy: must be in (0, 1]: '1.5'"),
         (["--checkpoint-every", "-3"], "--checkpoint-every must be >= 0"),
         (["--max-errors", "-1"], "--max-errors must be >= 0"),
+        (["--shed-watermark", "100"],
+         "--shed-watermark must be 0 or >= --batch-size"),
+        (["--batch-size", "64", "--shed-watermark", "63"],
+         "--shed-watermark must be 0 or >= --batch-size"),
     ], ids=[
         "top-negative", "busy-zero", "busy-above-one",
         "checkpoint-every-negative", "max-errors-negative",
+        "shed-watermark-below-default-batch", "shed-watermark-below-batch",
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, bad, message):
         ckpt = str(tmp_path / "c.ckpt")

@@ -10,7 +10,6 @@ import random
 
 import pytest
 
-from repro import quick_pipeline
 from repro.cache.simulator import CachingSimulator
 from repro.core.clustering import METHOD_SIMPLE, cluster_log
 from repro.core.metrics import summary
@@ -22,6 +21,7 @@ from repro.core.validation import (
     sample_clusters,
     traceroute_validate,
 )
+from repro.pipeline import quick_pipeline
 from repro.simnet.dns import SimulatedDns
 from repro.simnet.traceroute import SimulatedTraceroute
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import format_count, format_ratio, render_table
+from repro.util.tables import format_count, render_table
 
 
 class TestRenderTable:
@@ -39,8 +39,3 @@ class TestRenderTable:
 
 def test_format_count():
     assert format_count(1234567) == "1,234,567"
-
-
-def test_format_ratio():
-    assert format_ratio(0.98765) == "98.77%"
-    assert format_ratio(0.5, places=0) == "50%"

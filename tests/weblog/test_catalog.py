@@ -25,11 +25,9 @@ class TestBasics:
         assert len(urls) == 200
         assert len(set(urls)) == 200
         for index, url in enumerate(urls):
-            assert catalog.index_of(url) == index
             assert catalog.url(index) == url
 
     def test_unknown_url_handling(self, catalog):
-        assert catalog.index_of("/nope.html") is None
         assert catalog.size_of("/nope.html") > 0
         assert not catalog.modified_between("/nope.html", START, START + DAY)
 

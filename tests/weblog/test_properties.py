@@ -79,7 +79,8 @@ def test_dump_format_round_trips(prefix):
 @settings(max_examples=150)
 @given(prefixes)
 def test_unification_idempotent(prefix):
-    from repro.bgp.formats import unify
+    def unify(entry):
+        return render_entry(parse_entry(entry), FORMAT_DOTTED_NETMASK)
 
     once = unify(render_entry(prefix, FORMAT_MASK_LENGTH))
     assert unify(once) == once
