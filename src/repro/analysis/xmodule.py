@@ -5,10 +5,6 @@ time.  The :class:`~repro.analysis.core.ProjectRule`\\ s here see the
 whole :class:`~repro.analysis.core.Project` — the same parsed modules,
 plus the prose docs — in the same ``repro-lint`` pass:
 
-* **metrics-drift** — every ``EngineMetrics`` counter has an increment
-  site and appears in ``snapshot()``/``render()`` output, and vice
-  versa: no counter silently stops being reported, no reported key
-  silently stops being fed.
 * **cli-doc-drift** — every ``add_argument`` flag across the CLIs is
   documented in the project docs (README/DESIGN), and no documented
   flag is stale.
@@ -34,191 +30,11 @@ from repro.analysis.rules import _last_segment
 
 __all__ = [
     "EXTERNAL_DOC_FLAGS",
-    "MetricsDriftRule",
     "CliDocDriftRule",
     "ErrorTaxonomyRule",
 ]
 
 _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-# -- shared AST helpers -----------------------------------------------------
-
-
-def _str_constants(node: ast.AST) -> Set[str]:
-    """Every string constant anywhere under ``node``."""
-    return {
-        child.value
-        for child in ast.walk(node)
-        if isinstance(child, ast.Constant) and isinstance(child.value, str)
-    }
-
-
-def _dict_literal_keys(node: ast.Dict) -> Set[str]:
-    return {
-        key.value
-        for key in node.keys
-        if isinstance(key, ast.Constant) and isinstance(key.value, str)
-    }
-
-
-def _self_attr_target(node: ast.AST) -> Optional[str]:
-    """``X`` when ``node`` is the target ``self.X``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-# -- rule: metrics-drift ----------------------------------------------------
-
-
-@register
-class MetricsDriftRule(ProjectRule):
-    """``EngineMetrics`` counters, their feeders, and their reporting
-    must stay in sync."""
-
-    rule_id = "metrics-drift"
-    summary = (
-        "every EngineMetrics counter is incremented somewhere and appears "
-        "in snapshot()/render(), and every snapshot key is a real attribute"
-    )
-    rationale = (
-        "--metrics is how operators audit a run (and how the sanitize "
-        "mode proves it ran); a counter that drifts out of snapshot() or "
-        "loses its last increment site reports silence as health."
-    )
-
-    #: Class whose counters the rule audits.
-    metrics_class = "EngineMetrics"
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        for module in project.iter_modules():
-            class_def = project.classes(module.module).get(self.metrics_class)
-            if class_def is not None:
-                yield from self._check_class(project, module, class_def)
-
-    def _check_class(
-        self, project: Project, module: LintModule, class_def: ast.ClassDef
-    ) -> Iterator[Finding]:
-        methods = {
-            node.name: node
-            for node in class_def.body
-            if isinstance(node, _FUNCTION_DEFS)
-        }
-        init = methods.get("__init__")
-        if init is None:
-            return
-        properties = {
-            node.name
-            for node in class_def.body
-            if isinstance(node, _FUNCTION_DEFS)
-            and any(
-                _last_segment(dec) == "property" for dec in node.decorator_list
-            )
-        }
-        all_attrs: Set[str] = set()
-        counters: Dict[str, ast.AST] = {}
-        for node in ast.walk(init):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    attr = _self_attr_target(target)
-                    if attr is None:
-                        continue
-                    all_attrs.add(attr)
-                    value = node.value
-                    if isinstance(value, ast.Constant) and isinstance(
-                        value.value, (int, float, bool)
-                    ):
-                        counters[attr] = node
-        written_outside_init: Set[str] = set()
-        for name, method in methods.items():
-            if name == "__init__":
-                continue
-            for node in ast.walk(method):
-                if isinstance(node, ast.AugAssign):
-                    attr = _self_attr_target(node.target)
-                    if attr is not None:
-                        written_outside_init.add(attr)
-                elif isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        attr = _self_attr_target(target)
-                        if attr is not None:
-                            written_outside_init.add(attr)
-        snapshot = methods.get("snapshot")
-        snapshot_keys: Set[str] = set()
-        if snapshot is not None:
-            for node in ast.walk(snapshot):
-                if isinstance(node, ast.Dict):
-                    snapshot_keys |= _dict_literal_keys(node)
-        render = methods.get("render")
-        render_strings = _str_constants(render) if render is not None else set()
-
-        for counter, node in sorted(counters.items()):
-            if counter not in written_outside_init:
-                yield self.finding(
-                    module.path,
-                    node,
-                    f"counter '{counter}' is initialised but never "
-                    "incremented or set by any method",
-                )
-            if snapshot is not None and counter not in snapshot_keys:
-                yield self.finding(
-                    module.path,
-                    node,
-                    f"counter '{counter}' does not appear in snapshot() — "
-                    "it is fed but never reported",
-                )
-            if render is not None and counter not in render_strings:
-                yield self.finding(
-                    module.path,
-                    node,
-                    f"counter '{counter}' does not appear in render() — "
-                    "--metrics output would omit it",
-                )
-        if snapshot is not None:
-            known = all_attrs | properties
-            for key in sorted(snapshot_keys - known):
-                yield self.finding(
-                    module.path,
-                    snapshot,
-                    f"snapshot() reports '{key}' which is neither an "
-                    "__init__ attribute nor a property — stale key",
-                )
-        yield from self._check_record_callers(project, module, class_def, methods)
-
-    def _check_record_callers(
-        self,
-        project: Project,
-        module: LintModule,
-        class_def: ast.ClassDef,
-        methods: Dict[str, ast.FunctionDef],
-    ) -> Iterator[Finding]:
-        record_methods = {
-            name for name in methods if name.startswith("record_")
-        }
-        called: Set[str] = set()
-        for other in project.iter_modules():
-            if other.module == module.module:
-                continue
-            for node in ast.walk(other.tree):
-                if isinstance(node, ast.Call):
-                    name = _last_segment(node.func)
-                    if name in record_methods:
-                        called.add(name)
-        for name in sorted(record_methods - called):
-            yield self.finding(
-                module.path,
-                methods[name],
-                f"record method '{name}' is never called outside "
-                f"{module.module} — dead telemetry feeder",
-            )
 
 
 # -- rule: cli-doc-drift ----------------------------------------------------

@@ -64,9 +64,6 @@ _SlotRun = Tuple[List[int], List[int]]
 #: StrideLpm's pickled form: the packed layout plus the stride overlay.
 _StrideState = Tuple[_PackedState, "array[int]", List[Optional[_SlotRun]]]
 
-#: PackedBatch's pickled form: three flat buffers and the URL table.
-_BatchState = Tuple["array[int]", "array[int]", "array[int]", Tuple[str, ...]]
-
 __all__ = [
     "StrideLpm",
     "MemoizedLookup",
@@ -324,9 +321,7 @@ class MemoizedLookup:
     Counters (``hits`` / ``misses`` / ``evictions``) accumulate per
     wrapper; the engine drains them into
     :class:`~repro.engine.metrics.EngineMetrics` via
-    :meth:`take_memo_stats` after each applied chunk.  The wrapper
-    pickles *without* its memo or counters: those are working state of
-    the process that warmed them.
+    :meth:`take_memo_stats` after each applied chunk.
     """
 
     __slots__ = (
@@ -520,18 +515,6 @@ class MemoizedLookup:
     def digest(self) -> str:
         return self.table.digest()
 
-    # -- pickling --------------------------------------------------------
-
-    def __getstate__(self) -> Tuple[Any, int]:
-        # The memo and its counters are process-local working state.
-        return (self.table, self.maxsize)
-
-    def __setstate__(self, state: Tuple[Any, int]) -> None:
-        self.table, self.maxsize = state
-        self.hits = self.misses = self.evictions = 0
-        self._memo = {}
-        self._table_epoch = int(getattr(self.table, "epoch", 0))
-
 
 class PackedBatch:
     """One shard's batch as flat buffers, not tuple lists.
@@ -539,7 +522,7 @@ class PackedBatch:
     ``addresses`` and ``sizes`` are ``array('Q')``; ``url_ids`` is an
     ``array('L')`` of indices into ``urls``, the batch's interned
     string table (each distinct URL stored once however often it
-    repeats).  The arrays pickle as single contiguous buffers.
+    repeats).
 
     :meth:`repro.engine.state.ClusterStore.apply_packed` folds a batch;
     :meth:`iter_triples` recovers the plain ``(client, url, size)``
@@ -553,12 +536,10 @@ class PackedBatch:
         self.sizes = array("Q")
         self.url_ids = array("L")
         self.urls: List[str] = []
-        self._url_index: Optional[Dict[str, int]] = {}
+        self._url_index: Dict[str, int] = {}
 
     def append(self, client: int, url: str, size: int) -> None:
         index = self._url_index
-        if index is None:
-            raise TypeError("PackedBatch is frozen after unpickling")
         url_id = index.get(url)
         if url_id is None:
             url_id = index[url] = len(self.urls)
@@ -598,14 +579,6 @@ class PackedBatch:
         for client, url_id, size in zip(self.addresses, self.url_ids,
                                         self.sizes):
             yield client, urls[url_id], size
-
-    def __getstate__(self) -> _BatchState:
-        return (self.addresses, self.sizes, self.url_ids, tuple(self.urls))
-
-    def __setstate__(self, state: _BatchState) -> None:
-        self.addresses, self.sizes, self.url_ids, urls = state
-        self.urls = list(urls)
-        self._url_index = None
 
 
 def build_lpm_table(

@@ -1,67 +1,100 @@
 """Lightweight engine telemetry: counters, timers, shard skew.
 
 The engine feeds these from its ingestion loop; nothing here touches a
-clock itself, so the numbers are deterministic in tests (feed synthetic
-durations) and nearly free in production (integer adds per batch).
-:meth:`EngineMetrics.snapshot` exposes a plain dict;
-:meth:`EngineMetrics.render` prints it via :func:`repro.util.tables`.
+clock, so the numbers are deterministic in tests and nearly free in
+production.  Each metric is declared once, as an :class:`EngineMetrics`
+field in report order whose metadata holds its kind (``count``,
+``seconds``, ``max`` or ``derived`` — computed on read, stored nowhere)
+and render format; ``snapshot()`` and ``render()`` walk that list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Sequence
 
-from repro.util.tables import format_count, render_table
+from repro.util.tables import render_table
 
-__all__ = ["EngineMetrics"]
+__all__ = ["METRICS", "EngineMetrics"]
+
+_COUNT = {"kind": "count", "fmt": ","}
+_SECONDS = {"kind": "seconds", "fmt": ".6f"}
+_MAX = {"kind": "max", "fmt": ".6f"}
 
 
+def _derived(fmt: str, compute: Callable[["EngineMetrics"], float]) -> Any:
+    """A field stored nowhere: its class default is a property, read
+    afresh each time (``Any``, so a ``float`` annotation accepts it)."""
+    metadata = {"kind": "derived", "fmt": fmt}
+    return field(default=property(compute), init=False, metadata=metadata)
+
+
+def _ratio(part: float, whole: float, empty: float = 0.0) -> float:
+    return part / whole if whole > 0 else empty
+
+
+@dataclass(eq=False)
 class EngineMetrics:
-    """Counters and timers for one engine run."""
+    """Counters and timers for one engine run: ``EngineMetrics(num_shards)``
+    starts every other field at zero, and only ``record_*`` moves them."""
 
-    def __init__(self, num_shards: int = 1) -> None:
-        self.num_shards = max(1, num_shards)
-        self.entries = 0
-        self.lookups = 0
-        self.batches = 0
-        self.malformed_skipped = 0
-        self.checkpoints_written = 0
-        self.chunk_retries = 0
-        self.chunks_quarantined = 0
-        self.entries_quarantined = 0
-        self.checkpoint_rewrites = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_evictions = 0
-        self.routes_announced = 0
-        self.routes_withdrawn = 0
-        self.clients_reclustered = 0
-        self.patches_applied = 0
-        self.patch_rebuild_fallbacks = 0
-        self.sanitize_batch_checks = 0
-        self.sanitize_lpm_crosschecks = 0
-        self.sanitize_checkpoint_readbacks = 0
-        self.sanitize_rng_draws = 0
-        self.wal_appends = 0
-        self.wal_syncs = 0
-        self.wal_rotations = 0
-        self.wal_segments_truncated = 0
-        self.wal_recovered_events = 0
-        self.wal_truncated_frames = 0
-        self.wal_enospc_recoveries = 0
-        self.shed_events = 0
-        self.total_seconds = 0.0
-        self.max_batch_seconds = 0.0
-        self.patch_seconds = 0.0
-        self.shard_entries: List[int] = [0] * self.num_shards
+    entries: int = field(default=0, init=False, metadata=_COUNT)
+    lookups: int = field(default=0, init=False, metadata=_COUNT)
+    batches: int = field(default=0, init=False, metadata=_COUNT)
+    malformed_skipped: int = field(default=0, init=False, metadata=_COUNT)
+    checkpoints_written: int = field(default=0, init=False, metadata=_COUNT)
+    chunk_retries: int = field(default=0, init=False, metadata=_COUNT)
+    chunks_quarantined: int = field(default=0, init=False, metadata=_COUNT)
+    entries_quarantined: int = field(default=0, init=False, metadata=_COUNT)
+    checkpoint_rewrites: int = field(default=0, init=False, metadata=_COUNT)
+    memo_hits: int = field(default=0, init=False, metadata=_COUNT)
+    memo_misses: int = field(default=0, init=False, metadata=_COUNT)
+    memo_evictions: int = field(default=0, init=False, metadata=_COUNT)
+    routes_announced: int = field(default=0, init=False, metadata=_COUNT)
+    routes_withdrawn: int = field(default=0, init=False, metadata=_COUNT)
+    clients_reclustered: int = field(default=0, init=False, metadata=_COUNT)
+    patches_applied: int = field(default=0, init=False, metadata=_COUNT)
+    patch_rebuild_fallbacks: int = field(default=0, init=False, metadata=_COUNT)
+    sanitize_batch_checks: int = field(default=0, init=False, metadata=_COUNT)
+    sanitize_lpm_crosschecks: int = field(default=0, init=False, metadata=_COUNT)
+    sanitize_checkpoint_readbacks: int = field(default=0, init=False, metadata=_COUNT)
+    sanitize_rng_draws: int = field(default=0, init=False, metadata=_COUNT)
+    wal_appends: int = field(default=0, init=False, metadata=_COUNT)
+    wal_syncs: int = field(default=0, init=False, metadata=_COUNT)
+    wal_rotations: int = field(default=0, init=False, metadata=_COUNT)
+    wal_segments_truncated: int = field(default=0, init=False, metadata=_COUNT)
+    wal_recovered_events: int = field(default=0, init=False, metadata=_COUNT)
+    wal_truncated_frames: int = field(default=0, init=False, metadata=_COUNT)
+    wal_enospc_recoveries: int = field(default=0, init=False, metadata=_COUNT)
+    shed_events: int = field(default=0, init=False, metadata=_COUNT)
+    num_shards: int = field(default=1, metadata=_COUNT)
+    entries_per_second: float = _derived(
+        ",.0f", lambda m: _ratio(m.entries, m.total_seconds))
+    #: Share of memoized resolutions served without an LPM search.
+    memo_hit_rate: float = _derived(
+        ".3f", lambda m: _ratio(m.memo_hits, m.memo_hits + m.memo_misses))
+    total_seconds: float = field(default=0.0, init=False, metadata=_SECONDS)
+    mean_batch_seconds: float = _derived(
+        ".6f", lambda m: _ratio(m.total_seconds, m.batches))
+    max_batch_seconds: float = field(default=0.0, init=False, metadata=_MAX)
+    patch_seconds: float = field(default=0.0, init=False, metadata=_SECONDS)
+    mean_patch_seconds: float = _derived(
+        ".6f", lambda m: _ratio(m.patch_seconds, m.patches_applied))
+    #: Max-over-mean shard load: 1.0 is perfect balance, 2.0 means the
+    #: hottest shard saw twice the average.
+    shard_skew: float = _derived(
+        ".3f", lambda m: _ratio(max(m.shard_entries), m.entries / m.num_shards, 1.0))
+    shard_entries: List[int] = field(init=False, repr=False, default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.num_shards = max(1, self.num_shards)
+        self.shard_entries = [0] * self.num_shards
 
     # -- recording -------------------------------------------------------
 
-    def record_batch(
-        self, per_shard_counts: Sequence[int], seconds: float, lookups: int
-    ) -> None:
-        """Record one dispatched batch: per-shard entry counts, wall
-        time, and LPM lookups performed."""
+    def record_batch(self, per_shard_counts: Sequence[int], seconds: float,
+                     lookups: int) -> None:
+        """One dispatched batch: per-shard entries, wall time, lookups."""
         self.batches += 1
         self.entries += sum(per_shard_counts)
         self.lookups += lookups
@@ -82,30 +115,24 @@ class EngineMetrics:
         self.chunk_retries += 1
 
     def record_quarantine(self, entries: int) -> None:
-        """A chunk exhausted its retries and went to the dead-letter
-        file; ``entries`` requests are excluded from the run's output."""
+        """A chunk exhausted its retries: ``entries`` requests dropped."""
         self.chunks_quarantined += 1
         self.entries_quarantined += entries
 
     def record_checkpoint_rewrite(self) -> None:
-        """A just-written checkpoint failed read-back verification and
-        was written again."""
+        """A checkpoint failed read-back verification and was rewritten."""
         self.checkpoint_rewrites += 1
 
     def record_memo(self, hits: int, misses: int, evictions: int) -> None:
-        """Fold in one drain of a
-        :class:`~repro.engine.fastpath.MemoizedLookup`'s counters
-        (after every applied chunk)."""
+        """One drain of ``MemoizedLookup.take_memo_stats()``."""
         self.memo_hits += hits
         self.memo_misses += misses
         self.memo_evictions += evictions
 
-    def record_patch(
-        self, announced: int, withdrawn: int, reclustered: int, seconds: float
-    ) -> None:
-        """Record one applied routing delta batch: routes announced and
-        withdrawn in place, clients whose cluster assignment moved, and
-        the wall time spent patching tables and reclustering."""
+    def record_patch(self, announced: int, withdrawn: int, reclustered: int,
+                     seconds: float) -> None:
+        """One routing delta batch patched in place: routes announced and
+        withdrawn, clients whose cluster moved, patch-and-recluster time."""
         self.patches_applied += 1
         self.routes_announced += announced
         self.routes_withdrawn += withdrawn
@@ -113,35 +140,26 @@ class EngineMetrics:
         self.patch_seconds += seconds
 
     def record_patch_fallback(self) -> None:
-        """A delta batch was too large to patch in place and the serve
-        loop rebuilt the table from scratch instead."""
+        """A delta batch too large to patch was rebuilt from scratch."""
         self.patch_rebuild_fallbacks += 1
 
-    def record_sanitize(
-        self,
-        batch_checks: int,
-        lpm_crosschecks: int,
-        checkpoint_readbacks: int,
-        rng_draws: int,
-    ) -> None:
-        """Fold in one drain of :func:`repro.analysis.sanitize.take_stats`
-        (after every applied chunk and checkpoint write).  All-zero when
-        ``REPRO_SANITIZE`` is off."""
+    def record_sanitize(self, batch_checks: int, lpm_crosschecks: int,
+                        checkpoint_readbacks: int, rng_draws: int) -> None:
+        """One drain of :func:`repro.analysis.sanitize.take_stats`
+        (all-zero when ``REPRO_SANITIZE`` is off)."""
         self.sanitize_batch_checks += batch_checks
         self.sanitize_lpm_crosschecks += lpm_crosschecks
         self.sanitize_checkpoint_readbacks += checkpoint_readbacks
         self.sanitize_rng_draws += rng_draws
 
     def record_wal_append(self, synced: bool) -> None:
-        """One event frame reached the serve write-ahead log; ``synced``
-        marks the appends whose batched fsync fired."""
+        """One frame reached the WAL; ``synced`` if its batched fsync fired."""
         self.wal_appends += 1
         if synced:
             self.wal_syncs += 1
 
     def record_wal_sync(self) -> None:
-        """An fsync outside the append cadence: the WAL made durable
-        ahead of a checkpoint."""
+        """An fsync ahead of a checkpoint, outside the append cadence."""
         self.wal_syncs += 1
 
     def record_wal_rotation(self) -> None:
@@ -153,146 +171,30 @@ class EngineMetrics:
         self.wal_segments_truncated += count
 
     def record_wal_recovery(self, events: int, truncated_frames: int) -> None:
-        """One ``serve --resume --wal`` recovery: events re-fed from the
-        WAL tail, and torn tails repaired while reading it back."""
+        """One ``serve --resume --wal``: events re-fed, torn tails cut."""
         self.wal_recovered_events += events
         self.wal_truncated_frames += truncated_frames
 
     def record_wal_enospc_recovery(self) -> None:
-        """A WAL append hit ``ENOSPC``, and the checkpoint-truncate-retry
-        path got the event durably appended after all."""
+        """An ``ENOSPC`` append succeeded after checkpoint-and-truncate."""
         self.wal_enospc_recoveries += 1
 
     def record_shed(self, count: int = 1) -> None:
-        """``count`` log events were dropped by ingress overload
-        shedding (routing deltas are never shed)."""
+        """``count`` log events were shed (routing deltas never are)."""
         self.shed_events += count
-
-    # -- derived figures -------------------------------------------------
-
-    @property
-    def entries_per_second(self) -> float:
-        if self.total_seconds <= 0.0:
-            return 0.0
-        return self.entries / self.total_seconds
-
-    @property
-    def mean_batch_seconds(self) -> float:
-        if self.batches == 0:
-            return 0.0
-        return self.total_seconds / self.batches
-
-    @property
-    def mean_patch_seconds(self) -> float:
-        if self.patches_applied == 0:
-            return 0.0
-        return self.patch_seconds / self.patches_applied
-
-    @property
-    def memo_hit_rate(self) -> float:
-        """Share of memoized resolutions served without an LPM search."""
-        probes = self.memo_hits + self.memo_misses
-        if probes == 0:
-            return 0.0
-        return self.memo_hits / probes
-
-    @property
-    def shard_skew(self) -> float:
-        """Max-over-mean shard load: 1.0 is perfect balance, 2.0 means
-        the hottest shard saw twice the average."""
-        if self.entries == 0:
-            return 1.0
-        mean = self.entries / self.num_shards
-        return max(self.shard_entries) / mean if mean else 1.0
 
     # -- export ----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, float]:
         """Current readings as a flat dict (stable keys, plain types)."""
-        return {
-            "entries": self.entries,
-            "lookups": self.lookups,
-            "batches": self.batches,
-            "malformed_skipped": self.malformed_skipped,
-            "checkpoints_written": self.checkpoints_written,
-            "chunk_retries": self.chunk_retries,
-            "chunks_quarantined": self.chunks_quarantined,
-            "entries_quarantined": self.entries_quarantined,
-            "checkpoint_rewrites": self.checkpoint_rewrites,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_evictions": self.memo_evictions,
-            "routes_announced": self.routes_announced,
-            "routes_withdrawn": self.routes_withdrawn,
-            "clients_reclustered": self.clients_reclustered,
-            "patches_applied": self.patches_applied,
-            "patch_rebuild_fallbacks": self.patch_rebuild_fallbacks,
-            "sanitize_batch_checks": self.sanitize_batch_checks,
-            "sanitize_lpm_crosschecks": self.sanitize_lpm_crosschecks,
-            "sanitize_checkpoint_readbacks": self.sanitize_checkpoint_readbacks,
-            "sanitize_rng_draws": self.sanitize_rng_draws,
-            "wal_appends": self.wal_appends,
-            "wal_syncs": self.wal_syncs,
-            "wal_rotations": self.wal_rotations,
-            "wal_segments_truncated": self.wal_segments_truncated,
-            "wal_recovered_events": self.wal_recovered_events,
-            "wal_truncated_frames": self.wal_truncated_frames,
-            "wal_enospc_recoveries": self.wal_enospc_recoveries,
-            "shed_events": self.shed_events,
-            "num_shards": self.num_shards,
-            "total_seconds": self.total_seconds,
-            "mean_batch_seconds": self.mean_batch_seconds,
-            "max_batch_seconds": self.max_batch_seconds,
-            "patch_seconds": self.patch_seconds,
-            "mean_patch_seconds": self.mean_patch_seconds,
-            "entries_per_second": self.entries_per_second,
-            "memo_hit_rate": self.memo_hit_rate,
-            "shard_skew": self.shard_skew,
-        }
+        return {spec.name: getattr(self, spec.name) for spec in METRICS}
 
     def render(self) -> str:
         """ASCII table of the snapshot, one metric per row."""
-        snap = self.snapshot()
-        rows: List[List[str]] = []
-        for key in (
-            "entries",
-            "lookups",
-            "batches",
-            "malformed_skipped",
-            "checkpoints_written",
-            "chunk_retries",
-            "chunks_quarantined",
-            "entries_quarantined",
-            "checkpoint_rewrites",
-            "memo_hits",
-            "memo_misses",
-            "memo_evictions",
-            "routes_announced",
-            "routes_withdrawn",
-            "clients_reclustered",
-            "patches_applied",
-            "patch_rebuild_fallbacks",
-            "sanitize_batch_checks",
-            "sanitize_lpm_crosschecks",
-            "sanitize_checkpoint_readbacks",
-            "sanitize_rng_draws",
-            "wal_appends",
-            "wal_syncs",
-            "wal_rotations",
-            "wal_segments_truncated",
-            "wal_recovered_events",
-            "wal_truncated_frames",
-            "wal_enospc_recoveries",
-            "shed_events",
-            "num_shards",
-        ):
-            rows.append([key, format_count(int(snap[key]))])
-        rows.append(["entries_per_second", f"{snap['entries_per_second']:,.0f}"])
-        rows.append(["memo_hit_rate", f"{snap['memo_hit_rate']:.3f}"])
-        rows.append(["total_seconds", f"{snap['total_seconds']:.6f}"])
-        rows.append(["mean_batch_seconds", f"{snap['mean_batch_seconds']:.6f}"])
-        rows.append(["max_batch_seconds", f"{snap['max_batch_seconds']:.6f}"])
-        rows.append(["patch_seconds", f"{snap['patch_seconds']:.6f}"])
-        rows.append(["mean_patch_seconds", f"{snap['mean_patch_seconds']:.6f}"])
-        rows.append(["shard_skew", f"{snap['shard_skew']:.3f}"])
+        rows = [[spec.name, format(getattr(self, spec.name), spec.metadata["fmt"])]
+                for spec in METRICS]
         return render_table(["metric", "value"], rows, title="engine metrics")
+
+
+#: Every declared metric, in report order.
+METRICS = tuple(spec for spec in fields(EngineMetrics) if "kind" in spec.metadata)

@@ -63,7 +63,10 @@ class SupervisorConfig:
         """Sleep before retry ``retry`` (1-based): exponential, capped."""
         if self.backoff_base <= 0:
             return 0.0
-        return min(self.backoff_cap, self.backoff_base * 2 ** (retry - 1))
+        # 2**1023 is the largest power of two a float holds; a larger
+        # int exponent would overflow before the cap applies.
+        doublings = min(retry - 1, 1023)
+        return min(self.backoff_cap, self.backoff_base * 2 ** doublings)
 
 
 class SupervisedEngine:

@@ -112,10 +112,10 @@ class ServeConfig:
     ``wal_dir`` enables the write-ahead log (``None`` = durability off,
     the pre-WAL behaviour).  ``shed_watermark`` bounds the ingress
     queue: 0 disables shedding entirely; otherwise crossing it starts
-    dropping log events until the queue drains to ``shed_low``
-    (defaulting to half the watermark).  The watermark should exceed
-    ``batch_size`` — the serve loop drains a batch at a time, so a
-    smaller watermark would shed during perfectly healthy batching.
+    dropping log events until the queue drains to half the watermark.
+    The watermark should exceed ``batch_size`` — the serve loop drains
+    a batch at a time, so a smaller watermark would shed during
+    perfectly healthy batching.
     """
 
     name: str = "serve"
@@ -126,7 +126,6 @@ class ServeConfig:
     wal_sync_every: int = 64
     wal_segment_bytes: int = 4 << 20
     shed_watermark: int = 0
-    shed_low: int = 0
 
 
 class ServeDaemon:
@@ -339,14 +338,14 @@ class ServeDaemon:
             return True
         size = len(self._ingress)
         if self._shedding:
-            if size <= self._shed_floor():
+            if size <= high // 2:
                 self._shedding = False
         elif size >= high:
             self._shedding = True
             warnings.warn(
                 f"ingress queue reached {size} events (watermark "
                 f"{high}); shedding log events until it drains to "
-                f"{self._shed_floor()}",
+                f"{high // 2}",
                 OverloadShedWarning,
                 stacklevel=2,
             )
@@ -366,11 +365,6 @@ class ServeDaemon:
             self.feed(ingress.popleft())
             drained += 1
         return drained
-
-    def _shed_floor(self) -> int:
-        if self.config.shed_low > 0:
-            return self.config.shed_low
-        return self.config.shed_watermark // 2
 
     @property
     def shedding(self) -> bool:

@@ -84,7 +84,7 @@ def test_list_rules_prints_catalogue(capsys):
     output = capsys.readouterr().out
     assert "unseeded-random" in output
     assert "broad-except (suppression requires a reason)" in output
-    assert "metrics-drift (cross-module)" in output
+    assert "error-taxonomy-reachability (cross-module)" in output
     assert "pickle-boundary" in output
 
 
@@ -125,7 +125,7 @@ class TestProjectMode:
         write_tree(tmp_path, UNREACHABLE_ERROR_TREE)
         assert main(["--select=error-taxonomy-reachability",
                      str(tmp_path)]) == 1
-        assert main(["--select=metrics-drift", str(tmp_path)]) == 0
+        assert main(["--select=cli-doc-drift", str(tmp_path)]) == 0
         assert main(["--ignore=error-taxonomy-reachability",
                      str(tmp_path)]) == 0
 

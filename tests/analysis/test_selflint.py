@@ -29,4 +29,4 @@ def test_at_least_eight_rules_are_active():
     assert len(rules) == len(RULES)
     project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
     assert len(rules) - len(project_rules) >= 8
-    assert len(project_rules) >= 3
+    assert len(project_rules) >= 2

@@ -42,94 +42,19 @@ class TestRegistry:
             if isinstance(rule, ProjectRule)
         }
         assert project_rules == {
-            "metrics-drift",
             "cli-doc-drift",
             "error-taxonomy-reachability",
         }
 
     def test_select_and_ignore(self):
-        only = active_rules(select=["metrics-drift"])
-        assert [rule.rule_id for rule in only] == ["metrics-drift"]
-        rest = active_rules(ignore=["metrics-drift"])
-        assert "metrics-drift" not in {rule.rule_id for rule in rest}
+        only = active_rules(select=["cli-doc-drift"])
+        assert [rule.rule_id for rule in only] == ["cli-doc-drift"]
+        rest = active_rules(ignore=["cli-doc-drift"])
+        assert "cli-doc-drift" not in {rule.rule_id for rule in rest}
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
             active_rules(select=["no-such-rule"])
-
-
-GOOD_METRICS = {
-    "eng.metrics": """
-        class EngineMetrics:
-            def __init__(self):
-                self.hits = 0
-
-            def record_hit(self):
-                self.hits += 1
-
-            def snapshot(self):
-                return {"hits": self.hits}
-
-            def render(self):
-                return "hits" + " = " + str(self.hits)
-    """,
-    "eng.driver": """
-        def run(metrics):
-            metrics.record_hit()
-    """,
-}
-
-
-class TestMetricsDrift:
-    def test_good_project_is_clean(self):
-        assert run_rule("metrics-drift", GOOD_METRICS) == []
-
-    def test_counter_never_incremented(self):
-        sources = dict(GOOD_METRICS)
-        sources["eng.metrics"] = GOOD_METRICS["eng.metrics"].replace(
-            "self.hits = 0", "self.hits = 0\n                self.lost = 0"
-        )
-        findings = run_rule("metrics-drift", sources)
-        assert any("'lost'" in f.message and "never" in f.message
-                   for f in findings)
-
-    def test_counter_missing_from_snapshot_and_render(self):
-        sources = {
-            "eng.metrics": """
-                class EngineMetrics:
-                    def __init__(self):
-                        self.hits = 0
-
-                    def record_hit(self):
-                        self.hits += 1
-
-                    def snapshot(self):
-                        return {}
-
-                    def render(self):
-                        return "metrics"
-            """,
-            "eng.driver": GOOD_METRICS["eng.driver"],
-        }
-        messages = [f.message for f in run_rule("metrics-drift", sources)]
-        assert any("snapshot()" in m for m in messages)
-        assert any("render()" in m for m in messages)
-
-    def test_stale_snapshot_key(self):
-        sources = dict(GOOD_METRICS)
-        sources["eng.metrics"] = GOOD_METRICS["eng.metrics"].replace(
-            '{"hits": self.hits}', '{"hits": self.hits, "ghost": 0}'
-        )
-        findings = run_rule("metrics-drift", sources)
-        assert any("'ghost'" in f.message and "stale" in f.message
-                   for f in findings)
-
-    def test_uncalled_record_method(self):
-        sources = dict(GOOD_METRICS)
-        sources["eng.driver"] = "def run(metrics):\n    pass\n"
-        findings = run_rule("metrics-drift", sources)
-        assert any("record_hit" in f.message and "never called" in f.message
-                   for f in findings)
 
 
 CLI_SOURCE = {
@@ -255,32 +180,34 @@ class TestErrorTaxonomy:
 
 class TestSuppressions:
     def test_inline_ignore_covers_project_findings(self):
-        lost = "self.hits = 0\n                self.lost = 0"
-        loud = dict(GOOD_METRICS)
-        loud["eng.metrics"] = GOOD_METRICS["eng.metrics"].replace(
-            "self.hits = 0", lost
+        silent = "class Silent(Exception):\n            pass"
+        loud = dict(GOOD_ERRORS)
+        loud["pkg.errors"] = GOOD_ERRORS["pkg.errors"] + "\n        " + silent
+        assert run_rule("error-taxonomy-reachability", loud) != []
+        quiet = dict(GOOD_ERRORS)
+        quiet["pkg.errors"] = GOOD_ERRORS["pkg.errors"] + "\n        " + (
+            silent.replace(
+                ":\n",
+                ":  # lint: ignore[error-taxonomy-reachability] -- test rig\n",
+            )
         )
-        assert run_rule("metrics-drift", loud) != []
-        quiet = dict(GOOD_METRICS)
-        quiet["eng.metrics"] = GOOD_METRICS["eng.metrics"].replace(
-            "self.hits = 0",
-            lost + "  # lint: ignore[metrics-drift] -- test rig",
-        )
-        assert run_rule("metrics-drift", quiet) == []
+        assert run_rule("error-taxonomy-reachability", quiet) == []
 
     def test_findings_sorted_and_deduped(self):
         sources = {
-            "eng.metrics": """
-                class EngineMetrics:
-                    def __init__(self):
-                        self.lost = 0
-                        self.gone = 0
+            "eng.errors": """
+                __all__ = []
 
-                    def snapshot(self):
-                        return {}
+
+                class Lost(Exception):
+                    pass
+
+
+                class Gone(Exception):
+                    pass
             """,
         }
-        rule = RULES["metrics-drift"]
+        rule = RULES["error-taxonomy-reachability"]
         findings = lint_modules(modules_from(sources), [rule, rule])
         keys = [(f.path, f.line, f.rule_id, f.message) for f in findings]
         assert len(keys) == 4 and len(keys) == len(set(keys))

@@ -172,18 +172,6 @@ class TestMemoizedLookup:
         with pytest.raises(ValueError):
             MemoizedLookup(table, maxsize=0)
 
-    def test_pickles_without_memo_state(self):
-        memo = MemoizedLookup(
-            StrideLpm.from_items(_items(EDGE_CIDRS)), maxsize=7
-        )
-        memo.lookup_many([1, 2, 3])
-        clone = pickle.loads(pickle.dumps(memo))
-        assert clone.maxsize == 7
-        assert clone.memo_size == 0
-        assert (clone.hits, clone.misses, clone.evictions) == (0, 0, 0)
-        assert clone.digest() == memo.digest()
-        assert clone.lookup_many([1, 2, 3]) == memo.lookup_many([1, 2, 3])
-
     def test_delegates_table_surface(self):
         table = StrideLpm.from_items(_items(EDGE_CIDRS))
         memo = MemoizedLookup(table)
@@ -224,13 +212,6 @@ class TestPackedBatch:
                 assert shard_of(client, 4) == shard
                 recovered.append((client, url, size))
         assert sorted(recovered) == sorted(triples)
-
-    def test_pickle_roundtrip_and_freeze(self):
-        batch = PackedBatch.from_triples([(1, "/a", 2), (3, "/b", 4)])
-        clone = pickle.loads(pickle.dumps(batch))
-        assert list(clone.iter_triples()) == list(batch.iter_triples())
-        with pytest.raises(TypeError):
-            clone.append(5, "/c", 6)
 
     def test_apply_packed_matches_apply_batch(self, merged_table, nagano_log):
         table = StrideLpm.from_merged(merged_table)

@@ -103,6 +103,9 @@ class TestRetry:
         )
         supervised.ingest_triples(iter(TRIPLES))
         assert slept == [0.5, 1.0, 2.0]
+        # Past 1 024 doublings the power no longer fits a float.
+        config = SupervisorConfig(max_retries=5000)
+        assert config.backoff_seconds(1100) == config.backoff_cap
 
     def test_zero_base_never_sleeps(self):
         config = SupervisorConfig(backoff_base=0)
