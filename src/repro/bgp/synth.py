@@ -21,8 +21,10 @@ registry sources lift clusterable clients from ~99 % to ~99.9 %
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.sources import DEFAULT_SOURCES, SourceSpec
@@ -49,6 +51,25 @@ __all__ = [
 def _hash01(seed: int, label: str) -> float:
     """Deterministic uniform variate in [0, 1) for a labelled event."""
     return (derive_seed(seed, label) & 0xFFFFFFFF) / float(1 << 32)
+
+
+#: Arrival day of a globally hidden announcement (a real arrival day
+#: is 1..14, and 0 means present from the start).
+_HIDDEN = 255
+
+
+class _SourceDraws:
+    """One source's time-independent draws over the announcements."""
+
+    __slots__ = ("shown", "flappy")
+
+    def __init__(self, size: int) -> None:
+        #: 1 per announcement not globally hidden whose ``vis:`` (and,
+        #: for a /25+ the source would filter, ``leak:``) coins let it
+        #: through.
+        self.shown = bytearray(size)
+        #: Shown positions in the source's flapping population, ascending.
+        self.flappy = array("I")
 
 
 @dataclass(frozen=True)
@@ -98,6 +119,15 @@ class SnapshotFactory:
         self._backbone_asns = [
             asn for asn, a_s in topology.ases.items() if a_s.kind == "backbone"
         ] or [1]
+        # Every draw that does not depend on the snapshot time is made
+        # once, on first use, with the labels (so the values) the
+        # per-snapshot model defines — see _visible_mask.
+        self._arrival: Optional[bytearray] = None
+        self._late: Tuple[int, ...] = ()
+        self._draws: Dict[SourceSpec, _SourceDraws] = {}
+        # Registry dumps: 1 per shown registry block, and the prefix
+        # length of each filler block.
+        self._registry_draws: Dict[SourceSpec, Tuple[bytearray, bytes]] = {}
 
     # -- public API -----------------------------------------------------
 
@@ -114,9 +144,15 @@ class SnapshotFactory:
         if source.kind == KIND_REGISTRY:
             self._fill_registry(table, source)
             return table
-        for prefix, origin_asn in self._announcements:
-            if self._visible(source, prefix, when):
-                table.add(self._route(source, prefix, origin_asn))
+        # One path draw per origin AS, shared by the snapshot's routes.
+        paths: Dict[int, Tuple[str, Tuple[int, ...], str]] = {}
+        for prefix, origin_asn in compress(
+            self._announcements, self._visible_mask(source, when)
+        ):
+            attrs = paths.get(origin_asn)
+            if attrs is None:
+                attrs = paths[origin_asn] = self._path(source, origin_asn)
+            table.add(RouteEntry(prefix, *attrs))
         return table
 
     def snapshots_all_sources(
@@ -143,40 +179,111 @@ class SnapshotFactory:
 
     # -- visibility model --------------------------------------------------
 
-    def _visible(
-        self, source: SourceSpec, prefix: Prefix, when: SnapshotTime
-    ) -> bool:
-        key = f"{source.name}:{prefix.cidr}"
-        # Globally filtered announcements reach no BGP vantage at all.
-        if _hash01(self.seed, f"hidden:{prefix.cidr}") < self.global_hidden_fraction:
-            return False
-        # Base per-vantage visibility (peering/propagation).
-        if _hash01(self.seed, f"vis:{key}") >= source.visibility:
-            return False
-        # NAP route servers filter long prefixes; forwarding tables keep
-        # customer specifics (hence the /25–/29 entries of Table 3).
-        if prefix.length > 24 and not source.keeps_specifics:
-            if _hash01(self.seed, f"leak:{key}") >= self.specifics_leak:
-                return False
-        # Late arrivals: routes announced partway through the study.
-        if _hash01(self.seed, f"new:{prefix.cidr}") < self.late_arrival_fraction:
-            arrival_day = 1 + int(
-                _hash01(self.seed, f"newday:{prefix.cidr}") * 14
-            )
-            if when.day < arrival_day:
-                return False
-        # Flapping population: present in most snapshots, absent in some.
-        if _hash01(self.seed, f"flappy:{key}") < self.flappy_fraction:
-            if (
-                _hash01(self.seed, f"flap:{key}:{when.label()}")
-                < self.flap_absence
-            ):
-                return False
-        return True
+    def _visible_mask(self, source: SourceSpec, when: SnapshotTime) -> bytearray:
+        """One byte per announcement: 1 where ``source`` shows it at
+        ``when``.
 
-    def _route(
-        self, source: SourceSpec, prefix: Prefix, origin_asn: int
-    ) -> RouteEntry:
+        The model, per (source, prefix), every coin a labelled
+        :func:`_hash01` draw (``key`` is ``"{source}:{cidr}"``):
+
+        * ``hidden:{cidr}`` < ``global_hidden_fraction``: filtered
+          before reaching any BGP vantage;
+        * ``vis:{key}`` >= the source's visibility: not peered or
+          propagated to this vantage;
+        * a /25+ at a source that filters specifics is shown only when
+          ``leak:{key}`` < ``specifics_leak`` (forwarding tables keep
+          customer specifics: Table 3's /25–/29 entries);
+        * a late arrival (``new:{cidr}`` < ``late_arrival_fraction``)
+          is absent before day ``1 + int(newday:{cidr} * 14)``;
+        * a flappy route (``flappy:{key}`` < ``flappy_fraction``) is
+          absent from a snapshot when ``flap:{key}:{when.label()}`` <
+          ``flap_absence``.
+
+        Only the last coin depends on ``when``; the others are drawn
+        once per factory (:meth:`_source_draws`), so a snapshot hashes
+        just its flappy routes.
+        """
+        draws = self._source_draws(source)
+        mask = bytearray(draws.shown)
+        arrival = self._arrival
+        assert arrival is not None  # drawn with the first source
+        day = when.day
+        for index in self._late:
+            if day < arrival[index]:
+                mask[index] = 0
+        announcements = self._announcements
+        head, tail = f"flap:{source.name}:", f":{when.label()}"
+        for index in draws.flappy:
+            label = f"{head}{announcements[index][0].cidr}{tail}"
+            if _hash01(self.seed, label) < self.flap_absence:
+                mask[index] = 0
+        return mask
+
+    def _source_draws(self, source: SourceSpec) -> _SourceDraws:
+        draws = self._draws.get(source)
+        if draws is None:
+            if source in self.sources and source.kind != KIND_REGISTRY:
+                # One pass draws every configured BGP-side source, so
+                # each prefix's CIDR text is formatted once.
+                self._draw_announced(
+                    [
+                        spec for spec in self.sources
+                        if spec.kind != KIND_REGISTRY and spec not in self._draws
+                    ]
+                )
+            else:
+                self._draw_announced([source])
+            draws = self._draws[source]
+        return draws
+
+    def _draw_announced(self, sources: Sequence[SourceSpec]) -> None:
+        """Draw the time-independent coins of ``sources`` — and, the
+        first time, the per-prefix ``hidden:``/``new:``/``newday:``
+        ones — into one byte per (source, announcement)."""
+        seed = self.seed
+        arrival = self._arrival
+        first = arrival is None
+        if arrival is None:
+            arrival = bytearray(len(self._announcements))
+        tables = [
+            (source, _SourceDraws(len(self._announcements)))
+            for source in sources
+        ]
+        for index, (prefix, _) in enumerate(self._announcements):
+            cidr = prefix.cidr
+            if first:
+                if _hash01(seed, f"hidden:{cidr}") < self.global_hidden_fraction:
+                    arrival[index] = _HIDDEN
+                elif _hash01(seed, f"new:{cidr}") < self.late_arrival_fraction:
+                    arrival[index] = 1 + int(_hash01(seed, f"newday:{cidr}") * 14)
+            if arrival[index] == _HIDDEN:
+                continue
+            filtered = prefix.length > 24
+            for source, draws in tables:
+                key = f"{source.name}:{cidr}"
+                if _hash01(seed, f"vis:{key}") >= source.visibility:
+                    continue
+                if (
+                    filtered
+                    and not source.keeps_specifics
+                    and _hash01(seed, f"leak:{key}") >= self.specifics_leak
+                ):
+                    continue
+                draws.shown[index] = 1
+                if _hash01(seed, f"flappy:{key}") < self.flappy_fraction:
+                    draws.flappy.append(index)
+        if first:
+            self._arrival = arrival
+            self._late = tuple(
+                index for index, day in enumerate(arrival) if 0 < day < _HIDDEN
+            )
+        self._draws.update(tables)
+
+    def _path(
+        self, source: SourceSpec, origin_asn: int
+    ) -> Tuple[str, Tuple[int, ...], str]:
+        """``(next_hop, as_path, description)`` of ``source``'s routes
+        to ``origin_asn``: one ``path:`` draw."""
         h = derive_seed(self.seed, f"path:{source.name}:{origin_asn}")
         hops = h % 3  # 0-2 transit hops
         transit = tuple(
@@ -185,39 +292,48 @@ class SnapshotFactory:
         )
         next_hop = f"peer{h % 8}.{source.name.lower().replace('&', '')}.net"
         origin = self.topology.ases.get(origin_asn)
-        return RouteEntry(
-            prefix=prefix,
-            next_hop=next_hop,
-            as_path=transit + (origin_asn,),
-            description=origin.name if origin else "",
-        )
+        return next_hop, transit + (origin_asn,), origin.name if origin else ""
 
     # -- registry dumps ------------------------------------------------------
 
     def _fill_registry(self, table: RoutingTable, source: SourceSpec) -> None:
-        for prefix, origin_asn in self._registry:
-            key = f"{source.name}:{prefix.cidr}"
-            if _hash01(self.seed, f"vis:{key}") < source.visibility:
-                table.add(RouteEntry(prefix=prefix, description=f"AS{origin_asn}"))
-        for prefix in self._filler_blocks(source):
+        draws = self._registry_draws.get(source)
+        if draws is None:
+            draws = self._registry_draws[source] = self._draw_registry(source)
+        shown, fillers = draws
+        for prefix, origin_asn in compress(self._registry, shown):
+            table.add(RouteEntry(prefix=prefix, description=f"AS{origin_asn}"))
+        for prefix in self._filler_blocks(fillers):
             table.add(RouteEntry(prefix=prefix, description="registered, unrouted"))
 
-    def _filler_blocks(self, source: SourceSpec) -> Iterable[Prefix]:
+    def _draw_registry(self, source: SourceSpec) -> Tuple[bytearray, bytes]:
+        """A registry source's ``vis:`` coin per registry block, and the
+        lengths of its filler blocks (each a ``filler:`` draw)."""
+        seed = self.seed
+        shown = bytearray(
+            _hash01(seed, f"vis:{source.name}:{prefix.cidr}") < source.visibility
+            for prefix, _ in self._registry
+        )
+        h = derive_seed(seed, f"filler:{source.name}")
+        fillers = bytes(
+            16 + (derive_seed(h, str(produced)) % 9)  # /16../24
+            for produced in range(source.filler_blocks)
+        )
+        return shown, fillers
+
+    @staticmethod
+    def _filler_blocks(lengths: bytes) -> Iterable[Prefix]:
         """Registered-but-unrouted networks padding the registry dumps.
 
         Carved downward from 223/8 so they can never collide with the
         allocator (which grows upward from 4/8) or with the bogus-client
         space (127/8).
         """
-        h = derive_seed(self.seed, f"filler:{source.name}")
         cursor = (223 << 24)
-        produced = 0
-        while produced < source.filler_blocks:
-            length = 16 + (derive_seed(h, str(produced)) % 9)  # /16../24
+        for length in lengths:
             size = 1 << (32 - length)
             cursor = (cursor - size) & ~(size - 1)
             yield Prefix(cursor, length)
-            produced += 1
 
 
 class DeltaGenerator:
@@ -257,11 +373,12 @@ class DeltaGenerator:
         )
         self._origins: Dict[Prefix, int] = dict(factory._announcements)
         self._when = SnapshotTime(0, 0)
-        self._live: Dict[Prefix, int] = {
-            prefix: origin_asn
-            for prefix, origin_asn in factory._announcements
-            if factory._visible(source, prefix, self._when)
-        }
+        self._live: Dict[Prefix, int] = dict(
+            compress(
+                factory._announcements,
+                factory._visible_mask(source, self._when),
+            )
+        )
         # Generated-but-not-yet-emitted events: bursts are produced
         # whole, so :meth:`events` queues the overflow here and the
         # next call drains it first — successive calls concatenate into
@@ -312,12 +429,13 @@ class DeltaGenerator:
             day += 1
         self._when = SnapshotTime(day, slot)
         events: List[RouteDelta] = []
-        factory, source = self.factory, self.source
-        for prefix, origin_asn in factory._announcements:
-            visible = factory._visible(source, prefix, self._when)
-            if visible and prefix not in self._live:
-                events.append(self._announce(prefix, origin_asn, "churn"))
-            elif not visible and prefix in self._live:
+        live = self._live
+        mask = self.factory._visible_mask(self.source, self._when)
+        for (prefix, origin_asn), visible in zip(self.factory._announcements, mask):
+            if visible:
+                if prefix not in live:
+                    events.append(self._announce(prefix, origin_asn, "churn"))
+            elif prefix in live:
                 events.append(self._withdraw(prefix, "churn"))
         return events
 

@@ -17,7 +17,7 @@ where clusters within a site share interests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.lru import CacheItem
 from repro.cache.policy import DEFAULT_TTL_SECONDS, ProxyCache
@@ -116,22 +116,29 @@ class CooperativeSimulator:
         site_members: Dict[int, List[ProxyCache]] = {}
         result = CooperativeResult()
 
+        # Each clustered client's proxy and its site's members, found
+        # once per client.
+        proxy_of: Dict[int, Tuple[ProxyCache, List[ProxyCache]]] = {}
         for entry in self.log.entries:
             result.total_requests += 1
-            prefix = self._cluster_of.get(entry.client)
-            if prefix is None:
-                server.get(entry.url, entry.timestamp)
-                result.unproxied_requests += 1
-                result.misses += 1
-                continue
-            proxy = proxies.get(prefix)
-            if proxy is None:
-                proxy = proxies[prefix] = ProxyCache(
-                    server, capacity_bytes=cache_bytes,
-                    ttl_seconds=ttl_seconds,
-                )
+            found = proxy_of.get(entry.client)
+            if found is None:
+                prefix = self._cluster_of.get(entry.client)
+                if prefix is None:
+                    server.get(entry.url, entry.timestamp)
+                    result.unproxied_requests += 1
+                    result.misses += 1
+                    continue
                 site = self._site_of.get(prefix, -1)
-                site_members.setdefault(site, []).append(proxy)
+                proxy = proxies.get(prefix)
+                if proxy is None:
+                    proxy = proxies[prefix] = ProxyCache(
+                        server, capacity_bytes=cache_bytes,
+                        ttl_seconds=ttl_seconds,
+                    )
+                    site_members.setdefault(site, []).append(proxy)
+                found = proxy_of[entry.client] = (proxy, site_members[site])
+            proxy, members = found
 
             # Local fresh copy?
             item = proxy.cache.get(entry.url)
@@ -142,15 +149,13 @@ class CooperativeSimulator:
 
             # Sibling lookup (ICP): a fresh copy anywhere in the site.
             if cooperate:
-                site = self._site_of.get(prefix, -1)
                 donor_item = self._sibling_copy(
-                    site_members.get(site, ()), proxy, entry.url,
-                    entry.timestamp,
+                    members, proxy, entry.url, entry.timestamp
                 )
                 if donor_item is not None:
                     # Transfer locally; the requester caches its own copy
                     # with the donor's freshness horizon.
-                    proxy.cache.put(
+                    proxy.adopt(
                         CacheItem(
                             url=entry.url,
                             size=donor_item.size,

@@ -7,9 +7,8 @@ cache used for the per-proxy evaluation of Figure 12.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = ["CacheItem", "LruCache"]
 
@@ -21,6 +20,8 @@ class CacheItem:
     ``fetched_at`` stamps when the copy was obtained from (or validated
     with) the origin; the TTL policy compares against it.
     """
+
+    __slots__ = ("url", "size", "fetched_at", "expires_at")
 
     url: str
     size: int
@@ -42,7 +43,11 @@ class LruCache:
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive or None: {capacity_bytes!r}")
         self.capacity_bytes = capacity_bytes
-        self._items: "OrderedDict[str, CacheItem]" = OrderedDict()
+        # A plain dict keeps insertion order, so re-inserting on use
+        # keeps it in recency order, and scanning its head (the PCV
+        # piggyback scan) is a walk over one array rather than a
+        # linked list.
+        self._items: Dict[str, CacheItem] = {}
         self._used = 0
         self.evictions = 0
 
@@ -58,9 +63,9 @@ class LruCache:
 
     def get(self, url: str) -> Optional[CacheItem]:
         """Return the cached item and mark it most recently used."""
-        item = self._items.get(url)
+        item = self._items.pop(url, None)
         if item is not None:
-            self._items.move_to_end(url)
+            self._items[url] = item
         return item
 
     def peek(self, url: str) -> Optional[CacheItem]:
@@ -80,7 +85,7 @@ class LruCache:
             and self._used + item.size > self.capacity_bytes
             and self._items
         ):
-            _, evicted = self._items.popitem(last=False)
+            evicted = self._items.pop(next(iter(self._items)))
             self._used -= evicted.size
             self.evictions += 1
         self._items[item.url] = item
@@ -98,3 +103,7 @@ class LruCache:
     def items(self) -> Iterator[Tuple[str, CacheItem]]:
         """Iterate (url, item) from least to most recently used."""
         return iter(self._items.items())
+
+    def values(self) -> Iterator[CacheItem]:
+        """Iterate the items from least to most recently used."""
+        return iter(self._items.values())

@@ -162,6 +162,8 @@ class MultiServerSimulator:
             per_origin={origin.name: PerOriginCounters()
                         for origin in self.origins}
         )
+        # Each clustered client's proxy, found once per client.
+        proxy_of: Dict[int, ProxyCache] = {}
         for entry in self.merged_log.entries:
             origin_name = entry.url[2:].partition("/")[0]
             counters = result.per_origin.get(origin_name)
@@ -170,17 +172,20 @@ class MultiServerSimulator:
             if counters is not None:
                 counters.requests += 1
                 counters.bytes_requested += size
-            prefix = self._cluster_of.get(entry.client)
-            if prefix is None:
-                server.get(entry.url, entry.timestamp)
-                result.unproxied_requests += 1
-                continue
-            proxy = proxies.get(prefix)
+            proxy = proxy_of.get(entry.client)
             if proxy is None:
-                proxy = proxies[prefix] = ProxyCache(
-                    server, capacity_bytes=cache_bytes,
-                    ttl_seconds=ttl_seconds,
-                )
+                prefix = self._cluster_of.get(entry.client)
+                if prefix is None:
+                    server.get(entry.url, entry.timestamp)
+                    result.unproxied_requests += 1
+                    continue
+                proxy = proxies.get(prefix)
+                if proxy is None:
+                    proxy = proxies[prefix] = ProxyCache(
+                        server, capacity_bytes=cache_bytes,
+                        ttl_seconds=ttl_seconds,
+                    )
+                proxy_of[entry.client] = proxy
             if proxy.request(entry.url, entry.timestamp):
                 result.proxy_hits += 1
                 if counters is not None:

@@ -20,8 +20,10 @@ accumulates the hit/byte counters Figures 11–12 are drawn from.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import islice
+from typing import List, Optional, Tuple
 
 from repro.cache.lru import CacheItem, LruCache
 from repro.cache.server import OriginServer
@@ -73,6 +75,12 @@ class ProxyCache:
         self.ttl_seconds = ttl_seconds
         self.piggyback_limit = piggyback_limit
         self.stats = ProxyStats()
+        # Min-heap of (expires_at, url), one entry pushed per expiry
+        # ever set; an entry whose url is gone or has moved on to
+        # another expiry is stale and dropped when it reaches the top.
+        # The top valid entry is the earliest expiry in the cache.
+        self._expiries: List[Tuple[float, str]] = []
+        self._compact_above = 64
 
     # -- request path -----------------------------------------------------
 
@@ -80,13 +88,14 @@ class ProxyCache:
         """Serve one client request; returns True on a cache hit
         (no response body fetched from the origin)."""
         size = self.server.catalog.size_of(url)
-        self.stats.requests += 1
-        self.stats.bytes_requested += size
+        stats = self.stats
+        stats.requests += 1
+        stats.bytes_requested += size
 
         item = self.cache.get(url)
-        if item is not None and item.fresh_at(now):
-            self.stats.hits += 1
-            self.stats.bytes_hit += item.size
+        if item is not None and now < item.expires_at:  # item.fresh_at(now)
+            stats.hits += 1
+            stats.bytes_hit += item.size
             return True
 
         if item is not None:
@@ -94,7 +103,7 @@ class ProxyCache:
             result = self.server.get_if_modified_since(url, item.fetched_at, now)
             if result.status == 304:
                 item.fetched_at = now
-                item.expires_at = now + self.ttl_seconds
+                self._expire(item, now + self.ttl_seconds)
                 self.stats.hits += 1
                 self.stats.validation_hits += 1
                 self.stats.bytes_hit += item.size
@@ -112,36 +121,74 @@ class ProxyCache:
         self._piggyback(now)
         return False
 
+    def adopt(self, item: CacheItem) -> None:
+        """Cache a copy obtained elsewhere (a sibling proxy), keeping
+        its own freshness horizon."""
+        if self.cache.put(item):
+            self._index(item)
+
     # -- internals ------------------------------------------------------------
 
     def _store(self, url: str, size: int, now: float) -> None:
-        self.cache.put(
-            CacheItem(
-                url=url,
-                size=size,
-                fetched_at=now,
-                expires_at=now + self.ttl_seconds,
-            )
+        item = CacheItem(
+            url=url,
+            size=size,
+            fetched_at=now,
+            expires_at=now + self.ttl_seconds,
         )
+        if self.cache.put(item):
+            self._index(item)
+
+    def _expire(self, item: CacheItem, expires_at: float) -> None:
+        item.expires_at = expires_at
+        self._index(item)
+
+    def _index(self, item: CacheItem) -> None:
+        expiries = self._expiries
+        heapq.heappush(expiries, (item.expires_at, item.url))
+        if len(expiries) > self._compact_above:
+            # Rebuild from the live items, so the index stays within
+            # twice the cache (amortised O(1) per push).
+            expiries[:] = [
+                (cached.expires_at, url) for url, cached in self.cache.items()
+            ]
+            heapq.heapify(expiries)
+            self._compact_above = 2 * len(expiries) + 64
+
+    def _may_hold_expired(self, now: float) -> bool:
+        """False when every cached item is provably fresh at ``now``:
+        the earliest live expiry is still ahead (``fresh_at`` is
+        ``now < expires_at``)."""
+        expiries, peek = self._expiries, self.cache.peek
+        while expiries:
+            expires_at, url = expiries[0]
+            item = peek(url)
+            if item is not None and item.expires_at == expires_at:
+                return not now < expires_at
+            heapq.heappop(expiries)
+        return False
 
     def _piggyback(self, now: float) -> None:
         """Ride validation checks for expired cached resources on the
         server contact that just happened (the heart of PCV)."""
-        expired: List[CacheItem] = []
+        limit = self.piggyback_limit
+        if limit <= 0 or not self._may_hold_expired(now):
+            return  # the scan below would find nothing
         # Scan from the LRU end, where stale entries concentrate, with a
         # fixed budget so per-request piggybacking stays O(1) even for
-        # very large caches (the real PCV proxy batches similarly).
-        scan_budget = max(self.piggyback_limit * 5, 25)
-        for scanned, (_, item) in enumerate(self.cache.items()):
-            if scanned >= scan_budget or len(expired) >= self.piggyback_limit:
-                break
-            if not item.fresh_at(now):
+        # very large caches (the real PCV proxy batches similarly): the
+        # first ``limit`` expired items among the first ``budget``.
+        expired = []
+        for item in islice(self.cache.values(), max(limit * 5, 25)):
+            if not now < item.expires_at:  # not item.fresh_at(now)
                 expired.append(item)
+                if len(expired) >= limit:
+                    break
         for item in expired:
             self.stats.piggyback_validations += 1
             if self.server.catalog.modified_between(item.url, item.fetched_at, now):
                 self.cache.remove(item.url)
             else:
                 item.fetched_at = now
-                item.expires_at = now + self.ttl_seconds
+                self._expire(item, now + self.ttl_seconds)
                 self.stats.piggyback_renewals += 1

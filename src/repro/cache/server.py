@@ -15,15 +15,14 @@ proxies could *not* absorb).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.weblog.catalog import UrlCatalog
 
 __all__ = ["OriginServer", "FetchResult"]
 
 
-@dataclass(frozen=True)
-class FetchResult:
+class FetchResult(NamedTuple):
     """Outcome of one proxy-to-server exchange."""
 
     url: str

@@ -140,24 +140,29 @@ class CachingSimulator:
             cache_bytes=cache_bytes,
             ttl_seconds=ttl_seconds,
         )
+        # Each clustered client's proxy, found once per client.
+        proxy_of: Dict[int, ProxyCache] = {}
         for entry in self.log.entries:
             result.total_requests += 1
             size = self.catalog.size_of(entry.url)
             result.total_bytes += size
-            prefix = self._cluster_of.get(entry.client)
-            if prefix is None:
-                # Unclusterable client: no proxy in front of it.
-                server.get(entry.url, entry.timestamp)
-                result.unproxied_requests += 1
-                continue
-            proxy = proxies.get(prefix)
+            proxy = proxy_of.get(entry.client)
             if proxy is None:
-                proxy = proxies[prefix] = ProxyCache(
-                    server,
-                    capacity_bytes=cache_bytes,
-                    ttl_seconds=ttl_seconds,
-                    piggyback_limit=piggyback_limit,
-                )
+                prefix = self._cluster_of.get(entry.client)
+                if prefix is None:
+                    # Unclusterable client: no proxy in front of it.
+                    server.get(entry.url, entry.timestamp)
+                    result.unproxied_requests += 1
+                    continue
+                proxy = proxies.get(prefix)
+                if proxy is None:
+                    proxy = proxies[prefix] = ProxyCache(
+                        server,
+                        capacity_bytes=cache_bytes,
+                        ttl_seconds=ttl_seconds,
+                        piggyback_limit=piggyback_limit,
+                    )
+                proxy_of[entry.client] = proxy
             if proxy.request(entry.url, entry.timestamp):
                 result.proxy_hits += 1
                 result.proxy_bytes_hit += size

@@ -48,9 +48,11 @@ address, which is what lets the engine outrun the per-entry trie loop.
 from __future__ import annotations
 
 import hashlib
+import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -80,6 +82,10 @@ _PackedState = Tuple[
 #: The sorted view of a patched table: the live entries' order keys,
 #: ascending, and their handles in the same order.
 _SortedView = Tuple["array[int]", "array[int]"]
+
+#: The two prefix fields :meth:`PackedLpm.digest` hashes.
+_NETWORK = attrgetter("network")
+_LENGTH = attrgetter("length")
 
 __all__ = ["PackedLpm", "PatchResult", "merge_windows"]
 
@@ -280,11 +286,17 @@ class PackedLpm:
         excluded on purpose so a re-merged table with identical routes
         still matches.
         """
-        hasher = hashlib.sha256()
-        for prefix in self._sorted_entries()[0]:
-            hasher.update(prefix.network.to_bytes(4, "big"))
-            hasher.update(bytes((prefix.length,)))
-        return hasher.hexdigest()
+        # Five bytes per prefix: the network big-endian, then the
+        # length.  The networks are packed in one struct call and
+        # interleaved with the lengths by slice assignment.
+        prefixes = self._sorted_entries()[0]
+        count = len(prefixes)
+        networks = struct.pack(f">{count}I", *map(_NETWORK, prefixes))
+        record = bytearray(5 * count)
+        for byte in range(4):
+            record[byte::5] = networks[byte::4]
+        record[4::5] = bytes(map(_LENGTH, prefixes))
+        return hashlib.sha256(record).hexdigest()
 
     # -- canonical numbering ---------------------------------------------
 

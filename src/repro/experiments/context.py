@@ -14,6 +14,7 @@ from typing import Dict, Optional
 from repro.bgp.synth import SnapshotFactory
 from repro.bgp.table import MergedPrefixTable
 from repro.core.clustering import METHOD_NETWORK_AWARE, ClusterSet, cluster_log
+from repro.core.spiders import DetectionReport, classify_clients
 from repro.simnet.dns import SimulatedDns
 from repro.simnet.topology import Topology, TopologyConfig, generate_topology
 from repro.simnet.traceroute import SimulatedTraceroute
@@ -36,6 +37,7 @@ class ExperimentContext:
         self._traceroute: Optional[SimulatedTraceroute] = None
         self._logs: Dict[str, SyntheticLog] = {}
         self._clusterings: Dict[str, ClusterSet] = {}
+        self._detections: Dict[str, DetectionReport] = {}
 
     @property
     def topology(self) -> Topology:
@@ -82,3 +84,11 @@ class ExperimentContext:
                 self.log(preset).log, table, method=method
             )
         return self._clusterings[key]
+
+    def detections(self, preset: str) -> DetectionReport:
+        """Spiders and proxies among ``preset``'s network-aware clusters."""
+        if preset not in self._detections:
+            self._detections[preset] = classify_clients(
+                self.log(preset).log, self.clusters(preset)
+            )
+        return self._detections[preset]

@@ -8,7 +8,6 @@ User-Agent mix and demand.
 from __future__ import annotations
 
 from repro.core.hidden import census
-from repro.core.spiders import classify_clients
 from repro.experiments.context import ExperimentContext
 from repro.util.tables import render_table
 
@@ -23,8 +22,7 @@ PAPER = (
 
 def run(ctx: ExperimentContext) -> str:
     log = ctx.log("sun").log
-    clusters = ctx.clusters("sun")
-    detections = classify_clients(log, clusters)
+    detections = ctx.detections("sun")
     result = census(log, detections)
 
     parts = [TITLE, PAPER, "", result.describe()]

@@ -7,7 +7,6 @@ identifies spiders.
 
 from __future__ import annotations
 
-from repro.core.spiders import classify_clients
 from repro.experiments.context import ExperimentContext
 from repro.util.ascii_plot import ascii_histogram
 from repro.weblog.stats import requests_by_client
@@ -20,7 +19,7 @@ PAPER = "Paper: the spider issues 99.79% of all requests in its cluster."
 def run(ctx: ExperimentContext) -> str:
     synthetic = ctx.log("sun")
     clusters = ctx.clusters("sun")
-    detections = classify_clients(synthetic.log, clusters)
+    detections = ctx.detections("sun")
     spider_clients = detections.spider_clients() or synthetic.spider_clients
     if not spider_clients:
         return f"{TITLE}\n(no spider present in this log)"

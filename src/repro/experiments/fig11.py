@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.cache.simulator import CachingSimulator
 from repro.core.clustering import METHOD_SIMPLE
-from repro.core.spiders import classify_clients
 from repro.experiments.context import ExperimentContext
 from repro.util.tables import render_table
 
@@ -29,8 +28,7 @@ MIN_URL_ACCESSES = 10  # footnote 9
 
 def run(ctx: ExperimentContext) -> str:
     synthetic = ctx.log("nagano")
-    aware_all = ctx.clusters("nagano")
-    detections = classify_clients(synthetic.log, aware_all)
+    detections = ctx.detections("nagano")
     eliminated = set(detections.spider_clients()) | set(detections.proxy_clients())
     log = synthetic.log.without_clients(eliminated)
 

@@ -7,7 +7,7 @@ pattern shows no such correspondence.
 
 from __future__ import annotations
 
-from repro.core.spiders import arrival_histogram, classify_clients, pattern_correlation
+from repro.core.spiders import arrival_histogram, pattern_correlation
 from repro.experiments.context import ExperimentContext
 from repro.util.ascii_plot import ascii_series
 
@@ -22,8 +22,7 @@ PAPER = (
 def run(ctx: ExperimentContext) -> str:
     synthetic = ctx.log("sun")
     log = synthetic.log
-    clusters = ctx.clusters("sun")
-    detections = classify_clients(log, clusters)
+    detections = ctx.detections("sun")
 
     overall = arrival_histogram(log)
     parts = [TITLE, PAPER, ""]

@@ -9,7 +9,6 @@ busy networks into many small clusters.
 from __future__ import annotations
 
 from repro.core.clustering import METHOD_SIMPLE
-from repro.core.spiders import classify_clients
 from repro.core.threshold import threshold_busy_clusters
 from repro.experiments.context import ExperimentContext
 from repro.util.tables import render_table
@@ -26,8 +25,7 @@ PAPER = (
 def run(ctx: ExperimentContext) -> str:
     synthetic = ctx.log("nagano")
     # §4.1.3: spiders and proxies are eliminated before thresholding.
-    aware_all = ctx.clusters("nagano")
-    detections = classify_clients(synthetic.log, aware_all)
+    detections = ctx.detections("nagano")
     eliminated = set(detections.spider_clients()) | set(detections.proxy_clients())
     log = synthetic.log.without_clients(eliminated)
 

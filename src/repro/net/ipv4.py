@@ -90,8 +90,9 @@ def format_ipv4(address: int) -> str:
     """
     if not 0 <= address <= MAX_ADDRESS:
         raise AddressError(f"address out of range: {address!r}")
-    return ".".join(
-        str((address >> shift) & 0xFF) for shift in (24, 16, 8, 0)
+    return "%d.%d.%d.%d" % (
+        address >> 24, (address >> 16) & 0xFF, (address >> 8) & 0xFF,
+        address & 0xFF,
     )
 
 

@@ -484,6 +484,7 @@ class ServeDaemon:
         started = perf_counter()
         applied = self.store.apply_batch(batch, self.table)
         self.metrics.record_batch([applied], perf_counter() - started, applied)
+        self._drain_stats()
 
     def _flush_deltas(self) -> None:
         if not self._pending_deltas:
@@ -511,6 +512,7 @@ class ServeDaemon:
             # be indistinguishable from a from-scratch rebuild.
             self.table.verify_patched()
             _sanitize.record_crosscheck()
+        self._drain_stats()
 
     def _apply_routes(
         self, deltas: Dict[Prefix, RouteDelta]
@@ -670,6 +672,10 @@ class ServeDaemon:
     # -- stats -----------------------------------------------------------
 
     def _drain_stats(self) -> None:
+        """Move the table's memo counters and the sanitize counters into
+        the metrics: after every flush, so a live (or aborted) daemon's
+        figures move with ``lookups``, and once more from
+        :meth:`finish`."""
         take_memo = getattr(self.table, "take_memo_stats", None)
         if take_memo is not None:
             self.metrics.record_memo(*take_memo())

@@ -1,8 +1,13 @@
 """Unit/integration tests for snapshot synthesis."""
 
-from repro.bgp.sources import source_by_name
-from repro.bgp.synth import SnapshotFactory, SnapshotTime
-from repro.bgp.table import KIND_REGISTRY
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bgp.formats import FORMAT_MASK_LENGTH
+from repro.bgp.sources import SourceSpec, source_by_name
+from repro.bgp.synth import SnapshotFactory, SnapshotTime, _hash01
+from repro.bgp.table import KIND_BGP, KIND_REGISTRY
 
 
 class TestDeterminism:
@@ -124,3 +129,82 @@ class TestMergedCoverage:
             if merged.lookup(host) is not None:
                 hits += 1
         assert hits / samples > 0.99
+
+
+def _oracle_visible(factory, source, prefix, when):
+    """The visibility model spelled out draw by draw, as each snapshot
+    once evaluated it (every coin re-hashed on every call)."""
+    key = f"{source.name}:{prefix.cidr}"
+    if _hash01(factory.seed, f"hidden:{prefix.cidr}") < factory.global_hidden_fraction:
+        return False
+    if _hash01(factory.seed, f"vis:{key}") >= source.visibility:
+        return False
+    if prefix.length > 24 and not source.keeps_specifics:
+        if _hash01(factory.seed, f"leak:{key}") >= factory.specifics_leak:
+            return False
+    if _hash01(factory.seed, f"new:{prefix.cidr}") < factory.late_arrival_fraction:
+        arrival_day = 1 + int(_hash01(factory.seed, f"newday:{prefix.cidr}") * 14)
+        if when.day < arrival_day:
+            return False
+    if _hash01(factory.seed, f"flappy:{key}") < factory.flappy_fraction:
+        if _hash01(factory.seed, f"flap:{key}:{when.label()}") < factory.flap_absence:
+            return False
+    return True
+
+
+#: A non-default world: every rare population is common enough that
+#: random draws land in it.
+_DENSE = dict(
+    flappy_fraction=0.3,
+    late_arrival_fraction=0.3,
+    global_hidden_fraction=0.1,
+    specifics_leak=0.3,
+)
+_CUSTOM = SourceSpec("CUSTOM", KIND_BGP, FORMAT_MASK_LENGTH, 0.5)
+
+
+@pytest.fixture(scope="module")
+def factories(topology):
+    """The default world and a dense one, each drawing its tables once."""
+    return {False: SnapshotFactory(topology), True: SnapshotFactory(topology, **_DENSE)}
+
+
+class TestHoistedDraws:
+    """The per-factory draw tables answer exactly what the per-call
+    formula answers, for any (source, prefix, day, slot)."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mask_matches_the_formula(self, factories, data):
+        factory = factories[data.draw(st.booleans())]
+        sources = [s for s in factory.sources if s.kind != KIND_REGISTRY] + [_CUSTOM]
+        source = data.draw(st.sampled_from(sources))
+        when = SnapshotTime(
+            data.draw(st.integers(-2, 20)), data.draw(st.integers(0, 11))
+        )
+        mask = factory._visible_mask(source, when)
+        announcements = factory._announcements
+        # Bias the draw towards the rare populations.
+        pools = {
+            "any": list(range(len(announcements))),
+            "specific": [i for i, (p, _) in enumerate(announcements) if p.length > 24],
+            "late": list(factory._late),
+            "hidden": [i for i, day in enumerate(factory._arrival) if day == 255],
+            "flappy": list(factory._draws[source].flappy),
+        }
+        pool = pools[data.draw(st.sampled_from(sorted(pools)))] or pools["any"]
+        index = data.draw(st.sampled_from(pool))
+        prefix = announcements[index][0]
+        assert bool(mask[index]) == _oracle_visible(factory, source, prefix, when)
+
+    def test_whole_masks_match_the_formula(self, factories):
+        for factory in factories.values():
+            for source in (source_by_name("AADS"), source_by_name("AT&T-Forw"), _CUSTOM):
+                for when in (SnapshotTime(0, 0), SnapshotTime(1, 3), SnapshotTime(7, 1)):
+                    expected = bytearray(
+                        _oracle_visible(factory, source, prefix, when)
+                        for prefix, _ in factory._announcements
+                    )
+                    assert factory._visible_mask(source, when) == expected
+        dense = factories[True]
+        assert dense._late and 255 in dense._arrival and dense._draws[_CUSTOM].flappy

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.cache.lru import CacheItem
 from repro.cache.policy import ProxyCache
 from repro.cache.server import OriginServer
+from repro.cache.simulator import CachingSimulator
+from repro.core.clustering import cluster_log
+from repro.util.rng import spawn
 from repro.weblog.catalog import UrlCatalog
 
 START = 0.0
@@ -128,3 +132,90 @@ class TestPiggyback:
         before = proxy.stats.piggyback_validations
         proxy.request(urls[0], 5000.0)
         assert proxy.stats.piggyback_validations - before <= 3
+
+
+def _scan_always(monkeypatch):
+    """Switch the exact skip off: every piggyback walks its window."""
+    monkeypatch.setattr(ProxyCache, "_may_hold_expired", lambda self, now: True)
+
+
+def _replay(server, operations, **config):
+    """Drive one proxy through ``operations``; return everything a
+    skipped scan could have changed."""
+    proxy = ProxyCache(server, **config)
+    hits = []
+    for kind, url, when, ttl in operations:
+        if kind == "request":
+            hits.append(proxy.request(url, when))
+        else:  # a sibling's copy with an arbitrary (even past) horizon
+            proxy.adopt(CacheItem(url=url, size=server.catalog.size_of(url),
+                                  fetched_at=when - ttl, expires_at=when + ttl))
+    cached = [
+        (url, item.size, item.fetched_at, item.expires_at)
+        for url, item in proxy.cache.items()
+    ]
+    served = (server.requests_served, server.bytes_served,
+              server.validations_served)
+    return hits, proxy.stats, cached, served
+
+
+class TestScanSkip:
+    """The piggyback scan is skipped only where it would find nothing:
+    every counter equals a run that always scans."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_streams_match_an_always_scanning_proxy(self, monkeypatch, seed):
+        rng = spawn(seed, "pcv-skip")
+        catalog = UrlCatalog(120, seed=seed, start_time=START,
+                             duration_seconds=DAY)
+        urls = list(catalog.urls())
+        total = sum(catalog.size_of(url) for url in urls)
+        config = dict(
+            capacity_bytes=rng.choice([None, total // 10, total // 3]),
+            ttl_seconds=rng.choice([60.0, 900.0, TTL]),
+            piggyback_limit=rng.choice([0, 1, 3, 10]),
+        )
+        operations = []
+        now = 0.0
+        for _ in range(3000):
+            now += rng.expovariate(1 / 40.0)
+            kind = "adopt" if rng.random() < 0.05 else "request"
+            url = urls[min(int(rng.paretovariate(1.1)) - 1, len(urls) - 1)]
+            operations.append((kind, url, now, rng.uniform(0.0, 2 * TTL)))
+
+        skipping = _replay(OriginServer(catalog), operations, **config)
+        _scan_always(monkeypatch)
+        scanning = _replay(OriginServer(catalog), operations, **config)
+        assert skipping == scanning
+        assert skipping[1].piggyback_validations > 0 or config["piggyback_limit"] == 0
+
+    @pytest.mark.parametrize("cache_bytes", [100_000, 3_000_000, None])
+    def test_simulator_matches_an_always_scanning_run(
+        self, monkeypatch, nagano_log, merged_table, cache_bytes
+    ):
+        clusters = cluster_log(nagano_log.log, merged_table)
+        simulator = CachingSimulator(
+            nagano_log.log, nagano_log.catalog, clusters, min_url_accesses=5
+        )
+
+        def counters():
+            result = simulator.run(cache_bytes=cache_bytes)
+            return (
+                [(p.cluster_prefix, p.stats) for p in result.proxies],
+                result.server_requests, result.server_bytes,
+            )
+
+        skipping = counters()
+        _scan_always(monkeypatch)
+        assert skipping == counters()
+        assert any(stats.piggyback_validations for _, stats in skipping[0])
+
+    def test_an_item_expiring_exactly_now_is_validated(self, server):
+        """``fresh_at`` is ``now < expires_at``: at ``now == expires_at``
+        the item is stale, so the skip must not fire."""
+        proxy = ProxyCache(server, ttl_seconds=100.0)
+        stable, other = immutable_url(server), mutable_url(server)
+        proxy.request(stable, 0.0)
+        proxy.request(other, 100.0)  # a miss exactly at stable's expiry
+        assert proxy.stats.piggyback_validations == 1
+        assert proxy.stats.piggyback_renewals == 1

@@ -1,5 +1,6 @@
 """PackedLpm: agreement with the radix trie, immutability, pickling."""
 
+import hashlib
 import pickle
 
 
@@ -118,3 +119,35 @@ class TestImmutableShipping:
         c = PackedLpm.from_items([(Prefix.from_cidr("11.0.0.0/8"), "x")])
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+    def test_digest_is_the_per_prefix_hash(self):
+        """The digest checkpoints carry: sha256 over each live prefix in
+        routing-table order, its network as 4 big-endian bytes then its
+        length byte — on a compiled table and on a patched one."""
+
+        def literal(table):
+            hasher = hashlib.sha256()
+            for prefix in sorted((p for p, _ in table.items()), key=Prefix.sort_key):
+                hasher.update(prefix.network.to_bytes(4, "big"))
+                hasher.update(bytes((prefix.length,)))
+            return hasher.hexdigest()
+
+        rng = spawn(2000, "packed-digest")
+        items = sorted(
+            {
+                Prefix(rng.getrandbits(32), rng.randint(0, 32)): i
+                for i in range(500)
+            }.items(),
+            key=lambda kv: kv[0].sort_key(),
+        )
+        table = PackedLpm.from_items(items)
+        assert table.digest() == literal(table)
+        withdrawn = [prefix for prefix, _ in items[::3]]
+        announced = [
+            (Prefix(rng.getrandbits(32), rng.randint(8, 30)), "new")
+            for _ in range(60)
+        ]
+        announced = [kv for kv in announced if kv[0] not in set(withdrawn)]
+        table.apply_delta(announce=announced, withdraw=withdrawn)
+        assert table.digest() == literal(table)
+        assert PackedLpm.from_items([]).digest() == hashlib.sha256().hexdigest()

@@ -10,6 +10,8 @@ import pytest
 
 from repro.bgp.synth import RouteDelta
 from repro.cli import print_cluster_report
+from repro.engine.fastpath import MemoizedLookup
+from repro.engine.metrics import METRICS
 from repro.engine.packed import PackedLpm
 from repro.engine.state import (
     CheckpointError,
@@ -136,6 +138,69 @@ class TestClustering:
         assert daemon.metrics.routes_withdrawn == 1
         assert daemon.metrics.patch_rebuild_fallbacks == 0
         assert daemon.metrics.patch_seconds >= 0.0
+
+
+class TestLiveStats:
+    """Memo (and sanitize) counters move per flush, not only at finish."""
+
+    @staticmethod
+    def memo_daemon():
+        return ServeDaemon(
+            MemoizedLookup(fresh_table(), maxsize=8), ServeConfig(batch_size=16)
+        )
+
+    @staticmethod
+    def requests():
+        clients = (CLIENT_A, CLIENT_B, CLIENT_P, CLIENT_Q, CLIENT_X)
+        return [log(clients[i % len(clients)], f"/{i % 7}") for i in range(40)]
+
+    def events(self):
+        requests = self.requests()
+        return requests[:20] + [withdraw(P16)] + requests[20:]
+
+    def test_memo_hits_show_before_finish(self):
+        daemon = self.memo_daemon()
+        for event in self.requests():
+            daemon.feed(event)
+        daemon._flush_all()
+        assert daemon.metrics.lookups == 40
+        assert daemon.metrics.memo_hits > 0
+        assert daemon.metrics.memo_hits + daemon.metrics.memo_misses == 40
+
+    def test_final_snapshot_matches_a_drain_at_finish_only(self, monkeypatch):
+        def counts(daemon):
+            return {
+                spec.name: getattr(daemon.metrics, spec.name)
+                for spec in METRICS
+                if spec.metadata["kind"] == "count"
+            }
+
+        live = self.memo_daemon()
+        for event in self.events():
+            live.feed(event)
+        live.finish()
+        # The same run with the per-flush drains switched off: finish()
+        # alone moves the counters, as it once did.
+        monkeypatch.setattr(ServeDaemon, "_flush_logs", _undrained(ServeDaemon._flush_logs))
+        monkeypatch.setattr(ServeDaemon, "_flush_deltas", _undrained(ServeDaemon._flush_deltas))
+        once = self.memo_daemon()
+        for event in self.events():
+            once.feed(event)
+        once._flush_all()
+        assert once.metrics.memo_hits == 0
+        once.finish()
+        assert counts(live) == counts(once)
+        assert live.metrics.memo_hits > 0
+
+
+def _undrained(flush):
+    def wrapper(self):
+        drain, self._drain_stats = self._drain_stats, lambda: None
+        try:
+            flush(self)
+        finally:
+            self._drain_stats = drain
+    return wrapper
 
 
 def mixed_stream():
