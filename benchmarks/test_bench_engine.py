@@ -256,7 +256,7 @@ class TestFastpath:
         rebuild_seconds, inner = _best_of(
             3, lambda: StrideLpm.from_merged(merged_table)
         )
-        table = MemoizedLookup(inner)
+        table = MemoizedLookup(inner, 1 << 18)
         table.lookup_many(address_batch)  # evicting from it is patch cost
         entries = len(inner)
         live = {prefix for prefix, _ in inner.items()}
@@ -350,7 +350,7 @@ class TestFastpath:
         timed(engine_state, "read_checkpoint")
         path = str(tmp_path / "serve.ckpt")
         daemon = serve_daemon.ServeDaemon(
-            MemoizedLookup(inner),
+            MemoizedLookup(inner, 1 << 18),
             serve_daemon.ServeConfig(
                 checkpoint_path=path, wal_dir=str(tmp_path / "wal")
             ),
@@ -394,7 +394,7 @@ class TestFastpath:
                                         full_scale, bench_trajectory):
         """StrideLpm.lookup_many ≥ 2x PackedLpm.lookup_many (≥ 1x at
         smoke scales), on identical results."""
-        memoized = MemoizedLookup(stride)
+        memoized = MemoizedLookup(stride, 1 << 18)
         memoized.lookup_many(address_batch)  # warm: steady-state rate
         (
             (packed_seconds, stride_seconds, memo_seconds),
@@ -461,7 +461,7 @@ class TestFastpath:
             pr1_run,
             lambda: engine_run(lambda: packed),
             lambda: engine_run(lambda: stride),
-            lambda: engine_run(lambda: MemoizedLookup(stride)),
+            lambda: engine_run(lambda: MemoizedLookup(stride, 1 << 18)),
         ])
 
         assert _signature(packed_snapshot) == _signature(pr1_snapshot)

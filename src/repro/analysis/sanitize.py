@@ -14,10 +14,7 @@ environment the engine arms invariant checks inside its hot paths:
   drift between the stride index and the intervals it accelerates;
 * **checkpoint read-backs** — every checkpoint write is immediately
   re-read and re-verified through the same CRC/version envelope the
-  resume path uses;
-* **RNG draw accounting** — RNGs built by :func:`repro.util.rng.make_rng`
-  count their draws, so two runs that should be identical can be
-  audited for hidden extra randomness.
+  resume path uses.
 
 A failed invariant raises :class:`repro.errors.SanitizeError` — the run
 stops instead of producing silently wrong clusters.  Passing checks are
@@ -34,7 +31,6 @@ imported module with :func:`set_enabled`.
 from __future__ import annotations
 
 import os
-import random
 from typing import Any, Tuple
 
 from repro.errors import SanitizeError
@@ -50,7 +46,6 @@ __all__ = [
     "crosscheck_due",
     "record_crosscheck",
     "record_checkpoint_readback",
-    "counting_rng",
 ]
 
 #: Environment variable that arms the sanitizers ("1"/"true"/"on").
@@ -84,7 +79,6 @@ class SanitizerStats:
         "batch_checks",
         "lpm_crosschecks",
         "checkpoint_readbacks",
-        "rng_draws",
         "crosscheck_clock",
     )
 
@@ -92,21 +86,18 @@ class SanitizerStats:
         self.batch_checks = 0
         self.lpm_crosschecks = 0
         self.checkpoint_readbacks = 0
-        self.rng_draws = 0
         self.crosscheck_clock = 0
 
-    def take(self) -> Tuple[int, int, int, int]:
-        """Return and reset the four drain counters."""
+    def take(self) -> Tuple[int, int, int]:
+        """Return and reset the three drain counters."""
         drained = (
             self.batch_checks,
             self.lpm_crosschecks,
             self.checkpoint_readbacks,
-            self.rng_draws,
         )
         self.batch_checks = 0
         self.lpm_crosschecks = 0
         self.checkpoint_readbacks = 0
-        self.rng_draws = 0
         return drained
 
 
@@ -130,12 +121,12 @@ def set_enabled(enabled: bool) -> bool:
     return previous
 
 
-def take_stats() -> Tuple[int, int, int, int]:
+def take_stats() -> Tuple[int, int, int]:
     """Drain this process's sanitize counters.
 
-    Returns ``(batch_checks, lpm_crosschecks, checkpoint_readbacks,
-    rng_draws)`` — the argument order of
-    ``EngineMetrics.record_sanitize``.  All zeros when disabled.
+    Returns ``(batch_checks, lpm_crosschecks, checkpoint_readbacks)`` —
+    the argument order of ``EngineMetrics.record_sanitize``.  All zeros
+    when disabled.
     """
     return _STATS.take()
 
@@ -187,28 +178,3 @@ def record_checkpoint_readback() -> None:
     """Count one passed checkpoint read-back-after-write."""
     _STATS.checkpoint_readbacks += 1
 
-
-# -- RNG accounting ---------------------------------------------------------
-
-
-class _CountingRandom(random.Random):
-    """A ``random.Random`` that counts its draws.
-
-    Every stdlib distribution method bottoms out in ``random()`` or
-    ``getrandbits()``, so counting those two covers the whole API
-    without changing a single drawn value — the underlying Mersenne
-    Twister state advances exactly as it would un-instrumented.
-    """
-
-    def random(self) -> float:
-        _STATS.rng_draws += 1
-        return super().random()
-
-    def getrandbits(self, k: int) -> int:
-        _STATS.rng_draws += 1
-        return super().getrandbits(k)
-
-
-def counting_rng(seed: int) -> random.Random:
-    """A draw-counting RNG, sequence-identical to ``random.Random(seed)``."""
-    return _CountingRandom(seed)

@@ -17,8 +17,7 @@ and the paper's collection scripts tolerated them (§3.1.1).
 :func:`iter_dump_routes` is the streaming reader with the same
 count-and-skip contract as ``weblog.parser.iter_clf_entries``: bad
 lines are tallied in a :class:`DumpReport` instead of aborting the
-load, ``max_errors`` guards against files that are not dumps at all,
-and ``strict=True`` restores raise-on-first-error.
+load.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "detect_format",
     "pad_dropped_zeroes",
     "DumpReport",
-    "DumpLimitError",
     "iter_dump_routes",
 ]
 
@@ -138,17 +136,12 @@ def render_entry(prefix: Prefix, fmt: str = FORMAT_DOTTED_NETMASK) -> str:
 # -- streaming dump reading -----------------------------------------------
 
 
-class DumpLimitError(ValueError):
-    """Raised when malformed dump lines exceed a reader's ``max_errors``."""
-
-
 @dataclass
 class DumpReport:
     """Counts from one dump-reading pass (routing-data hygiene).
 
     ``skipped`` covers blank lines and ``#`` comments — expected
-    structure, not damage; only ``malformed`` lines count against a
-    ``max_errors`` budget.
+    structure, not damage; ``malformed`` counts the damaged lines.
     """
 
     total_lines: int = 0
@@ -160,19 +153,13 @@ class DumpReport:
 def iter_dump_routes(
     lines: Iterable[str],
     report: Optional[DumpReport] = None,
-    max_errors: Optional[int] = None,
-    strict: bool = False,
 ) -> Iterator[Tuple[Prefix, List[str]]]:
     """Stream ``(prefix, fields)`` pairs out of routing-dump ``lines``.
 
     ``fields`` is the whitespace/tab-split line with the prefix text in
     ``fields[0]`` — callers pull next hop and AS path from the rest.
     Malformed lines (unparseable prefix in any of the three formats)
-    are counted-and-skipped in ``report``; when more than ``max_errors``
-    of them accumulate the stream raises :class:`DumpLimitError`
-    (``max_errors=0`` means one bad line is fatal, ``None`` — the
-    default — never trips).  ``strict=True`` re-raises the first
-    parse error verbatim, the historical loader behaviour.
+    are counted-and-skipped in ``report``.
     """
     report = report if report is not None else DumpReport()
     for raw in lines:
@@ -184,16 +171,8 @@ def iter_dump_routes(
         fields = line.split("\t") if "\t" in line else line.split()
         try:
             prefix = parse_entry(fields[0])
-        except (AddressError, ValueError) as exc:
-            if strict:
-                raise
+        except (AddressError, ValueError):
             report.malformed += 1
-            if max_errors is not None and report.malformed > max_errors:
-                raise DumpLimitError(
-                    f"{report.malformed} malformed dump lines exceed the "
-                    f"max_errors={max_errors} guard "
-                    f"(line {report.total_lines}: {line[:80]!r})"
-                ) from exc
             continue
         report.parsed += 1
         yield prefix, fields

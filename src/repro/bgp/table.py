@@ -170,24 +170,17 @@ class RoutingTable:
         kind: str = KIND_BGP,
         date: str = "",
         dump_format: str = FORMAT_DOTTED_NETMASK,
-        strict: bool = False,
         report: Optional[DumpReport] = None,
-        max_errors: Optional[int] = None,
     ) -> "RoutingTable":
         """Parse a dump with count-and-skip hygiene.
 
         Real dumps contain headers, comments, and truncated lines; the
         collector scripts of §3.1.1 tolerate them, and so do we —
         malformed lines are tallied in ``report`` (pass one in to read
-        the counts back) and ``max_errors`` bounds how much damage is
-        tolerable before :class:`~repro.bgp.formats.DumpLimitError`
-        aborts the load.  ``strict=True`` preserves the historical
-        raise-on-first-error behaviour.
+        the counts back) and skipped.
         """
         table = cls(name, kind=kind, date=date, dump_format=dump_format)
-        for prefix, fields in iter_dump_routes(
-            lines, report=report, max_errors=max_errors, strict=strict
-        ):
+        for prefix, fields in iter_dump_routes(lines, report=report):
             table.add(_route_from_fields(prefix, fields))
         return table
 

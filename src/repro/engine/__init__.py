@@ -29,8 +29,8 @@ wrong shape for throughput.  This package is the streaming substrate:
   quarantine, and read-back-verified checkpoints.
 * :mod:`repro.engine.cli` — the ``repro-engine`` command line.
 
-Fault tolerance is testable: :mod:`repro.faults` injects failed and
-slow chunks, checkpoint corruption, and dirty input on a
+Fault tolerance is testable: :mod:`repro.faults` injects failed
+chunks, checkpoint corruption, and dirty input on a
 deterministic schedule, and ``tests/faults/`` proves a disturbed run
 still emits output identical to an undisturbed one.
 

@@ -258,7 +258,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     injector: Optional[FaultInjector] = None
     if args.inject:
-        injector = FaultInjector(FaultPlan.load(args.inject))
+        try:
+            plan = FaultPlan.load(args.inject)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--inject: {exc}")
+        injector = FaultInjector(plan)
         print(f"fault injection armed from {args.inject}: "
               f"{', '.join(injector.plan.sites()) or 'no sites'}")
 

@@ -70,16 +70,10 @@ __all__ = [
     "PackedBatch",
     "build_lpm_table",
     "LPM_KINDS",
-    "DEFAULT_MEMO_SIZE",
 ]
 
 #: Table kinds ``build_lpm_table`` (and the CLIs' ``--lpm``) accept.
 LPM_KINDS = ("packed", "stride")
-
-#: Default memo bound: comfortably holds every distinct client of the
-#: paper's logs (~60k for Nagano) while capping worst-case memory for
-#: adversarial address streams at a few MB.
-DEFAULT_MEMO_SIZE = 1 << 18
 
 #: Number of low bits *not* covered by the stride index.
 _STRIDE_SHIFT = 16
@@ -329,7 +323,7 @@ class MemoizedLookup:
         "_table_epoch",
     )
 
-    def __init__(self, table: Any, maxsize: int = DEFAULT_MEMO_SIZE) -> None:
+    def __init__(self, table: Any, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError(f"memo maxsize must be >= 1: {maxsize!r}")
         self.table = table

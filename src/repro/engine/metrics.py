@@ -58,7 +58,6 @@ class EngineMetrics:
     sanitize_batch_checks: int = field(default=0, init=False, metadata=_COUNT)
     sanitize_lpm_crosschecks: int = field(default=0, init=False, metadata=_COUNT)
     sanitize_checkpoint_readbacks: int = field(default=0, init=False, metadata=_COUNT)
-    sanitize_rng_draws: int = field(default=0, init=False, metadata=_COUNT)
     wal_appends: int = field(default=0, init=False, metadata=_COUNT)
     wal_syncs: int = field(default=0, init=False, metadata=_COUNT)
     wal_rotations: int = field(default=0, init=False, metadata=_COUNT)
@@ -66,6 +65,8 @@ class EngineMetrics:
     wal_recovered_events: int = field(default=0, init=False, metadata=_COUNT)
     wal_truncated_frames: int = field(default=0, init=False, metadata=_COUNT)
     wal_enospc_recoveries: int = field(default=0, init=False, metadata=_COUNT)
+    #: Nothing moves this; ``bench/check.py`` and ``bench/workloads.py``
+    #: still read it (goes with ROADMAP item 1).
     shed_events: int = field(default=0, init=False, metadata=_COUNT)
     num_shards: int = field(default=1, metadata=_COUNT)
     entries_per_second: float = _derived(
@@ -144,13 +145,12 @@ class EngineMetrics:
         self.patch_rebuild_fallbacks += 1
 
     def record_sanitize(self, batch_checks: int, lpm_crosschecks: int,
-                        checkpoint_readbacks: int, rng_draws: int) -> None:
+                        checkpoint_readbacks: int) -> None:
         """One drain of :func:`repro.analysis.sanitize.take_stats`
         (all-zero when ``REPRO_SANITIZE`` is off)."""
         self.sanitize_batch_checks += batch_checks
         self.sanitize_lpm_crosschecks += lpm_crosschecks
         self.sanitize_checkpoint_readbacks += checkpoint_readbacks
-        self.sanitize_rng_draws += rng_draws
 
     def record_wal_append(self, synced: bool) -> None:
         """One frame reached the WAL; ``synced`` if its batched fsync fired."""
@@ -178,10 +178,6 @@ class EngineMetrics:
     def record_wal_enospc_recovery(self) -> None:
         """An ``ENOSPC`` append succeeded after checkpoint-and-truncate."""
         self.wal_enospc_recoveries += 1
-
-    def record_shed(self, count: int = 1) -> None:
-        """``count`` log events were shed (routing deltas never are)."""
-        self.shed_events += count
 
     # -- export ----------------------------------------------------------
 

@@ -71,7 +71,6 @@ from repro.net.prefix import Prefix
 
 if TYPE_CHECKING:
     from repro.bgp.table import MergedPrefixTable
-    from repro.net.radix import RadixTree
 
 #: The pickled form: the four flat slots plus the generation counters,
 #: in declaration order — always in the canonical dense numbering.
@@ -143,8 +142,8 @@ def _order_key(network: int, length: int) -> int:
 class PackedLpm:
     """LPM table over disjoint address intervals.
 
-    Build with :meth:`from_items`, :meth:`from_radix`, or
-    :meth:`from_merged`; the constructor itself takes an already
+    Build with :meth:`from_items` or :meth:`from_merged`; the
+    constructor itself takes an already
     deduplicated, ``sort_key``-ordered entry list.  Lookups return
     entry handles (see the module docstring); :meth:`apply_delta`
     patches the routes in place.
@@ -209,11 +208,6 @@ class PackedLpm:
         unique = dict(items)
         ordered = sorted(unique.items(), key=lambda kv: kv[0].sort_key())
         return cls(ordered)
-
-    @classmethod
-    def from_radix(cls, tree: "RadixTree") -> "PackedLpm":
-        """Compile from a :class:`~repro.net.radix.RadixTree`."""
-        return cls(tree.export_entries())
 
     @classmethod
     def from_merged(cls, table: "MergedPrefixTable") -> "PackedLpm":

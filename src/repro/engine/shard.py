@@ -38,7 +38,7 @@ from repro.engine.metrics import EngineMetrics
 from repro.engine.packed import PackedLpm
 from repro.engine.state import ClusterStore, read_checkpoint, write_checkpoint
 from repro.errors import WorkerCrashError
-from repro.faults import SITE_WORKER_SLOW, FaultInjector
+from repro.faults import SITE_WORKER_CRASH, FaultInjector
 
 __all__ = ["shard_of", "EngineConfig", "ShardedClusterEngine"]
 
@@ -149,12 +149,14 @@ class ShardedClusterEngine:
 
     def _dispatch(self, triples: Sequence[Triple]) -> int:
         num_shards = self.config.num_shards
-        directive = None
-        if self.injector is not None:
-            directive = self.injector.worker_directive(num_shards)
+        if self.injector is not None and (
+            self.injector.fire(SITE_WORKER_CRASH) is not None
+        ):
+            # Raised before any store is touched: the chunk stays atomic.
+            raise WorkerCrashError(
+                f"injected worker fault ({SITE_WORKER_CRASH}) — chunk not applied"
+            )
         began = time.perf_counter()
-        if directive is not None:
-            self._execute_directive(directive)
         if num_shards == 1:
             self._stores[0].apply_batch(triples, self.table)
             counts = [len(triples)]
@@ -186,20 +188,6 @@ class ShardedClusterEngine:
         for triple in triples:
             batches[shard_of(triple[0], num_shards)].append(triple)
         return batches
-
-    def _execute_directive(self, directive: Tuple[int, str, float]) -> None:
-        """Honour an armed worker fault.
-
-        ``worker.crash`` is a clean failure raised *before* any state is
-        touched, keeping the chunk atomic; ``worker.slow`` just sleeps.
-        """
-        _, site, arg = directive
-        if site == SITE_WORKER_SLOW:
-            time.sleep(arg)
-            return
-        raise WorkerCrashError(
-            f"injected worker fault ({site}) — chunk not applied"
-        )
 
     # -- observation -----------------------------------------------------
 

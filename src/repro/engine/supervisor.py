@@ -30,9 +30,12 @@ from repro.core.clustering import ClusterSet
 from repro.engine.metrics import EngineMetrics
 from repro.engine.shard import ShardedClusterEngine, Triple, _chunks
 from repro.engine.state import write_verified_checkpoint
-from repro.errors import ChunkQuarantinedError, WorkerCrashError
+from repro.errors import WorkerCrashError
 
 __all__ = ["SupervisorConfig", "SupervisedEngine"]
+
+#: The longest one retry sleeps, whatever ``backoff_base`` doubles to.
+BACKOFF_CAP_SECONDS = 5.0
 
 
 @dataclass
@@ -41,22 +44,19 @@ class SupervisorConfig:
 
     ``max_retries`` counts *re*-dispatches of one chunk after its first
     failure.  Retry ``n`` sleeps ``backoff_base * 2**(n-1)`` seconds,
-    capped at ``backoff_cap`` (tests pass ``backoff_base=0``).
-    ``quarantine_path=None``
-    still quarantines — counted in metrics — but keeps nothing on disk;
-    ``allow_quarantine=False`` makes an exhausted chunk fatal instead.
+    capped at :data:`BACKOFF_CAP_SECONDS` (tests pass
+    ``backoff_base=0``).  ``quarantine_path=None`` still quarantines —
+    counted in metrics — but keeps nothing on disk.
     """
 
     max_retries: int = 2
     backoff_base: float = 0.1
-    backoff_cap: float = 5.0
     quarantine_path: Optional[str] = None
-    allow_quarantine: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0: {self.max_retries!r}")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
+        if self.backoff_base < 0:
             raise ValueError("backoff must be >= 0")
 
     def backoff_seconds(self, retry: int) -> float:
@@ -66,7 +66,7 @@ class SupervisorConfig:
         # 2**1023 is the largest power of two a float holds; a larger
         # int exponent would overflow before the cap applies.
         doublings = min(retry - 1, 1023)
-        return min(self.backoff_cap, self.backoff_base * 2 ** doublings)
+        return min(BACKOFF_CAP_SECONDS, self.backoff_base * 2 ** doublings)
 
 
 class SupervisedEngine:
@@ -158,13 +158,8 @@ class SupervisedEngine:
                     self.metrics.record_retry()
                     self._sleep(self.config.backoff_seconds(attempts))
                     continue
-                if self.config.allow_quarantine:
-                    self._quarantine(chunk, exc)
-                    return 0
-                raise ChunkQuarantinedError(
-                    f"chunk #{self._chunk_index} failed "
-                    f"{attempts} times and quarantine is disabled"
-                ) from exc
+                self._quarantine(chunk, exc)
+                return 0
 
     def _quarantine(self, chunk: Sequence[Triple], cause: Exception) -> None:
         """Send ``chunk`` to the dead-letter file with full accounting."""

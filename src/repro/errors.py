@@ -14,12 +14,12 @@ the recovery machinery (:mod:`repro.engine.supervisor`) keys off the
 * **Chunk failures** — an armed worker fault failed a chunk before it
   touched any state.  :class:`WorkerCrashError` is what the engine
   surfaces; the supervisor retries the failed chunk with backoff and
-  quarantines it after ``max_retries`` (:class:`ChunkQuarantinedError`
-  when quarantining itself is disallowed).
+  quarantines it after ``max_retries``.
 * **Dirty input** — malformed log or routing-dump lines.  These are
-  counted-and-skipped by default (see ``weblog.parser.ParseReport`` and
-  ``bgp.formats.DumpReport``); the guard classes here fire only when an
-  explicit ``max_errors`` budget is exhausted.
+  counted-and-skipped (see ``weblog.parser.ParseReport`` and
+  ``bgp.formats.DumpReport``); a log stream raises
+  ``weblog.parser.ParseLimitError`` only when an explicit
+  ``max_errors`` budget is exhausted.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "CheckpointVersionError",
     "CheckpointTableMismatchError",
     "WorkerCrashError",
-    "ChunkQuarantinedError",
     "ServeProtocolError",
     "ServeLineTooLongError",
     "ServeDisconnectError",
@@ -40,7 +39,6 @@ __all__ = [
     "WalSealedError",
     "InjectedFault",
     "SanitizeError",
-    "OverloadShedWarning",
 ]
 
 
@@ -86,11 +84,6 @@ class WorkerCrashError(ReproError, RuntimeError):
     The chunk was *not* applied (per-chunk application is
     all-or-nothing), so re-applying it is always safe.
     """
-
-
-class ChunkQuarantinedError(WorkerCrashError):
-    """A chunk exhausted its retry budget and quarantining is disabled
-    (``SupervisorConfig(allow_quarantine=False)``)."""
 
 
 # -- live serving ----------------------------------------------------------
@@ -186,12 +179,3 @@ class SanitizeError(ReproError, RuntimeError):
     rather than produce silently wrong clusters.
     """
 
-
-# -- warnings --------------------------------------------------------------
-
-
-class OverloadShedWarning(UserWarning):
-    """The serve daemon crossed its ingress high watermark and began
-    shedding *log* events (routing deltas are never shed — correctness
-    of the table outranks completeness of the request counts).  Every
-    dropped request is accounted in the ``shed_events`` counter."""

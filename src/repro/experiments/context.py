@@ -9,19 +9,31 @@ once, like the paper's pipeline did.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.bgp.synth import SnapshotFactory
 from repro.bgp.table import MergedPrefixTable
-from repro.core.clustering import METHOD_NETWORK_AWARE, ClusterSet, cluster_log
+from repro.core.clustering import (
+    METHOD_NETWORK_AWARE, METHOD_SIMPLE, ClusterSet, cluster_log,
+)
 from repro.core.spiders import DetectionReport, classify_clients
 from repro.simnet.dns import SimulatedDns
 from repro.simnet.topology import Topology, TopologyConfig, generate_topology
 from repro.simnet.traceroute import SimulatedTraceroute
+from repro.weblog.parser import WebLog
 from repro.weblog.presets import make_log
 from repro.weblog.synth import SyntheticLog
 
-__all__ = ["ExperimentContext"]
+__all__ = ["CleanedLog", "ExperimentContext"]
+
+
+class CleanedLog(NamedTuple):
+    """A preset's log with its spiders and proxies removed (§4.1.1),
+    and both clusterings of what is left."""
+
+    log: WebLog
+    aware: ClusterSet
+    simple: ClusterSet
 
 
 class ExperimentContext:
@@ -38,6 +50,7 @@ class ExperimentContext:
         self._logs: Dict[str, SyntheticLog] = {}
         self._clusterings: Dict[str, ClusterSet] = {}
         self._detections: Dict[str, DetectionReport] = {}
+        self._cleaned: Dict[str, CleanedLog] = {}
 
     @property
     def topology(self) -> Topology:
@@ -92,3 +105,20 @@ class ExperimentContext:
                 self.log(preset).log, self.clusters(preset)
             )
         return self._detections[preset]
+
+    def cleaned(self, preset: str) -> CleanedLog:
+        """``preset``'s log without the spider and proxy clients
+        :meth:`detections` found, clustered both ways."""
+        if preset not in self._cleaned:
+            detections = self.detections(preset)
+            eliminated = (
+                set(detections.spider_clients())
+                | set(detections.proxy_clients())
+            )
+            log = self.log(preset).log.without_clients(eliminated)
+            self._cleaned[preset] = CleanedLog(
+                log,
+                cluster_log(log, self.merged_table),
+                cluster_log(log, method=METHOD_SIMPLE),
+            )
+        return self._cleaned[preset]

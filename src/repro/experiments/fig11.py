@@ -9,7 +9,6 @@ per-proxy cache is larger than ~700 KB.
 from __future__ import annotations
 
 from repro.cache.simulator import CachingSimulator
-from repro.core.clustering import METHOD_SIMPLE
 from repro.experiments.context import ExperimentContext
 from repro.util.tables import render_table
 
@@ -28,14 +27,7 @@ MIN_URL_ACCESSES = 10  # footnote 9
 
 def run(ctx: ExperimentContext) -> str:
     synthetic = ctx.log("nagano")
-    detections = ctx.detections("nagano")
-    eliminated = set(detections.spider_clients()) | set(detections.proxy_clients())
-    log = synthetic.log.without_clients(eliminated)
-
-    from repro.core.clustering import cluster_log
-
-    aware = cluster_log(log, ctx.merged_table)
-    simple = cluster_log(log, method=METHOD_SIMPLE)
+    log, aware, simple = ctx.cleaned("nagano")
     sim_aware = CachingSimulator(log, synthetic.catalog, aware,
                                  min_url_accesses=MIN_URL_ACCESSES)
     sim_simple = CachingSimulator(log, synthetic.catalog, simple,

@@ -8,7 +8,6 @@ clusterings — the simple approach fails to evaluate proxy benefit.
 from __future__ import annotations
 
 from repro.cache.simulator import CachingSimulator
-from repro.core.clustering import METHOD_SIMPLE, cluster_log
 from repro.experiments.context import ExperimentContext
 from repro.util.ascii_plot import ascii_series
 from repro.util.tables import render_table
@@ -27,12 +26,7 @@ TOP = 100
 
 def run(ctx: ExperimentContext) -> str:
     synthetic = ctx.log("nagano")
-    detections = ctx.detections("nagano")
-    eliminated = set(detections.spider_clients()) | set(detections.proxy_clients())
-    log = synthetic.log.without_clients(eliminated)
-
-    aware = cluster_log(log, ctx.merged_table)
-    simple = cluster_log(log, method=METHOD_SIMPLE)
+    log, aware, simple = ctx.cleaned("nagano")
     results = {}
     for label, clusters in (("network-aware", aware), ("simple", simple)):
         simulator = CachingSimulator(

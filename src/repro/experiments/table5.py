@@ -8,7 +8,6 @@ busy networks into many small clusters.
 
 from __future__ import annotations
 
-from repro.core.clustering import METHOD_SIMPLE
 from repro.core.threshold import threshold_busy_clusters
 from repro.experiments.context import ExperimentContext
 from repro.util.tables import render_table
@@ -23,16 +22,9 @@ PAPER = (
 
 
 def run(ctx: ExperimentContext) -> str:
-    synthetic = ctx.log("nagano")
     # §4.1.3: spiders and proxies are eliminated before thresholding.
     detections = ctx.detections("nagano")
-    eliminated = set(detections.spider_clients()) | set(detections.proxy_clients())
-    log = synthetic.log.without_clients(eliminated)
-
-    from repro.core.clustering import cluster_log
-
-    aware = cluster_log(log, ctx.merged_table)
-    simple = cluster_log(log, method=METHOD_SIMPLE)
+    _, aware, simple = ctx.cleaned("nagano")
     t_aware = threshold_busy_clusters(aware)
     t_simple = threshold_busy_clusters(simple)
 

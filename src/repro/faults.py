@@ -15,7 +15,6 @@ site                       effect
 =========================  =================================================
 ``worker.crash``           a chunk fails before any store is touched, as
                            a clean :class:`~repro.errors.WorkerCrashError`
-``worker.slow``            a chunk sleeps ``arg`` seconds before applying
 ``checkpoint.corrupt``     one byte of a just-written checkpoint is flipped
 ``checkpoint.truncate``    a just-written checkpoint is cut to ``arg``
                            fraction of its length
@@ -37,11 +36,11 @@ site                       effect
                            frame and keep serving
 =========================  =================================================
 
-Worker faults are decided per applied chunk
-(:meth:`FaultInjector.worker_directive`) and executed by the engine
+``worker.crash`` is visited once per applied chunk, by the engine,
 before it touches any store.  Everything is stdlib-only and a plan
 round-trips through JSON, so chaos runs can be driven from the CLI
-(``repro-engine --inject plan.json``).
+(``repro-engine --inject plan.json``); :meth:`FaultPlan.from_dict`
+rejects any malformed plan with a :class:`ValueError`.
 
 The no-op default costs one ``is None`` check per chunk: the happy
 path is untouched.
@@ -57,7 +56,6 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 __all__ = [
     "SITE_WORKER_CRASH",
-    "SITE_WORKER_SLOW",
     "SITE_CHECKPOINT_CORRUPT",
     "SITE_CHECKPOINT_TRUNCATE",
     "SITE_LOG_TRUNCATE",
@@ -67,14 +65,12 @@ __all__ = [
     "SITE_SERVE_WAL_ENOSPC",
     "SITE_SERVE_DISCONNECT",
     "ALL_SITES",
-    "WORKER_SITES",
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
 ]
 
 SITE_WORKER_CRASH = "worker.crash"
-SITE_WORKER_SLOW = "worker.slow"
 SITE_CHECKPOINT_CORRUPT = "checkpoint.corrupt"
 SITE_CHECKPOINT_TRUNCATE = "checkpoint.truncate"
 SITE_LOG_TRUNCATE = "log.truncate"
@@ -86,7 +82,6 @@ SITE_SERVE_DISCONNECT = "serve.disconnect"
 
 ALL_SITES = (
     SITE_WORKER_CRASH,
-    SITE_WORKER_SLOW,
     SITE_CHECKPOINT_CORRUPT,
     SITE_CHECKPOINT_TRUNCATE,
     SITE_LOG_TRUNCATE,
@@ -97,8 +92,30 @@ ALL_SITES = (
     SITE_SERVE_DISCONNECT,
 )
 
-#: Sites visited once per applied chunk (the engine executes them).
-WORKER_SITES = (SITE_WORKER_CRASH, SITE_WORKER_SLOW)
+
+#: The JSON types each key of a plan / spec may hold (``bool`` is an
+#: ``int`` subclass, so it is rejected separately).
+_PLAN_FIELDS: Dict[str, Tuple[type, ...]] = {"seed": (int,), "specs": (list,)}
+_SPEC_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "site": (str,), "at": (int,), "count": (int,), "arg": (int, float),
+}
+
+
+def _check_fields(
+    what: str, data: Any, allowed: Dict[str, Tuple[type, ...]]
+) -> None:
+    """Reject ``data`` unless it is a dict of known keys, each holding
+    one of its allowed types."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a fault {what} must be a JSON object: {data!r}")
+    for key, value in data.items():
+        if key not in allowed:
+            raise ValueError(
+                f"unknown fault {what} key {key!r} "
+                f"(known: {', '.join(sorted(allowed))})"
+            )
+        if isinstance(value, bool) or not isinstance(value, allowed[key]):
+            raise ValueError(f"fault {what} key {key!r} has a bad value: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,17 +124,14 @@ class FaultSpec:
 
     ``count`` is how many consecutive visits fire (``-1`` = every visit
     from ``at`` on — "every chunk fails").  ``arg`` is site-specific:
-    seconds for ``worker.slow``, surviving length fraction for
-    ``checkpoint.truncate``, line budget for ``log.truncate``.
-    ``shard`` names the shard a worker directive reports; ``-1`` lets
-    the injector's RNG pick.
+    surviving length fraction for ``checkpoint.truncate``, line budget
+    for ``log.truncate``.
     """
 
     site: str
     at: int = 0
     count: int = 1
     arg: float = 0.0
-    shard: int = -1
 
     def __post_init__(self) -> None:
         if self.site not in ALL_SITES:
@@ -164,10 +178,19 @@ class FaultPlan:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
+    def from_dict(cls, data: Any) -> "FaultPlan":
+        """Build a plan from its :meth:`to_dict` form; anything else —
+        a non-object, an unknown key, a wrongly typed value, an unknown
+        site — is a :class:`ValueError` naming what is wrong."""
+        _check_fields("plan", data, _PLAN_FIELDS)
+        specs = data.get("specs", [])
+        for spec in specs:
+            _check_fields("spec", spec, _SPEC_FIELDS)
+            if "site" not in spec:
+                raise ValueError(f"spec has no site: {spec!r}")
         return cls(
-            specs=tuple(FaultSpec(**spec) for spec in data.get("specs", ())),
-            seed=int(data.get("seed", 0)),
+            specs=tuple(FaultSpec(**spec) for spec in specs),
+            seed=data.get("seed", 0),
         )
 
     def to_json(self) -> str:
@@ -183,6 +206,8 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
+        """Read a saved plan: :class:`OSError` if the file cannot be
+        read, :class:`ValueError` if it is not a valid plan."""
         with open(path) as handle:
             return cls.from_json(handle.read())
 
@@ -220,23 +245,6 @@ class FaultInjector:
         return None
 
     # -- driver-side helpers ---------------------------------------------
-
-    def worker_directive(
-        self, num_shards: int
-    ) -> Optional[Tuple[int, str, float]]:
-        """Arm at most one worker fault for the next chunk.
-
-        Visits every :data:`WORKER_SITES` site once per chunk; returns
-        ``(shard, site, arg)`` for the first armed fault, or ``None``.
-        """
-        for site in WORKER_SITES:
-            spec = self.fire(site)
-            if spec is not None:
-                shard = spec.shard
-                if not 0 <= shard < num_shards:
-                    shard = self._rng.randrange(num_shards)
-                return (shard, site, spec.arg)
-        return None
 
     def damage_file(self, path: str) -> Optional[str]:
         """Apply any armed checkpoint corruption/truncation to ``path``.

@@ -18,6 +18,6 @@ Layout:
   (:class:`WalWriter` / :func:`recover_wal`) behind ``--wal``;
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`, the event loop
   state machine (batching, delta coalescing, checkpoint/resume, WAL
-  recovery, overload shedding);
+  recovery);
 * :mod:`repro.serve.cli` — ``repro-engine serve``.
 """

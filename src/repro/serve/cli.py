@@ -26,13 +26,9 @@ WAL tail — no upstream replay; without it the same stream is replayed
 and the events the checkpoint already holds are skipped, their route
 deltas proven to net the checkpoint's route diff.
 
-Overload: ``--shed-watermark N`` bounds the ingress queue; past the
-watermark the daemon sheds *log* events (never routing deltas) until
-the queue drains to half, with every drop counted in ``shed_events``;
-N must be 0 or at least ``--batch-size``.
-``--max-line-bytes`` bounds one event line; oversized lines and clients
-that vanish mid-frame are counted-and-skipped under ``--max-errors``
-without dropping the accept loop.  ``--heartbeat N`` prints a health
+Hostile input: ``--max-line-bytes`` bounds one event line; oversized
+lines and clients that vanish mid-frame are counted-and-skipped under
+``--max-errors`` without dropping the accept loop.  ``--heartbeat N`` prints a health
 line to stderr every N events.
 
 Signals and exit codes: SIGTERM and SIGINT trigger a graceful drain —
@@ -179,13 +175,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
              "once a checkpoint covers them (default 4 MiB)",
     )
     parser.add_argument(
-        "--shed-watermark", type=int, default=0, metavar="N",
-        help="shed log events (never routing deltas) while the ingress "
-             "queue exceeds N, until it drains to N/2; N must be 0 "
-             "(never shed) or >= --batch-size, since the queue holds up "
-             "to a batch on a healthy stream",
-    )
-    parser.add_argument(
         "--heartbeat", type=int, default=0, metavar="EVENTS",
         help="print a health line to stderr every EVENTS stream events "
              "(0 = off)",
@@ -208,8 +197,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="print engine counters including the churn family "
              "(routes announced/withdrawn, clients reclustered, patch "
              "latency, rebuild fallbacks) and the durability family "
-             "(WAL appends/syncs/rotations, recovered events, shed "
-             "events)",
+             "(WAL appends/syncs/rotations, recovered events)",
     )
     add_report_options(parser)
     return parser
@@ -349,10 +337,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         parser.error("--wal-sync-every must be >= 1")
     if args.wal_segment_bytes < 64:
         parser.error("--wal-segment-bytes must be >= 64")
-    if args.shed_watermark < 0:
-        parser.error("--shed-watermark must be >= 0")
-    if 0 < args.shed_watermark < args.batch_size:
-        parser.error("--shed-watermark must be 0 or >= --batch-size")
     if args.heartbeat < 0:
         parser.error("--heartbeat must be >= 0")
     if args.checkpoint_every < 0:
@@ -363,7 +347,11 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     injector: Optional[FaultInjector] = None
     if args.inject:
-        injector = FaultInjector(FaultPlan.load(args.inject))
+        try:
+            plan = FaultPlan.load(args.inject)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--inject: {exc}")
+        injector = FaultInjector(plan)
         print(f"fault injection armed from {args.inject}: "
               f"{', '.join(injector.plan.sites()) or 'no sites'}")
 
@@ -380,7 +368,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         wal_dir=args.wal,
         wal_sync_every=args.wal_sync_every,
         wal_segment_bytes=args.wal_segment_bytes,
-        shed_watermark=args.shed_watermark,
     )
     daemon = ServeDaemon(
         table, config, EngineMetrics(1), injector=injector
@@ -416,7 +403,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     splitter = LineSplitter(args.max_line_bytes)
     bad_lines = 0
-    submitted = 0
+    fed = 0
     last_beat = 0
 
     def count_error(exc: ServeProtocolError) -> bool:
@@ -431,23 +418,20 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         return False
 
     def consume(line: str) -> bool:
-        """Parse and submit one line; True = budget exhausted."""
-        nonlocal last_beat, submitted
+        """Parse and feed one line; True = budget exhausted."""
+        nonlocal last_beat, fed
         try:
             event = parse_event(line)
         except ServeProtocolError as exc:
             return count_error(exc)
         if event is None:
             return False
-        daemon.submit(event)
-        submitted += 1
-        if daemon.ingress_depth >= args.batch_size:
-            daemon.pump()
-        # Keyed on submissions, not events_consumed: queued events
-        # haven't been applied yet, but the daemon is demonstrably
-        # alive — which is what a heartbeat reports.
-        if args.heartbeat and submitted - last_beat >= args.heartbeat:
-            last_beat = submitted
+        daemon.feed(event)
+        fed += 1
+        # Keyed on events fed this run, not events_consumed: a resumed
+        # daemon skipping the replayed upstream is alive too.
+        if args.heartbeat and fed - last_beat >= args.heartbeat:
+            last_beat = fed
             health = daemon.health()
             print(
                 "heartbeat: "

@@ -45,14 +45,6 @@ must equal the checkpoint's route diff at the boundary: the proof that
 this *is* the stream the checkpoint was cut from, whatever
 ``--batch-size`` / ``--checkpoint-every`` either run used.
 
-Overload is handled ahead of :meth:`feed`: :meth:`submit` admits events
-into a bounded ingress queue with high/low watermarks, and under
-sustained pressure sheds *log* events only — routing deltas are always
-accepted, because a stale table corrupts every later assignment while a
-dropped request merely undercounts one — with every drop counted in
-``shed_events`` and the first drop announced via
-:class:`~repro.errors.OverloadShedWarning`.
-
 Under ``REPRO_SANITIZE=1`` a sampled subset of patches is followed by
 :meth:`verify_patched` — the full patched-equals-rebuilt equivalence
 gate — at runtime, not just in tests.
@@ -62,11 +54,9 @@ from __future__ import annotations
 
 import errno
 import os
-import warnings
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import sanitize as _sanitize
 from repro.bgp.table import KIND_BGP, LookupResult, RouteDelta, RouteEntry
@@ -83,10 +73,10 @@ from repro.engine.state import (
     write_checkpoint,
     write_verified_checkpoint,
 )
-from repro.errors import InjectedFault, OverloadShedWarning, WalCorruptError
+from repro.errors import InjectedFault, WalCorruptError
 from repro.faults import SITE_SERVE_CRASH, FaultInjector
 from repro.net.prefix import Prefix
-from repro.serve.protocol import LogEvent, ServeEvent, parse_event
+from repro.serve.protocol import ServeEvent, parse_event
 from repro.serve.wal import WalWriter, recover_wal
 
 __all__ = ["ServeConfig", "ServeDaemon"]
@@ -110,12 +100,7 @@ class ServeConfig:
     """Tunables for one daemon run.
 
     ``wal_dir`` enables the write-ahead log (``None`` = durability off,
-    the pre-WAL behaviour).  ``shed_watermark`` bounds the ingress
-    queue: 0 disables shedding entirely; otherwise crossing it starts
-    dropping log events until the queue drains to half the watermark.
-    The watermark should exceed ``batch_size`` — the serve loop drains
-    a batch at a time, so a smaller watermark would shed during
-    perfectly healthy batching.
+    the pre-WAL behaviour).
     """
 
     name: str = "serve"
@@ -125,7 +110,6 @@ class ServeConfig:
     wal_dir: Optional[str] = None
     wal_sync_every: int = 64
     wal_segment_bytes: int = 4 << 20
-    shed_watermark: int = 0
 
 
 class ServeDaemon:
@@ -160,8 +144,6 @@ class ServeDaemon:
         self._base_digest = table.digest()
         self._checkpoint_bytes = 0
         self._wal: Optional[WalWriter] = None
-        self._ingress: Deque[ServeEvent] = deque()
-        self._shedding = False
 
     # -- write-ahead log -------------------------------------------------
 
@@ -320,61 +302,6 @@ class ServeDaemon:
         self.events_consumed = meta["stream_events"]
         self.deltas_received = meta["deltas_received"]
 
-    # -- bounded ingress --------------------------------------------------
-
-    def submit(self, event: ServeEvent) -> bool:
-        """Admit one event through the overload gate.
-
-        With no watermark configured this is :meth:`feed`.  Otherwise
-        the event joins the ingress queue — unless shedding is active
-        and it is a log event, in which case it is dropped and counted
-        (``False`` return).  Routing deltas are *never* shed: a stale
-        table silently mis-clusters every later request, while a
-        dropped request only undercounts one.
-        """
-        high = self.config.shed_watermark
-        if high <= 0:
-            self.feed(event)
-            return True
-        size = len(self._ingress)
-        if self._shedding:
-            if size <= high // 2:
-                self._shedding = False
-        elif size >= high:
-            self._shedding = True
-            warnings.warn(
-                f"ingress queue reached {size} events (watermark "
-                f"{high}); shedding log events until it drains to "
-                f"{high // 2}",
-                OverloadShedWarning,
-                stacklevel=2,
-            )
-        if self._shedding and isinstance(event, LogEvent):
-            self.metrics.record_shed(1)
-            return False
-        self._ingress.append(event)
-        return True
-
-    def pump(self, limit: Optional[int] = None) -> int:
-        """Drain up to ``limit`` queued events into :meth:`feed`
-        (everything queued when ``limit`` is ``None``).  Returns the
-        number drained."""
-        drained = 0
-        ingress = self._ingress
-        while ingress and (limit is None or drained < limit):
-            self.feed(ingress.popleft())
-            drained += 1
-        return drained
-
-    @property
-    def shedding(self) -> bool:
-        """True while the overload gate is dropping log events."""
-        return self._shedding
-
-    @property
-    def ingress_depth(self) -> int:
-        return len(self._ingress)
-
     # -- event loop ------------------------------------------------------
 
     def feed(self, event: ServeEvent) -> None:
@@ -415,15 +342,29 @@ class ServeDaemon:
         ):
             self.checkpoint_now()
 
+    #: Old name ``bench/workloads.py`` feeds through and ``bench/child.py``
+    #: traces (goes with ROADMAP item 1).
+    submit = feed
+
+    def pump(self) -> int:
+        """Nothing is queued; ``bench/workloads.py`` still calls this
+        (goes with ROADMAP item 1)."""
+        return 0
+
+    @property
+    def ingress_depth(self) -> int:
+        """Nothing is queued; ``bench/workloads.py`` still reads this
+        (goes with ROADMAP item 1)."""
+        return 0
+
     def finish(self) -> None:
-        """Drain ingress, flush, final checkpoint, seal the WAL.
+        """Flush, final checkpoint, seal the WAL.
 
         The order matters: the checkpoint is written (and covered WAL
         segments truncated) *before* the seal, so a sealed log always
         ends with a segment the checkpoint still references — recovery
         after a graceful shutdown finds a sealed, contiguous log.
         """
-        self.pump()
         if self._skip:
             raise CheckpointTableMismatchError(
                 f"stream ended {self._skip:,} events short of the "
@@ -453,9 +394,6 @@ class ServeDaemon:
             "deltas": self.deltas_received,
             "clusters": len(self.store),
             "unclustered": self.store.num_unclustered,
-            "ingress": len(self._ingress),
-            "shedding": self._shedding,
-            "shed_events": self.metrics.shed_events,
             "wal_appends": self.metrics.wal_appends,
             "checkpoints": self.metrics.checkpoints_written,
             "checkpoint_bytes": self._checkpoint_bytes,

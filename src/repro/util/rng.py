@@ -25,19 +25,7 @@ def derive_seed(parent_seed: int, label: str) -> int:
 
 
 def make_rng(seed: int) -> random.Random:
-    """Return a fresh :class:`random.Random` seeded with ``seed``.
-
-    Under ``REPRO_SANITIZE=1`` the returned RNG counts its draws into
-    the sanitize statistics (sequence-identical to an uninstrumented
-    ``random.Random(seed)``), so two runs that should be byte-identical
-    can be audited for hidden extra randomness.  The import is lazy:
-    RNG construction is rare (once per stream), and the common disabled
-    path must not tax ``import repro.util.rng``.
-    """
-    from repro.analysis import sanitize
-
-    if sanitize.is_enabled():
-        return sanitize.counting_rng(seed)
+    """Return a fresh :class:`random.Random` seeded with ``seed``."""
     return random.Random(seed)
 
 

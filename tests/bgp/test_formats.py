@@ -6,7 +6,6 @@ from repro.bgp.formats import (
     FORMAT_CLASSFUL,
     FORMAT_DOTTED_NETMASK,
     FORMAT_MASK_LENGTH,
-    DumpLimitError,
     DumpReport,
     detect_format,
     iter_dump_routes,
@@ -168,22 +167,10 @@ class TestIterDumpRoutes:
         (_, fields), = iter_dump_routes(["12.65.128.0/19\thop1\t7018\n"])
         assert fields == ["12.65.128.0/19", "hop1", "7018"]
 
-    def test_max_errors_budget_trips(self):
-        with pytest.raises(DumpLimitError, match="max_errors=1"):
-            list(iter_dump_routes(self.DIRTY, max_errors=1))
-
-    def test_max_errors_zero_means_one_bad_line_is_fatal(self):
-        with pytest.raises(DumpLimitError):
-            list(iter_dump_routes(["garbage here\n"], max_errors=0))
-
-    def test_strict_reraises_first_error(self):
-        with pytest.raises((AddressError, ValueError)):
-            list(iter_dump_routes(self.DIRTY, strict=True))
-
     def test_clean_dump_reports_no_damage(self):
         report = DumpReport()
         routes = list(iter_dump_routes(
-            ["10.0.0.0/8\n", "11.0.0.0/8\n"], report=report, max_errors=0
+            ["10.0.0.0/8\n", "11.0.0.0/8\n"], report=report
         ))
         assert len(routes) == 2
         assert report.malformed == 0
@@ -199,11 +186,3 @@ class TestRoutingTableFromDirtyLines:
         )
         assert len(table) == 3
         assert report.malformed == 2
-
-    def test_from_lines_strict_still_raises(self):
-        from repro.bgp.table import RoutingTable
-
-        with pytest.raises((AddressError, ValueError)):
-            RoutingTable.from_lines(
-                "dirty", TestIterDumpRoutes.DIRTY, strict=True
-            )

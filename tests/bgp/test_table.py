@@ -92,10 +92,6 @@ class TestDumpRoundTrip:
         table = RoutingTable.from_lines("T", lines)
         assert len(table) == 1
 
-    def test_from_lines_strict_raises(self):
-        with pytest.raises(Exception):
-            RoutingTable.from_lines("T", ["999.0.0.0/8"], strict=True)
-
     def test_from_lines_bad_as_path_tolerated(self):
         table = RoutingTable.from_lines("T", ["10.0.0.0/8\thop\tnot numbers"])
         assert table.get(p("10.0.0.0/8")).as_path == ()

@@ -23,6 +23,46 @@ DUMP = """\
 """
 
 
+#: ``--inject`` plans each CLI must refuse as a usage error (exit 2,
+#: one line, before any table loads): id -> (file text or None for a
+#: missing file, the message after ``--inject: ``).
+BAD_PLANS = {
+    "missing-file": (None, "[Errno 2] No such file or directory"),
+    "not-json": ("nope\n", "Expecting value: line 1 column 1 (char 0)"),
+    "not-an-object": ("[]\n", "a fault plan must be a JSON object: []"),
+    "unknown-site": (
+        '{"specs": [{"site": "worker.meltdown"}]}',
+        "unknown injection site: 'worker.meltdown'",
+    ),
+    "unknown-key": (
+        '{"specs": [{"site": "worker.crash", "bogus": 1}]}',
+        "unknown fault spec key 'bogus' (known: arg, at, count, site)",
+    ),
+    "removed-site": (
+        '{"specs": [{"site": "worker.slow", "arg": 0.5}]}',
+        "unknown injection site: 'worker.slow'",
+    ),
+    "removed-shard-field": (
+        '{"specs": [{"site": "worker.crash", "shard": 0}]}',
+        "unknown fault spec key 'shard' (known: arg, at, count, site)",
+    ),
+    "wrong-type": (
+        '{"seed": "7", "specs": []}',
+        "fault plan key 'seed' has a bad value: '7'",
+    ),
+}
+
+
+def write_bad_plan(tmp_path, case):
+    """The path ``--inject`` gets for ``BAD_PLANS[case]``, and the
+    message it must fail with."""
+    text, message = BAD_PLANS[case]
+    path = tmp_path / "plan.json"
+    if text is not None:
+        path.write_text(text)
+    return str(path), message
+
+
 @pytest.fixture()
 def files(tmp_path):
     log = tmp_path / "access.log"
@@ -205,6 +245,21 @@ class TestFastpathFlags:
         assert captured.out == ""  # rejected before any table loads
         assert captured.err.splitlines()[-1] == f"repro-engine: error: {message}"
         assert not os.path.exists(ckpt)
+
+    @pytest.mark.parametrize("case", sorted(BAD_PLANS))
+    def test_bad_inject_plans_are_usage_errors(
+        self, files, tmp_path, capsys, case
+    ):
+        log, dump = files
+        plan, message = write_bad_plan(tmp_path, case)
+        with pytest.raises(SystemExit) as caught:
+            main([log, "--table", dump, "--inject", plan])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any table loads
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("repro-engine: error: --inject: ")
+        assert message in last
 
 
 class TestCheckpointFlow:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.clustering import cluster_log
 from repro.engine.fastpath import (
-    DEFAULT_MEMO_SIZE,
     LPM_KINDS,
     MemoizedLookup,
     PackedBatch,
@@ -120,7 +119,9 @@ class TestMemoizedLookup:
         assert memo.lookup(address) == table.lookup(address)
 
     def test_hits_misses_and_duplicate_misses_in_one_batch(self):
-        memo = MemoizedLookup(PackedLpm.from_items(_items(["10.0.0.0/8"])))
+        memo = MemoizedLookup(
+            PackedLpm.from_items(_items(["10.0.0.0/8"])), maxsize=64
+        )
         a, b = (10 << 24) + 1, (10 << 24) + 2
         assert memo.lookup_many([a, a, b]) == [0, 0, 0]
         # Both occurrences of a precede its memo fill, so the cold
@@ -132,7 +133,9 @@ class TestMemoizedLookup:
         assert memo.memo_size == 2
 
     def test_misses_memoized_too(self):
-        memo = MemoizedLookup(PackedLpm.from_items(_items(["10.0.0.0/8"])))
+        memo = MemoizedLookup(
+            PackedLpm.from_items(_items(["10.0.0.0/8"])), maxsize=64
+        )
         miss = 11 << 24
         assert memo.lookup_many([miss]) == [-1]
         assert memo.lookup_many([miss]) == [-1]
@@ -160,7 +163,9 @@ class TestMemoizedLookup:
         assert memo.take_memo_stats() == (2, 0, 0)
 
     def test_clear_memo(self):
-        memo = MemoizedLookup(PackedLpm.from_items(_items(["0.0.0.0/0"])))
+        memo = MemoizedLookup(
+            PackedLpm.from_items(_items(["0.0.0.0/0"])), maxsize=64
+        )
         memo.lookup_many([1, 2])
         memo.clear_memo()
         assert memo.memo_size == 0
@@ -174,7 +179,7 @@ class TestMemoizedLookup:
 
     def test_delegates_table_surface(self):
         table = StrideLpm.from_items(_items(EDGE_CIDRS))
-        memo = MemoizedLookup(table)
+        memo = MemoizedLookup(table, maxsize=64)
         assert len(memo) == len(table)
         assert bool(memo)
         assert list(memo.items()) == list(table.items())
@@ -243,7 +248,6 @@ class TestBuildLpmTable:
         assert table.maxsize == 32
         bare = build_lpm_table("stride", merged_table)
         assert not isinstance(bare, MemoizedLookup)
-        assert DEFAULT_MEMO_SIZE > 0
 
     def test_unknown_kind(self, merged_table):
         with pytest.raises(ValueError):

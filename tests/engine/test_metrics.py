@@ -14,7 +14,7 @@ from repro.engine.fastpath import MemoizedLookup, StrideLpm
 from repro.engine.metrics import METRICS, EngineMetrics
 from repro.engine.shard import EngineConfig, ShardedClusterEngine
 from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
-from repro.errors import InjectedFault, OverloadShedWarning
+from repro.errors import InjectedFault
 from repro.faults import (
     SITE_CHECKPOINT_CORRUPT,
     SITE_SERVE_WAL_ENOSPC,
@@ -80,7 +80,7 @@ class TestExport:
             "routes_announced", "routes_withdrawn", "clients_reclustered",
             "patches_applied", "patch_rebuild_fallbacks",
             "sanitize_batch_checks", "sanitize_lpm_crosschecks",
-            "sanitize_checkpoint_readbacks", "sanitize_rng_draws",
+            "sanitize_checkpoint_readbacks",
             "wal_appends", "wal_syncs", "wal_rotations",
             "wal_segments_truncated", "wal_recovered_events",
             "wal_truncated_frames", "wal_enospc_recoveries", "shed_events",
@@ -138,7 +138,8 @@ class TestExport:
 
 
 def filled_metrics():
-    """An ``EngineMetrics(2)`` whose 38 readings are all distinct."""
+    """An ``EngineMetrics(2)`` whose 37 readings are all distinct
+    (``shed_events``, which nothing moves, is the one 0)."""
     metrics = EngineMetrics(2)
     metrics.record_batch([1200, 34], seconds=0.25, lookups=1500)
     metrics.record_batch([7, 3], seconds=0.5, lookups=11)
@@ -158,7 +159,7 @@ def filled_metrics():
         )
     for _ in range(9):
         metrics.record_patch_fallback()
-    metrics.record_sanitize(10, 11, 12, 13)
+    metrics.record_sanitize(10, 11, 12)
     metrics.record_wal_append(synced=True)
     for _ in range(19):
         metrics.record_wal_append(synced=False)
@@ -170,7 +171,6 @@ def filled_metrics():
     metrics.record_wal_recovery(events=23, truncated_frames=25)
     for _ in range(26):
         metrics.record_wal_enospc_recovery()
-    metrics.record_shed(27)
     return metrics
 
 
@@ -201,7 +201,6 @@ patch_rebuild_fallbacks                9
 sanitize_batch_checks                 10
 sanitize_lpm_crosschecks              11
 sanitize_checkpoint_readbacks         12
-sanitize_rng_draws                    13
 wal_appends                           20
 wal_syncs                             19
 wal_rotations                         21
@@ -209,7 +208,7 @@ wal_segments_truncated                22
 wal_recovered_events                  23
 wal_truncated_frames                  25
 wal_enospc_recoveries                 26
-shed_events                           27
+shed_events                            0
 num_shards                             2
 entries_per_second                 1,659
 memo_hit_rate                      0.900
@@ -223,7 +222,7 @@ shard_skew                         1.941"""
 
 def test_render_is_pinned_byte_for_byte():
     metrics = filled_metrics()
-    assert len(set(metrics.snapshot().values())) == len(METRICS) == 38
+    assert len(set(metrics.snapshot().values())) == len(METRICS) == 37
     assert metrics.render() == RENDERED
 
 
@@ -243,9 +242,9 @@ EXEMPT = {
         "only ClusterStore.apply_packed runs guard_batch, and nothing in "
         "src/ calls apply_packed"
     ),
-    "sanitize_rng_draws": (
-        "no engine or serve code draws from make_rng, and FaultInjector "
-        "uses a plain random.Random"
+    "shed_events": (
+        "the serve daemon sheds nothing; bench/check.py and "
+        "bench/workloads.py still read it"
     ),
 }
 
@@ -273,7 +272,7 @@ EXPECTED = {
         "sanitize_lpm_crosschecks", "sanitize_checkpoint_readbacks",
         "checkpoints_written", "wal_appends", "wal_syncs", "wal_rotations",
         "wal_segments_truncated", "wal_recovered_events",
-        "wal_truncated_frames", "wal_enospc_recoveries", "shed_events",
+        "wal_truncated_frames", "wal_enospc_recoveries",
     },
     "repro-engine serve": {"malformed_skipped"},
 }
@@ -341,11 +340,12 @@ def _serve_phase(tmp_path):
     def daemon(injector=None):
         config = ServeConfig(
             batch_size=8, checkpoint_path=str(tmp_path / "serve.ckpt"),
-            checkpoint_every=100, wal_dir=str(tmp_path / "wal"),
-            # Syncs only ahead of checkpoints, so record_wal_sync is
-            # the one mover of wal_syncs here.
+            checkpoint_every=99, wal_dir=str(tmp_path / "wal"),
+            # Syncs only ahead of checkpoints (and at rotations, which
+            # close a synced segment), so record_wal_sync is the one
+            # mover of wal_syncs here; 99 puts a checkpoint between two
+            # rotations, where there are frames left to sync.
             wal_sync_every=1 << 30, wal_segment_bytes=256,
-            shed_watermark=24,
         )
         table = MemoizedLookup(fresh_table(), maxsize=4)
         return ServeDaemon(table, config, metrics, injector)
@@ -357,11 +357,9 @@ def _serve_phase(tmp_path):
     sanitize.take_stats()
     first = daemon(FaultInjector(plan))
     first.attach_wal()
-    with pytest.warns(OverloadShedWarning), pytest.raises(InjectedFault):
-        for index, event in enumerate(_serve_stream()):
-            first.submit(event)
-            if index % 30 == 29:
-                first.pump()
+    with pytest.raises(InjectedFault):
+        for event in _serve_stream():
+            first.feed(event)
     first.abort()
     second = daemon()
     second.recover()

@@ -28,7 +28,7 @@ class TestCompile:
 
     def test_entries_preserved_in_sort_order(self):
         tree = _tree_from(["24.0.0.0/8", "12.65.128.0/19", "24.48.2.0/23"])
-        packed = PackedLpm.from_radix(tree)
+        packed = PackedLpm(tree.export_entries())
         assert [p.cidr for p, _ in packed.items()] == [
             "12.65.128.0/19", "24.0.0.0/8", "24.48.2.0/23",
         ]
@@ -55,7 +55,7 @@ class TestCompile:
 class TestLookup:
     def test_nested_prefixes_resolve_most_specific(self):
         tree = _tree_from(["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"])
-        packed = PackedLpm.from_radix(tree)
+        packed = PackedLpm(tree.export_entries())
         cases = {
             "10.1.2.3": "10.1.2.0/24",
             "10.1.9.9": "10.1.0.0/16",
@@ -70,7 +70,7 @@ class TestLookup:
         tree = _tree_from([
             "0.0.0.0/0", "0.0.0.0/32", "255.255.255.255/32", "128.0.0.0/1",
         ])
-        packed = PackedLpm.from_radix(tree)
+        packed = PackedLpm(tree.export_entries())
         for address in (0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1):
             assert packed.longest_match(address) == tree.longest_match(address)
 
@@ -80,7 +80,7 @@ class TestLookup:
         for _ in range(1500):
             prefix = Prefix(rng.getrandbits(32), rng.randint(2, 32))
             tree.insert(prefix, prefix.cidr)
-        packed = PackedLpm.from_radix(tree)
+        packed = PackedLpm(tree.export_entries())
         assert len(packed) == len(tree)
         for _ in range(5000):
             address = rng.getrandbits(32)

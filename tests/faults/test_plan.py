@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.engine.packed import PackedLpm
-from repro.engine.shard import EngineConfig, ShardedClusterEngine
 from repro.faults import (
     ALL_SITES,
     SITE_CHECKPOINT_CORRUPT,
@@ -15,12 +13,10 @@ from repro.faults import (
     SITE_SERVE_WAL_ENOSPC,
     SITE_SERVE_WAL_TORN,
     SITE_WORKER_CRASH,
-    SITE_WORKER_SLOW,
     FaultInjector,
     FaultPlan,
     FaultSpec,
 )
-from repro.net.prefix import Prefix
 
 
 class TestFaultSpec:
@@ -52,7 +48,7 @@ class TestFaultSpec:
 class TestFaultPlanSerialization:
     def _plan(self):
         return FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=1, count=2, shard=0),
+            FaultSpec(site=SITE_WORKER_CRASH, at=1, count=2),
             FaultSpec(site=SITE_CHECKPOINT_TRUNCATE, arg=0.5),
             FaultSpec(site=SITE_LOG_TRUNCATE, arg=100),
             seed=7,
@@ -77,6 +73,33 @@ class TestFaultPlanSerialization:
         with pytest.raises(ValueError):
             FaultPlan.from_dict({"specs": [{"site": "nope"}]})
 
+    @pytest.mark.parametrize("data, message", [
+        ([], "must be a JSON object"),
+        ({"specs": {}}, "key 'specs' has a bad value"),
+        ({"specs": ["worker.crash"]}, "must be a JSON object"),
+        ({"specs": [{}]}, "spec has no site"),
+        ({"specs": [{"site": 1}]}, "key 'site' has a bad value"),
+        ({"specs": [{"site": SITE_WORKER_CRASH, "at": "0"}]},
+         "key 'at' has a bad value"),
+        ({"specs": [{"site": SITE_WORKER_CRASH, "count": True}]},
+         "key 'count' has a bad value"),
+        ({"specs": [{"site": SITE_WORKER_CRASH, "arg": None}]},
+         "key 'arg' has a bad value"),
+        ({"specs": [{"site": SITE_WORKER_CRASH, "shard": 0}]},
+         "unknown fault spec key 'shard'"),
+        ({"specs": [{"site": "worker.slow"}]}, "unknown injection site"),
+        ({"seed": 1.5}, "key 'seed' has a bad value"),
+        ({"sead": 1}, "unknown fault plan key 'sead'"),
+    ], ids=[
+        "not-an-object", "specs-not-a-list", "spec-not-an-object",
+        "spec-without-site", "site-not-a-string", "at-not-an-int",
+        "count-a-bool", "arg-null", "removed-shard-field",
+        "removed-slow-site", "seed-a-float", "unknown-plan-key",
+    ])
+    def test_from_dict_rejects_malformed_plans(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            FaultPlan.from_dict(data)
+
     def test_empty_plan_is_default(self):
         assert FaultPlan.from_dict({}) == FaultPlan()
 
@@ -89,48 +112,20 @@ class TestInjectorDeterminism:
         )
         first = FaultInjector(plan)
         second = FaultInjector(plan)
-        decisions_a = [first.worker_directive(8) for _ in range(6)]
-        decisions_b = [second.worker_directive(8) for _ in range(6)]
+        decisions_a = [first.fire(SITE_WORKER_CRASH) for _ in range(6)]
+        decisions_b = [second.fire(SITE_WORKER_CRASH) for _ in range(6)]
         assert decisions_a == decisions_b
+        assert [spec is not None for spec in decisions_a] == [
+            False, True, True, True, False, False,
+        ]
         assert first.fired == second.fired
 
     def test_noop_injector_never_fires(self):
         injector = FaultInjector()
         assert all(
-            injector.worker_directive(4) is None for _ in range(100)
+            injector.fire(SITE_WORKER_CRASH) is None for _ in range(100)
         )
         assert injector.total_fired == 0
-
-
-class TestWorkerDirectives:
-    def test_pinned_shard_is_respected(self):
-        plan = FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=0, shard=2)
-        )
-        directive = FaultInjector(plan).worker_directive(4)
-        assert directive == (2, SITE_WORKER_CRASH, 0.0)
-
-    def test_out_of_range_shard_falls_back_to_rng(self):
-        plan = FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=0, shard=99), seed=3
-        )
-        shard, site, _ = FaultInjector(plan).worker_directive(4)
-        assert 0 <= shard < 4
-        assert site == SITE_WORKER_CRASH
-
-    def test_slow_directive_sleeps_then_returns(self, monkeypatch):
-        # The engine executes directives: worker.slow sleeps, then the
-        # chunk applies as usual.
-        slept = []
-        monkeypatch.setattr("repro.engine.shard.time.sleep", slept.append)
-        table = PackedLpm.from_items([(Prefix.from_cidr("10.0.0.0/8"), None)])
-        plan = FaultPlan.build(FaultSpec(site=SITE_WORKER_SLOW, arg=0.25))
-        engine = ShardedClusterEngine(
-            table, EngineConfig(num_shards=2), injector=FaultInjector(plan)
-        )
-        assert engine.apply_chunk([(0x0A000001, "/a", 1)]) == 1
-        assert slept == [0.25]
-        assert engine.entries_ingested == 1
 
 
 class TestFileDamage:
@@ -198,9 +193,9 @@ class TestLineWrapping:
 
 def test_all_sites_is_complete():
     assert set(ALL_SITES) == {
-        SITE_WORKER_CRASH, SITE_WORKER_SLOW,
+        SITE_WORKER_CRASH,
         SITE_CHECKPOINT_CORRUPT, SITE_CHECKPOINT_TRUNCATE,
         SITE_LOG_TRUNCATE, SITE_DUMP_MANGLE, SITE_SERVE_CRASH,
         SITE_SERVE_WAL_TORN, SITE_SERVE_WAL_ENOSPC, SITE_SERVE_DISCONNECT,
     }
-    assert len(ALL_SITES) == 10
+    assert len(ALL_SITES) == 9

@@ -15,8 +15,9 @@ from repro.engine.packed import PackedLpm
 from repro.engine.shard import EngineConfig, ShardedClusterEngine
 from repro.engine import state as engine_state
 from repro.engine.state import CheckpointCorruptError, read_checkpoint
-from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
-from repro.errors import ChunkQuarantinedError
+from repro.engine.supervisor import (
+    BACKOFF_CAP_SECONDS, SupervisedEngine, SupervisorConfig,
+)
 from repro.faults import (
     SITE_CHECKPOINT_CORRUPT,
     SITE_WORKER_CRASH,
@@ -97,15 +98,16 @@ class TestRetry:
     def test_backoff_schedule_is_exponential_and_capped(self, packed):
         slept = []
         supervised = SupervisedEngine(
-            _engine(packed, _crash_plan(count=3)),
-            SupervisorConfig(max_retries=3, backoff_base=0.5, backoff_cap=2.0),
+            _engine(packed, _crash_plan(count=5)),
+            SupervisorConfig(max_retries=5, backoff_base=0.5),
             sleep=slept.append,
         )
         supervised.ingest_triples(iter(TRIPLES))
-        assert slept == [0.5, 1.0, 2.0]
+        assert BACKOFF_CAP_SECONDS == 5.0  # what --backoff's help promises
+        assert slept == [0.5, 1.0, 2.0, 4.0, 5.0]
         # Past 1 024 doublings the power no longer fits a float.
         config = SupervisorConfig(max_retries=5000)
-        assert config.backoff_seconds(1100) == config.backoff_cap
+        assert config.backoff_seconds(1100) == BACKOFF_CAP_SECONDS
 
     def test_zero_base_never_sleeps(self):
         config = SupervisorConfig(backoff_base=0)
@@ -165,13 +167,6 @@ class TestQuarantine:
         assert supervised.ingest_triples(iter(TRIPLES)) == 0
         assert supervised.metrics.snapshot()["chunks_quarantined"] == 1
         assert list(tmp_path.iterdir()) == []
-
-    def test_disallowed_quarantine_is_fatal(self, packed, tmp_path):
-        supervised = self._supervised(
-            packed, tmp_path, allow_quarantine=False
-        )
-        with pytest.raises(ChunkQuarantinedError, match="quarantine"):
-            supervised.ingest_triples(iter(TRIPLES))
 
     def test_later_chunks_still_apply(self, packed, tmp_path):
         # Only the first dispatch is poisoned; the rest of the stream
@@ -291,7 +286,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_retries": -1},
         {"backoff_base": -0.1},
-        {"backoff_cap": -1.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

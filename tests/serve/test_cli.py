@@ -21,6 +21,7 @@ from repro.bgp.table import RoutingTable
 from repro.faults import SITE_SERVE_DISCONNECT, FaultPlan, FaultSpec
 from repro.net.prefix import Prefix
 from repro.serve.wal import recover_wal
+from tests.engine.test_cli import BAD_PLANS, write_bad_plan
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -298,14 +299,13 @@ class TestUsage:
         (["--busy", "1.5"], "argument --busy: must be in (0, 1]: '1.5'"),
         (["--checkpoint-every", "-3"], "--checkpoint-every must be >= 0"),
         (["--max-errors", "-1"], "--max-errors must be >= 0"),
-        (["--shed-watermark", "100"],
-         "--shed-watermark must be 0 or >= --batch-size"),
-        (["--batch-size", "64", "--shed-watermark", "63"],
-         "--shed-watermark must be 0 or >= --batch-size"),
+        # Overload shedding is gone; its flag is not an option any more.
+        (["--shed-watermark", "0"],
+         "unrecognized arguments: --shed-watermark 0"),
     ], ids=[
         "top-negative", "busy-zero", "busy-above-one",
         "checkpoint-every-negative", "max-errors-negative",
-        "shed-watermark-below-default-batch", "shed-watermark-below-batch",
+        "shed-watermark-removed",
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, bad, message):
         ckpt = str(tmp_path / "c.ckpt")
@@ -320,6 +320,20 @@ class TestUsage:
             f"repro-engine serve: error: {message}"
         )
         assert not os.path.exists(ckpt)
+
+    @pytest.mark.parametrize("case", sorted(BAD_PLANS))
+    def test_bad_inject_plans_are_usage_errors(self, tmp_path, case):
+        plan, message = write_bad_plan(tmp_path, case)
+        proc = spawn(
+            make_dump(tmp_path), "--stdin", "--inject", plan,
+            stdin=subprocess.DEVNULL,
+        )
+        stdout, stderr = proc.communicate(timeout=20)
+        assert proc.returncode == 2
+        assert stdout == b""  # rejected before any table loads
+        last = stderr.decode().splitlines()[-1]
+        assert last.startswith("repro-engine serve: error: --inject: ")
+        assert message in last
 
     def test_missing_table_is_a_usage_error(self, tmp_path):
         missing = str(tmp_path / "absent.dump")

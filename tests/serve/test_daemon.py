@@ -19,7 +19,7 @@ from repro.engine.state import (
     ClusterStore,
     write_checkpoint,
 )
-from repro.errors import OverloadShedWarning, ServeProtocolError
+from repro.errors import ServeProtocolError
 from repro.net.prefix import Prefix
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.protocol import LineSplitter, LogEvent, parse_event
@@ -498,75 +498,29 @@ class TestAppendBeforeApply:
 
 
 class TestOverload:
-    def overloaded(self, watermark, **extra):
-        return ServeDaemon(
-            fresh_table(),
-            ServeConfig(batch_size=4, shed_watermark=watermark, **extra),
-        )
-
-    def test_sheds_only_log_events_and_counts_every_drop(self):
-        """The issue's acceptance scenario: feed at batch_size * 100
-        without draining; only log events are shed, never deltas, and
-        shed_events accounts for every drop."""
-        daemon = self.overloaded(watermark=16)
-        total = daemon.config.batch_size * 100
-        deltas = accepted = dropped = 0
-        with pytest.warns(OverloadShedWarning):
-            for index in range(total):
-                if index % 10 == 9:
-                    event = announce(P16, origin_asn=64500 + index)
-                    assert daemon.submit(event), "a delta was shed"
-                    deltas += 1
-                elif daemon.submit(log(CLIENT_A, url=f"/u{index}")):
-                    accepted += 1
-                else:
-                    dropped += 1
-        assert dropped > 0
-        assert daemon.metrics.shed_events == dropped
-        assert accepted + dropped + deltas == total
-        # Everything accepted — including every delta — drains intact.
-        daemon.finish()
-        assert daemon.events_consumed == total - dropped
-        assert daemon.deltas_received == deltas
-        assert daemon.metrics.shed_events == dropped
-
-    def test_hysteresis_reopens_after_drain(self):
-        daemon = self.overloaded(watermark=8)
-        with pytest.warns(OverloadShedWarning):
-            for index in range(9):
-                daemon.submit(log(CLIENT_A))
-        assert daemon.shedding
-        assert not daemon.submit(log(CLIENT_A))
-        pumped = daemon.pump()
-        assert pumped == 8
-        assert daemon.submit(log(CLIENT_B))
-        assert not daemon.shedding
-        assert daemon.metrics.shed_events == 2
-
-    def test_warns_once_per_overload_episode(self):
-        daemon = self.overloaded(watermark=4)
-        with pytest.warns(OverloadShedWarning) as caught:
-            for index in range(8):
-                daemon.submit(log(CLIENT_A))
-        assert len(caught) == 1
+    """There is no overload gate: every event goes straight to
+    ``feed``.  What is left of the old ingress queue is the names the
+    benchmark harness still calls."""
 
     def test_zero_watermark_feeds_directly(self):
-        daemon = self.overloaded(watermark=0)
+        daemon = ServeDaemon(fresh_table(), ServeConfig(batch_size=4))
         for index in range(50):
-            assert daemon.submit(log(CLIENT_A))
-        assert daemon.ingress_depth == 0
+            daemon.submit(log(CLIENT_A))
+            assert daemon.ingress_depth == 0
+        assert daemon.pump() == 0
+        assert daemon.events_consumed == 50
         assert daemon.metrics.shed_events == 0
 
-    def test_health_reports_ingress_and_shed_state(self):
-        daemon = self.overloaded(watermark=8)
+    def test_health_keys(self):
+        daemon = ServeDaemon(fresh_table(), ServeConfig(batch_size=8))
         for index in range(3):
-            daemon.submit(log(CLIENT_A))
+            daemon.feed(log(CLIENT_A))
         health = daemon.health()
-        assert health["ingress"] == 3
-        assert health["shedding"] is False
-        assert health["shed_events"] == 0
-        for key in ("events", "deltas", "clusters", "epoch", "wal_appends"):
-            assert key in health
+        assert list(health) == [
+            "events", "deltas", "clusters", "unclustered", "wal_appends",
+            "checkpoints", "checkpoint_bytes", "route_diff", "epoch",
+        ]
+        assert health["events"] == 3
 
     def test_health_reports_route_diff_and_checkpoint_bytes(self, tmp_path):
         path = str(tmp_path / "health.ckpt")
@@ -590,7 +544,7 @@ class TestHostileLines:
 
     @staticmethod
     def serve(lines, wal_dir):
-        """The serve loop's path: split, decode, count or submit."""
+        """The serve loop's path: split, decode, count or feed."""
         daemon = ServeDaemon(
             fresh_table(), ServeConfig(batch_size=2, wal_dir=wal_dir)
         )
@@ -607,7 +561,7 @@ class TestHostileLines:
             except ServeProtocolError:
                 daemon.metrics.record_malformed()
                 continue
-            daemon.submit(event)
+            daemon.feed(event)
         daemon.finish()
         return daemon
 
