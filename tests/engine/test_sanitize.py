@@ -159,8 +159,10 @@ class TestLpmCrosscheck:
                 stride.lookup_many(addresses)
 
 
-class TestMakeRng:
-    def test_sanitize_leaves_rng_uninstrumented(self, sanitized):
+class TestCountingRng:
+    """make_rng stays a plain random.Random: there is no counting wrapper."""
+
+    def test_sequence_identical_to_plain_random(self, sanitized):
         rng = make_rng(123)
         assert type(rng) is random.Random
         plain = random.Random(123)
@@ -169,6 +171,12 @@ class TestMakeRng:
         expected = [plain.random(), plain.randint(0, 10**9),
                     plain.gauss(0, 1), plain.getrandbits(64)]
         assert drawn == expected
+        assert sanitize.take_stats() == (0, 0, 0)
+
+    def test_disabled_returns_uninstrumented_rng(self, desanitized):
+        rng = make_rng(5)
+        assert type(rng) is random.Random
+        rng.random()
         assert sanitize.take_stats() == (0, 0, 0)
 
 
