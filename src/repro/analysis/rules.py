@@ -13,8 +13,8 @@ full rationale):
   ``__getstate__``/``__setstate__`` pairs, or pairs whose state-tuple
   arities disagree, corrupt state silently.
 * **Error taxonomy** — ``broad-except``, ``bare-raise-exception``:
-  failures must flow through :mod:`repro.errors` so the supervisor can
-  key recovery off the exception *class*.
+  failures must flow through :mod:`repro.errors` so recovery code can
+  key off the exception *class*.
 * **Discipline** — ``silent-skip`` (parsers count-and-skip, never
   silently drop), ``mutable-default``, ``assert-validation`` (asserts
   vanish under ``-O``).
@@ -265,10 +265,11 @@ class BroadExceptRule(Rule):
         "bare `except:` is never allowed"
     )
     rationale = (
-        "The supervisor keys retry/quarantine decisions off the "
-        "exception class.  A broad handler that swallows or mislabels an "
-        "arbitrary bug (say, checkpoint corruption surfacing inside a "
-        "chunk) corrupts that recovery logic invisibly.  Handlers "
+        "Recovery code (checkpoint rewrite, resume, WAL repair) keys "
+        "its decisions off the exception class.  A broad handler that "
+        "swallows or mislabels an arbitrary bug (say, checkpoint "
+        "corruption surfacing as a generic error) corrupts that "
+        "recovery logic invisibly.  Handlers "
         "that genuinely must stay broad carry a reasoned suppression."
     )
     require_reason = True

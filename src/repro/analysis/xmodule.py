@@ -130,7 +130,7 @@ class ErrorTaxonomyRule(ProjectRule):
     rationale = (
         "recovery code keys off the error *class*; a taxonomy member "
         "nothing raises is a promise the runtime never keeps, and one "
-        "missing from __all__ hides from the API surface the supervisor "
+        "missing from __all__ hides from the API surface the recovery "
         "tests import against."
     )
 

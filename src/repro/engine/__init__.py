@@ -21,17 +21,16 @@ wrong shape for throughput.  This package is the streaming substrate:
   checkpoint layout (:func:`write_checkpoint` / :func:`read_checkpoint`).
 * :mod:`repro.engine.shard` — :class:`ShardedClusterEngine`, which
   hash-partitions client addresses across N per-shard stores in one
-  process and merges them in shard order so results are deterministic.
+  process, merges them in shard order so results are deterministic, and
+  rewrites any checkpoint that does not read back.
 * :mod:`repro.engine.metrics` — :class:`EngineMetrics` counters/timers
   (entries/sec, lookups, batch latency, shard skew, fault accounting).
-* :mod:`repro.engine.supervisor` — :class:`SupervisedEngine`, the
-  recovery layer: bounded retries with exponential backoff, dead-letter
-  quarantine, and read-back-verified checkpoints.
+* :mod:`repro.engine.supervisor` — two names the benchmark harness
+  still imports, kept as shims until ROADMAP item 1.
 * :mod:`repro.engine.cli` — the ``repro-engine`` command line.
 
-Fault tolerance is testable: :mod:`repro.faults` injects failed
-chunks, checkpoint corruption, and dirty input on a
-deterministic schedule, and ``tests/faults/`` proves a disturbed run
+Fault tolerance is testable: :mod:`repro.faults` injects checkpoint
+corruption and dirty input on a deterministic schedule, and ``tests/faults/`` proves a disturbed run
 still emits output identical to an undisturbed one.
 
 Everything downstream still receives a plain

@@ -26,12 +26,9 @@ output is identical across every combination, fault plans included,
 and checkpoints resume across ``--lpm`` settings because all layouts
 share a prefix-set digest.
 
-Ingestion runs supervised (:mod:`repro.engine.supervisor`): failed
-chunks are retried with exponential backoff (``--retries``,
-``--backoff``), and chunks that keep failing are quarantined to a
-dead-letter file (``--quarantine``).  ``--inject PLAN.json`` arms a
-:mod:`repro.faults` plan — the chaos-testing entry point.  Checkpoints
-are atomic and CRC-verified after every write; a corrupt file fails
+``--inject PLAN.json`` arms a :mod:`repro.faults` plan — the
+chaos-testing entry point.  Checkpoints are atomic and read back after
+every write (a damaged one is rewritten); a corrupt file fails
 ``--resume`` with a specific, actionable error instead of garbage
 state.
 
@@ -44,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
 from typing import Any, Dict, Iterable, List, Optional
@@ -57,7 +53,6 @@ from repro.engine.metrics import EngineMetrics
 from repro.engine.packed import PackedLpm
 from repro.engine.shard import EngineConfig, ShardedClusterEngine
 from repro.engine.state import CheckpointError
-from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
 from repro.faults import SITE_LOG_TRUNCATE, FaultInjector, FaultPlan
 from repro.weblog.parser import ParseLimitError, ParseReport, iter_clf_entries
 
@@ -119,25 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
              "prefix is skipped, otherwise the whole log is appended",
     )
     parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="re-applications of a failed chunk before quarantining it "
-             "(default 2)",
-    )
-    parser.add_argument(
-        "--backoff", type=float, default=0.1, metavar="SECONDS",
-        help="base of the exponential retry backoff (default 0.1s; "
-             "doubles per retry, capped at 5s)",
-    )
-    parser.add_argument(
-        "--quarantine", metavar="PATH", default=None,
-        help="dead-letter file for chunks that exhaust their retries "
-             "(JSON lines; default: quarantined chunks are counted "
-             "but not persisted)",
-    )
-    parser.add_argument(
         "--inject", metavar="PLAN.json", default=None,
-        help="arm a repro.faults FaultPlan (chaos testing): injected "
-             "chunk failures, checkpoint corruption, dirty input",
+        help="arm a repro.faults FaultPlan (chaos testing): "
+             "checkpoint corruption, dirty input",
     )
     parser.add_argument(
         "--metrics", action="store_true",
@@ -152,13 +131,8 @@ def _build_engine(
     args: argparse.Namespace,
     table: PackedLpm,
     injector: Optional[FaultInjector],
-) -> SupervisedEngine:
+) -> ShardedClusterEngine:
     config = EngineConfig(chunk_size=args.chunk_size, name=args.log)
-    supervision = SupervisorConfig(
-        max_retries=args.retries,
-        backoff_base=args.backoff,
-        quarantine_path=args.quarantine,
-    )
     metrics = EngineMetrics(1)
     engine: Optional[ShardedClusterEngine] = None
     if args.resume:
@@ -176,7 +150,7 @@ def _build_engine(
         engine = ShardedClusterEngine(
             table, config, metrics, injector=injector
         )
-    return SupervisedEngine(engine, supervision)
+    return engine
 
 
 def _entries_to_skip(resume_meta: Dict[str, Any], log: str) -> int:
@@ -217,7 +191,7 @@ def _entries_to_skip(resume_meta: Dict[str, Any], log: str) -> int:
 
 
 def _write_checkpoint(
-    engine: SupervisedEngine, args: argparse.Namespace, log_entries: int
+    engine: ShardedClusterEngine, args: argparse.Namespace, log_entries: int
 ) -> None:
     engine.checkpoint(
         args.checkpoint,
@@ -246,10 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--chunk-size must be >= 1")
     if args.memo_size < 0:
         parser.error("--memo-size must be >= 0")
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if not (math.isfinite(args.backoff) and args.backoff >= 0):
-        parser.error("--backoff must be a finite number >= 0")
     if args.checkpoint_every < 0:
         parser.error("--checkpoint-every must be >= 0")
     if args.max_errors is not None and args.max_errors < 0:
@@ -302,10 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     if not batch:
                         break
                     engine.ingest(batch)
-                    # Positional accounting uses *consumed* entries, not
-                    # applied: a quarantined chunk was consumed from the
-                    # log (it lives in the dead-letter file, not here),
-                    # so a later --resume must not replay it.
                     since_checkpoint += len(batch)
                     ingested_this_run += len(batch)
                     if (
@@ -330,15 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"warning: {args.log} holds {report.parsed:,} entries but "
                 f"the checkpoint had already ingested {skip:,} from it — "
                 "the log appears to have shrunk since the checkpoint",
-                file=sys.stderr,
-            )
-        snap = engine.metrics.snapshot()
-        if snap["chunks_quarantined"]:
-            destination = args.quarantine or "dropped (no --quarantine PATH)"
-            print(
-                f"warning: {int(snap['chunks_quarantined'])} chunk(s) / "
-                f"{int(snap['entries_quarantined']):,} entries quarantined "
-                f"after {args.retries} retries each — {destination}",
                 file=sys.stderr,
             )
         if engine.entries_ingested == 0:

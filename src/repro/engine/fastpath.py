@@ -3,7 +3,7 @@ and a flat-buffer batch form.
 
 Two independent optimisations of the ingestion hot loop, selectable
 from the CLI (``--lpm``, ``--memo-size``) and composable with every
-existing engine feature (sharding, checkpoints, supervision, fault
+existing engine feature (sharding, checkpoints, fault
 injection) because each one preserves the surrounding contract exactly,
 plus the flat-buffer batch the benchmark harness packs and folds:
 

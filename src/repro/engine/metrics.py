@@ -43,8 +43,8 @@ class EngineMetrics:
     batches: int = field(default=0, init=False, metadata=_COUNT)
     malformed_skipped: int = field(default=0, init=False, metadata=_COUNT)
     checkpoints_written: int = field(default=0, init=False, metadata=_COUNT)
-    chunk_retries: int = field(default=0, init=False, metadata=_COUNT)
-    chunks_quarantined: int = field(default=0, init=False, metadata=_COUNT)
+    #: Nothing moves this; ``bench/workloads.py`` still reads it (goes
+    #: with ROADMAP item 1).
     entries_quarantined: int = field(default=0, init=False, metadata=_COUNT)
     checkpoint_rewrites: int = field(default=0, init=False, metadata=_COUNT)
     memo_hits: int = field(default=0, init=False, metadata=_COUNT)
@@ -110,15 +110,6 @@ class EngineMetrics:
 
     def record_checkpoint(self) -> None:
         self.checkpoints_written += 1
-
-    def record_retry(self) -> None:
-        """A failed chunk was re-applied."""
-        self.chunk_retries += 1
-
-    def record_quarantine(self, entries: int) -> None:
-        """A chunk exhausted its retries: ``entries`` requests dropped."""
-        self.chunks_quarantined += 1
-        self.entries_quarantined += entries
 
     def record_checkpoint_rewrite(self) -> None:
         """A checkpoint failed read-back verification and was rewritten."""

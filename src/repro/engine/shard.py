@@ -13,14 +13,9 @@ the shard count or chunk size.
 
 Everything runs in the calling process.  Shards are a partition of
 the state, not of the work: a checkpoint keeps one store per shard,
-and resuming under a different shard count merges them.
-
-Failure containment: an armed worker fault (:mod:`repro.faults`)
-fires before any store is touched, so a failed chunk applied nothing
-and the driver sees a single :class:`~repro.errors.WorkerCrashError`.
-Re-applying the same chunk is therefore always safe;
-:class:`~repro.engine.supervisor.SupervisedEngine` builds its
-retry/quarantine loop on that guarantee.
+and resuming under a different shard count merges them.  Every
+checkpoint is read back after it is written and rewritten if it does
+not verify (:func:`~repro.engine.state.write_verified_checkpoint`).
 """
 
 from __future__ import annotations
@@ -36,9 +31,10 @@ from repro.analysis import sanitize as _sanitize
 from repro.core.clustering import ClusterSet
 from repro.engine.metrics import EngineMetrics
 from repro.engine.packed import PackedLpm
-from repro.engine.state import ClusterStore, read_checkpoint, write_checkpoint
-from repro.errors import WorkerCrashError
-from repro.faults import SITE_WORKER_CRASH, FaultInjector
+from repro.engine.state import (
+    ClusterStore, read_checkpoint, write_checkpoint, write_verified_checkpoint,
+)
+from repro.faults import FaultInjector
 
 __all__ = ["shard_of", "EngineConfig", "ShardedClusterEngine"]
 
@@ -95,8 +91,8 @@ class ShardedClusterEngine:
         self.table = table
         self.config = config or EngineConfig()
         self.metrics = metrics or EngineMetrics(self.config.num_shards)
-        #: Optional fault injector (chaos testing); ``None`` — the
-        #: default — costs one comparison per dispatched chunk.
+        #: Optional fault injector (chaos testing): its checkpoint
+        #: faults damage each file :meth:`checkpoint` writes.
         self.injector = injector
         self._stores: List[ClusterStore] = [
             ClusterStore() for _ in range(self.config.num_shards)
@@ -132,30 +128,12 @@ class ShardedClusterEngine:
             total += self._dispatch(chunk)
         return total
 
-    #: The same method under its older name, which callers and the
-    #: bench tracer (``bench/child.py``) still use.
-    ingest_triples = ingest
-
-    def apply_chunk(self, triples: Sequence[Triple]) -> int:
-        """Apply one chunk of triples, all-or-nothing.
-
-        This is the engine's atomic unit of progress: on success every
-        shard's batch has folded in; an armed worker fault raises
-        :class:`WorkerCrashError` before any store is touched.
-        Re-applying the same chunk after a failure can therefore never
-        double-count.
-        """
-        return self._dispatch(triples)
+    #: The same method under its older names, which the bench tracer
+    #: (``bench/child.py``) still patches (goes with ROADMAP item 1).
+    ingest_triples = apply_chunk = ingest
 
     def _dispatch(self, triples: Sequence[Triple]) -> int:
         num_shards = self.config.num_shards
-        if self.injector is not None and (
-            self.injector.fire(SITE_WORKER_CRASH) is not None
-        ):
-            # Raised before any store is touched: the chunk stays atomic.
-            raise WorkerCrashError(
-                f"injected worker fault ({SITE_WORKER_CRASH}) — chunk not applied"
-            )
         began = time.perf_counter()
         if num_shards == 1:
             self._stores[0].apply_batch(triples, self.table)
@@ -218,7 +196,9 @@ class ShardedClusterEngine:
     def checkpoint(
         self, path: str, extra_meta: Optional[Dict[str, Any]] = None
     ) -> None:
-        """Write all shard states plus run metadata to ``path``.
+        """Write all shard states plus run metadata to ``path`` and
+        prove the file reads back, rewriting it if it does not
+        (:func:`~repro.engine.state.write_verified_checkpoint`).
 
         ``extra_meta`` entries are merged into the checkpoint's meta
         dict; the CLI uses this to record which log was being ingested
@@ -233,18 +213,25 @@ class ShardedClusterEngine:
         }
         if extra_meta:
             meta.update(extra_meta)
-        write_checkpoint(
-            path,
-            self._stores,
-            table_digest=self.table.digest(),
-            meta=meta,
-            routing_epoch=int(getattr(self.table, "epoch", 0)),
-            deltas_applied=int(getattr(self.table, "deltas_applied", 0)),
+        digest = self.table.digest()
+
+        def write() -> None:
+            write_checkpoint(
+                path,
+                self._stores,
+                table_digest=digest,
+                meta=meta,
+                routing_epoch=int(getattr(self.table, "epoch", 0)),
+                deltas_applied=int(getattr(self.table, "deltas_applied", 0)),
+            )
+            self.metrics.record_checkpoint()
+            if _sanitize.is_enabled():
+                # The write itself performed (and counted) a read-back.
+                self.metrics.record_sanitize(*_sanitize.take_stats())
+
+        write_verified_checkpoint(
+            path, write, digest, self.injector, self.metrics
         )
-        self.metrics.record_checkpoint()
-        if _sanitize.is_enabled():
-            # The write itself performed (and counted) a read-back.
-            self.metrics.record_sanitize(*_sanitize.take_stats())
 
     @classmethod
     def resume(

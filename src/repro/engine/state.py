@@ -541,7 +541,7 @@ def _encode_store(store: ClusterStore) -> List[Any]:
                 source_kind=state.source_kind,
                 source_name=state.source_name,
                 clients=list(chain.from_iterable(state.client_counts.items())),
-                urls=list(state.urls),
+                urls=sorted(state.urls),
             )
             for prefix, state in store._clusters.items()
         ],

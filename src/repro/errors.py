@@ -1,8 +1,7 @@
 """The structured error taxonomy for pipeline robustness.
 
-The ingestion pipeline distinguishes three broad failure families, and
-the recovery machinery (:mod:`repro.engine.supervisor`) keys off the
-*class*, not the message:
+The ingestion pipeline distinguishes two broad failure families, and
+recovery code keys off the *class*, not the message:
 
 * **Persistent-state failures** — a checkpoint file that is truncated,
   bit-flipped, foreign, or from an incompatible format version.  These
@@ -11,10 +10,6 @@ the recovery machinery (:mod:`repro.engine.supervisor`) keys off the
   rereading), while :class:`CheckpointVersionError` means the file is
   intact but this build cannot read it (not retryable at all — the
   operator must migrate or discard it).
-* **Chunk failures** — an armed worker fault failed a chunk before it
-  touched any state.  :class:`WorkerCrashError` is what the engine
-  surfaces; the supervisor retries the failed chunk with backoff and
-  quarantines it after ``max_retries``.
 * **Dirty input** — malformed log or routing-dump lines.  These are
   counted-and-skipped (see ``weblog.parser.ParseReport`` and
   ``bgp.formats.DumpReport``); a log stream raises
@@ -30,7 +25,6 @@ __all__ = [
     "CheckpointCorruptError",
     "CheckpointVersionError",
     "CheckpointTableMismatchError",
-    "WorkerCrashError",
     "ServeProtocolError",
     "ServeLineTooLongError",
     "ServeDisconnectError",
@@ -73,17 +67,6 @@ class CheckpointVersionError(CheckpointError):
 class CheckpointTableMismatchError(CheckpointError):
     """The checkpoint was taken against a different routing table than
     the one the resume supplies."""
-
-
-# -- chunk failures --------------------------------------------------------
-
-
-class WorkerCrashError(ReproError, RuntimeError):
-    """A chunk failed before it was applied (an armed worker fault).
-
-    The chunk was *not* applied (per-chunk application is
-    all-or-nothing), so re-applying it is always safe.
-    """
 
 
 # -- live serving ----------------------------------------------------------
@@ -156,9 +139,9 @@ class WalSealedError(WalError):
 class InjectedFault(ReproError, RuntimeError):
     """An artificial failure raised by :mod:`repro.faults`.
 
-    Deliberately *not* a subclass of :class:`WorkerCrashError`: recovery
-    code must classify it by injection site, exactly as it would a real
-    fault, and anything that escapes uncaught is a test failure.
+    Recovery code must classify it by injection site, exactly as it
+    would a real fault, and anything that escapes uncaught is a test
+    failure.
     """
 
     def __init__(self, site: str, message: str = "") -> None:

@@ -13,8 +13,6 @@ Injection sites
 =========================  =================================================
 site                       effect
 =========================  =================================================
-``worker.crash``           a chunk fails before any store is touched, as
-                           a clean :class:`~repro.errors.WorkerCrashError`
 ``checkpoint.corrupt``     one byte of a just-written checkpoint is flipped
 ``checkpoint.truncate``    a just-written checkpoint is cut to ``arg``
                            fraction of its length
@@ -36,14 +34,11 @@ site                       effect
                            frame and keep serving
 =========================  =================================================
 
-``worker.crash`` is visited once per applied chunk, by the engine,
-before it touches any store.  Everything is stdlib-only and a plan
+The checkpoint sites are visited after each checkpoint write, before
+the file is read back.  Everything is stdlib-only and a plan
 round-trips through JSON, so chaos runs can be driven from the CLI
 (``repro-engine --inject plan.json``); :meth:`FaultPlan.from_dict`
 rejects any malformed plan with a :class:`ValueError`.
-
-The no-op default costs one ``is None`` check per chunk: the happy
-path is untouched.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 __all__ = [
-    "SITE_WORKER_CRASH",
     "SITE_CHECKPOINT_CORRUPT",
     "SITE_CHECKPOINT_TRUNCATE",
     "SITE_LOG_TRUNCATE",
@@ -70,7 +64,6 @@ __all__ = [
     "FaultInjector",
 ]
 
-SITE_WORKER_CRASH = "worker.crash"
 SITE_CHECKPOINT_CORRUPT = "checkpoint.corrupt"
 SITE_CHECKPOINT_TRUNCATE = "checkpoint.truncate"
 SITE_LOG_TRUNCATE = "log.truncate"
@@ -81,7 +74,6 @@ SITE_SERVE_WAL_ENOSPC = "serve.wal.enospc"
 SITE_SERVE_DISCONNECT = "serve.disconnect"
 
 ALL_SITES = (
-    SITE_WORKER_CRASH,
     SITE_CHECKPOINT_CORRUPT,
     SITE_CHECKPOINT_TRUNCATE,
     SITE_LOG_TRUNCATE,
@@ -123,7 +115,7 @@ class FaultSpec:
     """One planned fault: fire at visit ``at`` to ``site``.
 
     ``count`` is how many consecutive visits fire (``-1`` = every visit
-    from ``at`` on — "every chunk fails").  ``arg`` is site-specific:
+    from ``at`` on — "every write is damaged").  ``arg`` is site-specific:
     surviving length fraction for ``checkpoint.truncate``, line budget
     for ``log.truncate``.
     """

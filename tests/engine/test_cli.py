@@ -1,6 +1,7 @@
 """Unit tests for the repro-engine command-line front end."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -35,15 +36,19 @@ BAD_PLANS = {
         "unknown injection site: 'worker.meltdown'",
     ),
     "unknown-key": (
-        '{"specs": [{"site": "worker.crash", "bogus": 1}]}',
+        '{"specs": [{"site": "checkpoint.corrupt", "bogus": 1}]}',
         "unknown fault spec key 'bogus' (known: arg, at, count, site)",
     ),
     "removed-site": (
         '{"specs": [{"site": "worker.slow", "arg": 0.5}]}',
         "unknown injection site: 'worker.slow'",
     ),
+    "removed-crash-site": (
+        '{"specs": [{"site": "worker.crash"}]}',
+        "unknown injection site: 'worker.crash'",
+    ),
     "removed-shard-field": (
-        '{"specs": [{"site": "worker.crash", "shard": 0}]}',
+        '{"specs": [{"site": "checkpoint.corrupt", "shard": 0}]}',
         "unknown fault spec key 'shard' (known: arg, at, count, site)",
     ),
     "wrong-type": (
@@ -201,7 +206,6 @@ class TestFastpathFlags:
         for bad in (
             ["--memo-size", "-1"],
             ["--chunk-size", "0"],
-            ["--retries", "-1"],
             ["--shm"],
             ["--resume"],  # no --checkpoint to resume from
             # One process, no workers: the transport's flags are gone.
@@ -225,13 +229,14 @@ class TestFastpathFlags:
         (["--busy", "1.5"], "argument --busy: must be in (0, 1]: '1.5'"),
         (["--checkpoint-every", "-3"], "--checkpoint-every must be >= 0"),
         (["--max-errors", "-1"], "--max-errors must be >= 0"),
-        (["--backoff", "-1"], "--backoff must be a finite number >= 0"),
-        (["--backoff", "inf"], "--backoff must be a finite number >= 0"),
-        (["--backoff", "nan"], "--backoff must be a finite number >= 0"),
+        # Nothing is retried: the supervision options are gone.
+        (["--retries", "1"], "unrecognized arguments: --retries 1"),
+        (["--backoff", "0"], "unrecognized arguments: --backoff 0"),
+        (["--quarantine", "P"], "unrecognized arguments: --quarantine P"),
     ], ids=[
         "top-negative", "busy-zero", "busy-above-one",
         "checkpoint-every-negative", "max-errors-negative",
-        "backoff-negative", "backoff-infinite", "backoff-nan",
+        "removed-retries", "removed-backoff", "removed-quarantine",
     ])
     def test_out_of_range_values_are_usage_errors(
         self, files, tmp_path, capsys, bad, message
@@ -400,7 +405,7 @@ class TestCheckpointFlow:
 
 
 class TestFaultFlags:
-    """The robustness surface: --inject, --quarantine, corrupt --resume."""
+    """The robustness surface: --inject, corrupt --resume."""
 
     def test_corrupt_checkpoint_fails_resume_with_actionable_error(
         self, tmp_path, files, capsys
@@ -437,7 +442,7 @@ class TestFaultFlags:
     def test_inject_plan_is_loaded_and_survived(self, tmp_path, files,
                                                 capsys):
         from repro.faults import (
-            SITE_WORKER_CRASH,
+            SITE_CHECKPOINT_CORRUPT,
             FaultPlan,
             FaultSpec,
         )
@@ -445,45 +450,27 @@ class TestFaultFlags:
         log, dump = files
         plan_path = str(tmp_path / "plan.json")
         FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=0, count=1), seed=3
+            FaultSpec(site=SITE_CHECKPOINT_CORRUPT, at=0, count=1), seed=3
         ).save(plan_path)
-        # Inline engine (1 shard): the injected crash is retried and the
-        # run completes with the same table an undisturbed run prints.
+        ckpt = str(tmp_path / "run.ckpt")
+        # The damaged checkpoint is rewritten and the run completes with
+        # the same table an undisturbed run prints.
         assert main([log, "--table", dump]) == 0
         undisturbed = _cluster_table(capsys.readouterr().out)
         assert main([log, "--table", dump, "--inject", plan_path,
-                     "--metrics"]) == 0
+                     "--checkpoint", ckpt, "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "fault injection armed" in out
-        assert "worker.crash" in out
-        assert "chunk_retries" in out
+        assert "checkpoint.corrupt" in out
+        assert re.search(r"^checkpoint_rewrites +1$", out, re.MULTILINE)
         # Compare only the cluster table; the metrics block rightly
-        # differs (it records the retry).
+        # differs (it records the rewrite).
         table_only = out[: out.index("engine metrics")]
         assert _cluster_table(table_only).strip() == undisturbed.strip()
-
-    def test_quarantine_reports_loss(self, tmp_path, files, capsys):
-        from repro.faults import (
-            SITE_WORKER_CRASH,
-            FaultPlan,
-            FaultSpec,
-        )
-
-        log, dump = files
-        plan_path = str(tmp_path / "plan.json")
-        dead_letter = str(tmp_path / "dead.jsonl")
-        FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=0, count=-1), seed=3
-        ).save(plan_path)
-        code = main([log, "--table", dump, "--inject", plan_path,
-                     "--retries", "1", "--backoff", "0",
-                     "--quarantine", dead_letter])
-        err = capsys.readouterr().err
-        # Every chunk quarantined → nothing ingested → exit 1, but the
-        # loss is accounted, not silent.
-        assert code == 1
-        assert "quarantined" in err
-        assert open(dead_letter).read().count("\n") >= 1
+        # ...and the rewritten checkpoint resumes to the same table.
+        assert main([log, "--table", dump, "--checkpoint", ckpt,
+                     "--resume"]) == 0
+        assert _cluster_table(capsys.readouterr().out) == undisturbed
 
     def test_log_truncation_fault_shrinks_the_run(self, tmp_path, files,
                                                   capsys):
@@ -503,49 +490,20 @@ class TestFaultFlags:
 
     def test_stride_identical_under_fault_plan(self, tmp_path, files,
                                                capsys):
-        """--lpm stride + --memo-size under an injected crash still
+        """--lpm stride + --memo-size under a damaged checkpoint still
         prints the exact table an undisturbed packed run prints."""
-        from repro.faults import SITE_WORKER_CRASH, FaultPlan, FaultSpec
+        from repro.faults import SITE_CHECKPOINT_CORRUPT, FaultPlan, FaultSpec
 
         log, dump = files
         plan_path = str(tmp_path / "plan.json")
         FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=0, count=1), seed=3
+            FaultSpec(site=SITE_CHECKPOINT_CORRUPT, at=0, count=1), seed=3
         ).save(plan_path)
         assert main([log, "--table", dump]) == 0
         undisturbed = _cluster_table(capsys.readouterr().out)
         assert main([log, "--table", dump, "--lpm", "stride",
-                     "--memo-size", "64", "--inject", plan_path]) == 0
+                     "--memo-size", "64", "--inject", plan_path,
+                     "--checkpoint", str(tmp_path / "run.ckpt")]) == 0
         disturbed = capsys.readouterr().out
         assert "stride LPM table" in disturbed
         assert _cluster_table(disturbed).strip() == undisturbed.strip()
-
-    def test_quarantined_chunk_does_not_shift_resume_accounting(
-        self, tmp_path, files, capsys
-    ):
-        """Positional accounting: checkpoint meta counts consumed
-        entries, so a quarantined chunk is not replayed on --resume."""
-        from repro.faults import (
-            SITE_WORKER_CRASH,
-            FaultPlan,
-            FaultSpec,
-        )
-
-        log, dump = files
-        ckpt = str(tmp_path / "run.ckpt")
-        plan_path = str(tmp_path / "plan.json")
-        # Poison only the first 2-entry chunk; chunks 2.. apply fine.
-        FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=0, count=2), seed=3
-        ).save(plan_path)
-        assert main([log, "--table", dump, "--chunk-size", "2",
-                     "--inject", plan_path, "--retries", "1",
-                     "--backoff", "0", "--checkpoint", ckpt]) == 0
-        capsys.readouterr()
-        # All 4 parsed entries were *consumed* (2 quarantined, 2
-        # applied): resume must skip all 4 and re-ingest nothing.
-        assert main([log, "--table", dump, "--checkpoint", ckpt,
-                     "--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "2 entries already ingested" in out
-        assert "skipping the first 4 entries" in out

@@ -13,13 +13,11 @@ from repro.engine.cli import main as engine_main
 from repro.engine.fastpath import MemoizedLookup, StrideLpm
 from repro.engine.metrics import METRICS, EngineMetrics
 from repro.engine.shard import EngineConfig, ShardedClusterEngine
-from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
 from repro.errors import InjectedFault
 from repro.faults import (
     SITE_CHECKPOINT_CORRUPT,
     SITE_SERVE_WAL_ENOSPC,
     SITE_SERVE_WAL_TORN,
-    SITE_WORKER_CRASH,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -74,7 +72,6 @@ class TestExport:
         assert set(snap) == {
             "entries", "lookups", "batches", "malformed_skipped",
             "checkpoints_written", "num_shards",
-            "chunk_retries", "chunks_quarantined",
             "entries_quarantined", "checkpoint_rewrites",
             "memo_hits", "memo_misses", "memo_evictions",
             "routes_announced", "routes_withdrawn", "clients_reclustered",
@@ -117,15 +114,11 @@ class TestExport:
 
     def test_fault_counters(self):
         metrics = EngineMetrics(2)
-        metrics.record_retry()
-        metrics.record_retry()
-        metrics.record_quarantine(entries=512)
+        metrics.record_checkpoint_rewrite()
         metrics.record_checkpoint_rewrite()
         snap = metrics.snapshot()
-        assert snap["chunk_retries"] == 2
-        assert snap["chunks_quarantined"] == 1
-        assert snap["entries_quarantined"] == 512
-        assert snap["checkpoint_rewrites"] == 1
+        assert snap["checkpoint_rewrites"] == 2
+        assert snap["entries_quarantined"] == 0
 
     def test_render_is_a_table(self):
         metrics = EngineMetrics(2)
@@ -138,8 +131,9 @@ class TestExport:
 
 
 def filled_metrics():
-    """An ``EngineMetrics(2)`` whose 37 readings are all distinct
-    (``shed_events``, which nothing moves, is the one 0)."""
+    """An ``EngineMetrics(2)`` whose 35 readings are all distinct but
+    for the two nothing moves, ``entries_quarantined`` and
+    ``shed_events``, which stay 0."""
     metrics = EngineMetrics(2)
     metrics.record_batch([1200, 34], seconds=0.25, lookups=1500)
     metrics.record_batch([7, 3], seconds=0.5, lookups=11)
@@ -147,9 +141,6 @@ def filled_metrics():
     metrics.record_malformed(28)
     for _ in range(4):
         metrics.record_checkpoint()
-    for _ in range(5):
-        metrics.record_retry()
-    metrics.record_quarantine(entries=4096)
     for _ in range(6):
         metrics.record_checkpoint_rewrite()
     metrics.record_memo(hits=900, misses=100, evictions=17)
@@ -186,9 +177,7 @@ lookups                            1,511
 batches                                3
 malformed_skipped                     28
 checkpoints_written                    4
-chunk_retries                          5
-chunks_quarantined                     1
-entries_quarantined                4,096
+entries_quarantined                    0
 checkpoint_rewrites                    6
 memo_hits                            900
 memo_misses                          100
@@ -222,7 +211,7 @@ shard_skew                         1.941"""
 
 def test_render_is_pinned_byte_for_byte():
     metrics = filled_metrics()
-    assert len(set(metrics.snapshot().values())) == len(METRICS) == 37
+    assert len(set(metrics.snapshot().values())) == len(METRICS) - 1 == 34
     assert metrics.render() == RENDERED
 
 
@@ -235,7 +224,7 @@ COUNTERS = {
     if not spec.init and spec.metadata["kind"] != "derived"
 }
 
-#: Counters no shipped path can move, and why.  Both are still reported;
+#: Counters no shipped path can move, and why.  All are still reported;
 #: a path that starts moving one fails this test until it leaves here.
 EXEMPT = {
     "sanitize_batch_checks": (
@@ -245,6 +234,9 @@ EXEMPT = {
     "shed_events": (
         "the serve daemon sheds nothing; bench/check.py and "
         "bench/workloads.py still read it"
+    ),
+    "entries_quarantined": (
+        "nothing is quarantined; bench/workloads.py still reads it"
     ),
 }
 
@@ -256,8 +248,7 @@ EXPECTED = {
     "engine ingest": {
         "entries", "lookups", "batches", "total_seconds",
         "max_batch_seconds", "memo_hits", "memo_misses", "memo_evictions",
-        "sanitize_lpm_crosschecks", "chunk_retries", "chunks_quarantined",
-        "entries_quarantined",
+        "sanitize_lpm_crosschecks",
     },
     "engine checkpoint": {
         "checkpoints_written", "checkpoint_rewrites",
@@ -287,10 +278,7 @@ def _moved(before, after):
 
 def _engine_phases(tmp_path):
     plan = FaultPlan.build(
-        # Chunk 1 fails once and is retried; chunk 2 fails twice and is
-        # quarantined; the first checkpoint is damaged and rewritten.
-        FaultSpec(site=SITE_WORKER_CRASH, at=0, count=1),
-        FaultSpec(site=SITE_WORKER_CRASH, at=2, count=2),
+        # The first checkpoint is damaged and rewritten.
         FaultSpec(site=SITE_CHECKPOINT_CORRUPT, count=1),
         seed=5,
     )
@@ -300,21 +288,18 @@ def _engine_phases(tmp_path):
         table, EngineConfig(num_shards=2, chunk_size=8),
         injector=FaultInjector(plan),
     )
-    supervised = SupervisedEngine(
-        engine, SupervisorConfig(max_retries=1, backoff_base=0)
-    )
     # A hot client between cold ones: memo hits, misses and evictions.
     triples = [
         (BASE if i % 2 else BASE + (1 << 16) + i, f"/{i % 5}", i)
         for i in range(600)
     ]
     sanitize.take_stats()
-    start = supervised.metrics.snapshot()
-    supervised.ingest(triples)
-    ingested = supervised.metrics.snapshot()
-    supervised.checkpoint(str(tmp_path / "engine.ckpt"))
-    checkpointed = supervised.metrics.snapshot()
-    supervised.close()
+    start = engine.metrics.snapshot()
+    engine.ingest(triples)
+    ingested = engine.metrics.snapshot()
+    engine.checkpoint(str(tmp_path / "engine.ckpt"))
+    checkpointed = engine.metrics.snapshot()
+    engine.close()
     return {
         "engine ingest": _moved(start, ingested),
         "engine checkpoint": _moved(ingested, checkpointed),

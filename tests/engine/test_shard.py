@@ -13,6 +13,7 @@ from repro.engine.packed import PackedLpm
 from repro.engine.shard import EngineConfig, ShardedClusterEngine, shard_of
 from repro.engine.state import request_triples
 from repro.net.prefix import Prefix
+from repro.weblog.parser import iter_clf_entries, parse_clf_lines
 
 
 def _signature(cluster_set):
@@ -181,6 +182,30 @@ class TestEngineBehaviour:
         engines[0].ingest(entries[half:])
         assert _report(one) == frozen
         assert engines[0].snapshot().total_requests > one.total_requests
+
+    def test_mixed_tier_chunk_lands_on_cluster_log(
+        self, nagano_log, merged_table
+    ):
+        """``ingest`` takes what ``iter_clf_entries`` yields — request
+        triples, whether the fast pattern or the grammar parsed the
+        line — in the one-chunk lists the CLI hands over."""
+        lines = [
+            # Every third line strays from the common shape (same
+            # client, URL and size), so the grammar parses it.
+            entry.to_clf().replace('"GET ', '"get ') if index % 3 == 0
+            else entry.to_clf()
+            for index, entry in enumerate(nagano_log.log.entries[:600])
+        ]
+        batch = list(iter_clf_entries(lines))
+        engine = ShardedClusterEngine(
+            PackedLpm.from_merged(merged_table),
+            EngineConfig(num_shards=1, chunk_size=1024, name="door"),
+        )
+        assert engine.ingest(batch) == len(batch)
+        assert engine.snapshot() == cluster_log(
+            parse_clf_lines("door", lines), merged_table
+        )
+        assert engine.metrics.batches == 1
 
     def test_metrics_observe_ingestion(self, nagano_log, merged_table):
         packed = PackedLpm.from_merged(merged_table)

@@ -1,9 +1,10 @@
 """Chaos acceptance: disturbed runs produce undisturbed output.
 
-The bar: a supervised two-shard run over the Nagano preset with at
-least two injected chunk failures and one corrupted checkpoint must
-finish with output identical to single-pass ``cluster_log`` — and the
-disturbance must be visible in the metrics, not silently absorbed.
+The bar: a two-shard run over the Nagano preset whose mid-run
+checkpoint is corrupted must rewrite it, resume from it in a fresh
+engine and finish with output identical to single-pass
+``cluster_log`` — and the disturbance must be visible in the metrics,
+not silently absorbed.
 
 Every plan here is seeded and deterministic: a failing run replays
 exactly by re-running the test.
@@ -14,11 +15,11 @@ import pytest
 from repro.core.clustering import cluster_log
 from repro.engine.packed import PackedLpm
 from repro.engine.shard import EngineConfig, ShardedClusterEngine
-from repro.engine.state import read_checkpoint, request_triples
-from repro.engine.supervisor import SupervisedEngine, SupervisorConfig
+from repro.engine.state import (
+    CheckpointCorruptError, read_checkpoint, request_triples,
+)
 from repro.faults import (
     SITE_CHECKPOINT_CORRUPT,
-    SITE_WORKER_CRASH,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -46,61 +47,64 @@ def baseline(nagano_log, merged_table):
     return _signature(cluster_log(nagano_log.log, merged_table))
 
 
-def _supervised(packed, plan, shards=2, **policy):
-    config = EngineConfig(num_shards=shards, chunk_size=CHUNK)
-    engine = ShardedClusterEngine(packed, config, injector=FaultInjector(plan))
-    options = dict(max_retries=3, backoff_base=0)
-    options.update(policy)
-    return SupervisedEngine(engine, SupervisorConfig(**options))
+def _corrupt_plan(count=1):
+    return FaultPlan.build(
+        FaultSpec(site=SITE_CHECKPOINT_CORRUPT, at=0, count=count), seed=SEED
+    )
+
+
+def _engine(packed, plan=None):
+    config = EngineConfig(num_shards=2, chunk_size=CHUNK)
+    injector = FaultInjector(plan) if plan is not None else None
+    return ShardedClusterEngine(packed, config, injector=injector)
 
 
 class TestDisturbedEquivalence:
-    def test_crashes_and_corrupt_checkpoint_do_not_change_output(
+    def test_damaged_checkpoint_resumes_to_cluster_log(
         self, nagano_log, packed, baseline, tmp_path
     ):
-        """The acceptance run: 2 chunk failures + 1 corrupted checkpoint."""
-        plan = FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=0, count=1),
-            FaultSpec(site=SITE_WORKER_CRASH, at=2, count=1),
-            FaultSpec(site=SITE_CHECKPOINT_CORRUPT, at=0, count=1),
-            seed=SEED,
-        )
+        """The acceptance run: the mid-run checkpoint is damaged once,
+        rewritten, and a fresh engine resumes from it."""
         entries = request_triples(nagano_log.log.entries)
         half = len(entries) // 2
         ckpt = str(tmp_path / "mid.ckpt")
-        with _supervised(packed, plan) as supervised:
-            supervised.ingest(entries[:half])
-            supervised.checkpoint(ckpt)  # damaged once, rewritten, verified
-            supervised.ingest(entries[half:])
-            result = supervised.snapshot(nagano_log.log.name)
-            snap = supervised.metrics.snapshot()
-
-        assert _signature(result) == baseline
+        with _engine(packed, _corrupt_plan()) as first:
+            first.ingest(entries[:half])
+            first.checkpoint(ckpt)  # damaged once, rewritten, verified
         # The disturbance really happened and was really recovered:
-        assert supervised.engine.injector.fired[SITE_WORKER_CRASH] == 2
-        assert supervised.engine.injector.fired[SITE_CHECKPOINT_CORRUPT] == 1
-        assert snap["chunk_retries"] == 2
-        assert snap["checkpoint_rewrites"] == 1
-        assert snap["chunks_quarantined"] == 0
-        # The mid-run checkpoint on disk is the verified rewrite.
+        assert first.injector.fired[SITE_CHECKPOINT_CORRUPT] == 1
+        assert first.metrics.checkpoint_rewrites == 1
         stores, _ = read_checkpoint(ckpt, table_digest=packed.digest())
+        assert len(stores) == 2
         assert sum(s.entries_applied for s in stores) == half
+
+        with ShardedClusterEngine.resume(ckpt, packed) as resumed:
+            assert resumed.config.num_shards == 2
+            resumed.ingest(entries[half:])
+            result = resumed.snapshot(nagano_log.log.name)
+        assert _signature(result) == baseline
 
 
 class TestChaosDeterminism:
-    def test_same_plan_same_fault_sequence(self, nagano_log, packed):
-        """Two runs of one plan disturb the same dispatches."""
-        def run():
-            plan = FaultPlan.build(
-                FaultSpec(site=SITE_WORKER_CRASH, at=1, count=2), seed=SEED
-            )
-            supervised = _supervised(packed, plan)
-            with supervised:
-                supervised.ingest(request_triples(nagano_log.log.entries[:CHUNK * 4]))
-            return (
-                dict(supervised.engine.injector.fired),
-                supervised.metrics.snapshot()["chunk_retries"],
-            )
+    def test_same_plan_same_fault_sequence(self, nagano_log, packed, tmp_path):
+        """Two runs of one plan damage the same byte of the same file."""
+        entries = request_triples(nagano_log.log.entries[:CHUNK * 4])
 
-        assert run() == run()
+        def run(name, plan):
+            path = tmp_path / name
+            engine = _engine(packed, plan)
+            engine.ingest(entries)
+            if plan is None:
+                engine.checkpoint(str(path))
+            else:
+                # Every write is damaged: the last damaged copy stays.
+                with pytest.raises(CheckpointCorruptError):
+                    engine.checkpoint(str(path))
+            return path.read_bytes()
 
+        clean = run("clean.ckpt", None)
+        first = run("first.ckpt", _corrupt_plan(count=-1))
+        second = run("second.ckpt", _corrupt_plan(count=-1))
+        assert first == second
+        assert len(first) == len(clean)
+        assert sum(a != b for a, b in zip(first, clean)) == 1

@@ -12,7 +12,6 @@ from repro.faults import (
     SITE_SERVE_DISCONNECT,
     SITE_SERVE_WAL_ENOSPC,
     SITE_SERVE_WAL_TORN,
-    SITE_WORKER_CRASH,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -26,21 +25,21 @@ class TestFaultSpec:
 
     def test_rejects_negative_at(self):
         with pytest.raises(ValueError, match="at must be"):
-            FaultSpec(site=SITE_WORKER_CRASH, at=-1)
+            FaultSpec(site=SITE_SERVE_CRASH, at=-1)
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_rejects_bad_count(self, count):
         with pytest.raises(ValueError, match="count must be"):
-            FaultSpec(site=SITE_WORKER_CRASH, count=count)
+            FaultSpec(site=SITE_SERVE_CRASH, count=count)
 
     def test_covers_window(self):
-        spec = FaultSpec(site=SITE_WORKER_CRASH, at=2, count=3)
+        spec = FaultSpec(site=SITE_SERVE_CRASH, at=2, count=3)
         assert [spec.covers(v) for v in range(7)] == [
             False, False, True, True, True, False, False,
         ]
 
     def test_covers_forever(self):
-        spec = FaultSpec(site=SITE_WORKER_CRASH, at=1, count=-1)
+        spec = FaultSpec(site=SITE_SERVE_CRASH, at=1, count=-1)
         assert not spec.covers(0)
         assert all(spec.covers(v) for v in (1, 10, 10_000))
 
@@ -48,7 +47,7 @@ class TestFaultSpec:
 class TestFaultPlanSerialization:
     def _plan(self):
         return FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=1, count=2),
+            FaultSpec(site=SITE_SERVE_CRASH, at=1, count=2),
             FaultSpec(site=SITE_CHECKPOINT_TRUNCATE, arg=0.5),
             FaultSpec(site=SITE_LOG_TRUNCATE, arg=100),
             seed=7,
@@ -66,7 +65,7 @@ class TestFaultPlanSerialization:
 
     def test_sites_are_sorted_and_unique(self):
         assert self._plan().sites() == (
-            SITE_CHECKPOINT_TRUNCATE, SITE_LOG_TRUNCATE, SITE_WORKER_CRASH,
+            SITE_CHECKPOINT_TRUNCATE, SITE_LOG_TRUNCATE, SITE_SERVE_CRASH,
         )
 
     def test_from_dict_rejects_bad_site(self):
@@ -76,25 +75,27 @@ class TestFaultPlanSerialization:
     @pytest.mark.parametrize("data, message", [
         ([], "must be a JSON object"),
         ({"specs": {}}, "key 'specs' has a bad value"),
-        ({"specs": ["worker.crash"]}, "must be a JSON object"),
+        ({"specs": ["serve.crash"]}, "must be a JSON object"),
         ({"specs": [{}]}, "spec has no site"),
         ({"specs": [{"site": 1}]}, "key 'site' has a bad value"),
-        ({"specs": [{"site": SITE_WORKER_CRASH, "at": "0"}]},
+        ({"specs": [{"site": SITE_SERVE_CRASH, "at": "0"}]},
          "key 'at' has a bad value"),
-        ({"specs": [{"site": SITE_WORKER_CRASH, "count": True}]},
+        ({"specs": [{"site": SITE_SERVE_CRASH, "count": True}]},
          "key 'count' has a bad value"),
-        ({"specs": [{"site": SITE_WORKER_CRASH, "arg": None}]},
+        ({"specs": [{"site": SITE_SERVE_CRASH, "arg": None}]},
          "key 'arg' has a bad value"),
-        ({"specs": [{"site": SITE_WORKER_CRASH, "shard": 0}]},
+        ({"specs": [{"site": SITE_SERVE_CRASH, "shard": 0}]},
          "unknown fault spec key 'shard'"),
         ({"specs": [{"site": "worker.slow"}]}, "unknown injection site"),
+        ({"specs": [{"site": "worker.crash"}]}, "unknown injection site"),
         ({"seed": 1.5}, "key 'seed' has a bad value"),
         ({"sead": 1}, "unknown fault plan key 'sead'"),
     ], ids=[
         "not-an-object", "specs-not-a-list", "spec-not-an-object",
         "spec-without-site", "site-not-a-string", "at-not-an-int",
         "count-a-bool", "arg-null", "removed-shard-field",
-        "removed-slow-site", "seed-a-float", "unknown-plan-key",
+        "removed-slow-site", "removed-crash-site", "seed-a-float",
+        "unknown-plan-key",
     ])
     def test_from_dict_rejects_malformed_plans(self, data, message):
         with pytest.raises(ValueError, match=message):
@@ -107,13 +108,13 @@ class TestFaultPlanSerialization:
 class TestInjectorDeterminism:
     def test_same_plan_same_decisions(self):
         plan = FaultPlan.build(
-            FaultSpec(site=SITE_WORKER_CRASH, at=1, count=3),
+            FaultSpec(site=SITE_SERVE_CRASH, at=1, count=3),
             seed=99,
         )
         first = FaultInjector(plan)
         second = FaultInjector(plan)
-        decisions_a = [first.fire(SITE_WORKER_CRASH) for _ in range(6)]
-        decisions_b = [second.fire(SITE_WORKER_CRASH) for _ in range(6)]
+        decisions_a = [first.fire(SITE_SERVE_CRASH) for _ in range(6)]
+        decisions_b = [second.fire(SITE_SERVE_CRASH) for _ in range(6)]
         assert decisions_a == decisions_b
         assert [spec is not None for spec in decisions_a] == [
             False, True, True, True, False, False,
@@ -123,7 +124,7 @@ class TestInjectorDeterminism:
     def test_noop_injector_never_fires(self):
         injector = FaultInjector()
         assert all(
-            injector.fire(SITE_WORKER_CRASH) is None for _ in range(100)
+            injector.fire(SITE_SERVE_CRASH) is None for _ in range(100)
         )
         assert injector.total_fired == 0
 
@@ -188,14 +189,13 @@ class TestLineWrapping:
 
     def test_wrap_rejects_non_stream_sites(self):
         with pytest.raises(ValueError, match="wrap_lines"):
-            list(FaultInjector().wrap_lines([], SITE_WORKER_CRASH))
+            list(FaultInjector().wrap_lines([], SITE_SERVE_CRASH))
 
 
 def test_all_sites_is_complete():
     assert set(ALL_SITES) == {
-        SITE_WORKER_CRASH,
         SITE_CHECKPOINT_CORRUPT, SITE_CHECKPOINT_TRUNCATE,
         SITE_LOG_TRUNCATE, SITE_DUMP_MANGLE, SITE_SERVE_CRASH,
         SITE_SERVE_WAL_TORN, SITE_SERVE_WAL_ENOSPC, SITE_SERVE_DISCONNECT,
     }
-    assert len(ALL_SITES) == 9
+    assert len(ALL_SITES) == 8

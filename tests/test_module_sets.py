@@ -31,7 +31,7 @@ MODULE_SETS = {
     "import repro": ["repro"],
     "import repro.cli": _CLUSTER,
     "import repro.engine.cli": _ENGINE_CORE + [
-        "repro.engine.cli", "repro.engine.shard", "repro.engine.supervisor",
+        "repro.engine.cli", "repro.engine.shard",
     ],
     "import repro.serve.cli": _ENGINE_CORE + [
         "repro.serve", "repro.serve.cli", "repro.serve.daemon",
