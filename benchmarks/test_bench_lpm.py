@@ -1,16 +1,26 @@
-"""Ablation benchmark: LPM engine choice (radix vs per-length hash vs
+"""Ablation benchmark: LPM matcher choice (radix vs per-length hash vs
 linear scan).
 
 The clustering step is one longest-prefix match per unique client; this
-ablation shows why the radix trie is the production engine and the
-linear scan only a correctness oracle.
+ablation shows why the radix trie is the paper's baseline matcher and
+the linear scan only a correctness oracle.
 """
 
 import random
 
 import pytest
 
-from repro.net.lpm import build_engine
+from repro.net.lpm import LinearLpm, SortedLpm
+from repro.net.radix import RadixTree
+
+KINDS = {"radix": RadixTree, "sorted": SortedLpm, "linear": LinearLpm}
+
+
+def build_engine(kind, entries):
+    engine = KINDS[kind]()
+    for prefix, value in entries:
+        engine.insert(prefix, value)
+    return engine
 
 
 @pytest.fixture(scope="module")

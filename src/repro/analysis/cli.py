@@ -33,9 +33,9 @@ _DEFAULT_DOC_NAMES = ("README.md", "DESIGN.md")
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="repo-specific static analysis (determinism, pickle "
-        "protocol, error taxonomy, parser discipline, and the "
-        "cross-module metrics/CLI-doc/error-taxonomy drift rules)",
+        description="repo-specific static analysis (determinism, error "
+        "taxonomy, parser discipline, and the cross-module CLI-doc and "
+        "error-taxonomy drift rules)",
     )
     parser.add_argument(
         "paths",

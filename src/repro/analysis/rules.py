@@ -1,7 +1,7 @@
 """The rule catalogue: repo-specific invariants as AST checks.
 
 Each rule here encodes an invariant the engine's guarantees rest on.
-They fall into four families (see DESIGN.md "Static analysis" for the
+They fall into three families (see DESIGN.md "Static analysis" for the
 full rationale):
 
 * **Determinism** — ``unseeded-random``, ``wall-clock``: the clustering
@@ -9,9 +9,6 @@ full rationale):
   must be bit-identical run-to-run, so randomness must flow through
   :mod:`repro.util.rng` and wall-clock reads must stay out of anything
   that feeds cluster output.
-* **Pickle protocol** — ``pickle-boundary``: asymmetric
-  ``__getstate__``/``__setstate__`` pairs, or pairs whose state-tuple
-  arities disagree, corrupt state silently.
 * **Error taxonomy** — ``broad-except``, ``bare-raise-exception``:
   failures must flow through :mod:`repro.errors` so recovery code can
   key off the exception *class*.
@@ -34,7 +31,6 @@ __all__ = [
     "PARSER_PACKAGES",
     "UnseededRandomRule",
     "WallClockRule",
-    "PickleBoundaryRule",
     "BroadExceptRule",
     "BareRaiseExceptionRule",
     "SilentSkipRule",
@@ -182,77 +178,6 @@ class WallClockRule(Rule):
                     "pass timestamps in explicitly (or use "
                     "time.perf_counter for durations)",
                 )
-
-
-@register
-class PickleBoundaryRule(Rule):
-    """``__getstate__`` and ``__setstate__`` come in pairs that agree."""
-
-    rule_id = "pickle-boundary"
-    summary = (
-        "__getstate__ and __setstate__ come in pairs, and the tuple one "
-        "returns has the arity the other unpacks"
-    )
-    rationale = (
-        "Pickling a table or batch calls __getstate__ and unpickling "
-        "calls __setstate__; a __getstate__ without its __setstate__ "
-        "twin, or a state tuple the twin unpacks at another length, "
-        "round-trips state wrongly — invisibly until a table is pickled "
-        "and unpickled."
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_state_pair(module, node)
-
-    def _check_state_pair(
-        self, module: LintModule, cls: ast.ClassDef
-    ) -> Iterator[Finding]:
-        methods = {
-            item.name: item
-            for item in cls.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        getstate = methods.get("__getstate__")
-        setstate = methods.get("__setstate__")
-        if getstate is None and setstate is None:
-            return
-        if getstate is None or setstate is None:
-            present, missing = (
-                ("__getstate__", "__setstate__") if getstate else ("__setstate__", "__getstate__")
-            )
-            yield self.finding(
-                module,
-                cls,
-                f"class {cls.name} defines {present} without {missing}; "
-                "an asymmetric pickle protocol round-trips state "
-                "incorrectly without raising",
-            )
-            return
-        produced = {
-            len(node.value.elts)
-            for node in ast.walk(getstate)
-            if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
-        }
-        state_params = {arg.arg for arg in setstate.args.args[1:]}  # skip self
-        consumed = {
-            len(node.targets[0].elts)
-            for node in ast.walk(setstate)
-            if isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Tuple)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in state_params
-        }
-        if produced and consumed and not (produced & consumed):
-            yield self.finding(
-                module,
-                setstate,
-                f"{cls.name}.__getstate__ produces a "
-                f"{sorted(produced)}-tuple but __setstate__ unpacks "
-                f"{sorted(consumed)} elements — pickle round-trip breaks",
-            )
 
 
 @register

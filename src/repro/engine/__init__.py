@@ -4,18 +4,17 @@ The paper's §3 pipeline — one longest-prefix match per client against a
 pointer-chasing radix trie — is the right shape for correctness but the
 wrong shape for throughput.  This package is the streaming substrate:
 
-* :mod:`repro.engine.packed` — :class:`PackedLpm`, an immutable,
-  array-packed longest-prefix-match table compiled once from a
-  :class:`~repro.bgp.table.MergedPrefixTable` (or any radix tree);
+* :mod:`repro.engine.packed` — :class:`PackedLpm`, an array-packed
+  longest-prefix-match table compiled once from a
+  :class:`~repro.bgp.table.MergedPrefixTable` and patched in place;
   batch lookups run one binary search per address instead of one trie
   walk.
-* :mod:`repro.engine.fastpath` — the hot-path accelerators:
-  :class:`StrideLpm` (a stride-16 direct-index overlay on the packed
-  layout — most lookups are one array index), :class:`MemoizedLookup`
-  (a bounded exact-IP memo exploiting heavy-tailed client repetition),
-  and :class:`PackedBatch` (one shard's batch as flat buffers).
-  Select the first two with the CLIs' ``--lpm {packed,stride}`` and
-  ``--memo-size``.
+* :mod:`repro.engine.fastpath` — :class:`StrideLpm`, the production
+  table both CLIs compile (a stride-16 direct-index overlay on the
+  packed layout — most lookups are one array index),
+  :class:`MemoizedLookup` (a bounded exact-IP memo exploiting
+  heavy-tailed client repetition, ``--memo-size``), and
+  :class:`PackedBatch` (one shard's batch as flat buffers).
 * :mod:`repro.engine.state` — :class:`ClusterStore`, the incremental,
   mergeable cluster accumulator, and the one versioned, parse-only
   checkpoint layout (:func:`write_checkpoint` / :func:`read_checkpoint`).

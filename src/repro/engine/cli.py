@@ -18,13 +18,11 @@ ingests all of it on top of the restored state (append mode).
 ``--metrics`` prints the engine's counters (entries/sec, batch
 latency, fault accounting).
 
-``--lpm stride`` swaps the packed table's per-lookup binary search for
-a stride-16 direct index, and ``--memo-size N`` memoizes up to N
-distinct client resolutions in front of the table
-(:mod:`repro.engine.fastpath`); both are pure accelerations — cluster
-output is identical across every combination, fault plans included,
-and checkpoints resume across ``--lpm`` settings because all layouts
-share a prefix-set digest.
+The routes compile into a stride-16 direct-index LPM table
+(:class:`~repro.engine.fastpath.StrideLpm`); ``--memo-size N``
+memoizes up to N distinct client resolutions in front of it, a pure
+acceleration — cluster output is identical with and without it, fault
+plans included, and a checkpoint resumes under any ``--memo-size``.
 
 ``--inject PLAN.json`` arms a :mod:`repro.faults` plan — the
 chaos-testing entry point.  Checkpoints are atomic and read back after
@@ -48,7 +46,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.cli import (
     add_report_options, load_tables, print_cluster_report, require_files,
 )
-from repro.engine.fastpath import LPM_KINDS, build_lpm_table
+from repro.engine.fastpath import build_lpm_table
 from repro.engine.metrics import EngineMetrics
 from repro.engine.packed import PackedLpm
 from repro.engine.shard import EngineConfig, ShardedClusterEngine
@@ -64,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-engine",
         description=(
             "High-throughput streaming client clustering: batch "
-            "ingestion of a CLF access log against a packed LPM table "
+            "ingestion of a CLF access log against a stride LPM table "
             "compiled from BGP routing-table dumps."
         ),
     )
@@ -73,17 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--table", "-t", action="append", default=[], metavar="DUMP",
         help="routing-table dump file; repeatable; any §3.1.2 format",
     )
+    # One choice: bench/tests/test_cli_equivalence.py passes --lpm
+    # stride (ROADMAP item 1 frees the flag).
     parser.add_argument(
-        "--lpm", choices=LPM_KINDS, default="packed",
-        help="LPM table layout: 'packed' (binary search over the flat "
-             "interval array) or 'stride' (stride-16 direct index; "
-             "most lookups are one array read).  Identical clusters "
-             "either way (default packed)",
+        "--lpm", choices=("stride",), default="stride",
+        help="LPM table layout: 'stride' (stride-16 direct index; most "
+             "lookups are one array read), the only one",
     )
     parser.add_argument(
         "--memo-size", type=int, default=0, metavar="N",
         help="memoize up to N distinct client resolutions in front of "
-             "the LPM table (FIFO eviction; 0 = off).  Web-log clients "
+             "the LPM table (cleared when full; 0 = off).  Web-log clients "
              "repeat heavily, so most entries skip the LPM entirely; "
              "clusters stay identical",
     )
@@ -127,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_engine(
+def _open_engine(
     args: argparse.Namespace,
     table: PackedLpm,
     injector: Optional[FaultInjector],
@@ -241,15 +239,16 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"from {len(args.table)} dump(s)")
     table = build_lpm_table(args.lpm, merged, args.memo_size)
     inner = table.table if args.memo_size else table
-    detail = f"{len(inner):,} entries, {inner.num_intervals:,} intervals"
-    if args.lpm == "stride":
-        detail += f", {inner.num_direct_slots:,}/65,536 direct slots"
+    detail = (
+        f"{len(inner):,} entries, {inner.num_intervals:,} intervals, "
+        f"{inner.num_direct_slots:,}/65,536 direct slots"
+    )
     if args.memo_size:
         detail += f", memo bound {args.memo_size:,}"
     print(f"{args.lpm} LPM table: {detail}")
 
     try:
-        engine = _build_engine(args, table, injector)
+        engine = _open_engine(args, table, injector)
     except CheckpointError as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 1

@@ -1,25 +1,21 @@
-"""The engine's fast path: stride-indexed LPM, memoized resolution,
-and a flat-buffer batch form.
+"""The engine's fast path: the production stride-indexed LPM table,
+memoized resolution, and a flat-buffer batch form.
 
-Two independent optimisations of the ingestion hot loop, selectable
-from the CLI (``--lpm``, ``--memo-size``) and composable with every
-existing engine feature (sharding, checkpoints, fault
-injection) because each one preserves the surrounding contract exactly,
-plus the flat-buffer batch the benchmark harness packs and folds:
-
-* :class:`StrideLpm` — a :class:`~repro.engine.packed.PackedLpm`
-  whose top 16 address bits index a flat 2^16-entry slot table.  A
-  slot covered by a single interval (every prefix ≤ /16, and any /16
-  block no longer prefix punches into) resolves in **one array index**
-  — no search at all.  Slots that longer prefixes subdivide point at a
-  small per-slot run of the interval layout, and the binary search
-  shrinks from the whole table to that run.  Same compile input, same
-  lookup results, same ``digest()``, same pickle-ability.
-* :class:`MemoizedLookup` — an exact-IP memo in front of any table,
-  exploiting the heavy-tailed client repetition of web logs: a client
-  seen before costs one dict probe instead of an LPM search.  The memo
-  is bounded (FIFO eviction) and its hit/miss/eviction counts flow
-  into :class:`~repro.engine.metrics.EngineMetrics`.
+* :class:`StrideLpm` — the table :func:`build_lpm_table` and both CLIs
+  compile: a :class:`~repro.engine.packed.PackedLpm` whose top 16
+  address bits index a flat 2^16-entry slot table.  A slot covered by a
+  single interval (every prefix ≤ /16, and any /16 block no longer
+  prefix punches into) resolves in **one array index** — no search at
+  all.  Slots that longer prefixes subdivide point at a small per-slot
+  run of the interval layout, and the binary search shrinks from the
+  whole table to that run.  Same lookup results, entry handles and
+  ``digest()`` as the packed layout it indexes.
+* :class:`MemoizedLookup` — an exact-IP memo in front of the table
+  (``--memo-size``), exploiting the heavy-tailed client repetition of
+  web logs: a client seen before costs one dict probe instead of an
+  LPM search.  The memo is bounded (cleared when full) and its
+  hit/miss/eviction counts flow into
+  :class:`~repro.engine.metrics.EngineMetrics`.
 * :class:`PackedBatch` — one shard's batch as flat buffers: a flat
   ``array('Q')`` of client addresses, a flat ``array('Q')`` of
   response sizes, and URLs interned into a per-batch string table
@@ -27,10 +23,10 @@ plus the flat-buffer batch the benchmark harness packs and folds:
   :meth:`~repro.engine.state.ClusterStore.apply_packed` folds it
   without materialising per-entry objects.
 
-Correctness is pinned by tests: every table kind, memo size, and
-shard count produces clusters bit-identical to
-:func:`repro.core.clustering.cluster_log`, including under fault
-plans and across checkpoint/resume.
+Correctness is pinned by tests: the stride table with and without the
+memo produces clusters bit-identical to
+:func:`repro.core.clustering.cluster_log`, including under fault plans
+and across checkpoint/resume.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ from typing import (
 )
 
 from repro.analysis import sanitize as _sanitize
-from repro.engine.packed import PackedLpm, PatchResult, _PackedState
+from repro.engine.packed import PackedLpm, PatchResult
 from repro.errors import SanitizeError
 from repro.net.prefix import Prefix
 
@@ -61,19 +57,12 @@ if TYPE_CHECKING:
 #: One indirect slot's interval run: (starts, owners) as plain lists.
 _SlotRun = Tuple[List[int], List[int]]
 
-#: StrideLpm's pickled form: the packed layout plus the stride overlay.
-_StrideState = Tuple[_PackedState, "array[int]", List[Optional[_SlotRun]]]
-
 __all__ = [
     "StrideLpm",
     "MemoizedLookup",
     "PackedBatch",
     "build_lpm_table",
-    "LPM_KINDS",
 ]
-
-#: Table kinds ``build_lpm_table`` (and the CLIs' ``--lpm``) accept.
-LPM_KINDS = ("packed", "stride")
 
 #: Number of low bits *not* covered by the stride index.
 _STRIDE_SHIFT = 16
@@ -115,33 +104,9 @@ class StrideLpm(PackedLpm):
 
     def __init__(self, entries: Sequence[Tuple[Prefix, Any]]) -> None:
         super().__init__(entries)
-        self._build_stride()
-
-    def _build_stride(self) -> None:
-        starts = self._starts
-        owners = self._owners
-        num_intervals = len(starts)
-        slots = array("q", [0]) * _NUM_SLOTS
-        runs: List[Optional[_SlotRun]] = [None] * _NUM_SLOTS
-        index = 0  # one monotone walk over the intervals
-        for slot in range(_NUM_SLOTS):
-            base = slot << _STRIDE_SHIFT
-            end = base + _NUM_SLOTS
-            while index + 1 < num_intervals and starts[index + 1] <= base:
-                index += 1
-            last = index
-            while last + 1 < num_intervals and starts[last + 1] < end:
-                last += 1
-            if last == index:
-                slots[slot] = owners[index]
-            else:
-                slots[slot] = _INDIRECT
-                run_starts = [base]
-                run_starts.extend(starts[index + 1:last + 1])
-                runs[slot] = (run_starts, list(owners[index:last + 1]))
-                index = last
-        self._slots = slots
-        self._runs = runs
+        self._slots = array("q", [0]) * _NUM_SLOTS
+        self._runs: List[Optional[_SlotRun]] = [None] * _NUM_SLOTS
+        self._rebuild_slots(0, _NUM_SLOTS - 1)
 
     # -- introspection ---------------------------------------------------
 
@@ -174,13 +139,14 @@ class StrideLpm(PackedLpm):
 
     def _rebuild_slots(self, first_slot: int, last_slot: int) -> None:
         """Recompile slots ``first_slot..last_slot`` (inclusive) from the
-        current intervals — the windowed version of :meth:`_build_stride`,
-        seeded by one bisect instead of walking from slot zero."""
+        current intervals in one monotone walk, seeded by one bisect —
+        over every slot at construction, over a patch's windows after."""
         starts = self._starts
         owners = self._owners
         num_intervals = len(starts)
         slots = self._slots
         runs = self._runs
+        runs[first_slot:last_slot + 1] = [None] * (last_slot + 1 - first_slot)
         index = bisect_right(starts, first_slot << _STRIDE_SHIFT) - 1
         for slot in range(first_slot, last_slot + 1):
             base = slot << _STRIDE_SHIFT
@@ -192,7 +158,6 @@ class StrideLpm(PackedLpm):
                 last += 1
             if last == index:
                 slots[slot] = owners[index]
-                runs[slot] = None
             else:
                 slots[slot] = _INDIRECT
                 run_starts = [base]
@@ -200,17 +165,33 @@ class StrideLpm(PackedLpm):
                 runs[slot] = (run_starts, list(owners[index:last + 1]))
                 index = last
 
-    def _verify_overlay(self, rebuilt: PackedLpm) -> None:
+    def _verify_overlay(
+        self, rebuilt: PackedLpm, ranks: Optional[Dict[int, int]]
+    ) -> None:
         """The equivalence gate's stride half: the overlay, renumbered
         like the intervals, must equal the one rebuild's."""
         fresh = cast(StrideLpm, rebuilt)
-        _, slots, runs = self.__getstate__()
+        slots, runs = self._overlay_columns(ranks)
         if fresh._slots != slots or fresh._runs != runs:
             raise SanitizeError(
                 "patched StrideLpm overlay diverged from a from-scratch "
                 f"rebuild at epoch {self.epoch}: the stride index no "
                 "longer mirrors the packed intervals"
             )
+
+    def _overlay_columns(
+        self, ranks: Optional[Dict[int, int]]
+    ) -> Tuple["array[int]", List[Optional[_SlotRun]]]:
+        """The stride overlay renumbered through ``ranks`` — the
+        counterpart of :meth:`PackedLpm._packed_columns`."""
+        if ranks is None:
+            return self._slots, self._runs
+        rank = ranks.__getitem__
+        runs: List[Optional[_SlotRun]] = [
+            None if run is None else (run[0], list(map(rank, run[1])))
+            for run in self._runs
+        ]
+        return array("q", map(rank, self._slots)), runs
 
     # -- lookups ---------------------------------------------------------
 
@@ -272,26 +253,6 @@ class StrideLpm(PackedLpm):
             _sanitize.record_crosscheck()
         return out
 
-    # -- pickling --------------------------------------------------------
-
-    def __getstate__(self) -> _StrideState:
-        """Canonical like :meth:`PackedLpm.__getstate__`: the overlay's
-        handles are renumbered to the dense sorted ranks as well."""
-        ranks = self._ranks()
-        packed_state = self._packed_state(ranks)
-        if ranks is None:
-            return (packed_state, self._slots, self._runs)
-        rank = ranks.__getitem__
-        runs: List[Optional[_SlotRun]] = [
-            None if run is None else (run[0], list(map(rank, run[1])))
-            for run in self._runs
-        ]
-        return (packed_state, array("q", map(rank, self._slots)), runs)
-
-    def __setstate__(self, state: _StrideState) -> None:
-        packed_state, self._slots, self._runs = state
-        super().__setstate__(packed_state)
-
 
 #: Distinct from any valid memo value (indices are ints, including -1).
 #: Typed ``Any`` so ``dict.get(addr, _ABSENT)`` keeps its int result type.
@@ -306,11 +267,13 @@ class MemoizedLookup:
     repeat addresses from a dict.  Web-log client popularity is heavy
     tailed, so in steady state most addresses never reach the table.
 
-    The memo is bounded at ``maxsize`` distinct addresses with FIFO
-    eviction (dicts preserve insertion order); eviction only matters
-    when a log's distinct-client count exceeds the bound, where FIFO's
-    per-miss cost — one ``pop`` — beats LRU's per-*hit* bookkeeping on
-    the hit-dominated streams the memo exists for.
+    The memo is bounded at ``maxsize`` distinct addresses: a miss that
+    finds it full clears it and starts over (the CLF parser's host memo
+    does the same).  That only matters when a log's distinct-client
+    count exceeds the bound.  A clear costs O(1) per address it drops
+    and hits pay no LRU bookkeeping, where popping the oldest entry
+    per miss re-scans the deleted slots CPython leaves at the front of
+    a dict, O(n) per miss.
 
     Counters (``hits`` / ``misses`` / ``evictions``) accumulate per
     wrapper; the engine drains them into
@@ -437,8 +400,8 @@ class MemoizedLookup:
                 out[position] = owner
                 if address not in memo:
                     if len(memo) >= maxsize:
-                        del memo[next(iter(memo))]
-                        evictions += 1
+                        evictions += len(memo)
+                        memo.clear()
                     memo[address] = owner
             self.misses += len(miss_addr)
             self.evictions += evictions
@@ -452,8 +415,8 @@ class MemoizedLookup:
             owner = self.table.match_index(address)
             self.misses += 1
             if len(self._memo) >= self.maxsize:
-                del self._memo[next(iter(self._memo))]
-                self.evictions += 1
+                self.evictions += len(self._memo)
+                self._memo.clear()
             self._memo[address] = owner
         else:
             self.hits += 1
@@ -578,24 +541,17 @@ class PackedBatch:
 def build_lpm_table(
     kind: str, merged: "MergedPrefixTable", memo_size: int = 0
 ) -> Any:
-    """Compile ``merged`` (a MergedPrefixTable) into an engine table.
+    """Compile ``merged`` (a MergedPrefixTable) into the engine's table:
+    a :class:`StrideLpm`, wrapped in a :class:`MemoizedLookup` bounded
+    at ``memo_size`` addresses when ``memo_size`` > 0.
 
-    ``kind`` selects the layout (``"packed"`` or ``"stride"``);
-    ``memo_size`` > 0 wraps the result in a :class:`MemoizedLookup`
-    bounded at that many addresses.  Every combination exposes the
-    identical LookupTable surface, and two tables compiled from the
-    same merged input share a ``digest()`` whatever the kind — so
-    checkpoints move freely between ``--lpm`` settings.
+    ``"stride"`` is the only ``kind``; anything else raises ValueError.
+    The argument stays because ``bench/workloads.py`` passes it (ROADMAP
+    item 1 frees it).
     """
-    if kind == "packed":
-        table: Any = PackedLpm.from_merged(merged)
-    elif kind == "stride":
-        table = StrideLpm.from_merged(merged)
-    else:
-        raise ValueError(
-            f"unknown LPM table kind {kind!r} (choose from {LPM_KINDS})"
-        )
+    if kind != "stride":
+        raise ValueError(f"unknown LPM table kind {kind!r} (only 'stride')")
+    table: Any = StrideLpm.from_merged(merged)
     if memo_size:
         table = MemoizedLookup(table, memo_size)
     return table
-

@@ -34,15 +34,16 @@ entries densely in routing-table order (handle == sorted rank); a
 patched one appends announced entries (or reuses a withdrawn entry's
 freed handle), tombstones withdrawn ones with ``None``, and keeps the
 sorted order on the side.  Handles of two table objects are therefore
-not comparable — resolve them to prefixes first — and every serialised
-form (:meth:`PackedLpm.__getstate__`, hence pickles) renumbers to the
-canonical dense form, so a patched table serialises byte-for-byte like a
-from-scratch compile of the same routes
-(:meth:`PackedLpm.verify_patched` enforces the equivalence).
+not comparable — resolve them to prefixes first.  Renumbered to the
+canonical dense form, a patched table's columns equal a from-scratch
+compile of the same routes (:meth:`PackedLpm.verify_patched` enforces
+the equivalence).
 
-The whole table is a handful of picklable flat objects.  Batch
-lookups (:meth:`lookup_many`) do one ``bisect`` call — C code — per
-address, which is what lets the engine outrun the per-entry trie loop.
+Batch lookups (:meth:`lookup_many`) do one ``bisect`` call — C code —
+per address, which is what lets the engine outrun the per-entry trie
+loop.  :class:`~repro.engine.fastpath.StrideLpm`, the table the CLIs
+compile, indexes these intervals; this layout is its base and the
+sanitizer's bisect reference.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ from repro.net.prefix import Prefix
 if TYPE_CHECKING:
     from repro.bgp.table import MergedPrefixTable
 
-#: The pickled form: the four flat slots plus the generation counters,
-#: in declaration order — always in the canonical dense numbering.
-_PackedState = Tuple[
-    "array[int]", "array[int]", Tuple[Prefix, ...], Tuple[Any, ...], int, int
+#: The interval layout and entry columns in the canonical dense
+#: numbering: what a from-scratch compile of the same routes holds.
+_PackedColumns = Tuple[
+    "array[int]", "array[int]", Tuple[Prefix, ...], Tuple[Any, ...]
 ]
 
 #: The sorted view of a patched table: the live entries' order keys,
@@ -158,8 +159,8 @@ class PackedLpm:
         self._epoch = 0
         self._deltas_applied = 0
         prefixes = tuple(p for p, _ in entries)
-        #: The entry columns: dense sorted tuples as compiled (or
-        #: unpickled); lists with ``None`` tombstones once patched.
+        #: The entry columns: dense sorted tuples as compiled; lists
+        #: with ``None`` tombstones once patched.
         self._prefixes: Sequence[Optional[Prefix]] = prefixes
         self._values: Sequence[Any] = tuple(v for _, v in entries)
         #: None while handles are the dense sorted ranks (never patched).
@@ -323,6 +324,17 @@ class PackedLpm:
         ranks[-1] = -1
         ranks[-2] = -2
         return ranks
+
+    def _packed_columns(
+        self, ranks: Optional[Dict[int, int]]
+    ) -> _PackedColumns:
+        """The packed layout renumbered through ``ranks`` (see
+        :meth:`_ranks`; None when there is nothing to renumber)."""
+        prefixes, values = self._sorted_entries()
+        owners = self._owners
+        if ranks is not None:
+            owners = array("q", map(ranks.__getitem__, owners))
+        return self._starts, owners, prefixes, values
 
     # -- lookups ---------------------------------------------------------
 
@@ -596,9 +608,8 @@ class PackedLpm:
         an incremental patch that drifts from the rebuild it promises to
         equal is silent corruption, never a recoverable condition.
         """
-        starts, owners, prefixes, values, _, _ = self._packed_state(
-            self._ranks()
-        )
+        ranks = self._ranks()
+        starts, owners, prefixes, values = self._packed_columns(ranks)
         rebuilt = type(self)(list(zip(prefixes, values)))
         if rebuilt._starts != starts or rebuilt._owners != owners:
             raise SanitizeError(
@@ -624,39 +635,12 @@ class PackedLpm:
                 "patched PackedLpm digest diverged from a from-scratch "
                 f"rebuild at epoch {self._epoch}"
             )
-        self._verify_overlay(rebuilt)
+        self._verify_overlay(rebuilt, ranks)
 
-    def _verify_overlay(self, rebuilt: "PackedLpm") -> None:
+    def _verify_overlay(
+        self, rebuilt: "PackedLpm", ranks: Optional[Dict[int, int]]
+    ) -> None:
         """:meth:`verify_patched`'s hook for a subclass's index over the
         intervals, compared against the same one rebuild (``rebuilt`` is
-        of ``type(self)``).  The plain packed layout has none."""
-
-    # -- pickling --------------------------------------------------------
-
-    def __getstate__(self) -> _PackedState:
-        """The canonical form: entries dense in routing-table order and
-        owners renumbered to match, whatever handles this object uses —
-        what a from-scratch compile of the same routes would pickle."""
-        return self._packed_state(self._ranks())
-
-    def _packed_state(self, ranks: Optional[Dict[int, int]]) -> _PackedState:
-        """The packed layout renumbered through ``ranks`` (see
-        :meth:`_ranks`; None when there is nothing to renumber)."""
-        prefixes, values = self._sorted_entries()
-        owners = self._owners
-        if ranks is not None:
-            owners = array("q", map(ranks.__getitem__, owners))
-        return (
-            self._starts, owners, prefixes, values,
-            self._epoch, self._deltas_applied,
-        )
-
-    def __setstate__(self, state: _PackedState) -> None:
-        (
-            self._starts, self._owners, prefixes, values,
-            self._epoch, self._deltas_applied,
-        ) = state
-        self._prefixes = prefixes
-        self._values = values
-        self._sorted = None
-        self._free = []
+        of ``type(self)``, ``ranks`` this table's :meth:`_ranks`).  The
+        plain packed layout has none."""

@@ -224,7 +224,6 @@ class ShardedClusterEngine:
                 routing_epoch=int(getattr(self.table, "epoch", 0)),
                 deltas_applied=int(getattr(self.table, "deltas_applied", 0)),
             )
-            self.metrics.record_checkpoint()
             if _sanitize.is_enabled():
                 # The write itself performed (and counted) a read-back.
                 self.metrics.record_sanitize(*_sanitize.take_stats())
@@ -232,6 +231,9 @@ class ShardedClusterEngine:
         write_verified_checkpoint(
             path, write, digest, self.injector, self.metrics
         )
+        # Counted once it verifies: a rewrite is one more attempt at the
+        # same checkpoint, not another checkpoint.
+        self.metrics.record_checkpoint()
 
     @classmethod
     def resume(

@@ -4,7 +4,7 @@ Feed it an ndjson event stream (:mod:`repro.serve.protocol`) on stdin
 or a local UNIX socket::
 
     repro-bgp-synth --stream 100000 | \\
-        repro-engine serve --stdin --table aads.dump --lpm stride \\
+        repro-engine serve --stdin --table aads.dump --memo-size 65536 \\
             --checkpoint live.ckpt --checkpoint-every 20000 \\
             --wal live.wal --metrics
 
@@ -55,7 +55,7 @@ from typing import Iterator, List, Optional, Union
 from repro.cli import (
     add_report_options, load_tables, print_cluster_report, require_files,
 )
-from repro.engine.fastpath import LPM_KINDS, build_lpm_table
+from repro.engine.fastpath import build_lpm_table
 from repro.engine.metrics import EngineMetrics
 from repro.engine.state import CheckpointError
 from repro.errors import InjectedFault, ServeProtocolError, WalError
@@ -113,10 +113,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--table", "-t", action="append", default=[], metavar="DUMP",
         help="routing-table dump file for the initial state; repeatable",
     )
+    # One choice: bench/tests/test_cli_equivalence.py passes --lpm
+    # stride (ROADMAP item 1 frees the flag).
     parser.add_argument(
-        "--lpm", choices=LPM_KINDS, default="packed",
-        help="LPM table layout (default packed); deltas patch either "
-             "layout in place",
+        "--lpm", choices=("stride",), default="stride",
+        help="LPM table layout: 'stride', the only one; deltas patch it "
+             "in place",
     )
     parser.add_argument(
         "--memo-size", type=int, default=0, metavar="N",

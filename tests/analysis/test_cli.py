@@ -85,7 +85,7 @@ def test_list_rules_prints_catalogue(capsys):
     assert "unseeded-random" in output
     assert "broad-except (suppression requires a reason)" in output
     assert "error-taxonomy-reachability (cross-module)" in output
-    assert "pickle-boundary" in output
+    assert "silent-skip" in output
 
 
 #: An errors module with a class nothing raises: a cross-module

@@ -163,74 +163,6 @@ def test_wall_clock_allows_perf_counter_and_cold_modules():
     assert cold == []
 
 
-# -- pickle-boundary -------------------------------------------------------
-
-
-def test_pickle_boundary_fires_on_asymmetric_state_pair():
-    findings = run(
-        """
-        class Table:
-            def __getstate__(self):
-                return {}
-        """,
-        rule_id="pickle-boundary",
-    )
-    assert ids(findings) == ["pickle-boundary"]
-
-
-def test_pickle_boundary_quiet_on_module_level_function_and_full_pair():
-    findings = run(
-        """
-        def work(job):
-            return job + 1
-
-        class Table:
-            def __getstate__(self):
-                return {}
-
-            def __setstate__(self, state):
-                pass
-
-        def fan_out(pool, jobs):
-            return pool.map(work, jobs)
-        """,
-        rule_id="pickle-boundary",
-    )
-    assert findings == []
-
-
-def test_pickle_boundary_quiet_on_matching_state_arity():
-    findings = run(
-        """
-        class Box:
-            def __getstate__(self):
-                return (self.a, self.b)
-
-            def __setstate__(self, state):
-                self.a, self.b = state
-        """,
-        rule_id="pickle-boundary",
-    )
-    assert findings == []
-
-
-def test_pickle_boundary_fires_on_state_arity_mismatch():
-    findings = run(
-        """
-        class Box:
-            def __getstate__(self):
-                return (self.a, self.b, self.c)
-
-            def __setstate__(self, state):
-                self.a, self.b = state
-        """,
-        rule_id="pickle-boundary",
-    )
-    assert ids(findings) == ["pickle-boundary"]
-    assert findings[0].line == 6
-    assert "pickle round-trip breaks" in findings[0].message
-
-
 # -- broad-except ----------------------------------------------------------
 
 

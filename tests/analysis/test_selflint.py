@@ -28,5 +28,6 @@ def test_at_least_eight_rules_are_active():
     rules = active_rules()
     assert len(rules) == len(RULES)
     project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-    assert len(rules) - len(project_rules) >= 8
+    assert len(rules) >= 8
+    assert len(rules) - len(project_rules) >= 7
     assert len(project_rules) >= 2

@@ -82,7 +82,7 @@ class TestBasicRun:
         log, dump = files
         assert main([log, "--table", dump, "--chunk-size", "2"]) == 0
         out = capsys.readouterr().out
-        assert "packed LPM table" in out
+        assert "stride LPM table" in out
         assert "12.65.128.0/19" in out
         assert "24.48.2.0/23" in out
         assert "parsed 4" in out
@@ -155,12 +155,13 @@ def _cluster_table(out):
 
 
 class TestFastpathFlags:
-    """--lpm / --memo-size: different table layouts, identical output."""
+    """--lpm / --memo-size: the stride table, with and without the memo,
+    prints cluster_log's table."""
 
     @pytest.fixture()
     def baseline_table(self, files, capsys):
         log, dump = files
-        assert main([log, "--table", dump]) == 0
+        assert cluster_main([log, "--table", dump]) == 0
         return _cluster_table(capsys.readouterr().out)
 
     def test_stride_output_is_byte_identical(self, files, baseline_table,
@@ -175,35 +176,47 @@ class TestFastpathFlags:
     def test_memoized_output_is_byte_identical(self, files, baseline_table,
                                                capsys):
         log, dump = files
-        for kind in ("packed", "stride"):
-            assert main([log, "--table", dump, "--lpm", kind,
-                         "--memo-size", "4", "--metrics"]) == 0
-            out = capsys.readouterr().out
-            assert "memo" in out
-            assert "memo_hits" in out
-            table = _cluster_table(out[: out.index("engine metrics")])
-            assert table.strip() == baseline_table.strip()
+        assert main([log, "--table", dump, "--memo-size", "4",
+                     "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "memo" in out
+        assert "memo_hits" in out
+        table = _cluster_table(out[: out.index("engine metrics")])
+        assert table.strip() == baseline_table.strip()
 
     def test_stride_resume_from_packed_checkpoint(self, tmp_path, files,
                                                   baseline_table, capsys):
-        """A checkpoint written under --lpm packed resumes under
-        --lpm stride + memo with an identical final table."""
+        """A checkpoint written on the packed layout (what --lpm packed
+        compiled), with the meta this CLI records, resumes on the stride
+        table + memo with an identical final table."""
+        from repro.cli import load_tables
+        from repro.engine.packed import PackedLpm
+        from repro.engine.shard import ShardedClusterEngine
+        from repro.weblog.parser import iter_clf_entries
+
         log, dump = files
         ckpt = str(tmp_path / "run.ckpt")
-        assert main([log, "--table", dump, "--checkpoint", ckpt]) == 0
-        capsys.readouterr()
+        with open(log) as handle:
+            triples = list(iter_clf_entries(handle))
+        packed = PackedLpm.from_merged(load_tables([dump]))
+        with ShardedClusterEngine(packed) as engine:
+            engine.ingest(triples)
+            engine.checkpoint(
+                ckpt, extra_meta={"log": log, "log_entries": len(triples)}
+            )
         assert main([log, "--table", dump, "--lpm", "stride",
                      "--memo-size", "64", "--checkpoint", ckpt,
                      "--resume"]) == 0
         out = capsys.readouterr().out
         assert "resumed from" in out
+        assert "skipping the first" in out
         assert _cluster_table(out) == baseline_table
 
     def test_rejects_bad_flags(self, files):
         log, dump = files
-        with pytest.raises(SystemExit):
-            main([log, "--table", dump, "--lpm", "radix"])
         for bad in (
+            ["--lpm", "radix"],
+            ["--lpm", "packed"],  # stride is the only layout
             ["--memo-size", "-1"],
             ["--chunk-size", "0"],
             ["--shm"],
@@ -491,7 +504,7 @@ class TestFaultFlags:
     def test_stride_identical_under_fault_plan(self, tmp_path, files,
                                                capsys):
         """--lpm stride + --memo-size under a damaged checkpoint still
-        prints the exact table an undisturbed packed run prints."""
+        prints the exact table an undisturbed run prints."""
         from repro.faults import SITE_CHECKPOINT_CORRUPT, FaultPlan, FaultSpec
 
         log, dump = files

@@ -1,8 +1,6 @@
-"""PackedLpm: agreement with the radix trie, immutability, pickling."""
+"""PackedLpm: agreement with the radix trie, and the prefix-set digest."""
 
 import hashlib
-import pickle
-
 
 from repro.engine.packed import PackedLpm
 from repro.net.prefix import Prefix
@@ -100,19 +98,6 @@ class TestLookup:
 
 
 class TestImmutableShipping:
-    def test_pickle_roundtrip_preserves_lookups(self):
-        rng = spawn(2000, "packed-pickle")
-        items = [
-            (Prefix(rng.getrandbits(32), rng.randint(8, 28)), i)
-            for i in range(400)
-        ]
-        packed = PackedLpm.from_items(items)
-        clone = pickle.loads(pickle.dumps(packed))
-        assert len(clone) == len(packed)
-        for _ in range(2000):
-            address = rng.getrandbits(32)
-            assert clone.longest_match(address) == packed.longest_match(address)
-
     def test_digest_tracks_prefix_set_not_values(self):
         a = PackedLpm.from_items([(Prefix.from_cidr("10.0.0.0/8"), "x")])
         b = PackedLpm.from_items([(Prefix.from_cidr("10.0.0.0/8"), "y")])

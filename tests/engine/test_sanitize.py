@@ -89,7 +89,7 @@ class TestGuardBatch:
             sanitize.guard_batch(batch)
 
     def test_apply_packed_guards_when_armed(self, sanitized, merged_table):
-        table = build_lpm_table("packed", merged_table)
+        table = build_lpm_table("stride", merged_table)
         batch = PackedBatch.from_triples([(0x0A000001, "/a", 100)])
         batch.addresses.append(0x0A000002)  # arrays now disagree
         with pytest.raises(SanitizeError):
@@ -97,7 +97,7 @@ class TestGuardBatch:
 
     def test_apply_packed_skips_guard_when_disarmed(self, desanitized,
                                                     merged_table):
-        table = build_lpm_table("packed", merged_table)
+        table = build_lpm_table("stride", merged_table)
         batch = PackedBatch.from_triples(
             [(0x0A000001, "/a", 100), (0x0A000002, "/b", 50)]
         )

@@ -68,6 +68,20 @@ class TestVerifiedCheckpoints:
         assert meta["log"] == "x"
         assert sum(s.entries_applied for s in stores) == len(TRIPLES)
 
+    def test_a_rewritten_checkpoint_counts_once(self, packed, tmp_path):
+        """Three checkpoints, the first damaged and rewritten: three
+        files, three written, one rewrite (the rewrite used to count as
+        a fourth checkpoint)."""
+        engine = _engine(packed, self._corrupt_plan(count=1))
+        engine.ingest(iter(TRIPLES))
+        paths = [str(tmp_path / f"run-{index}.ckpt") for index in range(3)]
+        for path in paths:
+            engine.checkpoint(path)
+            read_checkpoint(path, table_digest=packed.digest())
+        snapshot = engine.metrics.snapshot()
+        assert snapshot["checkpoints_written"] == len(paths)
+        assert snapshot["checkpoint_rewrites"] == 1
+
     def test_unrecoverable_corruption_raises_after_attempts(
         self, packed, tmp_path, monkeypatch
     ):

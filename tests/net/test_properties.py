@@ -5,12 +5,16 @@ radix trie must agree with a brute-force oracle, textual round-trips
 must be lossless, and aggregation must preserve covered address space.
 """
 
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.fastpath import StrideLpm
+from repro.engine.packed import PackedLpm
 from repro.net.aggregate import aggregate_prefixes
 from repro.net.ipv4 import format_ipv4, mask_bits, parse_ipv4
-from repro.net.lpm import LinearLpm, SortedLpm, build_engine
+from repro.net.lpm import LinearLpm, SortedLpm
 from repro.net.prefix import Prefix
 from repro.net.radix import RadixTree
 
@@ -91,14 +95,17 @@ def test_sorted_lpm_agrees_with_linear_oracle(prefix_list, query_addresses):
 @given(prefix_lists, st.lists(addresses, min_size=1, max_size=30))
 def test_every_lpm_kind_agrees_on_longest_match(prefix_list, query_addresses):
     """StrideLpm, PackedLpm, RadixTree and SortedLpm resolve identical
-    longest matches — and identical entry indices where the batch API
-    exists — for arbitrary prefix sets.  Duplicate prefixes keep the
-    last value under every kind."""
+    longest matches for arbitrary prefix sets, the two compiled tables
+    return identical entry handles, and their digest is the SortedLpm
+    oracle's prefix set hashed here.  Duplicate prefixes keep the last
+    value under every kind."""
     entries = [(prefix, index) for index, prefix in enumerate(prefix_list)]
-    engines = {
-        kind: build_engine(kind, entries)
-        for kind in ("radix", "sorted", "packed", "stride")
-    }
+    engines = {"radix": RadixTree(), "sorted": SortedLpm()}
+    for engine in engines.values():
+        for prefix, value in entries:
+            engine.insert(prefix, value)
+    engines["packed"] = PackedLpm.from_items(entries)
+    engines["stride"] = StrideLpm.from_items(entries)
     oracle = engines["radix"]
     for address in query_addresses:
         expected = oracle.longest_match(address)
@@ -108,16 +115,14 @@ def test_every_lpm_kind_agrees_on_longest_match(prefix_list, query_addresses):
                 assert got is None, kind
             else:
                 assert got == expected, kind
-    # The batch surface: indices agree entry-for-entry across kinds,
-    # because every kind snapshots the deduplicated entry set in the
-    # same sort_key order — and so do the digests.
-    batch = {
-        kind: engines[kind].lookup_many(query_addresses)
-        for kind in ("sorted", "packed", "stride")
-    }
-    assert batch["sorted"] == batch["packed"] == batch["stride"]
-    assert (engines["sorted"].digest() == engines["packed"].digest()
-            == engines["stride"].digest())
+    handles = engines["packed"].lookup_many(query_addresses)
+    assert engines["stride"].lookup_many(query_addresses) == handles
+    reference = hashlib.sha256()
+    for prefix, _ in engines["sorted"].items():
+        reference.update(prefix.network.to_bytes(4, "big"))
+        reference.update(bytes((prefix.length,)))
+    assert (engines["packed"].digest() == engines["stride"].digest()
+            == reference.hexdigest())
 
 
 @settings(max_examples=60)

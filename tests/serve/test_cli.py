@@ -321,6 +321,16 @@ class TestUsage:
         )
         assert not os.path.exists(ckpt)
 
+    def test_packed_layout_is_not_a_choice(self, tmp_path):
+        proc = spawn(
+            make_dump(tmp_path), "--stdin", "--lpm", "packed",
+            stdin=subprocess.DEVNULL,
+        )
+        stdout, stderr = proc.communicate(timeout=20)
+        assert proc.returncode == 2
+        assert stdout == b""
+        assert b"argument --lpm: invalid choice: 'packed'" in stderr
+
     @pytest.mark.parametrize("case", sorted(BAD_PLANS))
     def test_bad_inject_plans_are_usage_errors(self, tmp_path, case):
         plan, message = write_bad_plan(tmp_path, case)
