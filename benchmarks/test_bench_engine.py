@@ -1,5 +1,5 @@
 """Engine benchmarks: packed-table batch LPM vs the radix trie, the
-fast-path table kinds against each other, and the sharded engine vs
+fast-path table kinds against each other, and the engine vs
 single-pass ``cluster_log`` on the Nagano preset.
 
 Claims pinned here (asserted at the default scale, recorded always):
@@ -19,7 +19,7 @@ Claims pinned here (asserted at the default scale, recorded always):
   checkpoint costs what the churn touched, not what the table holds (a
   byte count, no timing);
 * the engine's clusters are identical to ``cluster_log``'s at every
-  shard count and table kind, so the speed is not bought with drift.
+  table kind, so the speed is not bought with drift.
 
 Numbers land in ``BENCH_engine.json`` via the ``bench_trajectory``
 fixture (see ``conftest.py``).
@@ -161,11 +161,9 @@ class TestEngineVsClusterLog:
         result = benchmark(cluster_log, nagano.log, merged_table)
         assert len(result) > 0
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_bench_engine_ingest(self, benchmark, nagano, packed, baseline,
-                                 shards):
+    def test_bench_engine_ingest(self, benchmark, nagano, packed, baseline):
         entries = nagano.log.entries
-        config = EngineConfig(num_shards=shards, chunk_size=8192)
+        config = EngineConfig(chunk_size=8192)
 
         def run():
             with ShardedClusterEngine(packed, config) as engine:

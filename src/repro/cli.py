@@ -12,7 +12,7 @@ expose the busy-cluster thresholding and the simple-approach baseline.
 
 The log is held in memory and clustered in a single pass.  For logs
 that are big, ``repro-engine`` streams the same clusters through the
-sharded, batched engine (:mod:`repro.engine`) with verified
+batched engine (:mod:`repro.engine`) with verified
 checkpoint/resume and metrics.
 """
 

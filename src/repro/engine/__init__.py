@@ -14,16 +14,17 @@ wrong shape for throughput.  This package is the streaming substrate:
   packed layout — most lookups are one array index),
   :class:`MemoizedLookup` (a bounded exact-IP memo exploiting
   heavy-tailed client repetition, ``--memo-size``), and
-  :class:`PackedBatch` (one shard's batch as flat buffers).
+  :class:`PackedBatch` (a batch as flat buffers).
 * :mod:`repro.engine.state` — :class:`ClusterStore`, the incremental,
   mergeable cluster accumulator, and the one versioned, parse-only
   checkpoint layout (:func:`write_checkpoint` / :func:`read_checkpoint`).
 * :mod:`repro.engine.shard` — :class:`ShardedClusterEngine`, which
-  hash-partitions client addresses across N per-shard stores in one
-  process, merges them in shard order so results are deterministic, and
+  folds each chunk of requests into one store in the calling process,
+  merges an older multi-store checkpoint into that store on resume, and
   rewrites any checkpoint that does not read back.
 * :mod:`repro.engine.metrics` — :class:`EngineMetrics` counters/timers
-  (entries/sec, lookups, batch latency, shard skew, fault accounting).
+  (entries/sec, lookups, batch latency, memo and patch rates, fault
+  accounting).
 * :mod:`repro.engine.supervisor` — two names the benchmark harness
   still imports, kept as shims until ROADMAP item 1.
 * :mod:`repro.engine.cli` — the ``repro-engine`` command line.

@@ -61,6 +61,7 @@ __all__ = [
     "StrideLpm",
     "MemoizedLookup",
     "PackedBatch",
+    "shard_of",
     "build_lpm_table",
 ]
 
@@ -473,6 +474,19 @@ class MemoizedLookup:
         return self.table.digest()
 
 
+#: Knuth's multiplicative constant; scrambles allocation-correlated
+#: address bits so CIDR-dense logs still spread evenly across shards.
+_HASH_MULTIPLIER = 0x9E3779B1
+_HASH_MASK = 0xFFFFFFFF
+
+
+def shard_of(address: int, num_shards: int) -> int:
+    """Deterministic shard assignment for a client address: a fixed
+    multiplicative hash, stable across processes and Python versions
+    (no ``hash()``/``PYTHONHASHSEED`` dependence)."""
+    return ((address * _HASH_MULTIPLIER) & _HASH_MASK) % num_shards
+
+
 class PackedBatch:
     """One shard's batch as flat buffers, not tuple lists.
 
@@ -521,8 +535,6 @@ class PackedBatch:
     ) -> List["PackedBatch"]:
         """Pack ``triples`` straight into per-shard batches (one pass,
         no intermediate per-shard tuple lists)."""
-        from repro.engine.shard import shard_of
-
         batches = [cls() for _ in range(num_shards)]
         for client, url, size in triples:
             batches[shard_of(client, num_shards)].append(client, url, size)

@@ -1,4 +1,4 @@
-"""Lightweight engine telemetry: counters, timers, shard skew.
+"""Lightweight engine telemetry: counters, timers, memo and patch rates.
 
 The engine feeds these from its ingestion loop; nothing here touches a
 clock, so the numbers are deterministic in tests and nearly free in
@@ -11,7 +11,7 @@ and render format; ``snapshot()`` and ``render()`` walk that list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict
 
 from repro.util.tables import render_table
 
@@ -68,6 +68,9 @@ class EngineMetrics:
     #: Nothing moves this; ``bench/check.py`` and ``bench/workloads.py``
     #: still read it (goes with ROADMAP item 1).
     shed_events: int = field(default=0, init=False, metadata=_COUNT)
+    #: Reported as given and read by nothing else: the engine holds one
+    #: store.  ``bench/workloads.py`` still builds ``EngineMetrics(shards)``
+    #: (goes with ROADMAP item 1).
     num_shards: int = field(default=1, metadata=_COUNT)
     entries_per_second: float = _derived(
         ",.0f", lambda m: _ratio(m.entries, m.total_seconds))
@@ -81,29 +84,20 @@ class EngineMetrics:
     patch_seconds: float = field(default=0.0, init=False, metadata=_SECONDS)
     mean_patch_seconds: float = _derived(
         ".6f", lambda m: _ratio(m.patch_seconds, m.patches_applied))
-    #: Max-over-mean shard load: 1.0 is perfect balance, 2.0 means the
-    #: hottest shard saw twice the average.
-    shard_skew: float = _derived(
-        ".3f", lambda m: _ratio(max(m.shard_entries), m.entries / m.num_shards, 1.0))
-    shard_entries: List[int] = field(init=False, repr=False, default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.num_shards = max(1, self.num_shards)
-        self.shard_entries = [0] * self.num_shards
+    #: Always 1.0 (one store, so no imbalance); ``bench/child.py`` still
+    #: reads the key (goes with ROADMAP item 1).
+    shard_skew: float = _derived(".3f", lambda m: 1.0)
 
     # -- recording -------------------------------------------------------
 
-    def record_batch(self, per_shard_counts: Sequence[int], seconds: float,
-                     lookups: int) -> None:
-        """One dispatched batch: per-shard entries, wall time, lookups."""
+    def record_batch(self, entries: int, seconds: float, lookups: int) -> None:
+        """One folded batch: entries, wall time, lookups."""
         self.batches += 1
-        self.entries += sum(per_shard_counts)
+        self.entries += entries
         self.lookups += lookups
         self.total_seconds += seconds
         if seconds > self.max_batch_seconds:
             self.max_batch_seconds = seconds
-        for shard, count in enumerate(per_shard_counts):
-            self.shard_entries[shard] += count
 
     def record_malformed(self, count: int = 1) -> None:
         self.malformed_skipped += count

@@ -1,19 +1,17 @@
-"""Sharded, batched ingestion in one process.
+"""Batched ingestion into one cluster store, in one process.
 
-Client addresses are hash-partitioned across N shards with a fixed
-multiplicative hash (stable across processes and Python versions — no
-``hash()``/``PYTHONHASHSEED`` dependence), so the same client always
-lands on the same shard.  Ingestion is chunked: each chunk is split
-into per-shard batches, each batch folds into its shard's
-:class:`~repro.engine.state.ClusterStore`, and the stores merge in
-shard order on :meth:`ShardedClusterEngine.snapshot` — so results are
-bit-for-bit deterministic and identical to the single-pass
-:func:`repro.core.clustering.cluster_log` on the same input, whatever
-the shard count or chunk size.
+Ingestion is chunked: each chunk of request triples folds into the
+engine's one :class:`~repro.engine.state.ClusterStore` through a single
+:meth:`~repro.engine.state.ClusterStore.apply_batch`, and
+:meth:`ShardedClusterEngine.snapshot` materialises that store directly
+— so results are bit-for-bit deterministic and identical to the
+single-pass :func:`repro.core.clustering.cluster_log` on the same input,
+whatever the chunk size.
 
-Everything runs in the calling process.  Shards are a partition of
-the state, not of the work: a checkpoint keeps one store per shard,
-and resuming under a different shard count merges them.  Every
+A checkpoint holds that one store.  Resuming from an older checkpoint
+that holds several (written when the engine still partitioned its state
+into per-shard stores) merges them into the one store; every statistic
+is order- and placement-independent, so the report is unchanged.  Every
 checkpoint is read back after it is written and rewritten if it does
 not verify (:func:`~repro.engine.state.write_verified_checkpoint`).
 """
@@ -36,26 +34,19 @@ from repro.engine.state import (
 )
 from repro.faults import FaultInjector
 
-__all__ = ["shard_of", "EngineConfig", "ShardedClusterEngine"]
-
-#: Knuth's multiplicative constant; scrambles allocation-correlated
-#: address bits so CIDR-dense logs still spread evenly across shards.
-_HASH_MULTIPLIER = 0x9E3779B1
-_HASH_MASK = 0xFFFFFFFF
+__all__ = ["EngineConfig", "ShardedClusterEngine"]
 
 #: One request: (client address, url, response bytes).
 Triple = Tuple[int, str, int]
-
-
-def shard_of(address: int, num_shards: int) -> int:
-    """Deterministic shard assignment for a client address."""
-    return ((address * _HASH_MULTIPLIER) & _HASH_MASK) % num_shards
 
 
 @dataclass
 class EngineConfig:
     """Tunables for one engine run."""
 
+    #: The engine holds one store whatever this says; only the check
+    #: below reads it.  ``bench/workloads.py`` still passes
+    #: ``num_shards=2`` (goes with ROADMAP item 1).
     num_shards: int = 1
     chunk_size: int = 8192
     name: str = "engine"
@@ -68,12 +59,12 @@ class EngineConfig:
 
 
 class ShardedClusterEngine:
-    """Streaming clustering over a packed table into sharded stores.
+    """Streaming clustering over a packed table into one store.
 
     Usage::
 
         packed = PackedLpm.from_merged(merged_table)
-        with ShardedClusterEngine(packed, EngineConfig(num_shards=4)) as eng:
+        with ShardedClusterEngine(packed, EngineConfig()) as eng:
             eng.ingest(triples)           # (client, url, size) tuples
             clusters = eng.snapshot()     # a plain ClusterSet
 
@@ -94,9 +85,7 @@ class ShardedClusterEngine:
         #: Optional fault injector (chaos testing): its checkpoint
         #: faults damage each file :meth:`checkpoint` writes.
         self.injector = injector
-        self._stores: List[ClusterStore] = [
-            ClusterStore() for _ in range(self.config.num_shards)
-        ]
+        self.store = ClusterStore()
         #: Checkpoint metadata this engine was restored from ({} when the
         #: engine started fresh); see :meth:`resume`.
         self.resume_meta: Dict[str, Any] = {}
@@ -119,9 +108,9 @@ class ShardedClusterEngine:
     def ingest(self, triples: Iterable[Triple]) -> int:
         """Consume request triples ``(client, url, size)``.
 
-        Triples are chunked to ``config.chunk_size``, each chunk is
-        partitioned by client shard and applied as it is; returns the
-        number of triples ingested in this call.
+        Triples are chunked to ``config.chunk_size`` and each chunk is
+        folded into the store as it comes; returns the number of
+        triples ingested in this call.
         """
         total = 0
         for chunk in _chunks(triples, self.config.chunk_size):
@@ -133,20 +122,11 @@ class ShardedClusterEngine:
     ingest_triples = apply_chunk = ingest
 
     def _dispatch(self, triples: Sequence[Triple]) -> int:
-        num_shards = self.config.num_shards
         began = time.perf_counter()
-        if num_shards == 1:
-            self._stores[0].apply_batch(triples, self.table)
-            counts = [len(triples)]
-        else:
-            batches = self._partition(triples, num_shards)
-            counts = [len(batch) for batch in batches]
-            for shard, batch in enumerate(batches):
-                self._stores[shard].apply_batch(batch, self.table)
+        applied = self.store.apply_batch(triples, self.table)
         self._drain_memo_stats()
-        elapsed = time.perf_counter() - began
-        self.metrics.record_batch(counts, elapsed, lookups=len(triples))
-        return len(triples)
+        self.metrics.record_batch(applied, time.perf_counter() - began, applied)
+        return applied
 
     def _drain_memo_stats(self) -> None:
         """Move the table's memo counters into the metrics (chunks
@@ -158,46 +138,27 @@ class ShardedClusterEngine:
         if _sanitize.is_enabled():
             self.metrics.record_sanitize(*_sanitize.take_stats())
 
-    @staticmethod
-    def _partition(
-        triples: Sequence[Triple], num_shards: int
-    ) -> List[List[Triple]]:
-        batches: List[List[Triple]] = [[] for _ in range(num_shards)]
-        for triple in triples:
-            batches[shard_of(triple[0], num_shards)].append(triple)
-        return batches
-
     # -- observation -----------------------------------------------------
 
     def snapshot(self, name: Optional[str] = None) -> ClusterSet:
-        """Merge all shards into one :class:`ClusterSet` (non-destructive).
-
-        One store snapshots directly; several are copied before they
-        merge, because :meth:`ClusterStore.merge` adopts states by
-        reference.
-        """
-        if len(self._stores) == 1:
-            combined = self._stores[0]
-        else:
-            combined = ClusterStore()
-            for store in self._stores:
-                combined.merge(store.copy())
-        return combined.snapshot(
+        """The store's clusters as one :class:`ClusterSet`
+        (non-destructive)."""
+        return self.store.snapshot(
             name=name if name is not None else self.config.name,
             method="network-aware",
         )
 
     @property
     def entries_ingested(self) -> int:
-        return sum(store.entries_applied for store in self._stores)
+        return self.store.entries_applied
 
     # -- persistence -----------------------------------------------------
 
     def checkpoint(
         self, path: str, extra_meta: Optional[Dict[str, Any]] = None
     ) -> None:
-        """Write all shard states plus run metadata to ``path`` and
-        prove the file reads back, rewriting it if it does not
+        """Write the store plus run metadata to ``path`` and prove the
+        file reads back, rewriting it if it does not
         (:func:`~repro.engine.state.write_verified_checkpoint`).
 
         ``extra_meta`` entries are merged into the checkpoint's meta
@@ -206,7 +167,9 @@ class ShardedClusterEngine:
         skip the already-counted prefix.
         """
         meta = {
-            "num_shards": self.config.num_shards,
+            # The number of stores in the file, which older builds read
+            # back as their shard count.
+            "num_shards": 1,
             "chunk_size": self.config.chunk_size,
             "name": self.config.name,
             "entries_ingested": self.entries_ingested,
@@ -218,7 +181,7 @@ class ShardedClusterEngine:
         def write() -> None:
             write_checkpoint(
                 path,
-                self._stores,
+                [self.store],
                 table_digest=digest,
                 meta=meta,
                 routing_epoch=int(getattr(self.table, "epoch", 0)),
@@ -247,18 +210,10 @@ class ShardedClusterEngine:
         """Rebuild an engine from a checkpoint and keep ingesting.
 
         The checkpoint must have been taken against a table with the
-        same prefix set (digest match).  A
-        different shard count than the checkpoint's is allowed — shard
-        states merge into the new layout without changing aggregate
-        results, since all statistics are order- and
-        placement-independent.  Note the remapping is ``old_shard %
-        num_shards``, not a re-partition by :func:`shard_of`: after a
-        reshard resume the *per-shard attribution* of restored state is
-        arbitrary (restored clients need not live on the shard
-        ``shard_of`` would pick), so only aggregate snapshots — not any
-        future placement-dependent accounting — should be read off the
-        restored stores.  Shard-skew metrics are unaffected either way:
-        they are computed from post-resume batch sizes only.
+        same prefix set (digest match).  However many stores the file
+        holds — older builds wrote one per shard — they merge into the
+        engine's one store; all statistics are order- and
+        placement-independent, so the report does not change.
 
         The checkpoint's meta dict is kept on the returned engine as
         ``resume_meta``.
@@ -266,16 +221,12 @@ class ShardedClusterEngine:
         stores, meta = read_checkpoint(path, table_digest=table.digest())
         if config is None:
             config = EngineConfig(
-                num_shards=int(meta.get("num_shards", len(stores)) or 1),
                 chunk_size=int(meta.get("chunk_size", 8192) or 8192),
                 name=str(meta.get("name", "engine")),
             )
         engine = cls(table, config, metrics, injector=injector)
-        if len(stores) == config.num_shards:
-            engine._stores = stores
-        else:
-            for shard, store in enumerate(stores):
-                engine._stores[shard % config.num_shards].merge(store)
+        for store in stores:
+            engine.store.merge(store)
         engine.resume_meta = dict(meta)
         return engine
 

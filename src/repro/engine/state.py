@@ -1,8 +1,9 @@
 """Incremental cluster state: accumulate, merge, checkpoint, restore.
 
-:class:`ClusterStore` is the engine's unit of mutable state.  Each
-shard owns one; batches of requests are folded in with
-:meth:`apply_batch`, per-shard stores merge with :meth:`merge`, and
+:class:`ClusterStore` is the engine's unit of mutable state: the batch
+engine and the serve daemon each own one.  Batches of requests are
+folded in with :meth:`apply_batch`, the several stores of a checkpoint
+written by an older multi-store build merge with :meth:`merge`, and
 :meth:`snapshot` materialises a plain
 :class:`~repro.core.clustering.ClusterSet` so the entire downstream
 toolchain (thresholding, validation, placement, caching) runs on
@@ -242,32 +243,12 @@ class ClusterStore:
         """Convenience wrapper taking :class:`LogEntry`-shaped objects."""
         return self.apply_batch(request_triples(entries), table)
 
-    def copy(self) -> "ClusterStore":
-        """Independent copy (merge adopts accumulators by reference, so
-        copy before merging long-lived stores together)."""
-        clone = ClusterStore()
-        clone._clusters = {
-            prefix: _ClusterState(
-                requests=state.requests,
-                total_bytes=state.total_bytes,
-                client_counts=dict(state.client_counts),
-                urls=set(state.urls),
-                source_kind=state.source_kind,
-                source_name=state.source_name,
-            )
-            for prefix, state in self._clusters.items()
-        }
-        clone._unclustered = dict(self._unclustered)
-        clone.entries_applied = self.entries_applied
-        clone.lookups_performed = self.lookups_performed
-        return clone
-
     def merge(self, other: "ClusterStore") -> "ClusterStore":
         """Fold ``other`` into this store (commutative up to snapshot).
 
-        Accumulators absent from ``self`` are adopted by reference —
-        cheap for transient partials; :meth:`copy` first when the
-        source store lives on."""
+        Accumulators absent from ``self`` are adopted by reference, so
+        ``other`` must not be used afterwards: merge only transient
+        stores, such as those :func:`read_checkpoint` returns."""
         clusters = self._clusters
         for prefix, state in other._clusters.items():
             mine = clusters.get(prefix)
@@ -619,7 +600,8 @@ def write_checkpoint(
     routing_epoch: int = 0,
     deltas_applied: int = 0,
 ) -> None:
-    """Atomically write shard ``stores`` to ``path``.
+    """Atomically write ``stores`` to ``path`` (today's writers pass
+    one; older builds wrote one per shard).
 
     ``table_digest`` (see :meth:`PackedLpm.digest`) records which prefix
     set the accumulated lookups were resolved against; a restore that

@@ -421,7 +421,7 @@ class ServeDaemon:
         self._pending_logs = []
         started = perf_counter()
         applied = self.store.apply_batch(batch, self.table)
-        self.metrics.record_batch([applied], perf_counter() - started, applied)
+        self.metrics.record_batch(applied, perf_counter() - started, applied)
         self._drain_stats()
 
     def _flush_deltas(self) -> None:

@@ -12,9 +12,10 @@ from repro.engine.fastpath import (
     PackedBatch,
     StrideLpm,
     build_lpm_table,
+    shard_of,
 )
 from repro.engine.packed import PackedLpm
-from repro.engine.shard import EngineConfig, ShardedClusterEngine, shard_of
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
 from repro.engine.state import ClusterStore, request_triples
 from repro.net.prefix import Prefix
 from repro.util.rng import spawn

@@ -32,24 +32,24 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 class TestCounters:
     def test_record_batch_accumulates(self):
         metrics = EngineMetrics(2)
-        metrics.record_batch([60, 40], seconds=0.5, lookups=100)
-        metrics.record_batch([30, 70], seconds=1.5, lookups=100)
+        metrics.record_batch(100, seconds=0.5, lookups=90)
+        metrics.record_batch(100, seconds=1.5, lookups=110)
         assert metrics.entries == 200
         assert metrics.lookups == 200
         assert metrics.batches == 2
-        assert metrics.shard_entries == [90, 110]
         assert metrics.total_seconds == 2.0
         assert metrics.max_batch_seconds == 1.5
         assert metrics.mean_batch_seconds == 1.0
         assert metrics.entries_per_second == 100.0
 
     def test_shard_skew(self):
-        metrics = EngineMetrics(2)
-        metrics.record_batch([150, 50], seconds=1.0, lookups=200)
-        assert metrics.shard_skew == 1.5
-        balanced = EngineMetrics(4)
-        balanced.record_batch([25, 25, 25, 25], seconds=1.0, lookups=100)
-        assert balanced.shard_skew == 1.0
+        """One store, so no imbalance: the key the bench reads stays 1.0
+        whatever ``num_shards`` the metrics were built with."""
+        for shards in (1, 2, 4):
+            metrics = EngineMetrics(shards)
+            metrics.record_batch(200, seconds=1.0, lookups=200)
+            assert metrics.shard_skew == 1.0
+            assert metrics.num_shards == shards
 
     def test_zero_state_is_safe(self):
         metrics = EngineMetrics(3)
@@ -122,7 +122,7 @@ class TestExport:
 
     def test_render_is_a_table(self):
         metrics = EngineMetrics(2)
-        metrics.record_batch([5000, 5000], seconds=0.25, lookups=10_000)
+        metrics.record_batch(10_000, seconds=0.25, lookups=10_000)
         text = metrics.render()
         assert "engine metrics" in text
         assert "entries_per_second" in text
@@ -135,9 +135,9 @@ def filled_metrics():
     for the two nothing moves, ``entries_quarantined`` and
     ``shed_events``, which stay 0."""
     metrics = EngineMetrics(2)
-    metrics.record_batch([1200, 34], seconds=0.25, lookups=1500)
-    metrics.record_batch([7, 3], seconds=0.5, lookups=11)
-    metrics.record_batch([0, 0], seconds=0.0, lookups=0)
+    metrics.record_batch(1234, seconds=0.25, lookups=1500)
+    metrics.record_batch(10, seconds=0.5, lookups=11)
+    metrics.record_batch(0, seconds=0.0, lookups=0)
     metrics.record_malformed(28)
     for _ in range(4):
         metrics.record_checkpoint()
@@ -206,7 +206,7 @@ mean_batch_seconds              0.250000
 max_batch_seconds               0.500000
 patch_seconds                   0.125000
 mean_patch_seconds              0.015625
-shard_skew                         1.941"""
+shard_skew                         1.000"""
 
 
 def test_render_is_pinned_byte_for_byte():

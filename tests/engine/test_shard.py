@@ -1,4 +1,4 @@
-"""Sharded engine: partitioning, equivalence with cluster_log, resume."""
+"""The engine: one store, equivalence with cluster_log, resume."""
 
 import collections
 import contextlib
@@ -8,10 +8,13 @@ import pytest
 
 from repro.cli import print_cluster_report
 from repro.core.clustering import cluster_log
+from repro.engine.fastpath import shard_of
 from repro.engine.metrics import EngineMetrics
 from repro.engine.packed import PackedLpm
-from repro.engine.shard import EngineConfig, ShardedClusterEngine, shard_of
-from repro.engine.state import request_triples
+from repro.engine.shard import EngineConfig, ShardedClusterEngine
+from repro.engine.state import (
+    ClusterStore, read_checkpoint, request_triples, write_checkpoint,
+)
 from repro.net.prefix import Prefix
 from repro.weblog.parser import iter_clf_entries, parse_clf_lines
 
@@ -29,6 +32,22 @@ def _report(clusters):
     with contextlib.redirect_stdout(buffer):
         print_cluster_report(clusters, 0, None)
     return buffer.getvalue()
+
+
+def _multi_store_checkpoint(path, table, triples, num_stores, chunk_size):
+    """Checkpoint ``triples`` as a ``num_shards=num_stores`` engine of an
+    older build did: one store per :func:`shard_of` partition, in shard
+    order, under meta naming that shard count."""
+    stores = [ClusterStore() for _ in range(num_stores)]
+    for shard, store in enumerate(stores):
+        store.apply_batch(
+            [t for t in triples if shard_of(t[0], num_stores) == shard], table
+        )
+    meta = {
+        "num_shards": num_stores, "chunk_size": chunk_size,
+        "name": "engine", "entries_ingested": len(triples),
+    }
+    write_checkpoint(path, stores, table_digest=table.digest(), meta=meta)
 
 
 class TestShardOf:
@@ -127,15 +146,13 @@ class TestEquivalence:
     def test_two_shard_checkpoint_resumes_byte_identical(
         self, nagano_log, table, baseline, tmp_path, shards, chunk_size
     ):
-        """A checkpoint written at 2 shards resumes at this shard count
-        and prints the uninterrupted run's report byte for byte."""
+        """A two-store checkpoint, as older 2-shard runs wrote it,
+        resumes at this shard count into one store and prints the
+        uninterrupted run's report byte for byte."""
         entries = request_triples(nagano_log.log.entries)
         half = len(entries) // 2
         path = str(tmp_path / "two-shards.ckpt")
-        written_at = EngineConfig(num_shards=2, chunk_size=chunk_size)
-        with ShardedClusterEngine(table, written_at) as first_half:
-            first_half.ingest(entries[:half])
-            first_half.checkpoint(path)
+        _multi_store_checkpoint(path, table, entries[:half], 2, chunk_size)
         resumed = ShardedClusterEngine.resume(
             path, table, EngineConfig(num_shards=shards, chunk_size=chunk_size)
         )
@@ -161,9 +178,8 @@ class TestEngineBehaviour:
         assert _signature(full) == _signature(baseline)
 
     def test_one_store_snapshot_is_a_copy(self, nagano_log, merged_table):
-        """With one store the snapshot is taken from it directly: a
-        later feed must not reach it, and it equals the two-store
-        engine's copy-and-merge snapshot."""
+        """The snapshot is taken from the store directly: a later feed
+        must not reach it, and ``num_shards`` does not change it."""
         packed = PackedLpm.from_merged(merged_table)
         entries = request_triples(nagano_log.log.entries)
         half = len(entries) // 2
@@ -216,10 +232,13 @@ class TestEngineBehaviour:
         assert metrics.entries == len(nagano_log.log.entries)
         assert metrics.lookups == metrics.entries
         assert metrics.batches == -(-metrics.entries // 1000)
-        assert sum(metrics.shard_entries) == metrics.entries
+        assert metrics.num_shards == 2
+        assert metrics.shard_skew == 1.0
         assert metrics.entries_per_second > 0
 
     def test_resume_with_different_shard_count(self, tmp_path):
+        """``num_shards`` is read by nothing: a checkpoint written at 4
+        holds one store and resumes at 2 to the uninterrupted result."""
         table = PackedLpm.from_items([(Prefix.from_cidr("10.0.0.0/8"), None)])
         triples = [
             (Prefix.from_cidr(f"10.0.0.{i}/32").network, f"/u{i}", i)
@@ -230,6 +249,8 @@ class TestEngineBehaviour:
             engine.ingest_triples(triples[:20])
             path = str(tmp_path / "resume.ckpt")
             engine.checkpoint(path)
+        stores, meta = read_checkpoint(path)
+        assert len(stores) == meta["num_shards"] == 1
         resumed = ShardedClusterEngine.resume(
             path, table, EngineConfig(num_shards=2, chunk_size=8),
         )
@@ -240,3 +261,46 @@ class TestEngineBehaviour:
             uninterrupted.ingest_triples(triples)
             expected = uninterrupted.snapshot()
         assert _signature(snap) == _signature(expected)
+
+    def test_shard_count_changes_no_byte(self, nagano_log, merged_table,
+                                         tmp_path):
+        """``num_shards`` 1, 2 and 4 write byte-identical checkpoints
+        and take identical snapshots."""
+        table = PackedLpm.from_merged(merged_table)
+        entries = request_triples(nagano_log.log.entries)
+        checkpoints, snapshots = set(), []
+        for shards in (1, 2, 4):
+            path = tmp_path / f"{shards}.ckpt"
+            config = EngineConfig(num_shards=shards, chunk_size=1000)
+            with ShardedClusterEngine(table, config) as engine:
+                engine.ingest(entries)
+                engine.checkpoint(str(path))
+                snapshots.append(engine.snapshot())
+            checkpoints.add(path.read_bytes())
+        assert len(checkpoints) == 1
+        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert len({_report(snapshot) for snapshot in snapshots}) == 1
+
+    def test_three_store_checkpoint_resumes_into_one_store(
+        self, nagano_log, merged_table, tmp_path
+    ):
+        """A checkpoint holding three stores, as older ``num_shards=3``
+        runs wrote it, merges into the one store on resume: the report
+        is the uninterrupted run's byte for byte, and the next
+        checkpoint holds one store."""
+        table = PackedLpm.from_merged(merged_table)
+        entries = request_triples(nagano_log.log.entries)
+        third = len(entries) // 3
+        path = str(tmp_path / "three-stores.ckpt")
+        _multi_store_checkpoint(path, table, entries[:third], 3, 512)
+        assert len(read_checkpoint(path)[0]) == 3
+        with ShardedClusterEngine.resume(path, table) as resumed:
+            assert resumed.entries_ingested == third
+            resumed.ingest(entries[third:])
+            resumed.checkpoint(path)
+            report = _report(resumed.snapshot(nagano_log.log.name))
+        stores, meta = read_checkpoint(path)
+        assert len(stores) == meta["num_shards"] == 1
+        assert stores[0].entries_applied == len(entries)
+        expected = cluster_log(nagano_log.log, merged_table)
+        assert report == _report(expected)

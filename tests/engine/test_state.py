@@ -65,13 +65,6 @@ class TestAccumulation:
         assert _rendered(merged) == _rendered(single)
         assert merged.entries_applied == single.entries_applied
 
-    def test_copy_isolates_accumulators(self):
-        store = _store([(A_10, "/a", 1)])
-        clone = store.copy()
-        store.apply_batch([(A_10, "/z", 9)], TABLE)
-        assert clone.snapshot().clusters[0].requests == 1
-        assert store.snapshot().clusters[0].requests == 2
-
 
 class TestCheckpointFormat:
     def test_roundtrip(self, tmp_path):
@@ -83,7 +76,7 @@ class TestCheckpointFormat:
         assert meta["num_shards"] == 2
         assert len(loaded) == 2
         combined = ClusterStore().merge(loaded[0]).merge(loaded[1])
-        expected = ClusterStore().merge(stores[0].copy()).merge(stores[1].copy())
+        expected = _store([(A_10, "/a", 1), (A_192, "/b", 2)])
         assert _rendered(combined) == _rendered(expected)
 
     def test_rejects_foreign_file(self, tmp_path):

@@ -74,12 +74,13 @@ class TestDisturbedEquivalence:
         # The disturbance really happened and was really recovered:
         assert first.injector.fired[SITE_CHECKPOINT_CORRUPT] == 1
         assert first.metrics.checkpoint_rewrites == 1
-        stores, _ = read_checkpoint(ckpt, table_digest=packed.digest())
-        assert len(stores) == 2
-        assert sum(s.entries_applied for s in stores) == half
+        stores, meta = read_checkpoint(ckpt, table_digest=packed.digest())
+        assert len(stores) == meta["num_shards"] == 1
+        assert stores[0].entries_applied == half
 
         with ShardedClusterEngine.resume(ckpt, packed) as resumed:
-            assert resumed.config.num_shards == 2
+            assert resumed.config.chunk_size == CHUNK
+            assert resumed.entries_ingested == half
             resumed.ingest(entries[half:])
             result = resumed.snapshot(nagano_log.log.name)
         assert _signature(result) == baseline
