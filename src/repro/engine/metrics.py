@@ -137,19 +137,17 @@ class EngineMetrics:
         self.sanitize_lpm_crosschecks += lpm_crosschecks
         self.sanitize_checkpoint_readbacks += checkpoint_readbacks
 
-    def record_wal_append(self, synced: bool) -> None:
-        """One frame reached the WAL; ``synced`` if its batched fsync fired."""
-        self.wal_appends += 1
-        if synced:
-            self.wal_syncs += 1
+    def record_wal_appends(self, appends: int, syncs: int,
+                           rotations: int) -> None:
+        """Frames appended to the WAL, the batched fsyncs among them
+        that fell due, and the segments they filled and closed."""
+        self.wal_appends += appends
+        self.wal_syncs += syncs
+        self.wal_rotations += rotations
 
     def record_wal_sync(self) -> None:
         """An fsync ahead of a checkpoint, outside the append cadence."""
         self.wal_syncs += 1
-
-    def record_wal_rotation(self) -> None:
-        """A WAL segment crossed its size threshold and was closed."""
-        self.wal_rotations += 1
 
     def record_wal_truncated_segments(self, count: int) -> None:
         """``count`` checkpoint-covered WAL segments were deleted."""

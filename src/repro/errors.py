@@ -31,6 +31,7 @@ __all__ = [
     "WalError",
     "WalCorruptError",
     "WalSealedError",
+    "WalSyncError",
     "InjectedFault",
     "SanitizeError",
 ]
@@ -130,6 +131,18 @@ class WalSealedError(WalError):
     a sealed writer accepts no further frames.  Resuming a sealed log
     from disk is fine — recovery starts a fresh segment — but the
     in-process writer object is done for good.
+    """
+
+
+class WalSyncError(WalError):
+    """An ``fsync`` of the write-ahead log failed.
+
+    The frames it was to make durable were already handed to the
+    kernel, and after a failed ``fsync`` Linux may have dropped their
+    dirty pages and marked them clean, so a second ``fsync`` can
+    succeed without the bytes ever reaching the disk.  Nothing about
+    the log's durable extent is known any more: the append that saw
+    this is not retried, and the daemon stops.
     """
 
 

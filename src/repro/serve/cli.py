@@ -15,8 +15,9 @@ of the stream: the patched table must match a from-scratch rebuild at
 the final routing state, intervals and digest alike.
 
 Durability: ``--wal DIR`` appends every accepted event to a segmented,
-CRC-framed write-ahead log *before* it mutates daemon state (fsync
-batched per ``--wal-sync-every``, segments rotated at
+CRC-framed write-ahead log *before* it mutates daemon state (frames
+queued up to one ``st_blksize`` buffer, fsync batched per
+``--wal-sync-every``, segments rotated at
 ``--wal-segment-bytes`` and deleted once a checkpoint covers them).
 Checkpoints hold the routing state as the base table's digest plus the
 net route diff since it, so ``--resume`` restores from the same
@@ -35,8 +36,8 @@ Signals and exit codes: SIGTERM and SIGINT trigger a graceful drain —
 flush buffers, final checkpoint, WAL seal — then exit 3 (SIGTERM) or
 4 (SIGINT).  0 is a clean end of stream, 1 a fatal error (injected
 fault, checkpoint failure, error budget exhausted), 5 a write-ahead-log
-failure (corrupt log on recovery, or disk genuinely full after the
-checkpoint-truncate-retry rescue).
+failure (corrupt log on recovery, a failed fsync, or disk genuinely
+full after the checkpoint-truncate-retry rescue).
 """
 
 from __future__ import annotations
@@ -169,7 +170,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--wal-sync-every", type=int, default=64, metavar="N",
         help="fsync the WAL once per N appends (1 = every event is "
-             "durable before it is applied; default 64)",
+             "durable before it is applied; default 64).  A killed "
+             "process loses the frames not yet handed to the kernel, at "
+             "most one st_blksize buffer; a power loss can lose every "
+             "event since the last fsync, up to N-1 of them",
     )
     parser.add_argument(
         "--wal-segment-bytes", type=int, default=4 << 20, metavar="N",
@@ -488,12 +492,17 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         print(f"fatal: {exc}", file=sys.stderr)
         return EXIT_WAL
     except OSError as exc:
+        daemon.abort()
         if exc.errno != errno.ENOSPC:
             raise
-        daemon.abort()
         print(f"fatal: write-ahead log out of disk space ({exc})",
               file=sys.stderr)
         return EXIT_WAL
+    except BaseException:
+        # Whatever else ends the run, the WAL's queued frames are
+        # handed to the kernel first, as a crash would leave them.
+        daemon.abort()
+        raise
 
     exit_code = EXIT_OK
     if flag.fired is not None:

@@ -73,7 +73,7 @@ from repro.engine.state import (
     write_checkpoint,
     write_verified_checkpoint,
 )
-from repro.errors import InjectedFault, WalCorruptError
+from repro.errors import InjectedFault, WalCorruptError, WalSyncError
 from repro.faults import SITE_SERVE_CRASH, FaultInjector
 from repro.net.prefix import Prefix
 from repro.serve.protocol import ServeEvent, parse_event
@@ -164,32 +164,32 @@ class ServeDaemon:
             start_index=self.events_consumed,
         )
 
-    def _wal_append(self, event: ServeEvent) -> None:
-        """Durably log one event before it touches any state.
+    def _wal_append(self, payload: bytes) -> None:
+        """Log ``payload`` again after its append raised ``ENOSPC``.
 
-        ``ENOSPC`` gets one recovery attempt: a checkpoint makes every
-        closed WAL segment it covers redundant, and truncating them is
-        the only space this daemon can legally free — so checkpoint,
-        truncate, retry.  A second failure propagates (the disk is
-        genuinely full and durability cannot be honoured), and so does
-        a failure of the sync the checkpoint makes first: a disk that
-        cannot take the few buffered frames cannot take a checkpoint.
+        An append that raises ``OSError`` has logged nothing, so it can
+        be retried; :meth:`feed` hands it here.  ``ENOSPC`` gets one
+        recovery attempt: a checkpoint makes every closed WAL segment it
+        covers redundant, and truncating them is the only space this
+        daemon can legally free — so checkpoint, truncate, retry.  A
+        second failure propagates (the disk is genuinely full and
+        durability cannot be honoured), and so does a failure of the
+        sync the checkpoint makes first: a disk that cannot take the few
+        queued frames cannot take a checkpoint.  A failed fsync is never
+        retried: it raises :class:`~repro.errors.WalSyncError`, not
+        ``OSError``.
         """
         wal = self._wal
-        if wal is None:
-            return
-        payload = event.to_json().encode("utf-8")
-        try:
-            receipt = wal.append(payload)
-        except OSError as exc:
-            if exc.errno != errno.ENOSPC:
-                raise
-            self.checkpoint_now()
-            receipt = wal.append(payload)
-            self.metrics.record_wal_enospc_recovery()
-        self.metrics.record_wal_append(receipt.synced)
-        if receipt.rotated:
-            self.metrics.record_wal_rotation()
+        assert wal is not None
+        self.checkpoint_now()
+        wal.append(payload)
+        self.metrics.record_wal_enospc_recovery()
+
+    def _drain_wal(self) -> None:
+        """Move the log's append, sync and rotation counts into the
+        metrics (after every flush, and before anything reads them)."""
+        if self._wal is not None:
+            self.metrics.record_wal_appends(*self._wal.take_counts())
 
     def recover(self) -> int:
         """The one way back in: restore the checkpoint, then account
@@ -305,9 +305,27 @@ class ServeDaemon:
     # -- event loop ------------------------------------------------------
 
     def feed(self, event: ServeEvent) -> None:
-        """Consume one stream event (request or routing delta)."""
-        # Log before any state moves: recovery replays exactly the WAL.
-        self._wal_append(event)
+        """Consume one stream event (request or routing delta).
+
+        With a WAL attached the event is logged first — one
+        ``to_json`` and one :meth:`WalWriter.append`, which only queues
+        the frame until the log's next hand-off point — because
+        recovery replays exactly the WAL.  An ``ENOSPC`` from the append
+        goes to :meth:`_wal_append`'s checkpoint-truncate-retry.  The
+        rest is only the work the event needs: the request is buffered
+        (a delta run pending before it is applied first), the route
+        delta coalesced (the requests pending before it folded first),
+        and a checkpoint cut when one falls due.
+        """
+        wal = self._wal
+        if wal is not None:
+            payload = event.to_json().encode("utf-8")
+            try:
+                wal.append(payload)
+            except OSError as exc:
+                if exc.errno != errno.ENOSPC:
+                    raise
+                self._wal_append(payload)
         if self._skip:
             # Upstream replay after a restore without a WAL (so the
             # append above had no log to write to): the checkpoint
@@ -323,17 +341,20 @@ class ServeDaemon:
         self.events_consumed += 1
         self._since_checkpoint += 1
         if isinstance(event, RouteDelta):
-            self._flush_logs()
+            if self._pending_logs:
+                self._flush_logs()
             self.deltas_received += 1
             # Last event per prefix wins — the same end state applying
             # the run one-by-one would leave, because no log event
             # separates the deltas of one run.
             self._pending_deltas[event.prefix] = event
         else:
-            self._flush_deltas()
+            if self._pending_deltas:
+                self._flush_deltas()
             # A LogEvent is the (client, url, size) triple itself.
-            self._pending_logs.append(event)
-            if len(self._pending_logs) >= self.config.batch_size:
+            pending = self._pending_logs
+            pending.append(event)
+            if len(pending) >= self.config.batch_size:
                 self._flush_logs()
         if (
             self.config.checkpoint_path
@@ -351,11 +372,10 @@ class ServeDaemon:
         (goes with ROADMAP item 1)."""
         return 0
 
-    @property
-    def ingress_depth(self) -> int:
-        """Nothing is queued; ``bench/workloads.py`` still reads this
-        (goes with ROADMAP item 1)."""
-        return 0
+    #: Nothing is queued; ``bench/workloads.py`` still reads this once
+    #: per event, so it is a constant, not a property call (goes with
+    #: ROADMAP item 1).
+    ingress_depth = 0
 
     def finish(self) -> None:
         """Flush, final checkpoint, seal the WAL.
@@ -383,12 +403,20 @@ class ServeDaemon:
         the WAL *without* sealing, so recovery treats the run as a crash
         and replays its tail.  Buffers are deliberately not flushed —
         their events are in the WAL, and applying them here could mask
-        the very state the fatal error poisoned."""
+        the very state the fatal error poisoned.  A disk that refuses
+        the WAL's queued frames here (still full, or failing its fsync)
+        loses them as a crash would, and raises nothing over the fatal
+        error the caller is reporting."""
         if self._wal is not None and not self._wal.sealed:
-            self._wal.close()
+            self._drain_wal()
+            try:
+                self._wal.close()
+            except (OSError, WalSyncError):
+                pass
 
     def health(self) -> Dict[str, Any]:
         """One heartbeat's worth of liveness figures (plain types)."""
+        self._drain_wal()
         return {
             "events": self.events_consumed,
             "deltas": self.deltas_received,
@@ -610,10 +638,11 @@ class ServeDaemon:
     # -- stats -----------------------------------------------------------
 
     def _drain_stats(self) -> None:
-        """Move the table's memo counters and the sanitize counters into
-        the metrics: after every flush, so a live (or aborted) daemon's
-        figures move with ``lookups``, and once more from
-        :meth:`finish`."""
+        """Move the WAL's counts, the table's memo counters and the
+        sanitize counters into the metrics: after every flush, so a live
+        (or aborted) daemon's figures move with ``lookups``, and once
+        more from :meth:`finish`."""
+        self._drain_wal()
         take_memo = getattr(self.table, "take_memo_stats", None)
         if take_memo is not None:
             self.metrics.record_memo(*take_memo())

@@ -55,6 +55,7 @@ import json
 import re
 from collections import deque
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Any, Deque, Dict, List, NamedTuple, Optional, Union
 
 from repro.bgp.table import RouteDelta
@@ -120,11 +121,16 @@ class LogEvent(NamedTuple):
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True)``, formatted
         directly: the WAL pays this once per event, and only ``url``
-        can hold anything that needs escaping."""
-        return '{"client": "%s", "size": %d, "type": "log", "url": %s}' % (
-            _client_text(self.client), self.size, json.dumps(self.url),
+        can hold anything that needs escaping — json's own C string
+        encoder writes it, the bytes ``json.dumps(url)`` gives."""
+        client, url, size = self
+        return (
+            f'{{"client": "{_client_text(client)}", "size": {size:d}, '
+            f'"type": "log", "url": {encode_basestring_ascii(url)}}}'
         )
 
+
+_new_tuple = tuple.__new__
 
 #: Anything the daemon's :meth:`~repro.serve.daemon.ServeDaemon.feed`
 #: accepts: a request or a routing delta.
@@ -301,7 +307,10 @@ def parse_event(line: str) -> Optional[ServeEvent]:
     if match is not None:
         client, size, url = match.groups()
         try:
-            return LogEvent(_client_address(client), url, int(size))
+            # ``tuple.__new__`` skips the NamedTuple's Python-level
+            # ``__new__``; the three fields are all there is to it.
+            fields = (_client_address(client), url, int(size))
+            return _new_tuple(LogEvent, fields)
         except ValueError:
             pass  # a bad address or an oversized int: the reference raises
     return _decode_json(line)

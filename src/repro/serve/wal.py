@@ -25,9 +25,28 @@ followed by frames.  A frame is::
     payload    ``length`` bytes (the event's canonical ndjson)
 
 Appends go to the newest segment; when it crosses ``segment_bytes`` the
-writer fsyncs, closes it, and opens the next.  ``fsync`` is batched:
-one sync per ``sync_every`` appends (and always on rotate/seal), so
-durability latency is tunable against throughput.
+writer fsyncs, closes it, and opens the next.  An append only checks its
+payload and queues it: the segment file is unbuffered, and the queued
+frames are encoded and handed to the kernel in one ``write`` at the
+first hand-off point — a sync falling due, the queue reaching the
+buffer ``open()`` would give the file (``st_blksize``), a rotation
+boundary, :meth:`~WalWriter.flush`, :meth:`~WalWriter.seal` or
+:meth:`~WalWriter.close`.  The bytes, the sync points and the frame a
+segment rotates at are those a buffered file would give, and so is
+the loss window: a killed process loses the frames still queued, less
+than one ``st_blksize`` buffer.  ``fsync`` is batched: one sync per
+``sync_every`` appends (and always on rotate/seal), so a power loss
+can lose every event since the last sync, up to ``sync_every - 1`` of
+them; durability latency is tunable against throughput.
+
+A write that fails part-way (a short write, then ``ENOSPC``) cuts the
+segment back to the last whole frame that landed, so the log never
+holds half a frame it did not mean to.  The frames that did not land
+stay queued, except the appending event's own: an append that raises
+``OSError`` has logged nothing, and may be retried.  A failed
+``fsync`` raises :class:`~repro.errors.WalSyncError` instead, which is
+not retried — after one, the kernel may already have dropped the
+unsynced pages.
 
 Recovery (:func:`recover_wal`) reads the segments in order.  A torn
 *tail* — an incomplete or CRC-failing frame at the end of the newest
@@ -54,13 +73,19 @@ retry before giving up (see ``ServeDaemon._wal_append``).
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import InjectedFault, WalCorruptError, WalSealedError
+from repro.errors import (
+    InjectedFault,
+    WalCorruptError,
+    WalSealedError,
+    WalSyncError,
+)
 from repro.faults import (
     SITE_SERVE_WAL_ENOSPC,
     SITE_SERVE_WAL_TORN,
@@ -109,16 +134,28 @@ def encode_frame(payload: bytes, kind: int = FRAME_EVENT) -> bytes:
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame bound"
         )
-    return _FRAME_HEADER.pack(kind, len(payload), zlib.crc32(payload)) + payload
+    return _encode_frames((payload,), kind)
 
 
-def decode_frames(blob: bytes) -> Tuple[List[Tuple[int, bytes]], int, bool]:
-    """Decode consecutive frames from ``blob``.
+def _encode_frames(payloads: Sequence[bytes], kind: int = FRAME_EVENT) -> bytes:
+    """The frames of ``payloads``, back to back (no bound check: the
+    writer checks each payload as it is appended)."""
+    pack, crc32 = _FRAME_HEADER.pack, zlib.crc32
+    return b"".join([pack(kind, len(p), crc32(p)) + p for p in payloads])
+
+
+def decode_frames(
+    blob: bytes, start: int = 0
+) -> Tuple[List[Tuple[int, bytes]], int, bool]:
+    """Decode consecutive frames from ``blob``, the first at ``start``
+    (recovery passes a whole segment file and its header's size rather
+    than copying the frames out of it).
 
     Returns ``(frames, consumed, clean)``: the ``(kind, payload)``
-    pairs of every *complete, CRC-verified* frame; the byte offset
-    where the last good frame ends; and whether the blob ends exactly
-    there (``clean=False`` means a torn or corrupt tail follows).
+    pairs of every *complete, CRC-verified* frame; the byte offset in
+    ``blob`` where the last good frame ends; and whether the blob ends
+    exactly there (``clean=False`` means a torn or corrupt tail
+    follows).
     Decoding stops at the first incomplete header, impossible length,
     unknown kind, short payload, or CRC mismatch — the torn-tail
     contract the recovery property test pins: truncate a frame stream
@@ -126,17 +163,17 @@ def decode_frames(blob: bytes) -> Tuple[List[Tuple[int, bytes]], int, bool]:
     the cut.
     """
     frames: List[Tuple[int, bytes]] = []
-    offset = 0
+    offset = start
     size = len(blob)
     while size - offset >= _FRAME_HEADER.size:
         kind, length, crc = _FRAME_HEADER.unpack_from(blob, offset)
         if kind not in (FRAME_EVENT, FRAME_SEAL) or length > MAX_FRAME_BYTES:
             return frames, offset, False
-        start = offset + _FRAME_HEADER.size
-        end = start + length
+        body = offset + _FRAME_HEADER.size
+        end = body + length
         if end > size:
             return frames, offset, False
-        payload = blob[start:end]
+        payload = blob[body:end]
         if zlib.crc32(payload) != crc:
             return frames, offset, False
         frames.append((kind, payload))
@@ -229,7 +266,7 @@ def recover_wal(directory: str, repair: bool = True) -> WalRecovery:
                 f"the previous segment ends at {next_index} — a segment "
                 "is missing or out of order"
             )
-        frames, consumed, clean = decode_frames(raw[_SEGMENT_HEADER.size:])
+        frames, consumed, clean = decode_frames(raw, _SEGMENT_HEADER.size)
         # A seal poisons only the rest of *its own* segment: a resumed
         # run legitimately appends fresh segments after a sealed one, so
         # the log as a whole counts as sealed only when the newest
@@ -256,7 +293,7 @@ def recover_wal(directory: str, repair: bool = True) -> WalRecovery:
             sealed = False
             if repair:
                 with open(path, "r+b") as handle:
-                    handle.truncate(_SEGMENT_HEADER.size + consumed)
+                    handle.truncate(consumed)
         next_index = index
         segments.append((sequence, start, index, path))
     return WalRecovery(
@@ -268,23 +305,6 @@ def recover_wal(directory: str, repair: bool = True) -> WalRecovery:
     )
 
 
-@dataclass(frozen=True)
-class AppendReceipt:
-    """What one :meth:`WalWriter.append` did: whether the batched fsync
-    fired, and whether the segment rotated afterwards."""
-
-    synced: bool = False
-    rotated: bool = False
-
-
-#: Every receipt there is, indexed ``[synced][rotated]``: an append
-#: hands one of these back rather than building its own.
-_RECEIPTS = tuple(
-    tuple(AppendReceipt(synced, rotated) for rotated in (False, True))
-    for synced in (False, True)
-)
-
-
 class WalWriter:
     """Appends framed events to a segmented log, durably and in order.
 
@@ -293,6 +313,10 @@ class WalWriter:
     from a :class:`WalRecovery` (:meth:`resume`) and always starts a
     new segment — appending into a possibly-torn tail would make the
     next crash ambiguous.
+
+    An append only checks and queues its payload; the queued frames are
+    encoded and written in one call at the next hand-off point (see the
+    module docstring), so the queue is the segment's only buffer.
     """
 
     def __init__(
@@ -320,8 +344,16 @@ class WalWriter:
         #: ``(sequence, start, end, path)`` — the truncation candidates.
         self._closed: List[Tuple[int, int, int, str]] = list(inherited)
         self._handle: Optional["_SegmentHandle"] = None
+        #: Payloads appended but not yet handed to the kernel, and the
+        #: bytes their frames will take.
+        self._queue: List[bytes] = []
+        self._queued = 0
         self._since_sync = 0
         self._sealed = False
+        #: What :meth:`take_counts` has not reported yet.
+        self._counted_index = start_index
+        self._syncs = 0
+        self._rotations = 0
 
     @classmethod
     def resume(
@@ -348,55 +380,131 @@ class WalWriter:
 
     # -- appending -------------------------------------------------------
 
-    def append(self, payload: bytes) -> AppendReceipt:
-        """Durably frame one event; returns what housekeeping fired.
+    def append(self, payload: bytes) -> None:
+        """Log one event.
 
         The caller's contract: append *before* applying the event to
         any in-memory state, so a crash at any instant leaves the log a
         superset of the state.  Raises :class:`WalSealedError` after
-        :meth:`seal`, and lets ``OSError`` (``ENOSPC`` among them)
-        propagate for the daemon's disk-pressure handling.
+        :meth:`seal`, ``ValueError`` for a payload over
+        ``MAX_FRAME_BYTES`` and :class:`~repro.errors.WalSyncError` when
+        an fsync fails.  An ``OSError`` (``ENOSPC`` among them) from a
+        write means this append logged nothing — its frame is neither
+        queued nor in the file and ``next_index`` has not moved — so the
+        daemon's disk-pressure handling may retry it.
         """
         if self._sealed:
             raise WalSealedError(
                 "write-ahead log is sealed — no appends after a graceful "
                 "shutdown"
             )
-        if self.injector is not None:
-            if self.injector.fire(SITE_SERVE_WAL_ENOSPC) is not None:
+        injector = self.injector
+        if injector is not None:
+            if injector.fire(SITE_SERVE_WAL_ENOSPC) is not None:
                 raise OSError(_ENOSPC, "injected: no space left on device")
-        frame = encode_frame(payload)
-        handle = self._ensure_segment()
-        if self.injector is not None:
-            if self.injector.fire(SITE_SERVE_WAL_TORN) is not None:
-                # A torn write: half the frame reaches the platter, then
-                # the process dies.  Recovery must truncate it away.
-                handle.write(frame[: max(1, len(frame) // 2)])
-                handle.sync()
-                raise InjectedFault(
-                    SITE_SERVE_WAL_TORN, "injected torn WAL append"
-                )
-        handle.write(frame)
+        if len(payload) > MAX_FRAME_BYTES:
+            encode_frame(payload)  # raises the frame-bound ValueError
+        handle = self._handle
+        if handle is None:
+            handle = self._open_segment()
+        if injector is not None:
+            if injector.fire(SITE_SERVE_WAL_TORN) is not None:
+                self._tear(payload)
+        self._queue.append(payload)
+        self._queued += _FRAME_HEADER.size + len(payload)
         self.next_index += 1
         self._since_sync += 1
-        synced = False
+        if (
+            self._since_sync >= self.sync_every
+            or self._queued >= handle.buffer_bytes
+            or handle.size + self._queued >= self.segment_bytes
+        ):
+            self._hand_off_appended(handle)
+
+    def _hand_off_appended(self, handle: "_SegmentHandle") -> None:
+        """The append that just queued a frame reached a hand-off point:
+        write the queue, then fsync if a sync fell due, then rotate if
+        the segment is full.  A failed write takes the new frame back
+        out, so the append logged nothing."""
+        try:
+            self._hand_off()
+        except OSError:
+            payload = self._queue.pop()
+            self._queued -= _FRAME_HEADER.size + len(payload)
+            self.next_index -= 1
+            self._since_sync -= 1
+            raise
         if self._since_sync >= self.sync_every:
             handle.sync()
             self._since_sync = 0
-            synced = True
-        rotated = False
+            self._syncs += 1
         if handle.size >= self.segment_bytes:
-            self._rotate()
-            rotated = True
-        return _RECEIPTS[synced][rotated]
+            self._close_segment()
+            self._since_sync = 0
+            self._rotations += 1
+
+    def _hand_off(self) -> None:
+        """Encode every queued frame and hand them to the kernel in one
+        write.  If the write fails part-way, the file is cut back to the
+        last whole frame that landed and the frames that did not land
+        stay queued before the error propagates."""
+        queue = self._queue
+        if not queue:
+            return
+        handle = self._handle
+        assert handle is not None
+        start = handle.size
+        try:
+            handle.write(_encode_frames(queue))
+        except OSError:
+            landed = handle.size - start
+            whole = count = 0
+            for payload in queue:
+                end = whole + _FRAME_HEADER.size + len(payload)
+                if end > landed:
+                    break
+                whole, count = end, count + 1
+            handle.cut(start + whole)
+            del queue[:count]
+            self._queued -= whole
+            raise
+        queue.clear()
+        self._queued = 0
+
+    def _tear(self, payload: bytes) -> None:
+        """The injected torn write: the queued frames and half of this
+        one reach the platter, then the process dies.  Recovery must
+        truncate the half frame away."""
+        self._hand_off()
+        frame = encode_frame(payload)
+        handle = self._handle
+        assert handle is not None
+        handle.write(frame[: max(1, len(frame) // 2)])
+        handle.sync()
+        raise InjectedFault(SITE_SERVE_WAL_TORN, "injected torn WAL append")
+
+    def take_counts(self) -> Tuple[int, int, int]:
+        """``(appends, syncs, rotations)`` since the last call: the
+        batched fsyncs that fell due and the segments closed full.  The
+        daemon moves them into its metrics at its own pace rather than
+        once per event."""
+        counts = (
+            self.next_index - self._counted_index, self._syncs,
+            self._rotations,
+        )
+        self._counted_index = self.next_index
+        self._syncs = self._rotations = 0
+        return counts
 
     def flush(self) -> bool:
         """Force the batched fsync now, so the log is durable up to
         ``next_index`` (a checkpoint about to claim that position must
         not get ahead of it); returns whether anything needed syncing."""
-        if self._handle is None or not self._since_sync:
+        handle = self._handle
+        if handle is None or not self._since_sync:
             return False
-        self._handle.sync()
+        self._hand_off()
+        handle.sync()
         self._since_sync = 0
         return True
 
@@ -408,18 +516,23 @@ class WalWriter:
         """
         if self._sealed:
             raise WalSealedError("write-ahead log is already sealed")
-        handle = self._ensure_segment()
+        handle = self._handle
+        if handle is None:
+            handle = self._open_segment()
+        self._hand_off()
         handle.write(encode_frame(b"", kind=FRAME_SEAL))
-        handle.sync()
         self._close_segment()
         self._sealed = True
 
     def close(self) -> None:
-        """Sync and close *without* sealing (abort path: the log reads
-        back as a crash, which is what an abort is)."""
+        """Hand off, sync and close *without* sealing (abort path: the
+        log reads back as a crash, which is what an abort is).  The
+        segment is closed even when the hand-off fails."""
         if self._handle is not None:
-            self._handle.sync()
-            self._close_segment()
+            try:
+                self._hand_off()
+            finally:
+                self._close_segment()
 
     @property
     def sealed(self) -> bool:
@@ -427,31 +540,30 @@ class WalWriter:
 
     # -- segment lifecycle -----------------------------------------------
 
-    def _ensure_segment(self) -> "_SegmentHandle":
-        if self._handle is None:
-            sequence = self._next_sequence
-            self._next_sequence += 1
-            path = os.path.join(self.directory, _segment_name(sequence))
-            self._handle = _SegmentHandle(path, sequence, self.next_index)
+    def _open_segment(self) -> "_SegmentHandle":
+        # The sequence moves on only once the header is written: after
+        # a failed one (ENOSPC) the retry reopens the same path and
+        # truncates the short file, which would otherwise sit mid-log
+        # as a segment with a torn header.
+        sequence = self._next_sequence
+        path = os.path.join(self.directory, _segment_name(sequence))
+        self._handle = _SegmentHandle(path, sequence, self.next_index)
+        self._next_sequence = sequence + 1
         return self._handle
 
-    def _rotate(self) -> None:
-        handle = self._handle
-        if handle is None:
-            return
-        handle.sync()
-        self._since_sync = 0
-        self._close_segment()
-
     def _close_segment(self) -> None:
+        """Sync and close the open segment (its queue handed off)."""
         handle = self._handle
         if handle is None:
             return
-        handle.close()
-        self._closed.append(
-            (handle.sequence, handle.start_index, self.next_index, handle.path)
-        )
-        self._handle = None
+        try:
+            handle.close()
+        finally:
+            self._closed.append(
+                (handle.sequence, handle.start_index, self.next_index,
+                 handle.path)
+            )
+            self._handle = None
 
     # -- checkpoint-driven truncation ------------------------------------
 
@@ -485,18 +597,26 @@ class WalWriter:
 
 
 class _SegmentHandle:
-    """One open segment file: header written on creation, size tracked
-    so rotation needs no ``stat`` calls."""
+    """One open segment file, unbuffered: the header is written on
+    creation and the writer's queue is the only buffer in front of the
+    kernel.  ``size`` counts the bytes that reached the file, so
+    rotation needs no ``stat`` calls, and ``buffer_bytes`` is the buffer
+    :func:`open` would have given the file (``st_blksize``, or
+    ``io.DEFAULT_BUFFER_SIZE`` when there is no block size)."""
 
     def __init__(self, path: str, sequence: int, start_index: int) -> None:
         self.path = path
         self.sequence = sequence
         self.start_index = start_index
-        self._file = open(path, "wb")
+        self.size = 0
+        self._synced = 0
+        self._file = open(path, "wb", buffering=0)
         try:
-            header = _SEGMENT_HEADER.pack(WAL_MAGIC, WAL_VERSION, start_index)
-            self._file.write(header)
-            self.size = len(header)
+            blksize = os.fstat(self._file.fileno()).st_blksize
+            self.buffer_bytes = blksize if blksize > 1 else io.DEFAULT_BUFFER_SIZE
+            self.write(
+                _SEGMENT_HEADER.pack(WAL_MAGIC, WAL_VERSION, start_index)
+            )
         except BaseException:
             # A failed header write (ENOSPC, signal) must not leak the
             # descriptor: nobody holds a reference to a half-constructed
@@ -505,14 +625,35 @@ class _SegmentHandle:
             raise
 
     def write(self, blob: bytes) -> None:
-        self._file.write(blob)
-        self.size += len(blob)
+        """Hand ``blob`` to the kernel, however many writes that takes;
+        ``size`` counts every byte that landed, also when one raises."""
+        view = memoryview(blob)
+        while view:
+            written = self._file.write(view)
+            self.size += written
+            view = view[written:]
+
+    def cut(self, size: int) -> None:
+        """Truncate the file to ``size`` bytes and write on from there."""
+        fd = self._file.fileno()
+        os.ftruncate(fd, size)
+        os.lseek(fd, size, os.SEEK_SET)
+        self.size = size
 
     def sync(self) -> None:
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        try:
+            os.fsync(self._file.fileno())
+        except OSError as exc:
+            raise WalSyncError(
+                f"fsync of WAL segment {self.path!r} failed ({exc}) — the "
+                "kernel may have dropped the unsynced frames, so the log's "
+                "durable extent is unknown"
+            ) from exc
+        self._synced = self.size
 
     def close(self) -> None:
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self._file.close()
+        try:
+            if self.size != self._synced:
+                self.sync()
+        finally:
+            self._file.close()

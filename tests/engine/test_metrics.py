@@ -151,13 +151,10 @@ def filled_metrics():
     for _ in range(9):
         metrics.record_patch_fallback()
     metrics.record_sanitize(10, 11, 12)
-    metrics.record_wal_append(synced=True)
-    for _ in range(19):
-        metrics.record_wal_append(synced=False)
+    metrics.record_wal_appends(appends=12, syncs=1, rotations=13)
+    metrics.record_wal_appends(appends=8, syncs=0, rotations=8)
     for _ in range(18):
         metrics.record_wal_sync()
-    for _ in range(21):
-        metrics.record_wal_rotation()
     metrics.record_wal_truncated_segments(22)
     metrics.record_wal_recovery(events=23, truncated_frames=25)
     for _ in range(26):

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.errors import InjectedFault
+from repro.errors import InjectedFault, WalSyncError
 from repro.faults import (
     SITE_SERVE_CRASH,
     SITE_SERVE_WAL_ENOSPC,
@@ -24,9 +24,10 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.wal import recover_wal
+from repro.serve.wal import encode_frame, list_segments, recover_wal
 
 from .test_daemon import CLIENT_A, fresh_table, log, mixed_stream
+from .test_wal import failing_open
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -335,3 +336,293 @@ class TestKillAfterCheckpoint:
         recovered.feed(log(CLIENT_A, "/after"))
         recovered.finish()
         assert recovered.snapshot(name="run").total_requests == 101
+
+
+#: Feed 150 requests under ``wal_sync_every=64`` while the first WAL
+#: segment's disk fills part-way through a hand-off (rescued by the
+#: checkpoint-truncate-retry), then die without unwinding.
+KILL_AFTER_ENOSPC = """
+import os, sys
+import repro.serve.wal as wal
+from repro.serve.daemon import ServeConfig, ServeDaemon
+from tests.serve.test_daemon import CLIENT_A, fresh_table, log
+from tests.serve.test_wal import ShortThenFull
+
+def short_open(path, mode="r", buffering=-1):
+    raw = open(path, mode, buffering=buffering)
+    return ShortThenFull(raw, 2000) if mode == "wb" else raw
+
+wal.open = short_open
+daemon = ServeDaemon(
+    fresh_table(),
+    ServeConfig(
+        checkpoint_path=sys.argv[1], wal_dir=sys.argv[2], wal_sync_every=64
+    ),
+)
+daemon.attach_wal()
+for index in range(150):
+    daemon.feed(log(CLIENT_A, f"/{index}"))
+assert daemon.metrics.wal_enospc_recoveries == 1
+os._exit(9)
+"""
+
+
+def _reference(events):
+    reference = ServeDaemon(fresh_table(), ServeConfig(batch_size=2))
+    for event in events:
+        reference.feed(event)
+    reference.finish()
+    return reference.snapshot(name="run")
+
+
+def _logged(events):
+    return [event.to_json().encode("utf-8") for event in events]
+
+
+class TestFullDiskUnderQueuedWal:
+    """A full disk under the queued WAL: every event is logged exactly
+    once, the log holds whole frames only, and recovery from it equals
+    an uninterrupted run."""
+
+    def test_serve_wal_enospc_in_batched_fsync_logs_each_event_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: the fsync of the 4th append failing with ENOSPC
+        used to send the already-written frame through the
+        checkpoint-truncate-retry, which wrote it a second time (5
+        frames for 4 events, 5 requests folded on recovery).  A failed
+        fsync is not retried: the append raises WalSyncError."""
+        events = [log(CLIENT_A, f"/{index}") for index in range(4)]
+        config = wal_config(
+            tmp_path, checkpoint_every=0, wal_sync_every=4,
+            wal_segment_bytes=1 << 20,
+        )
+        real_fsync, calls = os.fsync, []
+
+        def fsync_failing_once(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError(28, "No space left on device")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_failing_once)
+        daemon = ServeDaemon(fresh_table(), config)
+        daemon.attach_wal()
+        with pytest.raises(WalSyncError):
+            for event in events:
+                daemon.feed(event)
+        daemon.abort()
+        monkeypatch.undo()
+
+        recovery = recover_wal(config.wal_dir, repair=False)
+        assert [p for _, p in recovery.events] == _logged(events)
+        recovered = ServeDaemon(fresh_table(), config)
+        assert recovered.recover() == 4
+        recovered.finish()
+        assert recovered.snapshot(name="run").total_requests == 4
+        assert recovered.snapshot(name="run") == _reference(events)
+
+    def test_serve_wal_enospc_mid_hand_off_leaves_whole_frames(
+        self, tmp_path, monkeypatch
+    ):
+        """The disk fills part-way through a multi-frame hand-off: the
+        segment is cut back to the last whole frame before the daemon's
+        checkpoint-truncate-retry, so nothing is logged twice or half,
+        and a crash after the rescue recovers to the uninterrupted
+        report."""
+        events = mixed_stream() * 3
+        config = wal_config(
+            tmp_path, checkpoint_every=0, wal_sync_every=16,
+            wal_segment_bytes=1 << 20,
+        )
+        opened = failing_open(monkeypatch, 17 + 500)
+        daemon = ServeDaemon(fresh_table(), config)
+        daemon.attach_wal()
+        for event in events:
+            daemon.feed(event)
+        assert opened[0].failed
+        assert daemon.metrics.wal_enospc_recoveries == 1
+        assert os.path.exists(config.checkpoint_path)
+        daemon.abort()
+
+        recovery = recover_wal(config.wal_dir, repair=False)
+        assert [p for _, p in recovery.events] == _logged(events)
+        assert recovery.truncated_frames == 0
+        recovered = ServeDaemon(fresh_table(), config)
+        assert 0 < recovered.recover() < len(events)
+        recovered.finish()
+        assert recovered.snapshot(name="run") == _reference(events)
+
+    def test_serve_wal_enospc_in_a_segment_header_recovers_cleanly(
+        self, tmp_path, monkeypatch
+    ):
+        """The disk fills inside the header of the segment a rotation
+        opens, and the checkpoint-truncate-retry frees space: the retry
+        rewrites that segment file rather than leaving a torn header
+        mid-log, so the log reads back clean, each event once, to the
+        uninterrupted report."""
+        events = mixed_stream() * 3
+        config = wal_config(
+            tmp_path, checkpoint_every=0, wal_sync_every=16,
+            wal_segment_bytes=1024,
+        )
+        opened = failing_open(monkeypatch, 10, segment=1)
+        daemon = ServeDaemon(fresh_table(), config)
+        daemon.attach_wal()
+        for event in events:
+            daemon.feed(event)
+        assert opened[1].failed
+        assert daemon.metrics.wal_enospc_recoveries == 1
+        daemon.abort()
+
+        recovery = recover_wal(config.wal_dir, repair=False)
+        assert recovery.truncated_frames == 0
+        assert recovery.next_index == len(events)
+        first = recovery.events[0][0]
+        assert [p for _, p in recovery.events] == _logged(events)[first:]
+        recovered = ServeDaemon(fresh_table(), config)
+        recovered.recover()
+        recovered.finish()
+        assert recovered.snapshot(name="run") == _reference(events)
+
+    def test_kill_after_serve_wal_enospc_rescue_loses_at_most_one_buffer(
+        self, tmp_path
+    ):
+        """SIGKILL after a rescued ENOSPC: the log holds a clean prefix
+        of the stream, each event once, and the frames lost with the
+        process fit in one st_blksize buffer."""
+        checkpoint, wal_dir = str(tmp_path / "kill.ckpt"), str(tmp_path / "wal")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
+        )
+        killed = subprocess.run(
+            [sys.executable, "-c", KILL_AFTER_ENOSPC, checkpoint, wal_dir],
+            env=env, cwd=REPO_ROOT, timeout=60,
+        )
+        assert killed.returncode == 9
+
+        events = [log(CLIENT_A, f"/{index}") for index in range(150)]
+        recovery = recover_wal(wal_dir, repair=False)
+        assert recovery.truncated_frames == 0
+        kept = recovery.next_index
+        assert [p for _, p in recovery.events] == _logged(events[:kept])[
+            kept - len(recovery.events):
+        ]
+        lost = sum(len(encode_frame(p)) for p in _logged(events[kept:]))
+        (_, newest), = list_segments(wal_dir)[-1:]
+        assert lost <= os.stat(newest).st_blksize
+
+        recovered = ServeDaemon(
+            fresh_table(),
+            ServeConfig(
+                checkpoint_path=checkpoint, wal_dir=wal_dir, wal_sync_every=64
+            ),
+        )
+        recovered.recover()
+        assert recovered.events_consumed == kept
+        recovered.finish()
+        assert recovered.snapshot(name="run") == _reference(events[:kept])
+
+
+#: ``repro-engine serve --wal`` on a disk that fills after 2000 bytes of
+#: the first segment and stays full.
+SERVE_ON_A_FULL_DISK = """
+import sys
+import repro.serve.wal as wal
+from repro.serve.cli import serve_main
+from tests.serve.test_wal import ShortThenFull
+
+def full_open(path, mode="r", buffering=-1):
+    raw = open(path, mode, buffering=buffering)
+    if mode != "wb":
+        return raw
+    return ShortThenFull(raw, 2000, frees_space=False)
+
+wal.open = full_open
+sys.exit(serve_main(sys.argv[1:]))
+"""
+
+
+def test_serve_wal_enospc_that_persists_exits_5_with_whole_frames(tmp_path):
+    """The disk stays full through the checkpoint-truncate-retry: the
+    CLI reports it and exits 5 (the abort's own hand-off of the queued
+    frames fails too and must not replace that with a traceback), and
+    the log holds whole frames, each event at most once."""
+    dump = tmp_path / "routes.dump"
+    dump.write_text("10.0.0.0/8\thop1\t7018\n12.0.0.0/8\thop2\t64500\n")
+    events = [log(CLIENT_A, f"/{index}") for index in range(200)]
+    stream = tmp_path / "stream.ndjson"
+    stream.write_text("".join(event.to_json() + "\n" for event in events))
+    wal_dir = str(tmp_path / "wal")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
+    )
+    with open(stream) as stdin:
+        served = subprocess.run(
+            [sys.executable, "-c", SERVE_ON_A_FULL_DISK, "--stdin",
+             "--table", str(dump), "--checkpoint", str(tmp_path / "c.ckpt"),
+             "--wal", wal_dir, "--wal-sync-every", "64"],
+            stdin=stdin, capture_output=True, text=True, env=env,
+            cwd=REPO_ROOT, timeout=60,
+        )
+    assert served.returncode == 5, served.stderr
+    assert "fatal: write-ahead log out of disk space" in served.stderr
+    assert "Traceback" not in served.stderr
+    recovery = recover_wal(wal_dir, repair=False)
+    assert recovery.truncated_frames == 0
+    kept = recovery.next_index
+    assert 0 < kept < len(events)
+    assert [p for _, p in recovery.events] == _logged(events[:kept])
+
+
+#: ``repro-engine serve --wal`` dying of an error it does not handle
+#: while parsing its 151st line.
+SERVE_THEN_AN_UNEXPECTED_ERROR = """
+import sys
+import repro.serve.cli as cli
+from repro.serve.cli import serve_main
+
+real_parse, lines = cli.parse_event, []
+
+def parse_then_fail(line):
+    lines.append(line)
+    if len(lines) > 150:
+        raise RuntimeError("unexpected")
+    return real_parse(line)
+
+cli.parse_event = parse_then_fail
+sys.exit(serve_main(sys.argv[1:]))
+"""
+
+
+def test_an_unexpected_error_hands_the_queued_wal_frames_to_the_kernel(
+    tmp_path,
+):
+    """An exception the CLI does not handle still runs the abort path
+    before the traceback: every event fed before it is in the log, not
+    only those a full buffer or a due sync had handed off."""
+    dump = tmp_path / "routes.dump"
+    dump.write_text("10.0.0.0/8\thop1\t7018\n12.0.0.0/8\thop2\t64500\n")
+    events = [log(CLIENT_A, f"/{index}") for index in range(200)]
+    stream = tmp_path / "stream.ndjson"
+    stream.write_text("".join(event.to_json() + "\n" for event in events))
+    wal_dir = str(tmp_path / "wal")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
+    )
+    with open(stream) as stdin:
+        served = subprocess.run(
+            [sys.executable, "-c", SERVE_THEN_AN_UNEXPECTED_ERROR, "--stdin",
+             "--table", str(dump), "--wal", wal_dir,
+             "--wal-sync-every", "1000"],
+            stdin=stdin, capture_output=True, text=True, env=env,
+            cwd=REPO_ROOT, timeout=60,
+        )
+    assert served.returncode == 1
+    assert "RuntimeError: unexpected" in served.stderr
+    recovery = recover_wal(wal_dir, repair=False)
+    assert recovery.truncated_frames == 0
+    assert [p for _, p in recovery.events] == _logged(events[:150])

@@ -6,14 +6,21 @@ exactly the complete frames before the cut — never a partial frame,
 never a lost complete one.
 """
 
+import errno
 import os
 import struct
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InjectedFault, WalCorruptError, WalSealedError
+from repro.errors import (
+    InjectedFault,
+    WalCorruptError,
+    WalSealedError,
+    WalSyncError,
+)
 from repro.faults import (
     SITE_SERVE_WAL_ENOSPC,
     SITE_SERVE_WAL_TORN,
@@ -41,6 +48,20 @@ def segment_blob(payloads, sealed=False):
     if sealed:
         blob += encode_frame(b"", kind=FRAME_SEAL)
     return blob
+
+
+#: A segment file's header: magic, version, start index.
+_HEADER = 17
+
+
+def _segment_file(start, payloads):
+    """A segment's bytes: the header, then ``payloads``' frames."""
+    header = struct.pack("<8sBQ", WAL_MAGIC, WAL_VERSION, start)
+    return header + segment_blob(payloads)
+
+
+def _payloads(sizes):
+    return [bytes([index % 251]) * size for index, size in enumerate(sizes)]
 
 
 class TestFrameCodec:
@@ -128,10 +149,10 @@ class TestWriterAndRecovery:
     def test_rotation_and_checkpoint_truncation(self, tmp_path):
         directory = str(tmp_path / "wal")
         writer = WalWriter(directory, sync_every=1, segment_bytes=128)
-        rotations = 0
         for index in range(20):
-            receipt = writer.append(b"p" * 40)
-            rotations += int(receipt.rotated)
+            writer.append(b"p" * 40)
+        appends, _, rotations = writer.take_counts()
+        assert appends == 20
         assert rotations >= 3
         assert len(list_segments(directory)) >= 4
         removed = writer.truncate_covered(10)
@@ -154,9 +175,11 @@ class TestWriterAndRecovery:
         directory = str(tmp_path / "wal")
         writer = WalWriter(directory, sync_every=1, segment_bytes=128)
         appended = 0
-        while not writer.append(b"p" * 40).rotated or appended < 6:
+        while True:
+            writer.append(b"p" * 40)
             appended += 1
-        appended += 1
+            if writer.take_counts()[2] and appended > 6:
+                break
         writer.truncate_covered(appended)
         assert len(list_segments(directory)) == 1
         writer.close()
@@ -351,3 +374,229 @@ class TestSegmentHandleCleanup:
             wal_mod._SegmentHandle(str(tmp_path / "seg.wal"), 0, 0)
         assert len(opened) == 1
         assert opened[0].closed
+
+
+class TestQueuedHandOff:
+    """An append only queues its frame; the queue reaches the file in
+    one write at each hand-off point.  The files and the sync and
+    rotation counts must be those of a writer that wrote every frame through a buffered
+    file, and no more than one ``st_blksize`` buffer may wait in memory
+    (the frames a ``kill -9`` loses)."""
+
+    @given(
+        sizes=st.lists(st.integers(0, 700), min_size=1, max_size=60),
+        sync_every=st.integers(1, 80),
+        segment=st.one_of(
+            st.integers(_HEADER + 9, 3000),
+            # A frame that ends exactly on the rotation boundary.
+            st.integers(1, 60).map(lambda frames: -frames),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_files_counts_and_kill_window_match_the_model(
+        self, sizes, sync_every, segment
+    ):
+        payloads = _payloads(sizes)
+        if segment < 0:
+            frames = min(-segment, len(payloads))
+            segment = _HEADER + len(segment_blob(payloads[:frames]))
+        with tempfile.TemporaryDirectory() as directory:
+            writer = WalWriter(
+                directory, sync_every=sync_every, segment_bytes=segment
+            )
+            # The reference: frames grouped into segments, and the
+            # syncs and rotations a buffered file would give per append.
+            expected_segments = [[]]
+            size, since_sync = _HEADER, 0
+            for payload in payloads:
+                writer.append(payload)
+                expected_segments[-1].append(payload)
+                size += len(encode_frame(payload))
+                since_sync += 1
+                synced = since_sync >= sync_every
+                if synced:
+                    since_sync = 0
+                rotated = size >= segment
+                assert writer.take_counts() == (1, synced, rotated)
+                if rotated:
+                    expected_segments.append([])
+                    size, since_sync = _HEADER, 0
+                    continue
+                # Whole frames only reach the file, and what waits in
+                # the queue fits one buffer.
+                (_, path), = list_segments(directory)[-1:]
+                on_disk = open(path, "rb").read()
+                wanted = _segment_file(
+                    writer.next_index - len(expected_segments[-1]),
+                    expected_segments[-1],
+                )
+                assert wanted.startswith(on_disk)
+                assert len(wanted) - len(on_disk) <= os.stat(path).st_blksize
+                frames, _, clean = decode_frames(on_disk[_HEADER:])
+                assert clean
+            assert writer.take_counts() == (0, 0, 0)
+            writer.close()
+            if not expected_segments[-1]:
+                expected_segments.pop()
+            segments = list_segments(directory)
+            assert len(segments) == len(expected_segments)
+            start = 0
+            for (_, path), frames in zip(segments, expected_segments):
+                with open(path, "rb") as handle:
+                    assert handle.read() == _segment_file(start, frames)
+                start += len(frames)
+
+    def test_a_failed_fsync_is_not_reported_as_a_retryable_oserror(
+        self, tmp_path, monkeypatch
+    ):
+        """After a failed fsync the kernel may have dropped the dirty
+        pages, so the append cannot be retried: it raises WalSyncError,
+        and the frame it wrote stays the one copy in the log."""
+        directory = str(tmp_path / "wal")
+        writer = WalWriter(directory, sync_every=2)
+        writer.append(b"one")
+
+        def failing_fsync(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(WalSyncError) as excinfo:
+            writer.append(b"two")
+        assert not isinstance(excinfo.value, OSError)
+        monkeypatch.undo()
+        writer.close()
+        assert [p for _, p in recover_wal(directory).events] == [b"one", b"two"]
+
+
+class ShortThenFull:
+    """A raw segment file that takes ``budget`` more bytes — the write
+    that crosses the budget lands short — then raises ``ENOSPC`` once;
+    after that, space was freed and writes land whole (or, with
+    ``frees_space=False``, every later write raises too)."""
+
+    def __init__(self, raw, budget, frees_space=True):
+        self._raw = raw
+        self.budget = budget
+        self.frees_space = frees_space
+        self.failed = False
+
+    def write(self, data):
+        if self.failed and not self.frees_space:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        if self.failed or self.budget is None:
+            return self._raw.write(data)
+        if self.budget == 0:
+            self.failed = True
+            raise OSError(errno.ENOSPC, "No space left on device")
+        written = self._raw.write(bytes(data[: self.budget]))
+        self.budget -= written
+        return written
+
+    def fileno(self):
+        return self._raw.fileno()
+
+    def close(self):
+        self._raw.close()
+
+
+def failing_open(monkeypatch, budget, segment=0):
+    """Make the ``segment``-th segment file the WAL opens (the first by
+    default) a :class:`ShortThenFull` file."""
+    from repro.serve import wal as wal_mod
+
+    opened = []
+
+    def fake_open(path, mode="r", buffering=-1):
+        raw = open(path, mode, buffering=buffering)
+        if mode != "wb":
+            return raw  # recovery reading or repairing the log
+        opened.append(
+            ShortThenFull(raw, budget if len(opened) == segment else None)
+        )
+        return opened[-1]
+
+    monkeypatch.setattr(wal_mod, "open", fake_open, raising=False)
+    return opened
+
+
+class TestPartialHandOff:
+    def test_short_write_then_enospc_keeps_whole_frames(
+        self, tmp_path, monkeypatch
+    ):
+        """A hand-off of several frames fails part-way: the segment is
+        cut back to the last whole frame that landed, the frames that did
+        not land stay queued, and the failing append logged nothing."""
+        payloads = [b"%02d" % index * 20 for index in range(6)]
+        frame = len(encode_frame(payloads[0]))
+        # Four appends queue; the fourth's sync hands them off and the
+        # disk takes one frame and a half.
+        failing_open(monkeypatch, _HEADER + frame + frame // 2)
+        directory = str(tmp_path / "wal")
+        writer = WalWriter(directory, sync_every=4)
+        for payload in payloads[:3]:
+            writer.append(payload)
+        with pytest.raises(OSError) as excinfo:
+            writer.append(payloads[3])
+        assert excinfo.value.errno == errno.ENOSPC
+        assert writer.next_index == 3
+        (_, path), = list_segments(directory)
+        assert os.path.getsize(path) == _HEADER + frame
+        # The retry logs the event once, behind the two frames that
+        # were still queued.
+        writer.append(payloads[3])
+        assert writer.take_counts()[1] == 1
+        for payload in payloads[4:]:
+            writer.append(payload)
+        writer.close()
+        recovery = recover_wal(directory)
+        assert [p for _, p in recovery.events] == payloads
+        assert recovery.truncated_frames == 0
+
+    def test_failure_on_the_frame_boundary_keeps_every_landed_frame(
+        self, tmp_path, monkeypatch
+    ):
+        payloads = [b"abc", b"defg", b"hi"]
+        landed = len(segment_blob(payloads[:2]))
+        failing_open(monkeypatch, _HEADER + landed)
+        directory = str(tmp_path / "wal")
+        writer = WalWriter(directory, sync_every=3)
+        writer.append(payloads[0])
+        writer.append(payloads[1])
+        with pytest.raises(OSError):
+            writer.append(payloads[2])
+        (_, path), = list_segments(directory)
+        assert os.path.getsize(path) == _HEADER + landed
+        # Both frames landed whole: the flush syncs them and writes
+        # nothing more.
+        assert writer.flush()
+        assert os.path.getsize(path) == _HEADER + landed
+        writer.append(payloads[2])
+        writer.close()
+        assert [p for _, p in recover_wal(directory).events] == payloads
+
+    def test_a_failed_segment_header_is_rewritten_by_the_retry(
+        self, tmp_path, monkeypatch
+    ):
+        """The disk fills inside the header of the segment a rotation
+        opens: the append logged nothing, and its retry reopens the same
+        segment file rather than leaving a torn header mid-log."""
+        failing_open(monkeypatch, _HEADER - 7, segment=1)
+        directory = str(tmp_path / "wal")
+        payloads = [b"%03d" % index * 10 for index in range(6)]
+        writer = WalWriter(
+            directory, sync_every=2,
+            segment_bytes=_HEADER + len(segment_blob(payloads[:3])),
+        )
+        for payload in payloads[:3]:
+            writer.append(payload)
+        with pytest.raises(OSError):
+            writer.append(payloads[3])
+        assert writer.next_index == 3
+        assert len(list_segments(directory)) == 2
+        for payload in payloads[3:]:
+            writer.append(payload)
+        writer.close()
+        assert [sequence for sequence, _ in list_segments(directory)] == [0, 1]
+        recovery = recover_wal(directory)
+        assert [p for _, p in recovery.events] == payloads
+        assert recovery.truncated_frames == 0
