@@ -134,10 +134,17 @@ def merge_windows(
     return tuple(merged)
 
 
+#: The order key's layout: ``(network << _LENGTH_BITS) | length``.
+#: Eight bits keep the length byte-aligned, so a key's big-endian bytes
+#: are three zero bytes, the network and the length, which
+#: :meth:`PackedLpm.digest` reads straight off a patched table's keys.
+_LENGTH_BITS = 8
+
+
 def _order_key(network: int, length: int) -> int:
     """``Prefix.sort_key`` order as one int, so the sorted view is a
     flat array that ``bisect`` searches without calling into Python."""
-    return (network << 6) | length
+    return (network << _LENGTH_BITS) | length
 
 
 class PackedLpm:
@@ -282,15 +289,24 @@ class PackedLpm:
         still matches.
         """
         # Five bytes per prefix: the network big-endian, then the
-        # length.  The networks are packed in one struct call and
-        # interleaved with the lengths by slice assignment.
-        prefixes = self._sorted_entries()[0]
-        count = len(prefixes)
-        networks = struct.pack(f">{count}I", *map(_NETWORK, prefixes))
-        record = bytearray(5 * count)
-        for byte in range(4):
-            record[byte::5] = networks[byte::4]
-        record[4::5] = bytes(map(_LENGTH, prefixes))
+        # length, interleaved by slice assignment from one struct call.
+        view = self._sorted
+        if view is None:
+            prefixes = self._prefixes
+            count = len(prefixes)
+            networks = struct.pack(f">{count}I", *map(_NETWORK, prefixes))
+            record = bytearray(5 * count)
+            for byte in range(4):
+                record[byte::5] = networks[byte::4]
+            record[4::5] = bytes(map(_LENGTH, prefixes))
+        else:
+            # A patched table: the last five of each key's eight bytes.
+            keys = view[0]
+            count = len(keys)
+            packed = struct.pack(f">{count}Q", *keys)
+            record = bytearray(5 * count)
+            for byte in range(5):
+                record[byte::5] = packed[3 + byte::8]
         return hashlib.sha256(record).hexdigest()
 
     # -- canonical numbering ---------------------------------------------
@@ -495,9 +511,11 @@ class PackedLpm:
         never pays for either."""
         view = self._sorted
         if view is None:
+            # :func:`_order_key`'s layout, inlined to save a Python
+            # call per prefix.
             view = (
                 array("Q", [
-                    _order_key(prefix.network, prefix.length)
+                    (prefix.network << _LENGTH_BITS) | prefix.length
                     for prefix in self._sorted_entries()[0]
                 ]),
                 array("q", range(len(self._prefixes))),

@@ -17,8 +17,10 @@ the final routing state, intervals and digest alike.
 Durability: ``--wal DIR`` appends every accepted event to a segmented,
 CRC-framed write-ahead log *before* it mutates daemon state (frames
 queued up to one ``st_blksize`` buffer, fsync batched per
-``--wal-sync-every``, segments rotated at
-``--wal-segment-bytes`` and deleted once a checkpoint covers them).
+``--wal-sync-every``).  Each checkpoint starts a new segment and
+deletes the ones it covers, so a resume decodes only the frames past
+the checkpoint; ``--wal-segment-bytes`` caps a segment between
+checkpoints.
 Checkpoints hold the routing state as the base table's digest plus the
 net route diff since it, so ``--resume`` restores from the same
 ``--table`` files + checkpoint, proving the base and the patched table
@@ -177,8 +179,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--wal-segment-bytes", type=int, default=4 << 20, metavar="N",
-        help="rotate WAL segments at N bytes; closed segments are deleted "
-             "once a checkpoint covers them (default 4 MiB)",
+        help="cap a WAL segment between checkpoints at N bytes; each "
+             "checkpoint starts a new segment and deletes the ones it "
+             "covers (default 4 MiB)",
     )
     parser.add_argument(
         "--heartbeat", type=int, default=0, metavar="EVENTS",

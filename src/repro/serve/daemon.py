@@ -169,13 +169,17 @@ class ServeDaemon:
 
         An append that raises ``OSError`` has logged nothing, so it can
         be retried; :meth:`feed` hands it here.  ``ENOSPC`` gets one
-        recovery attempt: a checkpoint makes every closed WAL segment it
-        covers redundant, and truncating them is the only space this
-        daemon can legally free — so checkpoint, truncate, retry.  A
-        second failure propagates (the disk is genuinely full and
-        durability cannot be honoured), and so does a failure of the
-        sync the checkpoint makes first: a disk that cannot take the few
-        queued frames cannot take a checkpoint.  A failed fsync is never
+        recovery attempt: a checkpoint makes every WAL segment it
+        covers redundant, and deleting them is the only space this
+        daemon can legally free — so checkpoint (which rolls the log to
+        a new segment and deletes the covered ones), retry.  When the
+        full disk refuses even the new segment, the checkpoint still
+        stands, the segment just closed stays as the log's position
+        record and the retry opens the new segment itself.  A second
+        failure propagates (the disk is genuinely full and durability
+        cannot be honoured), and so does a failure of the sync the
+        checkpoint makes first: a disk that cannot take the few queued
+        frames cannot take a checkpoint.  A failed fsync is never
         retried: it raises :class:`~repro.errors.WalSyncError`, not
         ``OSError``.
         """
@@ -380,10 +384,11 @@ class ServeDaemon:
     def finish(self) -> None:
         """Flush, final checkpoint, seal the WAL.
 
-        The order matters: the checkpoint is written (and covered WAL
-        segments truncated) *before* the seal, so a sealed log always
-        ends with a segment the checkpoint still references — recovery
-        after a graceful shutdown finds a sealed, contiguous log.
+        The order matters: the checkpoint is written (the log rolled
+        to a new segment and the covered ones deleted) *before* the
+        seal, so a sealed log is one segment that starts at the
+        checkpoint and holds only the seal — recovery after a graceful
+        shutdown finds a sealed, contiguous log and re-feeds nothing.
         """
         if self._skip:
             raise CheckpointTableMismatchError(
@@ -574,8 +579,10 @@ class ServeDaemon:
         ``meta["base_digest"]`` + ``meta["route_diff"]`` (plain tuples,
         one per prefix touched since the base table), which is all
         :meth:`recover` needs of it; with a WAL attached, the log is
-        synced up to this position before the write and every closed
-        segment the new checkpoint covers is deleted after it.
+        synced up to this position before the write, and after it the
+        log rolls to a new segment and every segment the new checkpoint
+        covers is deleted (:meth:`WalWriter.truncate_covered`), so a
+        recovery decodes only the frames past this checkpoint.
         """
         path = self.config.checkpoint_path
         if path is None:

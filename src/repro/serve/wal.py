@@ -64,11 +64,15 @@ distinguish "crashed" from "drained".  Resuming a sealed log is legal —
 recovery simply starts the next segment — but the in-process writer
 refuses further appends with :class:`~repro.errors.WalSealedError`.
 
-Checkpoints make the log finite: once a checkpoint covers stream index
-``n``, every *closed* segment whose frames all precede ``n`` is deleted
-(:meth:`WalWriter.truncate_covered`).  Disk pressure rides the same
-lever — an ``ENOSPC`` append makes the daemon checkpoint, truncate, and
-retry before giving up (see ``ServeDaemon._wal_append``).
+Checkpoints make the log finite: each checkpoint starts a new segment
+and deletes the ones it covers (:meth:`WalWriter.truncate_covered`), so
+recovery decodes only the frames written after the newest checkpoint;
+``segment_bytes`` caps a segment between checkpoints.  The new segment's
+header and the directory are fsynced before anything is deleted, so
+the directory always holds a segment that reaches the checkpoint.  Disk
+pressure rides the same lever — an ``ENOSPC`` append makes the daemon
+checkpoint, truncate, and retry before giving up (see
+``ServeDaemon._wal_append``).
 """
 
 from __future__ import annotations
@@ -568,32 +572,79 @@ class WalWriter:
     # -- checkpoint-driven truncation ------------------------------------
 
     def truncate_covered(self, upto_index: int) -> int:
-        """Delete closed segments a checkpoint has made redundant.
+        """Retire the segments a checkpoint at stream index
+        ``upto_index`` has made redundant; returns how many were deleted.
 
-        A segment whose every frame precedes stream index
-        ``upto_index`` can never be needed again — recovery starts from
-        the checkpoint.  The open segment is never deleted — nor, when
-        rotation or a recovery has left none open, the newest closed
-        one: it is then the log's only record of its stream position,
-        and a crash before the next append must still find it.  Returns
-        the number of segments removed.
+        A checkpoint that covers every frame appended so far
+        (``upto_index == next_index``, always the daemon's case) while
+        the open segment holds frames first rolls the log over: the
+        open segment is handed off and closed (fsynced), the next one
+        is opened at ``next_index``, and its header and the directory
+        are fsynced.  Only then is every closed segment whose frames
+        all precede ``upto_index`` deleted, the one just closed
+        included, so recovery decodes only the frames the checkpoint
+        does not cover.  At every instant the directory holds a segment
+        that reaches the checkpoint's position, so a kill anywhere in
+        here recovers from the checkpoint.
+
+        If the next segment cannot be created (``ENOSPC`` in its
+        header, say), the checkpoint still stands and the log has no
+        open segment; the next append opens it again.  With no segment
+        open the newest closed one is never deleted: it is then the
+        log's only record of its stream position, and a crash before
+        the next append must still find it.  A rollover is not counted
+        among the rotations, which are the segments closed full.
         """
-        survivors: List[Tuple[int, int, int, str]] = []
-        removed = 0
-        newest = -1
-        if self._handle is None and self._closed:
-            newest = self._closed[-1][0]
-        for sequence, start, end, path in self._closed:
-            if end <= upto_index and sequence != newest:
-                try:
-                    os.unlink(path)
-                except FileNotFoundError:
-                    pass
-                removed += 1
+        handle = self._handle
+        if (
+            handle is not None
+            and upto_index == self.next_index
+            and handle.start_index < upto_index
+        ):
+            self._hand_off()
+            self._close_segment()
+            self._since_sync = 0
+            try:
+                handle = self._open_segment()
+            except OSError:
+                pass
             else:
-                survivors.append((sequence, start, end, path))
-        self._closed = survivors
-        return removed
+                handle.sync()
+        closed = self._closed
+        spared = closed[-1][0] if self._handle is None and closed else -1
+        covered = 0
+        # Closed segments are in stream order, so the covered ones are
+        # a prefix: deleting it front first keeps the log contiguous
+        # whenever the deleting stops.
+        for sequence, _, end, _ in closed:
+            if end > upto_index or sequence == spared:
+                break
+            covered += 1
+        if covered:
+            self._sync_directory()
+        for _ in range(covered):
+            try:
+                os.unlink(closed[0][3])
+            except FileNotFoundError:
+                pass
+            del closed[0]
+        return covered
+
+    def _sync_directory(self) -> None:
+        """Fsync the log's directory, so the segment files created so
+        far survive a power loss before any older one is deleted."""
+        try:
+            fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise WalSyncError(
+                f"fsync of WAL directory {self.directory!r} failed ({exc}) "
+                "— the newest segment may not survive a power loss, so no "
+                "covered segment is deleted"
+            ) from exc
 
 
 class _SegmentHandle:

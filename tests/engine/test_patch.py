@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.fastpath import MemoizedLookup, StrideLpm
-from repro.engine.packed import PackedLpm, merge_windows
+from repro.engine.packed import PackedLpm, _order_key, merge_windows
 from repro.engine.state import ClusterStore, write_checkpoint
 from repro.errors import SanitizeError
 from repro.net.lpm import SortedLpm
@@ -371,3 +371,51 @@ class TestSerialisedFormIsCanonical:
             with open(path, "rb") as handle:
                 images.append(handle.read())
         assert images[0] == images[1]
+
+
+@pytest.mark.parametrize("cls", [PackedLpm, StrideLpm])
+class TestOrderKeyColumn:
+    """The sorted view's key column and the digest a patched table
+    reads off it hold the same bytes as the per-prefix definitions."""
+
+    #: The pool plus both ends of the address space, where the key's
+    #: network and length bytes are at their widest.
+    EDGES = POOL + [Prefix(0, 0), Prefix((1 << 32) - 1, 32), Prefix(0, 32)]
+
+    def test_key_column_is_order_key_prefix_by_prefix(self, cls):
+        model = {prefix: "v" for prefix in self.EDGES}
+        table = cls.from_items(_sorted_items(model))
+        keys, handles = table._sorted_view()
+        assert list(keys) == [
+            _order_key(prefix.network, prefix.length)
+            for prefix, _ in _sorted_items(model)
+        ]
+        assert list(keys) == sorted(keys)
+        table.apply_delta([(POOL[2], "n")], [self.EDGES[-2], POOL[5]])
+        keys, handles = table._sorted_view()
+        assert list(keys) == [
+            _order_key(table.prefix(handle).network,
+                       table.prefix(handle).length)
+            for handle in handles
+        ]
+
+    def test_digest_before_and_after_patches_equals_a_compile(self, cls):
+        model = {prefix: "v" for prefix in self.EDGES[::2]}
+        table = cls.from_items(_sorted_items(model))
+        compiled = PackedLpm.from_items(_sorted_items(model)).digest()
+        assert table.digest() == compiled
+        table.apply_delta([], [])  # materialises the view, changes nothing
+        assert table._sorted is not None
+        assert table.digest() == compiled
+        steps = [
+            ([(self.EDGES[1], "a"), (self.EDGES[-1], "b")], [self.EDGES[0]]),
+            ([(self.EDGES[0], "c")], [self.EDGES[-2], POOL[4]]),
+        ]
+        for announce, withdraw in steps:
+            table.apply_delta(announce, withdraw)
+            model.update(announce)
+            for prefix in withdraw:
+                model.pop(prefix, None)
+            rebuilt = cls.from_items(_sorted_items(model))
+            assert rebuilt._sorted is None
+            assert table.digest() == rebuilt.digest()

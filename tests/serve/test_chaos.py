@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from repro.engine.state import read_checkpoint
 from repro.errors import InjectedFault, WalSyncError
 from repro.faults import (
     SITE_SERVE_CRASH,
@@ -23,8 +24,15 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
+from repro.serve import wal
 from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.wal import encode_frame, list_segments, recover_wal
+from repro.serve.wal import (
+    FRAME_EVENT,
+    WalWriter,
+    encode_frame,
+    list_segments,
+    recover_wal,
+)
 
 from .test_daemon import CLIENT_A, fresh_table, log, mixed_stream
 from .test_wal import failing_open
@@ -338,9 +346,10 @@ class TestKillAfterCheckpoint:
         assert recovered.snapshot(name="run").total_requests == 101
 
 
-#: Feed 150 requests under ``wal_sync_every=64`` while the first WAL
-#: segment's disk fills part-way through a hand-off (rescued by the
-#: checkpoint-truncate-retry), then die without unwinding.
+#: Feed 150 requests under ``wal_sync_every=64`` while each WAL
+#: segment's disk fills part-way through a hand-off after 2000 bytes,
+#: then die without unwinding.  Each rescue's checkpoint rolls the log
+#: into a fresh segment with a fresh budget, so the rescues repeat.
 KILL_AFTER_ENOSPC = """
 import os, sys
 import repro.serve.wal as wal
@@ -362,7 +371,7 @@ daemon = ServeDaemon(
 daemon.attach_wal()
 for index in range(150):
     daemon.feed(log(CLIENT_A, f"/{index}"))
-assert daemon.metrics.wal_enospc_recoveries == 1
+assert daemon.metrics.wal_enospc_recoveries >= 2
 os._exit(9)
 """
 
@@ -429,7 +438,8 @@ class TestFullDiskUnderQueuedWal:
         segment is cut back to the last whole frame before the daemon's
         checkpoint-truncate-retry, so nothing is logged twice or half,
         and a crash after the rescue recovers to the uninterrupted
-        report."""
+        report.  The rescue's checkpoint retires the frames it covers:
+        the log keeps every frame after it."""
         events = mixed_stream() * 3
         config = wal_config(
             tmp_path, checkpoint_every=0, wal_sync_every=16,
@@ -445,11 +455,14 @@ class TestFullDiskUnderQueuedWal:
         assert os.path.exists(config.checkpoint_path)
         daemon.abort()
 
+        covered = read_checkpoint(config.checkpoint_path)[1]["stream_events"]
+        assert 0 < covered < len(events)
         recovery = recover_wal(config.wal_dir, repair=False)
-        assert [p for _, p in recovery.events] == _logged(events)
+        assert recovery.events[0][0] == covered
+        assert [p for _, p in recovery.events] == _logged(events)[covered:]
         assert recovery.truncated_frames == 0
         recovered = ServeDaemon(fresh_table(), config)
-        assert 0 < recovered.recover() < len(events)
+        assert recovered.recover() == len(events) - covered
         recovered.finish()
         assert recovered.snapshot(name="run") == _reference(events)
 
@@ -488,9 +501,10 @@ class TestFullDiskUnderQueuedWal:
     def test_kill_after_serve_wal_enospc_rescue_loses_at_most_one_buffer(
         self, tmp_path
     ):
-        """SIGKILL after a rescued ENOSPC: the log holds a clean prefix
-        of the stream, each event once, and the frames lost with the
-        process fit in one st_blksize buffer."""
+        """SIGKILL after rescued ENOSPCs: the log holds a clean stretch
+        of the stream from the newest checkpoint on, each event once,
+        and the frames lost with the process fit in one st_blksize
+        buffer."""
         checkpoint, wal_dir = str(tmp_path / "kill.ckpt"), str(tmp_path / "wal")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -503,12 +517,14 @@ class TestFullDiskUnderQueuedWal:
         assert killed.returncode == 9
 
         events = [log(CLIENT_A, f"/{index}") for index in range(150)]
+        covered = read_checkpoint(checkpoint)[1]["stream_events"]
         recovery = recover_wal(wal_dir, repair=False)
         assert recovery.truncated_frames == 0
         kept = recovery.next_index
-        assert [p for _, p in recovery.events] == _logged(events[:kept])[
-            kept - len(recovery.events):
-        ]
+        assert [i for i, _ in recovery.events] == list(range(covered, kept))
+        assert [p for _, p in recovery.events] == _logged(
+            events[covered:kept]
+        )
         lost = sum(len(encode_frame(p)) for p in _logged(events[kept:]))
         (_, newest), = list_segments(wal_dir)[-1:]
         assert lost <= os.stat(newest).st_blksize
@@ -523,6 +539,174 @@ class TestFullDiskUnderQueuedWal:
         assert recovered.events_consumed == kept
         recovered.finish()
         assert recovered.snapshot(name="run") == _reference(events[:kept])
+
+
+#: Serve ``mixed_stream() * 4`` with a checkpoint every 40 events and
+#: 512-byte segments, and die inside the first checkpoint's WAL
+#: truncation at the kill point named by ``sys.argv[3]``.
+KILL_IN_CHECKPOINT = """
+import os, sys
+import repro.serve.wal as wal
+from repro.serve.daemon import ServeDaemon
+from tests.serve.test_chaos import wal_config_at
+from tests.serve.test_daemon import fresh_table, mixed_stream
+
+checkpoint, wal_dir, point = sys.argv[1:4]
+
+def die(*args):
+    os._exit(9)
+
+if point == "after-checkpoint-write":
+    wal.WalWriter.truncate_covered = die
+elif point == "after-new-segment":
+    real_sync = wal.WalWriter._sync_directory
+
+    def sync_then_die(writer):
+        real_sync(writer)
+        die()
+
+    wal.WalWriter._sync_directory = sync_then_die
+else:
+    real_unlink, unlinked = os.unlink, []
+
+    def unlink_once_then_fail(path):
+        unlinked.append(path)
+        if len(unlinked) > 1:
+            raise PermissionError(13, "Permission denied", path)
+        real_unlink(path)
+
+    os.unlink = unlink_once_then_fail
+daemon = ServeDaemon(fresh_table(), wal_config_at(checkpoint, wal_dir))
+daemon.attach_wal()
+try:
+    for event in mixed_stream() * 4:
+        daemon.feed(event)
+except PermissionError:
+    die()
+os._exit(1)
+"""
+
+
+def wal_config_at(checkpoint, wal_dir):
+    return ServeConfig(
+        batch_size=2, checkpoint_path=checkpoint, checkpoint_every=40,
+        wal_dir=wal_dir, wal_sync_every=8, wal_segment_bytes=512,
+    )
+
+
+class TestCheckpointRetiresTheWal:
+    """Each checkpoint rolls the log to a new segment and deletes the
+    ones it covers: recovery decodes only the frames past it, and a
+    kill anywhere in that sequence still recovers."""
+
+    @pytest.mark.parametrize(
+        "point", ["after-checkpoint-write", "after-new-segment",
+                  "unlink-fails"],
+    )
+    def test_a_kill_inside_the_truncation_recovers_to_the_report(
+        self, tmp_path, point
+    ):
+        checkpoint, wal_dir = str(tmp_path / "kill.ckpt"), str(tmp_path / "wal")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
+        )
+        killed = subprocess.run(
+            [sys.executable, "-c", KILL_IN_CHECKPOINT, checkpoint, wal_dir,
+             point],
+            env=env, cwd=REPO_ROOT, timeout=60,
+        )
+        assert killed.returncode == 9
+
+        events = mixed_stream() * 4
+        recovery = recover_wal(wal_dir, repair=False)
+        assert recovery.next_index == 40
+        assert recovery.truncated_frames == 0
+        first = recovery.events[0][0] if recovery.events else 40
+        assert [p for _, p in recovery.events] == _logged(events)[first:40]
+        sequences = [sequence for sequence, _ in list_segments(wal_dir)]
+        if point == "after-checkpoint-write":
+            assert first == 0
+        else:
+            # The new segment, empty, starts at the checkpoint.
+            assert recovery.segments[-1][1:3] == (40, 40)
+            assert (sequences[0] > 0) == (point == "unlink-fails")
+        recovered = ServeDaemon(
+            fresh_table(), wal_config_at(checkpoint, wal_dir)
+        )
+        assert recovered.recover() == 0
+        assert recovered.events_consumed == 40
+        for event in events[40:]:
+            recovered.feed(event)
+        recovered.finish()
+        assert recovered.snapshot(name="run") == _reference(events)
+
+    def test_recovery_decodes_only_the_frames_past_the_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        events = mixed_stream() * 4
+        config = wal_config(
+            tmp_path, checkpoint_every=20, wal_sync_every=4,
+            wal_segment_bytes=1 << 20,
+        )
+        daemon = ServeDaemon(fresh_table(), config)
+        daemon.attach_wal()
+        for event in events[:50]:
+            daemon.feed(event)
+        daemon.abort()
+
+        real_decode, decoded = wal.decode_frames, []
+
+        def counting_decode(blob, start=0):
+            frames, consumed, clean = real_decode(blob, start)
+            decoded.extend(frames)
+            return frames, consumed, clean
+
+        monkeypatch.setattr(wal, "decode_frames", counting_decode)
+        recovered = ServeDaemon(fresh_table(), config)
+        assert recovered.recover() == 10
+        assert decoded == [(FRAME_EVENT, p) for p in _logged(events[40:50])]
+        for event in events[50:]:
+            recovered.feed(event)
+        recovered.finish()
+        assert recovered.snapshot(name="run") == _reference(events)
+
+    def test_a_log_that_keeps_frames_before_the_checkpoint_recovers(
+        self, tmp_path, monkeypatch
+    ):
+        """The layout of a log written before checkpoints rolled it
+        over: one segment holding every frame since event 0.  It
+        recovers to the same report, and the resumed run's next
+        checkpoint retires it."""
+        events = mixed_stream() * 4
+        config = wal_config(
+            tmp_path, checkpoint_every=20, wal_sync_every=4,
+            wal_segment_bytes=1 << 20,
+        )
+        with monkeypatch.context() as patched:
+            # Deletes closed segments only, and none ever closes.
+            patched.setattr(
+                WalWriter, "truncate_covered", lambda writer, upto: 0
+            )
+            daemon = ServeDaemon(fresh_table(), config)
+            daemon.attach_wal()
+            for event in events[:50]:
+                daemon.feed(event)
+            daemon.abort()
+        (_, old), = list_segments(config.wal_dir)
+        assert recover_wal(config.wal_dir, repair=False).events[0][0] == 0
+
+        recovered = ServeDaemon(fresh_table(), config)
+        assert recovered.recover() == 10
+        for event in events[50:]:
+            recovered.feed(event)
+        recovered.finish()
+        assert recovered.snapshot(name="run") == _reference(events)
+        assert not os.path.exists(old)
+        assert len(list_segments(config.wal_dir)) == 1
+        recovery = recover_wal(config.wal_dir)
+        assert recovery.sealed and recovery.events == []
+        assert recovery.next_index == len(events)
 
 
 #: ``repro-engine serve --wal`` on a disk that fills after 2000 bytes of

@@ -191,6 +191,53 @@ class TestWriterAndRecovery:
         resumed.close()
         assert recover_wal(directory).next_index == appended + 1
 
+    def test_a_covering_checkpoint_leaves_one_segment_starting_there(
+        self, tmp_path
+    ):
+        """A checkpoint at ``next_index`` rolls the log over and deletes
+        every segment before it, the rotated ones and the one it just
+        closed: what is left is one segment that starts at the
+        checkpoint."""
+        directory = str(tmp_path / "wal")
+        writer = WalWriter(directory, sync_every=3, segment_bytes=128)
+        for _ in range(10):
+            writer.append(b"p" * 40)
+        rotated = len(list_segments(directory))
+        assert rotated >= 3
+        assert writer.truncate_covered(10) == rotated
+        (sequence, path), = list_segments(directory)
+        assert sequence == rotated
+        with open(path, "rb") as handle:
+            assert handle.read() == _segment_file(10, [])
+        # Rollovers are not rotations: those count segments closed full.
+        assert writer.take_counts()[2] == rotated - 1
+        for payload in PAYLOADS:
+            writer.append(payload)
+        writer.close()
+        recovery = recover_wal(directory)
+        assert recovery.events == list(enumerate(PAYLOADS, start=10))
+        assert recovery.truncated_frames == 0
+
+    def test_a_checkpoint_covering_nothing_new_does_not_roll_over(
+        self, tmp_path
+    ):
+        directory = str(tmp_path / "wal")
+        writer = WalWriter(directory, sync_every=1)
+        # Nothing appended yet: no segment to roll, none to delete.
+        assert writer.truncate_covered(0) == 0
+        assert list_segments(directory) == []
+        writer.append(b"one")
+        assert writer.truncate_covered(1) == 1
+        assert writer.truncate_covered(1) == 0
+        assert [seq for seq, _ in list_segments(directory)] == [1]
+        # Behind next_index it deletes only what it covers, no rollover.
+        writer.append(b"two")
+        writer.append(b"three")
+        assert writer.truncate_covered(2) == 0
+        assert [seq for seq, _ in list_segments(directory)] == [1]
+        writer.close()
+        assert recover_wal(directory).events == [(1, b"two"), (2, b"three")]
+
     def test_seal_then_append_raises(self, tmp_path):
         writer = WalWriter(str(tmp_path / "wal"))
         writer.append(b"one")
@@ -599,4 +646,30 @@ class TestPartialHandOff:
         assert [sequence for sequence, _ in list_segments(directory)] == [0, 1]
         recovery = recover_wal(directory)
         assert [p for _, p in recovery.events] == payloads
+        assert recovery.truncated_frames == 0
+
+
+    def test_a_refused_rollover_keeps_the_closed_segment(
+        self, tmp_path, monkeypatch
+    ):
+        """The disk refuses the header of the segment a checkpoint rolls
+        into: the checkpoint stands, the segment just closed stays as
+        the log's position record, and the next append opens the new
+        segment itself."""
+        opened = failing_open(monkeypatch, _HEADER - 7, segment=1)
+        directory = str(tmp_path / "wal")
+        writer = WalWriter(directory, sync_every=1)
+        for payload in PAYLOADS[:3]:
+            writer.append(payload)
+        assert writer.truncate_covered(3) == 0
+        assert opened[1].failed
+        assert recover_wal(directory, repair=False).next_index == 3
+        writer.append(PAYLOADS[3])
+        assert writer.truncate_covered(4) == 2
+        (sequence, _), = list_segments(directory)
+        assert sequence == 2
+        writer.append(PAYLOADS[4])
+        writer.close()
+        recovery = recover_wal(directory)
+        assert recovery.events == [(4, PAYLOADS[4])]
         assert recovery.truncated_frames == 0
